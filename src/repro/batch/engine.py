@@ -7,11 +7,12 @@ the diagnostic response matrices and the :class:`~repro.efit.fitting.GridStatics
 (limiter mask, limiter contour, coil flux tables).  ``fit_many`` then
 drives batches of ``B`` slices in lockstep Picard iteration:
 
-* the per-slice halves (``steps_``, ``current_``, ``green_``) run through
-  the same :class:`~repro.efit.fitting.EfitSolver` step machine the
-  serial path uses, so per-slice results match a serial
-  :meth:`~repro.efit.fitting.EfitSolver.fit` to round-off;
-* the ``pflux_`` half is batched: one
+* the loop is :meth:`~repro.efit.fitting.EfitSolver.picard` on the
+  engine's own solver, whose flux step applies the engine's edge
+  operator (DESIGN.md's relation table says how the results relate to
+  ``solver.fit`` and to serving);
+* that step runs in its batched form
+  (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`): one
   ``(n_edge, nw*nh) @ (nw*nh, B)`` GEMM computes every slice's boundary
   Green sums at once, and one multi-RHS sine-transform solve handles all
   interior systems;
@@ -34,6 +35,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -46,13 +48,12 @@ from repro.efit.fitting import EfitSolver, FitResult, GridStatics
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.efit.measurements import MeasurementSet
-from repro.efit.operators import DenseEdgeOperator, EdgeOperator, cached_edge_operator
-from repro.efit.pflux import edge_node_indices
+from repro.efit.operators import EdgeOperator, cached_edge_operator
+from repro.efit.tables import cached_boundary_tables
 from repro.errors import FittingError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks
 from repro.profiling.regions import RegionProfiler
 from repro.runtime.counters import WorkspaceCounters
-from repro.utils.constants import MU0
 
 __all__ = ["BatchFitEngine", "BatchFitResult"]
 
@@ -86,13 +87,9 @@ class BatchFitEngine:
         batch-level spans/events (``pflux_`` regions carry a ``batch``
         attribute; per-slice Picard events come from the solver).
     edge_operator:
-        Optional precomputed edge-flux operator: either the dense
-        ``(n_edge, nw*nh)`` matrix
-        (:func:`~repro.efit.pflux.edge_flux_operator` of this grid's
-        tables) or any ready-made
-        :class:`~repro.efit.operators.EdgeOperator`.  The multi-process
-        fleet passes shared-memory-backed operators here so workers skip
-        the build entirely.
+        Optional ready-made :class:`~repro.efit.operators.EdgeOperator`.
+        The multi-process fleet passes shared-memory-backed operators
+        here so workers skip the build entirely.
     boundary_method:
         Representation to build when ``edge_operator`` is not supplied —
         one of :data:`repro.efit.operators.EDGE_METHODS` (``"dense"``
@@ -111,7 +108,7 @@ class BatchFitEngine:
         batch_size: int = 8,
         n_workers: int = 1,
         hooks: ObservationHooks | None = None,
-        edge_operator: "np.ndarray | EdgeOperator | None" = None,
+        edge_operator: EdgeOperator | None = None,
         boundary_method: str = "dense",
         **solver_kwargs,
     ) -> None:
@@ -122,35 +119,25 @@ class BatchFitEngine:
         self.batch_size = batch_size
         self.n_workers = n_workers
         self.hooks = hooks if hooks is not None else NULL_HOOKS
+        if edge_operator is None:
+            edge_operator = cached_edge_operator(
+                cached_boundary_tables(grid), boundary_method
+            )
+        elif boundary_method != "dense" and edge_operator.method != boundary_method:
+            raise FittingError(
+                f"edge_operator method {edge_operator.method!r} != "
+                f"boundary_method {boundary_method!r}"
+            )
+        #: The boundary Green sums as an :class:`EdgeOperator`.
+        self.edge_op = edge_operator
+        self.boundary_method = edge_operator.method
         #: The shared per-grid setup: Green tables, solver factorisation,
-        #: response matrices — built once, reused by every worker.
-        self.solver = EfitSolver(machine, diagnostics, grid, **solver_kwargs)
+        #: response matrices — built once, reused by every worker — with
+        #: ``edge_op`` as its flux step.
+        self.solver = EfitSolver(
+            machine, diagnostics, grid, pflux_impl=edge_operator, **solver_kwargs
+        )
         self.statics = GridStatics.build(machine, grid)
-        #: The boundary Green sums as an :class:`EdgeOperator`.  A raw
-        #: ndarray (the historical contract, still what the fleet's dense
-        #: arenas pass) wraps into the dense form, whose ``apply`` is the
-        #: same GEMM as before — the default path stays bit-identical.
-        if edge_operator is not None:
-            if isinstance(edge_operator, EdgeOperator):
-                if boundary_method != "dense" and edge_operator.method != boundary_method:
-                    raise FittingError(
-                        f"edge_operator method {edge_operator.method!r} != "
-                        f"boundary_method {boundary_method!r}"
-                    )
-                self.edge_op = edge_operator
-            else:
-                expected = (2 * (grid.nw + grid.nh) - 4, grid.size)
-                if edge_operator.shape != expected:
-                    raise FittingError(
-                        f"edge_operator shape {edge_operator.shape}, expected {expected}"
-                    )
-                self.edge_op = DenseEdgeOperator(grid, edge_operator)
-        else:
-            self.edge_op = cached_edge_operator(self.solver.tables, boundary_method)
-        self.boundary_method = self.edge_op.method
-        self._edge_i, self._edge_j = edge_node_indices(grid.nw, grid.nh)
-        #: ``rhs = rhs_factor * pcurr`` — same association as the serial path.
-        self._rhs_factor = -(MU0 / grid.cell_area) * grid.rr
         #: Per-worker arenas/profilers, persistent across ``fit_many``
         #: calls so the steady state allocates nothing.
         self._workspaces = [FitWorkspace() for _ in range(n_workers)]
@@ -163,13 +150,9 @@ class BatchFitEngine:
         The scenario's ``solver_kwargs`` are forwarded to the underlying
         :class:`EfitSolver`; explicit ``kwargs`` win on conflict.
         """
-        from repro.scenarios import get_scenario
+        from repro.scenarios import Scenario
 
-        sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        if shot is None:
-            shot = sc.make_shot(n)
-        merged = {**sc.solver_kwargs, **kwargs}
-        return cls(shot.machine, shot.diagnostics, shot.grid, **merged)
+        return Scenario.construct(cls, scenario, n, shot=shot, **kwargs)
 
     # -- observability ------------------------------------------------------------
     def workspace_counters(self) -> WorkspaceCounters:
@@ -200,65 +183,33 @@ class BatchFitEngine:
     ) -> list[tuple[FitResult, float, int]]:
         """Advance one batch of slices in lockstep to convergence."""
         solver = self.solver
-        grid = solver.grid
-        hooks = self.hooks
-        nw, nh = grid.nw, grid.nh
-        nb = len(batch)
-        n_edge = self._edge_i.size
-
-        seeds = psi_initial if psi_initial is not None else [None] * nb
+        seeds = psi_initial if psi_initial is not None else [None] * len(batch)
         states = [
             solver.start_fit(
                 m,
                 psi_initial=seed,
                 statics=self.statics,
                 profiler=profiler,
-                hooks=hooks,
+                hooks=self.hooks,
             )
             for m, seed in zip(batch, seeds)
         ]
-        # Fixed-capacity batch buffers, reused across iterates and batches;
-        # a ragged final batch takes views so the arena shapes never change.
-        cap = self.batch_size
-        pcurr_neg = ws.array("pcurr_neg", (grid.size, cap))[:, :nb]
-        edge = ws.array("edge_flux", (n_edge, cap))[:, :nb]
-        rhs = ws.array("rhs", (cap, nw, nh))[:nb]
-        psi_bound = ws.array("psi_boundary", (cap, nw, nh))[:nb]
-        psi_plasma = ws.array("psi_plasma", (cap, nw, nh))[:nb]
-        psi_new = ws.array("psi_new", (cap, nw, nh))[:nb]
-        psi_ext: list[np.ndarray | None] = [None] * nb
-
-        latencies = [0.0] * nb
-        active = list(range(nb))
-        for _ in range(solver.max_iters):
-            for k in active:
-                pcurr, psi_ext[k] = solver.iterate_pre(states[k], statics=self.statics)
-                # The serial path feeds ``-pcurr`` to the boundary kernel.
-                np.multiply(pcurr.reshape(grid.size), -1.0, out=pcurr_neg[:, k])
-                np.multiply(self._rhs_factor, pcurr, out=rhs[k])
-            with hooks.profiled_region(profiler, "pflux_", batch=nb):
-                # One operator apply for the whole batch's boundary Green
-                # sums (a single GEMM on the dense path) ...
-                self.edge_op.apply(pcurr_neg, out=edge)
-                psi_bound[:, self._edge_i, self._edge_j] = edge.T
-                # ... and one multi-RHS sweep for all interior solves.
-                solver.solver.solve_batch(rhs, psi_bound, out=psi_plasma)
+        flux = partial(solver.pflux.compute_batch, ws, self.batch_size, len(states))
+        latencies: list[float | None] = [None] * len(states)
+        for _ in solver.picard(states, statics=self.statics, flux=flux):
             now = time.perf_counter()
-            for k in active:
-                np.add(psi_plasma[k], psi_ext[k], out=psi_new[k])
-                if solver.iterate_post(states[k], psi_new[k]):
+            for k, state in enumerate(states):
+                if state.converged and latencies[k] is None:
                     latencies[k] = now - t_run0
-            active = [k for k in active if not states[k].converged]
-            if not active:
-                break
         t_end = time.perf_counter()
-        out: list[tuple[FitResult, float, int]] = []
-        for k, state in enumerate(states):
-            if not state.converged:
-                latencies[k] = t_end - t_run0
-            result = solver.finish(state, require_convergence=require_convergence)
-            out.append((result, latencies[k], len(state.history)))
-        return out
+        return [
+            (
+                solver.finish(state, require_convergence=require_convergence),
+                latency if latency is not None else t_end - t_run0,
+                len(state.history),
+            )
+            for state, latency in zip(states, latencies)
+        ]
 
     def fit_many(
         self,

@@ -55,18 +55,37 @@ __all__ = ["main", "build_parser", "DEFAULT_BASELINE"]
 #: when ``--baseline``/``--no-baseline`` are not given.
 DEFAULT_BASELINE = "analysis-baseline.json"
 
-#: Edge-operator method names, duplicated from
-#: :data:`repro.efit.operators.EDGE_METHODS` so ``build_parser`` stays
-#: import-light (the operators module pulls in numpy/scipy); a CLI test
-#: pins the two lists equal.
-_EDGE_METHODS = ("dense", "toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32")
+
+def _add_problem_options(
+    p: argparse.ArgumentParser,
+    method_help: str,
+    *,
+    scenario_default: str | None = None,
+    scenario_help: str | None = None,
+) -> None:
+    """``--scenario`` (given a default or a help text) / ``--grid`` /
+    ``--boundary-method``: the problem a command reconstructs."""
+    # Both choice lists come from import-light modules (no numpy, no efit
+    # tables), so an unknown value fails argparse-style: exit 2, full list.
+    from repro.edge_methods import EDGE_METHODS
+    from repro.scenarios import scenario_names
+
+    if scenario_default is not None:
+        scenario_help = f"registered machine/shot scenario (default {scenario_default})"
+    if scenario_help is not None:
+        p.add_argument(
+            "--scenario", choices=scenario_names(), default=scenario_default,
+            help=scenario_help,
+        )
+    p.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
+    p.add_argument(
+        "--boundary-method", choices=EDGE_METHODS, default="dense", help=method_help
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for testing and docs)."""
-    # The scenario registry is import-light (no numpy / no efit tables):
-    # the choice lists below come straight from it, so an unknown
-    # --scenario fails argparse-style — exit 2 with the full list.
+    from repro.edge_methods import EDGE_METHODS
     from repro.scenarios import DEFAULT_SCENARIO, scenario_names
 
     scenarios = scenario_names()
@@ -94,21 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fit = sub.add_parser("fit", help="reconstruct a synthetic time slice")
-    p_fit.add_argument(
-        "--scenario",
-        choices=scenarios,
-        default=DEFAULT_SCENARIO,
-        help=f"registered machine/shot scenario (default {DEFAULT_SCENARIO})",
+    _add_problem_options(
+        p_fit,
+        "edge-flux operator representation (default dense)",
+        scenario_default=DEFAULT_SCENARIO,
     )
-    p_fit.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p_fit.add_argument("--noise", type=float, default=1e-3, help="measurement noise")
     p_fit.add_argument("--solver", default="dst",
                        choices=["direct", "dst", "cyclic", "cg"],
                        help="interior GS solver")
-    p_fit.add_argument(
-        "--boundary-method", choices=_EDGE_METHODS, default="dense",
-        help="edge-flux operator representation (default dense)",
-    )
     p_fit.add_argument("--geqdsk", metavar="PATH", default=None,
                        help="write the result as a g-EQDSK file")
     p_fit.add_argument("--afile", metavar="PATH", default=None,
@@ -160,11 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write all current findings to the baseline file and exit 0",
     )
-    p_an.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
-    p_an.add_argument(
-        "--boundary-method", choices=_EDGE_METHODS, default="dense",
-        help="edge-operator representation the directive registry prices "
-        "(default dense)",
+    _add_problem_options(
+        p_an,
+        "edge-operator representation the directive registry prices (default dense)",
     )
     p_an.add_argument(
         "--max-traffic-ratio",
@@ -235,14 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         "case", nargs="?", choices=scenarios, default=None,
         help="scenario to reconstruct (positional form; default g186610)",
     )
-    p_pf.add_argument(
-        "--scenario",
-        choices=scenarios,
-        default=None,
-        help="registered machine/shot scenario (same registry as the "
+    _add_problem_options(
+        p_pf,
+        "edge-flux operator the fleet stages in the shared arena (default dense)",
+        scenario_help="registered machine/shot scenario (same registry as the "
         "positional case; giving both conflicting forms is an error)",
     )
-    p_pf.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p_pf.add_argument("--workers", type=int, default=2, help="worker processes (default 2)")
     p_pf.add_argument("--slices", type=int, default=16, help="time slices (default 16)")
     p_pf.add_argument(
@@ -270,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the serial BatchFitEngine and report speedup + equality",
     )
     p_pf.add_argument(
-        "--boundary-method", choices=_EDGE_METHODS, default="dense",
-        help="edge-flux operator the fleet stages in the shared arena "
-        "(default dense)",
-    )
-    p_pf.add_argument(
         "--allow-failures", action="store_true",
         help="report quarantined jobs instead of aborting on them (still exits 4)",
     )
@@ -283,13 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="stream concurrent shot streams through the real-time service",
     )
-    p_sv.add_argument(
-        "--scenario",
-        choices=scenarios,
-        default=DEFAULT_SCENARIO,
-        help=f"registered machine/shot scenario (default {DEFAULT_SCENARIO})",
+    _add_problem_options(
+        p_sv,
+        "edge-flux operator of the shared engine, applied by every "
+        "stream's solves (default dense)",
+        scenario_default=DEFAULT_SCENARIO,
     )
-    p_sv.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p_sv.add_argument(
         "--streams", type=int, default=4,
         help="concurrent shot streams (default 4)",
@@ -317,10 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve every slice cold (A/B baseline for the warm savings)",
     )
     p_sv.add_argument(
-        "--boundary-method", choices=_EDGE_METHODS, default="dense",
-        help="edge-flux operator of the shared engine (default dense)",
-    )
-    p_sv.add_argument(
         "--metrics-out", metavar="PATH", default=None,
         help="write the serve.* metrics snapshot (with summary) here",
     )
@@ -342,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p_op.add_argument(
         "--method",
-        choices=[m for m in _EDGE_METHODS if m != "dense"],
+        choices=[m for m in EDGE_METHODS if m != "dense"],
         action="append",
         default=None,
         metavar="NAME",

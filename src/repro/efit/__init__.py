@@ -50,7 +50,6 @@ from repro.efit.contours import FluxSurface, trace_flux_surface
 from repro.efit.qprofile import QProfile, safety_factor
 from repro.efit.current import distribute_current
 from repro.efit.pflux import (
-    PfluxOperator,
     PfluxReference,
     PfluxVectorized,
     boundary_flux_operator,
@@ -105,7 +104,6 @@ __all__ = [
     "QProfile",
     "safety_factor",
     "distribute_current",
-    "PfluxOperator",
     "PfluxReference",
     "PfluxVectorized",
     "boundary_flux_operator",

@@ -18,6 +18,7 @@ and Figure 6 pie charts are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from repro.efit.greens import greens_psi
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.efit.measurements import MeasurementSet
+from repro.efit.operators import EdgeOperator, cached_edge_operator
 from repro.efit.pflux import (
     PfluxBase,
     PfluxReference,
@@ -161,14 +163,17 @@ class EfitSolver:
     Parameters
     ----------
     pflux_impl:
-        ``"vectorized"`` (default), ``"reference"`` (the pure-loop baseline
-        — slow, small grids only), or any ready-made
-        :class:`~repro.efit.pflux.PfluxBase` instance (the GPU-offloaded
-        variants from :mod:`repro.core.offload` plug in here).
+        ``"vectorized"`` (default: Green-table sums, no operator is
+        built), ``"reference"`` (the pure-loop baseline — slow, small
+        grids only), a ready-made :class:`~repro.efit.pflux.PfluxBase`
+        instance (the GPU-offloaded variants from
+        :mod:`repro.core.offload` plug in here), or an
+        :class:`~repro.efit.operators.EdgeOperator` to apply — how an
+        engine puts its solver on the operator it owns.
     boundary_method:
         Edge-flux operator representation for the boundary Green sums:
-        ``"dense"`` (default — the exact historical path), or one of the
-        compressed forms of :data:`repro.efit.operators.EDGE_METHODS`
+        ``"dense"`` (default — whatever ``pflux_impl`` says), or one of
+        the compressed forms of :data:`repro.efit.operators.EDGE_METHODS`
         (``"toeplitz"``, ``"lowrank"``, ``"toeplitz-fp32"``,
         ``"lowrank-fp32"``) that beat the dense GEMM on 129^2+ grids.
         Mutually exclusive with a non-default ``pflux_impl``.
@@ -245,23 +250,15 @@ class EfitSolver:
         # --- one-time green_ setup -------------------------------------------
         self.tables = cached_boundary_tables(grid)
         self.solver = make_solver(solver_name, grid)
-        self.boundary_method = boundary_method
         if boundary_method != "dense":
-            # The default keeps the historical PfluxVectorized path so
-            # golden artifacts stay bit-identical; structured methods
-            # route the boundary sums through a compressed operator.
-            if isinstance(pflux_impl, PfluxBase) or pflux_impl != "vectorized":
+            if pflux_impl != "vectorized":
                 raise FittingError(
                     "pass either pflux_impl or boundary_method, not both"
                 )
-            from repro.efit.operators import cached_edge_operator
-
-            self.pflux = PfluxStructured(
-                grid,
-                self.tables,
-                self.solver,
-                cached_edge_operator(self.tables, boundary_method),
-            )
+            pflux_impl = cached_edge_operator(self.tables, boundary_method)
+        if isinstance(pflux_impl, EdgeOperator):
+            boundary_method = pflux_impl.method
+            self.pflux = PfluxStructured(grid, self.tables, self.solver, pflux_impl)
         elif isinstance(pflux_impl, PfluxBase):
             self.pflux = pflux_impl
         elif pflux_impl == "vectorized":
@@ -270,6 +267,7 @@ class EfitSolver:
             self.pflux = PfluxReference(grid, self.tables, self.solver)
         else:
             raise FittingError(f"unknown pflux implementation {pflux_impl!r}")
+        self.boundary_method = boundary_method
         self.grid_response = diagnostics.response_to_grid(grid)
         self.coil_response = diagnostics.response_to_coils(machine)
         #: Vessel eddy-current fitting (production EFIT's VESSEL option):
@@ -300,13 +298,9 @@ class EfitSolver:
         :class:`~repro.efit.measurements.SyntheticShot` instead of
         fetching the scenario's cached one at grid ``n``.
         """
-        from repro.scenarios import get_scenario
+        from repro.scenarios import Scenario
 
-        sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        if shot is None:
-            shot = sc.make_shot(n)
-        kwargs = {**sc.solver_kwargs, **overrides}
-        return cls(shot.machine, shot.diagnostics, shot.grid, **kwargs)
+        return Scenario.construct(cls, scenario, n, shot=shot, **overrides)
 
     # -- helpers ------------------------------------------------------------------
     def _shift_z(self, field: np.ndarray, delz: float) -> np.ndarray:
@@ -646,6 +640,50 @@ class EfitSolver:
             )
         return state.converged
 
+    def picard(
+        self,
+        states: Sequence[FitState],
+        *,
+        statics: GridStatics | None = None,
+        flux: Callable[..., Sequence[np.ndarray]] | None = None,
+    ) -> Iterator[None]:
+        """The Picard loop, written once: advance ``states`` in lockstep.
+
+        Each iterate runs :meth:`iterate_pre` on every state still
+        iterating, one flux step over them all and :meth:`iterate_post`
+        on each result, then yields; the generator ends once all have
+        converged or after ``max_iters`` iterates.  A caller is a stop
+        policy: :meth:`fit` exhausts it, a serving session leaves at its
+        deadline, the batch engine reads latencies between iterates.
+
+        ``flux(columns, currents)`` maps the positions in ``states`` still
+        iterating and their ``(pcurr, psi_external)`` pairs to one
+        ``psi_new`` each.  The default applies :attr:`pflux` slice by
+        slice; the batch engine passes its workspace-backed form,
+        :meth:`~repro.efit.pflux.PfluxStructured.compute_batch`.  The
+        states share one profiler and one hooks object: one caller, one
+        thread.
+        """
+        if flux is None:
+            def flux(columns, currents):
+                return [self.pflux.compute(*pair) for pair in currents]
+
+        profiler, hooks = states[0].profiler, states[0].hooks
+        active = list(range(len(states)))
+        for iteration in range(1, self.max_iters + 1):
+            with hooks.profiled_region(profiler, "fit_", iteration=iteration):
+                currents = [self.iterate_pre(states[k], statics=statics) for k in active]
+                with hooks.profiled_region(
+                    profiler, "pflux_", iteration=iteration, batch=len(states)
+                ):
+                    psi_new = flux(active, currents)
+                for k, psi in zip(active, psi_new):
+                    self.iterate_post(states[k], psi)
+            yield
+            active = [k for k in active if not states[k].converged]
+            if not active:
+                return
+
     def finish(self, state: FitState, *, require_convergence: bool = True) -> FitResult:
         """Seal a Picard state into a :class:`FitResult`."""
         if not state.converged and require_convergence:
@@ -702,17 +740,6 @@ class EfitSolver:
         state = self.start_fit(
             measurements, psi_initial=psi_initial, coeffs_initial=coeffs_initial
         )
-        hooks = state.hooks
-        for _ in range(self.max_iters):
-            with hooks.profiled_region(
-                self.profiler, "fit_", iteration=state.iteration + 1
-            ):
-                pcurr, psi_ext_iter = self.iterate_pre(state)
-                with hooks.profiled_region(
-                    self.profiler, "pflux_", iteration=state.iteration
-                ):
-                    psi_new = self.pflux.compute(pcurr, psi_ext_iter)
-                self.iterate_post(state, psi_new)
-            if state.converged:
-                break
+        for _ in self.picard([state]):
+            pass
         return self.finish(state, require_convergence=require_convergence)

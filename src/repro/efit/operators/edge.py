@@ -43,6 +43,7 @@ from collections import OrderedDict
 import numpy as np
 import scipy.fft as sfft
 
+from repro.edge_methods import EDGE_METHODS
 from repro.efit.grid import RZGrid
 from repro.efit.tables import BoundaryGreensTables
 from repro.errors import GridError, OperatorError, OperatorStructureError
@@ -60,11 +61,6 @@ __all__ = [
     "edge_operator_from_arrays",
     "validate_edge_structure",
 ]
-
-#: Every ``boundary_method`` value the solvers accept. ``dense`` is the
-#: default and the ground truth; ``-fp32`` variants store their factors in
-#: single precision and refine with a second pass on the split residual.
-EDGE_METHODS = ("dense", "toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32")
 
 _EPS32 = float(np.finfo(np.float32).eps)
 _EPS64 = float(np.finfo(np.float64).eps)
@@ -232,9 +228,9 @@ class EdgeOperator(abc.ABC):
 class DenseEdgeOperator(EdgeOperator):
     """The exact dense matrix — ground truth and default.
 
-    ``apply`` is the same single GEMM as
-    :func:`repro.efit.pflux.boundary_flux_operator`, bit-identical by
-    construction (goldens on the default path must not move).
+    ``apply`` is :func:`repro.efit.pflux.boundary_flux_operator`, one
+    GEMM with no input coercion (goldens on the default path must not
+    move).
     """
 
     method = "dense"
@@ -257,16 +253,9 @@ class DenseEdgeOperator(EdgeOperator):
         return int(self.matrix.nbytes)
 
     def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # No coercion dance: keep the exact call the batch engine made
-        # before operators existed, so the default path stays bitwise.
-        if pcurr_flat.shape[0] != self.n_grid:
-            raise GridError(
-                f"pcurr length {pcurr_flat.shape[0]} != operator columns {self.n_grid}"
-            )
-        expected = (self.n_edge,) + pcurr_flat.shape[1:]
-        if out is not None and out.shape != expected:
-            raise GridError(f"out shape {out.shape} != {expected}")
-        return np.matmul(self.matrix, pcurr_flat, out=out)
+        from repro.efit.pflux import boundary_flux_operator
+
+        return boundary_flux_operator(self.matrix, pcurr_flat, out)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"matrix": self.matrix}

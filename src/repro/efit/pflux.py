@@ -50,7 +50,6 @@ __all__ = [
     "PfluxBase",
     "PfluxReference",
     "PfluxVectorized",
-    "PfluxOperator",
     "PfluxStructured",
 ]
 
@@ -291,34 +290,14 @@ class PfluxVectorized(PfluxBase):
         return boundary_flux_vectorized(self.tables, pcurr)
 
 
-class PfluxOperator(PfluxBase):
-    """``pflux_`` with the precomputed dense edge operator.
-
-    Trades memory (one ``(n_edge, nw*nh)`` matrix per grid) for a single
-    GEMV per call — the building block of the batched multi-slice engine,
-    where the same operator serves whole batches with one GEMM.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.operator = edge_flux_operator(self.tables)
-        self._edge_i, self._edge_j = edge_node_indices(self.grid.nw, self.grid.nh)
-
-    def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
-        psi = np.zeros(self.grid.shape)
-        psi[self._edge_i, self._edge_j] = boundary_flux_operator(
-            self.operator, pcurr.reshape(self.grid.size)
-        )
-        return psi
-
-
 class PfluxStructured(PfluxBase):
-    """``pflux_`` with a structured edge operator (``boundary_method``).
+    """``pflux_`` through an :class:`~repro.efit.operators.EdgeOperator`.
 
-    Same contract as :class:`PfluxOperator` but the boundary sums run
-    through any :class:`~repro.efit.operators.EdgeOperator` — the
-    FFT/Toeplitz or low-rank compressed forms that beat the dense GEMM
-    on large grids (see :mod:`repro.efit.operators.edge`).
+    The boundary sums are one operator apply — the exact dense GEMM or
+    the FFT/Toeplitz and low-rank compressed forms that beat it on large
+    grids (see :mod:`repro.efit.operators.edge`).  :meth:`compute` is the
+    B = 1 form and allocates its own arrays, so one instance serves any
+    number of threads; :meth:`compute_batch` is the batch engine's form.
     """
 
     def __init__(self, grid, tables, solver, operator) -> None:
@@ -327,6 +306,8 @@ class PfluxStructured(PfluxBase):
             raise GridError("edge operator built for a different grid")
         self.operator = operator
         self._edge_i, self._edge_j = edge_node_indices(grid.nw, grid.nh)
+        #: ``rhs = rhs_factor * pcurr`` — the association :meth:`compute` uses.
+        self._rhs_factor = -(MU0 / grid.cell_area) * grid.rr
 
     def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
         psi = np.zeros(self.grid.shape)
@@ -334,3 +315,38 @@ class PfluxStructured(PfluxBase):
             pcurr.reshape(self.grid.size)
         )
         return psi
+
+    @hot_path
+    def compute_batch(self, ws, capacity: int, nb: int, columns, currents) -> list[np.ndarray]:
+        """:meth:`compute` for ``nb`` slices in lockstep: one operator
+        apply and one multi-RHS interior solve.
+
+        Every array is a named buffer of the caller's workspace ``ws``
+        (``FitWorkspace.array``), sized for ``capacity`` slices so a
+        ragged final batch reuses the arena of a full one.  ``columns``
+        are the slices still iterating and ``currents`` their ``(pcurr,
+        psi_external)`` pairs; returns one ``psi_new`` per column.  A
+        converged column keeps its last current and rides the
+        fixed-shape apply, so the steady state allocates nothing.  With
+        ``nb == 1`` the result is :meth:`compute`'s bit for bit (a
+        one-column apply is the vector apply); wider batches agree to
+        round-off.
+        """
+        grid = self.grid
+        nw, nh = grid.nw, grid.nh
+        pcurr_neg = ws.array("pcurr_neg", (grid.size, capacity))[:, :nb]
+        edge = ws.array("edge_flux", (grid.n_boundary, capacity))[:, :nb]
+        rhs = ws.array("rhs", (capacity, nw, nh))[:nb]
+        psi_bound = ws.array("psi_boundary", (capacity, nw, nh))[:nb]
+        psi_plasma = ws.array("psi_plasma", (capacity, nw, nh))[:nb]
+        psi_new = ws.array("psi_new", (capacity, nw, nh))[:nb]
+        for k, (pcurr, _) in zip(columns, currents):
+            # As in compute: the boundary kernel is fed ``-pcurr``.
+            np.multiply(pcurr.reshape(grid.size), -1.0, out=pcurr_neg[:, k])
+            np.multiply(self._rhs_factor, pcurr, out=rhs[k])
+        self.operator.apply(pcurr_neg, out=edge)
+        psi_bound[:, self._edge_i, self._edge_j] = edge.T
+        self.solver.solve_batch(rhs, psi_bound, out=psi_plasma)
+        for k, (_, psi_external) in zip(columns, currents):
+            np.add(psi_plasma[k], psi_external, out=psi_new[k])
+        return [psi_new[k] for k in columns]

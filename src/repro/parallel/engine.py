@@ -191,13 +191,9 @@ class ParallelFitEngine:
         off-midplane seed filament — apply identically in the fleet and
         in the serial engines it is compared against.
         """
-        from repro.scenarios import get_scenario
+        from repro.scenarios import Scenario
 
-        sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        if shot is None:
-            shot = sc.make_shot(n)
-        merged = {**sc.solver_kwargs, **kwargs}
-        return cls(shot.machine, shot.diagnostics, shot.grid, **merged)
+        return Scenario.construct(cls, scenario, n, shot=shot, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------------
     def close(self) -> None:

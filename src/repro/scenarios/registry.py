@@ -106,6 +106,20 @@ class Scenario:
             seed=self.default_seed if seed is None else seed,
         )
 
+    @staticmethod
+    def construct(factory, scenario: "str | Scenario", n: int = 65, *, shot=None, **overrides):
+        """The one ``for_scenario`` behind the solver and both engines:
+        ``factory(machine, diagnostics, grid, **kwargs)`` on the shot of
+        ``scenario`` (a registered name or a :class:`Scenario`) at grid
+        ``n``, or on ``shot`` when one is already built, with the
+        scenario's ``solver_kwargs`` under ``overrides``."""
+        sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
+        if shot is None:
+            shot = sc.make_shot(n)
+        return factory(
+            shot.machine, shot.diagnostics, shot.grid, **{**sc.solver_kwargs, **overrides}
+        )
+
     @property
     def golden_artifact(self) -> str:
         """Filename of the committed golden snapshot for this scenario."""

@@ -1,12 +1,11 @@
 """Per-stream solve state: warm-start chaining under a deadline.
 
-One :class:`ShotSession` follows one live shot.  Every frame runs the
-exact Picard iterate sequence of a serial
-:meth:`~repro.efit.fitting.EfitSolver.fit` — ``iterate_pre``, the
-single-slice ``pflux_`` solve, ``iterate_post`` — so a slice that runs
-to convergence is **bit-identical** to the serial solver on the same
-inputs.  Two things are layered on top of the step machine, neither of
-which touches the numerics:
+One :class:`ShotSession` follows one live shot.  Every frame runs
+:meth:`~repro.efit.fitting.EfitSolver.picard` — the loop
+:meth:`~repro.efit.fitting.EfitSolver.fit` runs, on the same solver — so
+a slice that runs to convergence is **bit-identical** to that solver's
+``fit`` on the same inputs (the relation table is in DESIGN.md).  Two
+things are layered on top, neither of which touches the numerics:
 
 * **warm-start chaining** — the previous slice's converged psi and
   profile coefficients seed the next
@@ -106,24 +105,16 @@ class ShotSession:
             profiler=self.profiler,
         )
         seeded = self.warm_start and self._prev_psi is not None
-        hooks = state.hooks
         missed = False
-        # The same iterate sequence as EfitSolver.fit — the deadline
-        # check between iterates is the only addition, and the first
-        # iterate always runs so a missed slice still has a boundary.
-        for _ in range(solver.max_iters):
-            with hooks.profiled_region(
-                self.profiler, "fit_", iteration=state.iteration + 1
+        # The stop policy: leave the loop once the budget is spent.  The
+        # first iterate runs before the first check, so a missed slice
+        # still has a boundary.
+        for _ in solver.picard([state], statics=self.statics):
+            if (
+                not state.converged
+                and deadline is not None
+                and self.clock() - t0 >= deadline
             ):
-                pcurr, psi_ext_iter = solver.iterate_pre(state, statics=self.statics)
-                with hooks.profiled_region(
-                    self.profiler, "pflux_", iteration=state.iteration
-                ):
-                    psi_new = solver.pflux.compute(pcurr, psi_ext_iter)
-                solver.iterate_post(state, psi_new)
-            if state.converged:
-                break
-            if deadline is not None and self.clock() - t0 >= deadline:
                 missed = True
                 break
         result = solver.finish(state, require_convergence=False)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
+from repro.efit.fitting import EfitSolver
 from repro.efit.operators import cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import FittingError, OperatorError
+from repro.serve import Frame, ShotSession
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,25 @@ class TestBoundaryMethodKwarg:
                 boundary_method="butterfly",
             )
 
+    def test_engine_solver_applies_the_engine_operator(self, shot33, slices4):
+        """``boundary_method`` means the same at every entry point: the
+        engine's solver — hence ``solver.fit`` and every serving session —
+        runs on the operator ``fit_many`` applies.  (It used to stay on
+        the Green-table sums, so ``repro serve --boundary-method X``
+        built an operator no frame ever applied.)"""
+        engine = BatchFitEngine(
+            shot33.machine, shot33.diagnostics, shot33.grid, boundary_method="lowrank"
+        )
+        assert engine.solver.pflux.operator is engine.edge_op
+        assert engine.solver.boundary_method == engine.edge_op.method == "lowrank"
+        session = ShotSession(engine.solver, statics=engine.statics)
+        served = session.reconstruct(Frame("s", 0, slices4[0])).result
+        bare = EfitSolver(
+            shot33.machine, shot33.diagnostics, shot33.grid, boundary_method="lowrank"
+        ).fit(slices4[0])
+        np.testing.assert_array_equal(served.psi, bare.psi)
+        assert served.iterations == bare.iterations
+
 
 class TestEdgeOperatorInstance:
     def test_prebuilt_operator_accepted(self, shot33, slices4, dense_batch):
@@ -95,29 +116,4 @@ class TestEdgeOperatorInstance:
                 shot33.grid,
                 edge_operator=op,
                 boundary_method="toeplitz",
-            )
-
-    def test_raw_ndarray_back_compat(self, shot33, slices4, dense_batch):
-        """Pre-operator callers passed the dense matrix; still bit-exact."""
-        tables = cached_boundary_tables(shot33.grid)
-        matrix = cached_edge_operator(tables, "dense").to_arrays()["matrix"]
-        engine = BatchFitEngine(
-            shot33.machine,
-            shot33.diagnostics,
-            shot33.grid,
-            batch_size=2,
-            edge_operator=np.array(matrix),
-        )
-        assert engine.boundary_method == "dense"
-        batch = engine.fit_many(slices4)
-        for a, b in zip(dense_batch.results, batch.results):
-            np.testing.assert_array_equal(a.psi, b.psi)
-
-    def test_wrong_shape_ndarray_rejected(self, shot33):
-        with pytest.raises(FittingError, match="shape"):
-            BatchFitEngine(
-                shot33.machine,
-                shot33.diagnostics,
-                shot33.grid,
-                edge_operator=np.zeros((3, 3)),
             )

@@ -324,3 +324,7 @@ class TestProtocol:
 
     def test_dense_wrapper_type(self, dense33):
         assert isinstance(dense33, DenseEdgeOperator)
+
+    def test_dense_wrong_shape_rejected(self, tables33):
+        with pytest.raises(OperatorError, match="shape"):
+            DenseEdgeOperator(tables33.grid, np.zeros((3, 3)))

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from repro.efit.grid import RZGrid
+from repro.efit.operators import build_edge_operator
 from repro.efit.pflux import (
-    PfluxOperator,
+    PfluxStructured,
     PfluxVectorized,
     boundary_flux_operator,
     boundary_flux_reference,
@@ -132,7 +133,9 @@ class TestPfluxOperatorPipeline:
         pcurr = rng.normal(size=g.shape) * 1e3
         ext = rng.normal(size=g.shape)
         vec = PfluxVectorized(g, tables, make_solver("dst", g)).compute(pcurr, ext)
-        op = PfluxOperator(g, tables, make_solver("dst", g)).compute(pcurr, ext)
+        op = PfluxStructured(
+            g, tables, make_solver("dst", g), build_edge_operator(tables, "dense")
+        ).compute(pcurr, ext)
         assert np.allclose(op, vec, rtol=1e-12)
 
 

@@ -1,16 +1,22 @@
-"""Property tests over the scenario zoo: GS residuals and engine identity.
+"""Property tests over the scenario zoo: GS residuals and engine relations.
 
-Two physics invariants hold for *every* scenario, whatever the noise
-draw or the worker count:
+Two invariants hold for *every* scenario, whatever the noise draw or the
+worker count:
 
 * The ground-truth equilibrium satisfies the discrete Grad-Shafranov
   equation to discretisation accuracy inside the plasma (the coil flux
   is harmonic there, so the plasma current is the only source).
-* The batch and parallel engines are invisible: their outputs are
-  bit-identical to the serial solver on the same slices.
+* The entry points relate as DESIGN.md's relation table declares:
+  ``engine.solver.fit``, a serving session and a batch of one are
+  bit-identical; batches of B >= 2 and the fleet are bit-identical among
+  themselves; the two groups, and a bare solver, agree to round-off.
+  ``test_batch_engine_matches_single_solver`` is the one place the
+  relations between engine *kinds* are asserted.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -22,7 +28,8 @@ from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.fitting import EfitSolver
 from repro.efit.operators import GradShafranovOperator
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, scenario_names
+from repro.serve import Frame, ShotSession
 from repro.utils.constants import MU0
 
 N = 33
@@ -32,6 +39,14 @@ BATCH_SIZE = 2
 #: Scenarios exercised here; g186610/solovev engine identity is already
 #: pinned in tests/parallel, so this sweep focuses on the new machines.
 SCENARIOS = ("spherical-torus", "double-null", "single-null")
+
+#: Grid of the relation test where 33^2 will not do: Solov'ev's residual
+#: plateaus above tol there, and the relations are claimed for converged
+#: slices.
+RELATION_GRID = {"solovev": 65}
+#: Declared round-off bound between the bit-identical groups: max |dpsi|
+#: over the flux span.
+ROUND_OFF = 1e-9
 
 
 @pytest.fixture(autouse=True)
@@ -117,18 +132,87 @@ def test_batch_grouping_is_invisible(name):
         assert ours.iterations == ref.iterations
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_batch_engine_matches_single_solver(name):
-    """A batched slice reproduces a plain EfitSolver fit to rounding
-    error (the batched GEMM path reorders contractions, so bitwise
-    equality is not promised across engine *kinds* — only within them)."""
-    sc, shot, slices, serial = _serial_reference(name)
-    solo = EfitSolver.for_scenario(sc, shot=shot).fit(slices[0])
-    ref = serial.results[0]
-    np.testing.assert_allclose(solo.psi, ref.psi, rtol=1e-10, atol=1e-12)
-    assert solo.chi2 == pytest.approx(ref.chi2, rel=1e-9)
-    assert solo.iterations == ref.iterations
-    assert solo.converged and ref.converged
+def _assert_identical(ours, refs):
+    for a, b in zip(ours, refs, strict=True):
+        assert a.converged and b.converged
+        assert np.array_equal(a.psi, b.psi)  # bit-for-bit, not approx
+        assert a.chi2 == b.chi2
+        assert a.iterations == b.iterations
+
+
+def _assert_round_off(ours, refs):
+    for a, b in zip(ours, refs, strict=True):
+        assert a.converged and b.converged
+        assert np.max(np.abs(a.psi - b.psi)) <= ROUND_OFF * np.ptp(b.psi)
+        assert a.chi2 == pytest.approx(b.chi2, rel=1e-9)
+        assert a.iterations == b.iterations
+
+
+@functools.cache
+def _relation_setup(name: str):
+    """Three slices, a B = 2 engine (batches of two and of one), a B = 1
+    engine and a bare solver."""
+    sc = get_scenario(name)
+    shot = sc.make_shot(RELATION_GRID.get(name, N))
+    slices = synthetic_slice_sequence(shot, 3, seed=3)
+    return (
+        slices,
+        BatchFitEngine.for_scenario(sc, shot=shot, batch_size=BATCH_SIZE),
+        BatchFitEngine.for_scenario(sc, shot=shot, batch_size=1),
+        EfitSolver.for_scenario(sc, shot=shot),
+    )
+
+
+@pytest.mark.parametrize(
+    "name,warm",
+    [
+        pytest.param(name, warm, id=f"{name}-warm" if warm else name)
+        for name in scenario_names()
+        for warm in (False, True)
+    ],
+)
+def test_batch_engine_matches_single_solver(name, warm):
+    """The declared relations between the entry points (DESIGN.md), for
+    every scenario, cold and warm-chained.
+
+    Bit-identical: ``engine.solver.fit``, a ``ShotSession`` and
+    ``fit_many(batch_size=1)`` — one Picard loop on one operator.  To
+    round-off, with equal iterate counts: ``fit_many`` at B >= 2 (one GEMM
+    for the batch's boundary sums, where one slice runs a GEMV) and a
+    bare ``EfitSolver`` (Green-table sums, no operator)."""
+    slices, engine, of_one, bare = _relation_setup(name)
+    solver = engine.solver
+
+    serial = []
+    for m in slices:
+        prev = serial[-1] if warm and serial else None
+        serial.append(
+            solver.fit(
+                m,
+                psi_initial=prev.psi if prev else None,
+                coeffs_initial=prev.history[-1].coefficients if prev else None,
+            )
+        )
+    session = ShotSession(solver, statics=engine.statics, warm_start=warm)
+    served = [session.reconstruct(Frame("s", i, m)).result for i, m in enumerate(slices)]
+    _assert_identical(served, serial)
+    assert [r.warm_start for r in serial] == [warm and i > 0 for i in range(len(slices))]
+
+    # fit_many seeds psi only, so its serial twin does too.
+    seeds = [None] + [r.psi if warm else None for r in serial[:-1]]
+    on_engine = (
+        [solver.fit(m, psi_initial=seed) for m, seed in zip(slices, seeds)]
+        if warm
+        else serial
+    )
+    _assert_identical(of_one.fit_many(slices, psi_initial=seeds).results, on_engine)
+
+    many = engine.fit_many(slices, psi_initial=seeds).results
+    _assert_round_off(many[:BATCH_SIZE], on_engine[:BATCH_SIZE])
+    _assert_identical(many[BATCH_SIZE:], on_engine[BATCH_SIZE:])  # the ragged tail of one
+    _assert_round_off(
+        [bare.fit(m, psi_initial=seed) for m, seed in zip(slices, seeds)], on_engine
+    )
 
 
 @given(

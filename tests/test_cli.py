@@ -128,3 +128,20 @@ class TestServeCommand:
         assert payload["summary"]["warm_iteration_savings"] > 0
         assert payload["summary"]["deadline_misses"] == 0
         assert payload["metrics"]["serve.slices"] == 4.0
+
+    def test_structured_boundary_method_matches_serial(self, capsys):
+        """Sessions apply the engine's operator, and so does the serial
+        replay they are compared against."""
+        rc = main(
+            [
+                "serve",
+                "--grid", "33",
+                "--streams", "1",
+                "--slices", "2",
+                "--deadline-ms", "0",
+                "--boundary-method", "lowrank",
+                "--compare-serial",
+            ]
+        )
+        assert rc == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out

@@ -3,22 +3,25 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import _EDGE_METHODS, build_parser, main
-
-
-class TestMethodListPin:
-    def test_cli_literal_matches_registry(self):
-        """cli.py keeps its own import-light tuple of methods for argparse
-        choices; pin it to the real registry so they cannot drift."""
-        from repro.efit.operators import EDGE_METHODS
-
-        assert _EDGE_METHODS == EDGE_METHODS
+from repro.cli import build_parser, main
 
 
 class TestParser:
+    def test_build_parser_is_import_light(self):
+        """The choice lists come from ``repro.edge_methods`` and the
+        scenario registry, so building the parser loads no numpy."""
+        code = (
+            "import sys; from repro.cli import build_parser; build_parser(); "
+            "sys.exit(1 if 'numpy' in sys.modules else 0)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "build_parser loaded numpy"
+
     def test_operators_defaults(self):
         args = build_parser().parse_args(["operators"])
         assert args.grid == 65 and args.vectors == 4
