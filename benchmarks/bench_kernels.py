@@ -107,7 +107,7 @@ def test_edge_operator_lowrank_257(benchmark, large_grids_enabled):
 def test_structured_vs_dense_speedup_257(large_grids_enabled):
     """The PR's acceptance criterion, measured for real: at 257^2 the
     structured low-rank apply must beat the dense GEMM by >=5x, at
-    <=1e-10 relative error (fp64) and <=1e-5 (fp32 + refinement)."""
+    <=1e-10 relative error."""
     if not large_grids_enabled:
         pytest.skip("set REPRO_BENCH_LARGE=1 for 257^2 real execution")
     import time
@@ -140,9 +140,61 @@ def test_structured_vs_dense_speedup_257(large_grids_enabled):
         f"({t_lowrank * 1e3:.2f} ms vs {t_dense * 1e3:.2f} ms)"
     )
 
-    lowrank32 = build_edge_operator(t, "lowrank-fp32")
-    rel32 = np.max(np.abs(lowrank32.apply(flat) - ref)) / scale
-    assert rel32 <= 1e-5, f"lowrank-fp32 rel error {rel32:.3e} exceeds 1e-5"
+
+def test_edge_method_table(large_grids_enabled):
+    """The measurement an ``EDGE_METHODS`` entry has to win to stay: per
+    method and grid, build seconds, operator MB, median apply ms for one
+    vector and for a batch of 8, and relative error against dense.
+    Written to ``results/edge_operator_methods.txt``; EXPERIMENTS.md
+    keeps the table that retired the mixed-precision variants."""
+    import time
+
+    from benchmarks.conftest import write_artifact
+    from repro.efit.operators import EDGE_METHODS, build_edge_operator
+    from repro.utils.tables import Table
+
+    def median_ms(ops, x, rounds=9):
+        """Median apply time per operator, sampled round-robin so a noisy
+        stretch of the machine lands on every method alike."""
+        samples = [[] for _ in ops]
+        for r in range(rounds + 1):  # round 0 touches each operator's pages
+            for k, op in enumerate(ops):
+                t0 = time.perf_counter()
+                op.apply(x)
+                if r:
+                    samples[k].append(time.perf_counter() - t0)
+        return [1e3 * sorted(s)[rounds // 2] for s in samples]
+
+    table = Table(
+        ["grid", "method", "build s", "MB", "apply ms B=1", "apply ms B=8", "rel err"],
+        title="Edge-operator methods (one process, medians of 9 round-robin applies)",
+    )
+    for n in (65, 129, 257) if large_grids_enabled else (65, 129):
+        g = RZGrid(n, n)
+        t = cached_boundary_tables(g)
+        x = np.random.default_rng(1).normal(size=(g.size, 8))
+        ops, build_s = [], []
+        for method in EDGE_METHODS:
+            t0 = time.perf_counter()
+            ops.append(build_edge_operator(t, method))
+            build_s.append(time.perf_counter() - t0)
+        ref = ops[EDGE_METHODS.index("dense")].apply(x)
+        ms_1 = median_ms(ops, x[:, 0].copy())
+        ms_8 = median_ms(ops, x)
+        for k, op in enumerate(ops):
+            rel = float(np.max(np.abs(op.apply(x) - ref)) / np.max(np.abs(ref)))
+            table.add_row(
+                [
+                    f"{n}x{n}",
+                    op.method,
+                    f"{build_s[k]:.2f}",
+                    f"{op.nbytes / 1e6:.1f}",
+                    f"{ms_1[k]:.2f}",
+                    f"{ms_8[k]:.2f}",
+                    f"{rel:.0e}",
+                ]
+            )
+    write_artifact("edge_operator_methods", table.render())
 
 
 def test_green_table_build_65(benchmark):

@@ -17,11 +17,8 @@ only asserted at runtime.  This package proves all of these properties
   :class:`~repro.directives.registry.AnnotatedKernel`;
 * :mod:`repro.analysis.hotpath` — AST checkers over the marked Python
   hot paths;
-* :mod:`repro.analysis.dataflow` — the shared set-lattice abstract
-  interpreter the two flow-sensitive families build on;
-* :mod:`repro.analysis.precision` — dtype-lattice rules (mixed GEMM,
-  silent upcasts, unsafe fp32 accumulation, nondeterministic reductions)
-  over the kernel IR and the hot-path AST;
+* :mod:`repro.analysis.dataflow` — the set-lattice abstract
+  interpreter the flow-sensitive lifecycle family builds on;
 * :mod:`repro.analysis.lifecycle` — protocol rules over the parallel
   layer (use-after-unlink, attach-before-seed, fork-unsafe captures);
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for CI forges;

@@ -1,20 +1,20 @@
-"""Shared dataflow core of the precision-flow and lifecycle analyses.
+"""Dataflow core of the lifecycle analysis.
 
-Both new rule families are *flow-sensitive*: what they flag depends on
-the order of statements (a view read after the backing arena is
-unlinked; an fp32 value accumulated after a silent promotion), not just
-on which calls appear somewhere in a function.  This module provides the
-one abstraction they share — a small abstract interpreter over Python
-function bodies — so the two checkers only implement transfer functions.
+The lifecycle family is *flow-sensitive*: what it flags depends on the
+order of statements (a view read after the backing arena is unlinked),
+not just on which calls appear somewhere in a function.  This module
+provides the abstraction underneath — a small abstract interpreter over
+Python function bodies — so a checker only implements transfer
+functions.
 
 The abstract domain is deliberately simple: every tracked name maps to a
-**frozenset of tokens** ("may" facts — the set of states or dtypes the
-value can have on some path reaching this point).  Joining two paths is
-set union; the bottom element is the empty set.  This makes every
-analysis monotone by construction and keeps loop handling to a single
-widening join (execute the body once, then join with the pre-loop
-state), which is exact for the protocol and dtype lattices used here —
-both are finite and transfer functions only add tokens or overwrite.
+**frozenset of tokens** ("may" facts — the set of states the value can
+have on some path reaching this point).  Joining two paths is set union;
+the bottom element is the empty set.  This makes every analysis monotone
+by construction and keeps loop handling to a single widening join
+(execute the body once, then join with the pre-loop state), which is
+exact for the protocol lattice used here — it is finite and transfer
+functions only add tokens or overwrite.
 
 :class:`AbstractInterpreter` walks one function body statement by
 statement, maintaining the environment and handling control flow:
@@ -100,33 +100,20 @@ class AbstractInterpreter:
     def on_assign(self, target: str, value: ast.expr, node: ast.stmt) -> None:
         """A binding ``target = value`` (also ``with ... as target``)."""
 
-    def on_augassign(self, target: str, node: ast.AugAssign) -> None:
-        """``target op= value`` — value expressions were already visited."""
-
     def on_call(self, node: ast.Call) -> None:
         """Every call expression, in evaluation order."""
-
-    def on_binop(self, node: ast.BinOp) -> None:
-        """Every binary operation, after both operands were visited."""
 
     def on_nested_def(self, node: ast.stmt) -> None:
         """A nested ``def``/``async def``/``class`` (body not walked)."""
 
-    def on_return(self, node: ast.Return) -> None:
-        """A ``return`` statement (value already visited)."""
-
     # -- expression walking ----------------------------------------------------------
     def visit_expr(self, node: ast.expr | None) -> None:
-        """Dispatch calls/binops inside ``node`` in evaluation order."""
+        """Dispatch calls inside ``node`` in evaluation order."""
         if node is None:
             return
         for child in ast.walk(node):
             if isinstance(child, ast.Call):
                 self.on_call(child)
-            elif isinstance(child, ast.BinOp):
-                self.on_binop(child)
-            elif isinstance(child, (ast.Lambda,)):
-                pass  # bodies of lambdas are not charged to this function
 
     # -- statement walking -----------------------------------------------------------
     def run(self, body: list[ast.stmt]) -> None:
@@ -206,16 +193,8 @@ class AbstractInterpreter:
                 target = dotted_name(stmt.target)
                 if target is not None:
                     self.on_assign(target, stmt.value, stmt)
-        elif isinstance(stmt, ast.AugAssign):
+        elif isinstance(stmt, (ast.AugAssign, ast.Expr, ast.Return)):
             self.visit_expr(stmt.value)
-            target = dotted_name(stmt.target)
-            if target is not None:
-                self.on_augassign(target, stmt)
-        elif isinstance(stmt, ast.Expr):
-            self.visit_expr(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            self.visit_expr(stmt.value)
-            self.on_return(stmt)
         elif isinstance(stmt, (ast.Raise, ast.Assert)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):

@@ -3,14 +3,13 @@
 :func:`analyze_repo` is what ``repro analyze`` runs: it builds the
 registered ``pflux_`` kernel registry, lowers it against the paper's
 three machine sites, scans the marked Python hot paths under
-``repro/efit`` and ``repro/batch``, runs the precision-flow rules over
-both, runs the concurrency-lifecycle rules over ``repro/parallel``, and
-returns an :class:`AnalysisReport` — findings plus the *certification
-set* (hot functions the linter proves allocation-free, which the
-workspace counters must confirm at runtime).
+``repro/efit`` and ``repro/batch``, runs the concurrency-lifecycle
+rules over ``repro/parallel``, and returns an :class:`AnalysisReport` —
+findings plus the *certification set* (hot functions the linter proves
+allocation-free, which the workspace counters must confirm at runtime).
 
-The four rule *families* — ``directives``, ``hotpath``, ``precision``,
-``lifecycle`` — are individually selectable
+The three rule *families* — ``directives``, ``hotpath``, ``lifecycle`` —
+are individually selectable
 (:attr:`AnalysisConfig.families`, ``repro analyze --family``); a partial
 run analyses less and therefore cannot judge baseline staleness (see
 :attr:`AnalysisReport.complete`).
@@ -43,7 +42,6 @@ __all__ = [
     "AnalysisReport",
     "analyze_registry",
     "analyze_hot_paths",
-    "analyze_precision",
     "analyze_lifecycle",
     "analyze_repo",
 ]
@@ -55,7 +53,7 @@ __all__ = [
 ANALYSIS_SCHEMA_VERSION = 2
 
 #: Every selectable rule family, in documented run order.
-ALL_FAMILIES: tuple[str, ...] = ("directives", "hotpath", "precision", "lifecycle")
+ALL_FAMILIES: tuple[str, ...] = ("directives", "hotpath", "lifecycle")
 
 
 @dataclass(frozen=True)
@@ -232,30 +230,6 @@ def analyze_lifecycle(config: AnalysisConfig | None = None) -> list[Finding]:
     return scan_lifecycle_paths(roots, package_root=package_root)
 
 
-def analyze_precision(config: AnalysisConfig | None = None) -> list[Finding]:
-    """Precision-flow pass: registry IR rules + hot-path AST rules."""
-    import repro
-    from repro.analysis.precision import (
-        check_registry_precision,
-        scan_precision_paths,
-    )
-    from repro.core.offload import build_pflux_registry
-    from repro.machines.site import ALL_SITES
-
-    config = config if config is not None else AnalysisConfig()
-    registry = build_pflux_registry(
-        config.grid, boundary_method=config.boundary_method
-    )
-    findings = check_registry_precision(registry, sites=ALL_SITES())
-    package_root = Path(repro.__file__).parent
-    roots = [package_root / r for r in config.hot_path_roots]
-    missing = [str(r) for r in roots if not r.exists()]
-    if missing:
-        raise AnalysisError(f"hot-path roots do not exist: {', '.join(missing)}")
-    findings.extend(scan_precision_paths(roots, package_root=package_root))
-    return findings
-
-
 def analyze_repo(config: AnalysisConfig | None = None) -> AnalysisReport:
     """The full ``repro analyze`` run over the configured families."""
     config = config if config is not None else AnalysisConfig()
@@ -280,8 +254,6 @@ def analyze_repo(config: AnalysisConfig | None = None) -> AnalysisReport:
         findings.extend(scan.findings)
         hot_functions = tuple(scan.hot_functions)
         certified = scan.certified
-    if "precision" in config.families:
-        findings.extend(analyze_precision(config))
     if "lifecycle" in config.families:
         findings.extend(analyze_lifecycle(config))
     return AnalysisReport(

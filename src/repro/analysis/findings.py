@@ -31,21 +31,11 @@ rule id                paper motivation
                        buffer name requested for two logical buffers
 =====================  ======================================================
 
-The precision-flow and concurrency-lifecycle families (same table
-convention; prefixes ``precision-``, ``lifecycle-``):
+The concurrency-lifecycle family (same table convention):
 
 ==============================  =============================================
 rule id                         motivation
 ==============================  =============================================
-``precision-mixed-gemm``        fp32/fp64 operands feeding one GEMM or
-                                reduction (fp32 bandwidth, fp64 arithmetic)
-``precision-silent-upcast``     mixed-width arithmetic outside a declared
-                                reduction, or fp32 inputs writing fp64 output
-``precision-unsafe-accumulate`` fp32 folded into a fp32 accumulator with no
-                                fp64 refinement (the EXL-50U recipe's risk)
-``precision-nondet-reduction``  a lowering that combines reduction partials
-                                in completion order, breaking the fleet's
-                                bit-identical merge
 ``lifecycle-use-after-unlink``  arena views produced after close/unlink, or
                                 release() with the table cache still seeded
                                 (the PR 4 segfault)

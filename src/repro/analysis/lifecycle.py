@@ -20,7 +20,7 @@ order) but producing views from a closed or unlinked handle is not.
 Rules (all documented in ``docs/ANALYSIS.md``):
 
 ``lifecycle-use-after-unlink``
-    A view-producing call (``.tables()``, ``.edge_operator()``) on a
+    A view-producing call (``.tables()``, ``.edge_op()``) on a
     handle that may already be closed/unlinked; **or** a
     ``.release(...)`` in a module that seeds the process-global table
     cache with no ``.drop(...)`` on any path before it — the exact PR 4
@@ -89,7 +89,7 @@ UNLINKED = "unlinked"
 _ATTACH_CONSTRUCTORS = ("attach_arena", "AttachedArena")
 #: Methods that produce views over the mapped pages (illegal after
 #: close/unlink).
-_VIEW_METHODS = ("tables", "edge_operator")
+_VIEW_METHODS = ("tables", "edge_op")
 
 
 def _is_arena_constructor(node: ast.expr) -> tuple[bool, bool]:

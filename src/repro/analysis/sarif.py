@@ -47,10 +47,6 @@ _RULE_DESCRIPTIONS = {
     "hot-copy": ".copy() inside @hot_path",
     "hot-ufunc-temp": "Ufunc without out= inside @hot_path",
     "workspace-alias": "Workspace buffer name requested twice",
-    "precision-silent-upcast": "Silent fp32->fp64 promotion",
-    "precision-mixed-gemm": "Mixed fp32/fp64 GEMM operands",
-    "precision-unsafe-accumulate": "fp32 accumulation without fp64 refinement",
-    "precision-nondet-reduction": "Order-dependent reduction breaks bit identity",
     "lifecycle-use-after-unlink": "Arena view used after drop/unlink",
     "lifecycle-attach-before-seed": "Engine built before the table cache is seeded",
     "lifecycle-missing-drop": "Arena handle leaks on an exceptional path",

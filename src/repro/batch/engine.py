@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.markers import hot_path
-from repro.batch.slices import BatchStats
+from repro.batch.slices import BatchStats, batch_groups
 from repro.batch.workspace import FitWorkspace
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.fitting import EfitSolver, FitResult, GridStatics
@@ -230,41 +230,27 @@ class BatchFitEngine:
         :class:`~repro.errors.ConvergenceError` on the first unconverged
         slice unless ``require_convergence=False``.
         """
-        slices = list(slices)
-        if not slices:
-            raise FittingError("fit_many needs at least one slice")
-        if psi_initial is not None:
-            psi_initial = list(psi_initial)
-            if len(psi_initial) != len(slices):
-                raise FittingError(
-                    f"psi_initial has {len(psi_initial)} entries for "
-                    f"{len(slices)} slices"
-                )
-        batches = [
-            (start, slices[start : start + self.batch_size])
-            for start in range(0, len(slices), self.batch_size)
-        ]
-        results: list[FitResult | None] = [None] * len(slices)
-        latencies = np.zeros(len(slices))
-        iteration_counts = np.zeros(len(slices), dtype=int)
+        batches = batch_groups(slices, psi_initial, self.batch_size)
+        n_slices = sum(len(batch) for _, batch, _ in batches)
+        results: list[FitResult | None] = [None] * n_slices
+        latencies = np.zeros(n_slices)
+        iteration_counts = np.zeros(n_slices, dtype=int)
         self.hooks.event(
             "fit_many_start",
-            n_slices=len(slices),
+            n_slices=n_slices,
             batch_size=self.batch_size,
             n_workers=self.n_workers,
         )
         t_run0 = time.perf_counter()
 
-        def run_batch(worker: int, start: int, batch: Sequence[MeasurementSet]) -> None:
+        def run_batch(worker: int, start: int, batch: list, seeds: list | None) -> None:
             outcomes = self._fit_batch(
                 batch,
                 self._workspaces[worker],
                 self._profilers[worker],
                 t_run0,
                 require_convergence,
-                psi_initial[start : start + len(batch)]
-                if psi_initial is not None
-                else None,
+                seeds,
             )
             for offset, (result, latency, iters) in enumerate(outcomes):
                 results[start + offset] = result
@@ -272,8 +258,8 @@ class BatchFitEngine:
                 iteration_counts[start + offset] = iters
 
         if self.n_workers == 1:
-            for start, batch in batches:
-                run_batch(0, start, batch)
+            for item in batches:
+                run_batch(0, *item)
         else:
             todo: queue.SimpleQueue = queue.SimpleQueue()
             for item in batches:
@@ -283,11 +269,11 @@ class BatchFitEngine:
             def worker_loop(worker: int) -> None:
                 while True:
                     try:
-                        start, batch = todo.get_nowait()
+                        item = todo.get_nowait()
                     except queue.Empty:
                         return
                     try:
-                        run_batch(worker, start, batch)
+                        run_batch(worker, *item)
                     except BaseException as exc:  # propagate to the caller
                         errors.append(exc)
                         return
@@ -313,7 +299,7 @@ class BatchFitEngine:
         )
         self.hooks.event(
             "fit_many_end",
-            n_slices=len(slices),
+            n_slices=n_slices,
             wall_seconds=wall,
             total_iterations=int(iteration_counts.sum()),
             n_converged=stats.n_converged,

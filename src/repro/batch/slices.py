@@ -5,7 +5,9 @@ discharge: same machine, same grid, measurement vectors that drift
 slowly in time.  :func:`synthetic_slice_sequence` manufactures such a
 sequence from one synthetic shot (per-slice resampled measurement noise)
 so benchmarks and examples can exercise the batch engine with realistic,
-mutually distinct slices.  :class:`BatchStats` is the aggregate
+mutually distinct slices.  :func:`batch_groups` is the one place a slice
+sequence is cut into lock-step groups — the batch engine's batches and
+the fleet's jobs are its output.  :class:`BatchStats` is the aggregate
 throughput report the engine returns: slices/s plus latency percentiles,
 the figures of merit of the real-time reconstruction literature.
 """
@@ -13,13 +15,47 @@ the figures of merit of the real-time reconstruction literature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.efit.measurements import MeasurementSet, SyntheticShot
-from repro.errors import MeasurementError
+from repro.errors import FittingError, MeasurementError
 
-__all__ = ["BatchStats", "synthetic_slice_sequence"]
+__all__ = ["BatchStats", "batch_groups", "synthetic_slice_sequence"]
+
+
+def batch_groups(
+    slices: Sequence, psi_initial: Sequence | None, batch_size: int
+) -> list[tuple[int, list, list | None]]:
+    """Cut ``slices`` into ``fit_many``'s lock-step groups, in input order.
+
+    Returns ``(start, group, seeds)`` triples: ``group`` is
+    ``slices[start : start + batch_size]`` and ``seeds`` the matching
+    ``psi_initial`` entries (``None`` when no warm starts were given).
+    Raises :class:`~repro.errors.FittingError` on an empty sequence or a
+    ``psi_initial`` of the wrong length.
+    """
+    slices = list(slices)
+    if not slices:
+        raise FittingError("fit_many needs at least one slice")
+    if psi_initial is not None:
+        psi_initial = list(psi_initial)
+        if len(psi_initial) != len(slices):
+            raise FittingError(
+                f"psi_initial has {len(psi_initial)} entries for "
+                f"{len(slices)} slices"
+            )
+    return [
+        (
+            start,
+            slices[start : start + batch_size],
+            psi_initial[start : start + batch_size]
+            if psi_initial is not None
+            else None,
+        )
+        for start in range(0, len(slices), batch_size)
+    ]
 
 
 @dataclass(frozen=True)

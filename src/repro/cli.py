@@ -11,8 +11,8 @@ Commands
 ``sites``
     Describe the modeled machines.
 ``analyze``
-    Run the portability linter — directive, hot-path, precision-flow
-    and concurrency-lifecycle rule families (``--family`` selects a
+    Run the portability linter — directive, hot-path and
+    concurrency-lifecycle rule families (``--family`` selects a
     subset, ``--sarif`` exports CI annotations).
 ``trace``
     Run one traced workload and write a Chrome-trace JSON (plus an
@@ -141,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--family",
         action="append",
-        choices=["directives", "hotpath", "precision", "lifecycle"],
+        choices=["directives", "hotpath", "lifecycle"],
         default=None,
         metavar="NAME",
-        help="run only this rule family (repeatable; default: all four)",
+        help="run only this rule family (repeatable; default: all three)",
     )
     p_an.add_argument(
         "--sarif",
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="NAME",
-        help="structured method to compare (repeatable; default: all four)",
+        help="structured method to compare (repeatable; default: all of them)",
     )
     p_op.add_argument(
         "--vectors", type=int, default=4,
@@ -356,12 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any method's relative error exceeds its bound",
     )
     p_op.add_argument(
-        "--fp64-bound", type=float, default=1e-10,
-        help="relative-error bound for exact-arithmetic methods (default 1e-10)",
-    )
-    p_op.add_argument(
-        "--fp32-bound", type=float, default=1e-5,
-        help="relative-error bound for fp32-refined methods (default 1e-5)",
+        "--bound", type=float, default=1e-10,
+        help="relative-error bound against dense (default 1e-10)",
     )
     p_op.add_argument("--json", action="store_true", help="emit results as JSON")
 
@@ -764,7 +760,6 @@ def _cmd_operators(args) -> int:
             op = build_edge_operator(tables, method)
             err = float(np.max(np.abs(op.apply(x) - ref)))
             rel = err / scale
-            bound = args.fp32_bound if method.endswith("-fp32") else args.fp64_bound
             rows.append(
                 {
                     "method": method,
@@ -773,8 +768,8 @@ def _cmd_operators(args) -> int:
                     "compression": dense.nbytes / op.nbytes if op.nbytes else 0.0,
                     "max_abs_error": err,
                     "rel_error": rel,
-                    "bound": bound,
-                    "ok": rel <= bound,
+                    "bound": args.bound,
+                    "ok": rel <= args.bound,
                 }
             )
     except OperatorError as exc:

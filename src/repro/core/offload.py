@@ -100,36 +100,28 @@ def _structured_boundary_nests(
     edges, and either the thin Green-table GEMM (Toeplitz) or the
     rank-packed batched matmuls (low-rank) for the horizontal edges.
     The :class:`~repro.directives.ir.ArrayRef` byte counts are the
-    *compressed* footprints — fp32 variants carry 4-byte elements —
-    which is what the excess-traffic rule prices.
+    *compressed* footprints, which is what the excess-traffic rule
+    prices.
     """
-    base, _, suffix = boundary_method.partition("-")
-    bpe = 4.0 if suffix == "fp32" else 8.0
-    # The fp32 variants apply in single precision but accumulate the
-    # split-residual refinement in fp64; declaring it keeps the
-    # precision-flow family quiet for the same reason the code is safe.
-    acc_bytes = 8 if suffix == "fp32" else None
     m = _edge_embedding_length(nh)
     n_freq = m // 2 + 1
     # Vertical edges: psi_hat[e,f,b] = sum_i spectra[e,f,i] * pcurr_hat[i,f,b].
-    # The even-symmetric embedding makes the spectra purely real (stored at
-    # bpe bytes); the transformed current column is complex, priced as
-    # interleaved re/im scalars at the operand width (same total bytes,
-    # and the element width the precision-flow family sees is honest).
+    # The even-symmetric embedding makes the spectra purely real; the
+    # transformed current column is complex, priced as interleaved re/im
+    # scalars (two 8-byte elements per frequency).
     lr = LoopNest(
         name="boundary_lr",
         loops=(Loop("e", 2), Loop("f", n_freq), Loop("i", nw)),
         flops_per_iteration=2.0,
         arrays=(
-            ArrayRef("edge_spectra", 2 * n_freq * nw, AccessMode.READ, 1.0, bpe),
-            ArrayRef("pcurr_hat", 2 * n_freq * nw, AccessMode.READ, 2.0, bpe),
+            ArrayRef("edge_spectra", 2 * n_freq * nw, AccessMode.READ, 1.0),
+            ArrayRef("pcurr_hat", 2 * n_freq * nw, AccessMode.READ, 2.0),
             ArrayRef("psi", 2 * nh, AccessMode.WRITE, 2.0 / (n_freq * nw)),
         ),
         n_outer=1,
         reductions=_REDUCTIONS,
-        accumulator_bytes=acc_bytes,
     )
-    if base == "toeplitz":
+    if boundary_method == "toeplitz":
         # Horizontal edges: one GEMM against the interior Green-table rows
         # (a view over gridpc — no extra storage, but 2 columns fewer).
         tb = LoopNest(
@@ -137,13 +129,12 @@ def _structured_boundary_nests(
             loops=(Loop("i", nw - 2), Loop("ii", nw), Loop("jj", nh)),
             flops_per_iteration=4.0,
             arrays=(
-                ArrayRef("gridpc_edge", (nw - 2) * nh * nw, AccessMode.READ, 2.0, bpe),
-                ArrayRef("pcurr", nw * nh, AccessMode.READ, 1.0, bpe),
+                ArrayRef("gridpc_edge", (nw - 2) * nh * nw, AccessMode.READ, 2.0),
+                ArrayRef("pcurr", nw * nh, AccessMode.READ, 1.0),
                 ArrayRef("psi", 2 * nw, AccessMode.WRITE, 2.0 / (nw * nh)),
             ),
             n_outer=1,
             reductions=_REDUCTIONS,
-            accumulator_bytes=acc_bytes,
         )
     else:  # lowrank
         rbar = max(4, round(LOWRANK_RANK_FRACTION * max(nw - 2, 1)))
@@ -152,14 +143,13 @@ def _structured_boundary_nests(
             loops=(Loop("d", nh), Loop("r", rbar), Loop("i", nw)),
             flops_per_iteration=4.0,
             arrays=(
-                ArrayRef("edge_u", nh * rbar * (nw - 2), AccessMode.READ, 1.0, bpe),
-                ArrayRef("edge_w", nh * rbar * nw, AccessMode.READ, 1.0, bpe),
-                ArrayRef("pcurr", nw * nh, AccessMode.READ, 1.0, bpe),
+                ArrayRef("edge_u", nh * rbar * (nw - 2), AccessMode.READ, 1.0),
+                ArrayRef("edge_w", nh * rbar * nw, AccessMode.READ, 1.0),
+                ArrayRef("pcurr", nw * nh, AccessMode.READ, 1.0),
                 ArrayRef("psi", 2 * nw, AccessMode.WRITE, 2.0 / (nh * rbar * nw)),
             ),
             n_outer=1,
             reductions=_REDUCTIONS,
-            accumulator_bytes=acc_bytes,
         )
     return lr, tb
 
@@ -360,29 +350,27 @@ def pflux_device_arrays(
             ),
         ]
     else:
-        base, _, suffix = boundary_method.partition("-")
-        bpe = 4.0 if suffix == "fp32" else 8.0
         n_freq = _edge_embedding_length(nh) // 2 + 1
         boundary = [
             DeviceArray(
                 "edge_spectra",
-                float(2 * n_freq * nw) * bpe,
+                float(2 * n_freq * nw * 8),
                 Direction.RESIDENT,
                 persistent=True,
             ),
             # The transformed current column: recomputed per call, complex.
             DeviceArray(
                 "pcurr_hat",
-                float(n_freq * nw) * 2.0 * bpe,
+                float(n_freq * nw * 16),
                 Direction.SCRATCH,
                 persistent=False,
             ),
         ]
-        if base == "toeplitz":
+        if boundary_method == "toeplitz":
             boundary.append(
                 DeviceArray(
                     "gridpc_edge",
-                    float((nw - 2) * nh * nw) * bpe,
+                    float((nw - 2) * nh * nw * 8),
                     Direction.RESIDENT,
                     persistent=True,
                 )
@@ -393,13 +381,13 @@ def pflux_device_arrays(
                 (
                     DeviceArray(
                         "edge_u",
-                        float(nh * rbar * (nw - 2)) * bpe,
+                        float(nh * rbar * (nw - 2) * 8),
                         Direction.RESIDENT,
                         persistent=True,
                     ),
                     DeviceArray(
                         "edge_w",
-                        float(nh * rbar * nw) * bpe,
+                        float(nh * rbar * nw * 8),
                         Direction.RESIDENT,
                         persistent=True,
                     ),

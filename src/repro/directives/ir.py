@@ -75,14 +75,6 @@ class ArrayRef:
     def footprint_bytes(self) -> int:
         return self.elements * self.bytes_per_element
 
-    @property
-    def dtype_name(self) -> str:
-        """Element type implied by the width (``float32``/``float64``/...),
-        the unit the precision-flow rules reason in."""
-        return {2: "float16", 4: "float32", 8: "float64"}.get(
-            self.bytes_per_element, f"{8 * self.bytes_per_element}-bit"
-        )
-
 
 @dataclass(frozen=True)
 class LoopNest:
@@ -100,13 +92,6 @@ class LoopNest:
     #: Reduction variables carried across the inner loops (paper kernels
     #: reduce two scalars, tempsum1/tempsum2).
     reductions: tuple[str, ...] = ()
-    #: Element width of the reduction accumulators, when the kernel
-    #: narrows (or widens) them relative to its operands.  ``None`` means
-    #: "the widest read operand" — the Fortran default.  A reduced-precision
-    #: kernel that accumulates fp32 operands into fp64 (the
-    #: fp32-with-fp64-refinement pattern) declares ``accumulator_bytes=8``
-    #: to satisfy the ``precision-unsafe-accumulate`` rule.
-    accumulator_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if not self.loops:
@@ -121,8 +106,6 @@ class LoopNest:
         names = [a.name for a in self.arrays]
         if len(set(names)) != len(names):
             raise DirectiveError("duplicate array names in nest", kernel=self.name)
-        if self.accumulator_bytes is not None and self.accumulator_bytes < 1:
-            raise DirectiveError("non-positive accumulator width", kernel=self.name)
 
     # -- iteration space -----------------------------------------------------------
     @property

@@ -5,6 +5,6 @@ time, :mod:`repro.efit.operators` builds operators against them."""
 __all__ = ["EDGE_METHODS"]
 
 #: Every ``boundary_method`` value the solvers accept. ``dense`` is the
-#: default and the ground truth; ``-fp32`` variants store their factors in
-#: single precision and refine with a second pass on the split residual.
-EDGE_METHODS = ("dense", "toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32")
+#: default and the ground truth; the others are exact-arithmetic structured
+#: forms of the same operator (docs/MODEL.md section 7).
+EDGE_METHODS = ("dense", "toeplitz", "lowrank")

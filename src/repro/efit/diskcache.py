@@ -44,8 +44,9 @@ __all__ = [
 CACHE_DIR_ENV = "REPRO_TABLE_CACHE_DIR"
 
 #: Bumped whenever the serialised layout changes; part of every file
-#: name, so old cache entries are simply never matched.
-DISK_FORMAT_VERSION = 1
+#: name, so old cache entries are simply never matched.  Version 2: the
+#: structured operators' ``meta_i8`` lost its storage-width slots.
+DISK_FORMAT_VERSION = 2
 
 
 def cache_dir() -> Path | None:
@@ -144,7 +145,7 @@ def store_tables(tables) -> bool:
 def load_edge_operator(tables, method: str, tol: float):
     """Cached :class:`~repro.efit.operators.EdgeOperator`, or None.
 
-    ``tables`` (not just the grid) is required because the fp64 Toeplitz
+    ``tables`` (not just the grid) is required because the Toeplitz
     form aliases the Green table rather than storing its own copy.
     """
     from repro.efit.operators import edge_operator_from_arrays
@@ -162,8 +163,15 @@ def load_edge_operator(tables, method: str, tol: float):
 
 
 def store_edge_operator(op, tol: float) -> bool:
-    """Persist a structured operator; dense is never written (it is a
-    cheap gather from tables already covered by :func:`store_tables`)."""
+    """Persist a structured operator; dense is never written.
+
+    The dense matrix is a gather from tables :func:`store_tables` already
+    covers, and its file would be four times the table's.  The gather is
+    not cheap, though: first-touch page faults on the O(N^3) result make
+    it 6-11 s at 129^2 and 45-60 s at 257^2 on the reference box
+    (EXPERIMENTS.md, "Edge-operator methods") — every process that wants
+    a dense operator pays that once.
+    """
     if op.method == "dense":
         return False
     return _store_npz(operator_path(op.grid, op.method, tol), op.to_arrays())

@@ -173,9 +173,8 @@ class EfitSolver:
     boundary_method:
         Edge-flux operator representation for the boundary Green sums:
         ``"dense"`` (default — whatever ``pflux_impl`` says), or one of
-        the compressed forms of :data:`repro.efit.operators.EDGE_METHODS`
-        (``"toeplitz"``, ``"lowrank"``, ``"toeplitz-fp32"``,
-        ``"lowrank-fp32"``) that beat the dense GEMM on 129^2+ grids.
+        the structured forms in :data:`repro.efit.operators.EDGE_METHODS`,
+        which beat the dense GEMM on 129^2+ grids.
         Mutually exclusive with a non-default ``pflux_impl``.
     profiler:
         Optional :class:`RegionProfiler`; regions ``steps_``, ``current_``,

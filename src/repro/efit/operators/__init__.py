@@ -7,9 +7,9 @@ Two families live here:
   Dirichlet corrections).
 * :mod:`repro.efit.operators.edge` — representations of the dense
   edge-flux operator of :func:`repro.efit.pflux.edge_flux_operator`:
-  the exact dense matrix, a block-Toeplitz/FFT apply, a truncated-SVD
-  low-rank apply, and fp32-with-fp64-refinement variants, all behind
-  the common :class:`EdgeOperator` protocol selected by the solvers'
+  the exact dense matrix, a block-Toeplitz/FFT apply and a
+  truncated-SVD low-rank apply, all behind the common
+  :class:`EdgeOperator` protocol selected by the solvers'
   ``boundary_method`` kwarg.
 """
 

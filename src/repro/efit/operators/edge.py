@@ -22,9 +22,7 @@ has exploitable structure (paper Figs. 2/3):
   threshold ``tau = tol * sigma_ref / sqrt(nh)`` bounds the spectral
   error of the *summed* operator by ``tol * sigma_ref``.
 
-Both structured forms, the exact dense matrix, and fp32 variants that
-re-apply the fp64-computed representation residual (so the input's fp32
-rounding cancels and only factor-storage error remains) live behind the
+Both structured forms and the exact dense matrix live behind the
 :class:`EdgeOperator` protocol that ``EfitSolver``/``BatchFitEngine``/
 ``ParallelFitEngine`` select with their ``boundary_method`` kwarg.
 
@@ -62,7 +60,6 @@ __all__ = [
     "validate_edge_structure",
 ]
 
-_EPS32 = float(np.finfo(np.float32).eps)
 _EPS64 = float(np.finfo(np.float64).eps)
 
 #: Offsets whose truncated rank exceeds this fraction of full rank are
@@ -74,14 +71,6 @@ _DENSE_RANK_FRACTION = 0.5
 #: dominates padding there).
 _BUCKET_WASTE = 1.3
 _BUCKET_MIN = 4
-
-#: Z-offset chunk length of the fp32 exact horizontal apply: bounds each
-#: sgemm reduction to ``chunk * nw`` terms before the fp64 accumulate.
-_FP32_CHUNK = 8
-
-
-def _is_fp32(method: str) -> bool:
-    return method.endswith("-fp32")
 
 
 def validate_edge_structure(
@@ -167,12 +156,12 @@ class EdgeOperator(abc.ABC):
 
     @property
     def variant_tag(self) -> str:
-        """Method + rank/precision discriminator (no grid identity)."""
+        """Method + rank discriminator (no grid identity)."""
         return self.method
 
     @property
     def content_key(self) -> str:
-        """Full content identity: grid hash + method + rank/precision tag.
+        """Full content identity: grid hash + method + rank tag.
 
         Two processes derive equal keys iff their operators are
         interchangeable — the arena layer and the disk cache key on it.
@@ -270,14 +259,14 @@ class _VerticalSpectra:
         self.nh = nh
 
     @classmethod
-    def build(cls, tables: BoundaryGreensTables, dtype=np.float64) -> "_VerticalSpectra":
+    def build(cls, tables: BoundaryGreensTables) -> "_VerticalSpectra":
         nw, nh = tables.grid.nw, tables.grid.nh
         # Any m >= 2*nh - 1 embeds the Toeplitz block exactly; pick the
         # next FFT-friendly composite (2*nh itself can be catastrophic:
         # 514 = 2*257 forces an O(n log n) Bluestein fallback ~8x slower
         # than the 540 = 2^2*3^3*5 plan).
         m = sfft.next_fast_len(2 * nh - 1, real=True)
-        spectra = np.empty((2, m // 2 + 1, nw), dtype=dtype)
+        spectra = np.empty((2, m // 2 + 1, nw))
         c = np.zeros((m, nw))
         for e, i_b in enumerate((0, nw - 1)):
             t = tables.gpc[i_b]  # (nh, nw): first Toeplitz column per source column
@@ -285,7 +274,7 @@ class _VerticalSpectra:
             c[m - nh + 1 :] = t[1:][::-1]
             # Even symmetry of the embedding makes the spectrum real;
             # the imaginary residue is pure roundoff.
-            spectra[e] = sfft.rfft(c, axis=0).real.astype(dtype, copy=False)
+            spectra[e] = sfft.rfft(c, axis=0).real
         return cls(spectra, m, nh)
 
     @property
@@ -300,12 +289,12 @@ class _VerticalSpectra:
         return sfft.irfft(y_hat, n=self.m, axis=1)[:, : self.nh, :]
 
 
-def _horizontal_rhs(p3: np.ndarray, dtype) -> np.ndarray:
+def _horizontal_rhs(p3: np.ndarray) -> np.ndarray:
     """Stack bottom/top right-hand sides: ``q[d, ii, :B]`` feeds the
     bottom edge (offset ``d`` is the source row), ``q[d, ii, B:]`` the
     top edge (source rows reversed) — both edges then ride one GEMM."""
     nw, nh, nb = p3.shape
-    q = np.empty((nh, nw, 2 * nb), dtype=dtype)
+    q = np.empty((nh, nw, 2 * nb))
     q[:, :, :nb] = p3.transpose(1, 0, 2)
     q[:, :, nb:] = p3[:, ::-1, :].transpose(1, 0, 2)
     return q
@@ -320,32 +309,17 @@ class _StructuredEdgeOperator(EdgeOperator):
 
     def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x, single = self._coerce(pcurr_flat)
-        if _is_fp32(self.method):
-            x32 = x.astype(np.float32)
-            # The fp64-computed split residual re-applied in fp32 cancels
-            # the input's fp32 rounding; what remains is factor-storage
-            # and accumulation error, both bounded by the property tests.
-            dx32 = (x - x32.astype(np.float64)).astype(np.float32)
-            result = self._apply_once(x32)
-            result += self._apply_once(dx32)
-        else:
-            result = self._apply_once(x)
-        return self._finish(result, single, out)
-
-    def _apply_once(self, x: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        nw, nh = grid.nw, grid.nh
+        nw, nh = self.grid.nw, self.grid.nh
         nb = x.shape[1]
         p3 = x.reshape(nw, nh, nb)
         vert = self._vertical.apply(p3)  # (2, nh, B)
-        q = _horizontal_rhs(p3, x.dtype)
-        bt = self._apply_horizontal(q, nb)  # (nw-2, 2B) float64
+        bt = self._apply_horizontal(_horizontal_rhs(p3), nb)  # (nw-2, 2B)
         result = np.empty((self.n_edge, nb))
         result[:nh] = -vert[0]
         result[nh : 2 * nh] = -vert[1]
         result[2 * nh : 2 * nh + nw - 2] = -bt[:, :nb]
         result[2 * nh + nw - 2 :] = -bt[:, nb:]
-        return result
+        return self._finish(result, single, out)
 
     def _apply_horizontal(self, q: np.ndarray, nb: int) -> np.ndarray:
         raise NotImplementedError
@@ -354,60 +328,33 @@ class _StructuredEdgeOperator(EdgeOperator):
 class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
     """FFT vertical edges + the exact per-offset GEMM horizontal edges.
 
-    The fp64 form stores only the circulant spectra and *aliases* the
-    Green table for the horizontal contraction — the 541 MB dense
-    operator at 257x257 shrinks to a 2.2 MB spectrum block.  The fp32
-    form keeps a private single-precision copy of the horizontal table,
-    chunked along the Z offset so each sgemm reduction spans only
-    ``chunk * nw`` terms before accumulating in fp64.
+    Stores only the circulant spectra and *aliases* the Green table for
+    the horizontal contraction — the 541 MB dense operator at 257x257
+    shrinks to a 1.1 MB spectrum block.
     """
 
+    method = "toeplitz"
+
     def __init__(
-        self,
-        grid: RZGrid,
-        vertical: _VerticalSpectra,
-        *,
-        horizontal: np.ndarray | None = None,
-        horizontal32: np.ndarray | None = None,
-        chunk: int = _FP32_CHUNK,
+        self, grid: RZGrid, vertical: _VerticalSpectra, horizontal: np.ndarray
     ) -> None:
         super().__init__(grid, vertical)
-        self._chunk = chunk
-        if horizontal32 is not None:
-            self.method = "toeplitz-fp32"
-            self._horizontal = None
-            self._horizontal32 = horizontal32  # (n_chunks, nw-2, chunk*nw)
-        elif horizontal is not None:
-            self.method = "toeplitz"
-            self._horizontal = horizontal  # (nw-2, nh*nw) view of gpc[1:-1]
-            self._horizontal32 = None
-        else:
-            raise OperatorError("toeplitz operator needs a horizontal table")
+        self._horizontal = horizontal  # (nw-2, nh*nw) view of gpc[1:-1]
+
+    @staticmethod
+    def _horizontal_view(grid: RZGrid, gpc: np.ndarray) -> np.ndarray:
+        return gpc[1:-1].reshape(grid.nw - 2, grid.nh * grid.nw)
 
     @classmethod
-    def from_tables(
-        cls, tables: BoundaryGreensTables, *, fp32: bool = False, chunk: int = _FP32_CHUNK
-    ) -> "ToeplitzFFTEdgeOperator":
+    def from_tables(cls, tables: BoundaryGreensTables) -> "ToeplitzFFTEdgeOperator":
         grid = tables.grid
-        nw, nh = grid.nw, grid.nh
-        if fp32:
-            vertical = _VerticalSpectra.build(tables, dtype=np.float32)
-            n_chunks = -(-nh // chunk)
-            h32 = np.zeros((n_chunks, nw - 2, chunk * nw), dtype=np.float32)
-            flat = tables.gpc[1:-1].reshape(nw - 2, nh * nw)
-            for k in range(n_chunks):
-                lo, hi = k * chunk * nw, min((k + 1) * chunk, nh) * nw
-                h32[k, :, : hi - lo] = flat[:, lo:hi]
-            return cls(grid, vertical, horizontal32=h32, chunk=chunk)
-        vertical = _VerticalSpectra.build(tables)
-        return cls(grid, vertical, horizontal=tables.gpc[1:-1].reshape(nw - 2, nh * nw))
+        return cls(
+            grid, _VerticalSpectra.build(tables), cls._horizontal_view(grid, tables.gpc)
+        )
 
     @property
     def nbytes(self) -> int:
-        n = self._vertical.nbytes
-        if self._horizontal32 is not None:
-            n += int(self._horizontal32.nbytes)
-        return n
+        return self._vertical.nbytes
 
     @property
     def variant_tag(self) -> str:
@@ -415,30 +362,16 @@ class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
 
     def error_bound(self, x_norm: float = 1.0) -> float:
         scale = float(np.abs(self._vertical.spectra).max()) * np.sqrt(self.n_grid)
-        eps = _EPS32 if _is_fp32(self.method) else _EPS64
-        return 64.0 * eps * scale * x_norm
+        return 64.0 * _EPS64 * scale * x_norm
 
     def _apply_horizontal(self, q: np.ndarray, nb: int) -> np.ndarray:
-        nw, nh = self.grid.nw, self.grid.nh
-        if self._horizontal is not None:
-            return self._horizontal @ q.reshape(nh * nw, 2 * nb)
-        h32 = self._horizontal32
-        acc = np.zeros((nw - 2, 2 * nb))
-        flat = q.reshape(nh * nw, 2 * nb)
-        for k in range(h32.shape[0]):
-            lo = k * self._chunk * nw
-            hi = min(lo + self._chunk * nw, nh * nw)
-            acc += h32[k, :, : hi - lo] @ flat[lo:hi]
-        return acc
+        return self._horizontal @ q.reshape(self.grid.nh * self.grid.nw, 2 * nb)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {
+        return {
             "vert_spectra": self._vertical.spectra,
-            "meta_i8": np.array([self._vertical.m, self._chunk], dtype=np.int64),
+            "meta_i8": np.array([self._vertical.m], dtype=np.int64),
         }
-        if self._horizontal32 is not None:
-            arrays["horiz_fp32"] = self._horizontal32
-        return arrays
 
     @classmethod
     def from_arrays(
@@ -448,16 +381,11 @@ class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
         *,
         gpc: np.ndarray | None = None,
     ) -> "ToeplitzFFTEdgeOperator":
-        m, chunk = (int(v) for v in arrays["meta_i8"])
-        vertical = _VerticalSpectra(arrays["vert_spectra"], m, grid.nh)
-        if "horiz_fp32" in arrays:
-            return cls(grid, vertical, horizontal32=arrays["horiz_fp32"], chunk=chunk)
         if gpc is None:
-            raise OperatorError(
-                "fp64 toeplitz operator aliases the Green table: pass gpc="
-            )
-        nw, nh = grid.nw, grid.nh
-        return cls(grid, vertical, horizontal=gpc[1:-1].reshape(nw - 2, nh * nw))
+            raise OperatorError("toeplitz operator aliases the Green table: pass gpc=")
+        (m,) = (int(v) for v in arrays["meta_i8"])
+        vertical = _VerticalSpectra(arrays["vert_spectra"], m, grid.nh)
+        return cls(grid, vertical, cls._horizontal_view(grid, gpc))
 
 
 class LowRankEdgeOperator(_StructuredEdgeOperator):
@@ -466,9 +394,11 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
     Per-offset slices whose rank exceeds ``nw/2`` (the near field) stay
     dense in one gathered block; the rest are zero-padded into
     rank-sorted buckets so the whole far field applies as a handful of
-    batched GEMMs.  This is the method that wins at large N: ~19x less
+    batched GEMMs.  This is the method that wins at large N: ~17x less
     memory and >5x less apply time than the dense GEMM at 257x257.
     """
+
+    method = "lowrank"
 
     def __init__(
         self,
@@ -480,10 +410,8 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
         *,
         tol: float,
         sigma_ref: float,
-        fp32: bool = False,
     ) -> None:
         super().__init__(grid, vertical)
-        self.method = "lowrank-fp32" if fp32 else "lowrank"
         self._dense_idx = dense_idx
         self._dense_block = dense_block
         self._buckets = buckets  # [(offset indices, U (k,nw-2,r), W (k,r,nw))]
@@ -492,11 +420,10 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
 
     @classmethod
     def from_tables(
-        cls, tables: BoundaryGreensTables, *, tol: float = 1e-12, fp32: bool = False
+        cls, tables: BoundaryGreensTables, *, tol: float = 1e-12
     ) -> "LowRankEdgeOperator":
         grid = tables.grid
         nw, nh = grid.nw, grid.nh
-        dtype = np.float32 if fp32 else np.float64
         slices = tables.gpc[1:-1]  # (nw-2, nh, nw): axes (edge row, offset, source col)
 
         factors: list[tuple[np.ndarray, np.ndarray]] = []
@@ -513,9 +440,7 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
         ranks = np.array([max(1, int(np.sum(s > tau))) for s in sigmas])
 
         dense_idx = np.flatnonzero(ranks >= _DENSE_RANK_FRACTION * (nw - 2))
-        dense_block = (
-            slices[:, dense_idx, :].reshape(nw - 2, dense_idx.size * nw).astype(dtype)
-        )
+        dense_block = slices[:, dense_idx, :].reshape(nw - 2, dense_idx.size * nw)
 
         lr = sorted(np.setdiff1d(np.arange(nh), dense_idx), key=lambda d: -ranks[d])
         groups: list[list[int]] = []
@@ -532,8 +457,8 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
         buckets = []
         for group in groups:
             r_max = int(ranks[group[0]])
-            u_pack = np.zeros((len(group), nw - 2, r_max), dtype=dtype)
-            w_pack = np.zeros((len(group), r_max, nw), dtype=dtype)
+            u_pack = np.zeros((len(group), nw - 2, r_max))
+            w_pack = np.zeros((len(group), r_max, nw))
             for k, d in enumerate(group):
                 r = int(ranks[d])
                 u, w = factors[d]
@@ -541,16 +466,14 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
                 w_pack[k, :r, :] = w[:r]
             buckets.append((np.asarray(group, dtype=np.int64), u_pack, w_pack))
 
-        vertical = _VerticalSpectra.build(tables, dtype=dtype)
         return cls(
             grid,
-            vertical,
+            _VerticalSpectra.build(tables),
             dense_idx,
             dense_block,
             buckets,
             tol=tol,
             sigma_ref=sigma_ref,
-            fp32=fp32,
         )
 
     @property
@@ -570,21 +493,17 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
 
     def error_bound(self, x_norm: float = 1.0) -> float:
         truncation = self._tol * self._sigma_ref
-        eps = _EPS32 if _is_fp32(self.method) else _EPS64
-        roundoff = 64.0 * eps * self._sigma_ref * np.sqrt(self.n_grid)
+        roundoff = 64.0 * _EPS64 * self._sigma_ref * np.sqrt(self.n_grid)
         return (truncation + roundoff) * x_norm
 
     def _apply_horizontal(self, q: np.ndarray, nb: int) -> np.ndarray:
         nw = self.grid.nw
-        fp32 = _is_fp32(self.method)
         qd = q[self._dense_idx].reshape(self._dense_idx.size * nw, 2 * nb)
-        acc = (self._dense_block @ qd).astype(np.float64, copy=False)
+        acc = self._dense_block @ qd
         for idx, u_pack, w_pack in self._buckets:
             mid = np.matmul(w_pack, q[idx])  # (k, r, 2B)
             contrib = np.matmul(u_pack, mid)  # (k, nw-2, 2B)
-            # Bucket dots are short (nw then r terms); the cross-offset
-            # reduction happens here in fp64 either way.
-            acc += contrib.sum(axis=0, dtype=np.float64) if fp32 else contrib.sum(axis=0)
+            acc += contrib.sum(axis=0)
         return acc
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -593,8 +512,7 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
             "dense_idx": self._dense_idx.astype(np.int64),
             "dense_block": self._dense_block,
             "meta_i8": np.array(
-                [self._vertical.m, len(self._buckets), _is_fp32(self.method)],
-                dtype=np.int64,
+                [self._vertical.m, len(self._buckets)], dtype=np.int64
             ),
             "meta_f8": np.array([self._tol, self._sigma_ref]),
         }
@@ -608,7 +526,7 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
     def from_arrays(
         cls, grid: RZGrid, arrays: dict[str, np.ndarray]
     ) -> "LowRankEdgeOperator":
-        m, n_buckets, fp32 = (int(v) for v in arrays["meta_i8"])
+        m, n_buckets = (int(v) for v in arrays["meta_i8"])
         tol, sigma_ref = (float(v) for v in arrays["meta_f8"])
         buckets = [
             (
@@ -626,7 +544,6 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
             buckets,
             tol=tol,
             sigma_ref=sigma_ref,
-            fp32=bool(fp32),
         )
 
 
@@ -651,9 +568,9 @@ def build_edge_operator(
         return DenseEdgeOperator.from_tables(tables)
     if validate:
         validate_edge_structure(tables)
-    if method.startswith("toeplitz"):
-        return ToeplitzFFTEdgeOperator.from_tables(tables, fp32=_is_fp32(method))
-    return LowRankEdgeOperator.from_tables(tables, tol=tol, fp32=_is_fp32(method))
+    if method == "toeplitz":
+        return ToeplitzFFTEdgeOperator.from_tables(tables)
+    return LowRankEdgeOperator.from_tables(tables, tol=tol)
 
 
 #: Process-wide operator cache: solvers, the batch engine and the bench
@@ -712,14 +629,14 @@ def edge_operator_from_arrays(
     """Rebuild an operator from its :meth:`EdgeOperator.to_arrays` form.
 
     Fleet workers call this against shared-memory segments; the disk
-    cache against ``.npz`` members.  ``gpc`` is required for the fp64
+    cache against ``.npz`` members.  ``gpc`` is required for the
     toeplitz form, which aliases the Green table instead of copying it.
     """
     if method == "dense":
         return DenseEdgeOperator(grid, arrays["matrix"])
-    if method.startswith("toeplitz"):
+    if method == "toeplitz":
         return ToeplitzFFTEdgeOperator.from_arrays(grid, arrays, gpc=gpc)
-    if method.startswith("lowrank"):
+    if method == "lowrank":
         return LowRankEdgeOperator.from_arrays(grid, arrays)
     raise OperatorError(
         f"unknown boundary method {method!r}; choose one of {EDGE_METHODS}"

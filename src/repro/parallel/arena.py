@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.efit.grid import RZGrid
 from repro.efit.operators import (
-    DenseEdgeOperator,
     EdgeOperator,
     cached_edge_operator,
     edge_operator_from_arrays,
@@ -97,7 +96,7 @@ class ArenaSpec:
     #: Edge-operator representation stored in the arena (one of
     #: :data:`repro.efit.operators.EDGE_METHODS`).
     boundary_method: str = "dense"
-    #: Content identity — grid hash + method + rank/precision tag — so
+    #: Content identity — grid hash + method + rank tag — so
     #: two processes can tell at a glance whether their arenas are
     #: interchangeable (the distributed-fleet transport will key on it).
     content_key: str = ""
@@ -132,16 +131,13 @@ def _shared_edge_operator(
     shm: shared_memory.SharedMemory, spec: ArenaSpec
 ) -> EdgeOperator:
     """Rebuild the arena's edge operator over its shared segments."""
-    grid = spec.grid()
-    if spec.boundary_method == "dense":
-        return DenseEdgeOperator(grid, _view(shm, spec.segment("edge_operator")))
     arrays = {
         seg.name[3:]: _view(shm, seg)
         for seg in spec.segments
         if seg.name.startswith("op_")
     }
     return edge_operator_from_arrays(
-        grid, spec.boundary_method, arrays, gpc=_view(shm, spec.segment("gpc"))
+        spec.grid(), spec.boundary_method, arrays, gpc=_view(shm, spec.segment("gpc"))
     )
 
 
@@ -159,8 +155,8 @@ def _fresh_name() -> str:
 class TableArena:
     """Parent-side owner of one shared-memory table block.
 
-    Holds the Green table (``gpc``) and the dense edge-flux operator for
-    one grid.  Create with :meth:`build`; hand :attr:`spec` to workers;
+    Holds the Green table (``gpc``) and the edge-flux operator's arrays
+    for one grid.  Create with :meth:`build`; hand :attr:`spec` to workers;
     :meth:`unlink` exactly once when the last user is done (the
     :class:`ArenaManager` does the counting).
     """
@@ -177,21 +173,18 @@ class TableArena:
         """Copy the (cached) boundary tables + edge operator into shm.
 
         ``boundary_method`` picks the operator representation shared with
-        the workers: the dense matrix (historical layout, segment name
-        ``edge_operator``) or a compressed form whose
+        the workers; whichever it is, its
         :meth:`~repro.efit.operators.EdgeOperator.to_arrays` segments are
         stored under ``op_*`` names — at 257x257 a ``lowrank`` arena is
-        ~510 MB smaller per *fleet* (the pages are shared either way, but
-        the build, the copy and the cache pressure all shrink).
+        ~510 MB smaller per *fleet* than a ``dense`` one (the pages are
+        shared either way, but the build, the copy and the cache pressure
+        all shrink).
         """
         tables = cached_boundary_tables(grid)
         op = cached_edge_operator(tables, boundary_method)
         arrays = {"gpc": np.ascontiguousarray(tables.gpc)}
-        if boundary_method == "dense":
-            arrays["edge_operator"] = np.ascontiguousarray(op.matrix)
-        else:
-            for name, arr in op.to_arrays().items():
-                arrays[f"op_{name}"] = np.ascontiguousarray(arr)
+        for name, arr in op.to_arrays().items():
+            arrays[f"op_{name}"] = np.ascontiguousarray(arr)
         segments: list[ArenaSegment] = []
         offset = 0
         for name, arr in arrays.items():
@@ -256,12 +249,6 @@ class TableArena:
             grid=self.spec.grid(), gpc=_view(self._shm, self.spec.segment("gpc"))
         )
 
-    def edge_operator(self) -> np.ndarray:
-        """The dense matrix view (dense arenas only — structured arenas
-        have no ``edge_operator`` segment and this raises)."""
-        self._require_mapped()
-        return _view(self._shm, self.spec.segment("edge_operator"))
-
     def edge_op(self) -> EdgeOperator:
         """The arena's edge operator, whatever its representation."""
         self._require_mapped()
@@ -321,11 +308,6 @@ class AttachedArena:
         return BoundaryGreensTables(
             grid=self.spec.grid(), gpc=_view(self._shm, self.spec.segment("gpc"))
         )
-
-    def edge_operator(self) -> np.ndarray:
-        """The dense matrix view (dense arenas only)."""
-        self._require_open()
-        return _view(self._shm, self.spec.segment("edge_operator"))
 
     def edge_op(self) -> EdgeOperator:
         """The arena's edge operator, whatever its representation."""

@@ -15,9 +15,10 @@ sequence across worker *processes* through the
   view, and builds a private :class:`~repro.batch.engine.BatchFitEngine`
   on top — worker startup is O(1) in grid size;
 * jobs are the *same* ``batch_size`` groups the serial engine forms
-  (``slices[start : start + batch_size]``), so every slice runs through
-  ``_fit_batch`` with identical array shapes and the merged results are
-  **bit-identical** to a serial ``BatchFitEngine.fit_many`` — BLAS GEMM
+  (both call :func:`repro.batch.slices.batch_groups`), so every slice
+  runs through ``_fit_batch`` with identical array shapes and the merged
+  results are **bit-identical** to a serial
+  ``BatchFitEngine.fit_many`` — BLAS GEMM
   reductions depend on operand shapes, so sharding at any other
   granularity would only be close, not equal (the Hypothesis suite pins
   the equality down);
@@ -39,7 +40,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.batch.engine import BatchFitEngine
-from repro.batch.slices import BatchStats
+from repro.batch.slices import BatchStats, batch_groups
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.fitting import FitResult
 from repro.efit.grid import RZGrid
@@ -98,8 +99,8 @@ def _init_fit_worker(
     boundary_table_cache().seed(tables)
     op = arena.edge_op()
     # Same story for the edge-operator cache: content identity (grid hash
-    # + method + rank/precision tag) means any later cached_edge_operator
-    # call with this method reuses the shared pages instead of rebuilding.
+    # + method + rank tag) means any later cached_edge_operator call with
+    # this method reuses the shared pages instead of rebuilding.
     seed_edge_operator(op)
     engine = BatchFitEngine(
         machine,
@@ -130,10 +131,12 @@ class ParallelFitEngine:
     """Reconstruct many time slices across worker processes.
 
     Parameters mirror :class:`~repro.batch.engine.BatchFitEngine`;
-    ``workers`` replaces ``n_workers`` (processes, not threads) and
-    ``config`` exposes the scheduler policy (timeouts, retry budget,
-    transport).  Use as a context manager — or call :meth:`close` — to
-    stop the pool and release the table arena.
+    ``workers`` replaces ``n_workers`` (processes, not threads; 2 when
+    neither it nor ``config`` is given) and ``config`` exposes the
+    scheduler policy (timeouts, retry budget, transport) — a ``workers``
+    that disagrees with ``config.workers`` is an error.  Use as a context
+    manager — or call :meth:`close` — to stop the pool and release the
+    table arena.
     """
 
     def __init__(
@@ -143,7 +146,7 @@ class ParallelFitEngine:
         grid: RZGrid,
         *,
         batch_size: int = 8,
-        workers: int = 2,
+        workers: int | None = None,
         boundary_method: str = "dense",
         hooks: ObservationHooks | None = None,
         config: SchedulerConfig | None = None,
@@ -156,10 +159,12 @@ class ParallelFitEngine:
         self.grid = grid
         self.boundary_method = boundary_method
         if config is None:
-            config = SchedulerConfig(workers=workers)
-        elif config.workers != workers and workers != 2:
+            config = SchedulerConfig(workers=2 if workers is None else workers)
+        elif workers is not None and workers != config.workers:
             raise FittingError(
-                "pass the worker count either as workers= or in config=, not both"
+                f"workers={workers} disagrees with config.workers="
+                f"{config.workers}: pass the count in one place, or the same "
+                f"count in both"
             )
         self.config = config
         self._manager = arena_manager()
@@ -238,28 +243,10 @@ class ParallelFitEngine:
         ``allow_failures=True``, in which case the surviving slices are
         returned alongside the failure records.
         """
-        slices = list(slices)
-        if not slices:
-            raise FittingError("fit_many needs at least one slice")
-        if psi_initial is not None:
-            psi_initial = list(psi_initial)
-            if len(psi_initial) != len(slices):
-                raise FittingError(
-                    f"psi_initial has {len(psi_initial)} entries for "
-                    f"{len(slices)} slices"
-                )
-        groups = [
-            (
-                slices[start : start + self.batch_size],
-                psi_initial[start : start + self.batch_size]
-                if psi_initial is not None
-                else None,
-            )
-            for start in range(0, len(slices), self.batch_size)
-        ]
+        groups = batch_groups(slices, psi_initial, self.batch_size)
         t0 = time.perf_counter()
         schedule = self.scheduler.run(
-            [(group, seeds, require_convergence) for group, seeds in groups]
+            [(group, seeds, require_convergence) for _, group, seeds in groups]
         )
         self._last_reports = schedule.reports
         if schedule.failures and not allow_failures:

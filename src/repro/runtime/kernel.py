@@ -42,12 +42,6 @@ class ExecutionPlan:
     #: Multiplier on the device launch latency for this region (runtime
     #: bookkeeping differences between offload runtimes).
     launch_overhead: float = 1.0
-    #: Whether the lowering combines reduction partials in a fixed order.
-    #: Tree/serialised reductions reproduce bit-identical sums run to run;
-    #: atomics-based lowerings combine in completion order and break the
-    #: parallel fleet's bit-identity guarantee — the
-    #: ``precision-nondet-reduction`` axis.
-    deterministic_reduction: bool = True
 
     def __post_init__(self) -> None:
         if self.teams < 1 or self.threads_per_team < 1:

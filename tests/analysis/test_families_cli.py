@@ -34,7 +34,14 @@ def _finding(rule="hot-alloc", detail="d"):
 class TestFamilySelection:
     def test_unknown_family_raises(self):
         with pytest.raises(AnalysisError, match="unknown analysis families"):
-            AnalysisConfig(families=("precision", "vibes"))
+            AnalysisConfig(families=("lifecycle", "vibes"))
+        # The retired family is unknown too, and the error names the
+        # three that remain.
+        with pytest.raises(
+            AnalysisError, match="precision .known: directives, hotpath, lifecycle"
+        ):
+            AnalysisConfig(families=("precision",))
+        assert ALL_FAMILIES == ("directives", "hotpath", "lifecycle")
 
     def test_empty_selection_raises(self):
         with pytest.raises(AnalysisError, match="at least one"):
@@ -105,9 +112,9 @@ class TestStaleness:
 
 class TestSchemaStamp:
     def test_to_dict_leads_with_schema_version(self):
-        payload = AnalysisReport(families=("precision",)).to_dict()
+        payload = AnalysisReport(families=("lifecycle",)).to_dict()
         assert payload["schema_version"] == ANALYSIS_SCHEMA_VERSION == 2
-        assert payload["summary"]["families"] == ["precision"]
+        assert payload["summary"]["families"] == ["lifecycle"]
         assert payload["summary"]["stale_suppressions"] == {}
 
     def test_cli_json_carries_the_stamp(self, capsys):
@@ -130,7 +137,7 @@ def stale_baseline(tmp_path):
 
 class TestCliFamilies:
     def test_family_filtered_run_is_clean(self, capsys):
-        rc = main(["analyze", "--family", "precision", "--family", "lifecycle"])
+        rc = main(["analyze", "--family", "lifecycle"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "0 error(s), 0 warning(s)" in out
@@ -145,6 +152,10 @@ class TestCliFamilies:
         with pytest.raises(SystemExit):
             main(["analyze", "--family", "vibes"])
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--family", "precision"])
+        assert exc.value.code == 2
+        assert "'directives', 'hotpath', 'lifecycle'" in capsys.readouterr().err
 
 
 class TestCliStaleness:

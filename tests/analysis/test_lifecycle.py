@@ -106,12 +106,40 @@ return arena.tables()
         assert [f.rule_id for f in findings] == [RULE_USE_AFTER_UNLINK]
         assert "unlinked" in findings[0].message
 
+    def test_operator_view_after_unlink(self):
+        """``edge_op()`` is the accessor the fleet calls; the rule was
+        blind to it while it listed the raw-matrix accessor instead."""
+        findings = _scan_fn(
+            """
+arena = TableArena.build(grid)
+arena.unlink()
+return arena.edge_op()
+"""
+        )
+        assert [f.rule_id for f in findings] == [RULE_USE_AFTER_UNLINK]
+        assert findings[0].detail == "edge_op:arena"
+
+    def test_rule_watches_exactly_the_arena_view_accessors(self):
+        """The blindness came from drift: the rule listed an accessor the
+        fleet had stopped calling.  Every public method of the worker-side
+        handle other than ``close`` hands out a view and must be listed."""
+        from repro.analysis.lifecycle import _VIEW_METHODS
+        from repro.parallel import AttachedArena, TableArena
+
+        accessors = {
+            name
+            for name, member in vars(AttachedArena).items()
+            if callable(member) and not name.startswith("_")
+        } - {"close"}
+        assert accessors == set(_VIEW_METHODS)
+        assert all(callable(getattr(TableArena, name)) for name in _VIEW_METHODS)
+
     def test_view_after_close(self):
         findings = _scan_fn(
             """
 arena = attach_arena(spec)
 arena.close()
-return arena.edge_operator()
+return arena.edge_op()
 """
         )
         assert [f.rule_id for f in findings] == [RULE_USE_AFTER_UNLINK]

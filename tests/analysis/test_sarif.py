@@ -201,7 +201,7 @@ class TestSarifPayload:
 
     def test_kernel_location_has_no_physical_location(self):
         finding = Finding(
-            rule_id="precision-mixed-gemm",
+            rule_id="excess-traffic",
             severity=Severity.ERROR,
             location=Location(subroutine="pflux_", kernel="boundary_lr"),
             message="msg",

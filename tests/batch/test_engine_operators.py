@@ -53,16 +53,6 @@ class TestBoundaryMethodKwarg:
         assert engine.boundary_method == method
         assert _rel_dev(dense_batch, batch) <= bound
 
-    def test_fp32_refined_within_loose_bound(self, shot33, slices4, dense_batch):
-        engine = BatchFitEngine(
-            shot33.machine,
-            shot33.diagnostics,
-            shot33.grid,
-            batch_size=2,
-            boundary_method="lowrank-fp32",
-        )
-        assert _rel_dev(dense_batch, engine.fit_many(slices4)) <= 1e-5
-
     def test_unknown_method_rejected(self, shot33):
         with pytest.raises(OperatorError, match="dense"):
             BatchFitEngine(

@@ -9,9 +9,10 @@ from repro.core.offload import (
     build_pflux_registry,
     pflux_device_arrays,
 )
+from repro.edge_methods import EDGE_METHODS
 from repro.errors import AnalysisError
 
-STRUCTURED = ("toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32")
+STRUCTURED = tuple(m for m in EDGE_METHODS if m != "dense")
 
 
 def _boundary_read_bytes(registry):
@@ -48,14 +49,10 @@ class TestStructuredRegistry:
         lowrank = _boundary_read_bytes(
             build_pflux_registry(257, boundary_method="lowrank")
         )
-        lowrank32 = _boundary_read_bytes(
-            build_pflux_registry(257, boundary_method="lowrank-fp32")
-        )
         toeplitz = _boundary_read_bytes(
             build_pflux_registry(257, boundary_method="toeplitz")
         )
         assert lowrank < toeplitz < dense
-        assert lowrank32 < lowrank
 
     def test_modeled_rank_matches_measured_calibration(self):
         """The count-only model prices r̄ = max(4, 0.12*(nw-2)); pin the
@@ -65,6 +62,10 @@ class TestStructuredRegistry:
     def test_unknown_method_raises(self):
         with pytest.raises(AnalysisError, match="butterfly"):
             build_pflux_registry(65, boundary_method="butterfly")
+        # A removed name is unknown too — not priced as the method whose
+        # name it starts with.
+        with pytest.raises(AnalysisError, match="dense, toeplitz, lowrank"):
+            build_pflux_registry(65, boundary_method="lowrank-fp32")
 
 
 class TestStructuredDeviceArrays:
@@ -93,11 +94,10 @@ class TestStructuredDeviceArrays:
             )
 
         assert resident("lowrank") < resident("dense")
-        assert resident("lowrank-fp32") < resident("lowrank")
 
 
 class TestAnalyzerThreading:
-    @pytest.mark.parametrize("method", ("dense", "lowrank", "toeplitz-fp32"))
+    @pytest.mark.parametrize("method", EDGE_METHODS)
     def test_full_analysis_clean_under_committed_baseline(self, method):
         """The committed-baseline CI job runs dense; the structured
         variants must be equally clean under the same suppressions (no

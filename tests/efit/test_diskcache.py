@@ -95,3 +95,50 @@ class TestCachePaths:
         loaded = diskcache.load_tables(grid33)
         assert loaded is not None
         np.testing.assert_array_equal(loaded.gpc, tables.gpc)
+
+
+class TestStaleOperatorEntries:
+    """Format 1 ``lowrank`` entries carried a three-slot ``meta_i8`` (the
+    third slot said whether the factors were single precision).  Format 2
+    must treat such a file as a miss — rebuilt, never loaded."""
+
+    @pytest.fixture
+    def stale(self, tmp_path, monkeypatch):
+        """(tables, fresh operator, its arrays in the format-1 layout with
+        poisoned spectra — an entry that would apply wrongly if loaded)."""
+        from repro.efit.grid import RZGrid
+        from repro.efit.operators import build_edge_operator, drop_edge_operator
+        from repro.efit.tables import cached_boundary_tables
+
+        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path))
+        tables = cached_boundary_tables(RZGrid(17, 17))
+        fresh = build_edge_operator(tables, "lowrank")
+        arrays = dict(fresh.to_arrays())
+        arrays["meta_i8"] = np.append(arrays["meta_i8"], 0)
+        arrays["vert_spectra"] = 2.0 * arrays["vert_spectra"]
+        drop_edge_operator(tables.grid, "lowrank")
+        yield tables, fresh, arrays
+        drop_edge_operator(tables.grid, "lowrank")
+
+    def test_v1_file_is_a_miss_and_is_rebuilt(self, tmp_path, stale):
+        from repro.efit.operators import cached_edge_operator
+
+        tables, fresh, arrays = stale
+        current = diskcache.operator_path(tables.grid, "lowrank", 1e-12)
+        v1 = current.with_name(
+            current.name.replace(f"-v{diskcache.DISK_FORMAT_VERSION}-", "-v1-")
+        )
+        assert v1 != current and v1.name.startswith("edgeop-v1-")
+        assert _store_npz(v1, arrays)
+        assert diskcache.load_edge_operator(tables, "lowrank", 1e-12) is None
+        op = cached_edge_operator(tables, "lowrank")
+        x = np.random.default_rng(0).normal(size=tables.grid.size)
+        np.testing.assert_array_equal(op.apply(x), fresh.apply(x))
+        assert current.is_file()  # the rebuild was published under the new name
+
+    def test_v1_layout_under_the_current_name_is_a_miss(self, stale):
+        """Even if a format-1 payload ends up under a format-2 name (a
+        hand-copied cache directory), the slot-count mismatch rejects it."""
+        tables, _, arrays = stale
+        assert _store_npz(diskcache.operator_path(tables.grid, "lowrank", 1e-12), arrays)
+        assert diskcache.load_edge_operator(tables, "lowrank", 1e-12) is None

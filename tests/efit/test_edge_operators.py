@@ -52,8 +52,7 @@ class TestAccuracy:
         x = _probe(tables33.grid)
         ref = dense33.apply(x)
         rel = np.max(np.abs(op.apply(x) - ref)) / np.max(np.abs(ref))
-        bound = 1e-5 if method.endswith("-fp32") else 1e-10
-        assert rel <= bound, f"{method}: rel error {rel:.3e} > {bound}"
+        assert rel <= 1e-10, f"{method}: rel error {rel:.3e} > 1e-10"
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -62,9 +61,9 @@ class TestAccuracy:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_property_error_bounds(self, nw, nh, seed):
-        """The PR's property-tested bounds: on arbitrary (incl. non-square)
-        grids, fp64 structured applies stay within 1e-10 of dense and the
-        fp32+refinement variants within 1e-5, relative to the result scale."""
+        """The property-tested bound: on arbitrary (incl. non-square)
+        grids, structured applies stay within 1e-10 of dense, relative to
+        the result scale."""
         grid = RZGrid(nw, nh)
         tables = cached_boundary_tables(grid)
         dense = build_edge_operator(tables, "dense")
@@ -74,8 +73,7 @@ class TestAccuracy:
         for method in STRUCTURED:
             op = build_edge_operator(tables, method)
             rel = np.max(np.abs(op.apply(x) - ref)) / scale
-            bound = 1e-5 if method.endswith("-fp32") else 1e-10
-            assert rel <= bound, f"{method}@{nw}x{nh}: {rel:.3e} > {bound}"
+            assert rel <= 1e-10, f"{method}@{nw}x{nh}: {rel:.3e} > 1e-10"
 
     def test_error_bound_hook(self, tables33):
         op = build_edge_operator(tables33, "lowrank")
@@ -90,7 +88,7 @@ class TestAccuracy:
         # Not bitwise: GEMM/FFT reduction order depends on operand shapes.
         cols = np.stack([op.apply(x[:, k]) for k in range(5)], axis=1)
         rel = np.max(np.abs(batched - cols)) / np.max(np.abs(batched))
-        assert rel < (1e-6 if method.endswith("-fp32") else 1e-12)
+        assert rel < 1e-12
         out = np.empty(op.n_edge)
         res = op.apply(x[:, 0], out=out)
         assert res is out
@@ -147,6 +145,20 @@ class TestStructurePin:
     def test_unknown_method_lists_choices(self, tables33):
         with pytest.raises(OperatorError, match="dense"):
             build_edge_operator(tables33, "fourier")
+
+    @pytest.mark.parametrize("removed", ["toeplitz-fp32", "lowrank-fp32"])
+    def test_removed_names_fail_naming_the_survivors(self, tables33, removed):
+        """The mixed-precision names are gone, not aliases: neither the
+        build nor the rebuild-from-arrays may fall back to the method
+        whose name they start with."""
+        survivors = "dense.*toeplitz.*lowrank"
+        with pytest.raises(OperatorError, match=survivors):
+            build_edge_operator(tables33, removed)
+        arrays = build_edge_operator(tables33, removed.split("-")[0]).to_arrays()
+        with pytest.raises(OperatorError, match=survivors):
+            edge_operator_from_arrays(
+                tables33.grid, removed, arrays, gpc=tables33.gpc
+            )
 
 
 # -- serialization -----------------------------------------------------------------
@@ -240,18 +252,6 @@ class TestSolverIntegration:
         )
         assert rel < 1e-10
 
-    def test_fp32_structured_fit_converges_close(self, shot, dense_fit):
-        solver = EfitSolver(
-            shot.machine, shot.diagnostics, shot.grid,
-            boundary_method="lowrank-fp32",
-        )
-        result = solver.fit(shot.measurements)
-        assert result.converged
-        rel = np.max(np.abs(result.psi - dense_fit.psi)) / np.max(
-            np.abs(dense_fit.psi)
-        )
-        assert rel < 1e-5
-
     def test_conflicting_pflux_impl_rejected(self, shot):
         with pytest.raises(FittingError, match="boundary_method"):
             EfitSolver(
@@ -306,10 +306,7 @@ class TestDiskCache:
 # -- the protocol itself -----------------------------------------------------------
 class TestProtocol:
     def test_methods_registry(self):
-        assert EDGE_METHODS[0] == "dense"
-        assert set(STRUCTURED) == {
-            "toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32"
-        }
+        assert EDGE_METHODS == ("dense", "toeplitz", "lowrank")
 
     @pytest.mark.parametrize("method", EDGE_METHODS)
     def test_common_surface(self, tables33, method):

@@ -38,13 +38,13 @@ class TestTableArena:
 
     def test_edge_operator_matches(self, grid, arena):
         expected = edge_flux_operator(cached_boundary_tables(grid))
-        np.testing.assert_array_equal(arena.edge_operator(), expected)
+        np.testing.assert_array_equal(arena.edge_op().matrix, expected)
 
     def test_views_are_read_only(self, arena):
         with pytest.raises(ValueError):
             arena.tables().gpc[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            arena.edge_operator()[0, 0] = 1.0
+            arena.edge_op().matrix[0, 0] = 1.0
 
     def test_spec_reconstructs_grid(self, grid, arena):
         assert arena.spec.grid() == grid
@@ -72,7 +72,7 @@ class TestAttach:
                 attached.tables().gpc, cached_boundary_tables(grid).gpc
             )
             np.testing.assert_array_equal(
-                attached.edge_operator(), arena.edge_operator()
+                attached.edge_op().matrix, arena.edge_op().matrix
             )
         finally:
             attached.close()
@@ -182,7 +182,7 @@ class TestFailurePaths:
         with pytest.raises(ArenaError, match="use-after-unlink"):
             arena.tables()
         with pytest.raises(ArenaError, match="use-after-unlink"):
-            arena.edge_operator()
+            arena.edge_op()
 
     def test_views_taken_before_unlink_still_error_after(self, grid):
         """The static rule's exact shape: view production ordered after
@@ -202,7 +202,7 @@ class TestFailurePaths:
             with pytest.raises(ArenaError, match="use-after-close"):
                 attached.tables()
             with pytest.raises(ArenaError, match="use-after-close"):
-                attached.edge_operator()
+                attached.edge_op()
         finally:
             arena.unlink()
 

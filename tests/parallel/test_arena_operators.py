@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.edge_methods import EDGE_METHODS
 from repro.efit.grid import RZGrid
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
@@ -21,7 +22,7 @@ def tables(grid):
     return cached_boundary_tables(grid)
 
 
-STRUCTURED = ("toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32")
+STRUCTURED = tuple(m for m in EDGE_METHODS if m != "dense")
 
 
 class TestStructuredArena:
@@ -54,18 +55,16 @@ class TestStructuredArena:
         finally:
             arena.unlink()
 
-    def test_dense_arena_keeps_historical_layout(self, grid, tables):
+    def test_dense_arena_uses_op_segments(self, grid, tables):
+        """Dense has no layout of its own: its ``to_arrays()`` lands in
+        ``op_*`` segments and ``edge_op()`` is the one way to read it."""
         arena = TableArena.build(grid)
         try:
             assert arena.spec.boundary_method == "dense"
+            assert [s.name for s in arena.spec.segments] == ["gpc", "op_matrix"]
             dense = build_edge_operator(tables, "dense")
-            np.testing.assert_array_equal(
-                arena.edge_op().to_arrays()["matrix"], dense.to_arrays()["matrix"]
-            )
-            # The legacy raw-matrix accessor still works on dense arenas.
-            np.testing.assert_array_equal(
-                arena.edge_operator(), dense.to_arrays()["matrix"]
-            )
+            np.testing.assert_array_equal(arena.edge_op().matrix, dense.matrix)
+            assert not hasattr(arena, "edge_operator")
         finally:
             arena.unlink()
 

@@ -90,6 +90,31 @@ class TestEngineApi:
                 config=SchedulerConfig(workers=3, transport="inline"),
             )
 
+    def test_explicit_workers_2_conflicts_like_any_other_count(self, shot):
+        """``workers=2`` is a value, not "not given": while the default
+        doubled as the sentinel, this ran four workers without a word."""
+        with pytest.raises(FittingError, match="workers=2.*config.workers=4"):
+            ParallelFitEngine(
+                shot.machine,
+                shot.diagnostics,
+                shot.grid,
+                workers=2,
+                config=SchedulerConfig(workers=4, transport="inline"),
+            )
+
+    def test_worker_count_from_either_place(self, shot):
+        inline3 = SchedulerConfig(workers=3, transport="inline")
+        for kwargs, expected in (
+            ({"config": inline3}, 3),
+            ({"config": inline3, "workers": 3}, 3),
+            ({"config": SchedulerConfig(transport="inline")}, 2),
+            ({}, 2),  # the pool starts lazily: no process is spawned here
+        ):
+            with ParallelFitEngine(
+                shot.machine, shot.diagnostics, shot.grid, **kwargs
+            ) as engine:
+                assert engine.config.workers == expected
+
     def test_empty_slices(self, shot):
         with _inline_engine(shot, workers=1) as engine:
             with pytest.raises(FittingError):

@@ -29,13 +29,18 @@ class TestParser:
 
     def test_operators_method_choices(self):
         args = build_parser().parse_args(
-            ["operators", "--method", "lowrank", "--method", "toeplitz-fp32"]
+            ["operators", "--method", "lowrank", "--method", "toeplitz"]
         )
-        assert args.method == ["lowrank", "toeplitz-fp32"]
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["operators", "--method", "dense"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["operators", "--method", "butterfly"])
+        assert args.method == ["lowrank", "toeplitz"]
+        for rejected in ("dense", "butterfly", "toeplitz-fp32"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["operators", "--method", rejected])
+
+    def test_operators_has_one_bound(self):
+        assert build_parser().parse_args(["operators"]).bound == 1e-10
+        for removed in ("--fp64-bound", "--fp32-bound"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["operators", removed, "1e-3"])
 
     @pytest.mark.parametrize("command", ["fit", "analyze"])
     def test_boundary_method_flag(self, command):
@@ -43,6 +48,12 @@ class TestParser:
         assert args.boundary_method == "lowrank"
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--boundary-method", "butterfly"])
+
+    def test_removed_method_exits_2_listing_the_survivors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--boundary-method", "lowrank-fp32"])
+        assert exc.value.code == 2
+        assert "'dense', 'toeplitz', 'lowrank'" in capsys.readouterr().err
 
     def test_pfleet_boundary_method_flag(self):
         args = build_parser().parse_args(
@@ -55,9 +66,10 @@ class TestOperatorsCommand:
     def test_check_passes_at_small_grid(self, capsys):
         assert main(["operators", "--grid", "17", "--check"]) == 0
         out = capsys.readouterr().out
-        assert "operator drift check: ok (4 method(s))" in out
-        for method in ("toeplitz", "lowrank", "toeplitz-fp32", "lowrank-fp32"):
+        assert "operator drift check: ok (2 method(s))" in out
+        for method in ("toeplitz", "lowrank"):
             assert method in out
+        assert "fp32" not in out
         assert "max-abs-error" in out
 
     def test_json_payload(self, capsys):
@@ -68,12 +80,13 @@ class TestOperatorsCommand:
         methods = {row["method"]: row for row in payload["methods"]}
         assert all(row["ok"] for row in methods.values())
         assert methods["lowrank"]["compression"] > 1.0
-        assert methods["lowrank-fp32"]["bound"] == pytest.approx(1e-5)
+        assert set(methods) == {"toeplitz", "lowrank"}
+        assert methods["lowrank"]["bound"] == pytest.approx(1e-10)
 
     def test_impossible_bound_fails_check(self, capsys):
         code = main(
             ["operators", "--grid", "17", "--method", "lowrank",
-             "--fp64-bound", "1e-30", "--check"]
+             "--bound", "1e-30", "--check"]
         )
         assert code == 1
         captured = capsys.readouterr()
@@ -83,7 +96,7 @@ class TestOperatorsCommand:
     def test_without_check_bound_failure_is_reported_not_fatal(self, capsys):
         code = main(
             ["operators", "--grid", "17", "--method", "lowrank",
-             "--fp64-bound", "1e-30"]
+             "--bound", "1e-30"]
         )
         assert code == 0
         assert "FAIL" in capsys.readouterr().out
