@@ -3,9 +3,10 @@
 One :class:`BatchFitEngine` owns everything a grid's worth of
 reconstructions can share — the boundary Green table, the dense edge-flux
 operator factored out of ``pflux_``, the interior-solver factorisation,
-the diagnostic response matrices and the :class:`~repro.efit.fitting.GridStatics`
-(limiter mask, limiter contour, coil flux tables).  ``fit_many`` then
-drives batches of ``B`` slices in lockstep Picard iteration:
+the diagnostic response matrices and the solver's
+:class:`~repro.efit.fitting.GridStatics` (limiter mask, limiter contour,
+coil flux tables).  ``fit_many`` then drives batches of ``B`` slices in
+lockstep Picard iteration:
 
 * the loop is :meth:`~repro.efit.fitting.EfitSolver.picard` on the
   engine's own solver, whose flux step applies the engine's edge
@@ -137,7 +138,6 @@ class BatchFitEngine:
         self.solver = EfitSolver(
             machine, diagnostics, grid, pflux_impl=edge_operator, **solver_kwargs
         )
-        self.statics = GridStatics.build(machine, grid)
         #: Per-worker arenas/profilers, persistent across ``fit_many``
         #: calls so the steady state allocates nothing.
         self._workspaces = [FitWorkspace() for _ in range(n_workers)]
@@ -153,6 +153,11 @@ class BatchFitEngine:
         from repro.scenarios import Scenario
 
         return Scenario.construct(cls, scenario, n, shot=shot, **kwargs)
+
+    @property
+    def statics(self) -> GridStatics:
+        """The solver's geometry-only arrays (see :class:`GridStatics`)."""
+        return self.solver.statics
 
     # -- observability ------------------------------------------------------------
     def workspace_counters(self) -> WorkspaceCounters:
@@ -188,7 +193,6 @@ class BatchFitEngine:
             solver.start_fit(
                 m,
                 psi_initial=seed,
-                statics=self.statics,
                 profiler=profiler,
                 hooks=self.hooks,
             )
@@ -196,7 +200,7 @@ class BatchFitEngine:
         ]
         flux = partial(solver.pflux.compute_batch, ws, self.batch_size, len(states))
         latencies: list[float | None] = [None] * len(states)
-        for _ in solver.picard(states, statics=self.statics, flux=flux):
+        for _ in solver.picard(states, flux=flux):
             now = time.perf_counter()
             for k, state in enumerate(states):
                 if state.converged and latencies[k] is None:

@@ -83,15 +83,14 @@ def find_axis(
     """Locate the magnetic axis: the extremum of ``sign * psi`` inside the
     limiter.  Returns ``(r_axis, z_axis, psi_axis)``.
 
-    ``inside`` optionally supplies the precomputed
-    ``limiter.contains(grid.rr, grid.zz)`` mask — it depends only on the
-    machine and the grid, and recomputing the point-in-polygon test every
-    Picard iterate dominates ``steps_`` time on small grids.
+    ``inside`` overrides the in-limiter grid mask searched; the default
+    is the limiter's own, :meth:`~repro.efit.machine.Limiter.grid_mask`,
+    which is built once per grid.
     """
     if sign not in (1, -1):
         raise BoundaryError("axis sign must be +1 or -1")
     if inside is None:
-        inside = limiter.contains(grid.rr, grid.zz)
+        inside = limiter.grid_mask(grid)
     if not inside.any():
         raise BoundaryError("limiter does not intersect the computational grid")
     work = np.where(inside, sign * psi, -np.inf)
@@ -199,26 +198,31 @@ def find_boundary(
     ``sign`` is the plasma-current sign convention: +1 means ``psi`` has a
     maximum on the axis (so ``psi`` decreases outward).
 
-    ``inside`` and ``limiter_samples`` optionally supply the precomputed
-    limiter-containment mask on the grid and the densified limiter
-    contour (both static per machine+grid); when omitted they are rebuilt
-    per call, exactly as before.
+    ``inside`` and ``limiter_samples`` override the in-limiter grid mask
+    and the densified limiter contour.  Both are static per machine+grid
+    and default to the limiter's own, built once
+    (:meth:`~repro.efit.machine.Limiter.grid_mask`,
+    :meth:`~repro.efit.machine.Limiter.sample_points`).
     """
     psi = np.asarray(psi, dtype=float)
     if psi.shape != grid.shape:
         raise BoundaryError(f"psi shape {psi.shape} != grid {grid.shape}")
-    r_axis, z_axis, psi_axis = find_axis(grid, psi, limiter, sign, inside=inside)
+    inside_lim = inside if inside is not None else limiter.grid_mask(grid)
+    r_axis, z_axis, psi_axis = find_axis(grid, psi, limiter, sign, inside=inside_lim)
 
     # Limiter candidate: the flux value where a shrinking contour first
     # touches the wall = extremal psi along the limiter contour.
-    lr, lz = limiter_samples if limiter_samples is not None else limiter.sample_points(n_limiter_samples)
+    lr, lz = (
+        limiter_samples
+        if limiter_samples is not None
+        else limiter.sample_points(n_limiter_samples)
+    )
     keep = grid.contains(lr, lz)
     if not keep.any():
         raise BoundaryError("no limiter samples inside the computational box")
     psi_wall = grid.bilinear(psi, lr[keep], lz[keep])
     psi_lim = float(np.max(sign * psi_wall))
 
-    inside_lim = inside if inside is not None else limiter.contains(grid.rr, grid.zz)
     i_ax = min(max(int(round((r_axis - grid.rmin) / grid.dr)), 0), grid.nw - 1)
     j_ax = min(max(int(round((z_axis - grid.zmin) / grid.dz)), 0), grid.nh - 1)
 

@@ -51,17 +51,17 @@ __all__ = ["EfitSolver", "FitResult", "FitIterationRecord", "FitState", "GridSta
 
 @dataclass(frozen=True)
 class GridStatics:
-    """Precomputed per-(machine, grid) state for the fit hot path.
+    """The per-(machine, grid) arrays of the fit hot path, in one place.
 
     Everything here depends only on the machine geometry and the mesh —
-    not on the shot or the Picard iterate — yet the plain single-slice
-    path rebuilds it every call: the limiter point-in-polygon mask twice
-    per iterate, the densified limiter contour once per iterate and the
-    coil flux tables twice per ``fit``.  The batch engine builds one
-    :class:`GridStatics` per grid and threads it through
-    :meth:`EfitSolver.start_fit` / :meth:`EfitSolver.iterate_pre`; the
-    cached values are bitwise-identical to the recomputed ones, so using
-    them changes no result.
+    not on the shot or the Picard iterate.  It is a view of the memo the
+    machine and its limiter keep (:meth:`Limiter.grid_mask
+    <repro.efit.machine.Limiter.grid_mask>`, :meth:`Limiter.sample_points
+    <repro.efit.machine.Limiter.sample_points>`,
+    :meth:`Tokamak.coil_flux_tables
+    <repro.efit.machine.Tokamak.coil_flux_tables>`): every
+    :class:`EfitSolver` builds one at construction, so solvers on one
+    machine and grid share the arrays, which are read-only.
     """
 
     #: ``limiter.contains(grid.rr, grid.zz)`` — the in-vessel grid mask.
@@ -73,9 +73,10 @@ class GridStatics:
 
     @classmethod
     def build(cls, machine: Tokamak, grid: RZGrid, *, n_limiter_samples: int = 4) -> "GridStatics":
-        """Precompute the static fit state for ``machine`` on ``grid``."""
+        """The static fit state for ``machine`` on ``grid``, built on the
+        first call for that pair and read from the memo afterwards."""
         return cls(
-            inside_limiter=machine.limiter.contains(grid.rr, grid.zz),
+            inside_limiter=machine.limiter.grid_mask(grid),
             limiter_samples=machine.limiter.sample_points(n_limiter_samples),
             coil_flux=machine.coil_flux_tables(grid),
         )
@@ -243,6 +244,11 @@ class EfitSolver:
         # near the expected current centroid or the Picard loop can settle
         # on a vertically displaced fixed point of the fitdelz feedback.
         self.initial_filament_z = initial_filament_z
+        rf = float(machine.limiter.r.mean()) + 0.37 * grid.dr
+        zf = 0.41 * grid.dz if initial_filament_z is None else initial_filament_z
+        #: Flux per ampere of that seed filament: elliptic integrals over
+        #: the whole grid that no shot changes, so built once.
+        self._seed_filament_flux = greens_psi(grid.rr, grid.zz, rf, zf)
         self.profiler = profiler if profiler is not None else RegionProfiler()
         self.hooks = hooks if hooks is not None else NULL_HOOKS
 
@@ -277,6 +283,9 @@ class EfitSolver:
         if self.fit_vessel:
             self.vessel_response = diagnostics.response_to_vessel(machine)
             self.vessel_flux_tables = machine.vessel_flux_tables(grid)
+        #: Geometry-only arrays of the hot path.  Built here, not on first
+        #: use, so the threads that later share this solver only read.
+        self.statics = GridStatics.build(machine, grid)
 
     @classmethod
     def for_scenario(
@@ -340,29 +349,18 @@ class EfitSolver:
         cap = 4.0 * grid.dz
         return float(np.clip(delz, -cap, cap))
 
-    def _psi_from_coils(self, currents: np.ndarray, statics: GridStatics | None) -> np.ndarray:
-        """Vacuum coil flux, from the statics tables when available (the
-        tables are built identically either way, so the result is
-        bitwise-independent of the path taken)."""
-        if statics is not None:
-            currents = np.asarray(currents, dtype=float)
-            if currents.shape != (self.machine.n_coils,):
-                raise FittingError(
-                    f"need {self.machine.n_coils} coil currents, got shape {currents.shape}"
-                )
-            return np.tensordot(currents, statics.coil_flux, axes=1)
-        return self.machine.psi_from_coils(self.grid, currents)
+    def _psi_from_coils(self, currents: np.ndarray, statics: GridStatics) -> np.ndarray:
+        """Vacuum coil flux of the given per-coil currents [A]."""
+        currents = np.asarray(currents, dtype=float)
+        if currents.shape != (self.machine.n_coils,):
+            raise FittingError(
+                f"need {self.machine.n_coils} coil currents, got shape {currents.shape}"
+            )
+        return np.tensordot(currents, statics.coil_flux, axes=1)
 
-    def _initial_psi(
-        self, measurements: MeasurementSet, statics: GridStatics | None = None
-    ) -> np.ndarray:
+    def _initial_psi(self, measurements: MeasurementSet, psi_external: np.ndarray) -> np.ndarray:
         """Vacuum flux plus a filament estimate carrying the measured Ip."""
-        grid = self.grid
-        psi = self._psi_from_coils(measurements.coil_currents, statics)
-        r0 = float(self.machine.limiter.r.mean())
-        rf = r0 + 0.37 * grid.dr
-        zf = 0.41 * grid.dz if self.initial_filament_z is None else self.initial_filament_z
-        return psi + measurements.ip * greens_psi(grid.rr, grid.zz, rf, zf)
+        return psi_external + measurements.ip * self._seed_filament_flux
 
     # -- the Picard step machine ---------------------------------------------------
     def start_fit(
@@ -392,8 +390,8 @@ class EfitSolver:
         least-squares step so the coefficients jump straight onto the
         trusted geometry's solution.
 
-        ``statics`` short-circuits the per-call rebuild of machine/grid
-        invariants (see :class:`GridStatics`); ``profiler`` overrides the
+        ``statics`` overrides the solver's own :class:`GridStatics`
+        (:attr:`statics`); ``profiler`` overrides the
         solver-level profiler — batch workers pass their own because
         :class:`RegionProfiler` nesting is not thread-safe.  ``hooks``
         overrides the solver-level observation hooks (the trace recorder
@@ -402,11 +400,13 @@ class EfitSolver:
         grid = self.grid
         if measurements.n_measurements != self.diagnostics.n_measurements:
             raise FittingError("measurement vector does not match the diagnostic set")
+        if statics is None:
+            statics = self.statics
         psi_external = self._psi_from_coils(measurements.coil_currents, statics)
         psi = (
             np.asarray(psi_initial, dtype=float)
             if psi_initial is not None
-            else self._initial_psi(measurements, statics)
+            else self._initial_psi(measurements, psi_external)
         )
         if psi.shape != grid.shape:
             raise FittingError("initial psi shape mismatch")
@@ -434,17 +434,15 @@ class EfitSolver:
                     psi,
                     self.machine.limiter,
                     sign=sign,
-                    inside=statics.inside_limiter if statics is not None else None,
-                    limiter_samples=(
-                        statics.limiter_samples if statics is not None else None
-                    ),
+                    inside=statics.inside_limiter,
+                    limiter_samples=statics.limiter_samples,
                 )
                 warm_start = True
             except BoundaryError:
                 # The seed carries no usable boundary: fall back to the
                 # standard cold-start flux rather than iterating on it.
                 warm_start = False
-                psi = self._initial_psi(measurements, statics)
+                psi = self._initial_psi(measurements, psi_external)
         state = FitState(
             measurements=measurements,
             psi=psi,
@@ -483,16 +481,16 @@ class EfitSolver:
         hooks = state.hooks
         measurements = state.measurements
         state.iteration += 1
-        inside = statics.inside_limiter if statics is not None else None
-        samples = statics.limiter_samples if statics is not None else None
+        if statics is None:
+            statics = self.statics
         with hooks.profiled_region(profiler, "steps_", iteration=state.iteration):
             state.boundary = find_boundary(
                 grid,
                 state.psi,
                 self.machine.limiter,
                 sign=state.sign,
-                inside=inside,
-                limiter_samples=samples,
+                inside=statics.inside_limiter,
+                limiter_samples=statics.limiter_samples,
             )
         boundary = state.boundary
         with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
@@ -643,7 +641,6 @@ class EfitSolver:
         self,
         states: Sequence[FitState],
         *,
-        statics: GridStatics | None = None,
         flux: Callable[..., Sequence[np.ndarray]] | None = None,
     ) -> Iterator[None]:
         """The Picard loop, written once: advance ``states`` in lockstep.
@@ -671,7 +668,7 @@ class EfitSolver:
         active = list(range(len(states)))
         for iteration in range(1, self.max_iters + 1):
             with hooks.profiled_region(profiler, "fit_", iteration=iteration):
-                currents = [self.iterate_pre(states[k], statics=statics) for k in active]
+                currents = [self.iterate_pre(states[k]) for k in active]
                 with hooks.profiled_region(
                     profiler, "pflux_", iteration=iteration, batch=len(states)
                 ):

@@ -136,8 +136,45 @@ class VesselSegment:
         return greens_bz(r, z, self.r, self.z)
 
 
+class _GeometryMemo:
+    """Per-instance memo for arrays that depend only on geometry.
+
+    The limiter's grid mask and densified contour and the machine's coil
+    flux tables are functions of (machine, grid) alone, yet every Picard
+    iterate needs them.  They are built on first use and then held on
+    the instance they are a function of, so every caller reaches them
+    with no extra argument and they die with the machine.  No eviction:
+    the memo holds the grids actually used with that machine (about
+    0.6 MB at 65^2).
+
+    The dict sits in the instance ``__dict__`` (the way ``cached_property``
+    stores its value on a frozen dataclass), so it is no dataclass field
+    and stays out of ``__eq__`` and ``__repr__``; ``__getstate__`` keeps it
+    out of pickles and copies — the fleet pickles the machine into every
+    worker's arguments.  Arrays are handed out read-only: they are shared
+    by every solver on the machine.
+    """
+
+    def _memoised(self, key, build, *args):
+        memo = self.__dict__.setdefault("_memo", {})
+        try:
+            return memo[key]
+        except KeyError:
+            # Two threads may both build a missing entry; the builds are
+            # equal and setdefault keeps one, so no lock is needed.
+            value = build(*args)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            return memo.setdefault(key, value)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Limiter:
+class Limiter(_GeometryMemo):
     """The first-wall polygon bounding the plasma."""
 
     r: np.ndarray
@@ -179,10 +216,21 @@ class Limiter:
         inside = np.logical_xor.reduce(crosses & (rp < x_int), axis=0)
         return inside.reshape(shape)
 
+    def grid_mask(self, grid: RZGrid) -> np.ndarray:
+        """``contains(grid.rr, grid.zz)``: which grid nodes lie inside the
+        wall.  Built once per grid and returned read-only."""
+        return self._memoised(("grid_mask", grid), self.contains, grid.rr, grid.zz)
+
     def sample_points(self, n_per_edge: int = 4) -> tuple[np.ndarray, np.ndarray]:
-        """Densified limiter contour used for the boundary-psi search."""
+        """Densified limiter contour used for the boundary-psi search.
+        Built once per ``n_per_edge`` and returned read-only."""
         if n_per_edge < 1:
             raise MeasurementError("n_per_edge must be >= 1")
+        return self._memoised(
+            ("sample_points", n_per_edge), self._sample_points, n_per_edge
+        )
+
+    def _sample_points(self, n_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
         rs: list[np.ndarray] = []
         zs: list[np.ndarray] = []
         t = np.linspace(0.0, 1.0, n_per_edge, endpoint=False)
@@ -195,7 +243,7 @@ class Limiter:
 
 
 @dataclass(frozen=True)
-class Tokamak:
+class Tokamak(_GeometryMemo):
     """A machine: coils + limiter + vessel + vacuum toroidal field."""
 
     name: str
@@ -237,8 +285,14 @@ class Tokamak:
         """Per-coil vacuum flux tables, shape ``(n_coils, nw, nh)``.
 
         ``psi_vacuum = tensordot(currents, tables, 1)`` — the ``green_``
-        setup data for the external sources.
+        setup data for the external sources.  Built once per grid and
+        returned read-only.
         """
+        return self._memoised(
+            ("coil_flux_tables", grid), self._build_coil_flux_tables, grid
+        )
+
+    def _build_coil_flux_tables(self, grid: RZGrid) -> np.ndarray:
         tables = np.empty((self.n_coils, grid.nw, grid.nh))
         for k, coil in enumerate(self.coils):
             tables[k] = coil.psi_at(grid.rr, grid.zz)

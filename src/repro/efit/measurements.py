@@ -234,9 +234,7 @@ def _cached_solovev_shot(
     )
     # Ground-truth node currents: the analytic J_phi inside the psi = 0
     # separatrix (clipped to the limiter), rescaled to exactly ip.
-    inside = (analytic.psi_grid(grid) > 0.0) & machine.limiter.contains(
-        grid.rr, grid.zz
-    )
+    inside = (analytic.psi_grid(grid) > 0.0) & machine.limiter.grid_mask(grid)
     pcurr = np.where(inside, analytic.j_phi(grid.rr, grid.zz) * grid.cell_area, 0.0)
     ip = 1.0e6
     pcurr *= ip / pcurr.sum()

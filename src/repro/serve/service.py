@@ -113,7 +113,7 @@ class ReconstructionService:
 
     Use as an async context manager (or call :meth:`start` /
     :meth:`stop`).  The per-grid state comes from ``engine`` — its
-    solver, statics and hooks are shared read-only across every stream's
+    solver and hooks are shared read-only across every stream's
     session, so opening a stream is O(1) in grid size.
     """
 
@@ -191,7 +191,6 @@ class ReconstructionService:
             )
         session = ShotSession(
             self.engine.solver,
-            statics=self.engine.statics,
             deadline_s=(
                 deadline_s if deadline_s is not None else self.config.deadline_s
             ),

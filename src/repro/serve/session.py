@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.efit.fitting import EfitSolver, GridStatics
+from repro.efit.fitting import EfitSolver
 from repro.errors import ServeError
 from repro.profiling.regions import RegionProfiler
 from repro.serve.frames import Frame, SliceReport
@@ -50,9 +50,6 @@ class ShotSession:
         :class:`~repro.batch.engine.BatchFitEngine`).  The session only
         reads its per-grid state; all mutable Picard state lives in the
         per-slice :class:`~repro.efit.fitting.FitState`.
-    statics:
-        Optional :class:`GridStatics`; the service passes the engine's so
-        sessions skip the per-slice limiter/coil-table rebuild.
     deadline_s:
         Default per-slice solve budget [s]; a frame's own ``deadline_s``
         overrides it.  ``None`` disables deadline enforcement.
@@ -70,7 +67,6 @@ class ShotSession:
         self,
         solver: EfitSolver,
         *,
-        statics: GridStatics | None = None,
         deadline_s: float | None = None,
         warm_start: bool = True,
         metrics: ServeMetrics | None = None,
@@ -79,7 +75,6 @@ class ShotSession:
         if deadline_s is not None and deadline_s <= 0.0:
             raise ServeError("deadline_s must be positive (or None)")
         self.solver = solver
-        self.statics = statics
         self.deadline_s = deadline_s
         self.warm_start = warm_start
         self.metrics = metrics if metrics is not None else ServeMetrics()
@@ -101,7 +96,6 @@ class ShotSession:
             frame.measurements,
             psi_initial=self._prev_psi if self.warm_start else None,
             coeffs_initial=self._prev_coeffs if self.warm_start else None,
-            statics=self.statics,
             profiler=self.profiler,
         )
         seeded = self.warm_start and self._prev_psi is not None
@@ -109,7 +103,7 @@ class ShotSession:
         # The stop policy: leave the loop once the budget is spent.  The
         # first iterate runs before the first check, so a missed slice
         # still has a boundary.
-        for _ in solver.picard([state], statics=self.statics):
+        for _ in solver.picard([state]):
             if (
                 not state.converged
                 and deadline is not None

@@ -73,7 +73,7 @@ class TestBoundaryMethodKwarg:
         )
         assert engine.solver.pflux.operator is engine.edge_op
         assert engine.solver.boundary_method == engine.edge_op.method == "lowrank"
-        session = ShotSession(engine.solver, statics=engine.statics)
+        session = ShotSession(engine.solver)
         served = session.reconstruct(Frame("s", 0, slices4[0])).result
         bare = EfitSolver(
             shot33.machine, shot33.diagnostics, shot33.grid, boundary_method="lowrank"

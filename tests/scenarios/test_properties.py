@@ -193,7 +193,7 @@ def test_batch_engine_matches_single_solver(name, warm):
                 coeffs_initial=prev.history[-1].coefficients if prev else None,
             )
         )
-    session = ShotSession(solver, statics=engine.statics, warm_start=warm)
+    session = ShotSession(solver, warm_start=warm)
     served = [session.reconstruct(Frame("s", i, m)).result for i, m in enumerate(slices)]
     _assert_identical(served, serial)
     assert [r.warm_start for r in serial] == [warm and i > 0 for i in range(len(slices))]

@@ -18,7 +18,7 @@ def _frames(slices, stream="s"):
 
 class TestWarmChaining:
     def test_later_slices_warm_and_faster(self, engine33, slices3):
-        session = ShotSession(engine33.solver, statics=engine33.statics)
+        session = ShotSession(engine33.solver)
         reports = [session.reconstruct(f) for f in _frames(slices3)]
         assert all(r.converged for r in reports)
         assert not reports[0].warm_start
@@ -29,7 +29,7 @@ class TestWarmChaining:
     def test_bit_identical_to_chained_serial_fit(self, engine33, slices3):
         """The acceptance criterion: a served slice that converged is
         bit-identical to the serial solver run with the same chaining."""
-        session = ShotSession(engine33.solver, statics=engine33.statics)
+        session = ShotSession(engine33.solver)
         reports = [session.reconstruct(f) for f in _frames(slices3)]
         solver = engine33.solver
         prev_psi = prev_coeffs = None
@@ -44,17 +44,13 @@ class TestWarmChaining:
             prev_coeffs = serial.history[-1].coefficients
 
     def test_warm_start_disabled_stays_cold(self, engine33, slices3):
-        session = ShotSession(
-            engine33.solver, statics=engine33.statics, warm_start=False
-        )
+        session = ShotSession(engine33.solver, warm_start=False)
         reports = [session.reconstruct(f) for f in _frames(slices3)]
         assert not any(r.warm_start for r in reports)
 
     def test_metrics_split_warm_and_cold(self, engine33, slices3):
         metrics = ServeMetrics()
-        session = ShotSession(
-            engine33.solver, statics=engine33.statics, metrics=metrics
-        )
+        session = ShotSession(engine33.solver, metrics=metrics)
         for f in _frames(slices3):
             session.reconstruct(f)
         s = metrics.summary()
@@ -72,7 +68,6 @@ class TestDeadlines:
         fake = itertools.count()
         session = ShotSession(
             engine33.solver,
-            statics=engine33.statics,
             deadline_s=1.5,
             metrics=metrics,
             clock=lambda: float(next(fake)),
@@ -90,7 +85,6 @@ class TestDeadlines:
         fake = itertools.count()
         session = ShotSession(
             engine33.solver,
-            statics=engine33.statics,
             deadline_s=1.5,
             clock=lambda: float(next(fake)),
         )
@@ -102,7 +96,6 @@ class TestDeadlines:
         fake = itertools.count()
         session = ShotSession(
             engine33.solver,
-            statics=engine33.statics,
             deadline_s=1.5,
             clock=lambda: float(next(fake)),
         )
@@ -118,7 +111,6 @@ class TestDeadlines:
         fake = itertools.count(0, 1000)
         session = ShotSession(
             engine33.solver,
-            statics=engine33.statics,
             deadline_s=0.5,
             clock=lambda: float(next(fake)),
         )
