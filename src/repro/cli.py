@@ -17,9 +17,6 @@ Commands
 ``trace``
     Run one traced workload and write a Chrome-trace JSON (plus an
     optional JSONL record stream).
-``bench``
-    Run the wall-clock benchmark suite; ``--gate`` compares medians
-    against a committed baseline and exits nonzero on regression.
 ``operators``
     Compare the structured edge-flux operators against the dense
     ground truth at one grid size; ``--check`` turns the printed
@@ -34,14 +31,16 @@ Commands
     warm-started Picard solves, backpressure and ``serve.*`` metrics;
     ``--check`` turns the run into the serve-smoke CI gate.
 
-``census``, ``sites``, ``analyze`` and ``bench`` accept ``--json`` and
-share one emitter (:mod:`repro.utils.jsonio`) so their machine-readable
-output has a single formatting contract.
+``census``, ``sites``, ``analyze`` and ``operators`` accept ``--json``
+and share one emitter (:mod:`repro.utils.jsonio`) so their
+machine-readable output has a single formatting contract.
 
 Exit codes: 0 success; 1 failed ``--check`` gate (``operators`` drift,
-``serve`` smoke); 2 environment/usage error (missing baseline,
-unwritable output path); 3 benchmark-gate regression; 4 quarantined
-parallel jobs.  argparse itself exits 2 on unknown commands/flags.
+``serve`` smoke); 2 environment/usage error (missing analysis baseline,
+unwritable output path) or a :class:`~repro.errors.ReproError` out of
+the command, which :func:`main` prints as one ``error:`` line; 4
+quarantined parallel jobs.  argparse itself exits 2 on unknown
+commands/flags.
 """
 
 from __future__ import annotations
@@ -96,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_study = sub.add_parser("study", help="regenerate the paper's tables and figures")
+    p_study.set_defaults(func=_cmd_study)
     p_study.add_argument(
         "--artifact",
         choices=["all", "table1", "table2", "table4", "table5", "table6", "table7",
@@ -113,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fit = sub.add_parser("fit", help="reconstruct a synthetic time slice")
+    p_fit.set_defaults(func=_cmd_fit)
     _add_problem_options(
         p_fit,
         "edge-flux operator representation (default dense)",
@@ -128,15 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the scalar results as an a-file")
 
     p_census = sub.add_parser("census", help="print the directive census (Tables 4/5)")
+    p_census.set_defaults(func=_cmd_census)
     p_census.add_argument("--json", action="store_true", help="emit JSON instead of tables")
 
     p_sites = sub.add_parser("sites", help="describe the modeled machines")
+    p_sites.set_defaults(func=_cmd_sites)
     p_sites.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p_an = sub.add_parser(
         "analyze",
         help="run the portability linter over the registered kernels and hot paths",
     )
+    p_an.set_defaults(func=_cmd_analyze)
     p_an.add_argument("--json", action="store_true", help="emit findings as JSON")
     p_an.add_argument(
         "--family",
@@ -188,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one traced workload and write a Chrome trace",
     )
+    p_tr.set_defaults(func=_cmd_trace)
     p_tr.add_argument(
         "case",
         choices=["g186610", "solovev", "batch", "offload"],
@@ -204,44 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the flat JSONL record stream here",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the benchmark suite; --gate fails on regression vs baseline",
-    )
-    p_bench.add_argument(
-        "--gate", action="store_true",
-        help="compare against the baseline; exit 3 on regression",
-    )
-    p_bench.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="baseline file (default: bench-baseline.json)",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed fractional slowdown (default: the baseline's own, else 0.5)",
-    )
-    p_bench.add_argument(
-        "--write-baseline", action="store_true",
-        help="run the suite and (over)write the baseline file",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=5,
-        help="timed samples per benchmark (median is kept; default 5)",
-    )
-    p_bench.add_argument(
-        "--only", metavar="NAME", nargs="+", default=None,
-        help="run only these benchmarks",
-    )
-    p_bench.add_argument("--json", action="store_true", help="emit results as JSON")
-    p_bench.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="also write the fresh results JSON here (CI artifact hook)",
-    )
-
     p_pf = sub.add_parser(
         "pfleet",
         help="shard a multi-slice reconstruction across worker processes",
     )
+    p_pf.set_defaults(func=_cmd_pfleet)
     p_pf.add_argument(
         "case", nargs="?", choices=scenarios, default=None,
         help="scenario to reconstruct (positional form; default g186610)",
@@ -287,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="stream concurrent shot streams through the real-time service",
     )
+    p_sv.set_defaults(func=_cmd_serve)
     _add_problem_options(
         p_sv,
         "edge-flux operator of the shared engine, applied by every "
@@ -338,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         "operators",
         help="compare structured edge operators against the dense ground truth",
     )
+    p_op.set_defaults(func=_cmd_operators)
     p_op.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p_op.add_argument(
         "--method",
@@ -361,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_op.add_argument("--json", action="store_true", help="emit results as JSON")
 
-    sub.add_parser("version", help="print the package version")
+    sub.add_parser("version", help="print the package version").set_defaults(
+        func=_cmd_version
+    )
     return parser
 
 
@@ -521,11 +497,7 @@ def _cmd_analyze(args) -> int:
         print(f"wrote {len(report.findings)} suppression(s) to {baseline_path}")
         return 0
     if not args.no_baseline and (args.baseline or baseline_path.exists()):
-        try:
-            report.apply_baseline(Baseline.load(baseline_path))
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report.apply_baseline(Baseline.load(baseline_path))
         if report.complete:
             for fp, reason in sorted(report.stale_suppressions.items()):
                 note = f" ({reason})" if reason else ""
@@ -639,105 +611,12 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.errors import BenchGateError, ObservabilityError
-    from repro.obs.bench import (
-        DEFAULT_BASELINE_NAME,
-        DEFAULT_TOLERANCE,
-        LARGE_ENV,
-        evaluate_gate,
-        large_case_names,
-        load_baseline,
-        render_gate_table,
-        results_payload,
-        run_benchmarks,
-        save_baseline,
-    )
-
-    baseline_path = args.baseline if args.baseline else DEFAULT_BASELINE_NAME
-    try:
-        results = run_benchmarks(args.only, repeats=args.repeats)
-    except (BenchGateError, ObservabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.out:
-        from repro.utils.jsonio import dump_json
-
-        try:
-            with open(args.out, "w") as fh:
-                dump_json(results_payload(results), fh)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
-
-    if args.write_baseline:
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        try:
-            save_baseline(results, baseline_path, tolerance=tolerance)
-        except OSError as exc:
-            print(f"error: cannot write baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {baseline_path}: {len(results)} benchmark(s), tolerance {tolerance}")
-        return 0
-
-    if args.json:
-        from repro.utils.jsonio import dump_json
-
-        dump_json(results_payload(results), sys.stdout)
-    else:
-        for name, r in results.items():
-            print(f"{name:<22} {r.median_seconds * 1e3:10.3f} ms  (group {r.group})")
-
-    if not args.gate:
-        return 0
-    # The gate compares exactly the subset this invocation ran: --only
-    # names when given, else every baseline entry except the large cases
-    # (which the default run skips and the bench-gate-large lane covers).
-    try:
-        baseline = load_baseline(baseline_path)
-        gate_names = args.only
-        if gate_names is None and os.environ.get(LARGE_ENV, "").strip() in ("", "0"):
-            # Subset from the *baseline* (not the run): a case deleted
-            # from the registry but still committed keeps failing loudly.
-            skip = set(large_case_names())
-            gate_names = [n for n in baseline["benchmarks"] if n not in skip] or None
-        outcomes, all_ok = evaluate_gate(
-            results, baseline, tolerance=args.tolerance, names=gate_names
-        )
-    except BenchGateError as exc:
-        # Print whatever partial ratio table exists even on the exit-2
-        # path — diagnosing a broken gate without the numbers is worse.
-        if getattr(exc, "outcomes", ()):
-            print(render_gate_table(exc.outcomes))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # The ratio table prints on success too: a green gate whose margins
-    # are quietly eroding is exactly what the per-commit table catches.
-    print(render_gate_table(outcomes))
-    if not all_ok:
-        print("benchmark gate: REGRESSION detected", file=sys.stderr)
-        return 3
-    worst = max(outcomes, key=lambda o: o.ratio, default=None)
-    if worst is not None:
-        print(
-            f"benchmark gate: ok ({len(outcomes)} case(s), "
-            f"worst ratio x{worst.ratio:.2f} on {worst.name})"
-        )
-    else:
-        print("benchmark gate: ok")
-    return 0
-
-
 def _cmd_operators(args) -> int:
     import numpy as np
 
     from repro.efit.grid import RZGrid
     from repro.efit.operators import EDGE_METHODS, build_edge_operator
     from repro.efit.tables import cached_boundary_tables
-    from repro.errors import OperatorError
 
     if args.grid < 5 or args.vectors < 1:
         print("error: --grid must be >= 5 and --vectors >= 1", file=sys.stderr)
@@ -749,32 +628,28 @@ def _cmd_operators(args) -> int:
     )
     grid = RZGrid(args.grid, args.grid)
     tables = cached_boundary_tables(grid)
-    try:
-        dense = build_edge_operator(tables, "dense")
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(grid.size, args.vectors))
-        ref = dense.apply(x)
-        scale = float(np.max(np.abs(ref)))
-        rows = []
-        for method in methods:
-            op = build_edge_operator(tables, method)
-            err = float(np.max(np.abs(op.apply(x) - ref)))
-            rel = err / scale
-            rows.append(
-                {
-                    "method": method,
-                    "variant": op.variant_tag,
-                    "nbytes": op.nbytes,
-                    "compression": dense.nbytes / op.nbytes if op.nbytes else 0.0,
-                    "max_abs_error": err,
-                    "rel_error": rel,
-                    "bound": args.bound,
-                    "ok": rel <= args.bound,
-                }
-            )
-    except OperatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    dense = build_edge_operator(tables, "dense")
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(grid.size, args.vectors))
+    ref = dense.apply(x)
+    scale = float(np.max(np.abs(ref)))
+    rows = []
+    for method in methods:
+        op = build_edge_operator(tables, method)
+        err = float(np.max(np.abs(op.apply(x) - ref)))
+        rel = err / scale
+        rows.append(
+            {
+                "method": method,
+                "variant": op.variant_tag,
+                "nbytes": op.nbytes,
+                "compression": dense.nbytes / op.nbytes if op.nbytes else 0.0,
+                "max_abs_error": err,
+                "rel_error": rel,
+                "bound": args.bound,
+                "ok": rel <= args.bound,
+            }
+        )
     if args.json:
         from repro.utils.jsonio import dump_json
 
@@ -818,7 +693,6 @@ def _cmd_serve(args) -> int:
     import numpy as np
 
     from repro.batch import BatchFitEngine, synthetic_slice_sequence
-    from repro.errors import ServeError
     from repro.scenarios import get_scenario
     from repro.serve import Frame, ReconstructionService, ServeConfig, ServeMetrics
 
@@ -878,11 +752,7 @@ def _cmd_serve(args) -> int:
                     )
             return await svc.stop()
 
-    try:
-        summaries = asyncio.run(replay())
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summaries = asyncio.run(replay())
 
     for sid, summary in summaries.items():
         iters = ",".join(str(r.iterations) for r in summary.reports)
@@ -975,7 +845,7 @@ def _cmd_pfleet(args) -> int:
     import numpy as np
 
     from repro.batch import BatchFitEngine, synthetic_slice_sequence
-    from repro.errors import JobQuarantinedError, ParallelError
+    from repro.errors import JobQuarantinedError
     from repro.obs import TraceHooks, TraceRecorder
     from repro.parallel import ParallelFitEngine, SchedulerConfig
     from repro.parallel.merge import write_merged_chrome_trace
@@ -1007,81 +877,77 @@ def _cmd_pfleet(args) -> int:
         f"across {args.workers} worker(s), {args.batch} slices/job"
     )
     failures = ()
-    try:
-        with ParallelFitEngine.for_scenario(
-            sc,
-            shot=shot,
-            batch_size=args.batch,
-            workers=args.workers,
-            boundary_method=args.boundary_method,
-            hooks=hooks,
-            config=config,
-        ) as engine:
-            arena_mb = engine.arena.nbytes / 1e6
-            print(f"table arena: {engine.arena.spec.shm_name} ({arena_mb:.1f} MB shared)")
-            try:
-                result = engine.fit_many(slices, allow_failures=args.allow_failures)
-            except JobQuarantinedError as exc:
-                for f in exc.failures:
-                    print(
-                        f"quarantined job {f.index}: {f.reason} after "
-                        f"{f.attempts} attempt(s)",
-                        file=sys.stderr,
-                    )
-                print(f"error: {exc}", file=sys.stderr)
-                return 4
-            failures = result.failures
-            print(result.stats.summary())
-            counters = engine.scheduler.counters
+    with ParallelFitEngine.for_scenario(
+        sc,
+        shot=shot,
+        batch_size=args.batch,
+        workers=args.workers,
+        boundary_method=args.boundary_method,
+        hooks=hooks,
+        config=config,
+    ) as engine:
+        arena_mb = engine.arena.nbytes / 1e6
+        print(f"table arena: {engine.arena.spec.shm_name} ({arena_mb:.1f} MB shared)")
+        try:
+            result = engine.fit_many(slices, allow_failures=args.allow_failures)
+        except JobQuarantinedError as exc:
+            for f in exc.failures:
+                print(
+                    f"quarantined job {f.index}: {f.reason} after "
+                    f"{f.attempts} attempt(s)",
+                    file=sys.stderr,
+                )
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        failures = result.failures
+        print(result.stats.summary())
+        counters = engine.scheduler.counters
+        print(
+            f"scheduler: {counters.completed} completed, {counters.retries} retries, "
+            f"{counters.crashes} crashes, {counters.timeouts} timeouts, "
+            f"{counters.quarantined} quarantined, "
+            f"{counters.worker_restarts} worker restart(s)"
+        )
+        for report in result.worker_reports:
             print(
-                f"scheduler: {counters.completed} completed, {counters.retries} retries, "
-                f"{counters.crashes} crashes, {counters.timeouts} timeouts, "
-                f"{counters.quarantined} quarantined, "
-                f"{counters.worker_restarts} worker restart(s)"
+                f"  worker {report.worker} (pid {report.pid}): "
+                f"{report.jobs_done} job(s), {len(report.records)} trace record(s)"
             )
-            for report in result.worker_reports:
-                print(
-                    f"  worker {report.worker} (pid {report.pid}): "
-                    f"{report.jobs_done} job(s), {len(report.records)} trace record(s)"
+        if args.trace_out:
+            try:
+                write_merged_chrome_trace(
+                    result.worker_reports, args.trace_out, parent=recorder
                 )
-            if args.trace_out:
-                try:
-                    write_merged_chrome_trace(
-                        result.worker_reports, args.trace_out, parent=recorder
-                    )
-                except OSError as exc:
-                    print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-                    return 2
-                print(f"wrote merged trace {args.trace_out}")
-            if args.metrics_out:
-                try:
-                    with open(args.metrics_out, "w") as fh:
-                        dump_json(engine.merged_metrics(), fh)
-                except OSError as exc:
-                    print(f"error: cannot write {args.metrics_out}: {exc}", file=sys.stderr)
-                    return 2
-                print(f"wrote merged metrics {args.metrics_out}")
-            if args.compare_serial:
-                serial = BatchFitEngine.for_scenario(
-                    sc, shot=shot, batch_size=args.batch,
-                    boundary_method=args.boundary_method,
-                )
-                serial_result = serial.fit_many(slices)
-                identical = len(result.results) == len(serial_result.results) and all(
-                    np.array_equal(a.psi, b.psi) and a.chi2 == b.chi2
-                    for a, b in zip(result.results, serial_result.results)
-                )
-                speedup = serial_result.stats.wall_seconds / result.wall_seconds
-                print(
-                    f"serial engine: {serial_result.stats.wall_seconds:.3f} s -> "
-                    f"speedup x{speedup:.2f}, bit-identical: {identical}"
-                )
-                if not identical:
-                    print("error: parallel merge diverged from serial", file=sys.stderr)
-                    return 4
-    except ParallelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            except OSError as exc:
+                print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
+                return 2
+            print(f"wrote merged trace {args.trace_out}")
+        if args.metrics_out:
+            try:
+                with open(args.metrics_out, "w") as fh:
+                    dump_json(engine.merged_metrics(), fh)
+            except OSError as exc:
+                print(f"error: cannot write {args.metrics_out}: {exc}", file=sys.stderr)
+                return 2
+            print(f"wrote merged metrics {args.metrics_out}")
+        if args.compare_serial:
+            serial = BatchFitEngine.for_scenario(
+                sc, shot=shot, batch_size=args.batch,
+                boundary_method=args.boundary_method,
+            )
+            serial_result = serial.fit_many(slices)
+            identical = len(result.results) == len(serial_result.results) and all(
+                np.array_equal(a.psi, b.psi) and a.chi2 == b.chi2
+                for a, b in zip(result.results, serial_result.results)
+            )
+            speedup = serial_result.stats.wall_seconds / result.wall_seconds
+            print(
+                f"serial engine: {serial_result.stats.wall_seconds:.3f} s -> "
+                f"speedup x{speedup:.2f}, bit-identical: {identical}"
+            )
+            if not identical:
+                print("error: parallel merge diverged from serial", file=sys.stderr)
+                return 4
     if failures:
         for f in failures:
             print(
@@ -1092,35 +958,25 @@ def _cmd_pfleet(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point: parse ``argv`` (default: process args) and dispatch."""
-    args = build_parser().parse_args(argv)
-    if args.command == "study":
-        return _cmd_study(args)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    if args.command == "census":
-        return _cmd_census(args)
-    if args.command == "sites":
-        return _cmd_sites(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "operators":
-        return _cmd_operators(args)
-    if args.command == "pfleet":
-        return _cmd_pfleet(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "version":
-        from repro.version import __version__
+def _cmd_version(args) -> int:
+    from repro.version import __version__
 
-        print(__version__)
-        return 0
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    print(__version__)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point: parse ``argv`` (default: process args) and run the
+    sub-command; a :class:`ReproError` it raises is one ``error:`` line
+    on stderr and exit code 2."""
+    from repro.errors import ReproError
+
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,7 +33,6 @@ __all__ = [
     "EqdskError",
     "AnalysisError",
     "ObservabilityError",
-    "BenchGateError",
     "ParallelError",
     "ArenaError",
     "JobQuarantinedError",
@@ -169,21 +168,6 @@ class AnalysisError(ReproError):
 class ObservabilityError(ReproError):
     """Tracing/metrics misuse: mismatched span nesting, merging
     histograms with different bucket bounds, duplicate metric names."""
-
-
-class BenchGateError(ObservabilityError):
-    """Benchmark-gate failure that is not a regression: missing or
-    malformed baseline file, unknown benchmark names.
-
-    ``outcomes`` carries any per-case verdicts computed before the
-    failure was detected, so the CLI can still print the ratio table on
-    the exit-2 path (an empty tuple when the failure preceded
-    evaluation, e.g. an unreadable baseline).
-    """
-
-    def __init__(self, message: str, *, outcomes: tuple = ()) -> None:
-        super().__init__(message)
-        self.outcomes = tuple(outcomes)
 
 
 class ParallelError(ReproError):

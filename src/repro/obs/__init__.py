@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics and benchmark gating.
+"""Observability: structured tracing and metrics.
 
 The paper argues from instrumentation — ``omp_get_wtime()`` regions
 around ``fit_``'s callees feed every table and pie chart.  This package
@@ -12,22 +12,11 @@ is that discipline as a subsystem:
   and JSONL exporters, plus trace-side region totals;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`
   (counters/gauges/histograms) absorbing the legacy
-  ``WorkspaceCounters``/``CacheCounters``/``RegionProfiler`` as sources;
-* :mod:`repro.obs.bench` — the ``repro bench --gate`` regression gate.
+  ``WorkspaceCounters``/``CacheCounters``/``RegionProfiler`` as sources.
 
 See ``docs/OBSERVABILITY.md`` for the span schema and workflows.
 """
 
-from repro.obs.bench import (
-    BenchCase,
-    BenchResult,
-    GateOutcome,
-    bench_cases,
-    evaluate_gate,
-    load_baseline,
-    run_benchmarks,
-    save_baseline,
-)
 from repro.obs.export import (
     TRACE_SCHEMA_VERSION,
     chrome_trace,
@@ -71,12 +60,4 @@ __all__ = [
     "cache_source",
     "region_profiler_source",
     "counter_set_source",
-    "BenchCase",
-    "BenchResult",
-    "GateOutcome",
-    "bench_cases",
-    "run_benchmarks",
-    "evaluate_gate",
-    "save_baseline",
-    "load_baseline",
 ]

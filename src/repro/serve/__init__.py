@@ -7,7 +7,7 @@ real-time reconstruction layered over this repo's step-machine solver
 and batch-engine per-grid state.  See ``docs/SERVING.md``.
 """
 
-from repro.serve.frames import Frame, SliceReport
+from repro.serve.frames import Frame, FrameFailure, SliceReport
 from repro.serve.metrics import ITERATION_BOUNDS, LATENCY_BOUNDS, ServeMetrics
 from repro.serve.service import ReconstructionService, ServeConfig, StreamSummary
 from repro.serve.session import ShotSession
@@ -15,6 +15,7 @@ from repro.serve.session import ShotSession
 __all__ = [
     "Frame",
     "SliceReport",
+    "FrameFailure",
     "ServeMetrics",
     "LATENCY_BOUNDS",
     "ITERATION_BOUNDS",

@@ -5,7 +5,8 @@ acquisition system would hand it over: the stream it belongs to, its
 slice index, the measurement vector and the per-slice latency budget.
 A :class:`SliceReport` is what the service hands back — the (possibly
 partial) reconstruction plus the latency/deadline/warm-start bookkeeping
-the real-time literature reports.
+the real-time literature reports.  A :class:`FrameFailure` stands in for
+the report of a frame the solver rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.efit.fitting import FitResult
 from repro.efit.measurements import MeasurementSet
 from repro.errors import ServeError
 
-__all__ = ["Frame", "SliceReport"]
+__all__ = ["Frame", "SliceReport", "FrameFailure"]
 
 
 @dataclass(frozen=True)
@@ -64,3 +65,14 @@ class SliceReport:
     @property
     def converged(self) -> bool:
         return self.result.converged
+
+
+@dataclass(frozen=True)
+class FrameFailure:
+    """One frame the solver rejected: the slice is lost, the stream is not."""
+
+    stream_id: str
+    index: int
+    #: Class name of the :class:`~repro.errors.ReproError` the solve raised.
+    error: str
+    message: str

@@ -57,6 +57,8 @@ class ServeMetrics:
         self.slices = reg.counter("serve.slices")
         self.deadline_misses = reg.counter("serve.deadline_misses")
         self.frames_shed = reg.counter("serve.frames_shed")
+        #: Frames whose solve raised; ``serve.slices`` counts solved ones only.
+        self.frames_failed = reg.counter("serve.frames_failed")
         self.streams_rejected = reg.counter("serve.streams_rejected")
         self.warm_start_fallbacks = reg.counter("serve.warm_start_fallbacks")
         self.streams_active = reg.gauge("serve.streams_active")
@@ -69,6 +71,7 @@ class ServeMetrics:
             "slices": self.slices.value,
             "deadline_misses": self.deadline_misses.value,
             "frames_shed": self.frames_shed.value,
+            "frames_failed": self.frames_failed.value,
             "streams_rejected": self.streams_rejected.value,
             "warm_start_fallbacks": self.warm_start_fallbacks.value,
             "latency_p50_s": self.slice_seconds.quantile(0.50),

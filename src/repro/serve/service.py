@@ -16,6 +16,11 @@ investment, the service is the traffic layer on top:
 * **deadline enforcement** — each frame's solve runs under the stream's
   per-slice budget inside a :class:`~repro.serve.session.ShotSession`,
   returning a partial result on expiry rather than blocking the stream;
+* **fault containment** — a frame for another diagnostic set is refused
+  at :meth:`~ReconstructionService.submit`; one the solver rejects
+  mid-solve becomes a :class:`~repro.serve.frames.FrameFailure` on its
+  stream (``serve.frames_failed``) and the stream goes on, cold, with
+  the next frame;
 * **observability** — every ``serve.*`` metric flows through one shared
   :class:`~repro.serve.metrics.ServeMetrics` /
   :class:`~repro.obs.metrics.MetricsRegistry`.
@@ -35,8 +40,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.batch.engine import BatchFitEngine
-from repro.errors import AdmissionError, ServeError
-from repro.serve.frames import Frame, SliceReport
+from repro.errors import AdmissionError, ReproError, ServeError
+from repro.serve.frames import Frame, FrameFailure, SliceReport
 from repro.serve.metrics import ServeMetrics
 from repro.serve.session import ShotSession
 
@@ -75,8 +80,11 @@ class StreamSummary:
     """What :meth:`ReconstructionService.close_stream` returns."""
 
     stream_id: str
+    #: Solved frames only, in solve order.
     reports: tuple[SliceReport, ...]
     frames_shed: int
+    #: Frames the solver rejected, in solve order.
+    failures: tuple[FrameFailure, ...] = ()
 
     @property
     def deadline_misses(self) -> int:
@@ -92,7 +100,7 @@ class _Stream:
 
     __slots__ = (
         "stream_id", "session", "pending", "depth", "wakeup",
-        "closing", "reports", "shed", "task",
+        "closing", "reports", "failures", "shed", "task",
     )
 
     def __init__(self, stream_id: str, session: ShotSession, depth: int) -> None:
@@ -104,6 +112,7 @@ class _Stream:
         self.wakeup = asyncio.Event()
         self.closing = False
         self.reports: list[SliceReport] = []
+        self.failures: list[FrameFailure] = []
         self.shed = 0
         self.task: asyncio.Task | None = None
 
@@ -150,17 +159,36 @@ class ReconstructionService:
         )
 
     async def stop(self) -> dict[str, StreamSummary]:
-        """Drain and close every open stream, then shut the pool down."""
+        """Drain and close every open stream, then shut the pool down.
+
+        Whatever a stream's worker raised, the service ends stopped —
+        every stream retired, the pool shut down — and only then is the
+        first such error re-raised.
+        """
         if not self._running:
             return {}
-        summaries = {
-            sid: await self.close_stream(sid) for sid in list(self._streams)
-        }
-        assert self._executor is not None
-        self._executor.shutdown(wait=True)
-        self._executor = None
-        self._running = False
+        summaries: dict[str, StreamSummary] = {}
+        first_error: Exception | None = None
+        try:
+            for sid in list(self._streams):
+                try:
+                    summaries[sid] = await self.close_stream(sid)
+                except Exception as exc:  # a dead worker; keep closing the rest
+                    first_error = first_error or exc
+        finally:
+            # Streams are left only if stop() itself was cancelled mid-drain.
+            for stream in self._streams.values():
+                assert stream.task is not None
+                stream.task.cancel()
+            self._streams.clear()
+            self.metrics.streams_active.set(0.0)
+            assert self._executor is not None
+            self._executor.shutdown(wait=True)
+            self._executor = None
+            self._running = False
         self.engine.hooks.event("serve_stop", streams_closed=len(summaries))
+        if first_error is not None:
+            raise first_error
         return summaries
 
     async def __aenter__(self) -> "ReconstructionService":
@@ -218,6 +246,13 @@ class ReconstructionService:
         stream = self._stream(stream_id)
         if stream.closing:
             raise ServeError(f"stream {stream_id!r} is closing")
+        expected = self.engine.solver.diagnostics.n_measurements
+        if frame.measurements.n_measurements != expected:
+            raise ServeError(
+                f"frame {frame.index} of stream {stream_id!r} carries "
+                f"{frame.measurements.n_measurements} measurements, the "
+                f"engine's diagnostic set has {expected}"
+            )
         accepted = True
         if len(stream.pending) >= stream.depth:
             stream.pending.popleft()
@@ -235,13 +270,18 @@ class ReconstructionService:
         stream.closing = True
         stream.wakeup.set()
         assert stream.task is not None
-        await stream.task
-        del self._streams[stream_id]
-        self.metrics.streams_active.set(float(len(self._streams)))
+        try:
+            await stream.task
+        finally:
+            # Retired even if its worker died: a stream that can never be
+            # removed would fail every later stop().
+            del self._streams[stream_id]
+            self.metrics.streams_active.set(float(len(self._streams)))
         return StreamSummary(
             stream_id=stream_id,
             reports=tuple(stream.reports),
             frames_shed=stream.shed,
+            failures=tuple(stream.failures),
         )
 
     def _stream(self, stream_id: str) -> _Stream:
@@ -267,7 +307,21 @@ class ReconstructionService:
                 continue
             frame, t_enqueue = stream.pending.popleft()
             queue_seconds = max(0.0, self.clock() - t_enqueue)
-            report = await loop.run_in_executor(
-                self._executor, stream.session.reconstruct, frame, queue_seconds
-            )
+            try:
+                report = await loop.run_in_executor(
+                    self._executor, stream.session.reconstruct, frame, queue_seconds
+                )
+            except ReproError as exc:
+                # The solver rejected this frame's data (or gave up on
+                # it): the slice is lost, the frames behind it are not.
+                stream.failures.append(
+                    FrameFailure(
+                        stream_id=stream.stream_id,
+                        index=frame.index,
+                        error=type(exc).__name__,
+                        message=str(exc),
+                    )
+                )
+                self.metrics.frames_failed.inc()
+                continue
             stream.reports.append(report)

@@ -87,18 +87,26 @@ class ShotSession:
         self._prev_coeffs: np.ndarray | None = None
 
     def reconstruct(self, frame: Frame, queue_seconds: float = 0.0) -> SliceReport:
-        """Solve one frame under its deadline; never raises on a miss."""
+        """Solve one frame under its deadline; never raises on a miss.
+
+        A frame the solver rejects raises its :class:`ReproError` and
+        leaves the warm chain reset: the next frame solves cold.
+        """
         solver = self.solver
         metrics = self.metrics
         deadline = frame.deadline_s if frame.deadline_s is not None else self.deadline_s
         t0 = self.clock()
+        # The chain is taken, not read: only a slice that converges puts
+        # one back, so neither a raise nor a partial result seeds the next.
+        prev_psi, prev_coeffs = self._prev_psi, self._prev_coeffs
+        self._prev_psi = self._prev_coeffs = None
         state = solver.start_fit(
             frame.measurements,
-            psi_initial=self._prev_psi if self.warm_start else None,
-            coeffs_initial=self._prev_coeffs if self.warm_start else None,
+            psi_initial=prev_psi if self.warm_start else None,
+            coeffs_initial=prev_coeffs if self.warm_start else None,
             profiler=self.profiler,
         )
-        seeded = self.warm_start and self._prev_psi is not None
+        seeded = self.warm_start and prev_psi is not None
         missed = False
         # The stop policy: leave the loop once the budget is spent.  The
         # first iterate runs before the first check, so a missed slice
@@ -135,9 +143,6 @@ class ShotSession:
             # rather than compound a half-converged state.
             self._prev_psi = result.psi
             self._prev_coeffs = result.history[-1].coefficients
-        else:
-            self._prev_psi = None
-            self._prev_coeffs = None
         self.slices_done += 1
         return SliceReport(
             stream_id=frame.stream_id,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.fitting import EfitSolver
-from repro.efit.operators import cached_edge_operator
+from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import FittingError, OperatorError
 from repro.serve import Frame, ShotSession
@@ -96,6 +96,21 @@ class TestEdgeOperatorInstance:
         )
         assert engine.edge_op is op
         assert _rel_dev(dense_batch, engine.fit_many(slices4)) <= 1e-10
+
+    def test_cached_operator_is_the_default_tolerance_build(self, shot33):
+        """The process cache keys on (grid, method), so its accessor takes
+        no tolerance: one loose call used to hand a 1e-4 operator to every
+        engine built after it (DESIGN.md section 6 promises <= 1e-10)."""
+        tables = cached_boundary_tables(shot33.grid)
+        with pytest.raises(TypeError):
+            cached_edge_operator(tables, "lowrank", tol=1e-3)
+        op = cached_edge_operator(tables, "lowrank")
+        default = build_edge_operator(tables, "lowrank")
+        assert (op.variant_tag, op.nbytes) == (default.variant_tag, default.nbytes)
+        x = np.random.default_rng(5).normal(size=(shot33.grid.size, 2))
+        ref = build_edge_operator(tables, "dense").apply(x)
+        errs = [np.abs(o.apply(x) - ref).max() / np.abs(ref).max() for o in (op, default)]
+        assert errs[0] == errs[1] <= 1e-10
 
     def test_method_mismatch_rejected(self, shot33):
         op = cached_edge_operator(cached_boundary_tables(shot33.grid), "lowrank")

@@ -17,6 +17,7 @@ class TestServeMetrics:
             "serve.slices",
             "serve.deadline_misses",
             "serve.frames_shed",
+            "serve.frames_failed",
             "serve.streams_rejected",
             "serve.warm_start_fallbacks",
             "serve.streams_active",

@@ -1,6 +1,7 @@
 """ReconstructionService: concurrency, admission, backpressure, drain."""
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,3 +177,122 @@ class TestConcurrentStreams:
         s = metrics.summary()
         assert s["slices"] == float(n_streams * n_slices)
         assert s["warm_iteration_savings"] > 0
+
+
+class TestPoisonedFrames:
+    """A frame the solver rejects costs that frame, never the stream or
+    the service (ROADMAP aim 3)."""
+
+    @staticmethod
+    def _frames(sid, slices):
+        return [Frame(stream_id=sid, index=i, measurements=m) for i, m in enumerate(slices)]
+
+    def test_bad_frame_mid_stream_costs_only_itself(self, engine33, shot33):
+        """Two streams; a dropped PF supply (coil currents zeroed) in the
+        middle of one.  Every other frame on both streams solves, the
+        summary names the failure, stop() returns and the service can be
+        started again."""
+        good_a = synthetic_slice_sequence(shot33, 3, seed=21)
+        good_b = synthetic_slice_sequence(shot33, 3, seed=22)
+        dead_pf = replace(
+            good_a[1], coil_currents=np.zeros_like(good_a[1].coil_currents)
+        )
+        frames = {
+            "a": self._frames("a", [good_a[0], dead_pf, good_a[2]]),
+            "b": self._frames("b", good_b),
+        }
+        metrics = ServeMetrics()
+        svc = ReconstructionService(
+            engine33, config=ServeConfig(deadline_s=None), metrics=metrics
+        )
+
+        async def cycle():
+            await svc.start()
+            for sid in frames:
+                await svc.open_stream(sid)
+            for i in range(3):
+                for sid in frames:
+                    await svc.submit(sid, frames[sid][i])
+            return await svc.stop()
+
+        async def scenario():
+            first = await cycle()
+            idle = (svc._running, svc._executor, dict(svc._streams))
+            return first, idle, await cycle()
+
+        first, idle, second = _run(scenario())
+        assert idle == (False, None, {})
+        for summaries in (first, second):
+            a, b = summaries["a"], summaries["b"]
+            assert [r.index for r in a.reports] == [0, 2]
+            assert [r.index for r in b.reports] == [0, 1, 2]
+            assert all(r.converged for r in a.reports + b.reports)
+            (failure,) = a.failures
+            assert (failure.stream_id, failure.index) == ("a", 1)
+            assert failure.error == "BoundaryError" and "magnetic axis" in failure.message
+            assert b.failures == ()
+            # The frame behind the bad one starts from a reset chain and
+            # is therefore exactly the solver's cold fit.
+            assert not a.reports[1].warm_start
+            cold = engine33.solver.fit(good_a[2])
+            np.testing.assert_array_equal(cold.psi, a.reports[1].result.psi)
+        assert metrics.frames_failed.value == 2.0
+        assert metrics.slices.value == 10.0
+        assert metrics.summary()["frames_failed"] == 2.0
+
+    def test_foreign_diagnostic_set_refused_at_submit(self, engine33, slices3):
+        m = slices3[0]
+        foreign = replace(
+            m, values=m.values[1:], uncertainties=m.uncertainties[1:], names=m.names[1:]
+        )
+
+        async def scenario():
+            async with ReconstructionService(
+                engine33, config=ServeConfig(deadline_s=None)
+            ) as svc:
+                await svc.open_stream("s")
+                with pytest.raises(ServeError, match="measurements"):
+                    await svc.submit("s", Frame(stream_id="s", index=0, measurements=foreign))
+                await svc.submit("s", Frame(stream_id="s", index=1, measurements=m))
+                return await svc.stop()
+
+        summaries = _run(scenario())
+        assert [r.index for r in summaries["s"].reports] == [1]
+        assert summaries["s"].failures == ()
+
+    def test_stop_cleans_up_when_a_worker_dies(self, engine33, slices3, monkeypatch):
+        """A non-library exception (a bug) still kills its stream's worker,
+        but stop() closes every stream and the pool before re-raising it."""
+        svc = ReconstructionService(engine33, config=ServeConfig(deadline_s=None))
+
+        def bug(frame, queue_seconds=0.0):
+            raise TypeError("bug in the solve path")
+
+        async def scenario():
+            await svc.start()
+            await svc.open_stream("a")
+            await svc.open_stream("b")
+            monkeypatch.setattr(svc._streams["a"].session, "reconstruct", bug)
+            await svc.submit("a", Frame(stream_id="a", index=0, measurements=slices3[0]))
+            with pytest.raises(TypeError, match="bug in the solve path"):
+                await svc.stop()
+            return svc._running, svc._executor, dict(svc._streams), await svc.stop()
+
+        assert _run(scenario()) == (False, None, {}, {})
+
+    def test_cancelled_stop_still_leaves_the_service_stopped(self, engine33, slices3):
+        svc = ReconstructionService(engine33, config=ServeConfig(deadline_s=None))
+
+        async def scenario():
+            await svc.start()
+            for sid in ("a", "b"):
+                await svc.open_stream(sid)
+                await svc.submit(sid, Frame(stream_id=sid, index=0, measurements=slices3[0]))
+            stopping = asyncio.create_task(svc.stop())
+            await asyncio.sleep(0)
+            stopping.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await stopping
+            return svc._running, svc._executor, dict(svc._streams)
+
+        assert _run(scenario()) == (False, None, {})

@@ -1,0 +1,110 @@
+"""The CI lanes and the README name only what the CLI still has.
+
+A PR that removes a sub-command or a flag and forgets a lane fails here,
+not on the next nightly.  The workflow files are read as text: ``pyyaml``
+is not a test dependency.
+"""
+
+from __future__ import annotations
+
+import argparse
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOWS = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
+_PLACEHOLDER = re.compile(r"\$\{\{\s*matrix\.([\w-]+)\s*\}\}")
+
+
+def _run_commands(text: str) -> list[str]:
+    """Every shell command of every ``run:`` key: a plain scalar is one
+    command, a folded ``>`` block is its lines joined, a literal ``|``
+    block is one command a line."""
+    lines = text.splitlines()
+    commands = []
+    for i, line in enumerate(lines):
+        m = re.match(r"(\s*)(?:- )?run:\s*(.*)$", line)
+        if not m:
+            continue
+        indent, value = len(m.group(1)), m.group(2).strip()
+        if value not in (">", "|"):
+            commands.append(value)
+            continue
+        block = []
+        for nxt in lines[i + 1 :]:
+            if nxt.strip() and len(nxt) - len(nxt.lstrip()) <= indent:
+                break
+            block.append(nxt.strip())
+        commands += [" ".join(block)] if value == ">" else [b for b in block if b]
+    return commands
+
+
+def _repro_invocations() -> list[tuple[str, list[str]]]:
+    """``(workflow file, argv)`` for each ``python -m repro ...`` a lane
+    runs, once per value of any ``${{ matrix.<key> }}`` it mentions."""
+    found = []
+    for path in WORKFLOWS:
+        text = path.read_text()
+        for command in _run_commands(text):
+            _, marker, tail = command.partition("python -m repro ")
+            if not marker:
+                continue
+            variants = [tail]
+            for m in _PLACEHOLDER.finditer(tail):
+                matrix = re.search(rf"^\s*{m.group(1)}:\s*\[(.*)\]\s*$", text, re.M).group(1)
+                values = [v.strip().strip("\"'") for v in matrix.split(",")]
+                variants = [t.replace(m.group(0), v) for t in variants for v in values]
+            found += [(path.name, shlex.split(v)) for v in dict.fromkeys(variants)]
+    return found
+
+
+def _subcommands() -> list[str]:
+    (sub,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return list(sub.choices)
+
+
+INVOCATIONS = _repro_invocations()
+
+
+def test_the_scan_finds_the_lanes():
+    """Guards the scanner itself: both workflow files, every form of
+    ``run:`` (plain, folded, matrix-expanded)."""
+    assert {name for name, _ in INVOCATIONS} == {"ci.yml", "nightly.yml"}
+    commands = {argv[0] for _, argv in INVOCATIONS}
+    assert {"analyze", "pfleet", "fit", "serve", "trace", "operators"} <= commands
+    assert sum(argv[0] == "fit" for _, argv in INVOCATIONS) == 4
+
+
+@pytest.mark.parametrize(
+    "workflow, argv", INVOCATIONS, ids=[f"{n}:{'_'.join(a[:3])}" for n, a in INVOCATIONS]
+)
+def test_workflow_invocation_parses(workflow, argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{workflow} runs `python -m repro {' '.join(argv)}`, which the CLI rejects")
+
+
+def test_readme_names_exactly_the_subcommands():
+    line = next(
+        ln for ln in (ROOT / "README.md").read_text().splitlines()
+        if ln.startswith("`python -m repro ") and "|" in ln
+    )
+    named = [w.strip() for w in line.strip("`").removeprefix("python -m repro ").split("|")]
+    assert sorted(named) == sorted(_subcommands())
+
+
+def test_removed_bench_command_exits_2_naming_the_survivors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bench'" in err
+    assert len(_subcommands()) == 10 and all(repr(name) in err for name in _subcommands())

@@ -1,4 +1,4 @@
-"""CLI exit-code contracts: 0 success, 2 environment error, 3 gate fail.
+"""CLI exit-code contracts: 0 success, 2 usage/environment/library error.
 
 Scripts (CI above all) branch on these codes, so they are tested as an
 interface, not an implementation detail.
@@ -11,8 +11,6 @@ import json
 import pytest
 
 from repro.cli import main
-
-FAST_BENCH = ["--only", "kernel_dst_solve_65", "--repeats", "1"]
 
 
 class TestUsageErrors:
@@ -69,47 +67,24 @@ class TestTraceExitCodes:
         assert "cannot write trace" in capsys.readouterr().err
 
 
-class TestBenchExitCodes:
-    def test_unknown_benchmark_exits_2(self, capsys):
-        code = main(["bench", "--only", "nope", "--repeats", "1"])
-        assert code == 2
-        assert "unknown benchmark" in capsys.readouterr().err
+class TestLibraryErrorBoundary:
+    """A ``ReproError`` out of a command is one ``error:`` line and exit
+    code 2 (``main``'s single boundary), never a traceback."""
 
-    def test_gate_missing_baseline_exits_2(self, tmp_path, capsys):
-        code = main(
-            ["bench", "--gate", "--baseline", str(tmp_path / "absent.json"), *FAST_BENCH]
-        )
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
-
-    def test_gate_pass_and_handicapped_fail(self, tmp_path, capsys, monkeypatch):
-        baseline = tmp_path / "b.json"
-        assert main(["bench", "--write-baseline", "--baseline", str(baseline), *FAST_BENCH]) == 0
-        capsys.readouterr()
-
-        # Same machine, generous tolerance: the gate passes...
-        code = main(
-            ["bench", "--gate", "--baseline", str(baseline), "--tolerance", "10.0", *FAST_BENCH]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "gate ok" in out and "benchmark gate: ok" in out
-
-        # ...until a synthetic 1e6x slowdown trips it with exit code 3.
-        monkeypatch.setenv("REPRO_BENCH_HANDICAP", "1e6")
-        code = main(
-            ["bench", "--gate", "--baseline", str(baseline), "--tolerance", "10.0", *FAST_BENCH]
-        )
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "gate FAIL" in captured.out
-        assert "REGRESSION" in captured.err
-
-    def test_json_payload_shape(self, capsys):
-        assert main(["bench", "--json", *FAST_BENCH]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
-        assert "kernel_dst_solve_65" in payload["benchmarks"]
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            # GridError out of make_shot: far too coarse a grid.
+            (["fit", "--grid", "12"], "grid too coarse"),
+            # ConvergenceError out of solver.fit: solovev plateaus at 33^2.
+            (["fit", "--scenario", "solovev", "--grid", "33"], "did not converge"),
+        ],
+    )
+    def test_fit_failure_is_one_error_line(self, argv, needle, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestScenarioSelection:

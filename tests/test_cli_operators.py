@@ -1,4 +1,4 @@
-"""CLI: `repro operators`, boundary-method flags and gate subsetting."""
+"""CLI: `repro operators` and the boundary-method flags."""
 
 from __future__ import annotations
 
@@ -104,87 +104,3 @@ class TestOperatorsCommand:
     def test_bad_usage_exits_2(self, capsys):
         assert main(["operators", "--grid", "3"]) == 2
         assert "--grid" in capsys.readouterr().err
-
-
-def _fake_results(**medians):
-    from repro.obs.bench import BenchResult
-
-    return {
-        name: BenchResult(
-            name=name, group="kernels", median_seconds=m, samples=(m,)
-        )
-        for name, m in medians.items()
-    }
-
-
-def _write_baseline(path, medians, tolerance=0.5):
-    from repro.obs.bench import BENCH_SCHEMA_VERSION
-
-    path.write_text(
-        json.dumps(
-            {
-                "schema_version": BENCH_SCHEMA_VERSION,
-                "tolerance": tolerance,
-                "benchmarks": {
-                    n: {"median_seconds": m, "group": "kernels"}
-                    for n, m in medians.items()
-                },
-            }
-        )
-    )
-
-
-class TestGateSubsettingCLI:
-    @pytest.fixture(autouse=True)
-    def no_large_env(self, monkeypatch):
-        from repro.obs.bench import LARGE_ENV
-
-        monkeypatch.delenv(LARGE_ENV, raising=False)
-
-    def test_default_gate_skips_large_baseline_entries(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """The quick lane passes without running 129^2/257^2 cases even
-        though the committed baseline includes them."""
-        import repro.obs.bench as bench
-
-        monkeypatch.setattr(
-            bench, "run_benchmarks", lambda *a, **k: _fake_results(a=1.0)
-        )
-        p = tmp_path / "b.json"
-        _write_baseline(p, {"a": 1.0, "fit_129": 1.0, "kernel_boundary_257": 1.0})
-        assert main(["bench", "--gate", "--baseline", str(p)]) == 0
-        out = capsys.readouterr().out
-        assert "benchmark gate: ok (1 case(s)" in out
-        assert "fit_129" not in out
-
-    def test_missing_coverage_exit_2_still_prints_ratio_table(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """A baseline entry that never ran is a broken gate (exit 2), but
-        the partial ratio table must still print for diagnosis."""
-        import repro.obs.bench as bench
-
-        monkeypatch.setattr(
-            bench, "run_benchmarks", lambda *a, **k: _fake_results(a=1.0)
-        )
-        p = tmp_path / "b.json"
-        _write_baseline(p, {"a": 1.0, "ghost": 1.0})
-        assert main(["bench", "--gate", "--baseline", str(p)]) == 2
-        captured = capsys.readouterr()
-        assert "ghost" in captured.err and "missing coverage" in captured.err
-        # The one case that did run shows up in the printed table.
-        assert "gate ok" in captured.out and "limit" in captured.out
-
-    def test_regression_exit_3_with_table(self, tmp_path, monkeypatch, capsys):
-        import repro.obs.bench as bench
-
-        monkeypatch.setattr(
-            bench, "run_benchmarks", lambda *a, **k: _fake_results(a=10.0)
-        )
-        p = tmp_path / "b.json"
-        _write_baseline(p, {"a": 1.0})
-        assert main(["bench", "--gate", "--baseline", str(p)]) == 3
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "a" in captured.out.split()
