@@ -563,10 +563,14 @@ def _cmd_trace(args) -> int:
         engine = BatchFitEngine(
             shot.machine, shot.diagnostics, shot.grid, batch_size=8, hooks=hooks
         )
-        engine.fit_many(slices)
+        results = engine.fit_many(slices).results
         report = engine.profiler_report()
         profiler_totals = dict(report.totals)
-        label = f"{shot.label} x{len(slices)} slices"
+        iterations = [r.iterations for r in results]
+        label = (
+            f"{shot.label} x{len(slices)} slices: {min(iterations)}-{max(iterations)} "
+            f"iterations, contraction {max(r.contraction for r in results):.2f} at worst"
+        )
     else:
         from repro.efit.fitting import EfitSolver
         from repro.efit.measurements import (
@@ -582,7 +586,10 @@ def _cmd_trace(args) -> int:
         solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid, hooks=hooks)
         result = solver.fit(shot.measurements)
         profiler_totals = dict(solver.profiler.report().totals)
-        label = f"{shot.label}: {result.iterations} iterations, chi^2 {result.chi2:.1f}"
+        label = (
+            f"{shot.label}: {result.iterations} iterations "
+            f"(contraction {result.contraction:.2f} per iterate), chi^2 {result.chi2:.1f}"
+        )
 
     try:
         write_chrome_trace(recorder, args.out, process_name=f"repro:{args.case}")

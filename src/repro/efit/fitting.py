@@ -48,6 +48,14 @@ from repro.profiling.regions import RegionProfiler
 
 __all__ = ["EfitSolver", "FitResult", "FitIterationRecord", "FitState", "GridStatics"]
 
+#: Picard iterates a cold start (and the divergence guard's fallback)
+#: spends on the fixed parabolic current shape before the least-squares
+#: step takes over.  Measured, not tuned per case: two leaves the
+#: spherical torus at 20-87 iterates at 65^2, three brings every scenario
+#: to 10-16, and each one past three costs one iterate everywhere
+#: (EXPERIMENTS.md "Picard step (PR 20)").
+N_WARMUP = 3
+
 
 @dataclass(frozen=True)
 class GridStatics:
@@ -108,8 +116,8 @@ class FitState:
     iteration: int = 0
     converged: bool = False
     #: Last iteration (inclusive) forced onto the fixed warm-up current
-    #: shape.  The solver's ``n_warmup`` for a cold start; 0 for a trusted
-    #: warm start, so a converged ``psi_initial`` can converge immediately.
+    #: shape.  :data:`N_WARMUP` for a cold start; 0 for a trusted warm
+    #: start, so a converged ``psi_initial`` can converge immediately.
     warmup_until: int = 0
     #: True while the supplied ``psi_initial`` is trusted.  Revoked by the
     #: divergence guard in :meth:`EfitSolver.iterate_post`, which falls
@@ -153,6 +161,24 @@ class FitResult:
         """Total reconstructed plasma current [A]."""
         return float(self.pcurr.sum())
 
+    @property
+    def contraction(self) -> float:
+        """Geometric-mean ratio of successive residuals over the
+        least-squares iterates after the last warm-up one — how fast the
+        Picard map was contracting (``nan`` with fewer than two such
+        iterates).  Read off :attr:`history`: the warm-up shape is the
+        only coefficient vector whose p' terms are exactly zero, which
+        also places the divergence guard's second warm-up."""
+        n_pp = self.profiles.alpha.size
+        start = max(
+            (k + 1 for k, rec in enumerate(self.history) if not rec.coefficients[:n_pp].any()),
+            default=0,
+        )
+        residuals = [rec.residual for rec in self.history[start:]]
+        if len(residuals) < 2 or residuals[0] <= 0.0:
+            return float("nan")
+        return float((residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1)))
+
 
 class EfitSolver:
     """Equilibrium reconstruction on a fixed machine + grid.
@@ -160,6 +186,14 @@ class EfitSolver:
     Construction performs the one-time ``green_`` setup (boundary tables,
     diagnostic response matrices, interior-solver factorisation);
     :meth:`fit` then reconstructs any number of time slices.
+
+    The Picard scheme is fixed: a cold start holds the parabolic warm-up
+    current shape for :data:`N_WARMUP` iterates, then every iterate takes
+    the full least-squares step for the profile (and vessel) coefficients
+    — undamped, the map contracts by 0.15-0.45 per iterate
+    (:attr:`FitResult.contraction`), so a cold 65² slice converges in
+    10-14 iterates and a warm-chained one in 3-4.  A trusted
+    ``psi_initial`` skips the warm-up.
 
     Parameters
     ----------
@@ -203,8 +237,6 @@ class EfitSolver:
         tol: float = 1e-5,
         max_iters: int = 100,
         relax: float = 1.0,
-        relax_current: float = 0.5,
-        n_warmup: int = 8,
         warm_start_guard: float = 0.25,
         fitdelz: bool = True,
         fit_vessel: bool = False,
@@ -215,8 +247,6 @@ class EfitSolver:
     ) -> None:
         if not (0.0 < relax <= 1.0):
             raise FittingError(f"relaxation parameter {relax} outside (0, 1]")
-        if not (0.0 < relax_current <= 1.0):
-            raise FittingError(f"current relaxation {relax_current} outside (0, 1]")
         if tol <= 0.0:
             raise FittingError("tolerance must be positive")
         self.machine = machine
@@ -224,13 +254,16 @@ class EfitSolver:
         self.grid = grid
         self.pp_basis = pp_basis if pp_basis is not None else PolynomialBasis(2)
         self.ffp_basis = ffp_basis if ffp_basis is not None else PolynomialBasis(2)
+        warm = np.zeros(self.pp_basis.n_terms + self.ffp_basis.n_terms)
+        warm[self.pp_basis.n_terms] = 1.0
+        if self.ffp_basis.n_terms > 1:
+            warm[self.pp_basis.n_terms + 1] = -0.8
+        #: Unit warm-up coefficient vector: the parabolic FF' shape the
+        #: first :data:`N_WARMUP` iterates rescale to the measured Ip.
+        self._warmup_shape = warm
         self.tol = tol
         self.max_iters = max_iters
         self.relax = relax
-        self.relax_current = relax_current
-        if n_warmup < 0:
-            raise FittingError("n_warmup must be >= 0")
-        self.n_warmup = n_warmup
         if warm_start_guard <= 0.0:
             raise FittingError("warm_start_guard must be positive")
         #: Residual above which a trusted warm start is declared divergent
@@ -384,11 +417,11 @@ class EfitSolver:
         and the fit starts cold — a seed without a findable boundary
         would also break the cold path's own ``steps_`` boundary search,
         so degrading means replacing it, not keeping it.
-        ``coeffs_initial`` optionally
-        seeds the profile coefficients (the previous slice's converged
-        vector); without it the first trusted iterate takes an undamped
-        least-squares step so the coefficients jump straight onto the
-        trusted geometry's solution.
+        ``coeffs_initial`` (the previous slice's converged vector) is
+        validated and becomes the state's starting coefficients, but no
+        longer steers the fit: every iterate — warm-up or least-squares —
+        replaces the coefficients outright, so only ``psi_initial``
+        carries a warm start.
 
         ``statics`` overrides the solver's own :class:`GridStatics`
         (:attr:`statics`); ``profiler`` overrides the
@@ -424,12 +457,14 @@ class EfitSolver:
         else:
             coeffs = np.zeros(n_coeffs)
         sign = 1 if measurements.ip >= 0 else -1
-        warm_start = False
+        probed = None
         if psi_initial is not None:
             # Trust probe: a supplied psi earns the warm start only if it
-            # already carries a findable plasma boundary.
+            # already carries a findable plasma boundary.  The boundary it
+            # finds is the one iterate 1's steps_ would search for again,
+            # so it rides along on the state.
             try:
-                find_boundary(
+                probed = find_boundary(
                     grid,
                     psi,
                     self.machine.limiter,
@@ -437,12 +472,11 @@ class EfitSolver:
                     inside=statics.inside_limiter,
                     limiter_samples=statics.limiter_samples,
                 )
-                warm_start = True
             except BoundaryError:
                 # The seed carries no usable boundary: fall back to the
                 # standard cold-start flux rather than iterating on it.
-                warm_start = False
                 psi = self._initial_psi(measurements, psi_external)
+        warm_start = probed is not None
         state = FitState(
             measurements=measurements,
             psi=psi,
@@ -453,7 +487,8 @@ class EfitSolver:
             profiler=profiler if profiler is not None else self.profiler,
             hooks=hooks if hooks is not None else self.hooks,
             vessel_currents=np.zeros(self.machine.n_vessel) if self.fit_vessel else None,
-            warmup_until=0 if warm_start else self.n_warmup,
+            boundary=probed,
+            warmup_until=0 if warm_start else N_WARMUP,
             warm_start=warm_start,
         )
         state.hooks.event(
@@ -484,14 +519,17 @@ class EfitSolver:
         if statics is None:
             statics = self.statics
         with hooks.profiled_region(profiler, "steps_", iteration=state.iteration):
-            state.boundary = find_boundary(
-                grid,
-                state.psi,
-                self.machine.limiter,
-                sign=state.sign,
-                inside=statics.inside_limiter,
-                limiter_samples=statics.limiter_samples,
-            )
+            # Iterate 1 of a trusted warm start already holds the trust
+            # probe's search of this very psi.
+            if state.iteration > 1 or state.boundary is None:
+                state.boundary = find_boundary(
+                    grid,
+                    state.psi,
+                    self.machine.limiter,
+                    sign=state.sign,
+                    inside=statics.inside_limiter,
+                    limiter_samples=statics.limiter_samples,
+                )
         boundary = state.boundary
         with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
             jmat = basis_current_matrix(
@@ -506,13 +544,6 @@ class EfitSolver:
                 measurements.values,
                 measurements.uncertainties,
             )
-            rc = self.relax_current
-            if state.warm_start and state.iteration == 1 and not state.coeffs.any():
-                # Trusted geometry without seeded coefficients: damping
-                # from the zero vector would halve the current on the
-                # first iterate, so jump straight to the LSQ solution
-                # (which is the Picard fixed point of the damped update).
-                rc = 1.0
             if state.iteration <= state.warmup_until:
                 # Warm-up: a fixed peaked current shape rescaled to
                 # the measured Ip (EFIT's initial parabolic
@@ -521,14 +552,10 @@ class EfitSolver:
                 # trusted warm start enters with warmup_until == 0 and
                 # never takes this branch, so a converged previous-slice
                 # psi is no longer clobbered by the parabolic shape.
-                warm = np.zeros(state.coeffs.size)
-                warm[self.pp_basis.n_terms] = 1.0
-                if self.ffp_basis.n_terms > 1:
-                    warm[self.pp_basis.n_terms + 1] = -0.8
-                total = float((jmat @ warm).sum())
+                total = float((jmat @ self._warmup_shape).sum())
                 if total == 0.0:
                     raise FittingError("warm-up current shape carries no current")
-                state.coeffs = warm * (measurements.ip / total)
+                state.coeffs = self._warmup_shape * (measurements.ip / total)
                 state.chi2 = chi_squared(assembly, state.coeffs)
             elif self.fit_vessel:
                 # Augment the linear system with one unknown per
@@ -542,20 +569,14 @@ class EfitSolver:
                 )
                 sol = solve_weighted_lsq(aug, ridge=self.ridge)
                 n_prof = state.coeffs.size
-                state.coeffs = (1.0 - rc) * state.coeffs + rc * sol[:n_prof]
-                state.vessel_currents = (
-                    1.0 - rc
-                ) * state.vessel_currents + rc * sol[n_prof:]
-                state.chi2 = chi_squared(
-                    aug, np.concatenate([state.coeffs, state.vessel_currents])
-                )
+                state.coeffs = sol[:n_prof]
+                state.vessel_currents = sol[n_prof:]
+                state.chi2 = chi_squared(aug, sol)
             else:
-                coeffs_lsq = solve_weighted_lsq(assembly, ridge=self.ridge)
-                # Damp the profile update: a full LSQ step against a
-                # still-wrong geometry overdrives the current and the
-                # Picard map loses contraction (EFIT's fitting
-                # weights play the same stabilising role).
-                state.coeffs = (1.0 - rc) * state.coeffs + rc * coeffs_lsq
+                # The full least-squares step: damping it only slows the
+                # same fixed points down (contraction 0.8 per iterate at
+                # half steps against 0.15-0.45 undamped).
+                state.coeffs = solve_weighted_lsq(assembly, ridge=self.ridge)
                 state.chi2 = chi_squared(assembly, state.coeffs)
         with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
             pcurr = grid.unflatten(jmat @ state.coeffs)
@@ -617,7 +638,7 @@ class EfitSolver:
             )
             if state.residual > self.warm_start_guard or grew:
                 state.warm_start = False
-                state.warmup_until = state.iteration + self.n_warmup
+                state.warmup_until = state.iteration + N_WARMUP
                 hooks.event(
                     "warm_start_fallback",
                     iteration=state.iteration,

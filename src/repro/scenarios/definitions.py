@@ -69,7 +69,7 @@ register(
         r0=1.69,
         aspect_ratio=2.9,
         elongation=1.8,
-        max_iterations=60,
+        max_iterations=20,
         max_chi2=250.0,
         default_seed=186610,
     )
@@ -87,7 +87,7 @@ register(
         r0=1.69,
         aspect_ratio=3.4,
         elongation=1.3,
-        max_iterations=90,
+        max_iterations=30,
         max_chi2=1100.0,
         default_seed=20260806,
     )
@@ -105,7 +105,7 @@ register(
         r0=2.5,
         aspect_ratio=1.6,
         elongation=2.8,
-        max_iterations=80,
+        max_iterations=26,
         max_chi2=600.0,
         default_seed=20260801,
     )
@@ -123,7 +123,7 @@ register(
         r0=1.69,
         aspect_ratio=2.8,
         elongation=2.4,
-        max_iterations=100,
+        max_iterations=26,
         max_chi2=400.0,
         default_seed=20260802,
     )
@@ -141,7 +141,7 @@ register(
         r0=1.69,
         aspect_ratio=2.8,
         elongation=2.1,
-        max_iterations=100,
+        max_iterations=32,
         max_chi2=500.0,
         default_seed=20260803,
         # The asymmetric plasma sits below the midplane; seed the initial
@@ -162,7 +162,7 @@ register(
         r0=1.69,
         aspect_ratio=2.9,
         elongation=1.8,
-        max_iterations=60,
+        max_iterations=26,
         max_chi2=400.0,
         default_seed=186610,
     )

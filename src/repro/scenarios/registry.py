@@ -52,7 +52,9 @@ class Scenario:
     max_iterations / max_chi2:
         Convergence envelope at the default grid and noise: a healthy
         reconstruction converges within ``max_iterations`` Picard
-        iterations with ``chi2 <= max_chi2``.
+        iterations with ``chi2 <= max_chi2``.  The iteration ceiling is
+        about twice the measured cold count (10-17 at 33^2 and 65^2), so
+        a scheme that slips back towards the damped 35-70 trips it.
     solver_kwargs:
         Extra :class:`~repro.efit.fitting.EfitSolver` keywords this
         machine needs (engines and golden reconstructions apply them).

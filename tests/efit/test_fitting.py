@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.efit.fitting import EfitSolver
+from repro.batch import synthetic_slice_sequence
+from repro.efit.fitting import N_WARMUP, EfitSolver
 from repro.errors import ConvergenceError, FittingError
 from repro.profiling.regions import RegionProfiler
 
@@ -75,14 +76,13 @@ class TestStability:
     every relaxation setting — the failure mode it fixes is a vertical
     drift that grows ~2.5x per iteration."""
 
-    @pytest.mark.parametrize("relax,relax_current", [(1.0, 1.0), (0.7, 0.5), (0.5, 0.3)])
-    def test_converges_across_relaxations(self, shot33, relax, relax_current):
+    @pytest.mark.parametrize("relax", [1.0, 0.7, 0.5])
+    def test_converges_across_relaxations(self, shot33, relax):
         s = EfitSolver(
             shot33.machine,
             shot33.diagnostics,
             shot33.grid,
             relax=relax,
-            relax_current=relax_current,
             max_iters=300,
         )
         res = s.fit(shot33.measurements)
@@ -136,19 +136,51 @@ class TestStability:
         assert shifted.sum() == pytest.approx(pc.sum(), rel=1e-6)
 
 
+class TestContraction:
+    """``FitResult.contraction``: the geometric-mean residual ratio of the
+    least-squares iterates, derived from the history alone."""
+
+    def test_cold_fit_counts_from_the_last_warmup_iterate(self, result33):
+        tail = [rec.residual for rec in result33.history[N_WARMUP:]]
+        assert result33.contraction == pytest.approx(
+            (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
+        )
+        assert 0.0 < result33.contraction < 0.5
+
+    def test_warm_fit_counts_every_iterate_and_one_iterate_is_nan(self, solver33, shot33, result33):
+        resolve = solver33.fit(shot33.measurements, psi_initial=result33.psi)
+        assert resolve.iterations == 1 and np.isnan(resolve.contraction)
+        (renoised,) = synthetic_slice_sequence(shot33, 1, seed=4)
+        warm = solver33.fit(renoised, psi_initial=result33.psi)
+        assert warm.warm_start and warm.iterations >= 2
+        r = [rec.residual for rec in warm.history]
+        assert warm.contraction == pytest.approx((r[-1] / r[0]) ** (1.0 / (len(r) - 1)))
+
+    def test_revoked_seed_counts_from_its_second_warmup(self, solver33, shot33, result33):
+        revoked = solver33.fit(shot33.measurements, psi_initial=1.5 * result33.psi)
+        assert not revoked.warm_start
+        # Trusted iterates, then the guard's warm-up, then the clean tail:
+        # only the tail is the map's contraction.
+        assert 0.0 < revoked.contraction < 0.5
+
+
 class TestConfiguration:
     def test_invalid_parameters(self, shot33):
         kw = dict(machine=shot33.machine, diagnostics=shot33.diagnostics, grid=shot33.grid)
         with pytest.raises(FittingError):
             EfitSolver(relax=0.0, **kw)
         with pytest.raises(FittingError):
-            EfitSolver(relax_current=1.5, **kw)
-        with pytest.raises(FittingError):
             EfitSolver(tol=-1.0, **kw)
         with pytest.raises(FittingError):
-            EfitSolver(n_warmup=-1, **kw)
-        with pytest.raises(FittingError):
             EfitSolver(pflux_impl="cuda", **kw)
+
+    @pytest.mark.parametrize("knob", [{"relax_current": 0.5}, {"n_warmup": 8}])
+    def test_removed_step_knobs_fail_loudly(self, shot33, knob):
+        """The Picard step is one fixed scheme (full least-squares step,
+        ``N_WARMUP`` warm-up iterates): its two former arguments are not
+        silently accepted."""
+        with pytest.raises(TypeError):
+            EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, **knob)
 
     def test_reference_pflux_impl_agrees(self, shot33):
         """The pure-loop pflux_ baseline produces the same reconstruction

@@ -84,12 +84,37 @@ class TestValidation:
 
 class TestResolutionSweep:
     def test_accuracy_improves_with_resolution(self):
-        from repro.efit.resolution import resolution_sweep
+        """A statement about the grid, so it is made over noise seeds: the
+        whole-cell plasma mask gives the Picard map neighbouring fixed
+        points, and which one a single realisation lands on (at 33^2 the
+        flux error is bimodal, ~0.7e-4 or ~1.8e-4 of span) is an accident
+        of the trajectory.  Medians over these twelve seeds: 1.7e-4 at
+        33^2 against 1.1e-4 at 65^2, chi^2 110 against 87."""
+        import dataclasses
 
-        pts = resolution_sweep((33, 65))
-        assert pts[1].psi_rms_vs_truth < pts[0].psi_rms_vs_truth
+        from repro.efit.fitting import EfitSolver
+        from repro.efit.measurements import measure_equilibrium
+        from repro.efit.resolution import _psi_rms
+
+        rms, chi2 = {}, {}
+        for n in (33, 65):
+            shot = synthetic_shot_186610(n)
+            solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
+            exact = measure_equilibrium(
+                shot.machine, shot.diagnostics, shot.grid, shot.truth, noise=0.0, seed=0
+            ).values
+            sigma = shot.measurements.uncertainties
+            fits = []
+            for seed in range(1, 13):
+                # the measurements of synthetic_shot_186610(n, seed=seed),
+                # without its forward solve and response build per seed
+                values = exact + np.random.default_rng(seed).normal(0.0, sigma)
+                res = solver.fit(dataclasses.replace(shot.measurements, values=values))
+                fits.append((_psi_rms(shot.grid, res.psi, shot), res.chi2))
+            rms[n], chi2[n] = np.median(fits, axis=0)
+        assert rms[65] < rms[33]
         # chi^2 approaches the statistical expectation as the grid refines
-        assert pts[1].chi2 < pts[0].chi2
+        assert chi2[65] < chi2[33]
 
     def test_derived_quantities_stable(self):
         from repro.efit.resolution import resolution_sweep

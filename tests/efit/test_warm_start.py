@@ -1,8 +1,8 @@
 """The trusted warm-start path: seeding a fit from a prior equilibrium.
 
 Pins the tentpole fix: ``psi_initial`` used to be clobbered by the fixed
-parabolic warm-up shape for the first ``n_warmup`` iterations, and the
-convergence check refused to fire before ``iteration > n_warmup`` — a
+parabolic warm-up shape for the first warm-up iterations, and the
+convergence check refused to fire before they were over — a
 warm start could never be faster than a cold one.  Now a seed whose
 boundary search succeeds skips the warm-up entirely and may converge
 from the first iterate, with a guarded fallback if it misleads.
@@ -11,7 +11,8 @@ from the first iterate, with a guarded fallback if it misleads.
 import numpy as np
 import pytest
 
-from repro.efit.fitting import EfitSolver
+from repro.batch import synthetic_slice_sequence
+from repro.efit.fitting import N_WARMUP, EfitSolver
 from repro.errors import ConvergenceError, FittingError
 from repro.obs import TraceHooks, TraceRecorder
 
@@ -24,6 +25,12 @@ def solver33(shot33):
 @pytest.fixture(scope="module")
 def cold(solver33, shot33):
     return solver33.fit(shot33.measurements)
+
+
+@pytest.fixture(scope="module")
+def next_slice(shot33):
+    """The same equilibrium under fresh noise: what a warm chain solves."""
+    return synthetic_slice_sequence(shot33, 1, seed=4)[0]
 
 
 class TestWarmStart:
@@ -60,7 +67,7 @@ class TestWarmStart:
     def test_cold_state_keeps_warmup(self, solver33, shot33):
         state = solver33.start_fit(shot33.measurements)
         assert not state.warm_start
-        assert state.warmup_until == solver33.n_warmup
+        assert state.warmup_until == N_WARMUP
 
     def test_unusable_seed_degrades_to_cold(self, solver33, shot33, cold):
         """A seed with no findable boundary fails the trust probe and the
@@ -99,6 +106,61 @@ class TestWarmStart:
         s.fit(shot33.measurements, psi_initial=cold.psi)
         starts = [e for e in recorder.events() if e.name == "start_fit"]
         assert starts and starts[0].attributes["warm_start"] is True
+
+
+class TestTrustProbeIsIterateOnesSearch:
+    """``start_fit``'s trust probe and iterate 1's ``steps_`` search the
+    same psi with the same function: the probe's result is kept, so a
+    trusted warm fit of k iterates costs k boundary searches, not k + 1."""
+
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        import repro.efit.fitting as fitting
+
+        calls = []
+        find_boundary = fitting.find_boundary
+
+        def spy(grid, psi, *args, **kwargs):
+            calls.append(psi)
+            return find_boundary(grid, psi, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "find_boundary", spy)
+        return calls
+
+    def test_warm_fit_searches_once_per_iterate(self, solver33, next_slice, cold, searches):
+        warm = solver33.fit(next_slice, psi_initial=cold.psi)
+        assert warm.warm_start and warm.iterations > 1
+        assert len(searches) == warm.iterations
+
+    def test_kept_probe_is_bit_identical_to_searching_again(
+        self, solver33, next_slice, cold, searches
+    ):
+        warm = solver33.fit(next_slice, psi_initial=cold.psi)
+        # The path that searches twice: drop what the probe found.
+        state = solver33.start_fit(next_slice, psi_initial=cold.psi)
+        state.boundary = None
+        del searches[:]
+        for _ in solver33.picard([state]):
+            pass
+        again = solver33.finish(state)
+        assert len(searches) == again.iterations == warm.iterations
+        assert np.array_equal(again.psi, warm.psi)
+        assert again.chi2 == warm.chi2 and again.warm_start
+
+    def test_cold_and_revoked_seeds_search_every_iterate(
+        self, solver33, shot33, cold, searches
+    ):
+        res = solver33.fit(shot33.measurements)
+        assert len(searches) == res.iterations
+        del searches[:]
+        # A seed that fails the probe: one failed search, then a cold fit.
+        res = solver33.fit(shot33.measurements, psi_initial=np.zeros_like(cold.psi))
+        assert not res.warm_start and len(searches) == res.iterations + 1
+        del searches[:]
+        # A seed the divergence guard revokes keeps the probe's search for
+        # iterate 1 like any trusted seed.
+        res = solver33.fit(shot33.measurements, psi_initial=1.5 * cold.psi)
+        assert not res.warm_start and len(searches) == res.iterations
 
 
 class TestValidation:

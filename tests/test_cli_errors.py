@@ -7,10 +7,13 @@ interface, not an implementation detail.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.efit import EfitSolver
+from repro.errors import ConvergenceError
 
 
 class TestUsageErrors:
@@ -58,7 +61,10 @@ class TestTraceExitCodes:
         payload = json.loads(out.read_text())
         assert any(e["ph"] == "X" for e in payload["traceEvents"])
         assert jsonl.read_text().count("\n") > 10
-        assert "spans" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "spans" in printed
+        # iterate count and the map's contraction, side by side
+        assert re.search(r"\d+ iterations \(contraction 0\.\d\d per iterate\)", printed)
 
     def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "t.json"
@@ -76,11 +82,16 @@ class TestLibraryErrorBoundary:
         [
             # GridError out of make_shot: far too coarse a grid.
             (["fit", "--grid", "12"], "grid too coarse"),
-            # ConvergenceError out of solver.fit: solovev plateaus at 33^2.
+            # ConvergenceError out of solver.fit (decreed below: the test is
+            # about the boundary, and no registered scenario fails to order).
             (["fit", "--scenario", "solovev", "--grid", "33"], "did not converge"),
         ],
     )
-    def test_fit_failure_is_one_error_line(self, argv, needle, capsys):
+    def test_fit_failure_is_one_error_line(self, argv, needle, capsys, monkeypatch):
+        def give_up(self, measurements, **kwargs):
+            raise ConvergenceError("fit did not converge: residual 2.0e-03 > 1.0e-05")
+
+        monkeypatch.setattr(EfitSolver, "fit", give_up)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
