@@ -37,13 +37,16 @@ def test_single_fit_invocation_65(benchmark, shot65):
 
 def test_fit_region_breakdown_65(solver65, shot65):
     """Measured Python-side fit_ breakdown (the real-execution analog of
-    Figure 1; with the BLAS pflux_ the profile differs from Fortran —
-    recorded for EXPERIMENTS.md)."""
+    Figure 1; with the edge-operator pflux_ the profile differs from
+    Fortran — recorded for EXPERIMENTS.md)."""
     profiler = RegionProfiler()
     solver = EfitSolver(shot65.machine, shot65.diagnostics, shot65.grid, profiler=profiler)
     solver.fit(shot65.measurements)
     rep = profiler.report()
-    lines = ["Measured Python fit_ breakdown at 65x65 (vectorized pflux_):"]
+    lines = [
+        f"Measured Python fit_ breakdown at 65x65 "
+        f"({solver.boundary_method} edge-operator pflux_):"
+    ]
     for name, pct in sorted(rep.percentages().items(), key=lambda kv: -kv[1]):
         lines.append(f"  {name:10s} {pct:5.1f}%  ({rep.calls[name]} calls)")
     write_artifact("fit_breakdown_python", "\n".join(lines))
@@ -53,10 +56,16 @@ def test_fit_with_reference_pflux_17(benchmark):
     """fit_ with the pure-loop pflux_ — the 'original code' analog; tiny
     grid because interpreted loops are ~1000x slower."""
     from repro.efit.measurements import synthetic_shot_186610
+    from repro.efit.pflux import PfluxReference
+    from repro.efit.solvers import make_solver
+    from repro.efit.tables import cached_boundary_tables
 
     shot = synthetic_shot_186610(17, noise=0.0, seed=2)
+    reference = PfluxReference(
+        shot.grid, cached_boundary_tables(shot.grid), make_solver("dst", shot.grid)
+    )
     solver = EfitSolver(
-        shot.machine, shot.diagnostics, shot.grid, pflux_impl="reference", max_iters=1
+        shot.machine, shot.diagnostics, shot.grid, pflux_impl=reference, max_iters=1
     )
     benchmark(solver.fit, shot.measurements, require_convergence=False)
 

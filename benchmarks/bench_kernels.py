@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro.efit.grid import RZGrid
-from repro.efit.pflux import boundary_flux_reference, boundary_flux_vectorized
+from repro.efit.pflux import (
+    boundary_flux_reference,
+    boundary_flux_vectorized,
+    edge_node_indices,
+)
 from repro.efit.tables import build_boundary_tables, cached_boundary_tables
 
 
@@ -142,45 +146,91 @@ def test_structured_vs_dense_speedup_257(large_grids_enabled):
 
 
 def test_edge_method_table(large_grids_enabled):
-    """The measurement an ``EDGE_METHODS`` entry has to win to stay: per
-    method and grid, build seconds, operator MB, median apply ms for one
-    vector and for a batch of 8, and relative error against dense.
-    Written to ``results/edge_operator_methods.txt``; EXPERIMENTS.md
-    keeps the table that retired the mixed-precision variants."""
+    """The measurement an ``EDGE_METHODS`` entry has to win to stay — and
+    the one ``DEFAULT_EDGE_METHOD`` rests on: per method and grid, build
+    seconds, operator MB, median apply ms for one vector and for a batch
+    of 8, the same for the whole flux step (``pflux_``: boundary sums +
+    RHS + interior solve; ``compute`` at B = 1, ``compute_batch`` on a
+    ``FitWorkspace`` at B = 8), and relative error against dense.  The
+    ``vectorized`` row is the Green-table sums of ``PfluxVectorized`` —
+    no operator to build or store, no batched form.  Written to
+    ``results/edge_operator_methods.txt``; EXPERIMENTS.md keeps the table
+    that retired the mixed-precision variants."""
     import time
 
     from benchmarks.conftest import write_artifact
+    from repro.batch.workspace import FitWorkspace
     from repro.efit.operators import EDGE_METHODS, build_edge_operator
+    from repro.efit.pflux import PfluxStructured, PfluxVectorized
+    from repro.efit.solvers import make_solver
     from repro.utils.tables import Table
 
-    def median_ms(ops, x, rounds=9):
-        """Median apply time per operator, sampled round-robin so a noisy
+    def median_ms(calls, rounds=9):
+        """Median time per callable, sampled round-robin so a noisy
         stretch of the machine lands on every method alike."""
-        samples = [[] for _ in ops]
-        for r in range(rounds + 1):  # round 0 touches each operator's pages
-            for k, op in enumerate(ops):
+        samples = [[] for _ in calls]
+        for r in range(rounds + 1):  # round 0 touches each one's pages
+            for k, call in enumerate(calls):
                 t0 = time.perf_counter()
-                op.apply(x)
+                call()
                 if r:
                     samples[k].append(time.perf_counter() - t0)
         return [1e3 * sorted(s)[rounds // 2] for s in samples]
 
+    #: Full-step rounds per grid: the step is 0.6-3 ms at 65^2/129^2, so
+    #: nine samples would not separate methods 10 % apart.
+    step_rounds = {65: 201, 129: 41, 257: 9}
     table = Table(
-        ["grid", "method", "build s", "MB", "apply ms B=1", "apply ms B=8", "rel err"],
-        title="Edge-operator methods (one process, medians of 9 round-robin applies)",
+        [
+            "grid", "method", "build s", "MB", "apply ms B=1", "apply ms B=8",
+            "pflux ms B=1", "pflux ms B=8", "rel err",
+        ],
+        title="Edge-operator methods (one process, round-robin medians: 9 applies; "
+        "201 / 41 / 9 pflux_ steps at 65 / 129 / 257)",
     )
     for n in (65, 129, 257) if large_grids_enabled else (65, 129):
         g = RZGrid(n, n)
         t = cached_boundary_tables(g)
-        x = np.random.default_rng(1).normal(size=(g.size, 8))
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(g.size, 8))
+        psi_ext = rng.normal(size=g.shape)
+        currents = [(x[:, k].reshape(g.shape).copy(), psi_ext) for k in range(8)]
         ops, build_s = [], []
         for method in EDGE_METHODS:
             t0 = time.perf_counter()
             ops.append(build_edge_operator(t, method))
             build_s.append(time.perf_counter() - t0)
+        interior = make_solver("dst", g)
+        vectorized = PfluxVectorized(g, t, interior)
+        steps = [PfluxStructured(g, t, interior, op) for op in ops]
+        workspaces = [FitWorkspace() for _ in ops]
         ref = ops[EDGE_METHODS.index("dense")].apply(x)
-        ms_1 = median_ms(ops, x[:, 0].copy())
-        ms_8 = median_ms(ops, x)
+        x1 = x[:, 0].copy()
+        ms_1 = median_ms(
+            [lambda: boundary_flux_vectorized(t, currents[0][0])]
+            + [lambda op=op: op.apply(x1) for op in ops]
+        )
+        ms_8 = median_ms([lambda op=op: op.apply(x) for op in ops])
+        step_1 = median_ms(
+            [lambda s=s: s.compute(*currents[0]) for s in [vectorized, *steps]],
+            step_rounds[n],
+        )
+        step_8 = median_ms(
+            [
+                lambda s=s, ws=ws: s.compute_batch(ws, 8, 8, range(8), currents)
+                for s, ws in zip(steps, workspaces)
+            ],
+            step_rounds[n],
+        )
+        edge = boundary_flux_vectorized(t, currents[0][0])
+        ei, ej = edge_node_indices(g.nw, g.nh)
+        rel_vec = float(np.max(np.abs(edge[ei, ej] - ref[:, 0])) / np.max(np.abs(ref)))
+        table.add_row(
+            [
+                f"{n}x{n}", "vectorized", "—", "—", f"{ms_1[0]:.2f}", "—",
+                f"{step_1[0]:.2f}", "—", f"{rel_vec:.0e}",
+            ]
+        )
         for k, op in enumerate(ops):
             rel = float(np.max(np.abs(op.apply(x) - ref)) / np.max(np.abs(ref)))
             table.add_row(
@@ -189,8 +239,10 @@ def test_edge_method_table(large_grids_enabled):
                     op.method,
                     f"{build_s[k]:.2f}",
                     f"{op.nbytes / 1e6:.1f}",
-                    f"{ms_1[k]:.2f}",
+                    f"{ms_1[k + 1]:.2f}",
                     f"{ms_8[k]:.2f}",
+                    f"{step_1[k + 1]:.2f}",
+                    f"{step_8[k]:.2f}",
                     f"{rel:.0e}",
                 ]
             )

@@ -63,10 +63,6 @@ class AnalysisConfig:
     #: Grid size the registry is instantiated at (byte predictions only;
     #: verdicts are grid-independent for the registered kernels).
     grid: int = 65
-    #: Edge-operator representation the registry prices (``dense`` is the
-    #: paper's Green-table sweep; structured methods swap the boundary
-    #: nests for compressed-byte-count equivalents).
-    boundary_method: str = "dense"
     #: Threshold of the ``excess-traffic`` rule.
     max_traffic_ratio: float = 2.0
     #: Source roots of the hot-path pass, relative to the ``repro``
@@ -239,15 +235,8 @@ def analyze_repo(config: AnalysisConfig | None = None) -> AnalysisReport:
     if "directives" in config.families:
         from repro.core.offload import build_pflux_registry, pflux_device_arrays
 
-        registry = build_pflux_registry(
-            config.grid, boundary_method=config.boundary_method
-        )
-        data_env = frozenset(
-            a.name
-            for a in pflux_device_arrays(
-                config.grid, boundary_method=config.boundary_method
-            )
-        )
+        registry = build_pflux_registry(config.grid)
+        data_env = frozenset(a.name for a in pflux_device_arrays(config.grid))
         findings.extend(analyze_registry(registry, data_env=data_env, config=config))
     if "hotpath" in config.families:
         scan = analyze_hot_paths(config)

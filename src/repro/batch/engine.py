@@ -1,7 +1,7 @@
 """The batched multi-slice reconstruction engine.
 
 One :class:`BatchFitEngine` owns everything a grid's worth of
-reconstructions can share — the boundary Green table, the dense edge-flux
+reconstructions can share — the boundary Green table, the edge-flux
 operator factored out of ``pflux_``, the interior-solver factorisation,
 the diagnostic response matrices and the solver's
 :class:`~repro.efit.fitting.GridStatics` (limiter mask, limiter contour,
@@ -14,9 +14,9 @@ lockstep Picard iteration:
   ``solver.fit`` and to serving);
 * that step runs in its batched form
   (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`): one
-  ``(n_edge, nw*nh) @ (nw*nh, B)`` GEMM computes every slice's boundary
-  Green sums at once, and one multi-RHS sine-transform solve handles all
-  interior systems;
+  operator apply on a ``(nw*nh, B)`` column stack computes every slice's
+  boundary Green sums at once, and one multi-RHS sine-transform solve
+  handles all interior systems;
 * every batch-level array lives in a per-worker
   :class:`~repro.batch.workspace.FitWorkspace`, so steady-state iterates
   allocate nothing.
@@ -49,8 +49,7 @@ from repro.efit.fitting import EfitSolver, FitResult, GridStatics
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.efit.measurements import MeasurementSet
-from repro.efit.operators import EdgeOperator, cached_edge_operator
-from repro.efit.tables import cached_boundary_tables
+from repro.efit.operators import EdgeOperator
 from repro.errors import FittingError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks
 from repro.profiling.regions import RegionProfiler
@@ -92,9 +91,11 @@ class BatchFitEngine:
         The multi-process fleet passes shared-memory-backed operators
         here so workers skip the build entirely.
     boundary_method:
-        Representation to build when ``edge_operator`` is not supplied —
-        one of :data:`repro.efit.operators.EDGE_METHODS` (``"dense"``
-        default; the compressed forms win on 129^2+ grids).
+        Representation to apply when ``edge_operator`` is not supplied —
+        one of :data:`repro.efit.operators.EDGE_METHODS`; not given, it
+        is :data:`~repro.edge_methods.DEFAULT_EDGE_METHOD`, the same
+        cached operator object a bare :class:`EfitSolver` applies.
+        Naming a method the supplied operator is not is an error.
     solver_kwargs:
         Forwarded to the underlying :class:`EfitSolver` (bases, solver
         name, tolerances, ...).
@@ -110,7 +111,7 @@ class BatchFitEngine:
         n_workers: int = 1,
         hooks: ObservationHooks | None = None,
         edge_operator: EdgeOperator | None = None,
-        boundary_method: str = "dense",
+        boundary_method: str | None = None,
         **solver_kwargs,
     ) -> None:
         if batch_size < 1:
@@ -120,24 +121,22 @@ class BatchFitEngine:
         self.batch_size = batch_size
         self.n_workers = n_workers
         self.hooks = hooks if hooks is not None else NULL_HOOKS
-        if edge_operator is None:
-            edge_operator = cached_edge_operator(
-                cached_boundary_tables(grid), boundary_method
-            )
-        elif boundary_method != "dense" and edge_operator.method != boundary_method:
-            raise FittingError(
-                f"edge_operator method {edge_operator.method!r} != "
-                f"boundary_method {boundary_method!r}"
-            )
-        #: The boundary Green sums as an :class:`EdgeOperator`.
-        self.edge_op = edge_operator
-        self.boundary_method = edge_operator.method
         #: The shared per-grid setup: Green tables, solver factorisation,
-        #: response matrices — built once, reused by every worker — with
-        #: ``edge_op`` as its flux step.
+        #: response matrices — built once, reused by every worker.  The
+        #: solver resolves the operator (and rejects a named method that
+        #: disagrees with a supplied one) exactly as a bare one does.
         self.solver = EfitSolver(
-            machine, diagnostics, grid, pflux_impl=edge_operator, **solver_kwargs
+            machine,
+            diagnostics,
+            grid,
+            pflux_impl=edge_operator,
+            boundary_method=boundary_method,
+            **solver_kwargs,
         )
+        #: The boundary Green sums as an :class:`EdgeOperator` — the
+        #: solver's flux step.
+        self.edge_op = self.solver.pflux.operator
+        self.boundary_method = self.edge_op.method
         #: Per-worker arenas/profilers, persistent across ``fit_many``
         #: calls so the steady state allocates nothing.
         self._workspaces = [FitWorkspace() for _ in range(n_workers)]

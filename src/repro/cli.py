@@ -66,7 +66,7 @@ def _add_problem_options(
     ``--boundary-method``: the problem a command reconstructs."""
     # Both choice lists come from import-light modules (no numpy, no efit
     # tables), so an unknown value fails argparse-style: exit 2, full list.
-    from repro.edge_methods import EDGE_METHODS
+    from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
     from repro.scenarios import scenario_names
 
     if scenario_default is not None:
@@ -78,7 +78,8 @@ def _add_problem_options(
         )
     p.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p.add_argument(
-        "--boundary-method", choices=EDGE_METHODS, default="dense", help=method_help
+        "--boundary-method", choices=EDGE_METHODS, default=DEFAULT_EDGE_METHOD,
+        help=f"{method_help} (default {DEFAULT_EDGE_METHOD})",
     )
 
 
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
     _add_problem_options(
         p_fit,
-        "edge-flux operator representation (default dense)",
+        "edge-flux operator representation",
         scenario_default=DEFAULT_SCENARIO,
     )
     p_fit.add_argument("--noise", type=float, default=1e-3, help="measurement noise")
@@ -177,9 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write all current findings to the baseline file and exit 0",
     )
-    _add_problem_options(
-        p_an,
-        "edge-operator representation the directive registry prices (default dense)",
+    p_an.add_argument(
+        "--grid", type=int, default=65,
+        help="grid size the directive registry is priced at (default 65)",
     )
     p_an.add_argument(
         "--max-traffic-ratio",
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_problem_options(
         p_pf,
-        "edge-flux operator the fleet stages in the shared arena (default dense)",
+        "edge-flux operator the fleet stages in the shared arena",
         scenario_help="registered machine/shot scenario (same registry as the "
         "positional case; giving both conflicting forms is an error)",
     )
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_options(
         p_sv,
         "edge-flux operator of the shared engine, applied by every "
-        "stream's solves (default dense)",
+        "stream's solves",
         scenario_default=DEFAULT_SCENARIO,
     )
     p_sv.add_argument(
@@ -469,7 +470,6 @@ def _cmd_analyze(args) -> int:
     families = tuple(dict.fromkeys(args.family)) if args.family else ALL_FAMILIES
     config = AnalysisConfig(
         grid=args.grid,
-        boundary_method=args.boundary_method,
         max_traffic_ratio=args.max_traffic_ratio,
         families=families,
     )

@@ -44,7 +44,6 @@ from repro.directives.openacc import AccEndKernels, AccKernels, AccLoop, AccPara
 from repro.directives.openmp import OmpParallelDo, OmpTargetTeamsDistribute
 from repro.directives.registry import AnnotatedKernel, KernelRegistry
 from repro.efit.grid import RZGrid
-from repro.efit.operators import EDGE_METHODS as _BOUNDARY_METHODS
 from repro.efit.pflux import PfluxBase, boundary_flux_vectorized
 from repro.efit.solvers.base import GSInteriorSolver
 from repro.efit.tables import BoundaryGreensTables
@@ -55,7 +54,6 @@ from repro.runtime.memory import DeviceArray, Direction
 
 __all__ = [
     "PFLUX_SOURCE_LINES",
-    "LOWRANK_RANK_FRACTION",
     "build_pflux_registry",
     "pflux_device_arrays",
     "PfluxOffloadModel",
@@ -66,92 +64,7 @@ __all__ = [
 #: each 4-line directive group as 1.0% of the routine -> ~400 lines.
 PFLUX_SOURCE_LINES = 400
 
-#: Modeled mean per-offset rank fraction of the low-rank edge operator,
-#: r̄ / (nw - 2).  Calibrated against the measured factorization at
-#: 257^2 (total ~31 MB vs the 541 MB dense matrix); used so the cost
-#: model stays count-only and never needs the real SVD (usable at any
-#: grid size, including 513^2).
-LOWRANK_RANK_FRACTION = 0.12
-
 _REDUCTIONS = ("tempsum1", "tempsum2")
-
-
-def _edge_embedding_length(nh: int) -> int:
-    """Circulant embedding length of the Toeplitz vertical edges.
-
-    Mirrors :mod:`repro.efit.operators.edge`: the next fast real-FFT
-    length at or above ``2*nh - 1`` (a plain ``2*nh`` hits Bluestein on
-    prime ``nh`` and forfeits the speedup).
-    """
-    import scipy.fft as sfft
-
-    return int(sfft.next_fast_len(2 * nh - 1, real=True))
-
-
-def _structured_boundary_nests(
-    nw: int, nh: int, boundary_method: str
-) -> tuple[LoopNest, LoopNest]:
-    """The boundary nest pair under a compressed edge-operator apply.
-
-    Keeps the ``boundary_lr`` / ``boundary_tb`` names (baseline
-    fingerprints stay comparable across methods) but swaps the O(N^3)
-    Green-table sweeps for the structured equivalents: a spectral
-    pointwise product over the circulant embedding for the vertical
-    edges, and either the thin Green-table GEMM (Toeplitz) or the
-    rank-packed batched matmuls (low-rank) for the horizontal edges.
-    The :class:`~repro.directives.ir.ArrayRef` byte counts are the
-    *compressed* footprints, which is what the excess-traffic rule
-    prices.
-    """
-    m = _edge_embedding_length(nh)
-    n_freq = m // 2 + 1
-    # Vertical edges: psi_hat[e,f,b] = sum_i spectra[e,f,i] * pcurr_hat[i,f,b].
-    # The even-symmetric embedding makes the spectra purely real; the
-    # transformed current column is complex, priced as interleaved re/im
-    # scalars (two 8-byte elements per frequency).
-    lr = LoopNest(
-        name="boundary_lr",
-        loops=(Loop("e", 2), Loop("f", n_freq), Loop("i", nw)),
-        flops_per_iteration=2.0,
-        arrays=(
-            ArrayRef("edge_spectra", 2 * n_freq * nw, AccessMode.READ, 1.0),
-            ArrayRef("pcurr_hat", 2 * n_freq * nw, AccessMode.READ, 2.0),
-            ArrayRef("psi", 2 * nh, AccessMode.WRITE, 2.0 / (n_freq * nw)),
-        ),
-        n_outer=1,
-        reductions=_REDUCTIONS,
-    )
-    if boundary_method == "toeplitz":
-        # Horizontal edges: one GEMM against the interior Green-table rows
-        # (a view over gridpc — no extra storage, but 2 columns fewer).
-        tb = LoopNest(
-            name="boundary_tb",
-            loops=(Loop("i", nw - 2), Loop("ii", nw), Loop("jj", nh)),
-            flops_per_iteration=4.0,
-            arrays=(
-                ArrayRef("gridpc_edge", (nw - 2) * nh * nw, AccessMode.READ, 2.0),
-                ArrayRef("pcurr", nw * nh, AccessMode.READ, 1.0),
-                ArrayRef("psi", 2 * nw, AccessMode.WRITE, 2.0 / (nw * nh)),
-            ),
-            n_outer=1,
-            reductions=_REDUCTIONS,
-        )
-    else:  # lowrank
-        rbar = max(4, round(LOWRANK_RANK_FRACTION * max(nw - 2, 1)))
-        tb = LoopNest(
-            name="boundary_tb",
-            loops=(Loop("d", nh), Loop("r", rbar), Loop("i", nw)),
-            flops_per_iteration=4.0,
-            arrays=(
-                ArrayRef("edge_u", nh * rbar * (nw - 2), AccessMode.READ, 1.0),
-                ArrayRef("edge_w", nh * rbar * nw, AccessMode.READ, 1.0),
-                ArrayRef("pcurr", nw * nh, AccessMode.READ, 1.0),
-                ArrayRef("psi", 2 * nw, AccessMode.WRITE, 2.0 / (nh * rbar * nw)),
-            ),
-            n_outer=1,
-            reductions=_REDUCTIONS,
-        )
-    return lr, tb
 
 
 def _boundary_directives(num_workers: int, vector_length: int):
@@ -186,68 +99,51 @@ def build_pflux_registry(
     *,
     num_workers: int = 4,
     vector_length: int = 32,
-    boundary_method: str = "dense",
 ) -> KernelRegistry:
     """Assemble the annotated-kernel registry of the offloaded ``pflux_``.
 
     ``vector_length`` follows the paper: 32 (warp) on NVIDIA, 64
-    (wavefront) on AMD.  ``boundary_method`` selects the boundary-flux
-    representation the model prices (the same names
-    :class:`~repro.efit.fitting.EfitSolver` accepts): ``dense`` is the
-    paper's O(N^3) Green-table sweep; the structured methods swap the
-    two boundary nests for their compressed equivalents so the
-    excess-traffic rule sees compressed byte counts.
+    (wavefront) on AMD.  The boundary pair is the paper's O(N^3)
+    Green-table sweep, the one kernel it prices.
     """
     nh = nh if nh is not None else nw
     n2 = nw * nh
-    if boundary_method not in _BOUNDARY_METHODS:
-        from repro.errors import AnalysisError
-
-        raise AnalysisError(
-            f"unknown boundary_method {boundary_method!r}; "
-            f"known: {', '.join(_BOUNDARY_METHODS)}"
-        )
     registry = KernelRegistry("pflux_", PFLUX_SOURCE_LINES)
 
     acc_b, omp_b = _boundary_directives(num_workers, vector_length)
-    if boundary_method == "dense":
-        boundary_nests = (
-            LoopNest(
-                name="boundary_lr",
-                loops=(Loop("j", nh), Loop("ii", nw), Loop("jj", nh)),
-                flops_per_iteration=4.0,
-                arrays=(
-                    ArrayRef("gridpc", 2 * nh * nw, AccessMode.READ, 2.0),
-                    ArrayRef("pcurr", n2, AccessMode.READ, 1.0),
-                    ArrayRef("psi", 2 * nh, AccessMode.WRITE, 2.0 / n2),
-                ),
-                n_outer=1,
-                reductions=_REDUCTIONS,
+    boundary_nests = (
+        LoopNest(
+            name="boundary_lr",
+            loops=(Loop("j", nh), Loop("ii", nw), Loop("jj", nh)),
+            flops_per_iteration=4.0,
+            arrays=(
+                ArrayRef("gridpc", 2 * nh * nw, AccessMode.READ, 2.0),
+                ArrayRef("pcurr", n2, AccessMode.READ, 1.0),
+                ArrayRef("psi", 2 * nh, AccessMode.WRITE, 2.0 / n2),
             ),
-            LoopNest(
-                name="boundary_tb",
-                loops=(Loop("i", nw), Loop("ii", nw), Loop("jj", nh)),
-                flops_per_iteration=4.0,
-                arrays=(
-                    ArrayRef("gridpc", nw * nh * nw, AccessMode.READ, 2.0),
-                    ArrayRef("pcurr", n2, AccessMode.READ, 1.0),
-                    ArrayRef("psi", 2 * nw, AccessMode.WRITE, 2.0 / n2),
-                ),
-                n_outer=1,
-                reductions=_REDUCTIONS,
+            n_outer=1,
+            reductions=_REDUCTIONS,
+        ),
+        LoopNest(
+            name="boundary_tb",
+            loops=(Loop("i", nw), Loop("ii", nw), Loop("jj", nh)),
+            flops_per_iteration=4.0,
+            arrays=(
+                ArrayRef("gridpc", nw * nh * nw, AccessMode.READ, 2.0),
+                ArrayRef("pcurr", n2, AccessMode.READ, 1.0),
+                ArrayRef("psi", 2 * nw, AccessMode.WRITE, 2.0 / n2),
             ),
-        )
-    else:
-        boundary_nests = _structured_boundary_nests(nw, nh, boundary_method)
+            n_outer=1,
+            reductions=_REDUCTIONS,
+        ),
+    )
     for nest in boundary_nests:
         registry.register(
             AnnotatedKernel(
                 nest=nest,
                 acc_directives=acc_b,
                 omp_directives=omp_b,
-                # Structured applies bring the boundary work down to the
-                # grid class (O(N^2 log N) FFT / O(N^2 r) rank products).
-                complexity="O(N^3)" if boundary_method == "dense" else "O(N^2)",
+                complexity="O(N^3)",
             )
         )
 
@@ -325,9 +221,7 @@ def build_pflux_registry(
     return registry
 
 
-def pflux_device_arrays(
-    nw: int, nh: int | None = None, *, boundary_method: str = "dense"
-) -> list[DeviceArray]:
+def pflux_device_arrays(nw: int, nh: int | None = None) -> list[DeviceArray]:
     """The arrays one ``pflux_`` invocation touches, for data management.
 
     The Green table is staged once and stays device-resident; ``pcurr`` is
@@ -335,66 +229,11 @@ def pflux_device_arrays(
     back by ``steps_`` every iterate (D2H each call); the Fortran work
     arrays are allocated/freed per call — the population whose residency
     the Cray default mallopt destroys (Figure 4).
-
-    ``boundary_method`` swaps the resident Green table for the compressed
-    edge-operator arrays — the working-set capacity check then reflects
-    the method actually staged (low-rank fits grids the 8-byte dense
-    table does not).
     """
     nh = nh if nh is not None else nw
     n2_bytes = float(nw * nh * 8)
-    if boundary_method == "dense":
-        boundary = [
-            DeviceArray(
-                "gridpc", float(nw * nh * nw * 8), Direction.RESIDENT, persistent=True
-            ),
-        ]
-    else:
-        n_freq = _edge_embedding_length(nh) // 2 + 1
-        boundary = [
-            DeviceArray(
-                "edge_spectra",
-                float(2 * n_freq * nw * 8),
-                Direction.RESIDENT,
-                persistent=True,
-            ),
-            # The transformed current column: recomputed per call, complex.
-            DeviceArray(
-                "pcurr_hat",
-                float(n_freq * nw * 16),
-                Direction.SCRATCH,
-                persistent=False,
-            ),
-        ]
-        if boundary_method == "toeplitz":
-            boundary.append(
-                DeviceArray(
-                    "gridpc_edge",
-                    float((nw - 2) * nh * nw * 8),
-                    Direction.RESIDENT,
-                    persistent=True,
-                )
-            )
-        else:
-            rbar = max(4, round(LOWRANK_RANK_FRACTION * max(nw - 2, 1)))
-            boundary.extend(
-                (
-                    DeviceArray(
-                        "edge_u",
-                        float(nh * rbar * (nw - 2) * 8),
-                        Direction.RESIDENT,
-                        persistent=True,
-                    ),
-                    DeviceArray(
-                        "edge_w",
-                        float(nh * rbar * nw * 8),
-                        Direction.RESIDENT,
-                        persistent=True,
-                    ),
-                )
-            )
     arrays = [
-        *boundary,
+        DeviceArray("gridpc", float(nw * nh * nw * 8), Direction.RESIDENT, persistent=True),
         DeviceArray("psi_ext", n2_bytes, Direction.RESIDENT, persistent=True),
         DeviceArray("rgrid", float(nw * 8), Direction.RESIDENT, persistent=True),
         DeviceArray("pcurr", n2_bytes, Direction.IN, persistent=True),

@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.analysis.markers import hot_path
+from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.boundary import BoundaryResult, find_boundary
 from repro.efit.basis import PolynomialBasis
 from repro.efit.current import basis_current_matrix
@@ -32,12 +33,7 @@ from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.efit.measurements import MeasurementSet
 from repro.efit.operators import EdgeOperator, cached_edge_operator
-from repro.efit.pflux import (
-    PfluxBase,
-    PfluxReference,
-    PfluxStructured,
-    PfluxVectorized,
-)
+from repro.efit.pflux import PfluxBase, PfluxStructured
 from repro.efit.profiles import ProfileCoefficients
 from repro.efit.response import assemble_response, chi_squared, solve_weighted_lsq
 from repro.efit.solvers import make_solver
@@ -198,19 +194,21 @@ class EfitSolver:
     Parameters
     ----------
     pflux_impl:
-        ``"vectorized"`` (default: Green-table sums, no operator is
-        built), ``"reference"`` (the pure-loop baseline — slow, small
-        grids only), a ready-made :class:`~repro.efit.pflux.PfluxBase`
-        instance (the GPU-offloaded variants from
-        :mod:`repro.core.offload` plug in here), or an
-        :class:`~repro.efit.operators.EdgeOperator` to apply — how an
-        engine puts its solver on the operator it owns.
+        The flux step, as an instance: an
+        :class:`~repro.efit.operators.EdgeOperator` to apply (how an
+        engine or a fleet worker puts its solver on the operator it
+        owns), or a ready-made :class:`~repro.efit.pflux.PfluxBase` (the
+        GPU-offloaded variants from :mod:`repro.core.offload` and the
+        paper's loop baseline :class:`~repro.efit.pflux.PfluxReference`
+        plug in here).  Not given, the solver applies the process-wide
+        cached operator of ``boundary_method``.
     boundary_method:
-        Edge-flux operator representation for the boundary Green sums:
-        ``"dense"`` (default — whatever ``pflux_impl`` says), or one of
-        the structured forms in :data:`repro.efit.operators.EDGE_METHODS`,
-        which beat the dense GEMM on 129^2+ grids.
-        Mutually exclusive with a non-default ``pflux_impl``.
+        Which :data:`repro.efit.operators.EDGE_METHODS` representation
+        of the boundary Green sums to apply; not given, it is
+        :data:`~repro.edge_methods.DEFAULT_EDGE_METHOD`.  Naming one next
+        to an operator of another method, or next to a ``PfluxBase``, is
+        an error.  The attribute reads the applied operator's method
+        (``None`` under a foreign ``PfluxBase``).
     profiler:
         Optional :class:`RegionProfiler`; regions ``steps_``, ``current_``,
         ``green_``, ``pflux_`` and ``other`` accumulate per ``fit_``
@@ -232,8 +230,8 @@ class EfitSolver:
         pp_basis: PolynomialBasis | None = None,
         ffp_basis: PolynomialBasis | None = None,
         solver_name: str = "dst",
-        pflux_impl: str | PfluxBase = "vectorized",
-        boundary_method: str = "dense",
+        pflux_impl: PfluxBase | EdgeOperator | None = None,
+        boundary_method: str | None = None,
         tol: float = 1e-5,
         max_iters: int = 100,
         relax: float = 1.0,
@@ -288,23 +286,33 @@ class EfitSolver:
         # --- one-time green_ setup -------------------------------------------
         self.tables = cached_boundary_tables(grid)
         self.solver = make_solver(solver_name, grid)
-        if boundary_method != "dense":
-            if pflux_impl != "vectorized":
-                raise FittingError(
-                    "pass either pflux_impl or boundary_method, not both"
-                )
-            pflux_impl = cached_edge_operator(self.tables, boundary_method)
+        if pflux_impl is None:
+            pflux_impl = cached_edge_operator(
+                self.tables,
+                DEFAULT_EDGE_METHOD if boundary_method is None else boundary_method,
+            )
         if isinstance(pflux_impl, EdgeOperator):
-            boundary_method = pflux_impl.method
+            if boundary_method not in (None, pflux_impl.method):
+                raise FittingError(
+                    f"pflux_impl is a {pflux_impl.method!r} operator but "
+                    f"boundary_method names {boundary_method!r}"
+                )
             self.pflux = PfluxStructured(grid, self.tables, self.solver, pflux_impl)
+            boundary_method = pflux_impl.method
         elif isinstance(pflux_impl, PfluxBase):
+            if boundary_method is not None:
+                raise FittingError(
+                    "pass either a PfluxBase as pflux_impl or boundary_method, "
+                    "not both"
+                )
             self.pflux = pflux_impl
-        elif pflux_impl == "vectorized":
-            self.pflux = PfluxVectorized(grid, self.tables, self.solver)
-        elif pflux_impl == "reference":
-            self.pflux = PfluxReference(grid, self.tables, self.solver)
         else:
-            raise FittingError(f"unknown pflux implementation {pflux_impl!r}")
+            raise FittingError(
+                f"pflux_impl must be an EdgeOperator or PfluxBase instance, "
+                f"got {pflux_impl!r}"
+            )
+        #: Method of the applied edge operator; ``None`` under a foreign
+        #: :class:`~repro.efit.pflux.PfluxBase`.
         self.boundary_method = boundary_method
         self.grid_response = diagnostics.response_to_grid(grid)
         self.coil_response = diagnostics.response_to_coils(machine)

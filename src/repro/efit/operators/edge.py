@@ -24,7 +24,8 @@ has exploitable structure (paper Figs. 2/3):
 
 Both structured forms and the exact dense matrix live behind the
 :class:`EdgeOperator` protocol that ``EfitSolver``/``BatchFitEngine``/
-``ParallelFitEngine`` select with their ``boundary_method`` kwarg.
+``ParallelFitEngine`` select with their ``boundary_method`` kwarg
+(:data:`~repro.edge_methods.DEFAULT_EDGE_METHOD` when it is not given).
 
 Every structured build first runs :func:`validate_edge_structure`, which
 spot-checks the translation-invariance assumption against direct Green
@@ -215,14 +216,14 @@ class EdgeOperator(abc.ABC):
 
 
 class DenseEdgeOperator(EdgeOperator):
-    """The exact dense matrix — ground truth and default.
+    """The exact dense matrix — the ground truth the structured forms
+    are checked against (``repro operators``, the nightly drift job).
 
     ``apply`` is :func:`repro.efit.pflux.boundary_flux_operator`, one
-    GEMM with no input coercion (goldens on the default path must not
-    move).
+    GEMM with no input coercion.
     """
 
-    method = "dense"
+    method = EDGE_METHODS[0]  # "dense", the oracle
 
     def __init__(self, grid: RZGrid, matrix: np.ndarray) -> None:
         super().__init__(grid)
@@ -549,7 +550,7 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
 
 def build_edge_operator(
     tables: BoundaryGreensTables,
-    method: str = "dense",
+    method: str,
     *,
     tol: float = 1e-12,
     validate: bool = True,

@@ -95,7 +95,7 @@ class ArenaSpec:
     segments: tuple[ArenaSegment, ...]
     #: Edge-operator representation stored in the arena (one of
     #: :data:`repro.efit.operators.EDGE_METHODS`).
-    boundary_method: str = "dense"
+    boundary_method: str
     #: Content identity — grid hash + method + rank tag — so
     #: two processes can tell at a glance whether their arenas are
     #: interchangeable (the distributed-fleet transport will key on it).
@@ -169,16 +169,18 @@ class TableArena:
         self._unlinked = False
 
     @classmethod
-    def build(cls, grid: RZGrid, boundary_method: str = "dense") -> "TableArena":
+    def build(cls, grid: RZGrid, boundary_method: str) -> "TableArena":
         """Copy the (cached) boundary tables + edge operator into shm.
 
         ``boundary_method`` picks the operator representation shared with
         the workers; whichever it is, its
         :meth:`~repro.efit.operators.EdgeOperator.to_arrays` segments are
-        stored under ``op_*`` names — at 257x257 a ``lowrank`` arena is
-        ~510 MB smaller per *fleet* than a ``dense`` one (the pages are
-        shared either way, but the build, the copy and the cache pressure
-        all shrink).
+        stored under ``op_*`` names.  A ``toeplitz`` arena (the fleet's
+        default) is the Green table plus ``op_vert_spectra`` and
+        ``op_meta_i8`` — 71 kB beside the 2.2 MB table at 65x65; a
+        ``dense`` one adds the 8.7 MB ``op_matrix`` there and 541 MB at
+        257x257 (the pages are shared either way, but the build, the copy
+        and the cache pressure all grow with it).
         """
         tables = cached_boundary_tables(grid)
         op = cached_edge_operator(tables, boundary_method)
@@ -345,10 +347,10 @@ class ArenaManager:
         self._lock = threading.Lock()
 
     @staticmethod
-    def _key(grid: RZGrid, boundary_method: str = "dense") -> tuple:
+    def _key(grid: RZGrid, boundary_method: str) -> tuple:
         return (grid.geometry_hash(), boundary_method)
 
-    def acquire(self, grid: RZGrid, boundary_method: str = "dense") -> TableArena:
+    def acquire(self, grid: RZGrid, boundary_method: str) -> TableArena:
         key = self._key(grid, boundary_method)
         with self._lock:
             arena = self._arenas.get(key)
@@ -359,7 +361,7 @@ class ArenaManager:
             self._refs[key] += 1
             return arena
 
-    def release(self, grid: RZGrid, boundary_method: str = "dense") -> None:
+    def release(self, grid: RZGrid, boundary_method: str) -> None:
         key = self._key(grid, boundary_method)
         with self._lock:
             if key not in self._refs:
@@ -369,7 +371,7 @@ class ArenaManager:
                 self._arenas.pop(key).unlink()
                 del self._refs[key]
 
-    def refcount(self, grid: RZGrid, boundary_method: str = "dense") -> int:
+    def refcount(self, grid: RZGrid, boundary_method: str) -> int:
         with self._lock:
             return self._refs.get(self._key(grid, boundary_method), 0)
 

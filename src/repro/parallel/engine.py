@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.batch.engine import BatchFitEngine
 from repro.batch.slices import BatchStats, batch_groups
+from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.fitting import FitResult
 from repro.efit.grid import RZGrid
@@ -134,7 +135,10 @@ class ParallelFitEngine:
     ``workers`` replaces ``n_workers`` (processes, not threads; 2 when
     neither it nor ``config`` is given) and ``config`` exposes the
     scheduler policy (timeouts, retry budget, transport) — a ``workers``
-    that disagrees with ``config.workers`` is an error.  Use as a context
+    that disagrees with ``config.workers`` is an error.  The arena holds
+    the Green table and the arrays of one edge operator,
+    ``boundary_method`` or, not given,
+    :data:`~repro.edge_methods.DEFAULT_EDGE_METHOD`.  Use as a context
     manager — or call :meth:`close` — to stop the pool and release the
     table arena.
     """
@@ -147,7 +151,7 @@ class ParallelFitEngine:
         *,
         batch_size: int = 8,
         workers: int | None = None,
-        boundary_method: str = "dense",
+        boundary_method: str | None = None,
         hooks: ObservationHooks | None = None,
         config: SchedulerConfig | None = None,
         **solver_kwargs,
@@ -157,7 +161,9 @@ class ParallelFitEngine:
         self.batch_size = batch_size
         self.hooks = hooks if hooks is not None else NULL_HOOKS
         self.grid = grid
-        self.boundary_method = boundary_method
+        self.boundary_method = (
+            DEFAULT_EDGE_METHOD if boundary_method is None else boundary_method
+        )
         if config is None:
             config = SchedulerConfig(workers=2 if workers is None else workers)
         elif workers is not None and workers != config.workers:
@@ -168,7 +174,7 @@ class ParallelFitEngine:
             )
         self.config = config
         self._manager = arena_manager()
-        self.arena = self._manager.acquire(grid, boundary_method)
+        self.arena = self._manager.acquire(grid, self.boundary_method)
         self._released = False
         self.scheduler = ProcessScheduler(
             _init_fit_worker,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
+from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.fitting import EfitSolver
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
@@ -21,7 +22,8 @@ def slices4(shot33):
 @pytest.fixture(scope="module")
 def dense_batch(shot33, slices4):
     engine = BatchFitEngine(
-        shot33.machine, shot33.diagnostics, shot33.grid, batch_size=2
+        shot33.machine, shot33.diagnostics, shot33.grid, batch_size=2,
+        boundary_method="dense",
     )
     return engine.fit_many(slices4)
 
@@ -35,10 +37,13 @@ def _rel_dev(dense_batch, batch):
 
 
 class TestBoundaryMethodKwarg:
-    def test_default_is_dense(self, shot33):
+    def test_default_is_the_named_constant(self, shot33):
         engine = BatchFitEngine(shot33.machine, shot33.diagnostics, shot33.grid)
-        assert engine.boundary_method == "dense"
-        assert engine.edge_op.method == "dense"
+        assert engine.boundary_method == DEFAULT_EDGE_METHOD
+        assert engine.edge_op.method == DEFAULT_EDGE_METHOD
+        # One cached object: a bare solver, the engine and its solver.
+        bare = EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid)
+        assert bare.pflux.operator is engine.edge_op is engine.solver.pflux.operator
 
     @pytest.mark.parametrize("method,bound", [("lowrank", 1e-10), ("toeplitz", 1e-10)])
     def test_fp64_methods_track_dense(self, shot33, slices4, dense_batch, method, bound):
@@ -113,12 +118,15 @@ class TestEdgeOperatorInstance:
         assert errs[0] == errs[1] <= 1e-10
 
     def test_method_mismatch_rejected(self, shot33):
+        """Any named method that is not the operator's raises — ``"dense"``
+        too, which used to double as "not given" and was let through."""
         op = cached_edge_operator(cached_boundary_tables(shot33.grid), "lowrank")
-        with pytest.raises(FittingError, match="boundary_method"):
-            BatchFitEngine(
-                shot33.machine,
-                shot33.diagnostics,
-                shot33.grid,
-                edge_operator=op,
-                boundary_method="toeplitz",
-            )
+        for named in ("toeplitz", "dense"):
+            with pytest.raises(FittingError, match="boundary_method"):
+                BatchFitEngine(
+                    shot33.machine,
+                    shot33.diagnostics,
+                    shot33.grid,
+                    edge_operator=op,
+                    boundary_method=named,
+                )

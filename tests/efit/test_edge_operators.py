@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.fitting import EfitSolver
 from repro.efit.grid import RZGrid
 from repro.efit.operators import (
@@ -233,12 +234,18 @@ class TestSolverIntegration:
 
     @pytest.fixture(scope="class")
     def dense_fit(self, shot):
-        solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
+        solver = EfitSolver(
+            shot.machine, shot.diagnostics, shot.grid, boundary_method="dense"
+        )
         return solver.fit(shot.measurements)
 
-    def test_default_is_dense(self, shot):
+    def test_default_is_the_named_constant(self, shot):
+        from repro.batch import BatchFitEngine
+
         solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
-        assert solver.boundary_method == "dense"
+        assert solver.boundary_method == DEFAULT_EDGE_METHOD
+        engine = BatchFitEngine(shot.machine, shot.diagnostics, shot.grid)
+        assert solver.pflux.operator is engine.edge_op
 
     @pytest.mark.parametrize("method", ["toeplitz", "lowrank"])
     def test_fp64_structured_fit_matches(self, shot, dense_fit, method):
@@ -253,11 +260,44 @@ class TestSolverIntegration:
         assert rel < 1e-10
 
     def test_conflicting_pflux_impl_rejected(self, shot):
+        """A foreign ``PfluxBase`` has no method to agree with: naming one
+        — any one — beside it raises, and without one the solver reports
+        ``None``."""
+        from repro.efit.pflux import PfluxVectorized
+        from repro.efit.solvers import make_solver
+
+        impl = PfluxVectorized(
+            shot.grid, cached_boundary_tables(shot.grid), make_solver("dst", shot.grid)
+        )
+        for named in EDGE_METHODS:
+            with pytest.raises(FittingError, match="boundary_method"):
+                EfitSolver(
+                    shot.machine, shot.diagnostics, shot.grid,
+                    pflux_impl=impl, boundary_method=named,
+                )
+        solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid, pflux_impl=impl)
+        assert solver.boundary_method is None and solver.pflux is impl
+
+    @pytest.mark.parametrize("named", ["toeplitz", "dense"])
+    def test_operator_method_mismatch_rejected(self, shot, named):
+        """``"dense"`` is a method like the others, not "not given": it
+        used to be let through beside a lowrank operator."""
+        op = cached_edge_operator(cached_boundary_tables(shot.grid), "lowrank")
         with pytest.raises(FittingError, match="boundary_method"):
             EfitSolver(
                 shot.machine, shot.diagnostics, shot.grid,
-                pflux_impl="reference", boundary_method="lowrank",
+                pflux_impl=op, boundary_method=named,
             )
+        solver = EfitSolver(
+            shot.machine, shot.diagnostics, shot.grid,
+            pflux_impl=op, boundary_method="lowrank",
+        )
+        assert solver.boundary_method == "lowrank" and solver.pflux.operator is op
+
+    @pytest.mark.parametrize("removed", ["vectorized", "reference"])
+    def test_removed_pflux_impl_strings_rejected(self, shot, removed):
+        with pytest.raises(FittingError, match="instance"):
+            EfitSolver(shot.machine, shot.diagnostics, shot.grid, pflux_impl=removed)
 
     def test_unknown_method_rejected(self, shot):
         with pytest.raises(OperatorError):

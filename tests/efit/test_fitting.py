@@ -183,20 +183,28 @@ class TestConfiguration:
             EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, **knob)
 
     def test_reference_pflux_impl_agrees(self, shot33):
-        """The pure-loop pflux_ baseline produces the same reconstruction
-        (slow: only run on the small grid)."""
+        """The paper's loop baseline, its BLAS form and the default edge
+        operator produce the same reconstruction (the loops are slow:
+        only run on the small grid)."""
         import repro.efit.measurements as m
+        from repro.efit.pflux import PfluxReference, PfluxVectorized
+        from repro.efit.solvers import make_solver
+        from repro.efit.tables import cached_boundary_tables
 
         small = m.synthetic_shot_186610(17, noise=0.0, seed=2)
-        kw = dict(max_iters=300)
-        ref = EfitSolver(small.machine, small.diagnostics, small.grid, pflux_impl="reference", **kw).fit(
-            small.measurements
-        )
-        vec = EfitSolver(small.machine, small.diagnostics, small.grid, pflux_impl="vectorized", **kw).fit(
-            small.measurements
-        )
-        assert np.allclose(ref.psi, vec.psi, rtol=1e-10, atol=1e-12)
-        assert ref.iterations == vec.iterations
+        tables = cached_boundary_tables(small.grid)
+
+        def fit(**kw):
+            return EfitSolver(
+                small.machine, small.diagnostics, small.grid, max_iters=300, **kw
+            ).fit(small.measurements)
+
+        ref = fit(pflux_impl=PfluxReference(small.grid, tables, make_solver("dst", small.grid)))
+        vec = fit(pflux_impl=PfluxVectorized(small.grid, tables, make_solver("dst", small.grid)))
+        default = fit()
+        for other in (vec, default):
+            assert np.allclose(ref.psi, other.psi, rtol=1e-10, atol=1e-12)
+            assert ref.iterations == other.iterations
 
     def test_profiler_regions_recorded(self, shot33):
         prof = RegionProfiler()

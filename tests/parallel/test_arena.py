@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.grid import RZGrid
 from repro.efit.pflux import edge_flux_operator
 from repro.efit.tables import (
@@ -26,7 +27,8 @@ def grid():
 
 @pytest.fixture(scope="module")
 def arena(grid):
-    arena = TableArena.build(grid)
+    # The tests below read ``.matrix``: the oracle's layout, by name.
+    arena = TableArena.build(grid, "dense")
     yield arena
     arena.unlink()
 
@@ -59,7 +61,7 @@ class TestTableArena:
         assert arena.nbytes == tables.gpc.nbytes + edge_op.nbytes
 
     def test_unlink_is_idempotent(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         arena.unlink()
         arena.unlink()
 
@@ -78,7 +80,7 @@ class TestAttach:
             attached.close()
 
     def test_attach_after_unlink_raises(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         spec = arena.spec
         arena.unlink()
         with pytest.raises(ArenaError):
@@ -88,29 +90,29 @@ class TestAttach:
 class TestArenaManager:
     def test_refcounted_sharing_and_unlink_at_zero(self, grid):
         manager = ArenaManager()
-        a1 = manager.acquire(grid)
-        a2 = manager.acquire(grid)
+        a1 = manager.acquire(grid, DEFAULT_EDGE_METHOD)
+        a2 = manager.acquire(grid, DEFAULT_EDGE_METHOD)
         assert a1 is a2
-        assert manager.refcount(grid) == 2
+        assert manager.refcount(grid, DEFAULT_EDGE_METHOD) == 2
         assert len(manager) == 1
-        manager.release(grid)
-        assert manager.refcount(grid) == 1
+        manager.release(grid, DEFAULT_EDGE_METHOD)
+        assert manager.refcount(grid, DEFAULT_EDGE_METHOD) == 1
         spec = a1.spec
-        manager.release(grid)
-        assert manager.refcount(grid) == 0
+        manager.release(grid, DEFAULT_EDGE_METHOD)
+        assert manager.refcount(grid, DEFAULT_EDGE_METHOD) == 0
         assert len(manager) == 0
         with pytest.raises(ArenaError):
             attach_arena(spec)  # unlinked at refcount zero
 
     def test_release_without_acquire_raises(self, grid):
         with pytest.raises(ArenaError):
-            ArenaManager().release(grid)
+            ArenaManager().release(grid, DEFAULT_EDGE_METHOD)
 
     def test_distinct_grids_distinct_arenas(self, grid):
         manager = ArenaManager()
         other = RZGrid(9, 9)
-        a1 = manager.acquire(grid)
-        a2 = manager.acquire(other)
+        a1 = manager.acquire(grid, DEFAULT_EDGE_METHOD)
+        a2 = manager.acquire(other, DEFAULT_EDGE_METHOD)
         assert a1 is not a2
         assert len(manager) == 2
         assert manager.resident_bytes == a1.nbytes + a2.nbytes
@@ -119,14 +121,14 @@ class TestArenaManager:
 
     def test_shutdown_is_reentrant(self, grid):
         manager = ArenaManager()
-        manager.acquire(grid)
+        manager.acquire(grid, DEFAULT_EDGE_METHOD)
         manager.shutdown()
         manager.shutdown()
 
 
 class TestCacheSeeding:
     def test_seed_makes_get_return_shared_view(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         try:
             cache = BoundaryTableCache()
             cache.seed(arena.tables())
@@ -140,7 +142,7 @@ class TestCacheSeeding:
             arena.unlink()
 
     def test_seed_replaces_existing_entry(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         try:
             cache = BoundaryTableCache()
             cache.get(grid)  # private build first
@@ -152,7 +154,7 @@ class TestCacheSeeding:
     def test_double_drop_is_a_no_op(self, grid):
         """Teardown paths may race close() against each other; dropping
         an entry that is already gone must stay silent."""
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         try:
             cache = BoundaryTableCache()
             cache.seed(arena.tables())
@@ -177,7 +179,7 @@ class TestFailurePaths:
     each rule flags must fail as a clean ArenaError, not a segfault."""
 
     def test_parent_view_after_unlink_raises(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         arena.unlink()
         with pytest.raises(ArenaError, match="use-after-unlink"):
             arena.tables()
@@ -188,14 +190,14 @@ class TestFailurePaths:
         """The static rule's exact shape: view production ordered after
         teardown is refused (views taken before stay the caller's
         responsibility — the mapping itself is gone)."""
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         arena.tables()  # fine while live
         arena.unlink()
         with pytest.raises(ArenaError):
             arena.tables()
 
     def test_worker_view_after_close_raises(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         try:
             attached = attach_arena(arena.spec)
             attached.close()
@@ -207,7 +209,7 @@ class TestFailurePaths:
             arena.unlink()
 
     def test_worker_close_is_idempotent(self, grid):
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         try:
             attached = attach_arena(arena.spec)
             attached.close()
@@ -220,7 +222,7 @@ class TestFailurePaths:
         close) while attached; the parent's shutdown sweep must still
         unlink cleanly and leave nothing to attach to."""
         manager = ArenaManager()
-        arena = manager.acquire(grid)
+        arena = manager.acquire(grid, DEFAULT_EDGE_METHOD)
         spec = arena.spec
         proc = multiprocessing.get_context("fork").Process(
             target=_crash_while_attached, args=(spec,)

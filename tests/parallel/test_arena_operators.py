@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.edge_methods import EDGE_METHODS
+from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
 from repro.efit.grid import RZGrid
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
@@ -58,7 +58,7 @@ class TestStructuredArena:
     def test_dense_arena_uses_op_segments(self, grid, tables):
         """Dense has no layout of its own: its ``to_arrays()`` lands in
         ``op_*`` segments and ``edge_op()`` is the one way to read it."""
-        arena = TableArena.build(grid)
+        arena = TableArena.build(grid, "dense")
         try:
             assert arena.spec.boundary_method == "dense"
             assert [s.name for s in arena.spec.segments] == ["gpc", "op_matrix"]
@@ -80,7 +80,8 @@ class TestFleetBoundaryMethod:
         shot = synthetic_shot_186610(33)
         slices = synthetic_slice_sequence(shot, 4, seed=5)
         serial = BatchFitEngine(
-            shot.machine, shot.diagnostics, shot.grid, batch_size=2
+            shot.machine, shot.diagnostics, shot.grid, batch_size=2,
+            boundary_method="dense",
         ).fit_many(slices)
         with ParallelFitEngine(
             shot.machine,
@@ -100,14 +101,37 @@ class TestFleetBoundaryMethod:
             assert a.converged and b.converged
 
 
+    def test_default_fleet_stages_no_dense_matrix(self):
+        """A fleet that names no method stages the default operator: the
+        Green table it aliases plus its spectra — no ``op_matrix``."""
+        from repro.efit.measurements import synthetic_shot_186610
+        from repro.parallel import ParallelFitEngine, SchedulerConfig
+
+        shot = synthetic_shot_186610(33)
+        with ParallelFitEngine(
+            shot.machine,
+            shot.diagnostics,
+            shot.grid,
+            config=SchedulerConfig(workers=1, transport="inline"),
+        ) as engine:
+            assert engine.boundary_method == DEFAULT_EDGE_METHOD == "toeplitz"
+            spec = engine.arena.spec
+            assert spec.boundary_method == DEFAULT_EDGE_METHOD
+            assert [s.name for s in spec.segments] == [
+                "gpc", "op_vert_spectra", "op_meta_i8",
+            ]
+            gpc = cached_boundary_tables(shot.grid).gpc
+            assert gpc.nbytes < engine.arena.nbytes < 1.1 * gpc.nbytes
+
+
 class TestManagerKeying:
     def test_methods_get_distinct_arenas(self, grid):
         manager = ArenaManager()
-        dense = manager.acquire(grid)
+        dense = manager.acquire(grid, "dense")
         lowrank = manager.acquire(grid, "lowrank")
         try:
             assert dense is not lowrank
-            assert manager.refcount(grid) == 1
+            assert manager.refcount(grid, "dense") == 1
             assert manager.refcount(grid, "lowrank") == 1
             again = manager.acquire(grid, "lowrank")
             assert again is lowrank
@@ -115,6 +139,6 @@ class TestManagerKeying:
         finally:
             manager.release(grid, "lowrank")
             manager.release(grid, "lowrank")
-            manager.release(grid)
-        assert manager.refcount(grid) == 0
+            manager.release(grid, "dense")
+        assert manager.refcount(grid, "dense") == 0
         assert manager.refcount(grid, "lowrank") == 0

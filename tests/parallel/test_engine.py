@@ -125,7 +125,7 @@ class TestEngineApi:
         e2 = _inline_engine(shot, workers=1)
         try:
             assert e1.arena is e2.arena
-            assert e1._manager.refcount(shot.grid) >= 2
+            assert e1._manager.refcount(shot.grid, e1.boundary_method) >= 2
         finally:
             e1.close()
             e2.close()

@@ -80,6 +80,9 @@ def test_the_scan_finds_the_lanes():
     commands = {argv[0] for _, argv in INVOCATIONS}
     assert {"analyze", "pfleet", "fit", "serve", "trace", "operators"} <= commands
     assert sum(argv[0] == "fit" for _, argv in INVOCATIONS) == 4
+    # The fleet drill runs twice: on the default operator and on the oracle.
+    fleets = [argv for _, argv in INVOCATIONS if argv[0] == "pfleet"]
+    assert sorted("dense" in argv for argv in fleets) == [False, True]
 
 
 @pytest.mark.parametrize(

@@ -42,12 +42,27 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["operators", removed, "1e-3"])
 
-    @pytest.mark.parametrize("command", ["fit", "analyze"])
+    @pytest.mark.parametrize("command", ["fit"])
     def test_boundary_method_flag(self, command):
         args = build_parser().parse_args([command, "--boundary-method", "lowrank"])
         assert args.boundary_method == "lowrank"
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--boundary-method", "butterfly"])
+
+    def test_flag_default_is_the_named_constant(self):
+        from repro.edge_methods import DEFAULT_EDGE_METHOD
+
+        for command in ("fit", "pfleet", "serve"):
+            args = build_parser().parse_args([command])
+            assert args.boundary_method == DEFAULT_EDGE_METHOD
+
+    def test_analyze_prices_one_kernel(self):
+        """The linter prices the paper's boundary sweep and nothing else:
+        the flag that swapped it for a compressed form is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--boundary-method", "lowrank"])
+        assert exc.value.code == 2
+        assert not hasattr(build_parser().parse_args(["analyze"]), "boundary_method")
 
     def test_removed_method_exits_2_listing_the_survivors(self, capsys):
         with pytest.raises(SystemExit) as exc:
