@@ -918,7 +918,8 @@ def _cmd_pfleet(args) -> int:
         for report in result.worker_reports:
             print(
                 f"  worker {report.worker} (pid {report.pid}): "
-                f"{report.jobs_done} job(s), {len(report.records)} trace record(s)"
+                f"{report.jobs_done} job(s), {len(report.records)} trace record(s), "
+                f"start {report.metrics['metrics']['init_seconds']:.3f} s"
             )
         if args.trace_out:
             try:

@@ -3,20 +3,21 @@
 EFIT fits the plasma current to external magnetic data: poloidal flux
 loops, poloidal-field (Mirnov) probes, and a full Rogowski coil measuring
 the total plasma current.  Each diagnostic is linear in every current
-source, so its *response function* — the Green function evaluated from the
-diagnostic to each grid node and each PF coil — fully describes it.
-:class:`DiagnosticSet` assembles those response matrices once per grid
-(part of the ``green_`` setup) and the fit reuses them every iteration.
+source: a point sensor is a position and a ``functional`` — its reading as
+a combination of the flux and field there — and
+:func:`~repro.efit.greens.sensor_response` turns any set of them into a
+response matrix against any set of sources.  :class:`DiagnosticSet`
+assembles those matrices once per grid (part of the ``green_`` setup) and
+the fit reuses them every iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from repro.efit.greens import greens_br, greens_bz, greens_psi
+from repro.efit.greens import BR, BZ, PSI, FilamentSet, sensor_response
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.errors import MeasurementError
@@ -24,28 +25,52 @@ from repro.errors import MeasurementError
 __all__ = ["FluxLoop", "MagneticProbe", "RogowskiCoil", "DiagnosticSet"]
 
 
+def _response(diagnostics, sources: FilamentSet, *, enclosed: bool) -> np.ndarray:
+    """One row per diagnostic, one column per owner of ``sources``.
+
+    Point sensors go through the Green-function kernel; a Rogowski reads
+    the current it encloses — every ampere of plasma (the grid), none of
+    an external conductor.
+    """
+    rows = sensor_response(
+        [diag.r for diag in diagnostics],
+        [diag.z for diag in diagnostics],
+        [diag.functional for diag in diagnostics],
+        sources,
+    )
+    rows[[isinstance(diag, RogowskiCoil) for diag in diagnostics]] = float(enclosed)
+    return rows
+
+
+class _Diagnostic:
+    """What every diagnostic answers, alone or as a row of a set."""
+
+    def response_to_grid(self, grid: RZGrid) -> np.ndarray:
+        """Reading per ampere at each grid node, shape ``(nw, nh)``."""
+        nodes = FilamentSet.points(grid.rr, grid.zz)
+        return grid.unflatten(_response([self], nodes, enclosed=True)[0])
+
+    def response_to_coils(self, machine: Tokamak) -> np.ndarray:
+        """Reading per ampere in each PF coil, shape ``(n_coils,)``."""
+        return _response([self], machine.coil_sources, enclosed=False)[0]
+
+
 @dataclass(frozen=True)
-class FluxLoop:
+class FluxLoop(_Diagnostic):
     """A toroidal flux loop measuring poloidal flux per radian at (r, z)."""
 
     name: str
     r: float
     z: float
+    functional = PSI
 
     def __post_init__(self) -> None:
         if self.r <= 0.0:
             raise MeasurementError(f"flux loop {self.name} at R <= 0")
 
-    def response_to_grid(self, grid: RZGrid) -> np.ndarray:
-        """Flux per ampere at each grid node, shape ``(nw, nh)``."""
-        return greens_psi(self.r, self.z, grid.rr, grid.zz)
-
-    def response_to_coils(self, machine: Tokamak) -> np.ndarray:
-        return np.array([c.psi_at(np.asarray(self.r), np.asarray(self.z)) for c in machine.coils])
-
 
 @dataclass(frozen=True)
-class MagneticProbe:
+class MagneticProbe(_Diagnostic):
     """A local B-field probe at (r, z) oriented ``angle`` radians from the
     R axis in the poloidal plane; measures ``Br cos(a) + Bz sin(a)``."""
 
@@ -58,22 +83,13 @@ class MagneticProbe:
         if self.r <= 0.0:
             raise MeasurementError(f"probe {self.name} at R <= 0")
 
-    def response_to_grid(self, grid: RZGrid) -> np.ndarray:
-        br = greens_br(self.r, self.z, grid.rr, grid.zz)
-        bz = greens_bz(self.r, self.z, grid.rr, grid.zz)
-        return np.cos(self.angle) * br + np.sin(self.angle) * bz
-
-    def response_to_coils(self, machine: Tokamak) -> np.ndarray:
-        out = np.empty(machine.n_coils)
-        for k, coil in enumerate(machine.coils):
-            br = coil.br_at(np.asarray(self.r), np.asarray(self.z))
-            bz = coil.bz_at(np.asarray(self.r), np.asarray(self.z))
-            out[k] = np.cos(self.angle) * br + np.sin(self.angle) * bz
-        return out
+    @property
+    def functional(self) -> np.ndarray:
+        return np.cos(self.angle) * BR + np.sin(self.angle) * BZ
 
 
 @dataclass(frozen=True)
-class MSEChannel:
+class MSEChannel(_Diagnostic):
     """A motional-Stark-effect pitch-angle channel.
 
     MSE polarimetry views a neutral beam and measures the local magnetic
@@ -97,29 +113,20 @@ class MSEChannel:
         if self.f_vacuum == 0.0:
             raise MeasurementError(f"MSE channel {self.name}: zero vacuum field")
 
-    def response_to_grid(self, grid: RZGrid) -> np.ndarray:
-        bz = greens_bz(self.r, self.z, grid.rr, grid.zz)
-        return bz * self.r / self.f_vacuum
-
-    def response_to_coils(self, machine: Tokamak) -> np.ndarray:
-        out = np.empty(machine.n_coils)
-        for k, coil in enumerate(machine.coils):
-            out[k] = coil.bz_at(np.asarray(self.r), np.asarray(self.z)) * self.r / self.f_vacuum
-        return out
+    @property
+    def functional(self) -> np.ndarray:
+        return self.r / self.f_vacuum * BZ
 
 
 @dataclass(frozen=True)
-class RogowskiCoil:
-    """A full Rogowski loop: measures the total enclosed plasma current."""
+class RogowskiCoil(_Diagnostic):
+    """A full Rogowski loop: measures the total enclosed plasma current —
+    the one diagnostic that is not a point sensor: it has no position and
+    reads no field, and :func:`_response` fills in its row."""
 
     name: str = "IP"
-
-    def response_to_grid(self, grid: RZGrid) -> np.ndarray:
-        return np.ones(grid.shape)
-
-    def response_to_coils(self, machine: Tokamak) -> np.ndarray:
-        # The plasma Rogowski excludes the PF coils by construction.
-        return np.zeros(machine.n_coils)
+    r = z = float("nan")
+    functional = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -163,45 +170,18 @@ class DiagnosticSet:
 
     def response_to_grid(self, grid: RZGrid) -> np.ndarray:
         """Stacked grid response matrix, shape ``(n_measurements, nw*nh)``."""
-        rows = np.empty((self.n_measurements, grid.size))
-        for i, diag in enumerate(self._ordered()):
-            rows[i] = grid.flatten(diag.response_to_grid(grid))
-        return rows
+        nodes = FilamentSet.points(grid.rr, grid.zz)
+        return _response(self._ordered(), nodes, enclosed=True)
 
     def response_to_coils(self, machine: Tokamak) -> np.ndarray:
         """Stacked coil response matrix, shape ``(n_measurements, n_coils)``."""
-        rows = np.empty((self.n_measurements, machine.n_coils))
-        for i, diag in enumerate(self._ordered()):
-            rows[i] = diag.response_to_coils(machine)
-        return rows
+        return _response(self._ordered(), machine.coil_sources, enclosed=False)
 
     def response_to_vessel(self, machine: Tokamak) -> np.ndarray:
         """Response to unit vessel-segment currents,
-        shape ``(n_measurements, n_vessel)``.
-
-        Vessel segments are single filaments, so each diagnostic's
-        response is its grid Green function evaluated at the segment
-        (flux loops see psi, probes see the projected field, the Rogowski
-        sees nothing — vessel currents flow outside the plasma contour,
-        MSE sees the normalised Bz)."""
-        from repro.efit.greens import greens_br, greens_bz, greens_psi
-
-        rows = np.zeros((self.n_measurements, machine.n_vessel))
-        for j, seg in enumerate(machine.vessel):
-            i = 0
-            for loop in self.flux_loops:
-                rows[i, j] = greens_psi(loop.r, loop.z, seg.r, seg.z)
-                i += 1
-            for probe in self.probes:
-                br = greens_br(probe.r, probe.z, seg.r, seg.z)
-                bz = greens_bz(probe.r, probe.z, seg.r, seg.z)
-                rows[i, j] = np.cos(probe.angle) * br + np.sin(probe.angle) * bz
-                i += 1
-            for ch in self.mse:
-                rows[i, j] = greens_bz(ch.r, ch.z, seg.r, seg.z) * ch.r / ch.f_vacuum
-                i += 1
-            rows[i, j] = 0.0  # Rogowski: plasma current only
-        return rows
+        shape ``(n_measurements, n_vessel)`` (vessel currents flow outside
+        the plasma contour, so the Rogowski sees nothing)."""
+        return _response(self._ordered(), machine.vessel_sources, enclosed=False)
 
     @classmethod
     def for_machine(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.efit.boundary import BoundaryResult, find_boundary
 from repro.efit.current import basis_current_matrix
-from repro.efit.greens import greens_br, greens_bz, greens_psi
+from repro.efit.greens import BR, BZ, PSI, FilamentSet, greens_psi, sensor_response
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak, miller_contour
 from repro.efit.pflux import PfluxVectorized
@@ -109,43 +109,32 @@ def design_coil_currents(
         kappa_lower=elongation_lower,
         delta_lower=triangularity_lower,
     )
-    # Plasma estimate: one filament at the magnetic axis.
-    psi_plasma = ip * greens_psi(rc, zc, r0, filament_z)
-    a = np.empty((n_control, machine.n_coils + 1))
-    for k, coil in enumerate(machine.coils):
-        a[:, k] = coil.psi_at(rc, zc)
-    a[:, -1] = -1.0  # the unknown boundary constant
-    b = -psi_plasma
-    null_rows: list[np.ndarray] = []
-    null_rhs: list[float] = []
+    # One weighted sensor per row: flux on the target contour, then the
+    # (Br, Bz) null pair at each X-point, then Br at the filament.
+    r, z, functional = list(rc), list(zc), [PSI] * n_control
+    weight = [1.0] * n_control
     for rx, zx in x_points:
-        w = x_point_weight * minor_radius
-        rx_arr, zx_arr = np.asarray(float(rx)), np.asarray(float(zx))
-        row_br = np.empty(machine.n_coils + 1)
-        row_bz = np.empty(machine.n_coils + 1)
-        for k, coil in enumerate(machine.coils):
-            row_br[k] = coil.br_at(rx_arr, zx_arr)
-            row_bz[k] = coil.bz_at(rx_arr, zx_arr)
-        row_br[-1] = row_bz[-1] = 0.0  # the boundary constant carries no field
-        null_rows.extend([w * row_br, w * row_bz])
-        null_rhs.extend(
-            [
-                -w * ip * float(greens_br(rx_arr, zx_arr, r0, filament_z)),
-                -w * ip * float(greens_bz(rx_arr, zx_arr, r0, filament_z)),
-            ]
-        )
+        r += [rx, rx]
+        z += [zx, zx]
+        functional += [BR, BZ]
+        weight += [x_point_weight * minor_radius] * 2
+    # Plasma estimate: one filament at the magnetic axis.  It threads
+    # every row so far; the force-balance row sits on the filament itself.
+    n_plasma = len(r)
     if force_balance_weight > 0.0:
-        w = force_balance_weight * minor_radius
-        rf_arr, zf_arr = np.asarray(float(r0)), np.asarray(float(filament_z))
-        row_fb = np.empty(machine.n_coils + 1)
-        for k, coil in enumerate(machine.coils):
-            row_fb[k] = coil.br_at(rf_arr, zf_arr)
-        row_fb[-1] = 0.0
-        null_rows.append(w * row_fb)
-        null_rhs.append(0.0)
-    if null_rows:
-        a = np.vstack([a, *null_rows])
-        b = np.concatenate([b, null_rhs])
+        r.append(r0)
+        z.append(filament_z)
+        functional.append(BR)
+        weight.append(force_balance_weight * minor_radius)
+    weight = np.array(weight)
+    a = np.zeros((len(r), machine.n_coils + 1))
+    a[:, :-1] = weight[:, None] * sensor_response(r, z, functional, machine.coil_sources)
+    a[:n_control, -1] = -1.0  # the unknown boundary constant: flux rows only
+    plasma = FilamentSet.points(r0, filament_z)
+    b = np.zeros(len(r))
+    b[:n_plasma] = -weight[:n_plasma] * ip * sensor_response(
+        r[:n_plasma], z[:n_plasma], functional[:n_plasma], plasma
+    )[:, 0]
     scale = np.linalg.norm(a[: n_control, :-1], ord=2)
     reg = np.zeros((machine.n_coils, machine.n_coils + 1))
     reg[:, : machine.n_coils] = np.sqrt(ridge) * scale * np.eye(machine.n_coils)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.efit.greens import greens_br, greens_bz, greens_psi
+from repro.efit.greens import BR, BZ, PSI, FilamentSet, sensor_response
 from repro.efit.grid import RZGrid
 from repro.errors import MeasurementError
 
@@ -79,33 +79,22 @@ class PoloidalFieldCoil:
         w = np.full(rr.size, self.turns / (self.nr * self.nz))
         return rr.ravel(), zz.ravel(), w
 
+    def _field_at(self, r, z, functional) -> np.ndarray:
+        """``functional @ (psi, Br, Bz)`` per ampere of coil current at
+        the broadcast of ``(r, z)``."""
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+        sources = FilamentSet.subdivided([self.filaments])
+        return sensor_response(r.ravel(), z.ravel(), functional, sources).reshape(r.shape)
+
     def psi_at(self, r, z) -> np.ndarray:
         """Flux per radian per ampere of coil current at (r, z)."""
-        rf, zf, wf = self.filaments
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(np.broadcast_shapes(r.shape, z.shape))
-        for rfi, zfi, wfi in zip(rf, zf, wf):
-            out = out + wfi * greens_psi(r, z, rfi, zfi)
-        return out
+        return self._field_at(r, z, PSI)
 
     def br_at(self, r, z) -> np.ndarray:
-        rf, zf, wf = self.filaments
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(np.broadcast_shapes(r.shape, z.shape))
-        for rfi, zfi, wfi in zip(rf, zf, wf):
-            out = out + wfi * greens_br(r, z, rfi, zfi)
-        return out
+        return self._field_at(r, z, BR)
 
     def bz_at(self, r, z) -> np.ndarray:
-        rf, zf, wf = self.filaments
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(np.broadcast_shapes(r.shape, z.shape))
-        for rfi, zfi, wfi in zip(rf, zf, wf):
-            out = out + wfi * greens_bz(r, z, rfi, zfi)
-        return out
+        return self._field_at(r, z, BZ)
 
 
 @dataclass(frozen=True)
@@ -125,15 +114,6 @@ class VesselSegment:
     def __post_init__(self) -> None:
         if self.r <= 0.0:
             raise MeasurementError(f"vessel segment {self.name} at R <= 0")
-
-    def psi_at(self, r, z) -> np.ndarray:
-        return greens_psi(r, z, self.r, self.z)
-
-    def br_at(self, r, z) -> np.ndarray:
-        return greens_br(r, z, self.r, self.z)
-
-    def bz_at(self, r, z) -> np.ndarray:
-        return greens_bz(r, z, self.r, self.z)
 
 
 class _GeometryMemo:
@@ -281,6 +261,22 @@ class Tokamak(_GeometryMemo):
         rmin, rmax, zmin, zmax = self.default_box
         return RZGrid(n, n, rmin, rmax, zmin, zmax)
 
+    @property
+    def coil_sources(self) -> FilamentSet:
+        """Every coil's filaments, one owner per coil."""
+        return FilamentSet.subdivided([coil.filaments for coil in self.coils])
+
+    @property
+    def vessel_sources(self) -> FilamentSet:
+        """The vessel wall: one filament per segment."""
+        return FilamentSet.points([seg.r for seg in self.vessel], [seg.z for seg in self.vessel])
+
+    def _flux_tables(self, sources: FilamentSet, grid: RZGrid) -> np.ndarray:
+        """Flux on the grid per ampere in each owner of ``sources``,
+        shape ``(n_owners, nw, nh)``: every node is a flux loop."""
+        per_node = sensor_response(grid.rr.ravel(), grid.zz.ravel(), PSI, sources)
+        return np.ascontiguousarray(per_node.T).reshape(sources.first.size, *grid.shape)
+
     def coil_flux_tables(self, grid: RZGrid) -> np.ndarray:
         """Per-coil vacuum flux tables, shape ``(n_coils, nw, nh)``.
 
@@ -289,14 +285,8 @@ class Tokamak(_GeometryMemo):
         returned read-only.
         """
         return self._memoised(
-            ("coil_flux_tables", grid), self._build_coil_flux_tables, grid
+            ("coil_flux_tables", grid), lambda: self._flux_tables(self.coil_sources, grid)
         )
-
-    def _build_coil_flux_tables(self, grid: RZGrid) -> np.ndarray:
-        tables = np.empty((self.n_coils, grid.nw, grid.nh))
-        for k, coil in enumerate(self.coils):
-            tables[k] = coil.psi_at(grid.rr, grid.zz)
-        return tables
 
     def psi_from_coils(self, grid: RZGrid, currents: np.ndarray) -> np.ndarray:
         """Vacuum flux on the grid for the given per-coil currents [A]."""
@@ -313,11 +303,11 @@ class Tokamak(_GeometryMemo):
         return len(self.vessel)
 
     def vessel_flux_tables(self, grid: RZGrid) -> np.ndarray:
-        """Per-segment vessel flux tables, shape ``(n_vessel, nw, nh)``."""
-        tables = np.empty((self.n_vessel, grid.nw, grid.nh))
-        for k, seg in enumerate(self.vessel):
-            tables[k] = seg.psi_at(grid.rr, grid.zz)
-        return tables
+        """Per-segment vessel flux tables, shape ``(n_vessel, nw, nh)``.
+        Built once per grid and returned read-only."""
+        return self._memoised(
+            ("vessel_flux_tables", grid), lambda: self._flux_tables(self.vessel_sources, grid)
+        )
 
     def psi_from_vessel(self, grid: RZGrid, currents: np.ndarray) -> np.ndarray:
         """Flux of the vessel eddy currents on the grid."""

@@ -37,14 +37,13 @@ into the table) breaks it.
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 
 import numpy as np
 import scipy.fft as sfft
 
 from repro.edge_methods import EDGE_METHODS
 from repro.efit.grid import RZGrid
-from repro.efit.tables import BoundaryGreensTables
+from repro.efit.tables import BoundaryGreensTables, boundary_table_cache
 from repro.errors import GridError, OperatorError, OperatorStructureError
 
 __all__ = [
@@ -574,12 +573,6 @@ def build_edge_operator(
     return LowRankEdgeOperator.from_tables(tables, tol=tol)
 
 
-#: Process-wide operator cache: solvers, the batch engine and the
-#: benchmarks constructed for the same grid share one compressed operator
-#: (mirrors ``cached_boundary_tables`` for the Green table itself).
-_OP_CACHE: "OrderedDict[tuple[str, str], EdgeOperator]" = OrderedDict()
-_OP_CACHE_MAX = 8
-
 #: The one truncation tolerance a cached operator is built at (the
 #: default of :func:`build_edge_operator`).  The cache key holds no
 #: tolerance, so the accessor takes none: every engine in the process
@@ -588,41 +581,44 @@ _CACHED_TOL = 1e-12
 
 
 def cached_edge_operator(tables: BoundaryGreensTables, method: str) -> EdgeOperator:
-    """Memoised :func:`build_edge_operator` keyed on grid geometry + method.
+    """Memoised :func:`build_edge_operator` keyed on grid + method.
 
-    A miss consults the optional on-disk layer
-    (:mod:`repro.efit.diskcache`, ``REPRO_TABLE_CACHE_DIR``) before
-    paying the per-offset SVD / spectra build, and publishes a fresh
-    structured build back to it.  For another truncation tolerance call
-    :func:`build_edge_operator`, which is not cached.
+    Solvers, the batch engine and the benchmarks constructed for one grid
+    share one operator.  It is held beside the grid's entry in the
+    process-wide table cache
+    (:meth:`~repro.efit.tables.BoundaryTableCache.operators`), so it is
+    forgotten with the table it was built from.  A miss consults the
+    optional on-disk layer (:mod:`repro.efit.diskcache`,
+    ``REPRO_TABLE_CACHE_DIR``) before paying the per-offset SVD / spectra
+    build, and publishes a fresh structured build back to it.  For
+    another truncation tolerance call :func:`build_edge_operator`, which
+    is not cached.
     """
-    key = (tables.grid.geometry_hash(), method)
-    op = _OP_CACHE.get(key)
-    if op is not None:
-        _OP_CACHE.move_to_end(key)
-        return op
-    from repro.efit import diskcache
-
-    op = diskcache.load_edge_operator(tables, method, _CACHED_TOL)
+    operators = boundary_table_cache().operators(tables.grid)
+    op = operators.get(method)
     if op is None:
-        op = build_edge_operator(tables, method, tol=_CACHED_TOL)
-        diskcache.store_edge_operator(op, _CACHED_TOL)
-    _OP_CACHE[key] = op
-    while len(_OP_CACHE) > _OP_CACHE_MAX:
-        _OP_CACHE.popitem(last=False)
+        from repro.efit import diskcache
+
+        op = diskcache.load_edge_operator(tables, method, _CACHED_TOL)
+        if op is None:
+            op = build_edge_operator(tables, method, tol=_CACHED_TOL)
+            diskcache.store_edge_operator(op, _CACHED_TOL)
+        operators[method] = op
     return op
 
 
 def seed_edge_operator(op: EdgeOperator) -> None:
     """Install an externally-built operator (e.g. shared-memory backed)
-    so later ``cached_edge_operator`` calls resolve to it."""
-    _OP_CACHE[(op.grid.geometry_hash(), op.method)] = op
+    so later ``cached_edge_operator`` calls resolve to it.  Seed the
+    table first: seeding a table forgets the operators of the one it
+    replaces."""
+    boundary_table_cache().operators(op.grid)[op.method] = op
 
 
 def drop_edge_operator(grid: RZGrid, method: str) -> None:
     """Forget the cached operator for ``(grid, method)`` (no-op when
-    absent) — required before its backing shared memory is unlinked."""
-    _OP_CACHE.pop((grid.geometry_hash(), method), None)
+    absent).  Dropping the grid's table does it for every method."""
+    boundary_table_cache().operators(grid).pop(method, None)
 
 
 def edge_operator_from_arrays(

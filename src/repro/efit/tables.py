@@ -158,6 +158,7 @@ class BoundaryTableCache:
             raise GreensError("cache budget must be non-negative")
         self.max_bytes = max_bytes
         self._entries: OrderedDict[tuple, BoundaryGreensTables] = OrderedDict()
+        self._operators: dict[tuple, dict] = {}
         self.counters = CacheCounters()
 
     @staticmethod
@@ -170,6 +171,16 @@ class BoundaryTableCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def operators(self, grid: RZGrid) -> dict:
+        """The edge operators built from ``grid``'s table, by method
+        (:func:`repro.efit.operators.cached_edge_operator` fills it).
+
+        An operator may alias the table, so it lives exactly as long as
+        the entry: :meth:`drop`, :meth:`clear`, an eviction and a
+        :meth:`seed` over the entry forget it with the table.
+        """
+        return self._operators.setdefault(self._key(grid), {})
 
     def get(self, grid: RZGrid) -> BoundaryGreensTables:
         """Return the cached tables for ``grid``, building on first use.
@@ -199,7 +210,8 @@ class BoundaryTableCache:
         """Evict least-recently-used entries until within budget (the
         newest entry is never evicted)."""
         while len(self._entries) > 1 and self.current_bytes > self.max_bytes:
-            _, evicted = self._entries.popitem(last=False)
+            key, evicted = self._entries.popitem(last=False)
+            self._operators.pop(key, None)
             self.counters.record_eviction(evicted.nbytes)
 
     def seed(self, tables: BoundaryGreensTables) -> None:
@@ -219,6 +231,7 @@ class BoundaryTableCache:
             self.counters.record_miss(0)
         self._entries[key] = tables
         self._entries.move_to_end(key)
+        self._operators.pop(key, None)
 
     def drop(self, grid: RZGrid) -> None:
         """Forget the entry for ``grid`` (no-op when absent).
@@ -226,9 +239,12 @@ class BoundaryTableCache:
         The parallel engine's inline transport seeds *this* process's
         cache with shared-memory views; when the backing arena is about
         to be unlinked those views must not outlive the mapping, so the
-        entry is dropped and the next ``get`` rebuilds privately.
+        entry — and every operator built from it — is dropped and the
+        next ``get`` rebuilds privately.
         """
-        self._entries.pop(self._key(grid), None)
+        key = self._key(grid)
+        self._entries.pop(key, None)
+        self._operators.pop(key, None)
 
     def set_max_bytes(self, max_bytes: int) -> None:
         """Re-bound the cache, evicting immediately if now over budget."""
@@ -250,6 +266,7 @@ class BoundaryTableCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._operators.clear()
         self.counters.reset()
 
 

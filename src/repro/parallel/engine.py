@@ -46,7 +46,7 @@ from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.fitting import FitResult
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
-from repro.efit.operators import drop_edge_operator, seed_edge_operator
+from repro.efit.operators import seed_edge_operator
 from repro.efit.tables import boundary_table_cache
 from repro.errors import FittingError, JobQuarantinedError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks, TraceHooks
@@ -99,9 +99,10 @@ def _init_fit_worker(
     # the engine's own — now resolves to the shared pages.
     boundary_table_cache().seed(tables)
     op = arena.edge_op()
-    # Same story for the edge-operator cache: content identity (grid hash
-    # + method + rank tag) means any later cached_edge_operator call with
-    # this method reuses the shared pages instead of rebuilding.
+    # Same story for the operator, which the cache keeps beside the table
+    # (so it is seeded second: seeding a table forgets its predecessor's
+    # operators): any later cached_edge_operator call with this method
+    # reuses the shared pages instead of rebuilding.
     seed_edge_operator(op)
     engine = BatchFitEngine(
         machine,
@@ -214,10 +215,10 @@ class ParallelFitEngine:
             self._released = True
             if self.config.transport == "inline":
                 # Inline workers ran _init_fit_worker in *this* process and
-                # seeded the process-global caches with views over the
-                # arena's pages.  Those views must not outlive the mapping.
+                # seeded the process-global cache with views over the
+                # arena's pages (table and operator).  Those views must not
+                # outlive the mapping; the operator goes with its table.
                 boundary_table_cache().drop(self.grid)
-                drop_edge_operator(self.grid, self.boundary_method)
             self._manager.release(self.grid, self.boundary_method)
 
     def __enter__(self) -> "ParallelFitEngine":

@@ -212,6 +212,22 @@ class _Slot:
     report: WorkerReport | None = None
 
 
+def _start_worker(
+    slot: int, trace_enabled: bool, init_fn: Callable, init_args: tuple
+) -> tuple[WorkerContext, Any]:
+    """A worker's local sinks and its state.  Gauge ``init_seconds`` is
+    what ``init_fn`` took: the fixed cost every worker start — and every
+    respawn after a crash — pays before its first job."""
+    recorder = TraceRecorder(enabled=trace_enabled)
+    ctx = WorkerContext(
+        worker=slot, recorder=recorder, metrics=MetricsRegistry(), hooks=TraceHooks(recorder)
+    )
+    t0 = time.perf_counter()
+    state = init_fn(ctx, *init_args)
+    ctx.metrics.gauge("init_seconds").set(time.perf_counter() - t0)
+    return ctx, state
+
+
 # ---------------------------------------------------------------------------
 # Worker process body (module level: picklable under spawn)
 # ---------------------------------------------------------------------------
@@ -224,12 +240,8 @@ def _worker_main(
     worker_fn: Callable,
     trace_enabled: bool,
 ) -> None:  # pragma: no cover - exercised in subprocesses
-    recorder = TraceRecorder(enabled=trace_enabled)
-    metrics = MetricsRegistry()
-    ctx = WorkerContext(
-        worker=slot, recorder=recorder, metrics=metrics, hooks=TraceHooks(recorder)
-    )
-    state = init_fn(ctx, *init_args)
+    ctx, state = _start_worker(slot, trace_enabled, init_fn, init_args)
+    recorder, metrics = ctx.recorder, ctx.metrics
     rate = _crash_rate()
     jobs_done = 0
     result_q.put(("ready", slot))
@@ -681,17 +693,10 @@ class ProcessScheduler:
     def _inline_state(self, slot_id: int):
         state = self._inline_states.get(slot_id)
         if state is None:
-            recorder = TraceRecorder(enabled=bool(self.hooks.enabled))
-            ctx = WorkerContext(
-                worker=slot_id,
-                recorder=recorder,
-                metrics=MetricsRegistry(),
-                hooks=TraceHooks(recorder),
+            self._inline_ctxs[slot_id], state = _start_worker(
+                slot_id, bool(self.hooks.enabled), self._init_fn, self._init_args
             )
-            self._inline_ctxs[slot_id] = ctx
-            state = self._inline_states[slot_id] = self._init_fn(
-                ctx, *self._init_args
-            )
+            self._inline_states[slot_id] = state
         return state
 
     def _run_inline(self, payloads: list, t0: float) -> ScheduleResult:

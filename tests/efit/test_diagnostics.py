@@ -2,10 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.efit.diagnostics import DiagnosticSet, FluxLoop, MagneticProbe, RogowskiCoil
+from repro.efit import greens
+from repro.efit.diagnostics import (
+    DiagnosticSet,
+    FluxLoop,
+    MagneticProbe,
+    MSEChannel,
+    RogowskiCoil,
+)
+from repro.efit.fitting import EfitSolver
 from repro.efit.greens import greens_br, greens_bz, greens_psi
+from repro.efit.machine import Limiter, PoloidalFieldCoil, Tokamak
+from repro.efit.measurements import measure_equilibrium
 from repro.errors import MeasurementError
+from repro.scenarios import all_scenarios, get_scenario, scenario_names
 
 
 class TestFluxLoop:
@@ -104,3 +117,156 @@ class TestDiagnosticSet:
         probe = MagneticProbe("X", 2.0, 0.1, 0.0)
         with pytest.raises(MeasurementError):
             DiagnosticSet((loop,), (probe,), RogowskiCoil())
+
+
+# -- the oracle: one (sensor, filament, component) at a time ----------------------
+def _summed(green, r, z, filaments):
+    """``sum_f w_f G(r, z; r_f, z_f)``, filaments accumulated in order.
+
+    The pair goes in as one-element arrays, not floats: NumPy squares an
+    array exactly but raises a float64 *scalar* to the power 2 through
+    libm's ``pow``, which lands a last place away in a few pairs per
+    matrix — and ``1 - k^2`` amplifies that.
+    """
+    out = 0.0
+    for rf, zf, wf in zip(*filaments):
+        out = out + wf * green(np.array([r]), np.array([z]), np.array([rf]), np.array([zf]))[0]
+    return out
+
+
+def _reference_reading(diag, filaments, *, enclosed):
+    """What ``diag`` reads per ampere in one owner, by the formula of its
+    class — the per-class response bodies the kernel replaced."""
+    if isinstance(diag, FluxLoop):
+        return _summed(greens_psi, diag.r, diag.z, filaments)
+    if isinstance(diag, MagneticProbe):
+        br = _summed(greens_br, diag.r, diag.z, filaments)
+        bz = _summed(greens_bz, diag.r, diag.z, filaments)
+        return np.cos(diag.angle) * br + np.sin(diag.angle) * bz
+    if isinstance(diag, MSEChannel):
+        return _summed(greens_bz, diag.r, diag.z, filaments) * diag.r / diag.f_vacuum
+    return float(enclosed)  # Rogowski: the plasma current, no external one
+
+
+def _reference_response(diagnostics, owners, *, enclosed):
+    return np.array(
+        [[_reference_reading(d, f, enclosed=enclosed) for f in owners] for d in diagnostics]
+    )
+
+
+def _assert_matches_reference(got, ref, diagnostics):
+    """Within 4 ulp of each row's largest entry; bit-identical wherever
+    the arithmetic is the reference's (every row but MSE, whose
+    ``r / F_vac`` is now applied as one coefficient)."""
+    assert got.shape == ref.shape
+    bound = 4.0 * np.spacing(np.abs(ref).max(axis=1, keepdims=True))
+    assert np.all(np.abs(got - ref) <= bound)
+    same = [i for i, d in enumerate(diagnostics) if not isinstance(d, MSEChannel)]
+    assert np.array_equal(got[same], ref[same])
+
+
+def _point(r, z):
+    return ([r], [z], [1.0])
+
+
+class TestKernelMatchesScalarFormulas:
+    @pytest.fixture(scope="class", params=scenario_names())
+    def case(self, request):
+        """Every scenario's machine (all have a vessel) with its own
+        diagnostics (``mse`` brings the MSE set) on a coarse grid — the
+        reference is a Python loop over pairs."""
+        shot = get_scenario(request.param).make_shot(33)
+        return shot.machine, shot.diagnostics, shot.machine.make_grid(9)
+
+    def test_response_to_grid(self, case):
+        _, diags, grid = case
+        nodes = [_point(r, z) for r, z in zip(grid.rr.ravel(), grid.zz.ravel())]
+        ref = _reference_response(diags._ordered(), nodes, enclosed=True)
+        _assert_matches_reference(diags.response_to_grid(grid), ref, diags._ordered())
+
+    def test_response_to_coils(self, case):
+        machine, diags, _ = case
+        ref = _reference_response(
+            diags._ordered(), [c.filaments for c in machine.coils], enclosed=False
+        )
+        _assert_matches_reference(diags.response_to_coils(machine), ref, diags._ordered())
+
+    def test_response_to_vessel(self, case):
+        machine, diags, _ = case
+        assert machine.n_vessel
+        segments = [_point(seg.r, seg.z) for seg in machine.vessel]
+        ref = _reference_response(diags._ordered(), segments, enclosed=False)
+        _assert_matches_reference(diags.response_to_vessel(machine), ref, diags._ordered())
+
+    def test_flux_tables(self, case):
+        """Every grid node is a flux loop to the coils and the vessel."""
+        machine, _, grid = case
+        nodes = [FluxLoop("n", r, z) for r, z in zip(grid.rr.ravel(), grid.zz.ravel())]
+        for tables, owners in (
+            (machine.coil_flux_tables(grid), [c.filaments for c in machine.coils]),
+            (machine.vessel_flux_tables(grid), [_point(s.r, s.z) for s in machine.vessel]),
+        ):
+            ref = _reference_response(nodes, owners, enclosed=False)
+            assert np.array_equal(tables.reshape(len(owners), -1).T, ref)
+            assert not tables.flags.writeable and tables.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(1.2, 2.2),
+        z=st.floats(-1.0, 1.0),
+        angle=st.floats(-np.pi, np.pi),
+        subdivisions=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4
+        ),
+    )
+    def test_any_sensor_any_subdivision(self, r, z, angle, subdivisions):
+        """Coils with unequal filament counts sum per coil, in order."""
+        coils = tuple(
+            PoloidalFieldCoil(f"C{k}", 0.6 + 0.7 * k, 1.8, 0.2, 0.3, 7.0 + k, nr, nz)
+            for k, (nr, nz) in enumerate(subdivisions)
+        )
+        square = Limiter(np.array([1.0, 2.4, 2.4, 1.0]), np.array([-1.2, -1.2, 1.2, 1.2]))
+        machine = Tokamak("t", coils, square, 3.0)
+        diags = DiagnosticSet(
+            (FluxLoop("L", r, z),),
+            (MagneticProbe("P", r, z, angle),),
+            RogowskiCoil(),
+            (MSEChannel("M", r, z, 3.0),),
+        )
+        ref = _reference_response(diags._ordered(), [c.filaments for c in coils], enclosed=False)
+        _assert_matches_reference(diags.response_to_coils(machine), ref, diags._ordered())
+
+
+class TestConstructionBudget:
+    """A count, not a time: the response set-up enters the Green-function
+    geometry a few dozen times (one per broadcast block), not once per
+    (sensor, filament, component)."""
+
+    @pytest.fixture()
+    def geometry_calls(self, monkeypatch):
+        calls = []
+        geometry = greens._geometry
+
+        def counted(*args):
+            calls.append(1)
+            return geometry(*args)
+
+        monkeypatch.setattr(greens, "_geometry", counted)
+        return calls
+
+    @pytest.mark.parametrize("scenario", all_scenarios(), ids=lambda sc: sc.name)
+    def test_solver_construction(self, scenario, geometry_calls):
+        scenario.make_shot(33)  # table-cache warm-up is not the budget
+        EfitSolver.for_scenario(scenario, 33)
+        del geometry_calls[:]
+        EfitSolver.for_scenario(scenario, 33)
+        assert 0 < len(geometry_calls) <= 40
+
+    @pytest.mark.parametrize("scenario", all_scenarios(), ids=lambda sc: sc.name)
+    def test_measurement_synthesis(self, scenario, geometry_calls):
+        shot = scenario.make_shot(33)
+        del geometry_calls[:]
+        measure_equilibrium(
+            shot.machine, shot.diagnostics, shot.grid, shot.truth, noise=1e-3, seed=0
+        )
+        assert 0 < len(geometry_calls) <= 40

@@ -224,6 +224,57 @@ class TestContentIdentity:
         drop_edge_operator(grid, "toeplitz")
 
 
+class TestOperatorsDieWithTheirTable:
+    """A ``toeplitz`` operator aliases the Green table it was built from,
+    so forgetting a grid's table must forget that grid's operators: the
+    next solver would otherwise apply an operator over the old ``gpc``
+    beside a rebuilt one (two tables alive)."""
+
+    @pytest.fixture()
+    def shot(self):
+        from repro.efit.measurements import synthetic_shot_186610
+
+        return synthetic_shot_186610(17)
+
+    @pytest.mark.parametrize("forget", ["clear", "drop", "evict", "seed"])
+    def test_new_solver_applies_its_own_table(self, shot, forget):
+        from repro.efit.tables import boundary_table_cache, build_boundary_tables
+
+        cache = boundary_table_cache()
+        old = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
+        budget = cache.max_bytes
+        try:
+            if forget == "clear":
+                cache.clear()
+            elif forget == "drop":
+                cache.drop(shot.grid)
+            elif forget == "evict":
+                cache.get(RZGrid(19, 19))  # newest entry: the one that stays
+                cache.set_max_bytes(1)
+            else:
+                cache.seed(build_boundary_tables(shot.grid))
+        finally:
+            cache.set_max_bytes(budget)
+        new = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
+        assert new.tables is not old.tables
+        assert new.pflux.operator is not old.pflux.operator
+        assert np.shares_memory(new.pflux.operator._horizontal, new.tables.gpc)
+        # the old solver keeps working on the pair it holds
+        assert np.shares_memory(old.pflux.operator._horizontal, old.tables.gpc)
+
+    def test_a_private_cache_owns_its_own_operators(self):
+        """The operators sit on the cache instance, beside their table: a
+        test's private cache and the process-wide one do not see each
+        other's."""
+        from repro.efit.tables import BoundaryTableCache, boundary_table_cache
+
+        cache, grid = BoundaryTableCache(), RZGrid(9, 9)
+        cache.operators(grid)["toeplitz"] = object()
+        assert "toeplitz" not in boundary_table_cache().operators(grid)
+        cache.drop(grid)
+        assert cache.operators(grid) == {}
+
+
 # -- solver integration ------------------------------------------------------------
 class TestSolverIntegration:
     @pytest.fixture(scope="class")

@@ -36,7 +36,7 @@ class TestGeometryWorkHappensAtConstruction:
         built = []
         contains = Limiter.contains
         sample_points = Limiter._sample_points
-        coil_tables = Tokamak._build_coil_flux_tables
+        flux_tables = Tokamak._flux_tables
 
         def spy_contains(self, r, z):
             # The <= 6 X-point candidates are psi-dependent and legitimate;
@@ -49,13 +49,13 @@ class TestGeometryWorkHappensAtConstruction:
             built.append("limiter contour")
             return sample_points(self, n)
 
-        def spy_coil_tables(self, grid):
-            built.append("coil tables")
-            return coil_tables(self, grid)
+        def spy_flux_tables(self, sources, grid):
+            built.append("flux tables")
+            return flux_tables(self, sources, grid)
 
         monkeypatch.setattr(Limiter, "contains", spy_contains)
         monkeypatch.setattr(Limiter, "_sample_points", spy_sample_points)
-        monkeypatch.setattr(Tokamak, "_build_coil_flux_tables", spy_coil_tables)
+        monkeypatch.setattr(Tokamak, "_flux_tables", spy_flux_tables)
 
         result = solver.fit(slices[0])
         assert built == [], "EfitSolver.fit"
@@ -98,6 +98,7 @@ class TestMemoContract:
         # The key is the grid's value, not its identity.
         assert limiter.grid_mask(fresh_machine.make_grid(33)) is limiter.grid_mask(g33)
         assert fresh_machine.coil_flux_tables(g65) is fresh_machine.coil_flux_tables(g65)
+        assert fresh_machine.vessel_flux_tables(g33) is fresh_machine.vessel_flux_tables(g33)
         assert np.array_equal(limiter.grid_mask(g65), limiter.contains(g65.rr, g65.zz))
         assert limiter.sample_points(4) is limiter.sample_points(4)
         assert limiter.sample_points(2)[0].size == 2 * limiter.n_points
@@ -108,6 +109,8 @@ class TestMemoContract:
             fresh_machine.limiter.grid_mask(grid)[0, 0] = True
         with pytest.raises(ValueError):
             fresh_machine.coil_flux_tables(grid)[0] = 0.0
+        with pytest.raises(ValueError):
+            fresh_machine.vessel_flux_tables(grid)[0] = 0.0
         with pytest.raises(ValueError):
             fresh_machine.limiter.sample_points(4)[0][0] = 0.0
 

@@ -223,6 +223,10 @@ class TestProcessTransport:
         assert merged["workers"] == 2
         assert merged["metrics"]["jobs_completed"] == 6.0
         assert merged["metrics"]["job_seconds"]["count"] == 6
+        # What each worker's start cost rides in its report; merged, the sum.
+        starts = [r.metrics["metrics"]["init_seconds"] for r in result.reports]
+        assert all(s >= 0.0 for s in starts)
+        assert merged["metrics"]["init_seconds"] == pytest.approx(sum(starts))
 
     def test_flush_resets_worker_recorders(self, no_crash_env):
         recorder = TraceRecorder()
@@ -285,4 +289,5 @@ class TestInlineTransport:
         result = sched.run(list(range(4)))
         assert {r.worker for r in result.reports} == {0, 1}
         assert all(r.pid == os.getpid() for r in result.reports)
+        assert all(r.metrics["metrics"]["init_seconds"] >= 0.0 for r in result.reports)
         sched.close()

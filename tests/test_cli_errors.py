@@ -129,7 +129,10 @@ class TestScenarioSelection:
              "--slices", "2", "--batch", "2", "--workers", "1"]
         )
         assert code == 0
-        assert "pfleet g186610" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "pfleet g186610" in out
+        # the per-worker line says what the worker's start cost
+        assert re.search(r"worker 0 \(pid \d+\): 1 job\(s\), .* start \d+\.\d{3} s", out)
 
     def test_pfleet_nondefault_scenario_compare_serial(self, capsys):
         """A diverted scenario shards across workers and stays
