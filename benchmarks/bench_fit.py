@@ -35,20 +35,33 @@ def test_single_fit_invocation_65(benchmark, shot65):
     benchmark(one_iteration)
 
 
-def test_fit_region_breakdown_65(solver65, shot65):
-    """Measured Python-side fit_ breakdown (the real-execution analog of
-    Figure 1; with the edge-operator pflux_ the profile differs from
-    Fortran — recorded for EXPERIMENTS.md)."""
-    profiler = RegionProfiler()
-    solver = EfitSolver(shot65.machine, shot65.diagnostics, shot65.grid, profiler=profiler)
-    solver.fit(shot65.measurements)
-    rep = profiler.report()
-    lines = [
-        f"Measured Python fit_ breakdown at 65x65 "
-        f"({solver.boundary_method} edge-operator pflux_):"
-    ]
-    for name, pct in sorted(rep.percentages().items(), key=lambda kv: -kv[1]):
-        lines.append(f"  {name:10s} {pct:5.1f}%  ({rep.calls[name]} calls)")
+def test_fit_region_breakdown():
+    """Measured Python-side fit_ breakdown at 65^2 and 129^2 (the
+    real-execution analog of Figure 1; with the edge-operator pflux_ the
+    profile differs from Fortran — recorded for EXPERIMENTS.md).  Five
+    fits are profiled after an unprofiled one, which pays the process's
+    first touch of the tables."""
+    from repro.efit.measurements import synthetic_shot_186610
+
+    lines = []
+    for n in (65, 129):
+        shot = synthetic_shot_186610(n)
+        profiler = RegionProfiler()
+        solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid, profiler=profiler)
+        solver.fit(shot.measurements)
+        profiler.reset()
+        iterates = sum(solver.fit(shot.measurements).iterations for _ in range(5))
+        rep = profiler.report()
+        lines.append(
+            f"Measured Python fit_ breakdown at {n}x{n} "
+            f"({solver.boundary_method} edge-operator pflux_, {iterates} iterates of 5 fits, "
+            f"{1e3 * rep.grand_total / iterates:.2f} ms an iterate):"
+        )
+        for name, pct in sorted(rep.percentages().items(), key=lambda kv: -kv[1]):
+            per_iterate = 1e3 * rep.totals[name] / iterates
+            lines.append(
+                f"  {name:10s} {pct:5.1f}%  {per_iterate:6.3f} ms/iterate  ({rep.calls[name]} calls)"
+            )
     write_artifact("fit_breakdown_python", "\n".join(lines))
 
 

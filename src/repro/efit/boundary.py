@@ -45,31 +45,102 @@ class BoundaryResult:
         return int(self.mask.sum())
 
 
-def _quadratic_refine(grid: RZGrid, field: np.ndarray, i: int, j: int) -> tuple[float, float, float]:
-    """Refine a grid extremum with a 2-D quadratic fit on the 3x3 stencil.
+#: How many admissible saddles, flattest first, ``find_boundary`` tries as
+#: the plasma's X-point.
+MAX_XPOINT_CANDIDATES = 6
 
-    Returns ``(r, z, value)``; falls back to the node itself when the
-    stencil is degenerate or the correction leaves the cell.
+#: 4-connectivity, ``ndimage``'s default, built once instead of per call.
+_CROSS = ndimage.generate_binary_structure(2, 1)
+
+#: Row and column offsets of the 3x3 stencil, broadcast against node indices.
+_DI = np.array([[-1], [0], [1]])
+_DJ = np.array([[-1, 0, 1]])
+
+
+def _derivatives(f: np.ndarray, i, j):
+    """Central first and second differences of ``f`` (in cells) at one
+    interior node or at index arrays of many, from one gather of the 3x3
+    stencil: ``(f[i, j], fx, fy, fxx, fyy, fxy)``."""
+    s = f[np.asarray(i)[..., None, None] + _DI, np.asarray(j)[..., None, None] + _DJ]
+    here = s[..., 1, 1]
+    fx = (s[..., 2, 1] - s[..., 0, 1]) / 2.0
+    fy = (s[..., 1, 2] - s[..., 1, 0]) / 2.0
+    fxx = s[..., 2, 1] - 2.0 * here + s[..., 0, 1]
+    fyy = s[..., 1, 2] - 2.0 * here + s[..., 1, 0]
+    fxy = (s[..., 2, 2] - s[..., 2, 0] - s[..., 0, 2] + s[..., 0, 0]) / 4.0
+    return here, fx, fy, fxx, fyy, fxy
+
+
+def _quadratic_refine(grid: RZGrid, field: np.ndarray, i, j):
+    """Refine grid extrema with a 2-D quadratic fit on the 3x3 stencil.
+
+    ``i`` and ``j`` are one interior node or equal-length index arrays of
+    many; returns ``(r, z, value)`` of matching shape.  A node whose
+    stencil is degenerate, or whose correction leaves the cell, comes
+    back as the node itself.
     """
-    f = field
-    fx = (f[i + 1, j] - f[i - 1, j]) / 2.0
-    fy = (f[i, j + 1] - f[i, j - 1]) / 2.0
-    fxx = f[i + 1, j] - 2.0 * f[i, j] + f[i - 1, j]
-    fyy = f[i, j + 1] - 2.0 * f[i, j] + f[i, j - 1]
-    fxy = (f[i + 1, j + 1] - f[i + 1, j - 1] - f[i - 1, j + 1] + f[i - 1, j - 1]) / 4.0
+    here, fx, fy, fxx, fyy, fxy = _derivatives(field, i, j)
     det = fxx * fyy - fxy * fxy
-    if abs(det) < 1e-300:
-        return float(grid.r[i]), float(grid.z[j]), float(f[i, j])
-    dx = -(fyy * fx - fxy * fy) / det
-    dy = -(fxx * fy - fxy * fx) / det
-    if abs(dx) > 1.0 or abs(dy) > 1.0:
-        return float(grid.r[i]), float(grid.z[j]), float(f[i, j])
-    value = f[i, j] + 0.5 * (fx * dx + fy * dy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = -(fyy * fx - fxy * fy) / det
+        dy = -(fxx * fy - fxy * fx) / det
+    moved = (np.abs(det) >= 1e-300) & (np.abs(dx) <= 1.0) & (np.abs(dy) <= 1.0)
     return (
-        float(grid.r[i] + dx * grid.dr),
-        float(grid.z[j] + dy * grid.dz),
-        float(value),
+        np.where(moved, grid.r[i] + dx * grid.dr, grid.r[i]),
+        np.where(moved, grid.z[j] + dy * grid.dz, grid.z[j]),
+        np.where(moved, here + 0.5 * (fx * dx + fy * dy), here),
     )
+
+
+def _interior(grid: RZGrid, window: tuple[slice, slice]) -> tuple[slice, slice]:
+    """``window`` without the grid's edge ring: the nodes with a full 3x3
+    stencil."""
+    rows, cols = window
+    return (
+        slice(max(rows.start, 1), min(rows.stop, grid.nw - 1)),
+        slice(max(cols.start, 1), min(cols.stop, grid.nh - 1)),
+    )
+
+
+def _bounding_window(grid: RZGrid, inside: np.ndarray) -> tuple[slice, slice]:
+    """The block of grid rows and columns within two cells of ``inside``'s
+    nodes, clipped to the grid (empty for an empty mask).
+
+    Everything the boundary search looks for lies in this block, so its
+    grid-sized steps run there: the plasma mask is a subset of ``inside``,
+    and a saddle the quadratic refinement places inside the wall sits at
+    most one cell from its grid node, hence within two of an in-wall node
+    wherever the wall is wider than a cell.
+    """
+
+    def span(occupied: np.ndarray, n: int) -> slice:
+        held = np.flatnonzero(occupied)
+        if held.size == 0:
+            return slice(0, 0)
+        return slice(max(int(held[0]) - 2, 0), min(int(held[-1]) + 3, n))
+
+    return span(inside.any(axis=1), grid.nw), span(inside.any(axis=0), grid.nh)
+
+
+def _find_axis(
+    grid: RZGrid, psi: np.ndarray, sign: int, inside: np.ndarray, window: tuple[slice, slice]
+) -> tuple[float, float, float]:
+    """:func:`find_axis` on the nodes of ``window``, which holds ``inside``."""
+    if sign not in (1, -1):
+        raise BoundaryError("axis sign must be +1 or -1")
+    # The quadratic refinement needs a full stencil: no edge-ring node.
+    window = _interior(grid, window)
+    inside = inside[window]
+    if not inside.any():
+        raise BoundaryError("no interior grid node inside the limiter")
+    work = np.where(inside, sign * psi[window], -np.inf)
+    i, j = np.unravel_index(int(np.argmax(work)), work.shape)
+    if not np.isfinite(work[i, j]):
+        raise BoundaryError("no interior extremum found inside the limiter")
+    r_axis, z_axis, value = _quadratic_refine(
+        grid, sign * psi, i + window[0].start, j + window[1].start
+    )
+    return float(r_axis), float(z_axis), sign * float(value)
 
 
 def find_axis(
@@ -87,21 +158,66 @@ def find_axis(
     is the limiter's own, :meth:`~repro.efit.machine.Limiter.grid_mask`,
     which is built once per grid.
     """
-    if sign not in (1, -1):
-        raise BoundaryError("axis sign must be +1 or -1")
     if inside is None:
         inside = limiter.grid_mask(grid)
-    if not inside.any():
-        raise BoundaryError("limiter does not intersect the computational grid")
-    work = np.where(inside, sign * psi, -np.inf)
-    # Exclude the outer ring so the quadratic refinement has a full stencil.
-    work[0, :] = work[-1, :] = -np.inf
-    work[:, 0] = work[:, -1] = -np.inf
-    i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-    if not np.isfinite(work[i, j]):
-        raise BoundaryError("no interior extremum found inside the limiter")
-    r_axis, z_axis, value = _quadratic_refine(grid, sign * psi, i, j)
-    return r_axis, z_axis, sign * value
+    return _find_axis(grid, psi, sign, inside, _bounding_window(grid, inside))
+
+
+def _saddle_nodes(
+    grid: RZGrid, psi: np.ndarray, window: tuple[slice, slice]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid saddles of ``psi`` among the interior nodes of ``window``.
+
+    Returns the ``(i, j)`` index arrays of the nodes that are a 3x3 local
+    minimum of ``|grad psi|^2`` with a negative Hessian determinant,
+    flattest first (ties in grid order).
+    """
+    rows, cols = _interior(grid, window)
+    if rows.start >= rows.stop or cols.start >= cols.stop:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    # Two nodes of context around the window: one for the 3x3
+    # neighbourhood, one for its central differences.  Where the context
+    # ends at the grid edge, the one-sided difference there is the
+    # full-grid gradient's too; where it ends sooner, its outermost nodes
+    # are never read.
+    i_lo, j_lo = max(rows.start - 2, 0), max(cols.start - 2, 0)
+    grad2 = _gradient_squared(psi[i_lo : rows.stop + 2, j_lo : cols.stop + 2], grid.dr, grid.dz)
+    near = grad2[
+        rows.start - 1 - i_lo : rows.stop + 1 - i_lo,
+        cols.start - 1 - j_lo : cols.stop + 1 - j_lo,
+    ]
+    # Minimum over the 3x3 neighbourhood, one axis at a time.
+    low = np.minimum(np.minimum(near[:-2], near[1:-1]), near[2:])
+    low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
+    here = near[1:-1, 1:-1]
+    i, j = np.nonzero(here <= low)
+    flatness = here[i, j]
+    i += rows.start
+    j += cols.start
+    _, _, _, fxx, fyy, fxy = _derivatives(psi, i, j)
+    saddle = np.flatnonzero(~(fxx * fyy - fxy * fxy >= 0.0))
+    order = saddle[np.argsort(flatness[saddle], kind="stable")]
+    return i[order], j[order]
+
+
+def _gradient_squared(f: np.ndarray, dr: float, dz: float) -> np.ndarray:
+    """``|grad f|^2`` with ``np.gradient``'s arithmetic — central
+    differences inside, one-sided on the block's edges — without its
+    per-call set-up."""
+    g_r = np.empty_like(f)
+    np.subtract(f[2:], f[:-2], out=g_r[1:-1])
+    g_r[1:-1] /= 2.0 * dr
+    g_r[0] = (f[1] - f[0]) / dr
+    g_r[-1] = (f[-1] - f[-2]) / dr
+    g_z = np.empty_like(f)
+    np.subtract(f[:, 2:], f[:, :-2], out=g_z[:, 1:-1])
+    g_z[:, 1:-1] /= 2.0 * dz
+    g_z[:, 0] = (f[:, 1] - f[:, 0]) / dz
+    g_z[:, -1] = (f[:, -1] - f[:, -2]) / dz
+    g_r *= g_r
+    g_z *= g_z
+    g_r += g_z
+    return g_r
 
 
 def find_xpoints(
@@ -110,32 +226,45 @@ def find_xpoints(
     """Find saddle points of ``psi`` (X-point candidates).
 
     Scans interior nodes for local minima of ``|grad psi|^2`` whose Hessian
-    has negative determinant, refines each with the quadratic model, and
-    returns up to ``max_points`` candidates as ``(r, z, psi_x)`` sorted by
-    gradient magnitude.
+    has negative determinant, keeps the ``max_points`` flattest, refines
+    them with the quadratic model and returns them as ``(r, z, psi_x)``
+    sorted by gradient magnitude.
     """
-    dpsi_dr = np.gradient(psi, grid.dr, axis=0)
-    dpsi_dz = np.gradient(psi, grid.dz, axis=1)
-    grad2 = dpsi_dr**2 + dpsi_dz**2
-    candidates: list[tuple[float, float, float, float]] = []
-    interior = grad2[1:-1, 1:-1]
-    # Local minima of |grad psi|^2 over the 3x3 neighbourhood.
-    neigh_min = ndimage.minimum_filter(grad2, size=3)[1:-1, 1:-1]
-    is_min = interior <= neigh_min
-    idx_i, idx_j = np.nonzero(is_min)
-    for ii, jj in zip(idx_i + 1, idx_j + 1):
-        f = psi
-        fxx = f[ii + 1, jj] - 2 * f[ii, jj] + f[ii - 1, jj]
-        fyy = f[ii, jj + 1] - 2 * f[ii, jj] + f[ii, jj - 1]
-        fxy = (
-            f[ii + 1, jj + 1] - f[ii + 1, jj - 1] - f[ii - 1, jj + 1] + f[ii - 1, jj - 1]
-        ) / 4.0
-        if fxx * fyy - fxy * fxy >= 0.0:
-            continue  # not a saddle
-        r_x, z_x, psi_x = _quadratic_refine(grid, psi, ii, jj)
-        candidates.append((grad2[ii, jj], r_x, z_x, psi_x))
-    candidates.sort(key=lambda c: c[0])
-    return [(r, z, p) for _, r, z, p in candidates[:max_points]]
+    i, j = _saddle_nodes(grid, psi, (slice(0, grid.nw), slice(0, grid.nh)))
+    r, z, value = _quadratic_refine(grid, psi, i[:max_points], j[:max_points])
+    return list(zip(r.tolist(), z.tolist(), value.tolist()))
+
+
+def _xpoint_candidates(
+    grid: RZGrid,
+    psi: np.ndarray,
+    limiter: Limiter,
+    sign: int,
+    axis: tuple[float, float, float],
+    window: tuple[slice, slice],
+) -> list[tuple[float, float, float]]:
+    """The *admissible* saddles among the nodes of ``window``, flattest
+    first, as refined ``(r, z, psi_x)``.
+
+    Admissible means inside the box *and the limiter* (wall corners and
+    coil gaps host spurious vacuum saddles, often flatter than the real
+    X-point), at least four cells from the axis, and on the plasma side
+    of the axis flux.  Admissibility is decided before the caller cuts
+    the list, so no vacuum saddle takes an X-point's place; the polygon
+    test, the costly one, sees only the survivors of the cheap ones.
+    """
+    r_axis, z_axis, psi_axis = axis
+    i, j = _saddle_nodes(grid, psi, window)
+    if i.size == 0:
+        return []
+    rx, zx, px = _quadratic_refine(grid, psi, i, j)
+    keep = np.flatnonzero(
+        grid.contains(rx, zx)
+        & (np.hypot(rx - r_axis, zx - z_axis) >= 4.0 * max(grid.dr, grid.dz))
+        & (sign * px < sign * psi_axis)
+    )
+    keep = keep[limiter.contains(rx[keep], zx[keep])]
+    return list(zip(rx[keep].tolist(), zx[keep].tolist(), px[keep].tolist()))
 
 
 def _core_clears_wall(
@@ -144,6 +273,7 @@ def _core_clears_wall(
     sign: int,
     spx: float,
     inside_lim: np.ndarray,
+    window: tuple[slice, slice],
     i_ax: int,
     j_ax: int,
     lr: np.ndarray,
@@ -164,10 +294,14 @@ def _core_clears_wall(
     the X-point carries flux above ``spx`` and a level set taken exactly
     there always leaks through the saddle, spuriously connecting core to
     private flux on any grid.
+
+    ``window`` holds ``inside_lim``, so the components are labelled there
+    and every node outside it belongs to none.
     """
     level = spx + 0.02 * (sign * psi[i_ax, j_ax] - spx)
-    core = (sign * psi > level) & inside_lim
-    labels, _ = ndimage.label(core)
+    core = (sign * psi[window] > level) & inside_lim[window]
+    labels = np.zeros(grid.shape, dtype=np.int32)
+    ndimage.label(core, structure=_CROSS, output=labels[window])
     axis_label = labels[i_ax, j_ax]
     if axis_label == 0:
         return False
@@ -202,13 +336,16 @@ def find_boundary(
     and the densified limiter contour.  Both are static per machine+grid
     and default to the limiter's own, built once
     (:meth:`~repro.efit.machine.Limiter.grid_mask`,
-    :meth:`~repro.efit.machine.Limiter.sample_points`).
+    :meth:`~repro.efit.machine.Limiter.sample_points`).  Every
+    grid-sized step but ``psiN`` itself runs on the block of rows and
+    columns within two cells of the in-limiter nodes.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.shape != grid.shape:
         raise BoundaryError(f"psi shape {psi.shape} != grid {grid.shape}")
     inside_lim = inside if inside is not None else limiter.grid_mask(grid)
-    r_axis, z_axis, psi_axis = find_axis(grid, psi, limiter, sign, inside=inside_lim)
+    window = _bounding_window(grid, inside_lim)
+    r_axis, z_axis, psi_axis = _find_axis(grid, psi, sign, inside_lim, window)
 
     # Limiter candidate: the flux value where a shrinking contour first
     # touches the wall = extremal psi along the limiter contour.
@@ -226,9 +363,7 @@ def find_boundary(
     i_ax = min(max(int(round((r_axis - grid.rmin) / grid.dr)), 0), grid.nw - 1)
     j_ax = min(max(int(round((z_axis - grid.zmin) / grid.dz)), 0), grid.nh - 1)
 
-    # X-point candidates: must lie inside the box *and the limiter* (wall
-    # corners and coil gaps host spurious vacuum saddles), away from the
-    # axis, and bound a *smaller* plasma than the limiter (larger
+    # X-point candidates bound a *smaller* plasma than the limiter (larger
     # sign*psi).  A candidate below the limiter flux can still win when
     # every wall contact above it sits in disconnected private flux
     # (diverted machines: the divertor legs hug the wall at flux above
@@ -238,32 +373,18 @@ def find_boundary(
     boundary_type = "limiter"
     r_x = z_x = None
     psi_wall_signed = sign * psi_wall
-    cands = find_xpoints(grid, psi, max_points=6)
-    if cands:
-        # One batched point-in-polygon test for every candidate — the
-        # polygon test is the expensive part, and its cost is per-call,
-        # not per-point.
-        rxs = np.array([c[0] for c in cands])
-        zxs = np.array([c[1] for c in cands])
-        admissible = (
-            grid.contains(rxs, zxs)
-            & limiter.contains(rxs, zxs)
-            & (np.hypot(rxs - r_axis, zxs - z_axis) >= 4.0 * max(grid.dr, grid.dz))
-        )
-        for cand_ok, (rx, zx, px) in zip(admissible, cands):
-            if not cand_ok:
-                continue
-            spx = sign * px
-            if not spx < sign * psi_axis:
-                continue
-            if boundary_type == "xpoint" and spx <= psi_b:
-                continue
-            if psi_lim < spx or _core_clears_wall(
-                grid, psi, sign, spx, inside_lim, i_ax, j_ax, lr[keep], lz[keep], psi_wall_signed
-            ):
-                psi_b = spx
-                boundary_type = "xpoint"
-                r_x, z_x = rx, zx
+    candidates = _xpoint_candidates(grid, psi, limiter, sign, (r_axis, z_axis, psi_axis), window)
+    for rx, zx, px in candidates[:MAX_XPOINT_CANDIDATES]:
+        spx = sign * px
+        if boundary_type == "xpoint" and spx <= psi_b:
+            continue
+        if psi_lim < spx or _core_clears_wall(
+            grid, psi, sign, spx, inside_lim, window, i_ax, j_ax,
+            lr[keep], lz[keep], psi_wall_signed,
+        ):  # fmt: skip
+            psi_b = spx
+            boundary_type = "xpoint"
+            r_x, z_x = rx, zx
     psi_boundary = sign * psi_b
 
     denom = psi_boundary - psi_axis
@@ -271,27 +392,28 @@ def find_boundary(
         raise BoundaryError("degenerate flux range: psi_axis == psi_boundary")
     psin = (psi - psi_axis) / denom
 
-    candidate = (psin < 1.0) & inside_lim
+    # The mask is a subset of the in-limiter nodes, so it is built on the
+    # window that holds them.
+    inside_w = inside_lim[window]
+    candidate = (psin[window] < 1.0) & inside_w
     # Keep only the component connected to the axis (drop private flux).
-    if boundary_type == "xpoint":
-        # On a diverted boundary the ``psin < 1`` set leaks through the
-        # saddle into the private-flux region (every node around the
-        # refined X-point sits above ``psi_x``), intermittently dumping
-        # far-from-core cells into the mask.  Label the component at a
-        # slightly interior level instead, then grow its rim back within
-        # ``psin < 1`` — the private blob stays more than two rings away.
-        core = (psin < 0.98) & inside_lim
-        labels, _ = ndimage.label(core)
-        axis_label = labels[i_ax, j_ax]
-        if axis_label == 0:
-            raise BoundaryError("magnetic axis not inside its own plasma mask")
-        mask = ndimage.binary_dilation(labels == axis_label, iterations=2) & candidate
-    else:
-        labels, _ = ndimage.label(candidate)
-        axis_label = labels[i_ax, j_ax]
-        if axis_label == 0:
-            raise BoundaryError("magnetic axis not inside its own plasma mask")
-        mask = labels == axis_label
+    # On a diverted boundary the ``psin < 1`` set leaks through the
+    # saddle into the private-flux region (every node around the
+    # refined X-point sits above ``psi_x``), intermittently dumping
+    # far-from-core cells into the mask.  Label the component at a
+    # slightly interior level instead, then grow its rim back within
+    # ``psin < 1`` — the private blob stays more than two rings away.
+    diverted = boundary_type == "xpoint"
+    connected = (psin[window] < 0.98) & inside_w if diverted else candidate
+    labels, _ = ndimage.label(connected, structure=_CROSS)
+    axis_label = labels[i_ax - window[0].start, j_ax - window[1].start]
+    if axis_label == 0:
+        raise BoundaryError("magnetic axis not inside its own plasma mask")
+    plasma = labels == axis_label
+    if diverted:
+        plasma = ndimage.binary_dilation(plasma, structure=_CROSS, iterations=2) & candidate
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[window] = plasma
 
     return BoundaryResult(
         psi_axis=psi_axis,

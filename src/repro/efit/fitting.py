@@ -26,7 +26,7 @@ from repro.analysis.markers import hot_path
 from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.boundary import BoundaryResult, find_boundary
 from repro.efit.basis import PolynomialBasis
-from repro.efit.current import basis_current_matrix
+from repro.efit.current import basis_current_slab
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.greens import greens_psi
 from repro.efit.grid import RZGrid
@@ -35,7 +35,12 @@ from repro.efit.measurements import MeasurementSet
 from repro.efit.operators import EdgeOperator, cached_edge_operator
 from repro.efit.pflux import PfluxBase, PfluxStructured
 from repro.efit.profiles import ProfileCoefficients
-from repro.efit.response import assemble_response, chi_squared, solve_weighted_lsq
+from repro.efit.response import (
+    ResponseAssembly,
+    assemble_response,
+    chi_squared,
+    solve_weighted_lsq,
+)
 from repro.efit.solvers import make_solver
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import BoundaryError, ConvergenceError, FittingError
@@ -352,16 +357,12 @@ class EfitSolver:
         return Scenario.construct(cls, scenario, n, shot=shot, **overrides)
 
     # -- helpers ------------------------------------------------------------------
-    def _shift_z(self, field: np.ndarray, delz: float) -> np.ndarray:
-        """Shift a grid field vertically by ``delz`` metres (linear
-        interpolation, zero fill) — ``f_new(z) = f(z - delz)``."""
-        return self.grid.shift_z(field, delz)
-
     def _fit_delz(
         self,
         pcurr: np.ndarray,
-        assembly,
-        extra_prediction: np.ndarray | None = None,
+        response: np.ndarray,
+        residual: np.ndarray,
+        weights: np.ndarray,
     ) -> float:
         """EFIT's ``fitdelz``: the rigid vertical shift of the current
         distribution that best reduces the measurement residual.
@@ -371,24 +372,35 @@ class EfitSolver:
         response to ``d(pcurr)/dz`` and ``r`` the residual after the
         profile fit.  This is the vertical-stability feedback that keeps
         the Picard loop on the measured plasma position.
+
+        ``pcurr`` is any block of grid rows, shape ``(k, nh)``, and
+        ``response`` the matching columns of :attr:`grid_response`: the
+        fit passes the rows the plasma occupies, outside which the
+        gradient is zero.
         """
         grid = self.grid
         dpc_dz = np.gradient(pcurr, grid.dz, axis=1)
-        u = self.grid_response @ grid.flatten(dpc_dz)
-        r = assembly.data - self.grid_response @ grid.flatten(pcurr)
-        if extra_prediction is not None:
-            r = r - extra_prediction
-        w2 = assembly.weights**2
+        u = response @ dpc_dz.reshape(dpc_dz.size)
+        w2 = weights**2
         denom = float(w2 @ (u * u))
         if denom == 0.0:
             return 0.0
         # Taylor: pcurr(z - delz) ~ pcurr - delz * d(pcurr)/dz, so the
-        # physical shift to apply through _shift_z is the *negative* of the
+        # physical shift to apply through shift_z is the *negative* of the
         # fitted Taylor coefficient.
-        delz = -float(w2 @ (u * r)) / denom
+        delz = -float(w2 @ (u * residual)) / denom
         # Clamp to a few cells per iteration: the shift model is linear.
         cap = 4.0 * grid.dz
         return float(np.clip(delz, -cap, cap))
+
+    def _embed_rows(self, rows: np.ndarray, i0: int) -> np.ndarray:
+        """A zero grid field with ``rows`` written at grid rows ``i0`` on:
+        the one grid-sized array an iterate allocates (its ``pcurr``),
+        outside :meth:`iterate_pre`'s body like the arrays :meth:`_fit_delz`
+        and ``basis_current_slab`` make."""
+        field = np.zeros(self.grid.shape)
+        field[i0 : i0 + rows.shape[0]] = rows
+        return field
 
     def _psi_from_coils(self, currents: np.ndarray, statics: GridStatics) -> np.ndarray:
         """Vacuum coil flux of the given per-coil currents [A]."""
@@ -540,12 +552,16 @@ class EfitSolver:
                 )
         boundary = state.boundary
         with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
-            jmat = basis_current_matrix(
+            # Everything from here to pflux_ lives on the grid rows
+            # [i0, i1) the plasma occupies: one contiguous column range of
+            # the grid response, taken as a view.
+            i0, i1, jmat = basis_current_slab(
                 grid, boundary.psin, boundary.mask, self.pp_basis, self.ffp_basis
             )
+            response = self.grid_response[:, i0 * grid.nh : i1 * grid.nh]
         with hooks.profiled_region(profiler, "green_", iteration=state.iteration):
             assembly = assemble_response(
-                self.grid_response,
+                response,
                 jmat,
                 self.coil_response,
                 measurements.coil_currents,
@@ -568,8 +584,6 @@ class EfitSolver:
             elif self.fit_vessel:
                 # Augment the linear system with one unknown per
                 # vessel segment (EFIT's VESSEL fitting option).
-                from repro.efit.response import ResponseAssembly
-
                 aug = ResponseAssembly(
                     np.hstack([assembly.matrix, self.vessel_response]),
                     assembly.data,
@@ -587,15 +601,17 @@ class EfitSolver:
                 state.coeffs = solve_weighted_lsq(assembly, ridge=self.ridge)
                 state.chi2 = chi_squared(assembly, state.coeffs)
         with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
-            pcurr = grid.unflatten(jmat @ state.coeffs)
+            rows = (jmat @ state.coeffs).reshape(i1 - i0, grid.nh)
             if self.fitdelz:
-                vessel_pred = (
-                    self.vessel_response @ state.vessel_currents if self.fit_vessel else None
-                )
-                delz = self._fit_delz(pcurr, assembly, vessel_pred)
+                # The plasma's share of the prediction is the assembled
+                # system applied to the coefficients just fitted.
+                residual = assembly.data - assembly.matrix @ state.coeffs
+                if self.fit_vessel:
+                    residual = residual - self.vessel_response @ state.vessel_currents
+                delz = self._fit_delz(rows, response, residual, assembly.weights)
                 if delz != 0.0:
-                    pcurr = self._shift_z(pcurr, delz)
-            state.pcurr = pcurr
+                    rows = grid.shift_z(rows, delz)
+            pcurr = state.pcurr = self._embed_rows(rows, i0)
         psi_ext_iter = state.psi_external
         if self.fit_vessel:
             psi_ext_iter = state.psi_external + np.tensordot(

@@ -197,11 +197,13 @@ class RZGrid:
 
         This is the rigid vertical transport used both by EFIT's
         ``fitdelz`` feedback (shifting the fitted current distribution)
-        and by the forward solver's vertical-position hold.
+        and by the forward solver's vertical-position hold.  Rows shift
+        independently, so ``field`` may be any ``(k, nh)`` block of grid
+        rows — the fit shifts only the rows the plasma occupies.
         """
         field = np.asarray(field)
-        if field.shape != self.shape:
-            raise GridError(f"field shape {field.shape} != grid shape {self.shape}")
+        if field.ndim != 2 or field.shape[1] != self.nh:
+            raise GridError(f"field shape {field.shape} is not rows of a {self.shape} grid")
         s = delz / self.dz
         j = np.arange(self.nh)
         j_src = j - s

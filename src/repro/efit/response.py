@@ -36,6 +36,17 @@ class ResponseAssembly:
             raise FittingError("negative measurement weights")
 
 
+def _row_support(a: np.ndarray) -> tuple[int, int]:
+    """The rows ``[lo, hi)`` of the matrix ``a`` that hold every non-zero
+    entry of it: one comparison pass, no reduction per row."""
+    nonzero = a.reshape(a.size) != 0.0
+    if not nonzero.any():
+        return 0, 0
+    first = int(nonzero.argmax())
+    last = a.size - 1 - int(nonzero[::-1].argmax())
+    return first // a.shape[1], last // a.shape[1] + 1
+
+
 def assemble_response(
     grid_response: np.ndarray,
     basis_currents: np.ndarray,
@@ -53,7 +64,9 @@ def assemble_response(
         (precomputed once per grid in ``green_`` setup).
     basis_currents:
         ``(nw*nh, n_coeffs)`` node currents per unit coefficient from
-        ``current_`` — the per-iteration part.
+        ``current_`` — the per-iteration part.  Zero outside the plasma:
+        only the columns of ``grid_response`` between its first and last
+        non-zero row are read.
     coil_response:
         ``(n_meas, n_coils)`` response to unit coil currents.
     coil_currents:
@@ -68,9 +81,13 @@ def assemble_response(
         raise FittingError("measurement vector length mismatch")
     if np.any(uncertainties <= 0.0):
         raise FittingError("uncertainties must be positive")
-    # The O(n_meas * N^2) contraction: response of every diagnostic to every
-    # basis function through the grid.  This is the dominant green_ cost.
-    matrix = grid_response @ basis_currents
+    # The contraction over grid nodes: response of every diagnostic to
+    # every basis function.  The plasma fills a contiguous run of the flat
+    # node index and every row of ``basis_currents`` outside it is zero, so
+    # the product is taken over that run — whether the caller passes the
+    # whole grid or, as the fit does, the block of grid rows the mask is in.
+    lo, hi = _row_support(basis_currents)
+    matrix = grid_response[:, lo:hi] @ basis_currents[lo:hi]
     data = measured - coil_response @ np.asarray(coil_currents, dtype=float)
     weights = 1.0 / np.asarray(uncertainties, dtype=float)
     return ResponseAssembly(matrix=matrix, data=data, weights=weights)

@@ -33,8 +33,8 @@ class GSInteriorSolver(abc.ABC):
     def _solve_interior_batch(self, b: np.ndarray) -> np.ndarray:
         """Solve ``B`` stacked interior systems, ``b`` shaped
         ``(B, nw-2, nh-2)``.  The default loops :meth:`_solve_interior`;
-        solvers with a genuine multi-RHS path (the DST solver stacks all
-        columns into one vectorised Thomas sweep) override this."""
+        solvers with a genuine multi-RHS path (the DST solver hands LAPACK
+        one right-hand-side column per slice) override this."""
         out = np.empty_like(b)
         for k in range(b.shape[0]):
             out[k] = self._solve_interior(b[k])

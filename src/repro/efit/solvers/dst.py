@@ -13,8 +13,11 @@ Algorithm for the interior unknowns (shape ``(ni, nj)``):
 2. For each mode ``m`` with eigenvalue
    ``lam_m = -4 sin^2(pi (m+1) / (2 (nh-1))) / dz^2`` solve the tridiagonal
    system ``am_i x[i-1] + (d_i + lam_m) x[i] + ap_i x[i+1] = b_hat[i, m]``.
-   All modes share the off-diagonals, so a single vectorised Thomas sweep
-   handles every mode at once.
+   The first sub-diagonal and last super-diagonal entry of each system are
+   zero, so the ``nj`` systems laid end to end are *one* tridiagonal
+   system of ``ni * nj`` unknowns: LAPACK factors it once at construction
+   (``dgttrf``) and every solve is one ``dgttrs`` call, with one
+   right-hand-side column per slice of a batch.
 3. Inverse DST-I back to physical space.
 """
 
@@ -22,49 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dst, idst
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from repro.analysis.markers import hot_path
 from repro.efit.grid import RZGrid
 from repro.efit.solvers.base import GSInteriorSolver
 from repro.errors import SolverError
 
-__all__ = ["DSTSolver", "thomas_multi_rhs"]
-
-
-def thomas_multi_rhs(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Thomas algorithm for many tridiagonal systems sharing off-diagonals.
-
-    Parameters
-    ----------
-    lower, upper:
-        Off-diagonals, shape ``(n,)`` (``lower[0]`` and ``upper[n-1]``
-        unused).
-    diag:
-        Diagonals, shape ``(n, m)`` — one column per system.
-    rhs:
-        Right-hand sides, shape ``(n, m)``.
-
-    Returns the ``(n, m)`` solution.  The sweep is vectorised across the
-    ``m`` systems; only the ``n`` dimension is a Python loop.
-    """
-    n, m = rhs.shape
-    if diag.shape != (n, m) or lower.shape != (n,) or upper.shape != (n,):
-        raise SolverError("thomas_multi_rhs shape mismatch")
-    cp = np.empty((n, m))
-    dp = np.empty((n, m))
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty((n, m))
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+__all__ = ["DSTSolver"]
 
 
 class DSTSolver(GSInteriorSolver):
@@ -81,44 +49,53 @@ class DSTSolver(GSInteriorSolver):
         self.lam = -4.0 / dz2 * np.sin(np.pi * modes / (2.0 * (grid.nh - 1))) ** 2
         ap = self.operator.a_plus / dr2
         am = self.operator.a_minus / dr2
-        self._lower = np.concatenate(([0.0], am[1:]))
-        self._upper = np.concatenate((ap[:-1], [0.0]))
         base_diag = -(self.operator.a_plus + self.operator.a_minus) / dr2
-        #: Per-(row, mode) diagonal: base R-stencil diagonal plus lam_m.
-        self._diag = base_diag[:, None] + self.lam[None, :]
-        if np.any(np.abs(self._diag) < 1e-300):
+        # Mode-major unknowns: entry m * ni + i is row i of mode m.  The
+        # zeros that end each mode's off-diagonals decouple the blocks.
+        lower = np.tile(np.concatenate(([0.0], am[1:])), nj)[1:]
+        upper = np.tile(np.concatenate((ap[:-1], [0.0])), nj)[:-1]
+        diag = (self.lam[:, None] + base_diag[None, :]).reshape(ni * nj)
+        if np.any(np.abs(diag) < 1e-300):
             raise SolverError("singular mode diagonal in DST solver")
+        *factors, info = dgttrf(lower, diag, upper)
+        # The blocks are diagonally dominant, so the elimination never
+        # pivots; a pivot would mean this is not the system described above.
+        if info != 0 or np.any(factors[-1] != np.arange(1, ni * nj + 1)):
+            raise SolverError(f"tridiagonal factorisation failed in DST solver (info={info})")
+        #: ``dgttrf``'s ``(dl, d, du, du2, ipiv)``, as ``dgttrs`` takes them.
+        self._factors = tuple(factors)
         self._ni = ni
         self._nj = nj
-        #: Per-batch-size tiled diagonals for the stacked multi-RHS sweep,
-        #: built lazily and reused across Picard iterates and batches.
-        self._diag_tiles: dict[int, np.ndarray] = {}
 
     def _solve_interior(self, b: np.ndarray) -> np.ndarray:
-        # Forward DST-I along Z (axis 1); ortho norm makes idst the inverse.
-        b_hat = dst(b, type=1, axis=1, norm="ortho")
-        x_hat = thomas_multi_rhs(self._lower, self._diag, self._upper, b_hat)
-        return idst(x_hat, type=1, axis=1, norm="ortho")
+        return self._solve_interior_batch(b[None])[0]
 
     @hot_path
     def _solve_interior_batch(self, b: np.ndarray) -> np.ndarray:
-        """True multi-RHS path: all slices' modes in one Thomas sweep.
-
-        The Z transform vectorises over the leading batch axis, and since
-        every slice shares the same tridiagonal off-diagonals, stacking
-        the ``B * nj`` mode columns side by side turns the whole batch
-        into a single :func:`thomas_multi_rhs` call — the mode loop cost
-        is paid once instead of ``B`` times.
-        """
-        nb = b.shape[0]
-        ni, nj = self._ni, self._nj
+        """The whole batch in one transform pair around one ``dgttrs``."""
+        # Forward DST-I along Z; ortho norm makes idst the inverse.
         b_hat = dst(b, type=1, axis=2, norm="ortho")
-        diag = self._diag_tiles.get(nb)
-        if diag is None:
-            diag = np.tile(self._diag, (1, nb))
-            self._diag_tiles[nb] = diag
-        # (B, ni, nj) -> (ni, B*nj): systems stay contiguous per slice.
-        stacked = np.ascontiguousarray(b_hat.transpose(1, 0, 2)).reshape(ni, nb * nj)
-        x_hat = thomas_multi_rhs(self._lower, diag, self._upper, stacked)
-        x_hat = np.ascontiguousarray(x_hat.reshape(ni, nb, nj).transpose(1, 0, 2))
-        return idst(x_hat, type=1, axis=2, norm="ortho")
+        return idst(self._solve_modes(b_hat), type=1, axis=2, norm="ortho")
+
+    def _solve_modes(self, b_hat: np.ndarray) -> np.ndarray:
+        """Solve every mode's tridiagonal system for ``B`` stacked
+        transformed right-hand sides, shape ``(B, ni, nj)``.
+
+        One ``dgttrs`` call with a column per slice.  LAPACK sweeps the
+        columns one after another with the same scalar arithmetic, so a
+        slice's solution does not depend on how many share the call.
+
+        A method of its own because it is the kernel the tests hold against
+        the Thomas sweep (and swap for it), not to keep allocations out of
+        :meth:`_solve_interior_batch`: every solve makes the mode-major
+        copy below, ``dgttrs``'s output and the two transforms' arrays.
+        """
+        nb = b_hat.shape[0]
+        ni, nj = self._ni, self._nj
+        # (B, ni, nj) -> mode-major (B, nj * ni), whose transpose is the
+        # Fortran-ordered (n, nrhs) block dgttrs takes.
+        modes = np.ascontiguousarray(b_hat.transpose(0, 2, 1)).reshape(nb, nj * ni)
+        x, info = dgttrs(*self._factors, modes.T, overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"dgttrs failed in DST solver (info={info})")
+        return x.T.reshape(nb, nj, ni).transpose(0, 2, 1)

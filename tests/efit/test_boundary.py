@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.efit.boundary import find_axis, find_boundary, find_xpoints
+from repro.efit.boundary import _bounding_window, find_axis, find_boundary, find_xpoints
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Limiter
 from repro.errors import BoundaryError
@@ -135,3 +135,43 @@ class TestBoundary:
         assert abs(b.z_axis) < 0.05
         assert 1.4 < b.r_axis < 2.0
         assert b.plasma_volume_cells > 100
+
+
+class TestSearchWindow:
+    """The block of rows and columns the search runs on comes from the
+    in-limiter mask it is handed, whoever built that mask."""
+
+    def test_holds_the_mask_with_two_cells_to_spare(self, grid, wide_limiter):
+        inside = wide_limiter.grid_mask(grid)
+        rows, cols = _bounding_window(grid, inside)
+        i, j = np.nonzero(inside)
+        assert (rows.start, rows.stop) == (i.min() - 2, i.max() + 3)
+        assert (cols.start, cols.stop) == (j.min() - 2, j.max() + 3)
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) < grid.size
+
+    def test_clipped_to_the_grid_and_empty_for_an_empty_mask(self, grid):
+        everywhere = np.ones(grid.shape, dtype=bool)
+        assert _bounding_window(grid, everywhere) == (slice(0, grid.nw), slice(0, grid.nh))
+        rows, cols = _bounding_window(grid, np.zeros(grid.shape, dtype=bool))
+        assert rows.start == rows.stop and cols.start == cols.stop
+
+    def test_an_equal_mask_of_any_provenance_gives_the_same_search(self, grid, wide_limiter):
+        """A copy of the limiter's mask — what unpickling a ``GridStatics``
+        or a caller's own array is — takes the same path as the memo's."""
+        psi = gaussian_psi(grid, z0=0.25, width=0.5) + 0.85 * gaussian_psi(
+            grid, z0=-1.05, width=0.4
+        )
+        own = find_boundary(grid, psi, wide_limiter)
+        copied = find_boundary(grid, psi, wide_limiter, inside=wide_limiter.grid_mask(grid).copy())
+        assert copied.boundary_type == own.boundary_type
+        assert (copied.psi_axis, copied.psi_boundary) == (own.psi_axis, own.psi_boundary)
+        assert np.array_equal(copied.mask, own.mask) and np.array_equal(copied.psin, own.psin)
+
+    def test_a_callers_mask_bounds_the_axis_search(self, grid, wide_limiter):
+        """``inside=`` is honoured node for node: an extremum outside the
+        caller's mask is not the axis, wherever the wall is."""
+        psi = gaussian_psi(grid) + 2.0 * gaussian_psi(grid, r0=2.1, z0=0.6, width=0.1)
+        left = wide_limiter.grid_mask(grid) & (grid.rr < 1.9)
+        r_axis, _, _ = find_axis(grid, psi, wide_limiter, inside=left)
+        assert r_axis < 1.9
+        assert find_axis(grid, psi, wide_limiter)[0] > 1.9

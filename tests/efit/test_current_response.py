@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.efit.basis import PolynomialBasis
-from repro.efit.current import basis_current_matrix, distribute_current
+from repro.efit.current import basis_current_matrix, basis_current_slab, distribute_current
 from repro.efit.grid import RZGrid
 from repro.efit.response import (
     ResponseAssembly,
@@ -46,6 +46,37 @@ class TestCurrentMatrix:
         assert jm[k, 1] == pytest.approx(g.r[i] * x * g.cell_area)
         # column 2 (first FF'): dA / (mu0 R)
         assert jm[k, 2] == pytest.approx(g.cell_area / (MU0 * g.r[i]))
+
+    def test_matrix_is_the_slab_scattered(self, setup):
+        """One basis kernel: the full-grid matrix is the slab on the rows
+        the mask occupies and zero everywhere else."""
+        g, psin, mask, _ = setup
+        pp, ffp = PolynomialBasis(2, vanish_at_edge=True), PolynomialBasis(3)
+        i0, i1, slab = basis_current_slab(g, psin, mask, pp, ffp)
+        rows = np.flatnonzero(mask.any(axis=1))
+        assert (i0, i1) == (rows[0], rows[-1] + 1) and 0 < i0 and i1 < g.nw
+        assert slab.shape == ((i1 - i0) * g.nh, 5)
+        jm = basis_current_matrix(g, psin, mask, pp, ffp)
+        assert np.array_equal(jm[i0 * g.nh : i1 * g.nh], slab)
+        assert not jm[: i0 * g.nh].any() and not jm[i1 * g.nh :].any()
+        # The bases themselves, node by node, as the full-grid formula has them.
+        x = np.clip(psin, 0.0, 1.0)
+        want = np.concatenate(
+            [
+                pp.design_matrix(x) * (g.rr * g.cell_area)[..., None],
+                ffp.design_matrix(x) * (g.cell_area / (MU0 * g.rr))[..., None],
+            ],
+            axis=-1,
+        )
+        want[~mask] = 0.0
+        assert np.array_equal(jm, want.reshape(g.size, 5))
+
+    def test_empty_mask_is_an_empty_slab(self, setup):
+        g, psin, mask, _ = setup
+        pp, ffp = PolynomialBasis(2), PolynomialBasis(2)
+        i0, i1, slab = basis_current_slab(g, psin, np.zeros_like(mask), pp, ffp)
+        assert (i0, i1) == (0, 0) and slab.shape == (0, 4)
+        assert not basis_current_matrix(g, psin, np.zeros_like(mask), pp, ffp).any()
 
     def test_distribute_current_totals(self, setup):
         g, psin, mask, _ = setup
@@ -127,6 +158,37 @@ class TestAssembly:
             assemble_response(grid_resp, jm, np.zeros((10, 2)), np.zeros(2), np.zeros(9), np.ones(9))
         with pytest.raises(FittingError):
             assemble_response(grid_resp, jm, np.zeros((10, 2)), np.zeros(2), np.zeros(10), np.zeros(10))
+
+    def test_contracts_over_the_plasma_rows_only(self, setup):
+        """By construction, not by stopwatch: poison every column of the
+        grid response outside the rows the basis currents occupy — a full
+        contraction would return NaN (``nan * 0``) — and the system comes
+        out finite and bit-identical to the one the slab gives, which is
+        what the fit passes."""
+        g, psin, mask, rng = setup
+        pp, ffp = PolynomialBasis(2), PolynomialBasis(2)
+        jm = basis_current_matrix(g, psin, mask, pp, ffp)
+        i0, i1, slab = basis_current_slab(g, psin, mask, pp, ffp)
+        flat = np.flatnonzero(g.flatten(mask))
+        grid_resp = rng.normal(size=(12, g.size))
+        poisoned = grid_resp.copy()
+        poisoned[:, : flat[0]] = np.nan
+        poisoned[:, flat[-1] + 1 :] = np.nan
+        rest = (np.zeros((12, 2)), np.zeros(2), np.zeros(12), np.ones(12))
+        want = grid_resp @ jm
+        full = assemble_response(poisoned, jm, *rest).matrix
+        assert np.isfinite(full).all()
+        assert np.abs(full - want).max() <= 1e-13 * np.abs(want).max()
+        view = grid_resp[:, i0 * g.nh : i1 * g.nh]
+        assert np.array_equal(assemble_response(view, slab, *rest).matrix, full)
+
+    def test_no_plasma_is_a_zero_system(self, setup):
+        g, _, _, rng = setup
+        asm = assemble_response(
+            rng.normal(size=(7, g.size)), np.zeros((g.size, 3)),
+            np.zeros((7, 2)), np.zeros(2), np.zeros(7), np.ones(7),
+        )  # fmt: skip
+        assert asm.matrix.shape == (7, 3) and not asm.matrix.any()
 
     def test_assembly_validation(self):
         with pytest.raises(FittingError):

@@ -130,6 +130,22 @@ class TestInterpolation:
         assert not bool(g.contains(1.5, 2.0))
 
 
+class TestShiftZ:
+    def test_rows_shift_independently(self, rng):
+        """A block of grid rows shifts exactly as it does inside the grid."""
+        g = RZGrid(11, 17)
+        f = rng.normal(size=g.shape)
+        whole = g.shift_z(f, 1.3 * g.dz)
+        assert np.array_equal(g.shift_z(f[3:8], 1.3 * g.dz), whole[3:8])
+
+    def test_wrong_width_rejected(self):
+        g = RZGrid(11, 17)
+        with pytest.raises(GridError):
+            g.shift_z(np.zeros((11, 16)), 0.1)
+        with pytest.raises(GridError):
+            g.shift_z(np.zeros(17), 0.1)
+
+
 class TestRefinement:
     def test_refined_doubling_matches_paper_sweep(self):
         g = RZGrid(65, 65)

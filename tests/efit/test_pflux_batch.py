@@ -2,8 +2,8 @@
 
 The edge operator factors the boundary Green sums into one dense
 ``(n_edge, nw*nh)`` matrix so a single GEMM serves a whole batch of
-slices; the batched interior solve stacks every slice's RHS through one
-multi-RHS Thomas sweep.  These tests pin both against the per-slice
+slices; the batched interior solve hands every slice's RHS to one
+multi-RHS tridiagonal solve.  These tests pin both against the per-slice
 kernels — including the pure-Python ``boundary_flux_reference`` loops —
 at the paper's 65x65 production grid for batch sizes 1, 3 and 8.
 """

@@ -14,8 +14,36 @@ from repro.efit.solvers import (
     DSTSolver,
     make_solver,
 )
-from repro.efit.solvers.dst import thomas_multi_rhs
+from repro.efit.solvers import dst as dst_module
 from repro.errors import SolverError
+
+
+def thomas_multi_rhs(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Thomas algorithm for many tridiagonal systems sharing off-diagonals
+    (``lower[0]`` and ``upper[n-1]`` unused; ``diag`` and ``rhs`` are
+    ``(n, m)``, a column per system).
+
+    The DST solver's sweep until PR 23, kept as the oracle for the LAPACK
+    factorisation that replaced it.
+    """
+    n, m = rhs.shape
+    if diag.shape != (n, m) or lower.shape != (n,) or upper.shape != (n,):
+        raise SolverError("thomas_multi_rhs shape mismatch")
+    cp = np.empty((n, m))
+    dp = np.empty((n, m))
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    x = np.empty((n, m))
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
 
 
 @pytest.fixture(scope="module", params=SOLVER_NAMES)
@@ -116,6 +144,89 @@ class TestThomas:
     def test_shape_validation(self):
         with pytest.raises(SolverError):
             thomas_multi_rhs(np.zeros(3), np.ones((3, 2)), np.zeros(4), np.ones((3, 2)))
+
+
+class TestTridiagonalKernel:
+    """The mode systems as one factor-once LAPACK solve, against the sweep
+    it replaced — properties of the arithmetic, not of a stopwatch."""
+
+    @staticmethod
+    def _mode_systems(solver):
+        """``(lower, diag, upper)`` of the per-mode systems, rebuilt from
+        the operator the way the sweep's solver held them."""
+        g, op = solver.grid, solver.operator
+        am, ap = op.a_minus / g.dr**2, op.a_plus / g.dr**2
+        diag = -(op.a_plus + op.a_minus)[:, None] / g.dr**2 + solver.lam[None, :]
+        return np.concatenate(([0.0], am[1:])), diag, np.concatenate((ap[:-1], [0.0]))
+
+    @pytest.mark.parametrize(
+        "shape, ulps", [((33, 33), 26), ((65, 65), 68), ((129, 129), 300), ((19, 33), 16)]
+    )
+    def test_matches_the_thomas_sweep(self, shape, ulps, rng):
+        solver = DSTSolver(RZGrid(*shape))
+        lower, diag, upper = self._mode_systems(solver)
+        b_hat = rng.normal(size=diag.shape)
+        got = solver._solve_modes(b_hat[None])[0]
+        want = thomas_multi_rhs(lower, diag, upper, b_hat)
+        # Both are backward stable to an ulp, componentwise and at every
+        # size: |T x - b| <= 4 eps (|T||x| + |b|) ...
+        eps = np.finfo(float).eps
+        for x in (got, want):
+            tx = diag * x
+            tx[1:] += lower[1:, None] * x[:-1]
+            tx[:-1] += upper[:-1, None] * x[1:]
+            scale = np.abs(diag * x) + np.abs(b_hat)
+            scale[1:] += np.abs(lower[1:, None] * x[:-1])
+            scale[:-1] += np.abs(upper[:-1, None] * x[1:])
+            assert np.all(np.abs(tx - b_hat) <= 4 * eps * scale)
+        # ... so they differ by that times the conditioning of the
+        # smoothest modes, which grows with the row count.  The bound on
+        # the distance, in ulp of each mode's largest entry, is pinned per
+        # grid at twice the worst of 40 random right-hand sides (13 / 34 /
+        # 150 ulp at 33^2 / 65^2 / 129^2, 8 at 19 x 33): an elimination
+        # twice as lossy as today's fails here.
+        ulp = np.spacing(np.abs(want).max(axis=0))
+        assert np.all(np.abs(got - want).max(axis=0) <= ulps * ulp)
+
+    def test_solve_matches_the_sweep_through_the_transforms(self, rng):
+        g = RZGrid(65, 65)
+        solver = DSTSolver(g)
+        lower, diag, upper = self._mode_systems(solver)
+
+        class SweepSolver(DSTSolver):
+            def _solve_modes(self, b_hat):
+                return np.stack([thomas_multi_rhs(lower, diag, upper, b) for b in b_hat])
+
+        rhs, bdry = rng.normal(size=g.shape), rng.normal(size=g.shape)
+        got, want = solver.solve(rhs, bdry), SweepSolver(g).solve(rhs, bdry)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_factorisation_failure_is_a_solver_error(self, monkeypatch):
+        real = dst_module.dgttrf
+
+        def singular(*args):
+            *factors, _ = real(*args)
+            return (*factors, 3)
+
+        monkeypatch.setattr(dst_module, "dgttrf", singular)
+        with pytest.raises(SolverError, match="info=3"):
+            DSTSolver(RZGrid(9, 9))
+
+    def test_a_pivot_is_a_solver_error(self, monkeypatch):
+        """The mode blocks are diagonally dominant, so LAPACK never
+        interchanges rows; if it ever did, the blocks would no longer be
+        the decoupled systems the layout assumes."""
+        real = dst_module.dgttrf
+
+        def pivoted(*args):
+            dl, d, du, du2, ipiv, info = real(*args)
+            ipiv = ipiv.copy()
+            ipiv[2] += 1
+            return dl, d, du, du2, ipiv, info
+
+        monkeypatch.setattr(dst_module, "dgttrf", pivoted)
+        with pytest.raises(SolverError):
+            DSTSolver(RZGrid(9, 9))
 
 
 class TestNonSquare:
