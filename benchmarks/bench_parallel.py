@@ -3,7 +3,7 @@
 The headline contrast: one ``BatchFitEngine`` reconstructing a 16-slice
 sequence serially versus a :class:`~repro.parallel.engine.ParallelFitEngine`
 sharding the same ``batch_size`` groups across 4 worker processes that
-map one shared-memory table arena.  The acceptance bar (ISSUE 4, on
+map one table arena.  The acceptance bar (ISSUE 4, on
 CI-class hardware): **>= 2x wall-clock speedup at 4 workers, 65^2 grid,
 16 slices** — with bit-identical merged results.
 

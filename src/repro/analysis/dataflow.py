@@ -1,7 +1,7 @@
 """Dataflow core of the lifecycle analysis.
 
 The lifecycle family is *flow-sensitive*: what it flags depends on the
-order of statements (a view read after the backing arena is unlinked),
+order of statements (``os._exit`` reached before a queue is flushed),
 not just on which calls appear somewhere in a function.  This module
 provides the abstraction underneath — a small abstract interpreter over
 Python function bodies — so a checker only implements transfer

@@ -36,15 +36,8 @@ The concurrency-lifecycle family (same table convention):
 ==============================  =============================================
 rule id                         motivation
 ==============================  =============================================
-``lifecycle-use-after-unlink``  arena views produced after close/unlink, or
-                                release() with the table cache still seeded
-                                (the PR 4 segfault)
-``lifecycle-attach-before-seed``  worker engine built before the shared
-                                view is seeded (silent private O(N^3) rebuild)
-``lifecycle-missing-drop``      an arena handle that neither escapes nor is
-                                reliably torn down
-``fork-unsafe-capture``         lambda / nested function / live arena handle
-                                in worker-construction arguments
+``fork-unsafe-capture``         lambda / nested function in
+                                worker-construction arguments
 ``lifecycle-exit-before-flush``  ``os._exit`` reachable before queue
                                 ``close()`` + ``join_thread()``
 ==============================  =============================================

@@ -47,10 +47,7 @@ _RULE_DESCRIPTIONS = {
     "hot-copy": ".copy() inside @hot_path",
     "hot-ufunc-temp": "Ufunc without out= inside @hot_path",
     "workspace-alias": "Workspace buffer name requested twice",
-    "lifecycle-use-after-unlink": "Arena view used after drop/unlink",
-    "lifecycle-attach-before-seed": "Engine built before the table cache is seeded",
-    "lifecycle-missing-drop": "Arena handle leaks on an exceptional path",
-    "fork-unsafe-capture": "Unpicklable or arena-handle capture in worker args",
+    "fork-unsafe-capture": "Unpicklable callable in worker args",
     "lifecycle-exit-before-flush": "os._exit before queue feeder flush",
 }
 

@@ -88,8 +88,8 @@ class BatchFitEngine:
         attribute; per-slice Picard events come from the solver).
     edge_operator:
         Optional ready-made :class:`~repro.efit.operators.EdgeOperator`.
-        The multi-process fleet passes shared-memory-backed operators
-        here so workers skip the build entirely.
+        The multi-process fleet passes operators over its arena's mapped
+        arrays here so workers skip the build entirely.
     boundary_method:
         Representation to apply when ``edge_operator`` is not supplied —
         one of :data:`repro.efit.operators.EDGE_METHODS`; not given, it

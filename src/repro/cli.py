@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_problem_options(
         p_pf,
-        "edge-flux operator the fleet stages in the shared arena",
+        "edge-flux operator the fleet stages in its table arena",
         scenario_help="registered machine/shot scenario (same registry as the "
         "positional case; giving both conflicting forms is an error)",
     )
@@ -894,7 +894,7 @@ def _cmd_pfleet(args) -> int:
         config=config,
     ) as engine:
         arena_mb = engine.arena.nbytes / 1e6
-        print(f"table arena: {engine.arena.spec.shm_name} ({arena_mb:.1f} MB shared)")
+        print(f"table arena: {engine.arena.spec.path} ({arena_mb:.1f} MB mapped)")
         try:
             result = engine.fit_many(slices, allow_failures=args.allow_failures)
         except JobQuarantinedError as exc:

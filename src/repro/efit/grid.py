@@ -127,9 +127,9 @@ class RZGrid:
 
         Two grids share a hash iff they share mesh counts and domain
         extents — exactly the condition under which Green tables and
-        edge operators are interchangeable.  Used as the content
-        identity of shared-memory arenas and on-disk table caches
-        (including the CI ``actions/cache`` key).
+        edge operators are interchangeable.  The fleet's arena manager
+        keys on it (with the edge method), and the on-disk table cache
+        names its files with it.
         """
         blob = (
             f"rzgrid-v1:{self.nw}:{self.nh}:"

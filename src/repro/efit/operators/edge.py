@@ -159,22 +159,13 @@ class EdgeOperator(abc.ABC):
         """Method + rank discriminator (no grid identity)."""
         return self.method
 
-    @property
-    def content_key(self) -> str:
-        """Full content identity: grid hash + method + rank tag.
-
-        Two processes derive equal keys iff their operators are
-        interchangeable — the arena layer and the disk cache key on it.
-        """
-        return f"{self.grid.geometry_hash()}:{self.variant_tag}"
-
     @abc.abstractmethod
     def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Edge flux of one current vector or a column batch."""
 
     @abc.abstractmethod
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat named-array form (shared-memory segments, ``.npz`` files).
+        """Flat named-array form (arena ``.npy`` files, ``.npz`` members).
 
         :func:`edge_operator_from_arrays` inverts it; the round trip
         reproduces ``apply`` bit-for-bit.
@@ -608,8 +599,8 @@ def cached_edge_operator(tables: BoundaryGreensTables, method: str) -> EdgeOpera
 
 
 def seed_edge_operator(op: EdgeOperator) -> None:
-    """Install an externally-built operator (e.g. shared-memory backed)
-    so later ``cached_edge_operator`` calls resolve to it.  Seed the
+    """Install an externally-built operator (e.g. one over an arena's
+    mapped arrays) so later ``cached_edge_operator`` calls resolve to it.  Seed the
     table first: seeding a table forgets the operators of the one it
     replaces."""
     boundary_table_cache().operators(op.grid)[op.method] = op
@@ -630,7 +621,7 @@ def edge_operator_from_arrays(
 ) -> EdgeOperator:
     """Rebuild an operator from its :meth:`EdgeOperator.to_arrays` form.
 
-    Fleet workers call this against shared-memory segments; the disk
+    Fleet workers call this against an arena's mapped arrays; the disk
     cache against ``.npz`` members.  ``gpc`` is required for the
     toeplitz form, which aliases the Green table instead of copying it.
     """

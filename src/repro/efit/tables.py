@@ -218,8 +218,8 @@ class BoundaryTableCache:
         """Install externally-built tables for their grid.
 
         The multi-process fleet uses this on the worker side: the parent
-        publishes the tables in a shared-memory arena and each worker
-        seeds its own cache with the read-only view, so every later
+        writes the tables to an arena's files and each worker seeds its
+        own cache with its read-only mapping of them, so every later
         ``cached_boundary_tables(grid)`` — including the engine-internal
         ones — resolves to the shared pages instead of an O(N^3) rebuild.
         Seeding the same grid twice replaces the entry (the bytes are
@@ -234,13 +234,10 @@ class BoundaryTableCache:
         self._operators.pop(key, None)
 
     def drop(self, grid: RZGrid) -> None:
-        """Forget the entry for ``grid`` (no-op when absent).
-
-        The parallel engine's inline transport seeds *this* process's
-        cache with shared-memory views; when the backing arena is about
-        to be unlinked those views must not outlive the mapping, so the
-        entry — and every operator built from it — is dropped and the
-        next ``get`` rebuilds privately.
+        """Forget the entry for ``grid`` — and every operator built from
+        it — so the next ``get`` loads or builds it anew (no-op when
+        absent).  Nothing has to call this before an arena is released: a
+        seeded view owns its mapping and stays readable.
         """
         key = self._key(grid)
         self._entries.pop(key, None)

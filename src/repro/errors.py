@@ -176,8 +176,8 @@ class ParallelError(ReproError):
 
 
 class ArenaError(ParallelError):
-    """Shared-memory table-arena failure: creation, attachment or
-    reference-counting misuse."""
+    """Table-arena failure: creating the directory, attaching one that
+    is gone, an unknown array name, or reference-counting misuse."""
 
 
 class JobQuarantinedError(ParallelError):

@@ -1,18 +1,16 @@
-"""Multi-process reconstruction: shared-memory arenas + job scheduler.
+"""Multi-process reconstruction: memory-mapped table arenas + job scheduler.
 
 The paper accelerates one reconstruction per device; this package scales
 *out* instead — many (shot, time-slice) jobs sharded across CPU worker
-processes, with the Green-function tables published once per grid in a
-``multiprocessing.shared_memory`` arena so worker startup stays O(1) in
+processes, with the Green-function tables written once per grid as
+``.npy`` files every worker memory-maps, so worker startup stays O(1) in
 grid size.  See ``docs/PARALLEL.md`` for the lifecycle and failure
 semantics.
 """
 
 from repro.parallel.arena import (
     ArenaManager,
-    ArenaSegment,
     ArenaSpec,
-    AttachedArena,
     TableArena,
     arena_manager,
     attach_arena,
@@ -37,9 +35,7 @@ from repro.parallel.scheduler import (
 
 __all__ = [
     "ArenaManager",
-    "ArenaSegment",
     "ArenaSpec",
-    "AttachedArena",
     "TableArena",
     "arena_manager",
     "attach_arena",

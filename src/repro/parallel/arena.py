@@ -1,4 +1,4 @@
-"""Shared-memory arenas for the per-grid Green-function tables.
+"""Table arenas: one grid's Green table and edge operator, mapped from files.
 
 The boundary Green table is the single largest per-grid object in the
 code base — ``(nw, nh, nw)`` float64, 1.08 GB at 513x513 — and it is
@@ -7,34 +7,38 @@ reconstruction fleet reads the identical bytes.  Materialising a private
 copy per worker process would multiply resident memory by the worker
 count and pay the O(N^3) table build once per process.
 
-:class:`TableArena` instead places one read-only copy in a
-``multiprocessing.shared_memory`` segment.  The parent builds it once
-(from the process-wide :class:`~repro.efit.tables.BoundaryTableCache`,
-so a previously cached table is copied, not rebuilt), workers attach by
-name and map the same physical pages.  Worker startup cost is therefore
-O(1) in grid size after the first job, under both ``fork`` and ``spawn``
-start methods — a forked child *re-seeds* its inherited table cache with
-the shared-memory view, so copy-on-write never duplicates the pages
-either.
+:class:`TableArena` instead writes one copy as ``.npy`` files — the
+table and each array of the edge operator — into a fresh
+``tempfile.mkdtemp`` directory, and every process (the parent, an inline
+worker, a forked or spawned worker, a respawn after a crash) maps them
+read-only with ``np.load(..., mmap_mode="r")``: same physical pages
+through the page cache, attach O(1) in grid size.  ``TMPDIR`` decides the
+medium; point it at ``/dev/shm`` for RAM-backed pages.
+
+An array owns its mapping, and on POSIX a mapping outlives the removal of
+its file.  So there is no teardown order: a view taken before the arena
+was released stays readable for as long as anything references it, in
+any process, and there is nothing for a worker to close.
 
 Lifecycle (see ``docs/PARALLEL.md``):
 
 * the parent-side :class:`ArenaManager` keys arenas by grid geometry and
-  reference-counts them — two engines on the same grid share one arena;
-* :meth:`ArenaManager.release` unlinks the segment at refcount zero;
-* an ``atexit`` hook unlinks anything leaked by a crashed parent, so
-  ``/dev/shm`` is not littered across runs;
-* workers attach read-only (the numpy views have ``writeable = False``)
-  and only ever ``close()`` — the parent owns ``unlink()``.
+  edge method and reference-counts them — two engines on the same grid
+  share one arena;
+* :meth:`ArenaManager.release` removes the directory at refcount zero;
+* an ``atexit`` hook removes whatever an exiting parent still holds, so
+  ``TMPDIR`` is not littered across runs (a SIGKILLed parent leaves its
+  directory behind: nothing runs in it to remove anything).
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import shutil
+import tempfile
 import threading
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
@@ -48,58 +52,34 @@ from repro.efit.tables import BoundaryGreensTables, cached_boundary_tables
 from repro.errors import ArenaError
 
 __all__ = [
-    "ArenaSegment",
     "ArenaSpec",
     "TableArena",
-    "AttachedArena",
     "ArenaManager",
     "arena_manager",
     "attach_arena",
 ]
 
-#: Segment alignment inside one shared block (cache-line friendly).
-_ALIGN = 64
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-@dataclass(frozen=True)
-class ArenaSegment:
-    """One named array inside a shared block (picklable descriptor)."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-    offset: int
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
 
 @dataclass(frozen=True)
 class ArenaSpec:
-    """Everything a worker needs to attach an arena: the shared-memory
-    segment name, the grid geometry and the array layout.  Picklable, so
-    it travels in the worker-initialisation arguments under ``spawn``."""
+    """Everything a worker needs to attach an arena: the directory, the
+    grid geometry and the names of the arrays in it.  Picklable, so it
+    travels in the worker-initialisation arguments under ``spawn``."""
 
-    shm_name: str
+    path: str
     grid_nw: int
     grid_nh: int
     grid_rmin: float
     grid_rmax: float
     grid_zmin: float
     grid_zmax: float
-    segments: tuple[ArenaSegment, ...]
     #: Edge-operator representation stored in the arena (one of
     #: :data:`repro.efit.operators.EDGE_METHODS`).
     boundary_method: str
-    #: Content identity — grid hash + method + rank tag — so
-    #: two processes can tell at a glance whether their arenas are
-    #: interchangeable (the distributed-fleet transport will key on it).
-    content_key: str = ""
+    #: ``gpc`` plus one ``op_*`` per array of the operator's
+    #: :meth:`~repro.efit.operators.EdgeOperator.to_arrays`; each is the
+    #: file ``<path>/<name>.npy``.
+    names: tuple[str, ...]
 
     def grid(self) -> RZGrid:
         return RZGrid(
@@ -111,70 +91,41 @@ class ArenaSpec:
             zmax=self.grid_zmax,
         )
 
-    def segment(self, name: str) -> ArenaSegment:
-        for seg in self.segments:
-            if seg.name == name:
-                return seg
-        raise ArenaError(f"arena {self.shm_name!r} has no segment {name!r}")
-
-
-def _view(shm: shared_memory.SharedMemory, seg: ArenaSegment) -> np.ndarray:
-    """A read-only ndarray over one segment of ``shm``."""
-    arr = np.ndarray(
-        seg.shape, dtype=np.dtype(seg.dtype), buffer=shm.buf, offset=seg.offset
-    )
-    arr.flags.writeable = False
-    return arr
-
-
-def _shared_edge_operator(
-    shm: shared_memory.SharedMemory, spec: ArenaSpec
-) -> EdgeOperator:
-    """Rebuild the arena's edge operator over its shared segments."""
-    arrays = {
-        seg.name[3:]: _view(shm, seg)
-        for seg in spec.segments
-        if seg.name.startswith("op_")
-    }
-    return edge_operator_from_arrays(
-        spec.grid(), spec.boundary_method, arrays, gpc=_view(shm, spec.segment("gpc"))
-    )
-
-
-_NAME_SEQ = 0
-_NAME_LOCK = threading.Lock()
-
-
-def _fresh_name() -> str:
-    global _NAME_SEQ
-    with _NAME_LOCK:
-        _NAME_SEQ += 1
-        return f"repro_{os.getpid()}_{_NAME_SEQ}"
-
 
 class TableArena:
-    """Parent-side owner of one shared-memory table block.
+    """One grid's Green table (``gpc``) and edge-operator arrays, mapped
+    read-only from the directory ``spec`` names.
 
-    Holds the Green table (``gpc``) and the edge-flux operator's arrays
-    for one grid.  Create with :meth:`build`; hand :attr:`spec` to workers;
-    :meth:`unlink` exactly once when the last user is done (the
-    :class:`ArenaManager` does the counting).
+    The parent creates one with :meth:`build` and hands :attr:`spec` to
+    workers, which map the same files with :func:`attach_arena`.  The
+    process that built it calls :meth:`unlink` when the last user is done
+    (the :class:`ArenaManager` does the counting); arrays already handed
+    out, here or in a worker, stay valid after that.
     """
 
-    def __init__(
-        self, shm: shared_memory.SharedMemory, spec: ArenaSpec
-    ) -> None:
-        self._shm = shm
+    def __init__(self, spec: ArenaSpec) -> None:
         self.spec = spec
-        self._unlinked = False
+        try:
+            self._arrays = {
+                name: np.asarray(
+                    np.load(os.path.join(spec.path, f"{name}.npy"), mmap_mode="r")
+                )
+                for name in spec.names
+            }
+        except FileNotFoundError:
+            raise ArenaError(
+                f"arena {spec.path!r} does not exist (released, or its parent "
+                f"is gone)"
+            ) from None
 
     @classmethod
     def build(cls, grid: RZGrid, boundary_method: str) -> "TableArena":
-        """Copy the (cached) boundary tables + edge operator into shm.
+        """Write the (cached) boundary tables + edge operator to a new
+        directory and map them.
 
         ``boundary_method`` picks the operator representation shared with
         the workers; whichever it is, its
-        :meth:`~repro.efit.operators.EdgeOperator.to_arrays` segments are
+        :meth:`~repro.efit.operators.EdgeOperator.to_arrays` arrays are
         stored under ``op_*`` names.  A ``toeplitz`` arena (the fleet's
         default) is the Green table plus ``op_vert_spectra`` and
         ``op_meta_i8`` — 71 kB beside the 2.2 MB table at 65x65; a
@@ -184,149 +135,71 @@ class TableArena:
         """
         tables = cached_boundary_tables(grid)
         op = cached_edge_operator(tables, boundary_method)
-        arrays = {"gpc": np.ascontiguousarray(tables.gpc)}
+        arrays = {"gpc": tables.gpc}
         for name, arr in op.to_arrays().items():
-            arrays[f"op_{name}"] = np.ascontiguousarray(arr)
-        segments: list[ArenaSegment] = []
-        offset = 0
-        for name, arr in arrays.items():
-            offset = _aligned(offset)
-            segments.append(
-                ArenaSegment(
-                    name=name,
-                    shape=tuple(arr.shape),
-                    dtype=arr.dtype.str,
-                    offset=offset,
-                )
-            )
-            offset += arr.nbytes
+            arrays[f"op_{name}"] = arr
+        path = None
         try:
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(offset, 1), name=_fresh_name()
-            )
+            path = tempfile.mkdtemp(prefix="repro_arena_")
+            for name, arr in arrays.items():
+                np.save(os.path.join(path, f"{name}.npy"), arr)
         except OSError as exc:  # pragma: no cover - environment dependent
-            raise ArenaError(f"cannot create shared-memory arena: {exc}") from exc
-        spec = ArenaSpec(
-            shm_name=shm.name,
-            grid_nw=grid.nw,
-            grid_nh=grid.nh,
-            grid_rmin=grid.rmin,
-            grid_rmax=grid.rmax,
-            grid_zmin=grid.zmin,
-            grid_zmax=grid.zmax,
-            segments=tuple(segments),
-            boundary_method=boundary_method,
-            content_key=op.content_key,
-        )
-        arena = cls(shm, spec)
-        for seg in segments:
-            dst = np.ndarray(
-                seg.shape, dtype=np.dtype(seg.dtype), buffer=shm.buf, offset=seg.offset
+            if path is not None:
+                shutil.rmtree(path, ignore_errors=True)
+            raise ArenaError(f"cannot create table arena: {exc}") from exc
+        return cls(
+            ArenaSpec(
+                path=path,
+                grid_nw=grid.nw,
+                grid_nh=grid.nh,
+                grid_rmin=grid.rmin,
+                grid_rmax=grid.rmax,
+                grid_zmin=grid.zmin,
+                grid_zmax=grid.zmax,
+                boundary_method=boundary_method,
+                names=tuple(arrays),
             )
-            np.copyto(dst, arrays[seg.name])
-        return arena
+        )
+
+    def array(self, name: str) -> np.ndarray:
+        """The read-only mapped array stored under ``name``."""
+        try:
+            return self._arrays[name]
+        except KeyError:
+            raise ArenaError(
+                f"arena {self.spec.path!r} has no array {name!r}"
+            ) from None
 
     @property
     def nbytes(self) -> int:
-        return sum(seg.nbytes for seg in self.spec.segments)
-
-    def _require_mapped(self) -> None:
-        """Refuse to hand out views over an unlinked mapping.
-
-        This is the runtime twin of the static
-        ``lifecycle-use-after-unlink`` rule: without it a stale view
-        reads unmapped pages and the failure is a segfault somewhere
-        else entirely (the PR 4 bug); with it the misuse is a clean
-        :class:`~repro.errors.ArenaError` at the offending call."""
-        if self._unlinked:
-            raise ArenaError(
-                f"arena {self.spec.shm_name!r} is unlinked: views over its "
-                f"pages are gone (use-after-unlink)"
-            )
+        return sum(arr.nbytes for arr in self._arrays.values())
 
     def tables(self) -> BoundaryGreensTables:
-        """The parent's own read-only view (same pages the workers map)."""
-        self._require_mapped()
-        return BoundaryGreensTables(
-            grid=self.spec.grid(), gpc=_view(self._shm, self.spec.segment("gpc"))
-        )
+        """The Green table over the mapped pages."""
+        return BoundaryGreensTables(grid=self.spec.grid(), gpc=self.array("gpc"))
 
     def edge_op(self) -> EdgeOperator:
         """The arena's edge operator, whatever its representation."""
-        self._require_mapped()
-        return _shared_edge_operator(self._shm, self.spec)
+        arrays = {
+            name[3:]: arr
+            for name, arr in self._arrays.items()
+            if name.startswith("op_")
+        }
+        return edge_operator_from_arrays(
+            self.spec.grid(),
+            self.spec.boundary_method,
+            arrays,
+            gpc=self.array("gpc"),
+        )
 
     def unlink(self) -> None:
-        """Close and remove the segment (idempotent; parent-side only)."""
-        if self._unlinked:
-            return
-        self._unlinked = True
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        """Remove the directory (idempotent; the builder's side only)."""
+        shutil.rmtree(self.spec.path, ignore_errors=True)
 
 
-class AttachedArena:
-    """Worker-side view of an arena: attach by name, close on exit.
-
-    Keeps the ``SharedMemory`` handle alive for as long as the numpy
-    views are in use.  The attachment is *not* registered with the
-    ``resource_tracker`` because the *parent* owns the segment's
-    lifetime — without this, every worker exit would race to unlink the
-    arena the other workers are still mapping (a long-standing CPython
-    sharp edge with attached segments; CPython 3.13 adds ``track=False``
-    for exactly this, here emulated by suppressing the registration
-    call during attach).
-    """
-
-    def __init__(self, spec: ArenaSpec) -> None:
-        self.spec = spec
-        self._closed = False
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            self._shm = shared_memory.SharedMemory(name=spec.shm_name)
-        except FileNotFoundError:
-            raise ArenaError(
-                f"arena {spec.shm_name!r} does not exist (parent gone or unlinked)"
-            ) from None
-        finally:
-            resource_tracker.register = original_register
-
-    def _require_open(self) -> None:
-        """Runtime twin of ``lifecycle-use-after-unlink`` on the worker
-        side: a view handed out after ``close()`` would dereference an
-        unmapped buffer."""
-        if self._closed:
-            raise ArenaError(
-                f"attached arena {self.spec.shm_name!r} is closed: views over "
-                f"its pages are gone (use-after-close)"
-            )
-
-    def tables(self) -> BoundaryGreensTables:
-        self._require_open()
-        return BoundaryGreensTables(
-            grid=self.spec.grid(), gpc=_view(self._shm, self.spec.segment("gpc"))
-        )
-
-    def edge_op(self) -> EdgeOperator:
-        """The arena's edge operator, whatever its representation."""
-        self._require_open()
-        return _shared_edge_operator(self._shm, self.spec)
-
-    def close(self) -> None:
-        """Unmap the attachment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-
-
-def attach_arena(spec: ArenaSpec) -> AttachedArena:
+def attach_arena(spec: ArenaSpec) -> TableArena:
     """Worker-side entry point: map the arena described by ``spec``."""
-    return AttachedArena(spec)
+    return TableArena(spec)
 
 
 class ArenaManager:

@@ -6,11 +6,11 @@ shape, same ``fit_many(slices)`` entry point — but shards the slice
 sequence across worker *processes* through the
 :class:`~repro.parallel.scheduler.ProcessScheduler`:
 
-* the parent acquires one shared-memory
+* the parent acquires one file-backed
   :class:`~repro.parallel.arena.TableArena` per grid (reference-counted
   by the process-wide :class:`~repro.parallel.arena.ArenaManager`) and
   ships only its :class:`~repro.parallel.arena.ArenaSpec` to workers;
-* each worker attaches the arena, seeds its
+* each worker maps the arena, seeds its
   :class:`~repro.efit.tables.BoundaryTableCache` with the read-only
   view, and builds a private :class:`~repro.batch.engine.BatchFitEngine`
   on top — worker startup is O(1) in grid size;
@@ -92,12 +92,11 @@ def _init_fit_worker(
     batch_size: int,
     solver_kwargs: dict,
 ) -> dict[str, Any]:
-    """Attach the table arena and build this worker's private engine."""
+    """Map the table arena and build this worker's private engine."""
     arena = attach_arena(spec)
-    tables = arena.tables()
     # Every later cached_boundary_tables(grid) in this process — including
     # the engine's own — now resolves to the shared pages.
-    boundary_table_cache().seed(tables)
+    boundary_table_cache().seed(arena.tables())
     op = arena.edge_op()
     # Same story for the operator, which the cache keeps beside the table
     # (so it is seeded second: seeding a table forgets its predecessor's
@@ -116,7 +115,7 @@ def _init_fit_worker(
     ctx.metrics.register_source(
         "table_cache", lambda: boundary_table_cache().cache_info()
     )
-    return {"arena": arena, "engine": engine}
+    return {"engine": engine}
 
 
 def _run_fit_job(state: dict[str, Any], payload: tuple) -> tuple:
@@ -177,18 +176,23 @@ class ParallelFitEngine:
         self._manager = arena_manager()
         self.arena = self._manager.acquire(grid, self.boundary_method)
         self._released = False
-        self.scheduler = ProcessScheduler(
-            _init_fit_worker,
-            (self.arena.spec, machine, diagnostics, batch_size, dict(solver_kwargs)),
-            _run_fit_job,
-            config=self.config,
-            hooks=self.hooks,
-        )
-        #: Parent-side registry: scheduler counters as a live source.
-        self.metrics = MetricsRegistry()
-        self.metrics.register_source(
-            "scheduler", scheduler_source(self.scheduler.counters)
-        )
+        try:
+            self.scheduler = ProcessScheduler(
+                _init_fit_worker,
+                (self.arena.spec, machine, diagnostics, batch_size, dict(solver_kwargs)),
+                _run_fit_job,
+                config=self.config,
+                hooks=self.hooks,
+            )
+            #: Parent-side registry: scheduler counters as a live source.
+            self.metrics = MetricsRegistry()
+            self.metrics.register_source(
+                "scheduler", scheduler_source(self.scheduler.counters)
+            )
+        except BaseException:
+            # No engine exists to close(): give the reference back here.
+            self._manager.release(grid, self.boundary_method)
+            raise
         self._last_reports: tuple[WorkerReport, ...] = ()
 
     @classmethod
@@ -213,12 +217,6 @@ class ParallelFitEngine:
         self.scheduler.close()
         if not self._released:
             self._released = True
-            if self.config.transport == "inline":
-                # Inline workers ran _init_fit_worker in *this* process and
-                # seeded the process-global cache with views over the
-                # arena's pages (table and operator).  Those views must not
-                # outlive the mapping; the operator goes with its table.
-                boundary_table_cache().drop(self.grid)
             self._manager.release(self.grid, self.boundary_method)
 
     def __enter__(self) -> "ParallelFitEngine":

@@ -50,7 +50,7 @@ import time
 import traceback as traceback_mod
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from queue import Empty
 from typing import Any, Callable, Sequence
 
@@ -118,7 +118,7 @@ class SchedulerConfig:
     and quarantine paths run without forking).  ``start_method`` picks the
     multiprocessing context (default: ``fork`` where available — worker
     startup then inherits the parent's modules; ``spawn`` workers rebuild
-    from pickled state and attach tables from the shared-memory arena)."""
+    from pickled state and map the tables from the arena's files)."""
 
     workers: int = 2
     timeout_seconds: float | None = 120.0
@@ -139,6 +139,12 @@ class SchedulerConfig:
             raise ParallelError("backoff_seconds must be >= 0")
         if self.transport not in ("process", "inline"):
             raise ParallelError(f"unknown transport {self.transport!r}")
+        methods = get_all_start_methods()
+        if self.start_method is not None and self.start_method not in methods:
+            raise ParallelError(
+                f"unknown start_method {self.start_method!r}; this platform "
+                f"has {methods}"
+            )
 
 
 @dataclass
@@ -347,7 +353,7 @@ class ProcessScheduler:
         if self.config.transport == "process":
             method = self.config.start_method
             if method is None:
-                method = "fork" if "fork" in _available_methods() else "spawn"
+                method = "fork" if "fork" in get_all_start_methods() else "spawn"
             self._ctx = get_context(method)
             self._result_q = self._ctx.Queue()
         else:
@@ -785,9 +791,3 @@ class ProcessScheduler:
             counters=self.counters.snapshot(),
             wall_seconds=time.perf_counter() - t0,
         )
-
-
-def _available_methods() -> tuple[str, ...]:
-    import multiprocessing
-
-    return tuple(multiprocessing.get_all_start_methods())

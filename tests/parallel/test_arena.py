@@ -1,9 +1,10 @@
-"""Shared-memory table arenas: build, attach, refcount, unlink."""
+"""Table arenas: build, attach, refcount, removal."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -48,12 +49,24 @@ class TestTableArena:
         with pytest.raises(ValueError):
             arena.edge_op().matrix[0, 0] = 1.0
 
+    def test_views_are_plain_read_only_arrays(self, arena):
+        """Not ``np.memmap``: nothing downstream sees a subclass."""
+        for view in (
+            arena.tables().gpc,
+            arena.edge_op().matrix,
+            attach_arena(arena.spec).tables().gpc,
+        ):
+            assert type(view) is np.ndarray
+            assert not view.flags.writeable
+            assert view.ctypes.data % 64 == 0
+
     def test_spec_reconstructs_grid(self, grid, arena):
         assert arena.spec.grid() == grid
 
     def test_spec_unknown_segment(self, arena):
-        with pytest.raises(ArenaError):
-            arena.spec.segment("nope")
+        assert arena.spec.names == ("gpc", "op_matrix")
+        with pytest.raises(ArenaError, match="no array 'nope'"):
+            arena.array("nope")
 
     def test_nbytes_covers_both_segments(self, grid, arena):
         tables = cached_boundary_tables(grid)
@@ -69,21 +82,19 @@ class TestTableArena:
 class TestAttach:
     def test_attach_sees_identical_bytes(self, grid, arena):
         attached = attach_arena(arena.spec)
-        try:
-            np.testing.assert_array_equal(
-                attached.tables().gpc, cached_boundary_tables(grid).gpc
-            )
-            np.testing.assert_array_equal(
-                attached.edge_op().matrix, arena.edge_op().matrix
-            )
-        finally:
-            attached.close()
+        np.testing.assert_array_equal(
+            attached.tables().gpc, cached_boundary_tables(grid).gpc
+        )
+        np.testing.assert_array_equal(
+            attached.edge_op().matrix, arena.edge_op().matrix
+        )
 
     def test_attach_after_unlink_raises(self, grid):
         arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
         spec = arena.spec
         arena.unlink()
-        with pytest.raises(ArenaError):
+        assert not os.path.exists(spec.path)
+        with pytest.raises(ArenaError, match="does not exist"):
             attach_arena(spec)
 
 
@@ -166,71 +177,42 @@ class TestCacheSeeding:
             arena.unlink()
 
 
-def _crash_while_attached(spec):
-    """Worker that dies hard while still holding a live attachment —
-    no close(), no interpreter shutdown hooks."""
-    attached = attach_arena(spec)
-    attached.tables()
-    os._exit(3)
+def _hold_attachment(spec, attached):
+    """Worker that maps the arena, says so, and waits to be killed."""
+    held = attach_arena(spec).tables()
+    attached.set()
+    signal.pause()
+    return held
 
 
 class TestFailurePaths:
-    """Runtime ground truth of the static lifecycle rules: the misuse
-    each rule flags must fail as a clean ArenaError, not a segfault."""
-
-    def test_parent_view_after_unlink_raises(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
-        arena.unlink()
-        with pytest.raises(ArenaError, match="use-after-unlink"):
-            arena.tables()
-        with pytest.raises(ArenaError, match="use-after-unlink"):
-            arena.edge_op()
-
-    def test_views_taken_before_unlink_still_error_after(self, grid):
-        """The static rule's exact shape: view production ordered after
-        teardown is refused (views taken before stay the caller's
-        responsibility — the mapping itself is gone)."""
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
-        arena.tables()  # fine while live
-        arena.unlink()
-        with pytest.raises(ArenaError):
-            arena.tables()
-
-    def test_worker_view_after_close_raises(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
-        try:
-            attached = attach_arena(arena.spec)
-            attached.close()
-            with pytest.raises(ArenaError, match="use-after-close"):
-                attached.tables()
-            with pytest.raises(ArenaError, match="use-after-close"):
-                attached.edge_op()
-        finally:
-            arena.unlink()
-
-    def test_worker_close_is_idempotent(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
-        try:
-            attached = attach_arena(arena.spec)
-            attached.close()
-            attached.close()
-        finally:
-            arena.unlink()
-
     def test_manager_sweep_with_crashed_worker_holding_attachment(self, grid):
-        """The atexit-sweep scenario: a worker dies hard (os._exit, no
-        close) while attached; the parent's shutdown sweep must still
-        unlink cleanly and leave nothing to attach to."""
+        """A worker SIGKILLed while it maps the arena holds nothing the
+        parent needs back: the release removes the directory, and the
+        next acquire builds a new one."""
         manager = ArenaManager()
-        arena = manager.acquire(grid, DEFAULT_EDGE_METHOD)
-        spec = arena.spec
-        proc = multiprocessing.get_context("fork").Process(
-            target=_crash_while_attached, args=(spec,)
-        )
+        spec = manager.acquire(grid, DEFAULT_EDGE_METHOD).spec
+        ctx = multiprocessing.get_context("fork")
+        attached = ctx.Event()
+        proc = ctx.Process(target=_hold_attachment, args=(spec, attached))
         proc.start()
-        proc.join(timeout=60)
-        assert proc.exitcode == 3  # crashed as injected, while attached
-        manager.shutdown()  # refcount still 1: the safety net overrides
+        try:
+            assert attached.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.join(timeout=60)
+        assert proc.exitcode == -signal.SIGKILL
+        manager.release(grid, DEFAULT_EDGE_METHOD)
         assert len(manager) == 0
+        assert not os.path.exists(spec.path)
         with pytest.raises(ArenaError):
-            attach_arena(spec)  # segment really is gone
+            attach_arena(spec)
+        again = manager.acquire(grid, DEFAULT_EDGE_METHOD)
+        try:
+            assert again.spec.path != spec.path
+            np.testing.assert_array_equal(
+                attach_arena(again.spec).tables().gpc,
+                cached_boundary_tables(grid).gpc,
+            )
+        finally:
+            manager.shutdown()

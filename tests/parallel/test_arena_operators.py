@@ -1,6 +1,9 @@
-"""Structured edge operators through the shared-memory arena layer."""
+"""Edge operators through the table-arena layer."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -35,38 +38,84 @@ class TestStructuredArena:
         try:
             x = np.random.default_rng(0).normal(size=(grid.size, 3))
             np.testing.assert_array_equal(arena.edge_op().apply(x), local.apply(x))
-            attached = attach_arena(arena.spec)
-            try:
-                np.testing.assert_array_equal(
-                    attached.edge_op().apply(x), local.apply(x)
-                )
-            finally:
-                attached.close()
-        finally:
-            arena.unlink()
-
-    def test_spec_carries_content_identity(self, grid, tables):
-        op = cached_edge_operator(tables, "lowrank")
-        arena = TableArena.build(grid, "lowrank")
-        try:
-            assert arena.spec.boundary_method == "lowrank"
-            assert arena.spec.content_key == op.content_key
-            assert arena.spec.content_key.startswith(grid.geometry_hash())
+            np.testing.assert_array_equal(
+                attach_arena(arena.spec).edge_op().apply(x), local.apply(x)
+            )
         finally:
             arena.unlink()
 
     def test_dense_arena_uses_op_segments(self, grid, tables):
         """Dense has no layout of its own: its ``to_arrays()`` lands in
-        ``op_*`` segments and ``edge_op()`` is the one way to read it."""
+        ``op_*`` arrays and ``edge_op()`` is the one way to read it."""
         arena = TableArena.build(grid, "dense")
         try:
             assert arena.spec.boundary_method == "dense"
-            assert [s.name for s in arena.spec.segments] == ["gpc", "op_matrix"]
+            assert arena.spec.names == ("gpc", "op_matrix")
             dense = build_edge_operator(tables, "dense")
             np.testing.assert_array_equal(arena.edge_op().matrix, dense.matrix)
             assert not hasattr(arena, "edge_operator")
         finally:
             arena.unlink()
+
+
+def _same_bytes_and_apply(held_tables, held_op, tables, method) -> bool:
+    """Do views over an arena read and apply like a direct build?"""
+    x = np.random.default_rng(1).normal(size=(tables.grid.size, 3))
+    direct = build_edge_operator(tables, method)
+    direct_arrays = direct.to_arrays()
+    return (
+        held_tables.gpc.tobytes() == tables.gpc.tobytes()
+        and np.array_equal(held_op.apply(x), direct.apply(x))
+        and all(
+            arr.tobytes() == direct_arrays[name].tobytes()
+            for name, arr in held_op.to_arrays().items()
+        )
+    )
+
+
+def _child_holds_views(spec, tables, attached, released, verdict):
+    arena = attach_arena(spec)
+    held_tables, held_op = arena.tables(), arena.edge_op()
+    attached.set()
+    released.wait(timeout=60)
+    verdict.put(
+        not os.path.exists(spec.path)
+        and _same_bytes_and_apply(held_tables, held_op, tables, spec.boundary_method)
+    )
+
+
+class TestViewsOutliveTheArena:
+    """What replaced the close/unlink protocol: a view owns its mapping,
+    so it reads the same bytes after the arena is released, swept and
+    removed as before — in the parent and in a worker.  Before PR 24 this
+    was a segfault (PR 4), then an ``ArenaError``."""
+
+    @pytest.mark.parametrize("method", EDGE_METHODS)
+    def test_views_read_and_apply_after_the_arena_is_gone(self, grid, tables, method):
+        manager = ArenaManager()
+        arena = manager.acquire(grid, method)
+        spec = arena.spec
+        held_tables, held_op = arena.tables(), arena.edge_op()
+        ctx = multiprocessing.get_context("fork")
+        attached, released, verdict = ctx.Event(), ctx.Event(), ctx.Queue()
+        child = ctx.Process(
+            target=_child_holds_views,
+            args=(spec, tables, attached, released, verdict),
+        )
+        child.start()
+        try:
+            assert attached.wait(timeout=60)
+            manager.release(grid, method)
+            assert manager.refcount(grid, method) == 0
+            manager.shutdown()
+            assert not os.path.exists(spec.path)
+            released.set()
+            assert verdict.get(timeout=60) is True
+        finally:
+            released.set()
+            child.join(timeout=60)
+        assert child.exitcode == 0
+        assert _same_bytes_and_apply(held_tables, held_op, tables, method)
 
 
 class TestFleetBoundaryMethod:
@@ -117,9 +166,7 @@ class TestFleetBoundaryMethod:
             assert engine.boundary_method == DEFAULT_EDGE_METHOD == "toeplitz"
             spec = engine.arena.spec
             assert spec.boundary_method == DEFAULT_EDGE_METHOD
-            assert [s.name for s in spec.segments] == [
-                "gpc", "op_vert_spectra", "op_meta_i8",
-            ]
+            assert spec.names == ("gpc", "op_vert_spectra", "op_meta_i8")
             gpc = cached_boundary_tables(shot.grid).gpc
             assert gpc.nbytes < engine.arena.nbytes < 1.1 * gpc.nbytes
 

@@ -72,6 +72,23 @@ class TestBitIdenticalMerge:
             parallel = engine.fit_many(slices)
         _assert_identical(serial_result, parallel)
 
+    def test_spawned_processes_match_serial(self, shot, slices):
+        """A spawned worker has nothing of the parent's but the pickled
+        init arguments: the ``ArenaSpec`` must re-attach in a fresh
+        interpreter, and the merge must not care how workers started."""
+        serial = BatchFitEngine(
+            shot.machine, shot.diagnostics, shot.grid, batch_size=2
+        ).fit_many(slices[:4])
+        with ParallelFitEngine(
+            shot.machine,
+            shot.diagnostics,
+            shot.grid,
+            batch_size=2,
+            config=SchedulerConfig(workers=2, start_method="spawn"),
+        ) as engine:
+            parallel = engine.fit_many(slices[:4])
+        _assert_identical(serial, parallel)
+
 
 class TestEngineApi:
     def test_bad_batch_size(self, shot):
@@ -129,6 +146,21 @@ class TestEngineApi:
         finally:
             e1.close()
             e2.close()
+
+    def test_failed_construction_releases_the_arena(self, shot, monkeypatch):
+        """No engine comes back to close(), so the constructor gives its
+        reference back itself: the count, not ``atexit``, ends the arena."""
+        import repro.parallel.engine as engine_module
+        from repro.parallel import arena_manager
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no pool today")
+
+        monkeypatch.setattr(engine_module, "ProcessScheduler", refuse)
+        before = arena_manager().refcount(shot.grid, "lowrank")
+        with pytest.raises(RuntimeError, match="no pool today"):
+            _inline_engine(shot, workers=1, boundary_method="lowrank")
+        assert arena_manager().refcount(shot.grid, "lowrank") == before
 
     def test_close_is_idempotent(self, shot):
         engine = _inline_engine(shot, workers=1)

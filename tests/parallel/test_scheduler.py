@@ -66,6 +66,9 @@ class TestConfigValidation:
             {"max_retries": -1},
             {"backoff_seconds": -0.1},
             {"transport": "carrier-pigeon"},
+            # not a bare ValueError out of get_context, after an engine
+            # already holds an arena
+            {"start_method": "bogus"},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

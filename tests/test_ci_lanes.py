@@ -85,6 +85,18 @@ def test_the_scan_finds_the_lanes():
     assert sorted("dense" in argv for argv in fleets) == [False, True]
 
 
+def test_parallel_stress_lane_sweeps_its_tmpdir_for_arenas():
+    """The lane gives itself a TMPDIR and, after the suite and both
+    fleet drills, fails on any ``repro_arena_*`` entry left in it."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  parallel-stress:") : text.index("  scenario-matrix:")]
+    commands = _run_commands(lane)
+    exported = next(i for i, c in enumerate(commands) if c.startswith('echo "TMPDIR='))
+    sweep = next(i for i, c in enumerate(commands) if "repro_arena_*" in c)
+    ran = [i for i, c in enumerate(commands) if "pytest" in c or "repro pfleet" in c]
+    assert len(ran) == 3 and exported < min(ran) and max(ran) < sweep
+
+
 @pytest.mark.parametrize(
     "workflow, argv", INVOCATIONS, ids=[f"{n}:{'_'.join(a[:3])}" for n, a in INVOCATIONS]
 )
