@@ -4,13 +4,17 @@ The headline contrast: a serial loop of ``EfitSolver.fit`` calls versus
 ``BatchFitEngine.fit_many`` over the same slices at the paper's 65x65
 production grid.  Both paths read the same geometry statics (limiter
 mask, coil flux tables) and the same factorisation; what the batched path
-adds is one GEMM for every slice's boundary Green sums and one multi-RHS
-interior solve.  ``pflux_`` is about a third of a 65^2 iterate, so that is
-worth about 1.2-1.3x at B=8, and the bar is what the engine owes: never
-slower than the serial loop, the same psi, and workspaces that are
-reused.  (The >= 2x this file used to demand was mostly the serial path
-rebuilding its statics every iterate.)  The measured ratios (slices/s vs
-batch size at 65^2 and 129^2) land in ``results/batch_throughput.json``.
+adds is the whole iterate taken over the batch at once — one boundary
+search on the stack of fluxes, one ``green_`` product with
+``B * n_coeffs`` columns, one GEMM for every slice's boundary Green sums
+and one multi-RHS interior solve.  Batching ``pflux_`` alone was worth
+about 1.2x at B=8; with the pre-flux half batched too, B=8 runs at
+``SPEEDUP_FLOOR`` or better against the serial loop, with the same psi
+and workspaces that are reused.  (The >= 2x this file demanded before the
+statics were hoisted was mostly the serial path rebuilding them every
+iterate.)  The measured ratios (slices/s vs batch size at 65^2 and 129^2)
+land in ``results/batch_throughput.json`` and
+``results/batch_throughput_129.json``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from repro.efit.fitting import EfitSolver
 from benchmarks.conftest import write_artifact
 
 N_SLICES = 8
+#: What B=8 owes the serial loop at 65^2, in slices/s: the committed table
+#: reads 1.98x with one BLAS thread (1.96x with two), and best-of-five
+#: runs on a shared box wobble by 20 %.
+SPEEDUP_FLOOR = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +55,8 @@ def _timed_run(engine, slices):
 
 
 def test_batch_vs_serial_65(shot65, slices65):
-    """The acceptance run: B=8 on 65^2 is no slower than the serial loop,
-    same psi, workspaces reused."""
+    """The acceptance run: B=8 on 65^2 beats the serial loop by
+    ``SPEEDUP_FLOOR``, same psi, workspaces reused."""
     serial = EfitSolver(shot65.machine, shot65.diagnostics, shot65.grid)
     serial.fit(slices65[0])  # warm the table cache
     engines = {
@@ -89,7 +97,7 @@ def test_batch_vs_serial_65(shot65, slices65):
             counters = engines[bs].workspace_counters()
             sweep[str(bs)]["max_rel_psi_err"] = max_rel
             # The three acceptance criteria of the batch engine:
-            assert t_serial / t_batch >= 1.0, sweep
+            assert t_serial / t_batch >= SPEEDUP_FLOOR, sweep
             assert max_rel <= 1e-10
             assert counters.reuses > 0
 

@@ -12,22 +12,28 @@ lockstep Picard iteration:
   engine's own solver, whose flux step applies the engine's edge
   operator (DESIGN.md's relation table says how the results relate to
   ``solver.fit`` and to serving);
-* that step runs in its batched form
+* every iterate's pre-flux half is one pass over the batch
+  (:meth:`~repro.efit.fitting.EfitSolver.iterate_pre` on all the slices
+  still iterating): one boundary search on the stack of fluxes, one
+  basis slab over the union of the plasmas' rows, one ``green_`` product
+  with ``B * n_coeffs`` columns and one ``fitdelz`` product — the small
+  least squares, chi^2 and shifts stay per slice;
+* the flux step runs in its batched form
   (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`): one
   operator apply on a ``(nw*nh, B)`` column stack computes every slice's
   boundary Green sums at once, and one multi-RHS sine-transform solve
   handles all interior systems;
-* every batch-level array lives in a per-worker
-  :class:`~repro.batch.workspace.FitWorkspace`, so steady-state iterates
-  allocate nothing.
+* every fixed-shape batch-level array of the flux step lives in a
+  per-worker :class:`~repro.batch.workspace.FitWorkspace`, so
+  steady-state iterates allocate none of them; the pre-flux arrays,
+  whose shapes follow the plasmas' rows, are made per iterate.
 
 Worker threads (``n_workers``) pull batches from a queue; the heavy GEMM
 and FFT kernels release the GIL, so multi-core hosts overlap batches.
-Convergence is per-slice: a converged slice simply stops contributing
-fresh columns while the rest of its batch iterates on (its stale columns
-keep riding the fixed-shape GEMM, which keeps the steady state
-allocation-free — at 65x65 the whole batched boundary GEMM costs less
-than one slice's Python-side bookkeeping).
+Convergence is per-slice: a converged slice leaves the pre-flux pass,
+and stops contributing fresh columns to the flux step while the rest of
+its batch iterates on (its stale columns keep riding the fixed-shape
+apply, which keeps the workspace steady state allocation-free).
 """
 
 from __future__ import annotations
@@ -76,8 +82,8 @@ class BatchFitEngine:
     Parameters
     ----------
     batch_size:
-        Number of slices advanced in lockstep per batched ``pflux_``
-        call (``B`` in the edge-operator GEMM).
+        Number of slices advanced in lockstep: ``B`` of the batched
+        pre-flux pass and of the edge-operator apply.
     n_workers:
         Worker threads pulling batches off the queue.  Useful when BLAS
         releases the GIL and cores are available; the default of 1 keeps

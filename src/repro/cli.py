@@ -801,14 +801,9 @@ def _cmd_serve(args) -> int:
         solver = engine.solver
         compared = mismatched = 0
         for sid, summary in summaries.items():
-            prev_psi = prev_coeffs = None
+            prev_psi = None
             for report, m in zip(summary.reports, frames[sid]):
-                serial = solver.fit(
-                    m,
-                    psi_initial=prev_psi,
-                    coeffs_initial=prev_coeffs,
-                    require_convergence=False,
-                )
+                serial = solver.fit(m, psi_initial=prev_psi, require_convergence=False)
                 if report.converged:
                     compared += 1
                     if not (
@@ -816,12 +811,9 @@ def _cmd_serve(args) -> int:
                         and serial.chi2 == report.result.chi2
                     ):
                         mismatched += 1
-                    prev_psi, prev_coeffs = (
-                        serial.psi,
-                        serial.history[-1].coefficients,
-                    )
+                    prev_psi = serial.psi
                 else:
-                    prev_psi = prev_coeffs = None
+                    prev_psi = None
         print(
             f"serial comparison: {compared} converged slice(s) compared, "
             f"{mismatched} mismatch(es)"

@@ -10,11 +10,16 @@ in-plasma mask used by ``current_``.
 The mask keeps only the cells *connected to the axis* through ``psiN < 1``
 territory, excluding private-flux regions below an X-point, via a
 connected-component labelling.
+
+:func:`find_boundaries` runs the search on a stack of flux maps at once —
+every step is array-at-a-time over the stack but the walk over a slice's
+few X-point candidates — and :func:`find_boundary` is its one-map call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -23,7 +28,7 @@ from repro.efit.grid import RZGrid
 from repro.efit.machine import Limiter
 from repro.errors import BoundaryError
 
-__all__ = ["BoundaryResult", "find_axis", "find_xpoints", "find_boundary"]
+__all__ = ["BoundaryResult", "find_axis", "find_xpoints", "find_boundary", "find_boundaries"]
 
 
 @dataclass(frozen=True)
@@ -51,17 +56,24 @@ MAX_XPOINT_CANDIDATES = 6
 
 #: 4-connectivity, ``ndimage``'s default, built once instead of per call.
 _CROSS = ndimage.generate_binary_structure(2, 1)
+#: The same within each map of a stack, and no connection between maps.
+_CROSS_STACK = np.stack([np.zeros_like(_CROSS), _CROSS, np.zeros_like(_CROSS)])
 
 #: Row and column offsets of the 3x3 stencil, broadcast against node indices.
 _DI = np.array([[-1], [0], [1]])
 _DJ = np.array([[-1, 0, 1]])
 
 
-def _derivatives(f: np.ndarray, i, j):
+def _derivatives(f: np.ndarray, i, j, b=None):
     """Central first and second differences of ``f`` (in cells) at one
     interior node or at index arrays of many, from one gather of the 3x3
-    stencil: ``(f[i, j], fx, fy, fxx, fyy, fxy)``."""
-    s = f[np.asarray(i)[..., None, None] + _DI, np.asarray(j)[..., None, None] + _DJ]
+    stencil: ``(f[i, j], fx, fy, fxx, fyy, fxy)``.  With ``b`` the nodes
+    are ``(i, j)`` of map ``b`` of a stack ``f``."""
+    nw, nh = f.shape[-2:]
+    node = np.asarray(i) * nh + np.asarray(j)
+    if b is not None:
+        node = node + np.asarray(b) * (nw * nh)
+    s = f.reshape(-1)[node[..., None, None] + (_DI * nh + _DJ)]
     here = s[..., 1, 1]
     fx = (s[..., 2, 1] - s[..., 0, 1]) / 2.0
     fy = (s[..., 1, 2] - s[..., 1, 0]) / 2.0
@@ -71,15 +83,15 @@ def _derivatives(f: np.ndarray, i, j):
     return here, fx, fy, fxx, fyy, fxy
 
 
-def _quadratic_refine(grid: RZGrid, field: np.ndarray, i, j):
+def _quadratic_refine(grid: RZGrid, field: np.ndarray, i, j, b=None):
     """Refine grid extrema with a 2-D quadratic fit on the 3x3 stencil.
 
     ``i`` and ``j`` are one interior node or equal-length index arrays of
-    many; returns ``(r, z, value)`` of matching shape.  A node whose
-    stencil is degenerate, or whose correction leaves the cell, comes
-    back as the node itself.
+    many (of the maps ``b`` of a stack ``field``); returns ``(r, z,
+    value)`` of matching shape.  A node whose stencil is degenerate, or
+    whose correction leaves the cell, comes back as the node itself.
     """
-    here, fx, fy, fxx, fyy, fxy = _derivatives(field, i, j)
+    here, fx, fy, fxx, fyy, fxy = _derivatives(field, i, j, b)
     det = fxx * fyy - fxy * fxy
     with np.errstate(divide="ignore", invalid="ignore"):
         dx = -(fyy * fx - fxy * fy) / det
@@ -122,25 +134,123 @@ def _bounding_window(grid: RZGrid, inside: np.ndarray) -> tuple[slice, slice]:
     return span(inside.any(axis=1), grid.nw), span(inside.any(axis=0), grid.nh)
 
 
-def _find_axis(
-    grid: RZGrid, psi: np.ndarray, sign: int, inside: np.ndarray, window: tuple[slice, slice]
-) -> tuple[float, float, float]:
-    """:func:`find_axis` on the nodes of ``window``, which holds ``inside``."""
-    if sign not in (1, -1):
-        raise BoundaryError("axis sign must be +1 or -1")
-    # The quadratic refinement needs a full stencil: no edge-ring node.
-    window = _interior(grid, window)
-    inside = inside[window]
-    if not inside.any():
-        raise BoundaryError("no interior grid node inside the limiter")
-    work = np.where(inside, sign * psi[window], -np.inf)
-    i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-    if not np.isfinite(work[i, j]):
-        raise BoundaryError("no interior extremum found inside the limiter")
-    r_axis, z_axis, value = _quadratic_refine(
-        grid, sign * psi, i + window[0].start, j + window[1].start
+class _SearchGeometry(NamedTuple):
+    """What a search needs of the in-limiter mask and the wall samples
+    alone.  A limiter keeps the one of its own mask and contour per grid
+    and sample density in its memo (:meth:`Limiter.memoised
+    <repro.efit.machine.Limiter.memoised>`), read-only and never pickled."""
+
+    #: The in-limiter grid mask and the contour samples it was built from.
+    inside: np.ndarray
+    samples_r: np.ndarray
+    samples_z: np.ndarray
+    #: :func:`_bounding_window` of ``inside``, that block without the grid's
+    #: edge ring, and ``inside`` on each.
+    window: tuple[slice, slice]
+    interior: tuple[slice, slice]
+    inside_window: np.ndarray
+    inside_interior: np.ndarray
+    #: :meth:`RZGrid.bilinear_stencil` of the samples inside the box: the
+    #: flat indices of their cells' corners, and the offset factors.
+    wall_k00: np.ndarray
+    wall_k10: np.ndarray
+    wall_k01: np.ndarray
+    wall_k11: np.ndarray
+    wall_ur: np.ndarray
+    wall_tr: np.ndarray
+    wall_uz: np.ndarray
+    wall_tz: np.ndarray
+
+    @classmethod
+    def build(
+        cls, grid: RZGrid, inside: np.ndarray, samples: tuple[np.ndarray, np.ndarray]
+    ) -> "_SearchGeometry":
+        inside = np.asarray(inside, dtype=bool)
+        lr, lz = (np.asarray(s, dtype=float) for s in samples)
+        window = _bounding_window(grid, inside)
+        interior = _interior(grid, window)
+        keep = grid.contains(lr, lz)
+        return cls(
+            inside, lr, lz, window, interior, inside[window], inside[interior],
+            *grid.bilinear_stencil(lr[keep], lz[keep]),
+        )  # fmt: skip
+
+    @property
+    def wall_stencil(self) -> tuple[np.ndarray, ...]:
+        return self[-8:]
+
+    @property
+    def wall_corners(self) -> tuple[np.ndarray, ...]:
+        return self[-8:-4]
+
+
+def _same(given: np.ndarray, own: np.ndarray) -> bool:
+    return given is own or (np.shape(given) == own.shape and np.array_equal(given, own))
+
+
+def search_geometry(
+    grid: RZGrid, limiter: Limiter, *, n_limiter_samples: int = 4
+) -> _SearchGeometry:
+    """What the boundary search derives from ``limiter`` alone on
+    ``grid`` — its window, the wall samples' interpolation stencil —
+    built on the first call per grid and sample density and kept, read-
+    only, in the limiter's memo beside its mask and contour.
+    :class:`~repro.efit.fitting.GridStatics` builds it with them."""
+    return limiter.memoised(
+        ("boundary_search", grid, n_limiter_samples),
+        lambda: _SearchGeometry.build(
+            grid, limiter.grid_mask(grid), limiter.sample_points(n_limiter_samples)
+        ),
     )
-    return float(r_axis), float(z_axis), sign * float(value)
+
+
+def _geometry_for(
+    grid: RZGrid,
+    limiter: Limiter,
+    inside: np.ndarray | None,
+    samples: tuple[np.ndarray, np.ndarray] | None,
+    n_per_edge: int,
+) -> _SearchGeometry:
+    """The limiter's own geometry when ``inside`` and ``samples`` are not
+    given or equal its own mask and contour (compared by value, so a copy
+    takes the same path), else one built for them."""
+    own = search_geometry(grid, limiter, n_limiter_samples=n_per_edge)
+    own_inside = inside is None or _same(inside, own.inside)
+    own_samples = samples is None or (
+        _same(samples[0], own.samples_r) and _same(samples[1], own.samples_z)
+    )
+    if own_inside and own_samples:
+        return own
+    return _SearchGeometry.build(
+        grid,
+        own.inside if own_inside else inside,
+        (own.samples_r, own.samples_z) if own_samples else samples,
+    )
+
+
+def _find_axes(
+    grid: RZGrid, signed: np.ndarray, geometry: _SearchGeometry
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximum of each map of ``signed`` — ψ times its plasma's sign —
+    over the in-limiter nodes with a full stencil, refined: ``(r, z,
+    value)``, one entry per map."""
+    rows, cols = geometry.interior
+    if not geometry.inside_interior.any():
+        raise BoundaryError("no interior grid node inside the limiter")
+    work = np.where(geometry.inside_interior, signed[:, rows, cols], -np.inf)
+    maps = np.arange(len(work))
+    work = work.reshape(len(work), -1)
+    best = work.argmax(axis=1)
+    if not np.isfinite(work[maps, best]).all():
+        raise BoundaryError("no interior extremum found inside the limiter")
+    i, j = np.divmod(best, cols.stop - cols.start)
+    return _quadratic_refine(grid, signed, i + rows.start, j + cols.start, maps)
+
+
+def _signs(signs: Sequence[int]) -> np.ndarray:
+    if any(s not in (1, -1) for s in signs):
+        raise BoundaryError("axis sign must be +1 or -1")
+    return np.asarray(signs, dtype=float)
 
 
 def find_axis(
@@ -158,62 +268,71 @@ def find_axis(
     is the limiter's own, :meth:`~repro.efit.machine.Limiter.grid_mask`,
     which is built once per grid.
     """
-    if inside is None:
-        inside = limiter.grid_mask(grid)
-    return _find_axis(grid, psi, sign, inside, _bounding_window(grid, inside))
+    signed = _signs([sign])[:, None, None] * np.asarray(psi, dtype=float)
+    r, z, value = _find_axes(grid, signed, _geometry_for(grid, limiter, inside, None, 4))
+    return float(r[0]), float(z[0]), sign * float(value[0])
 
 
 def _saddle_nodes(
-    grid: RZGrid, psi: np.ndarray, window: tuple[slice, slice]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid saddles of ``psi`` among the interior nodes of ``window``.
+    grid: RZGrid, psi: np.ndarray, interior: tuple[slice, slice]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid saddles of every map of the stack ``psi`` among the nodes of
+    ``interior`` (a block without the grid's edge ring).
 
-    Returns the ``(i, j)`` index arrays of the nodes that are a 3x3 local
-    minimum of ``|grad psi|^2`` with a negative Hessian determinant,
-    flattest first (ties in grid order).
+    Returns the ``(b, i, j)`` index arrays of the nodes that are a 3x3
+    local minimum of ``|grad psi|^2`` with a negative Hessian determinant,
+    map by map and flattest first within a map (ties in grid order).
     """
-    rows, cols = _interior(grid, window)
+    rows, cols = interior
     if rows.start >= rows.stop or cols.start >= cols.stop:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    # Two nodes of context around the window: one for the 3x3
+        return (np.zeros(0, dtype=int),) * 3
+    # Two nodes of context around the block: one for the 3x3
     # neighbourhood, one for its central differences.  Where the context
     # ends at the grid edge, the one-sided difference there is the
     # full-grid gradient's too; where it ends sooner, its outermost nodes
     # are never read.
     i_lo, j_lo = max(rows.start - 2, 0), max(cols.start - 2, 0)
-    grad2 = _gradient_squared(psi[i_lo : rows.stop + 2, j_lo : cols.stop + 2], grid.dr, grid.dz)
+    grad2 = _gradient_squared(
+        psi[:, i_lo : rows.stop + 2, j_lo : cols.stop + 2], grid.dr, grid.dz
+    )
     near = grad2[
+        :,
         rows.start - 1 - i_lo : rows.stop + 1 - i_lo,
         cols.start - 1 - j_lo : cols.stop + 1 - j_lo,
     ]
     # Minimum over the 3x3 neighbourhood, one axis at a time.
-    low = np.minimum(np.minimum(near[:-2], near[1:-1]), near[2:])
-    low = np.minimum(np.minimum(low[:, :-2], low[:, 1:-1]), low[:, 2:])
-    here = near[1:-1, 1:-1]
-    i, j = np.nonzero(here <= low)
-    flatness = here[i, j]
+    low = np.minimum(np.minimum(near[:, :-2], near[:, 1:-1]), near[:, 2:])
+    low = np.minimum(np.minimum(low[..., :-2], low[..., 1:-1]), low[..., 2:])
+    here = near[:, 1:-1, 1:-1]
+    hits = np.flatnonzero(here <= low)
+    # A node that is its neighbourhood's minimum holds the minimum itself.
+    flatness = low.reshape(-1)[hits]
+    b, node = np.divmod(hits, here[0].size)
+    i, j = np.divmod(node, here.shape[-1])
     i += rows.start
     j += cols.start
-    _, _, _, fxx, fyy, fxy = _derivatives(psi, i, j)
+    _, _, _, fxx, fyy, fxy = _derivatives(psi, i, j, b)
     saddle = np.flatnonzero(~(fxx * fyy - fxy * fxy >= 0.0))
     order = saddle[np.argsort(flatness[saddle], kind="stable")]
-    return i[order], j[order]
+    if len(psi) > 1:  # back into map order, each map's run still flattest first
+        order = order[np.argsort(b[order], kind="stable")]
+    return b[order], i[order], j[order]
 
 
 def _gradient_squared(f: np.ndarray, dr: float, dz: float) -> np.ndarray:
-    """``|grad f|^2`` with ``np.gradient``'s arithmetic — central
-    differences inside, one-sided on the block's edges — without its
-    per-call set-up."""
+    """``|grad f|^2`` over the last two axes with ``np.gradient``'s
+    arithmetic — central differences inside, one-sided on the block's
+    edges — without its per-call set-up."""
     g_r = np.empty_like(f)
-    np.subtract(f[2:], f[:-2], out=g_r[1:-1])
-    g_r[1:-1] /= 2.0 * dr
-    g_r[0] = (f[1] - f[0]) / dr
-    g_r[-1] = (f[-1] - f[-2]) / dr
+    np.subtract(f[..., 2:, :], f[..., :-2, :], out=g_r[..., 1:-1, :])
+    g_r[..., 1:-1, :] /= 2.0 * dr
+    g_r[..., 0, :] = (f[..., 1, :] - f[..., 0, :]) / dr
+    g_r[..., -1, :] = (f[..., -1, :] - f[..., -2, :]) / dr
     g_z = np.empty_like(f)
-    np.subtract(f[:, 2:], f[:, :-2], out=g_z[:, 1:-1])
-    g_z[:, 1:-1] /= 2.0 * dz
-    g_z[:, 0] = (f[:, 1] - f[:, 0]) / dz
-    g_z[:, -1] = (f[:, -1] - f[:, -2]) / dz
+    np.subtract(f[..., 2:], f[..., :-2], out=g_z[..., 1:-1])
+    g_z[..., 1:-1] /= 2.0 * dz
+    g_z[..., 0] = (f[..., 1] - f[..., 0]) / dz
+    g_z[..., -1] = (f[..., -1] - f[..., -2]) / dz
     g_r *= g_r
     g_z *= g_z
     g_r += g_z
@@ -230,64 +349,68 @@ def find_xpoints(
     them with the quadratic model and returns them as ``(r, z, psi_x)``
     sorted by gradient magnitude.
     """
-    i, j = _saddle_nodes(grid, psi, (slice(0, grid.nw), slice(0, grid.nh)))
-    r, z, value = _quadratic_refine(grid, psi, i[:max_points], j[:max_points])
+    psi = np.asarray(psi, dtype=float)[None]
+    b, i, j = _saddle_nodes(grid, psi, _interior(grid, (slice(0, grid.nw), slice(0, grid.nh))))
+    r, z, value = _quadratic_refine(grid, psi, i[:max_points], j[:max_points], b[:max_points])
     return list(zip(r.tolist(), z.tolist(), value.tolist()))
 
 
 def _xpoint_candidates(
     grid: RZGrid,
-    psi: np.ndarray,
+    signed: np.ndarray,
     limiter: Limiter,
-    sign: int,
-    axis: tuple[float, float, float],
-    window: tuple[slice, slice],
-) -> list[tuple[float, float, float]]:
-    """The *admissible* saddles among the nodes of ``window``, flattest
-    first, as refined ``(r, z, psi_x)``.
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    interior: tuple[slice, slice],
+) -> list[list[tuple[float, float, float]]]:
+    """Per map of ``signed`` (ψ times its plasma's sign), the *admissible*
+    saddles among the nodes of ``interior``, flattest first, as refined
+    ``(r, z, signed psi_x)``.
 
     Admissible means inside the box *and the limiter* (wall corners and
     coil gaps host spurious vacuum saddles, often flatter than the real
     X-point), at least four cells from the axis, and on the plasma side
     of the axis flux.  Admissibility is decided before the caller cuts
     the list, so no vacuum saddle takes an X-point's place; the polygon
-    test, the costly one, sees only the survivors of the cheap ones.
+    test, the costly one, sees only the survivors of the cheap ones, of
+    every map at once.
     """
-    r_axis, z_axis, psi_axis = axis
-    i, j = _saddle_nodes(grid, psi, window)
-    if i.size == 0:
-        return []
-    rx, zx, px = _quadratic_refine(grid, psi, i, j)
+    r_axis, z_axis, s_axis = axes
+    out: list[list[tuple[float, float, float]]] = [[] for _ in range(len(signed))]
+    b, i, j = _saddle_nodes(grid, signed, interior)
+    if b.size == 0:
+        return out
+    rx, zx, sx = _quadratic_refine(grid, signed, i, j, b)
     keep = np.flatnonzero(
         grid.contains(rx, zx)
-        & (np.hypot(rx - r_axis, zx - z_axis) >= 4.0 * max(grid.dr, grid.dz))
-        & (sign * px < sign * psi_axis)
+        & (np.hypot(rx - r_axis[b], zx - z_axis[b]) >= 4.0 * max(grid.dr, grid.dz))
+        & (sx < s_axis[b])
     )
     keep = keep[limiter.contains(rx[keep], zx[keep])]
-    return list(zip(rx[keep].tolist(), zx[keep].tolist(), px[keep].tolist()))
+    for k, r, z, s in zip(b[keep].tolist(), rx[keep].tolist(), zx[keep].tolist(), sx[keep].tolist()):
+        out[k].append((r, z, s))
+    return out
 
 
 def _core_clears_wall(
     grid: RZGrid,
-    psi: np.ndarray,
-    sign: int,
+    signed: np.ndarray,
     spx: float,
-    inside_lim: np.ndarray,
-    window: tuple[slice, slice],
+    geometry: _SearchGeometry,
     i_ax: int,
     j_ax: int,
-    lr: np.ndarray,
-    lz: np.ndarray,
-    psi_wall_signed: np.ndarray,
+    wall_signed: np.ndarray,
 ) -> bool:
     """Does the plasma bounded by the X-point at flux ``spx`` avoid the wall?
 
-    Wall samples can carry flux above ``spx`` *without* limiting the plasma
-    when they sit in a private-flux region (below/above a divertor X-point)
-    that is disconnected from the core.  Label the super-level set
-    ``sign*psi > spx`` and check whether any hot wall sample's grid cell
-    touches the component containing the axis; if none does, the hot
-    contacts are private flux and the X-point surface is a true separatrix.
+    ``signed`` is one map of ψ times its plasma's sign, ``spx`` and
+    ``wall_signed`` (the flux at the wall samples inside the box) carry
+    the same sign.  Wall samples can carry flux above ``spx`` *without*
+    limiting the plasma when they sit in a private-flux region
+    (below/above a divertor X-point) that is disconnected from the core.
+    Label the super-level set ``signed > spx`` and check whether any hot
+    wall sample's grid cell touches the component containing the axis; if
+    none does, the hot contacts are private flux and the X-point surface
+    is a true separatrix.
 
     The labelling level sits a couple of percent inside ``spx``: the
     refined saddle value is a sub-node minimum, so every node *around*
@@ -295,26 +418,164 @@ def _core_clears_wall(
     there always leaks through the saddle, spuriously connecting core to
     private flux on any grid.
 
-    ``window`` holds ``inside_lim``, so the components are labelled there
-    and every node outside it belongs to none.
+    The search window holds the in-limiter mask, so the components are
+    labelled there and every node outside it belongs to none.
     """
-    level = spx + 0.02 * (sign * psi[i_ax, j_ax] - spx)
-    core = (sign * psi[window] > level) & inside_lim[window]
+    window = geometry.window
+    level = spx + 0.02 * (signed[i_ax, j_ax] - spx)
+    core = (signed[window] > level) & geometry.inside_window
     labels = np.zeros(grid.shape, dtype=np.int32)
     ndimage.label(core, structure=_CROSS, output=labels[window])
     axis_label = labels[i_ax, j_ax]
     if axis_label == 0:
         return False
-    hot = psi_wall_signed >= spx
+    hot = wall_signed >= spx
     if not hot.any():
         return True
-    i0 = np.clip(((lr[hot] - grid.rmin) / grid.dr).astype(int), 0, grid.nw - 2)
-    j0 = np.clip(((lz[hot] - grid.zmin) / grid.dz).astype(int), 0, grid.nh - 2)
-    for di in (0, 1):
-        for dj in (0, 1):
-            if (labels[i0 + di, j0 + dj] == axis_label).any():
-                return False
-    return True
+    # The corners of the hot samples' cells: their interpolation stencil.
+    labels = labels.reshape(-1)
+    return not any((labels[corner[hot]] == axis_label).any() for corner in geometry.wall_corners)
+
+
+def _dilate_cross(mask: np.ndarray) -> np.ndarray:
+    """``ndimage.binary_dilation`` by the 4-neighbour cross, once, on each
+    map of a stack of masks: four shifted ORs."""
+    out = mask.copy()
+    out[..., 1:, :] |= mask[..., :-1, :]
+    out[..., :-1, :] |= mask[..., 1:, :]
+    out[..., 1:] |= mask[..., :-1]
+    out[..., :-1] |= mask[..., 1:]
+    return out
+
+
+def find_boundaries(
+    grid: RZGrid,
+    psi: np.ndarray | Sequence[np.ndarray],
+    limiter: Limiter,
+    *,
+    signs: Sequence[int],
+    n_limiter_samples: int = 4,
+    inside: np.ndarray | None = None,
+    limiter_samples: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[BoundaryResult]:
+    """Full ``steps_`` boundary determination on a stack of flux maps.
+
+    ``psi`` is a ``(B, nw, nh)`` stack (or a sequence of ``(nw, nh)``
+    maps) and ``signs`` each map's plasma-current sign: +1 means that
+    ``psi`` has a maximum on the axis (so it decreases outward).  Returns
+    one :class:`BoundaryResult` per map, each equal, field for field, to
+    what the search on that map alone returns: the maps share the
+    ψ-independent set-up and every array step, and only the walk over a
+    map's X-point candidates runs map by map.
+
+    ``inside`` and ``limiter_samples`` override the in-limiter grid mask
+    and the densified limiter contour.  Both are static per machine+grid
+    and default to the limiter's own, built once
+    (:meth:`~repro.efit.machine.Limiter.grid_mask`,
+    :meth:`~repro.efit.machine.Limiter.sample_points`); so is what the
+    search derives from them (its window, the samples' interpolation
+    stencil), which the limiter keeps beside them.  Every grid-sized step
+    but ``psiN`` itself runs on the block of rows and columns within two
+    cells of the in-limiter nodes.
+    """
+    # A stack of one map is a view of it, not a copy.
+    psi = np.asarray(psi[0], dtype=float)[None] if len(psi) == 1 else np.asarray(psi, dtype=float)
+    if psi.ndim != 3 or psi.shape[1:] != grid.shape:
+        raise BoundaryError(f"psi stack shape {psi.shape} is not (B, {grid.nw}, {grid.nh})")
+    if len(signs) != len(psi):
+        raise BoundaryError(f"{len(signs)} signs for {len(psi)} flux maps")
+    sign = _signs(signs)
+    geometry = _geometry_for(grid, limiter, inside, limiter_samples, n_limiter_samples)
+    # The whole search runs on sign * psi, where every plasma is a maximum.
+    signed = psi if min(signs) > 0 else sign[:, None, None] * psi
+    r_axis, z_axis, s_axis = _find_axes(grid, signed, geometry)
+
+    # Limiter candidate: the flux value where a shrinking contour first
+    # touches the wall = extremal psi along the limiter contour.
+    if geometry.wall_k00.size == 0:
+        raise BoundaryError("no limiter samples inside the computational box")
+    wall = grid.interpolate(signed, geometry.wall_stencil)
+    psi_lim = wall.max(axis=1).tolist()
+
+    # X-point candidates bound a *smaller* plasma than the limiter (larger
+    # sign*psi).  A candidate below the limiter flux can still win when
+    # every wall contact above it sits in disconnected private flux
+    # (diverted machines: the divertor legs hug the wall at flux above
+    # psi_x).  Of the passing candidates the most binding one (largest
+    # sign*psi) sets the boundary.
+    candidates = _xpoint_candidates(grid, signed, limiter, (r_axis, z_axis, s_axis), geometry.interior)
+    n_maps = len(psi)
+    found = []  # per map: the BoundaryResult fields but psin and mask
+    levels = np.empty((2, n_maps))  # psi_axis and psi_boundary per map
+    axis_nodes = np.empty((2, n_maps), dtype=int)
+    diverted = np.zeros(n_maps, dtype=bool)
+    for b, (r_ax, z_ax, s_ax) in enumerate(zip(r_axis.tolist(), z_axis.tolist(), s_axis.tolist())):
+        i_ax = min(max(int(round((r_ax - grid.rmin) / grid.dr)), 0), grid.nw - 1)
+        j_ax = min(max(int(round((z_ax - grid.zmin) / grid.dz)), 0), grid.nh - 1)
+        psi_b = psi_lim[b]
+        boundary_type = "limiter"
+        r_x = z_x = None
+        for rx, zx, spx in candidates[b][:MAX_XPOINT_CANDIDATES]:
+            if boundary_type == "xpoint" and spx <= psi_b:
+                continue
+            if psi_lim[b] < spx or _core_clears_wall(
+                grid, signed[b], spx, geometry, i_ax, j_ax, wall[b]
+            ):
+                psi_b = spx
+                boundary_type = "xpoint"
+                r_x, z_x = rx, zx
+        s = int(sign[b])
+        psi_axis, psi_boundary = s * s_ax, s * psi_b
+        if psi_boundary - psi_axis == 0.0:
+            raise BoundaryError("degenerate flux range: psi_axis == psi_boundary")
+        found.append((psi_axis, r_ax, z_ax, psi_boundary, boundary_type, r_x, z_x))
+        levels[:, b] = psi_axis, psi_boundary
+        axis_nodes[:, b] = i_ax, j_ax
+        diverted[b] = boundary_type == "xpoint"
+    psi_axis, psi_boundary = levels[:, :, None, None]
+    psin = (psi - psi_axis) / (psi_boundary - psi_axis)
+    masks = _plasma_masks(psin, geometry, diverted, axis_nodes)
+    return [
+        BoundaryResult(p_ax, r_ax, z_ax, p_b, kind, psin[b], masks[b], r_x, z_x)
+        for b, (p_ax, r_ax, z_ax, p_b, kind, r_x, z_x) in enumerate(found)
+    ]
+
+
+def _plasma_masks(
+    psin: np.ndarray, geometry: _SearchGeometry, diverted: np.ndarray, axis_nodes: np.ndarray
+) -> np.ndarray:
+    """The in-plasma mask of every map of the stack ``psin``: the
+    ``psin < 1`` in-limiter nodes connected to the map's axis node
+    (``axis_nodes``, the rows ``i`` and columns ``j`` of one per map).
+    The mask is a subset of the in-limiter nodes, so it is built on the
+    search window that holds them."""
+    window = geometry.window
+    inside_w = geometry.inside_window
+    psin_w = psin[:, window[0], window[1]]
+    candidate = (psin_w < 1.0) & inside_w
+    # Keep only the component connected to the axis (drop private flux).
+    # On a diverted boundary the ``psin < 1`` set leaks through the
+    # saddle into the private-flux region (every node around the
+    # refined X-point sits above ``psi_x``), intermittently dumping
+    # far-from-core cells into the mask.  Label the component at a
+    # slightly interior level instead, then grow its rim back within
+    # ``psin < 1`` — the private blob stays more than two rings away.
+    any_diverted = diverted.any()
+    connected = candidate
+    if any_diverted:
+        connected = candidate.copy()
+        connected[diverted] = (psin_w[diverted] < 0.98) & inside_w
+    labels, _ = ndimage.label(connected, structure=_CROSS_STACK)
+    maps = np.arange(len(labels))
+    axis_label = labels[maps, axis_nodes[0] - window[0].start, axis_nodes[1] - window[1].start]
+    if not axis_label.all():
+        raise BoundaryError("magnetic axis not inside its own plasma mask")
+    plasma = labels == axis_label[:, None, None]
+    if any_diverted:
+        plasma[diverted] = _dilate_cross(_dilate_cross(plasma[diverted])) & candidate[diverted]
+    masks = np.zeros(psin.shape, dtype=bool)
+    masks[:, window[0], window[1]] = plasma
+    return masks
 
 
 def find_boundary(
@@ -327,102 +588,24 @@ def find_boundary(
     inside: np.ndarray | None = None,
     limiter_samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BoundaryResult:
-    """Full ``steps_`` boundary determination.
+    """Full ``steps_`` boundary determination of one flux map: the
+    one-map call of :func:`find_boundaries`.
 
     ``sign`` is the plasma-current sign convention: +1 means ``psi`` has a
-    maximum on the axis (so ``psi`` decreases outward).
-
-    ``inside`` and ``limiter_samples`` override the in-limiter grid mask
-    and the densified limiter contour.  Both are static per machine+grid
-    and default to the limiter's own, built once
-    (:meth:`~repro.efit.machine.Limiter.grid_mask`,
-    :meth:`~repro.efit.machine.Limiter.sample_points`).  Every
-    grid-sized step but ``psiN`` itself runs on the block of rows and
-    columns within two cells of the in-limiter nodes.
+    maximum on the axis (so ``psi`` decreases outward).  ``inside`` and
+    ``limiter_samples`` override the in-limiter grid mask and the
+    densified limiter contour, as there.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.shape != grid.shape:
         raise BoundaryError(f"psi shape {psi.shape} != grid {grid.shape}")
-    inside_lim = inside if inside is not None else limiter.grid_mask(grid)
-    window = _bounding_window(grid, inside_lim)
-    r_axis, z_axis, psi_axis = _find_axis(grid, psi, sign, inside_lim, window)
-
-    # Limiter candidate: the flux value where a shrinking contour first
-    # touches the wall = extremal psi along the limiter contour.
-    lr, lz = (
-        limiter_samples
-        if limiter_samples is not None
-        else limiter.sample_points(n_limiter_samples)
+    (result,) = find_boundaries(
+        grid,
+        psi[None],
+        limiter,
+        signs=(sign,),
+        n_limiter_samples=n_limiter_samples,
+        inside=inside,
+        limiter_samples=limiter_samples,
     )
-    keep = grid.contains(lr, lz)
-    if not keep.any():
-        raise BoundaryError("no limiter samples inside the computational box")
-    psi_wall = grid.bilinear(psi, lr[keep], lz[keep])
-    psi_lim = float(np.max(sign * psi_wall))
-
-    i_ax = min(max(int(round((r_axis - grid.rmin) / grid.dr)), 0), grid.nw - 1)
-    j_ax = min(max(int(round((z_axis - grid.zmin) / grid.dz)), 0), grid.nh - 1)
-
-    # X-point candidates bound a *smaller* plasma than the limiter (larger
-    # sign*psi).  A candidate below the limiter flux can still win when
-    # every wall contact above it sits in disconnected private flux
-    # (diverted machines: the divertor legs hug the wall at flux above
-    # psi_x).  Of the passing candidates the most binding one (largest
-    # sign*psi) sets the boundary.
-    psi_b = psi_lim
-    boundary_type = "limiter"
-    r_x = z_x = None
-    psi_wall_signed = sign * psi_wall
-    candidates = _xpoint_candidates(grid, psi, limiter, sign, (r_axis, z_axis, psi_axis), window)
-    for rx, zx, px in candidates[:MAX_XPOINT_CANDIDATES]:
-        spx = sign * px
-        if boundary_type == "xpoint" and spx <= psi_b:
-            continue
-        if psi_lim < spx or _core_clears_wall(
-            grid, psi, sign, spx, inside_lim, window, i_ax, j_ax,
-            lr[keep], lz[keep], psi_wall_signed,
-        ):  # fmt: skip
-            psi_b = spx
-            boundary_type = "xpoint"
-            r_x, z_x = rx, zx
-    psi_boundary = sign * psi_b
-
-    denom = psi_boundary - psi_axis
-    if denom == 0.0:
-        raise BoundaryError("degenerate flux range: psi_axis == psi_boundary")
-    psin = (psi - psi_axis) / denom
-
-    # The mask is a subset of the in-limiter nodes, so it is built on the
-    # window that holds them.
-    inside_w = inside_lim[window]
-    candidate = (psin[window] < 1.0) & inside_w
-    # Keep only the component connected to the axis (drop private flux).
-    # On a diverted boundary the ``psin < 1`` set leaks through the
-    # saddle into the private-flux region (every node around the
-    # refined X-point sits above ``psi_x``), intermittently dumping
-    # far-from-core cells into the mask.  Label the component at a
-    # slightly interior level instead, then grow its rim back within
-    # ``psin < 1`` — the private blob stays more than two rings away.
-    diverted = boundary_type == "xpoint"
-    connected = (psin[window] < 0.98) & inside_w if diverted else candidate
-    labels, _ = ndimage.label(connected, structure=_CROSS)
-    axis_label = labels[i_ax - window[0].start, j_ax - window[1].start]
-    if axis_label == 0:
-        raise BoundaryError("magnetic axis not inside its own plasma mask")
-    plasma = labels == axis_label
-    if diverted:
-        plasma = ndimage.binary_dilation(plasma, structure=_CROSS, iterations=2) & candidate
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[window] = plasma
-
-    return BoundaryResult(
-        psi_axis=psi_axis,
-        r_axis=r_axis,
-        z_axis=z_axis,
-        psi_boundary=psi_boundary,
-        boundary_type=boundary_type,
-        psin=psin,
-        mask=mask,
-        r_xpoint=r_x,
-        z_xpoint=z_x,
-    )
+    return result

@@ -24,9 +24,9 @@ import numpy as np
 
 from repro.analysis.markers import hot_path
 from repro.edge_methods import DEFAULT_EDGE_METHOD
-from repro.efit.boundary import BoundaryResult, find_boundary
+from repro.efit.boundary import BoundaryResult, find_boundaries, search_geometry
 from repro.efit.basis import PolynomialBasis
-from repro.efit.current import basis_current_slab
+from repro.efit.current import BasisSlabs, basis_current_slabs
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.greens import greens_psi
 from repro.efit.grid import RZGrid
@@ -37,8 +37,9 @@ from repro.efit.pflux import PfluxBase, PfluxStructured
 from repro.efit.profiles import ProfileCoefficients
 from repro.efit.response import (
     ResponseAssembly,
-    assemble_response,
+    basis_response,
     chi_squared,
+    measurement_system,
     solve_weighted_lsq,
 )
 from repro.efit.solvers import make_solver
@@ -83,7 +84,10 @@ class GridStatics:
     @classmethod
     def build(cls, machine: Tokamak, grid: RZGrid, *, n_limiter_samples: int = 4) -> "GridStatics":
         """The static fit state for ``machine`` on ``grid``, built on the
-        first call for that pair and read from the memo afterwards."""
+        first call for that pair and read from the memo afterwards —
+        together with what the boundary search derives from the limiter's
+        mask and contour, which the limiter memoises beside them."""
+        search_geometry(grid, machine.limiter, n_limiter_samples=n_limiter_samples)
         return cls(
             inside_limiter=machine.limiter.grid_mask(grid),
             limiter_samples=machine.limiter.sample_points(n_limiter_samples),
@@ -98,8 +102,9 @@ class FitState:
     Produced by :meth:`EfitSolver.start_fit` and advanced by
     :meth:`EfitSolver.iterate_pre` / :meth:`EfitSolver.iterate_post`;
     :meth:`EfitSolver.finish` turns it into a :class:`FitResult`.  The
-    split exists so a batch engine can interleave many slices' iterates
-    and compute all their flux solves in one batched ``pflux_`` call.
+    split exists so a batch engine can advance many slices' iterates
+    together: one pre-flux pass and one batched ``pflux_`` call over all
+    of them.
     """
 
     measurements: MeasurementSet
@@ -109,6 +114,11 @@ class FitState:
     coeffs: np.ndarray
     pcurr: np.ndarray
     profiler: RegionProfiler
+    #: The data side of ``green_``'s system (:func:`~repro.efit.response.
+    #: measurement_system`): the measurements less the PF-coil
+    #: contribution, and ``1 / sigma``.  No iterate changes them.
+    data: np.ndarray
+    weights: np.ndarray
     hooks: ObservationHooks = NULL_HOOKS
     vessel_currents: np.ndarray | None = None
     boundary: BoundaryResult | None = None
@@ -361,11 +371,12 @@ class EfitSolver:
         self,
         pcurr: np.ndarray,
         response: np.ndarray,
-        residual: np.ndarray,
-        weights: np.ndarray,
-    ) -> float:
-        """EFIT's ``fitdelz``: the rigid vertical shift of the current
-        distribution that best reduces the measurement residual.
+        residual: Sequence[np.ndarray],
+        weights: Sequence[np.ndarray],
+    ) -> list[float]:
+        """EFIT's ``fitdelz`` for each of a batch of slices: the rigid
+        vertical shift of the current distribution that best reduces the
+        measurement residual.
 
         A one-parameter weighted least squares on top of the profile fit:
         ``delz = <w^2 u r> / <w^2 u u>`` with ``u`` the measurement
@@ -373,34 +384,69 @@ class EfitSolver:
         profile fit.  This is the vertical-stability feedback that keeps
         the Picard loop on the measured plasma position.
 
-        ``pcurr`` is any block of grid rows, shape ``(k, nh)``, and
-        ``response`` the matching columns of :attr:`grid_response`: the
-        fit passes the rows the plasma occupies, outside which the
-        gradient is zero.
+        ``pcurr`` stacks the slices' currents on one block of grid rows,
+        shape ``(B, k, nh)``, and ``response`` is the matching columns of
+        :attr:`grid_response`: the fit passes the rows the plasmas
+        occupy, outside which the gradient is zero.  Every slice's ``u``
+        comes out of one product.
         """
         grid = self.grid
-        dpc_dz = np.gradient(pcurr, grid.dz, axis=1)
-        u = response @ dpc_dz.reshape(dpc_dz.size)
-        w2 = weights**2
-        denom = float(w2 @ (u * u))
-        if denom == 0.0:
-            return 0.0
-        # Taylor: pcurr(z - delz) ~ pcurr - delz * d(pcurr)/dz, so the
-        # physical shift to apply through shift_z is the *negative* of the
-        # fitted Taylor coefficient.
-        delz = -float(w2 @ (u * residual)) / denom
-        # Clamp to a few cells per iteration: the shift model is linear.
+        # d(pcurr)/dz with np.gradient's arithmetic, without its set-up.
+        dpc_dz = np.empty_like(pcurr)
+        np.subtract(pcurr[..., 2:], pcurr[..., :-2], out=dpc_dz[..., 1:-1])
+        dpc_dz[..., 1:-1] /= 2.0 * grid.dz
+        dpc_dz[..., 0] = (pcurr[..., 1] - pcurr[..., 0]) / grid.dz
+        dpc_dz[..., -1] = (pcurr[..., -1] - pcurr[..., -2]) / grid.dz
+        u = response @ dpc_dz.reshape(len(dpc_dz), -1).T
         cap = 4.0 * grid.dz
-        return float(np.clip(delz, -cap, cap))
+        delz = []
+        for u_b, r_b, w_b in zip(u.T, residual, weights):
+            w2 = w_b**2
+            denom = float(w2 @ (u_b * u_b))
+            if denom == 0.0:
+                delz.append(0.0)
+                continue
+            # Taylor: pcurr(z - delz) ~ pcurr - delz * d(pcurr)/dz, so the
+            # physical shift to apply through shift_z is the *negative* of
+            # the fitted Taylor coefficient.  Clamped to a few cells per
+            # iteration: the shift model is linear.
+            delz.append(float(np.clip(-float(w2 @ (u_b * r_b)) / denom, -cap, cap)))
+        return delz
 
-    def _embed_rows(self, rows: np.ndarray, i0: int) -> np.ndarray:
-        """A zero grid field with ``rows`` written at grid rows ``i0`` on:
-        the one grid-sized array an iterate allocates (its ``pcurr``),
-        outside :meth:`iterate_pre`'s body like the arrays :meth:`_fit_delz`
-        and ``basis_current_slab`` make."""
-        field = np.zeros(self.grid.shape)
-        field[i0 : i0 + rows.shape[0]] = rows
-        return field
+    def _plasma_currents(
+        self,
+        slabs: BasisSlabs,
+        states: Sequence[FitState],
+        assemblies: Sequence[ResponseAssembly],
+    ) -> list[np.ndarray]:
+        """Each state's ``pcurr`` for the coefficients just fitted: its
+        basis currents times its coefficients on the slab's rows, shifted
+        by ``fitdelz``, written into a zero grid field — the one
+        grid-sized array an iterate allocates per slice.  Kept out of
+        :meth:`iterate_pre`'s body like the arrays ``basis_current_slabs``
+        makes."""
+        grid = self.grid
+        rows = np.empty((len(states), slabs.i1 - slabs.i0, grid.nh))
+        for b, state in enumerate(states):
+            np.matmul(slabs.matrix[:, b], state.coeffs, out=rows[b].reshape(-1))
+        if self.fitdelz:
+            # The plasma's share of the prediction is the assembled
+            # system applied to the coefficients just fitted.
+            residuals = []
+            for state, assembly in zip(states, assemblies):
+                residual = assembly.data - assembly.matrix @ state.coeffs
+                if self.fit_vessel:
+                    residual = residual - self.vessel_response @ state.vessel_currents
+                residuals.append(residual)
+            response = self.grid_response[:, slabs.i0 * grid.nh : slabs.i1 * grid.nh]
+            delz = self._fit_delz(rows, response, residuals, [s.weights for s in states])
+            rows = [grid.shift_z(r, d) if d != 0.0 else r for r, d in zip(rows, delz)]
+        pcurr = []
+        for r in rows:
+            field = np.zeros(grid.shape)
+            field[slabs.i0 : slabs.i1] = r
+            pcurr.append(field)
+        return pcurr
 
     def _psi_from_coils(self, currents: np.ndarray, statics: GridStatics) -> np.ndarray:
         """Vacuum coil flux of the given per-coil currents [A]."""
@@ -426,7 +472,10 @@ class EfitSolver:
         profiler: RegionProfiler | None = None,
         hooks: ObservationHooks | None = None,
     ) -> FitState:
-        """Validate one slice's inputs and build its initial Picard state.
+        """Validate one slice's inputs and build its initial Picard state,
+        with the data side of its ``green_`` system (the measurements less
+        the PF-coil contribution, and the weights), which no iterate
+        changes.
 
         When ``psi_initial`` is supplied *and* a boundary search on it
         succeeds, the state starts in trusted warm-start mode: the fixed
@@ -476,6 +525,12 @@ class EfitSolver:
                 raise FittingError("initial coefficients contain non-finite values")
         else:
             coeffs = np.zeros(n_coeffs)
+        data, weights = measurement_system(
+            self.coil_response,
+            measurements.coil_currents,
+            measurements.values,
+            measurements.uncertainties,
+        )
         sign = 1 if measurements.ip >= 0 else -1
         probed = None
         if psi_initial is not None:
@@ -484,11 +539,11 @@ class EfitSolver:
             # finds is the one iterate 1's steps_ would search for again,
             # so it rides along on the state.
             try:
-                probed = find_boundary(
+                (probed,) = find_boundaries(
                     grid,
-                    psi,
+                    psi[None],
                     self.machine.limiter,
-                    sign=sign,
+                    signs=(sign,),
                     inside=statics.inside_limiter,
                     limiter_samples=statics.limiter_samples,
                 )
@@ -505,6 +560,8 @@ class EfitSolver:
             coeffs=coeffs,
             pcurr=np.zeros(grid.shape),
             profiler=profiler if profiler is not None else self.profiler,
+            data=data,
+            weights=weights,
             hooks=hooks if hooks is not None else self.hooks,
             vessel_currents=np.zeros(self.machine.n_vessel) if self.fit_vessel else None,
             boundary=probed,
@@ -521,103 +578,113 @@ class EfitSolver:
         return state
 
     @hot_path
-    def iterate_pre(
-        self, state: FitState, *, statics: GridStatics | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The pre-flux half of one Picard iterate: ``steps_`` boundary
-        search, ``current_`` distribution and the ``green_`` linear fit.
+    def iterate_pre(self, states, *, statics: GridStatics | None = None):
+        """The pre-flux half of one Picard iterate — ``steps_`` boundary
+        search, ``current_`` distribution and the ``green_`` linear fit —
+        for every slice of a lock-step batch at once.
 
-        Returns ``(pcurr, psi_ext_iter)`` — exactly what ``pflux_`` needs;
-        the caller runs the flux solve (singly or batched across slices)
-        and hands ``psi_new`` to :meth:`iterate_post`.
+        ``states`` is the sequence of :class:`FitState` objects iterating
+        together; each gets its ``(pcurr, psi_ext_iter)`` — exactly what
+        ``pflux_`` needs — in order.  One :class:`FitState` instead is the
+        batch of one, and returns its pair.  The caller runs the flux
+        solve (singly or batched across slices) and hands each
+        ``psi_new`` to :meth:`iterate_post`.
+
+        Across the batch there is one boundary search on the stack of
+        fluxes, one basis slab over the union of the masks' rows, one
+        response product with ``B * n_coeffs`` columns and one ``fitdelz``
+        product; the least squares, chi^2 and the shifts are per slice.
         """
+        if isinstance(states, FitState):
+            (currents,) = self.iterate_pre([states], statics=statics)
+            return currents
         grid = self.grid
-        profiler = state.profiler
-        hooks = state.hooks
-        measurements = state.measurements
-        state.iteration += 1
         if statics is None:
             statics = self.statics
-        with hooks.profiled_region(profiler, "steps_", iteration=state.iteration):
+        profiler, hooks = states[0].profiler, states[0].hooks
+        for state in states:
+            state.iteration += 1
+        iteration = states[0].iteration
+        with hooks.profiled_region(profiler, "steps_", iteration=iteration):
             # Iterate 1 of a trusted warm start already holds the trust
             # probe's search of this very psi.
-            if state.iteration > 1 or state.boundary is None:
-                state.boundary = find_boundary(
+            stale = [s for s in states if s.iteration > 1 or s.boundary is None]
+            if stale:
+                found = find_boundaries(
                     grid,
-                    state.psi,
+                    [s.psi for s in stale],
                     self.machine.limiter,
-                    sign=state.sign,
+                    signs=[s.sign for s in stale],
                     inside=statics.inside_limiter,
                     limiter_samples=statics.limiter_samples,
                 )
-        boundary = state.boundary
-        with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
-            # Everything from here to pflux_ lives on the grid rows
-            # [i0, i1) the plasma occupies: one contiguous column range of
-            # the grid response, taken as a view.
-            i0, i1, jmat = basis_current_slab(
-                grid, boundary.psin, boundary.mask, self.pp_basis, self.ffp_basis
+                for state, boundary in zip(stale, found):
+                    state.boundary = boundary
+        with hooks.profiled_region(profiler, "current_", iteration=iteration):
+            # Everything from here to pflux_ lives on the grid rows the
+            # plasmas occupy: one contiguous column range of the grid
+            # response, taken as a view.
+            slabs = basis_current_slabs(
+                grid,
+                [s.boundary.psin for s in states],
+                [s.boundary.mask for s in states],
+                self.pp_basis,
+                self.ffp_basis,
             )
-            response = self.grid_response[:, i0 * grid.nh : i1 * grid.nh]
-        with hooks.profiled_region(profiler, "green_", iteration=state.iteration):
-            assembly = assemble_response(
-                response,
-                jmat,
-                self.coil_response,
-                measurements.coil_currents,
-                measurements.values,
-                measurements.uncertainties,
+        with hooks.profiled_region(profiler, "green_", iteration=iteration):
+            offset = slabs.i0 * grid.nh
+            products = basis_response(
+                self.grid_response[:, slabs.lo : slabs.hi],
+                slabs.matrix[slabs.lo - offset : slabs.hi - offset],
             )
-            if state.iteration <= state.warmup_until:
-                # Warm-up: a fixed peaked current shape rescaled to
-                # the measured Ip (EFIT's initial parabolic
-                # distribution) until the geometry is sane enough
-                # for the least-squares step to be trustworthy.  A
-                # trusted warm start enters with warmup_until == 0 and
-                # never takes this branch, so a converged previous-slice
-                # psi is no longer clobbered by the parabolic shape.
-                total = float((jmat @ self._warmup_shape).sum())
-                if total == 0.0:
-                    raise FittingError("warm-up current shape carries no current")
-                state.coeffs = self._warmup_shape * (measurements.ip / total)
-                state.chi2 = chi_squared(assembly, state.coeffs)
-            elif self.fit_vessel:
-                # Augment the linear system with one unknown per
-                # vessel segment (EFIT's VESSEL fitting option).
-                aug = ResponseAssembly(
-                    np.hstack([assembly.matrix, self.vessel_response]),
-                    assembly.data,
-                    assembly.weights,
+            assemblies = []
+            for b, state in enumerate(states):
+                assembly = ResponseAssembly(products[:, b], state.data, state.weights)
+                assemblies.append(assembly)
+                if state.iteration <= state.warmup_until:
+                    # Warm-up: a fixed peaked current shape rescaled to
+                    # the measured Ip (EFIT's initial parabolic
+                    # distribution) until the geometry is sane enough
+                    # for the least-squares step to be trustworthy.  A
+                    # trusted warm start enters with warmup_until == 0 and
+                    # never takes this branch, so a converged previous-slice
+                    # psi is no longer clobbered by the parabolic shape.
+                    total = float((slabs.matrix[:, b] @ self._warmup_shape).sum())
+                    if total == 0.0:
+                        raise FittingError("warm-up current shape carries no current")
+                    state.coeffs = self._warmup_shape * (state.measurements.ip / total)
+                    state.chi2 = chi_squared(assembly, state.coeffs)
+                elif self.fit_vessel:
+                    # Augment the linear system with one unknown per
+                    # vessel segment (EFIT's VESSEL fitting option).
+                    aug = ResponseAssembly(
+                        np.hstack([assembly.matrix, self.vessel_response]),
+                        assembly.data,
+                        assembly.weights,
+                    )
+                    sol = solve_weighted_lsq(aug, ridge=self.ridge)
+                    n_prof = state.coeffs.size
+                    state.coeffs = sol[:n_prof]
+                    state.vessel_currents = sol[n_prof:]
+                    state.chi2 = chi_squared(aug, sol)
+                else:
+                    # The full least-squares step: damping it only slows
+                    # the same fixed points down (contraction 0.8 per
+                    # iterate at half steps against 0.15-0.45 undamped).
+                    state.coeffs = solve_weighted_lsq(assembly, ridge=self.ridge)
+                    state.chi2 = chi_squared(assembly, state.coeffs)
+        with hooks.profiled_region(profiler, "current_", iteration=iteration):
+            pcurrs = self._plasma_currents(slabs, states, assemblies)
+        currents = []
+        for state, pcurr in zip(states, pcurrs):
+            state.pcurr = pcurr
+            psi_ext_iter = state.psi_external
+            if self.fit_vessel:
+                psi_ext_iter = state.psi_external + np.tensordot(
+                    state.vessel_currents, self.vessel_flux_tables, axes=1
                 )
-                sol = solve_weighted_lsq(aug, ridge=self.ridge)
-                n_prof = state.coeffs.size
-                state.coeffs = sol[:n_prof]
-                state.vessel_currents = sol[n_prof:]
-                state.chi2 = chi_squared(aug, sol)
-            else:
-                # The full least-squares step: damping it only slows the
-                # same fixed points down (contraction 0.8 per iterate at
-                # half steps against 0.15-0.45 undamped).
-                state.coeffs = solve_weighted_lsq(assembly, ridge=self.ridge)
-                state.chi2 = chi_squared(assembly, state.coeffs)
-        with hooks.profiled_region(profiler, "current_", iteration=state.iteration):
-            rows = (jmat @ state.coeffs).reshape(i1 - i0, grid.nh)
-            if self.fitdelz:
-                # The plasma's share of the prediction is the assembled
-                # system applied to the coefficients just fitted.
-                residual = assembly.data - assembly.matrix @ state.coeffs
-                if self.fit_vessel:
-                    residual = residual - self.vessel_response @ state.vessel_currents
-                delz = self._fit_delz(rows, response, residual, assembly.weights)
-                if delz != 0.0:
-                    rows = grid.shift_z(rows, delz)
-            pcurr = state.pcurr = self._embed_rows(rows, i0)
-        psi_ext_iter = state.psi_external
-        if self.fit_vessel:
-            psi_ext_iter = state.psi_external + np.tensordot(
-                state.vessel_currents, self.vessel_flux_tables, axes=1
-            )
-        return pcurr, psi_ext_iter
+            currents.append((pcurr, psi_ext_iter))
+        return currents
 
     @hot_path
     def iterate_post(self, state: FitState, psi_new: np.ndarray) -> bool:
@@ -690,7 +757,7 @@ class EfitSolver:
     ) -> Iterator[None]:
         """The Picard loop, written once: advance ``states`` in lockstep.
 
-        Each iterate runs :meth:`iterate_pre` on every state still
+        Each iterate runs :meth:`iterate_pre` once over every state still
         iterating, one flux step over them all and :meth:`iterate_post`
         on each result, then yields; the generator ends once all have
         converged or after ``max_iters`` iterates.  A caller is a stop
@@ -713,7 +780,7 @@ class EfitSolver:
         active = list(range(len(states)))
         for iteration in range(1, self.max_iters + 1):
             with hooks.profiled_region(profiler, "fit_", iteration=iteration):
-                currents = [self.iterate_pre(states[k]) for k in active]
+                currents = self.iterate_pre([states[k] for k in active])
                 with hooks.profiled_region(
                     profiler, "pflux_", iteration=iteration, batch=len(states)
                 ):

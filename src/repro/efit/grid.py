@@ -166,6 +166,16 @@ class RZGrid:
         field = np.asarray(field)
         if field.shape != self.shape:
             raise GridError(f"field shape {field.shape} != grid shape {self.shape}")
+        return self.interpolate(field, self.bilinear_stencil(r, z))
+
+    def bilinear_stencil(
+        self, r: float | np.ndarray, z: float | np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """What :meth:`bilinear` needs of the points alone: the flat
+        indices of the four corners of each point's cell, lower corner
+        ``(i0, j0)`` first — ``k00, k10, k01, k11`` with ``k00 = i0 * nh +
+        j0`` — and the factors ``(1 - tr, tr, 1 - tz, tz)`` of the point's
+        offset in that cell."""
         r = np.asarray(r, dtype=float)
         z = np.asarray(z, dtype=float)
         fr = np.clip((r - self.rmin) / self.dr, 0.0, self.nw - 1 - 1e-12)
@@ -174,15 +184,20 @@ class RZGrid:
         j0 = fz.astype(int)
         tr = fr - i0
         tz = fz - j0
-        f00 = field[i0, j0]
-        f10 = field[i0 + 1, j0]
-        f01 = field[i0, j0 + 1]
-        f11 = field[i0 + 1, j0 + 1]
+        k00 = i0 * self.nh + j0
+        return k00, k00 + self.nh, k00 + 1, k00 + self.nh + 1, 1 - tr, tr, 1 - tz, tz
+
+    @staticmethod
+    def interpolate(field: np.ndarray, stencil: tuple[np.ndarray, ...]) -> np.ndarray:
+        """:meth:`bilinear` at the points of a :meth:`bilinear_stencil`, on
+        a field or on a stack of them (shape ``(..., nw, nh)``)."""
+        k00, k10, k01, k11, ur, tr, uz, tz = stencil
+        flat = field.reshape(*field.shape[:-2], -1)
         return (
-            f00 * (1 - tr) * (1 - tz)
-            + f10 * tr * (1 - tz)
-            + f01 * (1 - tr) * tz
-            + f11 * tr * tz
+            flat[..., k00] * ur * uz
+            + flat[..., k10] * tr * uz
+            + flat[..., k01] * ur * tz
+            + flat[..., k11] * tr * tz
         )
 
     def contains(self, r: float | np.ndarray, z: float | np.ndarray) -> np.ndarray:

@@ -119,9 +119,10 @@ class VesselSegment:
 class _GeometryMemo:
     """Per-instance memo for arrays that depend only on geometry.
 
-    The limiter's grid mask and densified contour and the machine's coil
-    flux tables are functions of (machine, grid) alone, yet every Picard
-    iterate needs them.  They are built on first use and then held on
+    The limiter's grid mask, densified contour and polygon edges, what the
+    boundary search derives from them, and the machine's coil flux tables
+    are functions of (machine, grid) alone, yet every Picard iterate
+    needs them.  They are built on first use and then held on
     the instance they are a function of, so every caller reaches them
     with no extra argument and they die with the machine.  No eviction:
     the memo holds the grids actually used with that machine (about
@@ -135,7 +136,13 @@ class _GeometryMemo:
     by every solver on the machine.
     """
 
-    def _memoised(self, key, build, *args):
+    def memoised(self, key, build, *args):
+        """``build(*args)``, built on the first call for ``key`` and read
+        from the memo afterwards.  ``key`` must name everything the value
+        depends on besides this instance.  A tuple value (a named tuple
+        too) has its array members made read-only; other members are kept
+        as they are.  :mod:`repro.efit.boundary` keeps the ψ-independent
+        parts of the boundary search here."""
         memo = self.__dict__.setdefault("_memo", {})
         try:
             return memo[key]
@@ -144,7 +151,8 @@ class _GeometryMemo:
             # equal and setdefault keeps one, so no lock is needed.
             value = build(*args)
             for array in value if isinstance(value, tuple) else (value,):
-                array.setflags(write=False)
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
             return memo.setdefault(key, value)
 
     def __getstate__(self) -> dict:
@@ -186,27 +194,31 @@ class Limiter(_GeometryMemo):
         shape = rp.shape
         rp = rp.reshape(1, -1)
         zp = zp.reshape(1, -1)
-        x1 = self.r[:, None]
-        y1 = self.z[:, None]
-        x2 = np.roll(self.r, -1)[:, None]
-        y2 = np.roll(self.z, -1)[:, None]
+        x1, y1, y2, dx, dy = self.memoised(("edges",), self._edges)
         crosses = (y1 > zp) != (y2 > zp)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = x1 + (zp - y1) * (x2 - x1) / (y2 - y1)
+            x_int = x1 + (zp - y1) * dx / dy
         inside = np.logical_xor.reduce(crosses & (rp < x_int), axis=0)
         return inside.reshape(shape)
+
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        """The polygon's edges as columns ``(x1, y1, y2, x2 - x1, y2 - y1)``,
+        each edge from a vertex to the next, shape ``(n_points, 1)``."""
+        x1, y1 = self.r[:, None], self.z[:, None]
+        x2, y2 = np.roll(self.r, -1)[:, None], np.roll(self.z, -1)[:, None]
+        return x1.copy(), y1.copy(), y2, x2 - x1, y2 - y1
 
     def grid_mask(self, grid: RZGrid) -> np.ndarray:
         """``contains(grid.rr, grid.zz)``: which grid nodes lie inside the
         wall.  Built once per grid and returned read-only."""
-        return self._memoised(("grid_mask", grid), self.contains, grid.rr, grid.zz)
+        return self.memoised(("grid_mask", grid), self.contains, grid.rr, grid.zz)
 
     def sample_points(self, n_per_edge: int = 4) -> tuple[np.ndarray, np.ndarray]:
         """Densified limiter contour used for the boundary-psi search.
         Built once per ``n_per_edge`` and returned read-only."""
         if n_per_edge < 1:
             raise MeasurementError("n_per_edge must be >= 1")
-        return self._memoised(
+        return self.memoised(
             ("sample_points", n_per_edge), self._sample_points, n_per_edge
         )
 
@@ -284,7 +296,7 @@ class Tokamak(_GeometryMemo):
         setup data for the external sources.  Built once per grid and
         returned read-only.
         """
-        return self._memoised(
+        return self.memoised(
             ("coil_flux_tables", grid), lambda: self._flux_tables(self.coil_sources, grid)
         )
 
@@ -305,7 +317,7 @@ class Tokamak(_GeometryMemo):
     def vessel_flux_tables(self, grid: RZGrid) -> np.ndarray:
         """Per-segment vessel flux tables, shape ``(n_vessel, nw, nh)``.
         Built once per grid and returned read-only."""
-        return self._memoised(
+        return self.memoised(
             ("vessel_flux_tables", grid), lambda: self._flux_tables(self.vessel_sources, grid)
         )
 

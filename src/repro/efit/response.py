@@ -2,20 +2,29 @@
 
 Every Picard iteration re-assembles the measurement response to the
 *current basis* of this iterate (the basis current matrix depends on
-``psiN``, which moved), subtracts the known PF-coil contribution from the
-data, and solves a weighted linear least-squares problem for the profile
-coefficients.  This module owns both steps.
+``psiN``, which moved) and solves a weighted linear least-squares problem
+for the profile coefficients; the data side of that system — the
+measurements less the known PF-coil contribution, and the weights — does
+not move and is built once per slice.  This module owns all three.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import FittingError
 
-__all__ = ["ResponseAssembly", "solve_weighted_lsq", "chi_squared"]
+__all__ = [
+    "ResponseAssembly",
+    "assemble_response",
+    "basis_response",
+    "measurement_system",
+    "solve_weighted_lsq",
+    "chi_squared",
+]
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,47 @@ def _row_support(a: np.ndarray) -> tuple[int, int]:
     first = int(nonzero.argmax())
     last = a.size - 1 - int(nonzero[::-1].argmax())
     return first // a.shape[1], last // a.shape[1] + 1
+
+
+def measurement_system(
+    coil_response: np.ndarray,
+    coil_currents: np.ndarray,
+    measured: np.ndarray,
+    uncertainties: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The half of a slice's least-squares system that no Picard iterate
+    changes: ``(data, weights)``, the measurements less the known PF-coil
+    contribution and ``1 / sigma``.  The fit builds and validates it once
+    per slice (:meth:`~repro.efit.fitting.EfitSolver.start_fit`).
+
+    ``coil_response`` is ``(n_meas, n_coils)``, the response to unit coil
+    currents; ``measured`` and ``uncertainties`` the measurement vector
+    and its 1-sigma uncertainties.
+    """
+    n_meas = coil_response.shape[0]
+    if measured.shape != (n_meas,) or uncertainties.shape != (n_meas,):
+        raise FittingError("measurement vector length mismatch")
+    if np.any(uncertainties <= 0.0):
+        raise FittingError("uncertainties must be positive")
+    data = measured - coil_response @ np.asarray(coil_currents, dtype=float)
+    weights = 1.0 / np.asarray(uncertainties, dtype=float)
+    return data, weights
+
+
+def basis_response(grid_response: np.ndarray, basis_currents: np.ndarray) -> np.ndarray:
+    """Response of every diagnostic to every basis function: the
+    contraction over grid nodes, one GEMM.
+
+    ``basis_currents`` holds the node currents per unit coefficient of
+    one slice, ``(n_nodes, n_coeffs)``, or of a batch of slices side by
+    side, ``(n_nodes, B, n_coeffs)``; ``grid_response`` the matching
+    ``(n_meas, n_nodes)`` columns of the diagnostic response to unit node
+    currents.  Returns ``(n_meas, n_coeffs)`` or ``(n_meas, B,
+    n_coeffs)``.
+    """
+    n_nodes, *columns = basis_currents.shape
+    product = grid_response @ basis_currents.reshape(n_nodes, math.prod(columns))
+    return product.reshape(grid_response.shape[0], *columns)
 
 
 def assemble_response(
@@ -77,19 +127,13 @@ def assemble_response(
     n_meas, n_grid = grid_response.shape
     if basis_currents.shape[0] != n_grid:
         raise FittingError("grid response / basis current size mismatch")
-    if measured.shape != (n_meas,) or uncertainties.shape != (n_meas,):
-        raise FittingError("measurement vector length mismatch")
-    if np.any(uncertainties <= 0.0):
-        raise FittingError("uncertainties must be positive")
-    # The contraction over grid nodes: response of every diagnostic to
-    # every basis function.  The plasma fills a contiguous run of the flat
-    # node index and every row of ``basis_currents`` outside it is zero, so
-    # the product is taken over that run — whether the caller passes the
-    # whole grid or, as the fit does, the block of grid rows the mask is in.
+    data, weights = measurement_system(coil_response, coil_currents, measured, uncertainties)
+    # The plasma fills a contiguous run of the flat node index and every
+    # row of ``basis_currents`` outside it is zero, so the product is taken
+    # over that run — whether the caller passes the whole grid or the
+    # block of grid rows the mask is in.
     lo, hi = _row_support(basis_currents)
-    matrix = grid_response[:, lo:hi] @ basis_currents[lo:hi]
-    data = measured - coil_response @ np.asarray(coil_currents, dtype=float)
-    weights = 1.0 / np.asarray(uncertainties, dtype=float)
+    matrix = basis_response(grid_response[:, lo:hi], basis_currents[lo:hi])
     return ResponseAssembly(matrix=matrix, data=data, weights=weights)
 
 

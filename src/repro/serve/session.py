@@ -84,7 +84,6 @@ class ShotSession:
         self.profiler = RegionProfiler()
         self.slices_done = 0
         self._prev_psi: np.ndarray | None = None
-        self._prev_coeffs: np.ndarray | None = None
 
     def reconstruct(self, frame: Frame, queue_seconds: float = 0.0) -> SliceReport:
         """Solve one frame under its deadline; never raises on a miss.
@@ -98,12 +97,10 @@ class ShotSession:
         t0 = self.clock()
         # The chain is taken, not read: only a slice that converges puts
         # one back, so neither a raise nor a partial result seeds the next.
-        prev_psi, prev_coeffs = self._prev_psi, self._prev_coeffs
-        self._prev_psi = self._prev_coeffs = None
+        prev_psi, self._prev_psi = self._prev_psi, None
         state = solver.start_fit(
             frame.measurements,
             psi_initial=prev_psi if self.warm_start else None,
-            coeffs_initial=prev_coeffs if self.warm_start else None,
             profiler=self.profiler,
         )
         seeded = self.warm_start and prev_psi is not None
@@ -136,13 +133,12 @@ class ShotSession:
                 # divergence guard) or refused it (boundary probe failed).
                 metrics.warm_start_fallbacks.inc()
         if result.converged:
-            # Chain the warm start: the *converged* psi and coefficients
-            # seed the next slice.  Partial results are not chained — the
-            # trust probe would usually accept them, but a deadline-
-            # starved stream should degrade to known-good cold solves
-            # rather than compound a half-converged state.
+            # Chain the warm start: the *converged* psi seeds the next
+            # slice.  Partial results are not chained — the trust probe
+            # would usually accept them, but a deadline-starved stream
+            # should degrade to known-good cold solves rather than
+            # compound a half-converged state.
             self._prev_psi = result.psi
-            self._prev_coeffs = result.history[-1].coefficients
         self.slices_done += 1
         return SliceReport(
             stream_id=frame.stream_id,

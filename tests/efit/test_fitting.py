@@ -121,7 +121,7 @@ class TestStability:
             shot33.measurements.uncertainties,
         )
         residual = asm.data - solver33.grid_response @ g.flatten(shifted)
-        est = solver33._fit_delz(shifted, solver33.grid_response, residual, asm.weights)
+        (est,) = solver33._fit_delz(shifted[None], solver33.grid_response, [residual], [asm.weights])
         assert est == pytest.approx(-2 * g.dz, rel=0.05)
 
     def test_shift_z_roundtrip(self, solver33, rng):

@@ -28,9 +28,10 @@ import repro.efit.fitting as fitting
 from repro.batch import synthetic_slice_sequence
 from repro.efit.boundary import (
     BoundaryResult,
-    _bounding_window,
-    _find_axis,
+    _find_axes,
+    _geometry_for,
     _xpoint_candidates,
+    find_boundaries,
     find_boundary,
     find_xpoints,
 )
@@ -122,6 +123,21 @@ def _ref_core_clears_wall(grid, psi, sign, spx, inside_lim, i_ax, j_ax, lr, lz, 
     return True
 
 
+def _ref_bilinear(grid, field, r, z):
+    fr = np.clip((r - grid.rmin) / grid.dr, 0.0, grid.nw - 1 - 1e-12)
+    fz = np.clip((z - grid.zmin) / grid.dz, 0.0, grid.nh - 1 - 1e-12)
+    i0 = fr.astype(int)
+    j0 = fz.astype(int)
+    tr = fr - i0
+    tz = fz - j0
+    return (
+        field[i0, j0] * (1 - tr) * (1 - tz)
+        + field[i0 + 1, j0] * tr * (1 - tz)
+        + field[i0, j0 + 1] * (1 - tr) * tz
+        + field[i0 + 1, j0 + 1] * tr * tz
+    )
+
+
 def _ref_admissible(grid, limiter, cands, r_axis, z_axis):
     """The old admissibility test, applied to an already truncated list."""
     rxs = np.array([c[0] for c in cands])
@@ -139,7 +155,7 @@ def _ref_find_boundary(grid, psi, limiter, *, sign=1, inside=None, limiter_sampl
     r_axis, z_axis, psi_axis = _ref_find_axis(grid, psi, limiter, sign, inside_lim)
     lr, lz = limiter_samples if limiter_samples is not None else limiter.sample_points(4)
     keep = grid.contains(lr, lz)
-    psi_wall = grid.bilinear(psi, lr[keep], lz[keep])
+    psi_wall = _ref_bilinear(grid, psi, lr[keep], lz[keep])
     psi_lim = float(np.max(sign * psi_wall))
     i_ax = min(max(int(round((r_axis - grid.rmin) / grid.dr)), 0), grid.nw - 1)
     j_ax = min(max(int(round((z_axis - grid.zmin) / grid.dz)), 0), grid.nh - 1)
@@ -201,14 +217,15 @@ def _assert_same_boundary(new: BoundaryResult, ref: BoundaryResult) -> None:
 
 def _record_searches(monkeypatch, solver, frames, *, chain=False):
     """Fit ``frames`` and return ``(psi, sign)`` of every boundary search
-    the solver made, trust probes included."""
+    the solver made, trust probes included: every map of every stack the
+    fit hands the search."""
     seen = []
 
-    def spy(grid, psi, limiter, **kwargs):
-        seen.append((psi.copy(), kwargs["sign"]))
-        return find_boundary(grid, psi, limiter, **kwargs)
+    def spy(grid, psi, limiter, *, signs, **kwargs):
+        seen.extend((p.copy(), s) for p, s in zip(psi, signs))
+        return find_boundaries(grid, psi, limiter, signs=signs, **kwargs)
 
-    monkeypatch.setattr(fitting, "find_boundary", spy)
+    monkeypatch.setattr(fitting, "find_boundaries", spy)
     prev = None
     for frame in frames:
         prev = solver.fit(frame, psi_initial=prev.psi if chain and prev is not None else None)
@@ -224,18 +241,18 @@ def _check_searches(solver, seen) -> None:
         )
         new = find_boundary(grid, psi, limiter, **kwargs)
         _assert_same_boundary(new, _ref_find_boundary(grid, psi, limiter, **kwargs))
-        inside = statics.inside_limiter
-        window = _bounding_window(grid, inside)
+        geometry = _geometry_for(grid, limiter, statics.inside_limiter, None, 4)
         # Deciding admissibility before the cut changed no candidate list
         # here: nothing admissible sat below the sixth-flattest saddle.
-        axis = _find_axis(grid, psi, sign, inside, window)
+        signed = sign * psi[None]
+        axes = _find_axes(grid, signed, geometry)
         cands = _ref_find_xpoints(grid, psi, max_points=6)
         old = [
-            c
-            for c, ok in zip(cands, _ref_admissible(grid, limiter, cands, *axis[:2]))
-            if ok and sign * c[2] < sign * axis[2]
+            (r, z, sign * p)
+            for (r, z, p), ok in zip(cands, _ref_admissible(grid, limiter, cands, axes[0][0], axes[1][0]))
+            if ok and sign * p < axes[2][0]
         ]
-        assert _xpoint_candidates(grid, psi, limiter, sign, axis, window) == old
+        assert _xpoint_candidates(grid, signed, limiter, axes, geometry.interior) == [old]
         # ... and the public search is the old one, value for value.
         assert find_xpoints(grid, psi, max_points=6) == cands
 
@@ -262,6 +279,75 @@ def test_warm_chain_searches_match_the_oracle_single_null(monkeypatch):
     solver = EfitSolver.for_scenario(sc, 65, shot=shot)
     frames = [shot.measurements] + synthetic_slice_sequence(shot, 6, seed=0)
     _check_searches(solver, _record_searches(monkeypatch, solver, frames, chain=True))
+
+
+# -- the search on a stack of maps ---------------------------------------------------
+def _shaping_fields(grid):
+    """Two vacuum-like external fields that move a recorded equilibrium
+    across the limited/diverted line: a quadrupole (elongating) field,
+    which opens X-points, and a vertical field, which pushes the plasma
+    onto the wall."""
+    r = (grid.rr - grid.rr.mean()) / np.ptp(grid.rr)
+    z = (grid.zz - grid.zz.mean()) / np.ptp(grid.zz)
+    vertical = (grid.rr**2 - grid.rr.mean() ** 2) / np.ptp(grid.rr**2)
+    return {0.8: z**2 - r**2, 0.5: vertical}
+
+
+def _stack_corpus(monkeypatch, name):
+    """The maps a cold 65^2 fit of ``name``'s base shot searches, each also
+    under the two shaping fields, every other map with the opposite
+    plasma-current sign, as ``(psi, sign, oracle result)`` — ordered so
+    that neighbours alternate limited / diverted while both last."""
+    sc = get_scenario(name)
+    shot = sc.make_shot(65)
+    solver = EfitSolver.for_scenario(sc, 65, shot=shot)
+    grid, limiter = solver.grid, solver.machine.limiter
+    maps = []
+    for psi, sign in _record_searches(monkeypatch, solver, [shot.measurements]):
+        span = np.ptp(psi)
+        for scale, field in _shaping_fields(grid).items():
+            maps.append(psi + sign * scale * span * field)
+        maps.append(psi)
+    kinds: dict[str, list] = {"limiter": [], "xpoint": []}
+    for k, psi in enumerate(maps):
+        sign = 1 if k % 2 else -1
+        try:
+            ref = _ref_find_boundary(grid, sign * psi, limiter, sign=sign)
+        except BoundaryError:
+            continue  # a shaping field can push the axis onto the wall
+        kinds[ref.boundary_type].append((sign * psi, sign, ref))
+    corpus = [entry for pair in zip(*kinds.values()) for entry in pair]
+    n = len(corpus) // 2
+    corpus += kinds["limiter"][n:] + kinds["xpoint"][n:]
+    return solver, corpus
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_stacked_searches_match_the_oracle(monkeypatch, name):
+    """The search on a stack of maps returns, for every map, the oracle's
+    result on that map alone — at every stack width, with limited and
+    diverted maps and both current signs side by side in one stack."""
+    solver, corpus = _stack_corpus(monkeypatch, name)
+    grid, limiter = solver.grid, solver.machine.limiter
+    kinds = {ref.boundary_type for _, _, ref in corpus}
+    assert kinds == {"limiter", "xpoint"} and len(corpus) >= 24
+    for width in (1, 2, 3, 8):
+        mixed = 0
+        for start in range(0, len(corpus), width):
+            stack = corpus[start : start + width]
+            found = find_boundaries(
+                grid,
+                np.stack([psi for psi, _, _ in stack]),
+                limiter,
+                signs=[sign for _, sign, _ in stack],
+            )
+            assert len(found) == len(stack)
+            for new, (_, _, ref) in zip(found, stack):
+                _assert_same_boundary(new, ref)
+            mixed += len({ref.boundary_type for _, _, ref in stack}) == 2 and len(
+                {sign for _, sign, _ in stack}
+            ) == 2
+        assert mixed >= (1 if width > 1 else 0)
 
 
 # -- find_xpoints on fields no scenario makes ---------------------------------------
@@ -340,29 +426,29 @@ def _plasma_rows(mask):
 
 
 def test_green_contracts_a_view_of_the_plasma_rows_only(monkeypatch):
-    """Every iterate of a cold fit hands ``assemble_response`` the column
-    range of ``grid_response`` under the mask's rows — fewer columns than
-    the grid has nodes, and a view, never a copy."""
+    """Every iterate of a cold fit hands ``basis_response`` one column range
+    of ``grid_response`` — from the mask's first node to its last, fewer
+    columns than the grid has nodes, and a view, never a copy — with the
+    matching rows of the basis currents."""
     sc = get_scenario("g186610")
     shot = sc.make_shot(65)
     solver = EfitSolver.for_scenario(sc, 65, shot=shot)
     calls = []
-    real = fitting.assemble_response
+    real = fitting.basis_response
 
-    def spy(grid_response, basis_currents, *args):
+    def spy(grid_response, basis_currents):
         calls.append((grid_response, basis_currents.shape))
-        return real(grid_response, basis_currents, *args)
+        return real(grid_response, basis_currents)
 
-    monkeypatch.setattr(fitting, "assemble_response", spy)
+    monkeypatch.setattr(fitting, "basis_response", spy)
     state = solver.start_fit(shot.measurements)
-    nh = solver.grid.nh
     for _ in solver.picard([state]):
         response, basis_shape = calls[-1]
-        i0, i1 = _plasma_rows(state.boundary.mask)
-        assert response.shape[1] == (i1 - i0) * nh < solver.grid.size
-        assert basis_shape[0] == response.shape[1]
+        nodes = np.flatnonzero(state.boundary.mask)
+        assert response.shape[1] == nodes[-1] + 1 - nodes[0] < solver.grid.size
+        assert basis_shape == (response.shape[1], 1, solver.pp_basis.n_terms + solver.ffp_basis.n_terms)
         assert np.shares_memory(response, solver.grid_response)
-        assert np.array_equal(response, solver.grid_response[:, i0 * nh : i1 * nh])
+        assert np.array_equal(response, solver.grid_response[:, nodes[0] : nodes[-1] + 1])
     assert state.converged and len(calls) == state.iteration >= 5
 
 

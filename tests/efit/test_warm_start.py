@@ -118,13 +118,13 @@ class TestTrustProbeIsIterateOnesSearch:
         import repro.efit.fitting as fitting
 
         calls = []
-        find_boundary = fitting.find_boundary
+        find_boundaries = fitting.find_boundaries
 
         def spy(grid, psi, *args, **kwargs):
-            calls.append(psi)
-            return find_boundary(grid, psi, *args, **kwargs)
+            calls.extend(psi)  # one entry per flux map searched
+            return find_boundaries(grid, psi, *args, **kwargs)
 
-        monkeypatch.setattr(fitting, "find_boundary", spy)
+        monkeypatch.setattr(fitting, "find_boundaries", spy)
         return calls
 
     def test_warm_fit_searches_once_per_iterate(self, solver33, next_slice, cold, searches):

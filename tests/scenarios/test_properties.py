@@ -17,7 +17,9 @@ worker count:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import repro.efit.fitting as fitting
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.fitting import EfitSolver
 from repro.efit.operators import GradShafranovOperator
@@ -238,6 +241,115 @@ def test_batch_engine_matches_single_solver(name, warm):
     _assert_identical(
         [bare.fit(m, psi_initial=seed) for m, seed in zip(slices, seeds)], on_engine
     )
+
+
+# ------------------------------------------------- widths that change mid-run
+#
+# The pre-flux half of an iterate runs over the slices of a batch still
+# iterating, so its products change width whenever one converges, and
+# iterate 1 searches only the slices whose seed did not already bring a
+# boundary.  DESIGN.md's two rows still hold: the same batches again are
+# bit-identical, the serial solver agrees to round-off with equal iterate
+# counts, and a batch of one is the serial solver.
+
+
+def _assert_relations(name, seeds, slices, **solver_kwargs):
+    """Both rows of the relation table for one batch of ``slices`` seeded
+    with ``seeds``; returns the batch's results."""
+    sc = get_scenario(name)
+    shot = sc.make_shot(RELATION_GRID.get(name, N))
+    width = len(slices)
+
+    def engine(batch_size):
+        return BatchFitEngine.for_scenario(sc, shot=shot, batch_size=batch_size, **solver_kwargs)
+
+    batch = engine(width).fit_many(slices, psi_initial=seeds).results
+    _assert_identical(engine(width).fit_many(slices, psi_initial=seeds).results, batch)
+    serial = engine(1)
+    one_by_one = serial.fit_many(slices, psi_initial=seeds).results
+    _assert_identical(
+        [serial.solver.fit(m, psi_initial=seed) for m, seed in zip(slices, seeds)], one_by_one
+    )
+    _assert_round_off(batch, one_by_one)
+    return batch
+
+
+@functools.cache
+def _converged(name: str, n_slices: int):
+    """Noisy slices of ``name`` and their converged serial fits."""
+    sc = get_scenario(name)
+    shot = sc.make_shot(RELATION_GRID.get(name, N))
+    slices = synthetic_slice_sequence(shot, n_slices, seed=5)
+    solver = EfitSolver.for_scenario(sc, shot=shot)
+    return slices, [solver.fit(m) for m in slices]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_batch_width_shrinks_as_slices_converge(name):
+    """Slices that leave a batch at three different iterates: two cold,
+    one seeded with its own converged flux (done after an iterate or
+    two) and one with its neighbour's (a few iterates)."""
+    slices, fits = _converged(name, 4)
+    seeds = [None, fits[1].psi, None, fits[2].psi]
+    batch = _assert_relations(name, seeds, slices)
+    assert len({r.iterations for r in batch}) >= 3
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_batch_mixes_trusted_untrusted_and_cold_seeds(monkeypatch, name):
+    """A trusted seed, one whose boundary search fails (a flat map: it is
+    replaced by the cold start) and none: iterate 1 reuses the trust
+    probe's search for the first slice only."""
+    slices, fits = _converged(name, 3)
+    seeds = [fits[0].psi, np.zeros_like(fits[0].psi), None]
+    batch = _assert_relations(name, seeds, slices)
+    assert [r.warm_start for r in batch] == [True, False, False]
+
+    widths = []
+    search = fitting.find_boundaries
+
+    def spy(grid, psi, *args, **kwargs):
+        widths.append(len(psi))
+        return search(grid, psi, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "find_boundaries", spy)
+    sc = get_scenario(name)
+    shot = sc.make_shot(RELATION_GRID.get(name, N))
+    BatchFitEngine.for_scenario(sc, shot=shot, batch_size=3).fit_many(slices, psi_initial=seeds)
+    # Two one-map trust probes, then iterate 1 on the two cold slices.
+    assert widths[:3] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_batch_fits_the_vessel(name):
+    """Vessel-current fitting inside a batch: every slice's augmented
+    least squares runs on its own block of the batch's product."""
+    if name == "solovev":
+        pytest.skip("the vessel fit does not converge on Solov'ev's analytic shot")
+    slices, _ = _converged(name, 3)
+    batch = _assert_relations(name, [None] * 3, slices, fit_vessel=True)
+    assert all(r.vessel_currents is not None and r.vessel_currents.any() for r in batch)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_search_memo_is_read_only_and_never_pickled(name):
+    """What the boundary search keeps on a limiter — its window, the wall
+    samples' stencil, the polygon's edges — is read-only (every solver on
+    the machine shares it) and stays out of the machine's pickle (the
+    fleet pickles the machine into every worker's arguments)."""
+    sc = get_scenario(name)
+    shot = sc.make_shot(N)
+    machine = dataclasses.replace(shot.machine, limiter=dataclasses.replace(shot.machine.limiter))
+    blob = pickle.dumps(machine)
+    EfitSolver(machine, shot.diagnostics, shot.grid).fit(shot.measurements, require_convergence=False)
+    memo = vars(machine.limiter)["_memo"]
+    assert {"edges", "boundary_search"} <= {key[0] for key in memo}
+    for value in memo.values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+    assert pickle.dumps(machine) == blob
+    assert "_memo" not in vars(pickle.loads(blob).limiter)
 
 
 @given(

@@ -90,7 +90,7 @@ class TestDeadlines:
         )
         first = session.reconstruct(_frames(slices3)[0])
         assert first.deadline_missed
-        assert session._prev_psi is None and session._prev_coeffs is None
+        assert session._prev_psi is None
 
     def test_frame_deadline_overrides_session(self, engine33, slices3):
         fake = itertools.count()

@@ -97,6 +97,28 @@ def test_parallel_stress_lane_sweeps_its_tmpdir_for_arenas():
     assert len(ran) == 3 and exported < min(ran) and max(ran) < sweep
 
 
+def test_scenario_lanes_run_their_batch_relations():
+    """Each scenario-matrix lane runs the batch relations of its own
+    scenario, and for every scenario of the matrix that selection holds
+    the tests of widths that change mid-run."""
+    from tests.scenarios import test_properties
+
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  scenario-matrix:") : text.index("  serve-smoke:")]
+    (command,) = [c for c in _run_commands(lane) if "test_properties.py" in c]
+    assert command.endswith('-k "${{ matrix.scenario }} and batch"')
+    scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
+    widths = (
+        test_properties.test_batch_width_shrinks_as_slices_converge,
+        test_properties.test_batch_mixes_trusted_untrusted_and_cold_seeds,
+        test_properties.test_batch_fits_the_vessel,
+    )
+    for scenario in (v.strip() for v in scenarios.split(",")):
+        for fn in widths:
+            (mark,) = [m for m in fn.pytestmark if m.name == "parametrize"]
+            assert scenario in mark.args[1], (fn.__name__, scenario)
+
+
 @pytest.mark.parametrize(
     "workflow, argv", INVOCATIONS, ids=[f"{n}:{'_'.join(a[:3])}" for n, a in INVOCATIONS]
 )
