@@ -17,10 +17,6 @@ only asserted at runtime.  This package proves all of these properties
   :class:`~repro.directives.registry.AnnotatedKernel`;
 * :mod:`repro.analysis.hotpath` — AST checkers over the marked Python
   hot paths;
-* :mod:`repro.analysis.dataflow` — the set-lattice abstract
-  interpreter the flow-sensitive lifecycle family builds on;
-* :mod:`repro.analysis.lifecycle` — protocol rules over the parallel
-  layer (fork-unsafe captures, ``os._exit`` before a queue flush);
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for CI forges;
 * :mod:`repro.analysis.engine` — orchestration, family selection,
   certification and the report consumed by ``repro analyze``.

@@ -3,13 +3,13 @@
 :func:`analyze_repo` is what ``repro analyze`` runs: it builds the
 registered ``pflux_`` kernel registry, lowers it against the paper's
 three machine sites, scans the marked Python hot paths under
-``repro/efit`` and ``repro/batch``, runs the concurrency-lifecycle
-rules over ``repro/parallel``, and returns an :class:`AnalysisReport` —
-findings plus the *certification set* (hot functions the linter proves
-allocation-free, which the workspace counters must confirm at runtime).
+``repro/efit`` and ``repro/batch``, and returns an
+:class:`AnalysisReport` — findings plus the *certification set* (hot
+functions the linter proves allocation-free, which the workspace
+counters must confirm at runtime).
 
-The three rule *families* — ``directives``, ``hotpath``, ``lifecycle`` —
-are individually selectable
+The two rule *families* — ``directives`` and ``hotpath`` — are
+individually selectable
 (:attr:`AnalysisConfig.families`, ``repro analyze --family``); a partial
 run analyses less and therefore cannot judge baseline staleness (see
 :attr:`AnalysisReport.complete`).
@@ -42,7 +42,6 @@ __all__ = [
     "AnalysisReport",
     "analyze_registry",
     "analyze_hot_paths",
-    "analyze_lifecycle",
     "analyze_repo",
 ]
 
@@ -53,7 +52,7 @@ __all__ = [
 ANALYSIS_SCHEMA_VERSION = 2
 
 #: Every selectable rule family, in documented run order.
-ALL_FAMILIES: tuple[str, ...] = ("directives", "hotpath", "lifecycle")
+ALL_FAMILIES: tuple[str, ...] = ("directives", "hotpath")
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,6 @@ class AnalysisConfig:
     #: Source roots of the hot-path pass, relative to the ``repro``
     #: package directory.
     hot_path_roots: tuple[str, ...] = ("efit", "batch")
-    #: Source roots of the lifecycle pass, relative to the ``repro``
-    #: package directory.
-    lifecycle_roots: tuple[str, ...] = ("parallel",)
     #: Rule families this run executes (subset of :data:`ALL_FAMILIES`).
     families: tuple[str, ...] = ALL_FAMILIES
 
@@ -212,20 +208,6 @@ def analyze_hot_paths(config: AnalysisConfig | None = None) -> HotPathScan:
     return scan_paths(roots, package_root=package_root)
 
 
-def analyze_lifecycle(config: AnalysisConfig | None = None) -> list[Finding]:
-    """Concurrency-lifecycle AST pass over the configured roots."""
-    import repro
-    from repro.analysis.lifecycle import scan_lifecycle_paths
-
-    config = config if config is not None else AnalysisConfig()
-    package_root = Path(repro.__file__).parent
-    roots = [package_root / r for r in config.lifecycle_roots]
-    missing = [str(r) for r in roots if not r.exists()]
-    if missing:
-        raise AnalysisError(f"lifecycle roots do not exist: {', '.join(missing)}")
-    return scan_lifecycle_paths(roots, package_root=package_root)
-
-
 def analyze_repo(config: AnalysisConfig | None = None) -> AnalysisReport:
     """The full ``repro analyze`` run over the configured families."""
     config = config if config is not None else AnalysisConfig()
@@ -243,8 +225,6 @@ def analyze_repo(config: AnalysisConfig | None = None) -> AnalysisReport:
         findings.extend(scan.findings)
         hot_functions = tuple(scan.hot_functions)
         certified = scan.certified
-    if "lifecycle" in config.families:
-        findings.extend(analyze_lifecycle(config))
     return AnalysisReport(
         findings=findings,
         hot_functions=hot_functions,

@@ -30,17 +30,6 @@ rule id                paper motivation
 ``workspace-alias``    one :class:`~repro.batch.workspace.FitWorkspace`
                        buffer name requested for two logical buffers
 =====================  ======================================================
-
-The concurrency-lifecycle family (same table convention):
-
-==============================  =============================================
-rule id                         motivation
-==============================  =============================================
-``fork-unsafe-capture``         lambda / nested function in
-                                worker-construction arguments
-``lifecycle-exit-before-flush``  ``os._exit`` reachable before queue
-                                ``close()`` + ``join_thread()``
-==============================  =============================================
 """
 
 from __future__ import annotations

@@ -47,8 +47,6 @@ _RULE_DESCRIPTIONS = {
     "hot-copy": ".copy() inside @hot_path",
     "hot-ufunc-temp": "Ufunc without out= inside @hot_path",
     "workspace-alias": "Workspace buffer name requested twice",
-    "fork-unsafe-capture": "Unpicklable callable in worker args",
-    "lifecycle-exit-before-flush": "os._exit before queue feeder flush",
 }
 
 

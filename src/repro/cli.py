@@ -11,9 +11,8 @@ Commands
 ``sites``
     Describe the modeled machines.
 ``analyze``
-    Run the portability linter — directive, hot-path and
-    concurrency-lifecycle rule families (``--family`` selects a
-    subset, ``--sarif`` exports CI annotations).
+    Run the portability linter — directive and hot-path rule families
+    (``--family`` selects one, ``--sarif`` exports CI annotations).
 ``trace``
     Run one traced workload and write a Chrome-trace JSON (plus an
     optional JSONL record stream).
@@ -85,6 +84,7 @@ def _add_problem_options(
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for testing and docs)."""
+    from repro.analysis.engine import ALL_FAMILIES
     from repro.edge_methods import EDGE_METHODS
     from repro.scenarios import DEFAULT_SCENARIO, scenario_names
 
@@ -146,10 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--family",
         action="append",
-        choices=["directives", "hotpath", "lifecycle"],
+        choices=ALL_FAMILIES,
         default=None,
         metavar="NAME",
-        help="run only this rule family (repeatable; default: all three)",
+        help="run only this rule family (repeatable; default: all)",
     )
     p_an.add_argument(
         "--sarif",

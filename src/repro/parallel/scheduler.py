@@ -1,58 +1,54 @@
-"""The multi-process job scheduler: queue, retries, quarantine, merge.
+"""The multi-process job scheduler: retries, quarantine, merge.
 
-:class:`ProcessScheduler` owns a persistent pool of worker *processes*
-(slots ``0..workers-1``), each with a private task queue and a shared
-result queue.  ``run(payloads)`` shards the payload list across the pool
-and blocks until every job has a final disposition:
-
-* **completed** — the worker returned a result; delivered as a
-  :class:`JobOutcome`;
-* **quarantined** — the job crashed/timed out more than ``max_retries``
-  times, or raised a deterministic Python exception; delivered as a
-  :class:`JobFailure` and *never* retried again (no crash loops).
-
-Crash/timeout handling: a worker that dies (or exceeds the per-job
-timeout and is killed) takes exactly one in-flight job with it; the
-parent requeues that job with exponential backoff
-(``backoff * 2**(attempt-1)``) and respawns the slot.  Python exceptions
-raised by the payload are treated as deterministic and quarantine
-immediately — retrying them would burn a worker generation per attempt
-for the same traceback.
-
-The merge is deterministic: outcomes are ordered by submission index
-regardless of completion order, so a run with any worker count and any
-interleaving produces the same result sequence.
+:class:`ProcessScheduler` owns a persistent pool of worker slots, each a
+single-process :class:`~concurrent.futures.ProcessPoolExecutor`, so
+whatever happens to a worker happens to one future.  A slot is *ready*
+once its first call, ``submit(os.getpid)``, returns: its worker has run
+the initializer, and the pid is what a timeout kills.  ``run(payloads)``
+blocks until every job is **completed** (a :class:`JobOutcome`) or
+**quarantined** (a :class:`JobFailure`, never retried again: no crash
+loops).  A job whose worker died (its future raises
+``BrokenProcessPool``) or that outlived the per-job timeout (its worker
+is killed) retries on a respawned slot after ``backoff *
+2**(attempt-1)``, until it has used ``max_retries``.  A Python exception
+from the payload, or from ``init_fn``, is deterministic and quarantines
+at once: a retry would burn a worker generation for the same traceback.
+Outcomes merge by submission index, so worker count and interleaving are
+invisible in the result.  The inline transport swaps each slot's
+executor for an in-parent one behind the same loop.
 
 Fault injection: ``REPRO_PARALLEL_CRASH_RATE`` (a probability) makes
-workers ``os._exit`` before selected jobs.  The decision is a pure hash
-of ``(REPRO_PARALLEL_CRASH_SEED, job index, attempt)`` — deterministic
-across processes and runs, and different per attempt, so a retried job
-eventually succeeds whenever the rate is below 1.  The parallel-stress
-CI job runs the suite under a nonzero rate to prove the retry and
-quarantine paths on a real runner.
+workers ``os._exit`` before selected jobs (an inline worker raises
+``BrokenProcessPool``), decided by a pure hash of
+``(REPRO_PARALLEL_CRASH_SEED, job index, attempt)``: deterministic across
+processes and runs, and different per attempt, so a retried job
+eventually succeeds whenever the rate is below 1.
 
-Observability: every worker owns a private
+Observability: each worker's private
 :class:`~repro.obs.trace.TraceRecorder` and
-:class:`~repro.obs.metrics.MetricsRegistry`; after each run the parent
-collects per-worker reports (span/event records + a metrics snapshot)
-which :mod:`repro.parallel.merge` folds into one Chrome trace with one
-lane per worker and one aggregated metrics snapshot.  Parent-side
-scheduling decisions surface as events on the caller's
-:class:`~repro.obs.hooks.ObservationHooks` and as
-:class:`~repro.runtime.counters.SchedulerCounters`.
+:class:`~repro.obs.metrics.MetricsRegistry` come back after every run as
+one :class:`WorkerReport` per slot (one ``submit(_flush)``), which
+:mod:`repro.parallel.merge` folds into one Chrome trace with a lane per
+worker and one aggregated metrics snapshot.  Parent-side decisions are
+events on the caller's :class:`~repro.obs.hooks.ObservationHooks` and
+counts in :class:`~repro.runtime.counters.SchedulerCounters`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import os
+import pickle
+import signal
 import time
 import traceback as traceback_mod
-from collections import deque
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
-from queue import Empty
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.errors import ParallelError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks, TraceHooks
@@ -80,12 +76,13 @@ CRASH_SEED_ENV = "REPRO_PARALLEL_CRASH_SEED"
 #: Exit code of an injected crash (distinguishable from real faults in logs).
 _CRASH_EXIT = 113
 
-#: How long the parent poll loop blocks on the result queue per sweep.
-_POLL_SECONDS = 0.02
-
-#: Consecutive worker deaths with no job in flight tolerated per slot
-#: before the pool is declared broken (guards against init crash loops).
+#: Consecutive deaths of a slot's interpreter before it is ready that
+#: declare the pool broken (an ``init_fn`` that raises is not a death:
+#: its worker fails each job instead).
 _MAX_IDLE_DEATHS = 3
+
+#: How long the end of a run waits for a slot still starting to report.
+_REPORT_SECONDS = 10.0
 
 
 def _crash_rate() -> float:
@@ -104,6 +101,11 @@ def _should_crash(index: int, attempt: int, rate: float) -> bool:
     seed = os.environ.get(CRASH_SEED_ENV, "0")
     digest = hashlib.sha256(f"{seed}:{index}:{attempt}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64 < rate
+
+
+def _describe(exc: BaseException) -> str:
+    """A failure's ``detail``: the traceback, ending ``Type: message``."""
+    return "".join(traceback_mod.format_exception(type(exc), exc, exc.__traceback__))
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,6 @@ class SchedulerConfig:
     backoff_seconds: float = 0.05
     transport: str = "process"
     start_method: str | None = None
-    inline_order_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -205,110 +206,127 @@ class ScheduleResult:
         return [o.result for o in self.outcomes]
 
 
+class _Worker:
+    """One slot's worker: its sinks, its state and its job count.
+
+    Gauge ``init_seconds`` is what ``init_fn`` took: the fixed cost every
+    worker start — and every respawn after a crash — pays before its
+    first job.  An ``init_fn`` that raises leaves the worker alive with
+    no state, and every job it is handed fails as an ``"error"`` carrying
+    the initialisation traceback."""
+
+    def __init__(self, slot: int, trace_enabled: bool, init_fn: Callable,
+                 init_args: tuple, worker_fn: Callable, in_parent: bool) -> None:
+        recorder = TraceRecorder(enabled=trace_enabled)
+        self.ctx = WorkerContext(slot, recorder, MetricsRegistry(), TraceHooks(recorder))
+        self.worker_fn = worker_fn
+        self.in_parent = in_parent
+        self.jobs_done = 0
+        self.state = self.init_failure = None
+        t0 = time.perf_counter()
+        try:
+            self.state = init_fn(self.ctx, *init_args)
+        except Exception as exc:
+            self.init_failure = "worker initialisation failed: " + _describe(exc)
+        self.ctx.metrics.gauge("init_seconds").set(time.perf_counter() - t0)
+
+    def run(self, index: int, attempt: int, payload: Any) -> tuple[str, float, Any]:
+        """One job: ``("done", seconds, result)`` or ``("error", seconds, detail)``."""
+        if _should_crash(index, attempt, _crash_rate()):
+            if self.in_parent:
+                raise BrokenProcessPool(f"injected crash (attempt {attempt})")
+            os._exit(_CRASH_EXIT)
+        self.jobs_done += 1
+        metrics = self.ctx.metrics
+        if self.init_failure is not None:
+            metrics.counter("jobs_failed").inc()
+            return "error", 0.0, self.init_failure
+        t0 = time.perf_counter()
+        try:
+            with self.ctx.hooks.region("job", job=index, attempt=attempt, worker=self.ctx.worker):
+                result = self.worker_fn(self.state, payload)
+        except Exception as exc:
+            metrics.counter("jobs_failed").inc()
+            return "error", time.perf_counter() - t0, _describe(exc)
+        elapsed = time.perf_counter() - t0
+        metrics.histogram("job_seconds").observe(elapsed)
+        metrics.counter("jobs_completed").inc()
+        return "done", elapsed, result
+
+    def flush(self) -> tuple[int, tuple[dict, ...], dict]:
+        """``(jobs_done, records, metrics)``; the next run's report holds
+        only its own spans."""
+        records = tuple(r.to_dict() for r in self.ctx.recorder.records)
+        if self.ctx.recorder.enabled:
+            self.ctx.recorder.reset()
+        return self.jobs_done, records, self.ctx.metrics.to_dict()
+
+
+#: The calling context's worker: set by the pool initializer in a worker
+#: process, and inside each inline executor's own context.
+_WORKER: contextvars.ContextVar[_Worker] = contextvars.ContextVar("repro_pfleet_worker")
+
+
+def _init_worker(*args: Any) -> None:
+    _WORKER.set(_Worker(*args))
+
+
+def _run_job(index: int, attempt: int, payload: Any) -> tuple[str, float, Any]:
+    return _WORKER.get().run(index, attempt, payload)
+
+
+def _flush() -> tuple[int, tuple[dict, ...], dict]:
+    return _WORKER.get().flush()
+
+
+class _InlineExecutor(Executor):
+    """The in-parent transport: runs each call as it is submitted, in a
+    context of its own — where ``_WORKER`` is this slot's worker, as it is
+    a worker process's own."""
+
+    def __init__(self, initializer: Callable, initargs: tuple) -> None:
+        self._context = contextvars.Context()
+        self.submit(initializer, *initargs)
+
+    def submit(self, fn: Callable, /, *args: Any, **kwargs: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(self._context.run(fn, *args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _submit(executor: Executor, fn: Callable, *args: Any) -> Future:
+    """``executor.submit``; a pool that broke while idle is reported on
+    the future, like any other death."""
+    try:
+        return executor.submit(fn, *args)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+class _Job(NamedTuple):
+    index: int
+    attempt: int
+    assigned: float  # time.monotonic() at assignment
+    future: Future
+
+
 @dataclass
 class _Slot:
     """Parent-side bookkeeping of one worker slot."""
 
-    proc: Any = None
-    task_q: Any = None
-    ready: bool = False
-    inflight: tuple[int, int, float] | None = None  # (index, attempt, t_assigned)
-    jobs_done: int = 0
+    executor: Executor
+    ready: Future  # submit(os.getpid): done once the worker has initialised
+    job: _Job | None = None
     idle_deaths: int = 0
-    report: WorkerReport | None = None
 
-
-def _start_worker(
-    slot: int, trace_enabled: bool, init_fn: Callable, init_args: tuple
-) -> tuple[WorkerContext, Any]:
-    """A worker's local sinks and its state.  Gauge ``init_seconds`` is
-    what ``init_fn`` took: the fixed cost every worker start — and every
-    respawn after a crash — pays before its first job."""
-    recorder = TraceRecorder(enabled=trace_enabled)
-    ctx = WorkerContext(
-        worker=slot, recorder=recorder, metrics=MetricsRegistry(), hooks=TraceHooks(recorder)
-    )
-    t0 = time.perf_counter()
-    state = init_fn(ctx, *init_args)
-    ctx.metrics.gauge("init_seconds").set(time.perf_counter() - t0)
-    return ctx, state
-
-
-# ---------------------------------------------------------------------------
-# Worker process body (module level: picklable under spawn)
-# ---------------------------------------------------------------------------
-def _worker_main(
-    slot: int,
-    task_q,
-    result_q,
-    init_fn: Callable,
-    init_args: tuple,
-    worker_fn: Callable,
-    trace_enabled: bool,
-) -> None:  # pragma: no cover - exercised in subprocesses
-    ctx, state = _start_worker(slot, trace_enabled, init_fn, init_args)
-    recorder, metrics = ctx.recorder, ctx.metrics
-    rate = _crash_rate()
-    jobs_done = 0
-    result_q.put(("ready", slot))
-    while True:
-        msg = task_q.get()
-        kind = msg[0]
-        if kind == "stop":
-            result_q.put(("bye", slot))
-            return
-        if kind == "flush":
-            result_q.put(
-                (
-                    "report",
-                    slot,
-                    {
-                        "pid": os.getpid(),
-                        "jobs_done": jobs_done,
-                        "records": [r.to_dict() for r in recorder.records],
-                        "metrics": metrics.to_dict(),
-                    },
-                )
-            )
-            if recorder.enabled:
-                recorder.reset()  # next run reports only its own spans
-            continue
-        _, index, attempt, payload = msg
-        if _should_crash(index, attempt, rate):
-            # Flush the queue feeder first: dying while it holds the
-            # shared queue's write lock mid-message would wedge every
-            # other worker's put() forever.  Real crashes originate in
-            # user code with an idle feeder, so they don't hit this
-            # window; the injected one is timed to, deliberately.
-            result_q.close()
-            result_q.join_thread()
-            os._exit(_CRASH_EXIT)
-        t0 = time.perf_counter()
-        try:
-            with ctx.hooks.region("job", job=index, attempt=attempt, worker=slot):
-                result = worker_fn(state, payload)
-        except Exception as exc:
-            metrics.counter("jobs_failed").inc()
-            result_q.put(
-                (
-                    "error",
-                    slot,
-                    index,
-                    attempt,
-                    time.perf_counter() - t0,
-                    f"{type(exc).__name__}: {exc}\n{traceback_mod.format_exc()}",
-                )
-            )
-        else:
-            elapsed = time.perf_counter() - t0
-            metrics.histogram("job_seconds").observe(elapsed)
-            metrics.counter("jobs_completed").inc()
-            result_q.put(("done", slot, index, attempt, elapsed, result))
-        jobs_done += 1
-
-
-class _SimulatedCrash(Exception):
-    """Inline-transport stand-in for a worker death (fault injection)."""
+    @property
+    def idle(self) -> bool:
+        return self.job is None and self.ready.done() and not self.ready.exception()
 
 
 class ProcessScheduler:
@@ -321,10 +339,13 @@ class ProcessScheduler:
         once more after each respawn) and returns the worker state —
         for reconstructions, the worker-local
         :class:`~repro.batch.engine.BatchFitEngine` attached to the
-        shared table arena.  Must be a module-level callable with
-        picklable arguments (``spawn`` compatibility).
+        shared table arena.
     worker_fn:
         ``worker_fn(state, payload) -> result`` executes one job.
+        ``init_fn``, ``init_args`` and ``worker_fn`` must pickle, as a
+        spawned worker receives them, on either transport: a lambda or a
+        nested function is refused here with
+        :class:`~repro.errors.ParallelError`.
     hooks:
         Parent-side observation hooks; scheduling decisions emit events
         here, and ``hooks.enabled`` switches worker-side tracing on.
@@ -341,93 +362,64 @@ class ProcessScheduler:
     ) -> None:
         if worker_fn is None:
             raise ParallelError("scheduler needs a worker_fn")
+        try:
+            pickle.dumps((init_fn, init_args, worker_fn))
+        except Exception as exc:
+            raise ParallelError(f"init_fn, init_args and worker_fn must pickle: {exc}") from exc
         self.config = config if config is not None else SchedulerConfig()
         self.hooks = hooks if hooks is not None else NULL_HOOKS
         self.counters = SchedulerCounters()
-        self._init_fn = init_fn
-        self._init_args = init_args
-        self._worker_fn = worker_fn
+        self._work = (init_fn, init_args, worker_fn)
         self._slots: list[_Slot] = []
         self._closed = False
-        self._started = False
+        self._ctx = None
         if self.config.transport == "process":
             method = self.config.start_method
             if method is None:
                 method = "fork" if "fork" in get_all_start_methods() else "spawn"
             self._ctx = get_context(method)
-            self._result_q = self._ctx.Queue()
-        else:
-            self._ctx = None
-            self._result_q = None
-            self._inline_states: dict[int, Any] = {}
-            self._inline_ctxs: dict[int, WorkerContext] = {}
 
     # -- pool lifecycle ------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the pool (idempotent; ``run`` calls it on first use)."""
+        """Start the pool (idempotent; ``run`` calls it on first use)."""
         if self._closed:
             raise ParallelError("scheduler already closed")
-        if self._started:
-            return
-        self._started = True
-        if self.config.transport == "process":
-            self._slots = [_Slot() for _ in range(self.config.workers)]
-            for slot_id in range(self.config.workers):
-                self._spawn(slot_id)
-        else:
-            self._slots = [_Slot(ready=True) for _ in range(self.config.workers)]
+        if not self._slots:
+            self._slots = [_Slot(*self._spawn(i)) for i in range(self.config.workers)]
 
-    def _spawn(self, slot_id: int) -> None:
-        slot = self._slots[slot_id]
-        slot.task_q = self._ctx.Queue()
-        slot.ready = False
-        slot.inflight = None
-        slot.proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                slot_id,
-                slot.task_q,
-                self._result_q,
-                self._init_fn,
-                self._init_args,
-                self._worker_fn,
-                bool(self.hooks.enabled),
-            ),
-            name=f"repro-pfleet-{slot_id}",
-            daemon=True,
-        )
-        slot.proc.start()
+    def _spawn(self, slot_id: int) -> tuple[Executor, Future]:
+        """A new executor for ``slot_id`` and its ready future."""
+        initargs = (slot_id, bool(self.hooks.enabled), *self._work, self._ctx is None)
+        if self._ctx is None:
+            executor: Executor = _InlineExecutor(_init_worker, initargs)
+        else:
+            executor = ProcessPoolExecutor(1, mp_context=self._ctx, initializer=_init_worker,
+                                           initargs=initargs)
+        return executor, _submit(executor, os.getpid)
 
     def _respawn(self, slot_id: int) -> None:
         self.counters.worker_restarts += 1
         self.hooks.event("worker_restart", worker=slot_id)
         slot = self._slots[slot_id]
-        if slot.proc is not None and slot.proc.is_alive():  # timeout path
-            slot.proc.kill()
-            slot.proc.join()
-        self._spawn(slot_id)
+        slot.job = None
+        slot.executor.shutdown(wait=True, cancel_futures=True)
+        slot.executor, slot.ready = self._spawn(slot_id)
+
+    @staticmethod
+    def _kill(slot: _Slot) -> None:
+        with contextlib.suppress(ProcessLookupError):  # it already died on its own
+            os.kill(slot.ready.result(), signal.SIGKILL)
 
     def close(self) -> None:
-        """Stop every worker and join (idempotent)."""
-        if self._closed or not self._started:
-            self._closed = True
-            return
+        """Stop every worker and wait for it to exit (idempotent).  A
+        worker still busy with a job — a run interrupted by an exception —
+        is killed first."""
         self._closed = True
-        if self.config.transport != "process":
-            return
         for slot in self._slots:
-            if slot.proc is not None and slot.proc.is_alive():
-                try:
-                    slot.task_q.put(("stop",))
-                except (OSError, ValueError):  # pragma: no cover - dying pool
-                    pass
-        deadline = time.monotonic() + 5.0
-        for slot in self._slots:
-            if slot.proc is not None:
-                slot.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-                if slot.proc.is_alive():  # pragma: no cover - hung worker
-                    slot.proc.kill()
-                    slot.proc.join()
+            if slot.job is not None and not slot.job.future.done():
+                self._kill(slot)
+            slot.executor.shutdown(wait=True, cancel_futures=True)
+        self._slots = []
 
     def __enter__(self) -> "ProcessScheduler":
         self.start()
@@ -439,7 +431,8 @@ class ProcessScheduler:
 
     # -- the run loop --------------------------------------------------------------
     def run(self, payloads: Sequence[Any]) -> ScheduleResult:
-        """Execute one job per payload; block until all are disposed of."""
+        """Execute one job per payload; block until all are disposed of.
+        A run that raises closes the scheduler on its way out."""
         if self._closed:
             raise ParallelError("scheduler already closed")
         payloads = list(payloads)
@@ -448,346 +441,120 @@ class ProcessScheduler:
         self.start()
         t0 = time.perf_counter()
         self.counters.submitted += len(payloads)
-        self.hooks.event(
-            "schedule_run_start", n_jobs=len(payloads), workers=self.config.workers
-        )
-        if self.config.transport == "inline":
-            result = self._run_inline(payloads, t0)
-        else:
-            result = self._run_processes(payloads, t0)
-        self.hooks.event(
-            "schedule_run_end",
-            completed=len(result.outcomes),
-            quarantined=len(result.failures),
-            wall_seconds=result.wall_seconds,
-        )
-        return result
-
-    def _dispose(
-        self,
-        index: int,
-        attempt: int,
-        reason: str,
-        detail: str,
-        pending: deque,
-        failures: dict[int, JobFailure],
-        payloads: list,
-        outcomes: dict[int, JobOutcome] | None = None,
-    ) -> None:
-        """Retry (crash/timeout, budget left) or quarantine a failed job."""
-        if outcomes is not None and index in outcomes:
-            # The worker flushed this job's result and then died before
-            # the next assignment: the completion already landed, so the
-            # death takes no job with it.
-            return
-        retryable = reason in ("crash", "timeout")
-        if retryable and attempt <= self.config.max_retries:
-            delay = self.config.backoff_seconds * 2.0 ** (attempt - 1)
-            pending.append((time.monotonic() + delay, index, attempt + 1))
-            self.counters.retries += 1
-            self.hooks.event(
-                "job_retry", job=index, attempt=attempt + 1, reason=reason
-            )
-        else:
-            failures[index] = JobFailure(
-                index=index, reason=reason, attempts=attempt, detail=detail
-            )
-            self.counters.quarantined += 1
-            self.hooks.event(
-                "job_quarantined", job=index, attempts=attempt, reason=reason
-            )
-
-    def _run_processes(self, payloads: list, t0: float) -> ScheduleResult:
-        cfg = self.config
-        n = len(payloads)
-        #: (ready_time, index, attempt) — backoff delays live here.
-        pending: deque = deque((0.0, i, 1) for i in range(n))
+        self.hooks.event("schedule_run_start", n_jobs=len(payloads), workers=self.config.workers)
         outcomes: dict[int, JobOutcome] = {}
         failures: dict[int, JobFailure] = {}
-        while len(outcomes) + len(failures) < n:
-            now = time.monotonic()
-            # Assign ready jobs to ready idle workers.
-            for slot_id, slot in enumerate(self._slots):
-                if not pending:
-                    break
-                if slot.ready and slot.inflight is None:
-                    # Pull the first pending entry whose backoff elapsed.
-                    for _ in range(len(pending)):
-                        ready_at, index, attempt = pending[0]
-                        if ready_at <= now:
-                            pending.popleft()
-                            slot.inflight = (index, attempt, time.monotonic())
-                            slot.task_q.put(("job", index, attempt, payloads[index]))
-                            self.hooks.event(
-                                "job_assigned", job=index, attempt=attempt, worker=slot_id
-                            )
-                            break
-                        pending.rotate(-1)
-            # Drain worker messages.
-            try:
-                msg = self._result_q.get(timeout=_POLL_SECONDS)
-            except Empty:
-                msg = None
-            while msg is not None:
-                self._handle_message(msg, outcomes, failures, pending, payloads, t0)
-                try:
-                    msg = self._result_q.get_nowait()
-                except Empty:
-                    msg = None
-            # Detect deaths and timeouts.
-            now = time.monotonic()
-            for slot_id, slot in enumerate(self._slots):
-                if slot.proc is None:
-                    continue
-                if not slot.proc.is_alive():
-                    self._on_death(slot_id, pending, failures, payloads, outcomes)
-                elif (
-                    slot.inflight is not None
-                    and cfg.timeout_seconds is not None
-                    and slot.ready
-                    and now - slot.inflight[2] > cfg.timeout_seconds
-                ):
-                    index, attempt, _ = slot.inflight
-                    slot.inflight = None
-                    self.counters.timeouts += 1
-                    self.hooks.event(
-                        "job_timeout", job=index, attempt=attempt, worker=slot_id
-                    )
-                    self._dispose(
-                        index,
-                        attempt,
-                        "timeout",
-                        f"exceeded {cfg.timeout_seconds}s on worker {slot_id}",
-                        pending,
-                        failures,
-                        payloads,
-                    )
-                    self._respawn(slot_id)
-        reports = self._collect_reports()
-        return ScheduleResult(
+        try:
+            self._drain(payloads, outcomes, failures)
+            reports = self._collect_reports()
+        except BaseException:
+            self.close()
+            raise
+        result = ScheduleResult(
             outcomes=tuple(outcomes[i] for i in sorted(outcomes)),
             failures=tuple(failures[i] for i in sorted(failures)),
             reports=reports,
             counters=self.counters.snapshot(),
             wall_seconds=time.perf_counter() - t0,
         )
+        self.hooks.event(
+            "schedule_run_end", completed=len(outcomes), quarantined=len(failures),
+            wall_seconds=result.wall_seconds,
+        )
+        return result
 
-    def _handle_message(
-        self,
-        msg: tuple,
-        outcomes: dict[int, JobOutcome],
-        failures: dict[int, JobFailure],
-        pending: deque,
-        payloads: list,
-        t0: float,
-    ) -> None:
-        kind = msg[0]
-        if kind == "ready":
-            slot = self._slots[msg[1]]
-            slot.ready = True
-            slot.idle_deaths = 0
-        elif kind == "done":
-            _, slot_id, index, attempt, seconds, result = msg
-            slot = self._slots[slot_id]
-            slot.inflight = None
-            slot.jobs_done += 1
-            if index in outcomes:  # retried after a stale completion
-                return
-            outcomes[index] = JobOutcome(
-                index=index,
-                result=result,
-                worker=slot_id,
-                attempts=attempt,
-                seconds=seconds,
-            )
-            self.counters.completed += 1
-            self.hooks.event(
-                "job_done", job=index, attempt=attempt, worker=slot_id, seconds=seconds
-            )
-        elif kind == "error":
-            _, slot_id, index, attempt, _seconds, detail = msg
-            self._slots[slot_id].inflight = None
-            self.counters.errors += 1
-            self.hooks.event("job_error", job=index, attempt=attempt, worker=slot_id)
-            self._dispose(index, attempt, "error", detail, pending, failures, payloads)
-        elif kind == "report":
-            _, slot_id, payload = msg
-            self._slots[slot_id].report = WorkerReport(
-                worker=slot_id,
-                pid=payload["pid"],
-                jobs_done=payload["jobs_done"],
-                records=tuple(payload["records"]),
-                metrics=payload["metrics"],
-            )
-        # "bye" needs no action: close() joins the process.
+    def _drain(self, payloads: list, outcomes: dict, failures: dict) -> None:
+        """Until every job is decided: hand due jobs to idle slots, wait
+        for the first future (or the next timeout or backoff deadline),
+        then settle every slot."""
+        timeout = self.config.timeout_seconds
+        #: (ready_at, index, attempt) — backoff delays live here.
+        pending = [(0.0, i, 1) for i in range(len(payloads))]
+        while len(outcomes) + len(failures) < len(payloads):
+            now = time.monotonic()
+            for slot_id, slot in enumerate(self._slots):
+                if not slot.idle:
+                    continue
+                due = next((entry for entry in pending if entry[0] <= now), None)
+                if due is None:
+                    break
+                pending.remove(due)
+                _, index, attempt = due
+                future = _submit(slot.executor, _run_job, index, attempt, payloads[index])
+                slot.job, slot.idle_deaths = _Job(index, attempt, now, future), 0
+                self.hooks.event("job_assigned", job=index, attempt=attempt, worker=slot_id)
+            busy = [s.job.future if s.job else s.ready for s in self._slots if not s.idle]
+            deadlines = [at for at, _, _ in pending if at > now]
+            if timeout is not None:
+                deadlines += [s.job.assigned + timeout for s in self._slots if s.job]
+            wait(busy, max(0.0, min(deadlines) - time.monotonic()) if deadlines else None,
+                 FIRST_COMPLETED)
+            now = time.monotonic()
+            for slot_id, slot in enumerate(self._slots):
+                job = slot.job
+                if job is not None and job.future.done():
+                    slot.job = None
+                    self._settle(slot_id, job, pending, outcomes, failures)
+                elif job is not None and timeout is not None and now - job.assigned > timeout:
+                    self._kill(slot)
+                    self.counters.timeouts += 1
+                    self.hooks.event("job_timeout", job=job.index, attempt=job.attempt,
+                                     worker=slot_id)
+                    detail = f"exceeded {timeout}s on worker {slot_id}"
+                    self._dispose(job, "timeout", detail, pending, failures)
+                    self._respawn(slot_id)
+                elif job is None and slot.ready.done() and slot.ready.exception():
+                    slot.idle_deaths += 1
+                    if slot.idle_deaths >= _MAX_IDLE_DEATHS:
+                        raise ParallelError(f"worker slot {slot_id} died {slot.idle_deaths} "
+                                            f"times during initialisation — pool is broken")
+                    self._respawn(slot_id)
 
-    def _on_death(
-        self,
-        slot_id: int,
-        pending: deque,
-        failures: dict[int, JobFailure],
-        payloads: list,
-        outcomes: dict[int, JobOutcome],
-    ) -> None:
-        slot = self._slots[slot_id]
-        exitcode = slot.proc.exitcode
-        if slot.inflight is not None:
-            index, attempt, _ = slot.inflight
-            slot.inflight = None
+    def _settle(self, slot_id: int, job: _Job, pending: list, outcomes: dict,
+                failures: dict) -> None:
+        """Record what a finished future decided."""
+        exc = job.future.exception()
+        if isinstance(exc, BrokenProcessPool):
             self.counters.crashes += 1
-            self.hooks.event(
-                "worker_crash", worker=slot_id, job=index, exitcode=exitcode
-            )
-            self._dispose(
-                index,
-                attempt,
-                "crash",
-                f"worker {slot_id} died with exit code {exitcode}",
-                pending,
-                failures,
-                payloads,
-                outcomes,
-            )
+            self.hooks.event("worker_crash", worker=slot_id, job=job.index)
+            self._dispose(job, "crash", f"worker {slot_id} died: {exc}", pending, failures)
+            self._respawn(slot_id)
+            return
+        # Any other exception is the transport's (a result that would not
+        # pickle, say): the worker reports what the job itself raised.
+        status, seconds, value = ("error", 0.0, _describe(exc)) if exc else job.future.result()
+        if status == "done":
+            outcomes[job.index] = JobOutcome(job.index, value, slot_id, job.attempt, seconds)
+            self.counters.completed += 1
+            self.hooks.event("job_done", job=job.index, attempt=job.attempt, worker=slot_id,
+                             seconds=seconds)
         else:
-            slot.idle_deaths += 1
-            if slot.idle_deaths >= _MAX_IDLE_DEATHS:
-                raise ParallelError(
-                    f"worker slot {slot_id} died {slot.idle_deaths} times during "
-                    f"initialisation (last exit code {exitcode}) — pool is broken"
-                )
-        self._respawn(slot_id)
+            self.counters.errors += 1
+            self.hooks.event("job_error", job=job.index, attempt=job.attempt, worker=slot_id)
+            self._dispose(job, "error", value, pending, failures)
+
+    def _dispose(self, job: _Job, reason: str, detail: str, pending: list,
+                 failures: dict) -> None:
+        """Retry (crash/timeout, budget left) or quarantine a failed job."""
+        index, attempt = job.index, job.attempt
+        if reason != "error" and attempt <= self.config.max_retries:
+            delay = self.config.backoff_seconds * 2.0 ** (attempt - 1)
+            pending.append((time.monotonic() + delay, index, attempt + 1))
+            self.counters.retries += 1
+            self.hooks.event("job_retry", job=index, attempt=attempt + 1, reason=reason)
+        else:
+            failures[index] = JobFailure(index, reason, attempt, detail)
+            self.counters.quarantined += 1
+            self.hooks.event("job_quarantined", job=index, attempts=attempt, reason=reason)
 
     def _collect_reports(self) -> tuple[WorkerReport, ...]:
-        """Flush every live worker and gather its observability report.
-
-        Workers still initialising (spawned but not yet "ready") are
-        waited for, so a short run on a slow machine still yields one
-        lane per worker in the merged trace."""
-        awaiting_flush: set[int] = set()
-        awaiting_ready: set[int] = set()
-        for slot_id, slot in enumerate(self._slots):
-            slot.report = None
-            if slot.proc is not None and slot.proc.is_alive():
-                if slot.ready:
-                    slot.task_q.put(("flush",))
-                    awaiting_flush.add(slot_id)
-                else:
-                    awaiting_ready.add(slot_id)
-        deadline = time.monotonic() + 10.0
-        while (awaiting_flush or awaiting_ready) and time.monotonic() < deadline:
-            try:
-                msg = self._result_q.get(timeout=_POLL_SECONDS)
-            except Empty:
-                for slot_id in list(awaiting_ready | awaiting_flush):
-                    proc = self._slots[slot_id].proc
-                    if proc is None or not proc.is_alive():  # died mid-flush
-                        awaiting_ready.discard(slot_id)
-                        awaiting_flush.discard(slot_id)
-                continue
-            if msg[0] == "report":
-                self._handle_message(msg, {}, {}, deque(), [], 0.0)
-                awaiting_flush.discard(msg[1])
-            elif msg[0] == "ready":
-                self._slots[msg[1]].ready = True
-                if msg[1] in awaiting_ready:
-                    awaiting_ready.discard(msg[1])
-                    self._slots[msg[1]].task_q.put(("flush",))
-                    awaiting_flush.add(msg[1])
-        return tuple(s.report for s in self._slots if s.report is not None)
-
-    # -- inline transport ----------------------------------------------------------
-    def _inline_state(self, slot_id: int):
-        state = self._inline_states.get(slot_id)
-        if state is None:
-            self._inline_ctxs[slot_id], state = _start_worker(
-                slot_id, bool(self.hooks.enabled), self._init_fn, self._init_args
-            )
-            self._inline_states[slot_id] = state
-        return state
-
-    def _run_inline(self, payloads: list, t0: float) -> ScheduleResult:
-        """In-parent execution with the same retry/quarantine semantics.
-
-        Jobs are assigned round-robin to worker slots; a fault-injected
-        "crash" raises internally and follows the process path's retry
-        logic.  Completion order is deliberately scrambled by
-        ``inline_order_seed`` before the merge, so tests can assert the
-        merge is order-independent without forking."""
-        rate = _crash_rate()
-        pending: deque = deque((0.0, i, 1) for i in range(len(payloads)))
-        completed: list[JobOutcome] = []
-        failures: dict[int, JobFailure] = {}
-        while pending:
-            _, index, attempt = pending.popleft()
-            slot_id = index % self.config.workers
-            state = self._inline_state(slot_id)
-            ctx = self._inline_ctxs[slot_id]
-            t_job = time.perf_counter()
-            try:
-                if _should_crash(index, attempt, rate):
-                    raise _SimulatedCrash(f"injected crash (attempt {attempt})")
-                with ctx.hooks.region("job", job=index, attempt=attempt, worker=slot_id):
-                    result = self._worker_fn(state, payloads[index])
-            except _SimulatedCrash as exc:
-                self.counters.crashes += 1
-                self.hooks.event("worker_crash", worker=slot_id, job=index)
-                self._dispose(
-                    index, attempt, "crash", str(exc), pending, failures, payloads
-                )
-            except Exception as exc:
-                ctx.metrics.counter("jobs_failed").inc()
-                self.counters.errors += 1
-                self.hooks.event("job_error", job=index, attempt=attempt, worker=slot_id)
-                self._dispose(
-                    index,
-                    attempt,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    pending,
-                    failures,
-                    payloads,
-                )
-            else:
-                elapsed = time.perf_counter() - t_job
-                ctx.metrics.histogram("job_seconds").observe(elapsed)
-                ctx.metrics.counter("jobs_completed").inc()
-                self._slots[slot_id].jobs_done += 1
-                completed.append(
-                    JobOutcome(
-                        index=index,
-                        result=result,
-                        worker=slot_id,
-                        attempts=attempt,
-                        seconds=elapsed,
-                    )
-                )
-                self.counters.completed += 1
-        # Scramble completion order deterministically, then merge: the
-        # result must not depend on this permutation.
-        import random
-
-        shuffled = completed[:]
-        random.Random(self.config.inline_order_seed).shuffle(shuffled)
-        merged = {o.index: o for o in shuffled}
-        reports = tuple(
-            WorkerReport(
-                worker=slot_id,
-                pid=os.getpid(),
-                jobs_done=self._slots[slot_id].jobs_done,
-                records=tuple(
-                    r.to_dict() for r in self._inline_ctxs[slot_id].recorder.records
-                ),
-                metrics=self._inline_ctxs[slot_id].metrics.to_dict(),
-            )
-            for slot_id in sorted(self._inline_ctxs)
-        )
-        for ctx in self._inline_ctxs.values():
-            if ctx.recorder.enabled:
-                ctx.recorder.reset()
-        return ScheduleResult(
-            outcomes=tuple(merged[i] for i in sorted(merged)),
-            failures=tuple(failures[i] for i in sorted(failures)),
-            reports=reports,
-            counters=self.counters.snapshot(),
-            wall_seconds=time.perf_counter() - t0,
+        """One ``_flush`` per slot.  A slot still starting (a respawn near
+        the end of the run) is waited for, so a short run on a slow
+        machine still yields one lane per worker in the merged trace."""
+        flushes = [_submit(slot.executor, _flush) for slot in self._slots]
+        wait(flushes, timeout=_REPORT_SECONDS)
+        return tuple(
+            WorkerReport(slot_id, slot.ready.result(), *future.result())
+            for slot_id, (slot, future) in enumerate(zip(self._slots, flushes))
+            if future.done() and not future.exception()
         )

@@ -34,23 +34,24 @@ def _finding(rule="hot-alloc", detail="d"):
 class TestFamilySelection:
     def test_unknown_family_raises(self):
         with pytest.raises(AnalysisError, match="unknown analysis families"):
-            AnalysisConfig(families=("lifecycle", "vibes"))
-        # The retired family is unknown too, and the error names the
-        # three that remain.
-        with pytest.raises(
-            AnalysisError, match="precision .known: directives, hotpath, lifecycle"
-        ):
-            AnalysisConfig(families=("precision",))
-        assert ALL_FAMILIES == ("directives", "hotpath", "lifecycle")
+            AnalysisConfig(families=("hotpath", "vibes"))
+        # The retired families are unknown too, and the error names the
+        # two that remain.
+        for retired in ("precision", "lifecycle"):
+            with pytest.raises(
+                AnalysisError, match=f"{retired} .known: directives, hotpath\\)"
+            ):
+                AnalysisConfig(families=(retired,))
+        assert ALL_FAMILIES == ("directives", "hotpath")
 
     def test_empty_selection_raises(self):
         with pytest.raises(AnalysisError, match="at least one"):
             AnalysisConfig(families=())
 
     def test_partial_run_skips_other_families(self):
-        report = analyze_repo(AnalysisConfig(families=("lifecycle",)))
-        assert report.families == ("lifecycle",)
-        assert report.findings == []  # clean tree
+        report = analyze_repo(AnalysisConfig(families=("directives",)))
+        assert report.families == ("directives",)
+        assert {f.rule_id for f in report.findings} == {"excess-traffic"}  # Figure 5
         assert report.hot_functions == ()  # hotpath pass did not run
 
     def test_full_run_is_complete(self):
@@ -112,9 +113,9 @@ class TestStaleness:
 
 class TestSchemaStamp:
     def test_to_dict_leads_with_schema_version(self):
-        payload = AnalysisReport(families=("lifecycle",)).to_dict()
+        payload = AnalysisReport(families=("hotpath",)).to_dict()
         assert payload["schema_version"] == ANALYSIS_SCHEMA_VERSION == 2
-        assert payload["summary"]["families"] == ["lifecycle"]
+        assert payload["summary"]["families"] == ["hotpath"]
         assert payload["summary"]["stale_suppressions"] == {}
 
     def test_cli_json_carries_the_stamp(self, capsys):
@@ -137,25 +138,30 @@ def stale_baseline(tmp_path):
 
 class TestCliFamilies:
     def test_family_filtered_run_is_clean(self, capsys):
-        rc = main(["analyze", "--family", "lifecycle"])
+        rc = main(
+            ["analyze", "--strict", "--family", "directives", "--baseline", str(REPO_BASELINE)]
+        )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "0 error(s), 0 warning(s)" in out
+        assert "0 error(s), 0 warning(s), 2 baselined" in out
         assert "0/0 hot-path" in out  # the hotpath pass did not run
 
     def test_repeated_family_flags_deduplicate(self, capsys):
-        rc = main(["analyze", "--family", "lifecycle", "--family", "lifecycle"])
+        rc = main(["analyze", "--json", "--family", "directives", "--family", "directives"])
         assert rc == 0
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["summary"]["families"] == ["directives"]
 
     def test_unknown_family_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", "--family", "vibes"])
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--family", "precision"])
-        assert exc.value.code == 2
-        assert "'directives', 'hotpath', 'lifecycle'" in capsys.readouterr().err
+        for retired in ("precision", "lifecycle"):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--family", retired])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{retired}'" in err
+            assert "'directives', 'hotpath'" in err
 
 
 class TestCliStaleness:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def no_crash_env(monkeypatch):
     monkeypatch.delenv(CRASH_RATE_ENV, raising=False)
 
 
-def _inline_engine(shot, *, workers, seed=0, **kwargs):
+def _inline_engine(shot, *, workers, **kwargs):
     return ParallelFitEngine(
         shot.machine,
         shot.diagnostics,
@@ -41,7 +43,7 @@ def _inline_engine(shot, *, workers, seed=0, **kwargs):
         batch_size=2,
         workers=workers,
         config=SchedulerConfig(
-            workers=workers, transport="inline", inline_order_seed=seed
+            workers=workers, transport="inline"
         ),
         **kwargs,
     )
@@ -68,7 +70,7 @@ class TestBitIdenticalMerge:
         assert parallel.stats.total_iterations == serial_result.stats.total_iterations
 
     def test_inline_matches_serial(self, shot, slices, serial_result):
-        with _inline_engine(shot, workers=3, seed=11) as engine:
+        with _inline_engine(shot, workers=3) as engine:
             parallel = engine.fit_many(slices)
         _assert_identical(serial_result, parallel)
 
@@ -198,6 +200,27 @@ class TestFailureModes:
         assert result.failures  # some quarantined ...
         assert result.results  # ... some survived
         assert len(result.results) == 6 - 2 * len(result.failures)
+
+    @pytest.mark.parametrize("transport", ["process", "inline"])
+    def test_missing_arena_is_a_typed_quarantine(self, shot, slices, transport):
+        """A worker that cannot map its arena fails each job once, naming
+        why — not a raw exception out of ``fit_many``, not a pool that
+        respawns until it is declared broken."""
+        with ParallelFitEngine(
+            shot.machine,
+            shot.diagnostics,
+            shot.grid,
+            batch_size=2,
+            config=SchedulerConfig(workers=2, transport=transport),
+        ) as engine:
+            shutil.rmtree(engine.arena.spec.path)
+            with pytest.raises(JobQuarantinedError) as excinfo:
+                engine.fit_many(slices)
+        failures = excinfo.value.failures
+        assert len(failures) == 3  # one per job group
+        for failure in failures:
+            assert failure.reason == "error" and failure.attempts == 1
+            assert "ArenaError" in failure.detail
 
 
 class TestMergedObservability:

@@ -8,10 +8,9 @@ equal iteration counts.  This holds because jobs are the serial engine's
 exact ``batch_size`` groups (identical GEMM operand shapes inside every
 group) and the merge orders outcomes by submission index.
 
-The Hypothesis search runs on the inline transport, where the
-``inline_order_seed`` shuffles the completion order deterministically —
-so "any completion order" is exercised without paying process spawns per
-example.  Process-transport equality is pinned separately in
+The Hypothesis search runs on the inline transport, without paying
+process spawns per example.  Process-transport equality is pinned
+separately in
 ``test_engine.py``.  The reconstruction target is the Solov'ev golden
 case: an analytic equilibrium, so convergence is guaranteed and the
 reference is meaningful physics, not just a fixture.
@@ -58,11 +57,10 @@ def no_crash_env(monkeypatch):
 @settings(max_examples=6, deadline=None)
 @given(
     workers=st.integers(min_value=1, max_value=3),
-    order_seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_merge_is_bit_identical_to_serial(shot, slices, serial, workers, order_seed):
+def test_merge_is_bit_identical_to_serial(shot, slices, serial, workers):
     config = SchedulerConfig(
-        workers=workers, transport="inline", inline_order_seed=order_seed
+        workers=workers, transport="inline"
     )
     with ParallelFitEngine(
         shot.machine,

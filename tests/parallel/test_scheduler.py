@@ -8,13 +8,14 @@ the same mechanism the parallel-stress CI job uses.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from repro.errors import ParallelError
-from repro.obs import TraceHooks, TraceRecorder
+from repro.obs import NullHooks, TraceHooks, TraceRecorder
 from repro.parallel import (
     CRASH_RATE_ENV,
     CRASH_SEED_ENV,
@@ -49,6 +50,18 @@ def _flaky(state, payload):
     if payload == "bad":
         raise ValueError("deterministic failure")
     return payload
+
+
+def _init_fails(ctx):
+    raise FileNotFoundError("no tables here")
+
+
+class _InterruptOnAssign(NullHooks):
+    """Raises out of the run loop once job 1 is on a worker."""
+
+    def event(self, name, **attributes):
+        if name == "job_assigned" and attributes["job"] == 1:
+            raise RuntimeError("interrupted")
 
 
 @pytest.fixture()
@@ -93,6 +106,87 @@ class TestConfigValidation:
         sched.close()
         with pytest.raises(ParallelError):
             sched.run([1])
+
+    @pytest.mark.parametrize("transport", ["process", "inline"])
+    def test_lambda_init_fn_refused(self, transport):
+        with pytest.raises(ParallelError, match="must pickle"):
+            ProcessScheduler(
+                lambda ctx: None, (), _double, config=SchedulerConfig(transport=transport)
+            )
+
+    @pytest.mark.parametrize("transport", ["process", "inline"])
+    def test_nested_worker_fn_refused(self, transport):
+        def work(state, payload):
+            return payload
+
+        with pytest.raises(ParallelError, match="must pickle"):
+            ProcessScheduler(_init, (), work, config=SchedulerConfig(transport=transport))
+
+
+class TestInitFailure:
+    @pytest.mark.parametrize("transport", ["process", "inline"])
+    def test_every_job_quarantines_as_an_error(self, no_crash_env, transport):
+        """A raising ``init_fn`` is deterministic: each job fails once with
+        its traceback, and no worker is respawned to fail again."""
+        with ProcessScheduler(
+            _init_fails,
+            (),
+            _double,
+            config=SchedulerConfig(workers=2, transport=transport),
+        ) as sched:
+            result = sched.run([1, 2, 3])
+        assert result.results == []
+        assert [f.index for f in result.failures] == [0, 1, 2]
+        for failure in result.failures:
+            assert failure.reason == "error" and failure.attempts == 1
+            assert "FileNotFoundError: no tables here" in failure.detail
+            assert "_init_fails" in failure.detail  # the init traceback
+        assert result.counters.errors == 3
+        assert result.counters.retries == 0
+        assert result.counters.worker_restarts == 0
+
+
+class TestNoWorkerOutlivesItsScheduler:
+    """After ``close()`` no pool process is left, however the run ended."""
+
+    @staticmethod
+    def _run_then_close(worker_fn, payloads, hooks=None, **config):
+        before = set(multiprocessing.active_children())
+        sched = ProcessScheduler(
+            _init, (), worker_fn, config=SchedulerConfig(**config), hooks=hooks
+        )
+        try:
+            return sched.run(payloads)
+        finally:
+            sched.close()
+            leftover = set(multiprocessing.active_children()) - before
+            assert not leftover, leftover
+
+    def test_after_a_clean_run(self, no_crash_env):
+        result = self._run_then_close(_double, [1, 2, 3], workers=2)
+        assert result.results == [2, 4, 6]
+
+    def test_after_a_timeout_kill(self, no_crash_env):
+        result = self._run_then_close(
+            _sleepy, ["a", "slow"], workers=2, timeout_seconds=0.3, max_retries=0
+        )
+        assert result.counters.timeouts == 1
+
+    def test_after_injected_crashes(self, monkeypatch):
+        monkeypatch.setenv(CRASH_RATE_ENV, "0.5")
+        monkeypatch.setenv(CRASH_SEED_ENV, "7")
+        result = self._run_then_close(
+            _double, list(range(8)), workers=2, max_retries=6, backoff_seconds=0.01
+        )
+        assert result.counters.crashes > 0
+
+    def test_after_an_interrupted_run(self, no_crash_env):
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            self._run_then_close(
+                _sleepy, ["a", "slow"], hooks=_InterruptOnAssign(), workers=2
+            )
+        assert time.monotonic() - t0 < 10.0  # the busy worker was killed
 
 
 class TestCrashDecision:
@@ -259,7 +353,7 @@ class TestInlineTransport:
             _init,
             (),
             _double,
-            config=SchedulerConfig(workers=3, transport="inline", inline_order_seed=5),
+            config=SchedulerConfig(workers=3, transport="inline"),
         )
         result = sched.run(list(range(10)))
         assert result.results == [2 * i for i in range(10)]

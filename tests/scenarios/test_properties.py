@@ -355,15 +355,14 @@ def test_search_memo_is_read_only_and_never_pickled(name):
 @given(
     name=st.sampled_from(SCENARIOS),
     workers=st.integers(min_value=1, max_value=3),
-    order_seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 @settings(max_examples=9, deadline=None)
-def test_parallel_is_bit_identical_to_serial(name, workers, order_seed):
+def test_parallel_is_bit_identical_to_serial(name, workers):
     """For any scenario, worker count and completion order, the parallel
     merge returns the serial engine's exact numbers."""
     sc, shot, slices, serial = _serial_reference(name)
     config = SchedulerConfig(
-        workers=workers, transport="inline", inline_order_seed=order_seed
+        workers=workers, transport="inline"
     )
     with ParallelFitEngine.for_scenario(
         sc, shot=shot, batch_size=BATCH_SIZE, workers=workers, config=config
