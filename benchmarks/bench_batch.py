@@ -138,33 +138,6 @@ def test_batch_scaling_129():
     )
 
 
-def test_certified_kernel_is_allocation_free_65(shot65, slices65):
-    """Static certification cross-check (docs/ANALYSIS.md).
-
-    The portability linter certifies ``BatchFitEngine._fit_batch`` as
-    allocation-free; the runtime counters must agree — zero workspace
-    allocations across steady-state batches after warm-up."""
-    from repro.analysis.engine import analyze_repo
-
-    report = analyze_repo()
-    assert "repro.batch.engine::BatchFitEngine._fit_batch" in (
-        report.certified_allocation_free
-    )
-
-    engine = BatchFitEngine(
-        shot65.machine, shot65.diagnostics, shot65.grid, batch_size=8
-    )
-    engine.fit_many(slices65)  # warm-up allocates every workspace buffer
-    warm = engine.workspace_counters().snapshot()
-    engine.fit_many(slices65)
-    engine.fit_many(slices65)
-    steady = engine.workspace_counters()
-    assert steady.allocations_since(warm) == 0, (
-        "linter-certified _fit_batch allocated in steady state"
-    )
-    assert steady.reuses > warm.reuses
-
-
 def test_engine_fit_many_65(benchmark, shot65, slices65):
     """pytest-benchmark timing of the steady-state batched run."""
     engine = BatchFitEngine(

@@ -5,21 +5,17 @@ missing reduction clauses that leave shared arrays racy, kernels whose
 operands fall outside the enclosing data environment (implicit per-call
 transfers on Intel PVC), and clause sets whose lowering moves several
 times the streaming-byte bound (the 3.7x OpenACC-on-AMD excess of
-Figure 5).  PR 1 added an allocation-free hot path whose invariants were
-only asserted at runtime.  This package proves all of these properties
-*before anything runs*:
+Figure 5).  This package finds them in the directive registry *before
+anything runs*:
 
 * :mod:`repro.analysis.findings` — the findings model (rule id,
   severity, location, fix hint);
 * :mod:`repro.analysis.baseline` — accepted-findings suppression file;
-* :mod:`repro.analysis.markers` — the ``@hot_path`` marker;
 * :mod:`repro.analysis.directive_rules` — checkers over every
   :class:`~repro.directives.registry.AnnotatedKernel`;
-* :mod:`repro.analysis.hotpath` — AST checkers over the marked Python
-  hot paths;
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for CI forges;
-* :mod:`repro.analysis.engine` — orchestration, family selection,
-  certification and the report consumed by ``repro analyze``.
+* :mod:`repro.analysis.engine` — orchestration and the report consumed
+  by ``repro analyze``.
 
 Only the dependency-light pieces are imported eagerly; the engine (which
 pulls in the machine models) is imported on use::
@@ -31,6 +27,5 @@ from __future__ import annotations
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Location, Severity
-from repro.analysis.markers import hot_path, is_hot_path
 
-__all__ = ["Baseline", "Finding", "Location", "Severity", "hot_path", "is_hot_path"]
+__all__ = ["Baseline", "Finding", "Location", "Severity"]

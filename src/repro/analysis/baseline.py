@@ -2,9 +2,8 @@
 
 A baseline is a committed JSON file listing finding
 :attr:`~repro.analysis.findings.Finding.fingerprint` strings that are
-*known and accepted* — the paper's own intentional smells (the OpenACC
-excess-traffic encoding of Figure 5) and the hot-path allocations that
-are deliberate (warm-up branches, per-iteration history snapshots).  CI
+*known and accepted* — the paper's own intentional smell, the OpenACC
+excess-traffic encoding of Figure 5.  CI
 runs ``repro analyze --strict`` against the committed baseline, so any
 *new* finding fails the build while the accepted set stays quiet.
 

@@ -1,12 +1,11 @@
 """Findings model of the portability linter.
 
 A :class:`Finding` is one statically-detected portability defect: a rule
-id, a severity, a :class:`Location` (either ``subroutine::kernel`` inside
-a directive registry or ``module::qualname`` inside a Python source
-file), a human message and a machine-actionable fix hint.  Findings are
-identified across runs by a :attr:`~Finding.fingerprint` that is stable
-under message rewording and line-number drift — the unit the baseline
-file suppresses.
+id, a severity, a :class:`Location` (``subroutine::kernel`` inside a
+directive registry), a human message and a machine-actionable fix hint.
+Findings are identified across runs by a :attr:`~Finding.fingerprint`
+that is stable under message rewording — the unit the baseline file
+suppresses.
 
 Rule ids are kebab-case and documented in ``docs/ANALYSIS.md``:
 
@@ -24,11 +23,6 @@ rule id                paper motivation
 ``async-no-wait``      ``async`` clauses with no matching ``!$acc wait``
 ``missing-data-region``  kernels on explicit-memory sites (Sunspot) with
                        no enclosing ``target data`` region
-``hot-alloc``          allocating NumPy constructors inside ``@hot_path``
-``hot-copy``           ``.copy()`` inside ``@hot_path``
-``hot-ufunc-temp``     ufunc calls without ``out=`` inside ``@hot_path``
-``workspace-alias``    one :class:`~repro.batch.workspace.FitWorkspace`
-                       buffer name requested for two logical buffers
 =====================  ======================================================
 """
 
@@ -50,38 +44,20 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True)
 class Location:
-    """Where a finding points.
-
-    Directive findings set ``subroutine``/``kernel``; hot-path findings
-    set ``module``/``qualname`` (and a display-only ``line``).  The
-    :attr:`ident` deliberately omits the line number so fingerprints
-    survive unrelated edits above the finding.
-    """
+    """Where a finding points: a kernel of a directive registry."""
 
     subroutine: str | None = None
     kernel: str | None = None
-    module: str | None = None
-    qualname: str | None = None
-    line: int | None = None
 
     @property
     def ident(self) -> str:
-        """Stable identity string (no line numbers)."""
-        if self.subroutine or self.kernel:
-            return f"{self.subroutine or '?'}::{self.kernel or '?'}"
-        return f"{self.module or '?'}::{self.qualname or '?'}"
-
-    @property
-    def label(self) -> str:
-        """Display string (includes the line when known)."""
-        if self.line is not None:
-            return f"{self.ident}:{self.line}"
-        return self.ident
+        """Stable identity string, ``subroutine::kernel``."""
+        return f"{self.subroutine or '?'}::{self.kernel or '?'}"
 
     def to_dict(self) -> dict:
         """JSON-ready mapping (``None`` fields omitted)."""
         out: dict = {}
-        for key in ("subroutine", "kernel", "module", "qualname", "line"):
+        for key in ("subroutine", "kernel"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -127,7 +103,7 @@ class Finding:
 
     def render(self) -> str:
         """One- or two-line human rendering."""
-        text = f"{self.severity.value:<7} {self.rule_id:<20} {self.location.label}: {self.message}"
+        text = f"{self.severity.value:<7} {self.rule_id:<20} {self.location.ident}: {self.message}"
         if self.fix_hint:
             text += f"\n        fix: {self.fix_hint}"
         return text

@@ -9,10 +9,8 @@ them greyed out instead of hiding them.
 
 Mapping notes:
 
-* ``Location.module`` (``repro.analysis.engine``) becomes the artifact
-  URI ``src/repro/analysis/engine.py`` — repo-relative, which is what
-  PR annotation needs.  Registry findings (``subroutine::kernel``) have
-  no physical file; they carry only a ``logicalLocations`` entry.
+* A finding points at a registry kernel (``subroutine::kernel``), which
+  has no physical file: it carries only a ``logicalLocations`` entry.
 * ``partialFingerprints`` carries the finding's stable
   :attr:`~repro.analysis.findings.Finding.fingerprint`, so a forge's
   "new since last run" comparison matches the baseline semantics.
@@ -43,33 +41,15 @@ _RULE_DESCRIPTIONS = {
     "implicit-transfer": "Array outside the enclosing data environment",
     "missing-data-region": "No target data region on an explicit-memory site",
     "async-no-wait": "async clause with no matching wait",
-    "hot-alloc": "Allocating NumPy constructor inside @hot_path",
-    "hot-copy": ".copy() inside @hot_path",
-    "hot-ufunc-temp": "Ufunc without out= inside @hot_path",
-    "workspace-alias": "Workspace buffer name requested twice",
 }
 
 
-def _artifact_uri(finding: Finding) -> str | None:
-    """Repo-relative source path of a module-located finding."""
-    module = finding.location.module
-    if not module or not module.startswith("repro"):
-        return None
-    return "src/" + module.replace(".", "/") + ".py"
-
-
 def _result(finding: Finding, *, suppressed: bool) -> dict:
-    loc: dict = {
+    loc = {
         "logicalLocations": [
             {"fullyQualifiedName": finding.location.ident, "kind": "function"}
         ]
     }
-    uri = _artifact_uri(finding)
-    if uri is not None:
-        physical: dict = {"artifactLocation": {"uri": uri}}
-        if finding.location.line is not None:
-            physical["region"] = {"startLine": finding.location.line}
-        loc["physicalLocation"] = physical
     message = finding.message
     if finding.fix_hint:
         message += f" Fix: {finding.fix_hint}"

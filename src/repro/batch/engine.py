@@ -47,7 +47,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.markers import hot_path
 from repro.batch.slices import BatchStats, batch_groups
 from repro.batch.workspace import FitWorkspace
 from repro.efit.diagnostics import DiagnosticSet
@@ -103,8 +102,8 @@ class BatchFitEngine:
         cached operator object a bare :class:`EfitSolver` applies.
         Naming a method the supplied operator is not is an error.
     solver_kwargs:
-        Forwarded to the underlying :class:`EfitSolver` (bases, solver
-        name, tolerances, ...).
+        Forwarded to the underlying :class:`EfitSolver` (bases,
+        tolerances, ...).
     """
 
     def __init__(
@@ -144,7 +143,7 @@ class BatchFitEngine:
         self.edge_op = self.solver.pflux.operator
         self.boundary_method = self.edge_op.method
         #: Per-worker arenas/profilers, persistent across ``fit_many``
-        #: calls so the steady state allocates nothing.
+        #: calls so the steady state requests no new buffer.
         self._workspaces = [FitWorkspace() for _ in range(n_workers)]
         self._profilers = [RegionProfiler() for _ in range(n_workers)]
 
@@ -181,7 +180,6 @@ class BatchFitEngine:
         return self._profilers[0].report()
 
     # -- the batched Picard loop ---------------------------------------------------
-    @hot_path
     def _fit_batch(
         self,
         batch: Sequence[MeasurementSet],

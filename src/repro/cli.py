@@ -11,8 +11,8 @@ Commands
 ``sites``
     Describe the modeled machines.
 ``analyze``
-    Run the portability linter — directive and hot-path rule families
-    (``--family`` selects one, ``--sarif`` exports CI annotations).
+    Run the portability linter — the directive rules over the registered
+    ``pflux_`` kernels (``--sarif`` exports CI annotations).
 ``trace``
     Run one traced workload and write a Chrome-trace JSON (plus an
     optional JSONL record stream).
@@ -84,7 +84,6 @@ def _add_problem_options(
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for testing and docs)."""
-    from repro.analysis.engine import ALL_FAMILIES
     from repro.edge_methods import EDGE_METHODS
     from repro.scenarios import DEFAULT_SCENARIO, scenario_names
 
@@ -121,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         scenario_default=DEFAULT_SCENARIO,
     )
     p_fit.add_argument("--noise", type=float, default=1e-3, help="measurement noise")
-    p_fit.add_argument("--solver", default="dst",
-                       choices=["direct", "dst", "cyclic", "cg"],
-                       help="interior GS solver")
     p_fit.add_argument("--geqdsk", metavar="PATH", default=None,
                        help="write the result as a g-EQDSK file")
     p_fit.add_argument("--afile", metavar="PATH", default=None,
@@ -139,18 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser(
         "analyze",
-        help="run the portability linter over the registered kernels and hot paths",
+        help="run the portability linter over the registered kernels",
     )
     p_an.set_defaults(func=_cmd_analyze)
     p_an.add_argument("--json", action="store_true", help="emit findings as JSON")
-    p_an.add_argument(
-        "--family",
-        action="append",
-        choices=ALL_FAMILIES,
-        default=None,
-        metavar="NAME",
-        help="run only this rule family (repeatable; default: all)",
-    )
     p_an.add_argument(
         "--sarif",
         metavar="PATH",
@@ -379,9 +367,7 @@ def _cmd_fit(args) -> int:
 
     sc = get_scenario(args.scenario)
     shot = sc.make_shot(args.grid, noise=args.noise)
-    solver = EfitSolver.for_scenario(
-        sc, shot=shot, solver_name=args.solver, boundary_method=args.boundary_method
-    )
+    solver = EfitSolver.for_scenario(sc, shot=shot, boundary_method=args.boundary_method)
     result = solver.fit(shot.measurements)
     err = float(np.abs(result.psi - shot.truth.psi).max() / np.ptp(shot.truth.psi))
     print(f"scenario: {sc.name} ({sc.description})")
@@ -464,15 +450,10 @@ def _cmd_analyze(args) -> int:
     from pathlib import Path
 
     from repro.analysis import Baseline
-    from repro.analysis.engine import ALL_FAMILIES, AnalysisConfig, analyze_repo
+    from repro.analysis.engine import AnalysisConfig, analyze_repo
     from repro.errors import AnalysisError
 
-    families = tuple(dict.fromkeys(args.family)) if args.family else ALL_FAMILIES
-    config = AnalysisConfig(
-        grid=args.grid,
-        max_traffic_ratio=args.max_traffic_ratio,
-        families=families,
-    )
+    config = AnalysisConfig(grid=args.grid, max_traffic_ratio=args.max_traffic_ratio)
     report = analyze_repo(config)
 
     baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
@@ -498,14 +479,13 @@ def _cmd_analyze(args) -> int:
         return 0
     if not args.no_baseline and (args.baseline or baseline_path.exists()):
         report.apply_baseline(Baseline.load(baseline_path))
-        if report.complete:
-            for fp, reason in sorted(report.stale_suppressions.items()):
-                note = f" ({reason})" if reason else ""
-                print(
-                    f"warning: stale baseline suppression matches nothing: "
-                    f"{fp}{note} — regenerate with --write-baseline",
-                    file=sys.stderr,
-                )
+        for fp, reason in sorted(report.stale_suppressions.items()):
+            note = f" ({reason})" if reason else ""
+            print(
+                f"warning: stale baseline suppression matches nothing: "
+                f"{fp}{note} — regenerate with --write-baseline",
+                file=sys.stderr,
+            )
 
     if args.sarif:
         from repro.analysis.sarif import write_sarif
@@ -794,16 +774,26 @@ def _cmd_serve(args) -> int:
         print(f"wrote metrics {args.metrics_out}")
 
     if args.compare_serial:
-        # Replay every stream through the plain serial solver with the
-        # *same* warm-start chaining decisions the service made; every
-        # slice that ran to convergence under its deadline must be
-        # bit-identical.
+        # Replay every solved frame through the plain serial solver with
+        # the chain its session kept: a converged slice seeds the next
+        # solved one, a shed frame never reached the session, and a
+        # failed or unconverged one resets the chain.  Every slice that
+        # ran to convergence under its deadline must be bit-identical.
         solver = engine.solver
         compared = mismatched = 0
         for sid, summary in summaries.items():
-            prev_psi = None
-            for report, m in zip(summary.reports, frames[sid]):
-                serial = solver.fit(m, psi_initial=prev_psi, require_convergence=False)
+            failed = [f.index for f in summary.failures]
+            prev_psi, prev_index = None, -1
+            for report in summary.reports:
+                if any(prev_index < i < report.index for i in failed):
+                    prev_psi = None
+                serial = solver.fit(
+                    frames[sid][report.index],
+                    psi_initial=None if args.no_warm_start else prev_psi,
+                    require_convergence=False,
+                )
+                prev_index = report.index
+                prev_psi = serial.psi if report.converged else None
                 if report.converged:
                     compared += 1
                     if not (
@@ -811,9 +801,6 @@ def _cmd_serve(args) -> int:
                         and serial.chi2 == report.result.chi2
                     ):
                         mismatched += 1
-                    prev_psi = serial.psi
-                else:
-                    prev_psi = None
         print(
             f"serial comparison: {compared} converged slice(s) compared, "
             f"{mismatched} mismatch(es)"

@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.analysis.markers import hot_path
 from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.boundary import BoundaryResult, find_boundaries, search_geometry
 from repro.efit.basis import PolynomialBasis
@@ -42,7 +41,7 @@ from repro.efit.response import (
     measurement_system,
     solve_weighted_lsq,
 )
-from repro.efit.solvers import make_solver
+from repro.efit.solvers import DSTSolver
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import BoundaryError, ConvergenceError, FittingError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks
@@ -244,7 +243,6 @@ class EfitSolver:
         *,
         pp_basis: PolynomialBasis | None = None,
         ffp_basis: PolynomialBasis | None = None,
-        solver_name: str = "dst",
         pflux_impl: PfluxBase | EdgeOperator | None = None,
         boundary_method: str | None = None,
         tol: float = 1e-5,
@@ -300,7 +298,7 @@ class EfitSolver:
 
         # --- one-time green_ setup -------------------------------------------
         self.tables = cached_boundary_tables(grid)
-        self.solver = make_solver(solver_name, grid)
+        self.solver = DSTSolver(grid)
         if pflux_impl is None:
             pflux_impl = cached_edge_operator(
                 self.tables,
@@ -422,9 +420,7 @@ class EfitSolver:
         """Each state's ``pcurr`` for the coefficients just fitted: its
         basis currents times its coefficients on the slab's rows, shifted
         by ``fitdelz``, written into a zero grid field — the one
-        grid-sized array an iterate allocates per slice.  Kept out of
-        :meth:`iterate_pre`'s body like the arrays ``basis_current_slabs``
-        makes."""
+        grid-sized array an iterate allocates per slice."""
         grid = self.grid
         rows = np.empty((len(states), slabs.i1 - slabs.i0, grid.nh))
         for b, state in enumerate(states):
@@ -577,7 +573,6 @@ class EfitSolver:
         )
         return state
 
-    @hot_path
     def iterate_pre(self, states, *, statics: GridStatics | None = None):
         """The pre-flux half of one Picard iterate — ``steps_`` boundary
         search, ``current_`` distribution and the ``green_`` linear fit —
@@ -686,7 +681,6 @@ class EfitSolver:
             currents.append((pcurr, psi_ext_iter))
         return currents
 
-    @hot_path
     def iterate_post(self, state: FitState, psi_new: np.ndarray) -> bool:
         """The post-flux half of one Picard iterate: residual, relaxation,
         history and the convergence decision.  Returns ``True`` once the

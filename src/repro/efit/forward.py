@@ -27,7 +27,7 @@ from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak, miller_contour
 from repro.efit.pflux import PfluxVectorized
 from repro.efit.profiles import ProfileCoefficients
-from repro.efit.solvers import make_solver
+from repro.efit.solvers import DSTSolver
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import ConvergenceError, FittingError
 
@@ -173,7 +173,6 @@ def solve_forward(
     relax: float = 1.0,
     relax_current: float = 1.0,
     edge_smooth: float = 0.0,
-    solver_name: str = "dst",
     symmetrize: bool = True,
     hold_z_centroid: float | None = None,
     initial_z: float = 0.0,
@@ -226,7 +225,7 @@ def solve_forward(
     coil_currents = np.asarray(coil_currents, dtype=float)
 
     tables = cached_boundary_tables(grid)
-    solver = make_solver(solver_name, grid)
+    solver = DSTSolver(grid)
     pflux = PfluxVectorized(grid, tables, solver)
     psi_external = machine.psi_from_coils(grid, coil_currents)
     if vessel_currents is not None:

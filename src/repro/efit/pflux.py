@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.markers import hot_path
 from repro.efit.grid import RZGrid
 from repro.efit.solvers.base import GSInteriorSolver
 from repro.efit.tables import BoundaryGreensTables
@@ -203,7 +202,6 @@ def edge_flux_operator(tables: BoundaryGreensTables) -> np.ndarray:
     return -np.concatenate([left, right, bottom, top], axis=0)
 
 
-@hot_path
 def boundary_flux_operator(
     operator: np.ndarray, pcurr_flat: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -316,19 +314,19 @@ class PfluxStructured(PfluxBase):
         )
         return psi
 
-    @hot_path
     def compute_batch(self, ws, capacity: int, nb: int, columns, currents) -> list[np.ndarray]:
         """:meth:`compute` for ``nb`` slices in lockstep: one operator
         apply and one multi-RHS interior solve.
 
-        Every array is a named buffer of the caller's workspace ``ws``
-        (``FitWorkspace.array``), sized for ``capacity`` slices so a
-        ragged final batch reuses the arena of a full one.  ``columns``
-        are the slices still iterating and ``currents`` their ``(pcurr,
+        The batch-level arrays are named buffers of the caller's
+        workspace ``ws`` (``FitWorkspace.array``), sized for ``capacity``
+        slices so a ragged final batch reuses the arena of a full one;
+        the interior solve's transforms make their own.  ``columns`` are
+        the slices still iterating and ``currents`` their ``(pcurr,
         psi_external)`` pairs; returns one ``psi_new`` per column.  A
         converged column keeps its last current and rides the
-        fixed-shape apply, so the steady state allocates nothing.  With
-        ``nb == 1`` the result is :meth:`compute`'s bit for bit (a
+        fixed-shape apply, so the steady state requests no new buffer.
+        With ``nb == 1`` the result is :meth:`compute`'s bit for bit (a
         one-column apply is the vector apply); wider batches agree to
         round-off.
         """

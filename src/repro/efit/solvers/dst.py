@@ -27,7 +27,6 @@ import numpy as np
 from scipy.fft import dst, idst
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from repro.analysis.markers import hot_path
 from repro.efit.grid import RZGrid
 from repro.efit.solvers.base import GSInteriorSolver
 from repro.errors import SolverError
@@ -70,7 +69,6 @@ class DSTSolver(GSInteriorSolver):
     def _solve_interior(self, b: np.ndarray) -> np.ndarray:
         return self._solve_interior_batch(b[None])[0]
 
-    @hot_path
     def _solve_interior_batch(self, b: np.ndarray) -> np.ndarray:
         """The whole batch in one transform pair around one ``dgttrs``."""
         # Forward DST-I along Z; ortho norm makes idst the inverse.
@@ -86,9 +84,7 @@ class DSTSolver(GSInteriorSolver):
         slice's solution does not depend on how many share the call.
 
         A method of its own because it is the kernel the tests hold against
-        the Thomas sweep (and swap for it), not to keep allocations out of
-        :meth:`_solve_interior_batch`: every solve makes the mode-major
-        copy below, ``dgttrs``'s output and the two transforms' arrays.
+        the Thomas sweep (and swap for it).
         """
         nb = b_hat.shape[0]
         ni, nj = self._ni, self._nj

@@ -162,7 +162,7 @@ class EqdskError(ReproError):
 
 class AnalysisError(ReproError):
     """Static-analysis (portability linter) failure: malformed baseline
-    file, unscannable source, inconsistent analyzer configuration."""
+    file, inconsistent analyzer configuration."""
 
 
 class ObservabilityError(ReproError):

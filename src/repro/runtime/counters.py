@@ -70,8 +70,10 @@ class WorkspaceCounters:
     def allocations_since(self, previous: "WorkspaceCounters") -> int:
         """Fresh allocations since ``previous`` (a :meth:`snapshot`).
 
-        The statically certified hot-path functions (see
-        ``repro.analysis``) must report zero here once warm.
+        A warm :class:`~repro.batch.engine.BatchFitEngine` reports zero
+        here: it asks for no workspace buffer it has not already made.
+        The count covers workspace requests only, not every array a
+        batch makes.
         """
         delta = self.allocations - previous.allocations
         if delta < 0:

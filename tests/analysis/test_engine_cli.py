@@ -24,30 +24,17 @@ class TestAnalyzeRepo:
     def test_repo_has_no_errors(self, repo_report):
         assert repo_report.count(Severity.ERROR) == 0
 
-    def test_known_findings_are_the_figure5_and_hot_path_set(self, repo_report):
-        rules = {f.rule_id for f in repo_report.findings}
-        assert rules == {"excess-traffic", "hot-alloc", "hot-copy", "hot-ufunc-temp"}
-
-    def test_certified_set_contains_the_batched_kernels(self, repo_report):
-        assert "repro.batch.engine::BatchFitEngine._fit_batch" in repo_report.certified_allocation_free
-        assert "repro.efit.pflux::boundary_flux_operator" in repo_report.certified_allocation_free
-
-    def test_iterate_pre_is_hot_but_not_certified(self, repo_report):
-        assert "repro.efit.fitting::EfitSolver.iterate_pre" in repo_report.hot_functions
-        assert (
-            "repro.efit.fitting::EfitSolver.iterate_pre"
-            not in repo_report.certified_allocation_free
-        )
+    def test_known_findings_are_the_figure5_pair(self, repo_report):
+        assert sorted(f.fingerprint for f in repo_report.findings) == [
+            "excess-traffic@pflux_::boundary_lr#openacc@frontier",
+            "excess-traffic@pflux_::boundary_tb#openacc@frontier",
+        ]
 
     def test_committed_baseline_covers_every_finding(self, repo_report):
         """The acceptance criterion: the repo is clean under its own
         committed baseline, so ``repro analyze --strict`` exits 0."""
         baseline = Baseline.load(REPO_BASELINE)
-        report = AnalysisReport(
-            findings=list(repo_report.findings),
-            hot_functions=repo_report.hot_functions,
-            certified_allocation_free=repo_report.certified_allocation_free,
-        )
+        report = AnalysisReport(findings=list(repo_report.findings))
         report.apply_baseline(baseline)
         assert report.findings == []
         assert report.exit_code(strict=True) == 0
@@ -67,9 +54,9 @@ class TestAnalyzeRepo:
 class TestReportMechanics:
     def _finding(self, severity):
         return Finding(
-            rule_id="hot-alloc",
+            rule_id="excess-traffic",
             severity=severity,
-            location=Location(module="m", qualname="f"),
+            location=Location(subroutine="pflux_", kernel="k"),
             message="msg",
         )
 
@@ -92,7 +79,7 @@ class TestAnalyzeCli:
     def test_strict_with_committed_baseline_exits_zero(self, capsys):
         rc = main(["analyze", "--strict", "--baseline", str(REPO_BASELINE)])
         assert rc == 0
-        assert "0 error(s), 0 warning(s)" in capsys.readouterr().out
+        assert "0 error(s), 0 warning(s), 2 baselined" in capsys.readouterr().out
 
     def test_strict_without_baseline_fails_on_known_findings(self, capsys):
         rc = main(["analyze", "--strict", "--no-baseline"])
@@ -114,10 +101,9 @@ class TestAnalyzeCli:
         assert len(payload["suppressed"]) == len(
             Baseline.load(REPO_BASELINE).suppressions
         )
-        assert (
-            "repro.batch.engine::BatchFitEngine._fit_batch"
-            in payload["summary"]["certified_allocation_free"]
-        )
+        assert set(payload["summary"]) == {
+            "errors", "warnings", "suppressed", "stale_suppressions"
+        }
 
     def test_write_baseline_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "b.json"

@@ -1,5 +1,7 @@
-"""Tests of family selection, schema stamping and baseline staleness —
-the engine policy and the ``repro analyze`` flags that expose it."""
+"""Tests of schema stamping and baseline staleness — the engine policy
+and the ``repro analyze`` flags that expose it — and of the retired
+``--family`` flag: with the directive rules the only ones left, there is
+no family to select."""
 
 import json
 from pathlib import Path
@@ -7,61 +9,21 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.engine import (
-    ALL_FAMILIES,
-    ANALYSIS_SCHEMA_VERSION,
-    AnalysisConfig,
-    AnalysisReport,
-    analyze_repo,
-)
+from repro.analysis.engine import ANALYSIS_SCHEMA_VERSION, AnalysisReport
 from repro.analysis.findings import Finding, Location, Severity
 from repro.cli import main
-from repro.errors import AnalysisError
 
 REPO_BASELINE = Path(__file__).parents[2] / "analysis-baseline.json"
 
 
-def _finding(rule="hot-alloc", detail="d"):
+def _finding(rule="excess-traffic", detail="d"):
     return Finding(
         rule_id=rule,
         severity=Severity.WARNING,
-        location=Location(module="m", qualname="f"),
+        location=Location(subroutine="pflux_", kernel="k"),
         message="msg",
         detail=detail,
     )
-
-
-class TestFamilySelection:
-    def test_unknown_family_raises(self):
-        with pytest.raises(AnalysisError, match="unknown analysis families"):
-            AnalysisConfig(families=("hotpath", "vibes"))
-        # The retired families are unknown too, and the error names the
-        # two that remain.
-        for retired in ("precision", "lifecycle"):
-            with pytest.raises(
-                AnalysisError, match=f"{retired} .known: directives, hotpath\\)"
-            ):
-                AnalysisConfig(families=(retired,))
-        assert ALL_FAMILIES == ("directives", "hotpath")
-
-    def test_empty_selection_raises(self):
-        with pytest.raises(AnalysisError, match="at least one"):
-            AnalysisConfig(families=())
-
-    def test_partial_run_skips_other_families(self):
-        report = analyze_repo(AnalysisConfig(families=("directives",)))
-        assert report.families == ("directives",)
-        assert {f.rule_id for f in report.findings} == {"excess-traffic"}  # Figure 5
-        assert report.hot_functions == ()  # hotpath pass did not run
-
-    def test_full_run_is_complete(self):
-        assert AnalysisConfig().families == ALL_FAMILIES
-        report = analyze_repo(AnalysisConfig(families=ALL_FAMILIES))
-        assert report.complete
-
-    def test_legacy_report_construction_counts_as_complete(self):
-        assert AnalysisReport().complete
-        assert not AnalysisReport(families=("directives",)).complete
 
 
 class TestStaleness:
@@ -94,36 +56,27 @@ class TestStaleness:
 
     def test_exit_code_policy_for_stale_entries(self):
         stale = {"ghost@x::y#z": ""}
-        complete = AnalysisReport(stale_suppressions=dict(stale))
-        assert complete.exit_code() == 0  # non-strict: warn only
-        assert complete.exit_code(strict=True) == 1
-        partial = AnalysisReport(
-            families=("directives",), stale_suppressions=dict(stale)
-        )
-        assert partial.exit_code(strict=True) == 0  # didn't look everywhere
+        report = AnalysisReport(stale_suppressions=dict(stale))
+        assert report.exit_code() == 0  # non-strict: warn only
+        assert report.exit_code(strict=True) == 1
 
     def test_render_lists_stale_entries_on_complete_runs(self):
         report = AnalysisReport(stale_suppressions={"ghost@x::y#z": ""})
         assert "ghost@x::y#z" in report.render()
-        partial = AnalysisReport(
-            families=("directives",), stale_suppressions={"ghost@x::y#z": ""}
-        )
-        assert "ghost" not in partial.render()
 
 
 class TestSchemaStamp:
     def test_to_dict_leads_with_schema_version(self):
-        payload = AnalysisReport(families=("hotpath",)).to_dict()
-        assert payload["schema_version"] == ANALYSIS_SCHEMA_VERSION == 2
-        assert payload["summary"]["families"] == ["hotpath"]
+        payload = AnalysisReport().to_dict()
+        assert payload["schema_version"] == ANALYSIS_SCHEMA_VERSION == 3
+        assert "families" not in payload["summary"]
         assert payload["summary"]["stale_suppressions"] == {}
 
     def test_cli_json_carries_the_stamp(self, capsys):
         rc = main(["analyze", "--json", "--baseline", str(REPO_BASELINE)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 2
-        assert payload["summary"]["families"] == list(ALL_FAMILIES)
+        assert payload["schema_version"] == 3
 
 
 @pytest.fixture()
@@ -137,31 +90,14 @@ def stale_baseline(tmp_path):
 
 
 class TestCliFamilies:
-    def test_family_filtered_run_is_clean(self, capsys):
-        rc = main(
-            ["analyze", "--strict", "--family", "directives", "--baseline", str(REPO_BASELINE)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "0 error(s), 0 warning(s), 2 baselined" in out
-        assert "0/0 hot-path" in out  # the hotpath pass did not run
-
-    def test_repeated_family_flags_deduplicate(self, capsys):
-        rc = main(["analyze", "--json", "--family", "directives", "--family", "directives"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out)["summary"]["families"] == ["directives"]
-
     def test_unknown_family_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["analyze", "--family", "vibes"])
-        capsys.readouterr()
-        for retired in ("precision", "lifecycle"):
+        """Every family name is unknown now, the surviving one included."""
+        for family in ("directives", "hotpath", "precision", "lifecycle"):
             with pytest.raises(SystemExit) as exc:
-                main(["analyze", "--family", retired])
+                main(["analyze", "--family", family])
             assert exc.value.code == 2
             err = capsys.readouterr().err
-            assert f"invalid choice: '{retired}'" in err
-            assert "'directives', 'hotpath'" in err
+            assert f"unrecognized arguments: --family {family}" in err
 
 
 class TestCliStaleness:
@@ -176,20 +112,6 @@ class TestCliStaleness:
         rc = main(["analyze", "--strict", "--baseline", str(stale_baseline)])
         assert rc == 1
         capsys.readouterr()
-
-    def test_partial_run_cannot_judge_staleness(self, stale_baseline, capsys):
-        rc = main(
-            [
-                "analyze",
-                "--strict",
-                "--family",
-                "directives",
-                "--baseline",
-                str(stale_baseline),
-            ]
-        )
-        assert rc == 0
-        assert "stale" not in capsys.readouterr().err
 
     def test_write_baseline_prunes_and_keeps_reasons(self, stale_baseline, capsys):
         rc = main(

@@ -85,26 +85,6 @@ SARIF_SUBSET_SCHEMA = {
                                     "items": {
                                         "type": "object",
                                         "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "properties": {
-                                                    "artifactLocation": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "uri": {"type": "string"}
-                                                        },
-                                                    },
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            }
-                                                        },
-                                                    },
-                                                },
-                                            },
                                             "logicalLocations": {
                                                 "type": "array",
                                                 "items": {
@@ -146,11 +126,11 @@ SARIF_SUBSET_SCHEMA = {
 }
 
 
-def _finding(rule="hot-alloc", severity=Severity.WARNING, module="repro.efit.pflux"):
+def _finding(rule="excess-traffic", severity=Severity.WARNING):
     return Finding(
         rule_id=rule,
         severity=severity,
-        location=Location(module=module, qualname="f", line=12),
+        location=Location(subroutine="pflux_", kernel="boundary_lr"),
         message="msg",
         fix_hint="do the thing",
         detail="d",
@@ -190,15 +170,6 @@ class TestSarifPayload:
         levels = [r["level"] for r in sarif_payload(report)["runs"][0]["results"]]
         assert levels == ["error", "warning", "note"]
 
-    def test_module_location_maps_to_repo_relative_uri(self):
-        report = AnalysisReport(findings=[_finding()])
-        result = sarif_payload(report)["runs"][0]["results"][0]
-        physical = result["locations"][0]["physicalLocation"]
-        assert physical["artifactLocation"]["uri"] == "src/repro/efit/pflux.py"
-        assert physical["region"]["startLine"] == 12
-        logical = result["locations"][0]["logicalLocations"][0]
-        assert logical["fullyQualifiedName"] == "repro.efit.pflux::f"
-
     def test_kernel_location_has_no_physical_location(self):
         finding = Finding(
             rule_id="excess-traffic",
@@ -217,13 +188,13 @@ class TestSarifPayload:
 
     def test_suppressed_findings_are_marked_not_dropped(self):
         report = AnalysisReport(
-            findings=[_finding(rule="hot-copy")],
+            findings=[_finding(rule="directive-race")],
             suppressed=[_finding(rule="excess-traffic")],
         )
         payload = sarif_payload(report)
         jsonschema.validate(payload, SARIF_SUBSET_SCHEMA)
         results = {r["ruleId"]: r for r in payload["runs"][0]["results"]}
-        assert "suppressions" not in results["hot-copy"]
+        assert "suppressions" not in results["directive-race"]
         assert results["excess-traffic"]["suppressions"] == [{"kind": "external"}]
 
     def test_fingerprint_travels_in_partial_fingerprints(self):

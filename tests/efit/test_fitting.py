@@ -175,11 +175,13 @@ class TestConfiguration:
         with pytest.raises(FittingError):
             EfitSolver(pflux_impl="cuda", **kw)
 
-    @pytest.mark.parametrize("knob", [{"relax_current": 0.5}, {"n_warmup": 8}])
+    @pytest.mark.parametrize(
+        "knob", [{"relax_current": 0.5}, {"n_warmup": 8}, {"solver_name": "dst"}]
+    )
     def test_removed_step_knobs_fail_loudly(self, shot33, knob):
         """The Picard step is one fixed scheme (full least-squares step,
-        ``N_WARMUP`` warm-up iterates): its two former arguments are not
-        silently accepted."""
+        ``N_WARMUP`` warm-up iterates, the DST interior solver): its former
+        arguments are not silently accepted."""
         with pytest.raises(TypeError):
             EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, **knob)
 

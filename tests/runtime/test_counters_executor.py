@@ -8,7 +8,7 @@ from repro.hardware.amd import mi250x_gcd
 from repro.hardware.intel import pvc_stack
 from repro.hardware.nvidia import a100
 from repro.runtime.allocator import AllocationPolicy
-from repro.runtime.counters import CounterSet
+from repro.runtime.counters import CounterSet, WorkspaceCounters
 from repro.runtime.executor import OffloadExecutor
 from repro.runtime.kernel import ExecutionPlan
 from repro.runtime.memory import DeviceArray, Direction
@@ -85,6 +85,27 @@ class TestCounters:
         c.h2d_bytes = 5.0
         c.reset()
         assert c.total_launches == 0 and c.h2d_bytes == 0.0
+
+
+class TestSnapshotApi:
+    """The :class:`WorkspaceCounters` contract that
+    ``tests/batch/test_engine.py::test_zero_allocations_after_warmup`` and
+    the benchmark's ``batch.workspace_allocs_steady`` read."""
+
+    def test_snapshot_is_independent(self):
+        c = WorkspaceCounters()
+        c.record_allocation(100)
+        snap = c.snapshot()
+        c.record_allocation(50)
+        c.record_reuse()
+        assert snap.allocations == 1 and c.allocations == 2
+        assert c.allocations_since(snap) == 1
+
+    def test_allocations_since_rejects_foreign_snapshot(self):
+        c = WorkspaceCounters()
+        future = WorkspaceCounters(allocations=5)
+        with pytest.raises(RuntimeModelError):
+            c.allocations_since(future)
 
 
 class TestExecutorLifecycle:

@@ -83,6 +83,9 @@ def test_the_scan_finds_the_lanes():
     # The fleet drill runs twice: on the default operator and on the oracle.
     fleets = [argv for _, argv in INVOCATIONS if argv[0] == "pfleet"]
     assert sorted("dense" in argv for argv in fleets) == [False, True]
+    # The serve smoke runs twice: the gate, and the shedding drill.
+    serves = [argv for _, argv in INVOCATIONS if argv[0] == "serve"]
+    assert sorted("--queue-depth" in argv for argv in serves) == [False, True]
 
 
 def test_parallel_stress_lane_sweeps_its_tmpdir_for_arenas():

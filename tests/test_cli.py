@@ -19,14 +19,16 @@ class TestParser:
         assert args.artifact == "all" and args.grids is None
 
     def test_fit_options(self):
-        args = build_parser().parse_args(
-            ["fit", "--grid", "33", "--solver", "cyclic", "--geqdsk", "out.g"]
-        )
-        assert args.grid == 33 and args.solver == "cyclic" and args.geqdsk == "out.g"
+        args = build_parser().parse_args(["fit", "--grid", "33", "--geqdsk", "out.g"])
+        assert args.grid == 33 and args.geqdsk == "out.g"
 
-    def test_invalid_solver_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fit", "--solver", "magic"])
+    def test_invalid_solver_rejected(self, capsys):
+        """The interior solver is not a fit option: every entry point
+        reconstructs with the DST solver."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--solver", "cyclic"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --solver cyclic" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -128,6 +130,28 @@ class TestServeCommand:
         assert payload["summary"]["warm_iteration_savings"] > 0
         assert payload["summary"]["deadline_misses"] == 0
         assert payload["metrics"]["serve.slices"] == 4.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # Frames 0-2 are shed: the one solved slice is frame 3.
+            ["--queue-depth", "1", "--slices", "4"],
+            # Cold sessions: the replay must not chain either.
+            ["--no-warm-start", "--slices", "3", "--deadline-ms", "0"],
+        ],
+        ids=["shed", "cold"],
+    )
+    def test_serial_replay_follows_the_session(self, flags, capsys):
+        """Each served slice is compared with its own frame, chained as
+        its session chained it."""
+        rc = main(
+            ["serve", "--scenario", "g186610", "--grid", "33", "--streams", "1",
+             "--compare-serial", *flags]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "0 mismatch(es)" in out
+        assert ("3 shed" in out) == ("--queue-depth" in flags)
 
     def test_structured_boundary_method_matches_serial(self, capsys):
         """Sessions apply the engine's operator, and so does the serial
