@@ -147,15 +147,18 @@ def test_structured_vs_dense_speedup_257(large_grids_enabled):
 
 def test_edge_method_table(large_grids_enabled):
     """The measurement an ``EDGE_METHODS`` entry has to win to stay — and
-    the one ``DEFAULT_EDGE_METHOD`` rests on: per method and grid, build
-    seconds, operator MB, median apply ms for one vector and for a batch
-    of 8, the same for the whole flux step (``pflux_``: boundary sums +
-    RHS + interior solve; ``compute`` at B = 1, ``compute_batch`` on a
-    ``FitWorkspace`` at B = 8), and relative error against dense.  The
-    ``vectorized`` row is the Green-table sums of ``PfluxVectorized`` —
-    no operator to build or store, no batched form.  Written to
-    ``results/edge_operator_methods.txt``; EXPERIMENTS.md keeps the table
-    that retired the mixed-precision variants."""
+    the one ``DEFAULT_EDGE_METHOD`` rests on: per method, grid and input,
+    build seconds, operator MB, median apply ms for one vector and for a
+    batch of 8, the same for the whole flux step (``pflux_``: boundary
+    sums + RHS + interior solve; ``compute`` at B = 1, ``compute_batch``
+    on a ``FitWorkspace`` at B = 8), and relative error against dense.
+    Two inputs: random currents on the full grid, and plasma-shaped ones —
+    zero outside a band of 38/65 of the grid rows, where a 65^2 g186610
+    fit's currents lie — which the operators apply on those rows only.
+    The ``vectorized`` row is the Green-table sums of ``PfluxVectorized`` —
+    no operator to build or store, no batched form, no restriction.
+    Written to ``results/edge_operator_methods.txt``; EXPERIMENTS.md keeps
+    the table that retired the mixed-precision variants."""
     import time
 
     from benchmarks.conftest import write_artifact
@@ -182,7 +185,7 @@ def test_edge_method_table(large_grids_enabled):
     step_rounds = {65: 201, 129: 41, 257: 9}
     table = Table(
         [
-            "grid", "method", "build s", "MB", "apply ms B=1", "apply ms B=8",
+            "grid", "input", "method", "build s", "MB", "apply ms B=1", "apply ms B=8",
             "pflux ms B=1", "pflux ms B=8", "rel err",
         ],
         title="Edge-operator methods (one process, round-robin medians: 9 applies; "
@@ -191,10 +194,6 @@ def test_edge_method_table(large_grids_enabled):
     for n in (65, 129, 257) if large_grids_enabled else (65, 129):
         g = RZGrid(n, n)
         t = cached_boundary_tables(g)
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(g.size, 8))
-        psi_ext = rng.normal(size=g.shape)
-        currents = [(x[:, k].reshape(g.shape).copy(), psi_ext) for k in range(8)]
         ops, build_s = [], []
         for method in EDGE_METHODS:
             t0 = time.perf_counter()
@@ -204,48 +203,58 @@ def test_edge_method_table(large_grids_enabled):
         vectorized = PfluxVectorized(g, t, interior)
         steps = [PfluxStructured(g, t, interior, op) for op in ops]
         workspaces = [FitWorkspace() for _ in ops]
-        ref = ops[EDGE_METHODS.index("dense")].apply(x)
-        x1 = x[:, 0].copy()
-        ms_1 = median_ms(
-            [lambda: boundary_flux_vectorized(t, currents[0][0])]
-            + [lambda op=op: op.apply(x1) for op in ops]
-        )
-        ms_8 = median_ms([lambda op=op: op.apply(x) for op in ops])
-        step_1 = median_ms(
-            [lambda s=s: s.compute(*currents[0]) for s in [vectorized, *steps]],
-            step_rounds[n],
-        )
-        step_8 = median_ms(
-            [
-                lambda s=s, ws=ws: s.compute_batch(ws, 8, 8, range(8), currents)
-                for s, ws in zip(steps, workspaces)
-            ],
-            step_rounds[n],
-        )
-        edge = boundary_flux_vectorized(t, currents[0][0])
-        ei, ej = edge_node_indices(g.nw, g.nh)
-        rel_vec = float(np.max(np.abs(edge[ei, ej] - ref[:, 0])) / np.max(np.abs(ref)))
-        table.add_row(
-            [
-                f"{n}x{n}", "vectorized", "—", "—", f"{ms_1[0]:.2f}", "—",
-                f"{step_1[0]:.2f}", "—", f"{rel_vec:.0e}",
-            ]
-        )
-        for k, op in enumerate(ops):
-            rel = float(np.max(np.abs(op.apply(x) - ref)) / np.max(np.abs(ref)))
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(g.size, 8))
+        plasma = np.zeros((g.nw, g.nh, 8))
+        i0, k = (10 * n) // 65, (38 * n) // 65  # g186610's rows 10-48 of 65
+        plasma[i0 : i0 + k] = rng.normal(size=(k, g.nh, 8))
+        psi_ext = rng.normal(size=g.shape)
+        for label, x in (("full grid", x), (f"{k}/{n} rows", plasma.reshape(g.size, 8))):
+            currents = [(x[:, b].reshape(g.shape).copy(), psi_ext) for b in range(8)]
+            ref = ops[EDGE_METHODS.index("dense")].apply(x)
+            x1 = x[:, 0].copy()
+            ms_1 = median_ms(
+                [lambda: boundary_flux_vectorized(t, currents[0][0])]
+                + [lambda op=op: op.apply(x1) for op in ops]
+            )
+            ms_8 = median_ms([lambda op=op: op.apply(x) for op in ops])
+            step_1 = median_ms(
+                [lambda s=s: s.compute(*currents[0]) for s in [vectorized, *steps]],
+                step_rounds[n],
+            )
+            step_8 = median_ms(
+                [
+                    lambda s=s, ws=ws: s.compute_batch(ws, 8, currents)
+                    for s, ws in zip(steps, workspaces)
+                ],
+                step_rounds[n],
+            )
+            edge = boundary_flux_vectorized(t, currents[0][0])
+            ei, ej = edge_node_indices(g.nw, g.nh)
+            scale = np.max(np.abs(ref))
+            rel_vec = float(np.max(np.abs(edge[ei, ej] - ref[:, 0])) / scale)
             table.add_row(
                 [
-                    f"{n}x{n}",
-                    op.method,
-                    f"{build_s[k]:.2f}",
-                    f"{op.nbytes / 1e6:.1f}",
-                    f"{ms_1[k + 1]:.2f}",
-                    f"{ms_8[k]:.2f}",
-                    f"{step_1[k + 1]:.2f}",
-                    f"{step_8[k]:.2f}",
-                    f"{rel:.0e}",
+                    f"{n}x{n}", label, "vectorized", "—", "—", f"{ms_1[0]:.2f}", "—",
+                    f"{step_1[0]:.2f}", "—", f"{rel_vec:.0e}",
                 ]
             )
+            for j, op in enumerate(ops):
+                rel = float(np.max(np.abs(op.apply(x) - ref)) / scale)
+                table.add_row(
+                    [
+                        f"{n}x{n}",
+                        label,
+                        op.method,
+                        f"{build_s[j]:.2f}",
+                        f"{op.nbytes / 1e6:.1f}",
+                        f"{ms_1[j + 1]:.2f}",
+                        f"{ms_8[j]:.2f}",
+                        f"{step_1[j + 1]:.2f}",
+                        f"{step_8[j]:.2f}",
+                        f"{rel:.0e}",
+                    ]
+                )
     write_artifact("edge_operator_methods", table.render())
 
 

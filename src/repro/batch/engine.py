@@ -21,19 +21,20 @@ lockstep Picard iteration:
 * the flux step runs in its batched form
   (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`): one
   operator apply on a ``(nw*nh, B)`` column stack computes every slice's
-  boundary Green sums at once, and one multi-RHS sine-transform solve
-  handles all interior systems;
-* every fixed-shape batch-level array of the flux step lives in a
-  per-worker :class:`~repro.batch.workspace.FitWorkspace`, so
-  steady-state iterates allocate none of them; the pre-flux arrays,
-  whose shapes follow the plasmas' rows, are made per iterate.
+  boundary Green sums at once, on the union of the plasmas' rows, and
+  one multi-RHS sine-transform solve handles all interior systems;
+* the flux step's batch-level arrays are prefix views of buffers sized
+  for ``batch_size`` in a per-worker
+  :class:`~repro.batch.workspace.FitWorkspace`, so steady-state iterates
+  request no new one; the pre-flux arrays, whose shapes follow the
+  plasmas' rows, and each slice's new flux, which its state keeps, are
+  made per iterate.
 
 Worker threads (``n_workers``) pull batches from a queue; the heavy GEMM
 and FFT kernels release the GIL, so multi-core hosts overlap batches.
-Convergence is per-slice: a converged slice leaves the pre-flux pass,
-and stops contributing fresh columns to the flux step while the rest of
-its batch iterates on (its stale columns keep riding the fixed-shape
-apply, which keeps the workspace steady state allocation-free).
+Convergence is per-slice: a converged slice leaves both the pre-flux pass
+and the flux step while the rest of its batch iterates on, so every
+iterate's width is the number of slices still iterating.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ class BatchFitEngine:
             )
             for m, seed in zip(batch, seeds)
         ]
-        flux = partial(solver.pflux.compute_batch, ws, self.batch_size, len(states))
+        flux = partial(solver.pflux.compute_batch, ws, self.batch_size)
         latencies: list[float | None] = [None] * len(states)
         for _ in solver.picard(states, flux=flux):
             now = time.perf_counter()

@@ -247,7 +247,6 @@ class EfitSolver:
         boundary_method: str | None = None,
         tol: float = 1e-5,
         max_iters: int = 100,
-        relax: float = 1.0,
         warm_start_guard: float = 0.25,
         fitdelz: bool = True,
         fit_vessel: bool = False,
@@ -256,8 +255,6 @@ class EfitSolver:
         profiler: RegionProfiler | None = None,
         hooks: ObservationHooks | None = None,
     ) -> None:
-        if not (0.0 < relax <= 1.0):
-            raise FittingError(f"relaxation parameter {relax} outside (0, 1]")
         if tol <= 0.0:
             raise FittingError("tolerance must be positive")
         self.machine = machine
@@ -274,7 +271,6 @@ class EfitSolver:
         self._warmup_shape = warm
         self.tol = tol
         self.max_iters = max_iters
-        self.relax = relax
         if warm_start_guard <= 0.0:
             raise FittingError("warm_start_guard must be positive")
         #: Residual above which a trusted warm start is declared divergent
@@ -682,9 +678,10 @@ class EfitSolver:
         return currents
 
     def iterate_post(self, state: FitState, psi_new: np.ndarray) -> bool:
-        """The post-flux half of one Picard iterate: residual, relaxation,
-        history and the convergence decision.  Returns ``True`` once the
-        slice has converged."""
+        """The post-flux half of one Picard iterate: residual, the update
+        (``psi_new`` becomes the state's flux — the flux step returns
+        arrays the state may own), history and the convergence decision.
+        Returns ``True`` once the slice has converged."""
         hooks = state.hooks
         with hooks.profiled_region(
             state.profiler, "steps_", iteration=state.iteration
@@ -693,7 +690,7 @@ class EfitSolver:
             if span == 0.0:
                 raise ConvergenceError("flat flux map during fit")
             state.residual = float(np.max(np.abs(psi_new - state.psi)) / span)
-            state.psi = (1.0 - self.relax) * state.psi + self.relax * psi_new
+            state.psi = psi_new
         state.history.append(
             FitIterationRecord(
                 iteration=state.iteration,
@@ -758,16 +755,18 @@ class EfitSolver:
         policy: :meth:`fit` exhausts it, a serving session leaves at its
         deadline, the batch engine reads latencies between iterates.
 
-        ``flux(columns, currents)`` maps the positions in ``states`` still
-        iterating and their ``(pcurr, psi_external)`` pairs to one
-        ``psi_new`` each.  The default applies :attr:`pflux` slice by
-        slice; the batch engine passes its workspace-backed form,
-        :meth:`~repro.efit.pflux.PfluxStructured.compute_batch`.  The
+        ``flux(currents)`` maps the ``(pcurr, psi_external)`` pairs of the
+        states still iterating to one fresh ``psi_new`` each, which
+        :meth:`iterate_post` makes the state's flux.  The default applies
+        :attr:`pflux` slice by slice; the batch engine passes its
+        workspace-backed form,
+        :meth:`~repro.efit.pflux.PfluxStructured.compute_batch`.  A
+        converged state leaves both halves of the next iterate.  The
         states share one profiler and one hooks object: one caller, one
         thread.
         """
         if flux is None:
-            def flux(columns, currents):
+            def flux(currents):
                 return [self.pflux.compute(*pair) for pair in currents]
 
         profiler, hooks = states[0].profiler, states[0].hooks
@@ -776,9 +775,9 @@ class EfitSolver:
             with hooks.profiled_region(profiler, "fit_", iteration=iteration):
                 currents = self.iterate_pre([states[k] for k in active])
                 with hooks.profiled_region(
-                    profiler, "pflux_", iteration=iteration, batch=len(states)
+                    profiler, "pflux_", iteration=iteration, batch=len(active)
                 ):
-                    psi_new = flux(active, currents)
+                    psi_new = flux(currents)
                 for k, psi in zip(active, psi_new):
                     self.iterate_post(states[k], psi)
             yield

@@ -18,10 +18,24 @@ import numpy as np
 
 from repro.errors import GridError
 
-__all__ = ["RZGrid", "PAPER_GRID_SIZES"]
+__all__ = ["RZGrid", "PAPER_GRID_SIZES", "row_support"]
 
 #: The four grid sizes evaluated in the paper.
 PAPER_GRID_SIZES: tuple[int, ...] = (65, 129, 257, 513)
+
+
+def row_support(a: np.ndarray) -> tuple[int, int]:
+    """The rows ``[lo, hi)`` of the matrix ``a`` that hold every non-zero
+    entry of it — ``(0, 0)`` when there is none: one comparison pass, no
+    reduction per row.  A flat field's rows are grid nodes, so the
+    plasma's current occupies one such run."""
+    nonzero = (a != 0.0).reshape(a.size)
+    if not nonzero.any():
+        return 0, 0
+    width = a.size // a.shape[0]
+    first = int(nonzero.argmax())
+    last = a.size - 1 - int(nonzero[::-1].argmax())
+    return first // width, last // width + 1
 
 
 @dataclass(frozen=True)

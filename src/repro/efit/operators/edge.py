@@ -14,11 +14,14 @@ has exploitable structure (paper Figs. 2/3):
   embedding is even-symmetric — the whole vertical contraction becomes
   one batched real FFT, a small spectral product and one inverse FFT.
 
-* **Horizontal edges are low-rank in the far field.**  The per-offset
-  slices ``A_d = gpc[1:-1, d, :]`` are smooth filament couplings; for
-  large ``|dz| = d*dz`` they compress to rank ``r_d << nw`` by truncated
-  SVD.  Near-field slices (small ``d``) stay dense; the rest are packed
-  into rank-sorted buckets applied as batched GEMMs.  The truncation
+* **Horizontal edges are the table read by source rows.**  The Green
+  function is reciprocal, ``gpc[i_b, d, ii] == gpc[ii, d, i_b]`` bit for
+  bit, so the bottom/top sums over the source rows ``[i0, i1)`` are one
+  GEMM against the contiguous block ``gpc[i0:i1]`` (``toeplitz``).  In
+  the far field the per-offset slices ``A_d = gpc[1:-1, d, :]`` also
+  compress to rank ``r_d << nw`` by truncated SVD (``lowrank``):
+  near-field slices (small ``d``) stay dense, the rest are packed into
+  rank-sorted buckets applied as batched GEMMs, and the truncation
   threshold ``tau = tol * sigma_ref / sqrt(nh)`` bounds the spectral
   error of the *summed* operator by ``tol * sigma_ref``.
 
@@ -26,23 +29,27 @@ Both structured forms and the exact dense matrix live behind the
 :class:`EdgeOperator` protocol that ``EfitSolver``/``BatchFitEngine``/
 ``ParallelFitEngine`` select with their ``boundary_method`` kwarg
 (:data:`~repro.edge_methods.DEFAULT_EDGE_METHOD` when it is not given).
+Every form reads only the operator's columns under the grid rows its
+input's currents occupy — a plasma's current fills 35-38 of 65 rows — and
+finds those rows itself, so every caller gets the restriction.
 
 Every structured build first runs :func:`validate_edge_structure`, which
-spot-checks the translation-invariance assumption against direct Green
-function evaluations and fails loudly — naming the ``dense`` fallback —
-if a future machine/grid change (a nonuniform Z mesh, vessel terms baked
-into the table) breaks it.
+checks the reciprocity exactly and spot-checks the translation-invariance
+assumption against direct Green function evaluations, and fails loudly —
+naming the ``dense`` fallback — if a future machine/grid change (a
+nonuniform Z mesh, vessel terms baked into the table) breaks either.
 """
 
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
 
 from repro.edge_methods import EDGE_METHODS
-from repro.efit.grid import RZGrid
+from repro.efit.grid import RZGrid, row_support
 from repro.efit.tables import BoundaryGreensTables, boundary_table_cache
 from repro.errors import GridError, OperatorError, OperatorStructureError
 
@@ -80,23 +87,42 @@ def validate_edge_structure(
     rtol: float = 1e-9,
     seed: int = 0,
 ) -> float:
-    """Spot-check the z-translation-invariance assumption of ``gridpc``.
+    """Check the two structural assumptions of ``gridpc`` the structured
+    operators rest on.
 
-    Samples random (boundary column, edge row, source node) triples and
-    compares the tabulated ``gpc[i_b, |j - jj|, ii]`` against a direct
-    Green-function evaluation at the *physical* node coordinates.  On a
-    uniform Z mesh the two agree to roundoff; a nonuniform mesh, a wrong
-    ``dz``, or extra physics folded into the table breaks the identity.
+    * **Reciprocity, exactly:** ``gpc == gpc.transpose(2, 1, 0)`` bit for
+      bit — the horizontal edges read the table by source rows.  It is
+      compared one offset's ``(nw, nw)`` slice at a time, so the check
+      needs no table-sized temporary.
+    * **z-translation invariance, sampled:** random (boundary column,
+      edge row, source node) triples compare the tabulated
+      ``gpc[i_b, |j - jj|, ii]`` against a direct Green-function
+      evaluation at the *physical* node coordinates.  On a uniform Z mesh
+      the two agree to roundoff; a nonuniform mesh, a wrong ``dz``, or
+      extra physics folded into the table breaks the identity.
 
-    Returns the worst relative deviation seen.  Raises
-    :class:`~repro.errors.OperatorStructureError` when it exceeds
-    ``rtol`` — structured operators would silently corrupt the boundary
-    flux, so the caller must fall back to ``boundary_method='dense'``.
+    Returns the worst relative deviation seen by the second.  Raises
+    :class:`~repro.errors.OperatorStructureError` when either fails —
+    structured operators would silently corrupt the boundary flux, so the
+    caller must fall back to ``boundary_method='dense'``.
     """
     from repro.efit.greens import greens_psi
 
     grid = tables.grid
     nw, nh = grid.nw, grid.nh
+    asymmetric = 0
+    for d in range(nh):
+        block = tables.gpc[:, d, :]
+        asymmetric += int(np.count_nonzero(block != block.T))
+    if asymmetric:
+        raise OperatorStructureError(
+            f"boundary Green table is not reciprocal: gpc[i_b, d, ii] != "
+            f"gpc[ii, d, i_b] at {asymmetric} entries. Structured edge "
+            f"operators (boundary_method='toeplitz'/'lowrank') assume it "
+            f"(toeplitz reads the horizontal edges by source rows) and "
+            f"would silently corrupt the boundary flux on this grid — fall back to "
+            f"boundary_method='dense', which makes no structural assumption."
+        )
     rng = np.random.default_rng(seed)
     i_b = rng.integers(0, nw, size=samples)
     j = rng.integers(0, nh, size=samples)
@@ -132,7 +158,9 @@ class EdgeOperator(abc.ABC):
     ``apply`` reproduces ``E @ pcurr_flat`` of the dense operator — the
     paper's ``psi = -sum(G * pcurr)`` boundary sums in
     :func:`repro.efit.pflux.edge_node_indices` row order — for a single
-    flat current vector ``(nw*nh,)`` or a column batch ``(nw*nh, B)``.
+    flat current vector ``(nw*nh,)`` or a column batch ``(nw*nh, B)``,
+    reading only the grid rows that hold non-zero currents; subclasses
+    implement that restricted apply as ``_apply_rows``.
     """
 
     #: one of :data:`EDGE_METHODS`, set by subclasses.
@@ -159,9 +187,39 @@ class EdgeOperator(abc.ABC):
         """Method + rank discriminator (no grid identity)."""
         return self.method
 
-    @abc.abstractmethod
     def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Edge flux of one current vector or a column batch."""
+        """Edge flux of one current vector or a column batch.
+
+        One comparison pass finds the grid rows ``[i0, i1)`` holding every
+        non-zero current of the input (of any column, for a batch), and
+        only the operator's columns under them are applied: no caller
+        passes the support, and an all-zero input costs that pass alone.
+        """
+        x = np.asarray(pcurr_flat, dtype=np.float64)
+        if x.ndim not in (1, 2):
+            raise GridError(f"pcurr must be 1-D or 2-D, got shape {x.shape}")
+        if x.shape[0] != self.n_grid:
+            raise GridError(f"pcurr rows {x.shape[0]} != grid size {self.n_grid}")
+        expected = (self.n_edge,) + x.shape[1:]
+        if out is None:
+            out = np.empty(expected)
+        elif out.shape != expected:
+            raise GridError(f"out shape {out.shape} != {expected}")
+        x = x.reshape(self.n_grid, -1)
+        lo, hi = row_support(x)
+        nh = self.grid.nh
+        i0, i1 = lo // nh, -(-hi // nh)
+        if i0 == i1:
+            out[...] = 0.0
+        else:
+            self._apply_rows(x, i0, i1, out.reshape(self.n_edge, x.shape[1]))
+        return out
+
+    @abc.abstractmethod
+    def _apply_rows(self, x: np.ndarray, i0: int, i1: int, out: np.ndarray) -> None:
+        """Write into ``out`` ``(n_edge, B)`` the edge flux of the column
+        batch ``x`` ``(nw*nh, B)``, whose currents all lie on the grid
+        rows ``[i0, i1)``."""
 
     @abc.abstractmethod
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -171,46 +229,23 @@ class EdgeOperator(abc.ABC):
         reproduces ``apply`` bit-for-bit.
         """
 
+    @abc.abstractmethod
     def error_bound(self, x_norm: float = 1.0) -> float:
-        """Estimated max-abs ``apply`` error vs the dense fp64 apply for
-        inputs with ``||x||_2 <= x_norm``.  Zero for the dense operator;
-        structured bounds combine the SVD truncation tail with a
-        roundoff allowance (heuristic constants, validated by the
-        property tests with wide margin)."""
-        return 0.0
-
-    # -- shared input plumbing ------------------------------------------------
-    def _coerce(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            if x.shape[0] != self.n_grid:
-                raise GridError(f"pcurr length {x.shape[0]} != grid size {self.n_grid}")
-            return x[:, None], True
-        if x.ndim == 2:
-            if x.shape[0] != self.n_grid:
-                raise GridError(f"pcurr rows {x.shape[0]} != grid size {self.n_grid}")
-            return x, False
-        raise GridError(f"pcurr must be 1-D or 2-D, got shape {x.shape}")
-
-    def _finish(
-        self, result: np.ndarray, single: bool, out: np.ndarray | None
-    ) -> np.ndarray:
-        if single:
-            result = result[:, 0]
-        if out is None:
-            return result
-        if out.shape != result.shape:
-            raise GridError(f"out shape {out.shape} != {result.shape}")
-        out[...] = result
-        return out
+        """Estimated max-abs ``apply`` error vs the dense fp64 full-grid
+        product ``E @ x`` for inputs with ``||x||_2 <= x_norm``: a
+        roundoff allowance for summing the same terms in another order
+        (and, for the low-rank form, the SVD truncation tail) —
+        heuristic constants, validated by the property tests with wide
+        margin."""
 
 
 class DenseEdgeOperator(EdgeOperator):
     """The exact dense matrix — the ground truth the structured forms
     are checked against (``repro operators``, the nightly drift job).
 
-    ``apply`` is :func:`repro.efit.pflux.boundary_flux_operator`, one
-    GEMM with no input coercion.
+    ``apply`` is one GEMM over the matrix's columns under the input's
+    rows — the full-grid :func:`repro.efit.pflux.boundary_flux_operator`
+    less the columns that would multiply zeros.
     """
 
     method = EDGE_METHODS[0]  # "dense", the oracle
@@ -232,10 +267,16 @@ class DenseEdgeOperator(EdgeOperator):
     def nbytes(self) -> int:
         return int(self.matrix.nbytes)
 
-    def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        from repro.efit.pflux import boundary_flux_operator
+    @cached_property
+    def _max_entry(self) -> float:
+        return float(max(self.matrix.max(), -self.matrix.min()))
 
-        return boundary_flux_operator(self.matrix, pcurr_flat, out)
+    def error_bound(self, x_norm: float = 1.0) -> float:
+        return 64.0 * _EPS64 * self._max_entry * np.sqrt(self.n_grid) * x_norm
+
+    def _apply_rows(self, x: np.ndarray, i0: int, i1: int, out: np.ndarray) -> None:
+        cols = slice(i0 * self.grid.nh, i1 * self.grid.nh)
+        np.matmul(self.matrix[:, cols], x[cols], out=out)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"matrix": self.matrix}
@@ -272,22 +313,33 @@ class _VerticalSpectra:
     def nbytes(self) -> int:
         return int(self.spectra.nbytes)
 
-    def apply(self, p3: np.ndarray) -> np.ndarray:
-        """``(nw, nh, B)`` currents -> ``(2, nh, B)`` left/right edge sums
-        (without the operator's leading minus sign)."""
-        x_hat = sfft.rfft(p3, n=self.m, axis=1)  # (nw, m//2+1, B)
-        y_hat = np.einsum("efi,ifb->efb", self.spectra, x_hat)
-        return sfft.irfft(y_hat, n=self.m, axis=1)[:, : self.nh, :]
+    def apply(self, p3: np.ndarray, i0: int) -> np.ndarray:
+        """``(k, nh, B)`` currents on the grid rows ``[i0, i0 + k)`` ->
+        ``(nh, 2, B)`` left/right edge sums (without the operator's
+        leading minus sign).
+
+        The spectra are real, so the contraction over source rows is one
+        real batched GEMM: per frequency, ``(2, k)`` spectra against the
+        ``(k, 2B)`` float view of the transformed currents (real and
+        imaginary parts side by side)."""
+        k = p3.shape[0]
+        x_hat = sfft.rfft(p3, n=self.m, axis=1)  # (k, m//2+1, B) complex
+        y = np.matmul(
+            self.spectra.transpose(1, 0, 2)[:, :, i0 : i0 + k],
+            x_hat.view(np.float64).transpose(1, 0, 2),
+        )  # (m//2+1, 2, 2B) floats
+        return sfft.irfft(y.view(np.complex128), n=self.m, axis=0)[: self.nh]
 
 
 def _horizontal_rhs(p3: np.ndarray) -> np.ndarray:
-    """Stack bottom/top right-hand sides: ``q[d, ii, :B]`` feeds the
-    bottom edge (offset ``d`` is the source row), ``q[d, ii, B:]`` the
-    top edge (source rows reversed) — both edges then ride one GEMM."""
-    nw, nh, nb = p3.shape
-    q = np.empty((nh, nw, 2 * nb))
-    q[:, :, :nb] = p3.transpose(1, 0, 2)
-    q[:, :, nb:] = p3[:, ::-1, :].transpose(1, 0, 2)
+    """Stack bottom/top right-hand sides of the ``(k, nh, B)`` source
+    rows: ``q[ii, d, :B]`` feeds the bottom edge (offset ``d`` is the
+    source column's Z index), ``q[ii, d, B:]`` the top edge (Z reversed) —
+    both edges then ride one GEMM."""
+    k, nh, nb = p3.shape
+    q = np.empty((k, nh, 2 * nb))
+    q[:, :, :nb] = p3
+    q[:, :, nb:] = p3[:, ::-1]
     return q
 
 
@@ -298,50 +350,45 @@ class _StructuredEdgeOperator(EdgeOperator):
         super().__init__(grid)
         self._vertical = vertical
 
-    def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x, single = self._coerce(pcurr_flat)
+    def _apply_rows(self, x: np.ndarray, i0: int, i1: int, out: np.ndarray) -> None:
         nw, nh = self.grid.nw, self.grid.nh
         nb = x.shape[1]
-        p3 = x.reshape(nw, nh, nb)
-        vert = self._vertical.apply(p3)  # (2, nh, B)
-        bt = self._apply_horizontal(_horizontal_rhs(p3), nb)  # (nw-2, 2B)
-        result = np.empty((self.n_edge, nb))
-        result[:nh] = -vert[0]
-        result[nh : 2 * nh] = -vert[1]
-        result[2 * nh : 2 * nh + nw - 2] = -bt[:, :nb]
-        result[2 * nh + nw - 2 :] = -bt[:, nb:]
-        return self._finish(result, single, out)
+        p3 = x.reshape(nw, nh, nb)[i0:i1]
+        vert = self._vertical.apply(p3, i0)  # (nh, 2, B)
+        bt = self._apply_horizontal(_horizontal_rhs(p3), i0)  # (nw-2, 2B)
+        np.negative(vert[:, 0], out=out[:nh])
+        np.negative(vert[:, 1], out=out[nh : 2 * nh])
+        np.negative(bt[:, :nb], out=out[2 * nh : 2 * nh + nw - 2])
+        np.negative(bt[:, nb:], out=out[2 * nh + nw - 2 :])
 
-    def _apply_horizontal(self, q: np.ndarray, nb: int) -> np.ndarray:
+    def _apply_horizontal(self, q: np.ndarray, i0: int) -> np.ndarray:
+        """Bottom/top sums ``(nw-2, 2B)`` of the stacked right-hand sides
+        ``q`` of :func:`_horizontal_rhs`, whose source rows start at ``i0``."""
         raise NotImplementedError
 
 
 class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
-    """FFT vertical edges + the exact per-offset GEMM horizontal edges.
+    """FFT vertical edges + the exact GEMM horizontal edges.
 
     Stores only the circulant spectra and *aliases* the Green table for
     the horizontal contraction — the 541 MB dense operator at 257x257
-    shrinks to a 1.1 MB spectrum block.
+    shrinks to a 1.1 MB spectrum block.  By reciprocity the horizontal
+    sums over source rows ``[i0, i1)`` read ``gpc[i0:i1]``, one contiguous
+    block of the table, with no copy of it in another layout.
     """
 
     method = "toeplitz"
 
-    def __init__(
-        self, grid: RZGrid, vertical: _VerticalSpectra, horizontal: np.ndarray
-    ) -> None:
+    def __init__(self, grid: RZGrid, vertical: _VerticalSpectra, gpc: np.ndarray) -> None:
         super().__init__(grid, vertical)
-        self._horizontal = horizontal  # (nw-2, nh*nw) view of gpc[1:-1]
-
-    @staticmethod
-    def _horizontal_view(grid: RZGrid, gpc: np.ndarray) -> np.ndarray:
-        return gpc[1:-1].reshape(grid.nw - 2, grid.nh * grid.nw)
+        if gpc.shape != (grid.nw, grid.nh, grid.nw):
+            raise OperatorError(f"Green table shape {gpc.shape} does not fit grid {grid.shape}")
+        #: The Green table the horizontal edges are read from.
+        self._horizontal = gpc
 
     @classmethod
     def from_tables(cls, tables: BoundaryGreensTables) -> "ToeplitzFFTEdgeOperator":
-        grid = tables.grid
-        return cls(
-            grid, _VerticalSpectra.build(tables), cls._horizontal_view(grid, tables.gpc)
-        )
+        return cls(tables.grid, _VerticalSpectra.build(tables), tables.gpc)
 
     @property
     def nbytes(self) -> int:
@@ -355,8 +402,11 @@ class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
         scale = float(np.abs(self._vertical.spectra).max()) * np.sqrt(self.n_grid)
         return 64.0 * _EPS64 * scale * x_norm
 
-    def _apply_horizontal(self, q: np.ndarray, nb: int) -> np.ndarray:
-        return self._horizontal @ q.reshape(self.grid.nh * self.grid.nw, 2 * nb)
+    def _apply_horizontal(self, q: np.ndarray, i0: int) -> np.ndarray:
+        # sum_{ii, d} gpc[i_b, d, ii] q[ii, d] = sum_{ii, d} gpc[ii, d, i_b] q[ii, d]
+        k, nh, width = q.shape
+        rows = self._horizontal[i0 : i0 + k].reshape(k * nh, self.grid.nw)
+        return (rows.T @ q.reshape(k * nh, width))[1:-1]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -376,7 +426,7 @@ class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
             raise OperatorError("toeplitz operator aliases the Green table: pass gpc=")
         (m,) = (int(v) for v in arrays["meta_i8"])
         vertical = _VerticalSpectra(arrays["vert_spectra"], m, grid.nh)
-        return cls(grid, vertical, cls._horizontal_view(grid, gpc))
+        return cls(grid, vertical, gpc)
 
 
 class LowRankEdgeOperator(_StructuredEdgeOperator):
@@ -487,14 +537,18 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
         roundoff = 64.0 * _EPS64 * self._sigma_ref * np.sqrt(self.n_grid)
         return (truncation + roundoff) * x_norm
 
-    def _apply_horizontal(self, q: np.ndarray, nb: int) -> np.ndarray:
+    def _apply_horizontal(self, q: np.ndarray, i0: int) -> np.ndarray:
+        # The factors' source-column block [i0, i1), offset by offset.
+        cols = slice(i0, i0 + q.shape[0])
+        by_offset = q.transpose(1, 0, 2)  # (nh, k, 2B)
         nw = self.grid.nw
-        qd = q[self._dense_idx].reshape(self._dense_idx.size * nw, 2 * nb)
-        acc = self._dense_block @ qd
+        near = self._dense_block.reshape(nw - 2, self._dense_idx.size, nw)
+        acc = np.matmul(
+            near.transpose(1, 0, 2)[:, :, cols], by_offset[self._dense_idx]
+        ).sum(axis=0)
         for idx, u_pack, w_pack in self._buckets:
-            mid = np.matmul(w_pack, q[idx])  # (k, r, 2B)
-            contrib = np.matmul(u_pack, mid)  # (k, nw-2, 2B)
-            acc += contrib.sum(axis=0)
+            mid = np.matmul(w_pack[:, :, cols], by_offset[idx])  # (kb, r, 2B)
+            acc += np.matmul(u_pack, mid).sum(axis=0)  # (kb, nw-2, 2B) summed
         return acc
 
     def to_arrays(self) -> dict[str, np.ndarray]:

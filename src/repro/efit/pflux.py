@@ -293,9 +293,11 @@ class PfluxStructured(PfluxBase):
 
     The boundary sums are one operator apply — the exact dense GEMM or
     the FFT/Toeplitz and low-rank compressed forms that beat it on large
-    grids (see :mod:`repro.efit.operators.edge`).  :meth:`compute` is the
+    grids (see :mod:`repro.efit.operators.edge`) — which reads only the
+    grid rows the plasma's current occupies.  :meth:`compute` is the
     B = 1 form and allocates its own arrays, so one instance serves any
     number of threads; :meth:`compute_batch` is the batch engine's form.
+    Both return arrays the caller owns.
     """
 
     def __init__(self, grid, tables, solver, operator) -> None:
@@ -314,37 +316,37 @@ class PfluxStructured(PfluxBase):
         )
         return psi
 
-    def compute_batch(self, ws, capacity: int, nb: int, columns, currents) -> list[np.ndarray]:
-        """:meth:`compute` for ``nb`` slices in lockstep: one operator
-        apply and one multi-RHS interior solve.
+    def compute_batch(self, ws, capacity: int, currents) -> list[np.ndarray]:
+        """:meth:`compute` for the slices of a lock-step batch still
+        iterating: one operator apply and one multi-RHS interior solve.
 
-        The batch-level arrays are named buffers of the caller's
-        workspace ``ws`` (``FitWorkspace.array``), sized for ``capacity``
-        slices so a ragged final batch reuses the arena of a full one;
-        the interior solve's transforms make their own.  ``columns`` are
-        the slices still iterating and ``currents`` their ``(pcurr,
-        psi_external)`` pairs; returns one ``psi_new`` per column.  A
-        converged column keeps its last current and rides the
-        fixed-shape apply, so the steady state requests no new buffer.
-        With ``nb == 1`` the result is :meth:`compute`'s bit for bit (a
-        one-column apply is the vector apply); wider batches agree to
-        round-off.
+        ``currents`` holds their ``(pcurr, psi_external)`` pairs, at most
+        ``capacity``; returns one fresh ``psi_new`` per pair, which the
+        slice's state may keep.  The batch-level arrays are prefix views
+        of named buffers of the caller's workspace ``ws``
+        (``FitWorkspace.array``), sized for ``capacity`` slices, so the
+        batch's width falls as slices converge — a converged slice leaves
+        the apply and the solve — without a new buffer; the interior
+        solve's transforms make their own.  With one pair the result is
+        :meth:`compute`'s bit for bit (a one-column apply is the vector
+        apply); wider batches agree to round-off.
         """
         grid = self.grid
         nw, nh = grid.nw, grid.nh
+        nb = len(currents)
         pcurr_neg = ws.array("pcurr_neg", (grid.size, capacity))[:, :nb]
         edge = ws.array("edge_flux", (grid.n_boundary, capacity))[:, :nb]
         rhs = ws.array("rhs", (capacity, nw, nh))[:nb]
         psi_bound = ws.array("psi_boundary", (capacity, nw, nh))[:nb]
         psi_plasma = ws.array("psi_plasma", (capacity, nw, nh))[:nb]
-        psi_new = ws.array("psi_new", (capacity, nw, nh))[:nb]
-        for k, (pcurr, _) in zip(columns, currents):
+        for k, (pcurr, _) in enumerate(currents):
             # As in compute: the boundary kernel is fed ``-pcurr``.
             np.multiply(pcurr.reshape(grid.size), -1.0, out=pcurr_neg[:, k])
             np.multiply(self._rhs_factor, pcurr, out=rhs[k])
         self.operator.apply(pcurr_neg, out=edge)
         psi_bound[:, self._edge_i, self._edge_j] = edge.T
         self.solver.solve_batch(rhs, psi_bound, out=psi_plasma)
-        for k, (_, psi_external) in zip(columns, currents):
-            np.add(psi_plasma[k], psi_external, out=psi_new[k])
-        return [psi_new[k] for k in columns]
+        return [
+            np.add(psi_plasma[k], psi_external)
+            for k, (_, psi_external) in enumerate(currents)
+        ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.efit.grid import row_support
 from repro.errors import FittingError
 
 __all__ = [
@@ -43,17 +44,6 @@ class ResponseAssembly:
             raise FittingError("data/weights length mismatch with response matrix")
         if np.any(self.weights < 0.0):
             raise FittingError("negative measurement weights")
-
-
-def _row_support(a: np.ndarray) -> tuple[int, int]:
-    """The rows ``[lo, hi)`` of the matrix ``a`` that hold every non-zero
-    entry of it: one comparison pass, no reduction per row."""
-    nonzero = a.reshape(a.size) != 0.0
-    if not nonzero.any():
-        return 0, 0
-    first = int(nonzero.argmax())
-    last = a.size - 1 - int(nonzero[::-1].argmax())
-    return first // a.shape[1], last // a.shape[1] + 1
 
 
 def measurement_system(
@@ -132,7 +122,7 @@ def assemble_response(
     # row of ``basis_currents`` outside it is zero, so the product is taken
     # over that run — whether the caller passes the whole grid or the
     # block of grid rows the mask is in.
-    lo, hi = _row_support(basis_currents)
+    lo, hi = row_support(basis_currents)
     matrix = basis_response(grid_response[:, lo:hi], basis_currents[lo:hi])
     return ResponseAssembly(matrix=matrix, data=data, weights=weights)
 

@@ -12,12 +12,19 @@ Algorithm for the interior unknowns (shape ``(ni, nj)``):
 1. DST-I each interior row along Z: ``b_hat[i, m]``.
 2. For each mode ``m`` with eigenvalue
    ``lam_m = -4 sin^2(pi (m+1) / (2 (nh-1))) / dz^2`` solve the tridiagonal
-   system ``am_i x[i-1] + (d_i + lam_m) x[i] + ap_i x[i+1] = b_hat[i, m]``.
-   The first sub-diagonal and last super-diagonal entry of each system are
-   zero, so the ``nj`` systems laid end to end are *one* tridiagonal
-   system of ``ni * nj`` unknowns: LAPACK factors it once at construction
-   (``dgttrf``) and every solve is one ``dgttrs`` call, with one
-   right-hand-side column per slice of a batch.
+   system ``T_m x = b_hat[:, m]``, ``am_i x[i-1] + (d_i + lam_m) x[i] +
+   ap_i x[i+1] = b_hat[i, m]``.  ``T_m`` is not symmetric, but the
+   diagonal scaling ``D`` with ``D[i+1] / D[i] = sqrt(ap_i / am_{i+1})``
+   (0.58-1.0 on the machine's grids) makes ``S_m = D T_m D^-1``
+   symmetric, with off-diagonals ``sqrt(ap_i am_{i+1})``, and
+   ``-S_m`` is positive definite.  So the mode solve is ``-S_m y = -D b``,
+   ``x = D^-1 y``.  The first sub-diagonal and last super-diagonal entry of
+   each system are zero, so the ``nj`` systems laid end to end are *one*
+   symmetric tridiagonal system of ``ni * nj`` unknowns: LAPACK factors it
+   once at construction (``dpttrf``, ``L D L^T``) and every solve is one
+   ``dpttrs`` call, with one right-hand-side column per slice of a batch.
+   The right-hand side's scaling rides the copy into mode-major order,
+   which the solve made anyway; the solution's is one in-place pass.
 3. Inverse DST-I back to physical space.
 """
 
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from repro.efit.grid import RZGrid
 from repro.efit.solvers.base import GSInteriorSolver
@@ -49,20 +56,26 @@ class DSTSolver(GSInteriorSolver):
         ap = self.operator.a_plus / dr2
         am = self.operator.a_minus / dr2
         base_diag = -(self.operator.a_plus + self.operator.a_minus) / dr2
-        # Mode-major unknowns: entry m * ni + i is row i of mode m.  The
-        # zeros that end each mode's off-diagonals decouple the blocks.
-        lower = np.tile(np.concatenate(([0.0], am[1:])), nj)[1:]
-        upper = np.tile(np.concatenate((ap[:-1], [0.0])), nj)[:-1]
-        diag = (self.lam[:, None] + base_diag[None, :]).reshape(ni * nj)
-        if np.any(np.abs(diag) < 1e-300):
-            raise SolverError("singular mode diagonal in DST solver")
-        *factors, info = dgttrf(lower, diag, upper)
-        # The blocks are diagonally dominant, so the elimination never
-        # pivots; a pivot would mean this is not the system described above.
-        if info != 0 or np.any(factors[-1] != np.arange(1, ni * nj + 1)):
-            raise SolverError(f"tridiagonal factorisation failed in DST solver (info={info})")
-        #: ``dgttrf``'s ``(dl, d, du, du2, ipiv)``, as ``dgttrs`` takes them.
-        self._factors = tuple(factors)
+        scale = np.concatenate(([1.0], np.cumprod(np.sqrt(ap[:-1] / am[1:]))))
+        #: Row factors of the right-hand side (``-D``) and of the solution
+        #: (``D^-1``) of the symmetrised systems, shape (ni,).
+        self._rhs_scale = -scale
+        self._solution_scale = 1.0 / scale
+        # Mode-major unknowns of -S: entry m * ni + i is row i of mode m.
+        # The zeros that end each mode's off-diagonal decouple the blocks.
+        diag = -(self.lam[:, None] + base_diag[None, :]).reshape(ni * nj)
+        offdiag = np.tile(np.concatenate((-np.sqrt(ap[:-1] * am[1:]), [0.0])), nj)[:-1]
+        d, e, info = dpttrf(diag, offdiag)
+        # -S is diagonally dominant with a positive diagonal, so every
+        # pivot of L D L^T is positive; one that is not means this is not
+        # the system described above.
+        if info != 0 or not np.all(d > 0.0):
+            raise SolverError(
+                f"symmetric tridiagonal factorisation failed in DST solver "
+                f"(info={info}, min pivot {float(np.min(d)):.3e})"
+            )
+        #: ``dpttrf``'s ``(d, e)``, as ``dpttrs`` takes them.
+        self._factors = (d, e)
         self._ni = ni
         self._nj = nj
 
@@ -70,16 +83,17 @@ class DSTSolver(GSInteriorSolver):
         return self._solve_interior_batch(b[None])[0]
 
     def _solve_interior_batch(self, b: np.ndarray) -> np.ndarray:
-        """The whole batch in one transform pair around one ``dgttrs``."""
+        """The whole batch in one transform pair around one ``dpttrs``."""
         # Forward DST-I along Z; ortho norm makes idst the inverse.
         b_hat = dst(b, type=1, axis=2, norm="ortho")
         return idst(self._solve_modes(b_hat), type=1, axis=2, norm="ortho")
 
     def _solve_modes(self, b_hat: np.ndarray) -> np.ndarray:
-        """Solve every mode's tridiagonal system for ``B`` stacked
-        transformed right-hand sides, shape ``(B, ni, nj)``.
+        """Solve every mode's tridiagonal system ``T_m x = b_hat[:, m]``
+        for ``B`` stacked transformed right-hand sides, shape
+        ``(B, ni, nj)``.
 
-        One ``dgttrs`` call with a column per slice.  LAPACK sweeps the
+        One ``dpttrs`` call with a column per slice.  LAPACK sweeps the
         columns one after another with the same scalar arithmetic, so a
         slice's solution does not depend on how many share the call.
 
@@ -88,10 +102,13 @@ class DSTSolver(GSInteriorSolver):
         """
         nb = b_hat.shape[0]
         ni, nj = self._ni, self._nj
-        # (B, ni, nj) -> mode-major (B, nj * ni), whose transpose is the
-        # Fortran-ordered (n, nrhs) block dgttrs takes.
-        modes = np.ascontiguousarray(b_hat.transpose(0, 2, 1)).reshape(nb, nj * ni)
-        x, info = dgttrs(*self._factors, modes.T, overwrite_b=1)
+        # (B, ni, nj) -> mode-major (B, nj, ni) scaled by -D, whose flat
+        # transpose is the Fortran-ordered (n, nrhs) block dpttrs takes.
+        modes = np.empty((nb, nj, ni))
+        np.multiply(b_hat.transpose(0, 2, 1), self._rhs_scale, out=modes)
+        y, info = dpttrs(*self._factors, modes.reshape(nb, nj * ni).T, overwrite_b=1)
         if info != 0:
-            raise SolverError(f"dgttrs failed in DST solver (info={info})")
-        return x.T.reshape(nb, nj, ni).transpose(0, 2, 1)
+            raise SolverError(f"dpttrs failed in DST solver (info={info})")
+        x = y.T.reshape(nb, nj, ni)
+        x *= self._solution_scale
+        return x.transpose(0, 2, 1)

@@ -73,6 +73,29 @@ class TestEngineSteadyState:
         assert steady.reuses > warm.reuses
         assert steady.resident_bytes == warm.resident_bytes
 
+    def test_a_state_owns_its_flux(self, engine, slices6):
+        """The batched flux step writes into workspace buffers, but the
+        ``psi_new`` it hands each state is the state's own: two lock-step
+        iterates of ``fit_many``'s loop leave the first iterate's flux of
+        every slice untouched."""
+        from functools import partial
+
+        from repro.batch.workspace import FitWorkspace
+
+        solver = engine.solver
+        ws = FitWorkspace()
+        states = [solver.start_fit(m) for m in slices6[:4]]
+        loop = solver.picard(
+            states, flux=partial(solver.pflux.compute_batch, ws, engine.batch_size)
+        )
+        next(loop)
+        saved = [state.psi for state in states]
+        copies = [psi.copy() for psi in saved]
+        next(loop)
+        for state, psi, copy in zip(states, saved, copies):
+            assert state.psi is not psi
+            np.testing.assert_array_equal(psi, copy)
+
     def test_stats_sane(self, engine, slices6):
         stats = engine.fit_many(slices6).stats
         assert stats.n_slices == 6

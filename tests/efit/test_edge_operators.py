@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.fitting import EfitSolver
-from repro.efit.grid import RZGrid
+from repro.efit.grid import RZGrid, row_support
 from repro.efit.operators import (
     EDGE_METHODS,
     DenseEdgeOperator,
@@ -27,6 +27,7 @@ from repro.efit.operators import (
 from repro.efit.pflux import boundary_flux_operator, edge_flux_operator
 from repro.efit.tables import BoundaryGreensTables, cached_boundary_tables
 from repro.errors import FittingError, OperatorError, OperatorStructureError
+from repro.scenarios import get_scenario, scenario_names
 
 STRUCTURED = tuple(m for m in EDGE_METHODS if m != "dense")
 
@@ -95,6 +96,115 @@ class TestAccuracy:
         assert res is out
 
 
+# -- the apply on the plasma's support ---------------------------------------------
+#: Grid rows ``[i0, i1)`` holding a column's currents, per case; ``nw`` is
+#: the last row's index plus one.  ``mixed`` cycles its supports over the
+#: batch's columns.
+SUPPORTS = {
+    "empty": lambda nw: [(0, 0)],
+    "one-row": lambda nw: [(nw // 2, nw // 2 + 1)],
+    "row-0": lambda nw: [(0, 4)],
+    "row-nw-1": lambda nw: [(nw - 4, nw)],
+    "full-grid": lambda nw: [(0, nw)],
+    "mixed": lambda nw: [(2, 9), (nw // 2, nw // 2 + 1), (0, 0), (nw - 6, nw), (5, nw - 5)],
+}
+
+
+def _on_rows(grid: RZGrid, supports, nb: int, seed: int = 0) -> np.ndarray:
+    """``(size, nb)`` random currents, column ``b`` on the rows
+    ``supports[b % len(supports)]`` and zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((grid.nw, grid.nh, nb))
+    for b in range(nb):
+        i0, i1 = supports[b % len(supports)]
+        x[i0:i1, :, b] = rng.normal(size=(i1 - i0, grid.nh))
+    return x.reshape(grid.size, nb)
+
+
+def _poisoned(op: EdgeOperator, tables: BoundaryGreensTables, i0: int, i1: int) -> EdgeOperator:
+    """``op`` rebuilt with NaN in every stored value that multiplies a
+    current outside the grid rows ``[i0, i1)``."""
+    grid = tables.grid
+    outside = np.ones(grid.nw, dtype=bool)
+    outside[i0:i1] = False
+    arrays = {k: v.copy() for k, v in op.to_arrays().items()}
+    gpc = tables.gpc.copy()
+    gpc[outside] = np.nan
+    if op.method == "dense":
+        arrays["matrix"].reshape(op.n_edge, grid.nw, grid.nh)[:, outside] = np.nan
+    else:
+        arrays["vert_spectra"][:, :, outside] = np.nan
+    if op.method == "lowrank":
+        n_dense = arrays["dense_idx"].size
+        arrays["dense_block"].reshape(grid.nw - 2, n_dense, grid.nw)[:, :, outside] = np.nan
+        for name in arrays:
+            if name.endswith("_w"):
+                arrays[name][:, :, outside] = np.nan
+    return edge_operator_from_arrays(grid, op.method, arrays, gpc=gpc)
+
+
+class TestSupportRestrictedApply:
+    """Every method reads only the grid rows its input's currents occupy
+    and still equals the dense full-grid product ``E @ x`` within its
+    ``error_bound``."""
+
+    @pytest.mark.parametrize("nb", [1, 2, 8])
+    @pytest.mark.parametrize("case", SUPPORTS)
+    @pytest.mark.parametrize("method", EDGE_METHODS)
+    def test_matches_the_dense_full_grid_product(self, method, case, nb):
+        for shape in [(33, 33), (21, 29)]:
+            grid = RZGrid(*shape)
+            tables = cached_boundary_tables(grid)
+            full = edge_flux_operator(tables)
+            op = build_edge_operator(tables, method)
+            x = _on_rows(grid, SUPPORTS[case](grid.nw), nb)
+            got = op.apply(x[:, 0]) if nb == 1 else op.apply(x)
+            want = full @ x[:, 0] if nb == 1 else full @ x
+            bound = op.error_bound(float(np.linalg.norm(x, axis=0).max()))
+            assert np.abs(got - want).max() <= bound, (shape, method, case, nb)
+
+    @pytest.mark.parametrize("method", EDGE_METHODS)
+    def test_reads_nothing_outside_the_support(self, tables33, method):
+        """Poison every stored value under the rows outside the support:
+        the apply must not see it, bit for bit."""
+        op = build_edge_operator(tables33, method)
+        i0, i1 = 9, 20
+        x = _on_rows(tables33.grid, [(i0, i1), (i0 + 3, i1), (i0, i0 + 1)], 3, seed=5)
+        poisoned = _poisoned(op, tables33, i0, i1)
+        np.testing.assert_array_equal(poisoned.apply(x), op.apply(x))
+        np.testing.assert_array_equal(poisoned.apply(x[:, 2]), op.apply(x[:, 2]))
+        wider = _on_rows(tables33.grid, [(i0 - 1, i1)], 1)
+        assert np.isnan(poisoned.apply(wider)).any()
+
+    def test_an_all_zero_input_is_zero_flux(self, tables33):
+        for method in EDGE_METHODS:
+            op = build_edge_operator(tables33, method)
+            out = np.full((op.n_edge, 2), np.nan)
+            assert op.apply(np.zeros((op.n_grid, 2)), out=out) is out
+            assert not out.any()
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    def test_fitted_currents(self, scenario):
+        """Every current a cold 33^2 fit of the scenario's base shot hands
+        its flux step, alone and stacked, on every method."""
+        shot = get_scenario(scenario).make_shot(33)
+        solver = EfitSolver.for_scenario(scenario, 33, shot=shot)
+        state = solver.start_fit(shot.measurements)
+        currents = []
+        for _ in solver.picard([state]):
+            currents.append(-state.pcurr.reshape(shot.grid.size))
+        x = np.stack(currents, axis=1)
+        assert row_support(x) != (0, shot.grid.size)  # the plasma's rows, not the grid's
+        tables = cached_boundary_tables(shot.grid)
+        full = edge_flux_operator(tables)
+        want = full @ x
+        for method in EDGE_METHODS:
+            op = build_edge_operator(tables, method)
+            bound = op.error_bound(float(np.linalg.norm(x, axis=0).max()))
+            assert np.abs(op.apply(x) - want).max() <= bound, method
+            assert np.abs(op.apply(x[:, -1]) - want[:, -1]).max() <= bound, method
+
+
 # -- the dense default stays the ground truth --------------------------------------
 class TestDenseDefault:
     def test_bit_identical_to_legacy_operator(self, tables33, dense33):
@@ -132,6 +242,26 @@ class TestStructurePin:
         bad = BoundaryGreensTables(grid=tables33.grid, gpc=gpc)
         with pytest.raises(OperatorStructureError, match="dense"):
             validate_edge_structure(bad, samples=4096, seed=1)
+
+    @pytest.mark.parametrize("shape", [(13, 33), (19, 33), (33, 33), (33, 21)])
+    def test_the_table_is_reciprocal_bit_for_bit(self, shape):
+        """The horizontal edges read the table by source rows on the
+        strength of this identity, exactly."""
+        tables = cached_boundary_tables(RZGrid(*shape))
+        assert np.array_equal(tables.gpc, tables.gpc.transpose(2, 1, 0))
+        validate_edge_structure(tables)
+
+    def test_one_asymmetric_entry_fails_loudly_naming_dense(self, tables33):
+        """One off-diagonal entry moved by an ulp: invisible to the
+        sampled translation check, fatal to the reciprocity check."""
+        gpc = tables33.gpc.copy()
+        gpc[3, 5, 20] = np.nextafter(gpc[3, 5, 20], np.inf)
+        bad = BoundaryGreensTables(grid=tables33.grid, gpc=gpc)
+        with pytest.raises(OperatorStructureError, match="reciprocal.*dense") as err:
+            validate_edge_structure(bad)
+        assert "at 2 entries" in str(err.value)
+        with pytest.raises(OperatorStructureError):
+            build_edge_operator(bad, "toeplitz")
 
     def test_structured_build_runs_validation(self, tables33):
         gpc = tables33.gpc.copy()

@@ -72,19 +72,12 @@ class TestAccuracy:
 
 
 class TestStability:
-    """The fitdelz vertical feedback keeps the Picard loop stable for
-    every relaxation setting — the failure mode it fixes is a vertical
-    drift that grows ~2.5x per iteration."""
+    """The fitdelz vertical feedback keeps the undamped Picard loop
+    stable — the failure mode it fixes is a vertical drift that grows
+    ~2.5x per iteration."""
 
-    @pytest.mark.parametrize("relax", [1.0, 0.7, 0.5])
-    def test_converges_across_relaxations(self, shot33, relax):
-        s = EfitSolver(
-            shot33.machine,
-            shot33.diagnostics,
-            shot33.grid,
-            relax=relax,
-            max_iters=300,
-        )
+    def test_converges_undamped(self, shot33):
+        s = EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, max_iters=300)
         res = s.fit(shot33.measurements)
         assert res.converged
         assert abs(res.boundary.z_axis) < 0.05
@@ -169,19 +162,18 @@ class TestConfiguration:
     def test_invalid_parameters(self, shot33):
         kw = dict(machine=shot33.machine, diagnostics=shot33.diagnostics, grid=shot33.grid)
         with pytest.raises(FittingError):
-            EfitSolver(relax=0.0, **kw)
-        with pytest.raises(FittingError):
             EfitSolver(tol=-1.0, **kw)
         with pytest.raises(FittingError):
             EfitSolver(pflux_impl="cuda", **kw)
 
     @pytest.mark.parametrize(
-        "knob", [{"relax_current": 0.5}, {"n_warmup": 8}, {"solver_name": "dst"}]
+        "knob",
+        [{"relax_current": 0.5}, {"n_warmup": 8}, {"solver_name": "dst"}, {"relax": 0.7}],
     )
     def test_removed_step_knobs_fail_loudly(self, shot33, knob):
         """The Picard step is one fixed scheme (full least-squares step,
-        ``N_WARMUP`` warm-up iterates, the DST interior solver): its former
-        arguments are not silently accepted."""
+        ``N_WARMUP`` warm-up iterates, the DST interior solver, no flux
+        blend): its former arguments are not silently accepted."""
         with pytest.raises(TypeError):
             EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, **knob)
 

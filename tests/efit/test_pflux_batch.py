@@ -139,6 +139,66 @@ class TestPfluxOperatorPipeline:
         assert np.allclose(op, vec, rtol=1e-12)
 
 
+class TestComputeBatch:
+    """The batch engine's flux step against the slice-by-slice one, with
+    the batch's width falling as its slices converge."""
+
+    @pytest.fixture(scope="class")
+    def step(self):
+        from repro.edge_methods import DEFAULT_EDGE_METHOD
+        from repro.efit.operators import cached_edge_operator
+
+        g = RZGrid(33, 33)
+        tables = cached_boundary_tables(g)
+        op = cached_edge_operator(tables, DEFAULT_EDGE_METHOD)
+        return PfluxStructured(g, tables, make_solver("dst", g), op)
+
+    @staticmethod
+    def _currents(grid, n):
+        """``n`` plasma-shaped currents on different row bands, with
+        their external fluxes."""
+        rng = np.random.default_rng(33)
+        out = []
+        for k in range(n):
+            pcurr = np.zeros(grid.shape)
+            pcurr[8 + k : 22 + 2 * k, 6:27] = rng.normal(size=(14 + k, 21)) * 1e3
+            out.append((pcurr, rng.normal(size=grid.shape)))
+        return out
+
+    def test_shrinking_active_set(self, step):
+        """Width 1 is ``compute`` bit for bit; wider batches are DESIGN.md
+        section 6 row 2 (round-off of the span); the capacity-sized buffers
+        serve every width without a new one."""
+        from repro.batch.workspace import FitWorkspace
+
+        currents = self._currents(step.grid, 4)
+        serial = [step.compute(*pair) for pair in currents]
+        ws = FitWorkspace()
+        step.compute_batch(ws, 4, currents)
+        allocations = ws.counters.allocations
+        for width in (4, 3, 2, 1):
+            got = step.compute_batch(ws, 4, currents[:width])
+            assert len(got) == width
+            for psi, want in zip(got, serial):
+                if width == 1:
+                    np.testing.assert_array_equal(psi, want)
+                else:
+                    assert np.abs(psi - want).max() <= 1e-9 * np.ptp(want)
+        assert ws.counters.allocations == allocations
+
+    def test_returns_arrays_the_caller_owns(self, step):
+        from repro.batch.workspace import FitWorkspace
+
+        currents = self._currents(step.grid, 3)
+        ws = FitWorkspace()
+        first = step.compute_batch(ws, 4, currents)
+        copies = [psi.copy() for psi in first]
+        step.compute_batch(ws, 4, currents[::-1])
+        for psi, copy in zip(first, copies):
+            np.testing.assert_array_equal(psi, copy)
+        assert not np.shares_memory(first[0], first[1])
+
+
 class TestSolveBatch:
     @pytest.mark.parametrize("nb", [1, 3, 8])
     def test_matches_per_slice_solve(self, nb, rng):

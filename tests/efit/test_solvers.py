@@ -160,7 +160,7 @@ class TestTridiagonalKernel:
         return np.concatenate(([0.0], am[1:])), diag, np.concatenate((ap[:-1], [0.0]))
 
     @pytest.mark.parametrize(
-        "shape, ulps", [((33, 33), 26), ((65, 65), 68), ((129, 129), 300), ((19, 33), 16)]
+        "shape, ulps", [((33, 33), 68), ((65, 65), 72), ((129, 129), 250), ((19, 33), 28)]
     )
     def test_matches_the_thomas_sweep(self, shape, ulps, rng):
         solver = DSTSolver(RZGrid(*shape))
@@ -182,9 +182,10 @@ class TestTridiagonalKernel:
         # ... so they differ by that times the conditioning of the
         # smoothest modes, which grows with the row count.  The bound on
         # the distance, in ulp of each mode's largest entry, is pinned per
-        # grid at twice the worst of 40 random right-hand sides (13 / 34 /
-        # 150 ulp at 33^2 / 65^2 / 129^2, 8 at 19 x 33): an elimination
-        # twice as lossy as today's fails here.
+        # grid at twice the worst of 40 random right-hand sides for the
+        # symmetrised L D L^T solve (34 / 36 / 125 ulp at 33^2 / 65^2 /
+        # 129^2, 14 at 19 x 33): an elimination twice as lossy as today's
+        # fails here.
         ulp = np.spacing(np.abs(want).max(axis=0))
         assert np.all(np.abs(got - want).max(axis=0) <= ulps * ulp)
 
@@ -202,31 +203,45 @@ class TestTridiagonalKernel:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_factorisation_failure_is_a_solver_error(self, monkeypatch):
-        real = dst_module.dgttrf
+        real = dst_module.dpttrf
 
         def singular(*args):
             *factors, _ = real(*args)
             return (*factors, 3)
 
-        monkeypatch.setattr(dst_module, "dgttrf", singular)
+        monkeypatch.setattr(dst_module, "dpttrf", singular)
         with pytest.raises(SolverError, match="info=3"):
             DSTSolver(RZGrid(9, 9))
 
-    def test_a_pivot_is_a_solver_error(self, monkeypatch):
-        """The mode blocks are diagonally dominant, so LAPACK never
-        interchanges rows; if it ever did, the blocks would no longer be
-        the decoupled systems the layout assumes."""
-        real = dst_module.dgttrf
+    def test_a_non_positive_pivot_is_a_solver_error(self, monkeypatch):
+        """The symmetrised mode blocks are negative definite, so every
+        pivot of the L D L^T factors of their negation is positive; one
+        that is not (a non-positive-definite factor) means the blocks are
+        not the systems the scaling assumes."""
+        real = dst_module.dpttrf
 
-        def pivoted(*args):
-            dl, d, du, du2, ipiv, info = real(*args)
-            ipiv = ipiv.copy()
-            ipiv[2] += 1
-            return dl, d, du, du2, ipiv, info
+        def indefinite(*args):
+            d, e, info = real(*args)
+            d = d.copy()
+            d[2] = -d[2]
+            return d, e, info
 
-        monkeypatch.setattr(dst_module, "dgttrf", pivoted)
-        with pytest.raises(SolverError):
+        monkeypatch.setattr(dst_module, "dpttrf", indefinite)
+        with pytest.raises(SolverError, match="min pivot"):
             DSTSolver(RZGrid(9, 9))
+
+    def test_the_scaling_symmetrises_the_mode_systems(self):
+        """The scaling that makes the mode blocks symmetric: ``D T D^-1``
+        has equal off-diagonals, and the factored system is its negation."""
+        g = RZGrid(33, 33)
+        solver = DSTSolver(g)
+        lower, diag, upper = self._mode_systems(solver)
+        s = -solver._rhs_scale
+        sub = lower[1:] * s[1:] / s[:-1]  # (D T D^-1)[i+1, i]
+        sup = upper[:-1] * s[:-1] / s[1:]  # (D T D^-1)[i, i+1]
+        np.testing.assert_allclose(sub, sup, rtol=1e-14)
+        np.testing.assert_allclose(solver._solution_scale * s, 1.0, rtol=1e-15)
+        assert 0.5 < s.min() < s.max() == 1.0
 
 
 class TestNonSquare:

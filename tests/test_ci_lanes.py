@@ -122,6 +122,25 @@ def test_scenario_lanes_run_their_batch_relations():
             assert scenario in mark.args[1], (fn.__name__, scenario)
 
 
+def test_scenario_lanes_run_the_support_apply_on_their_currents():
+    """Each scenario-matrix lane runs the support-restricted edge apply on
+    its own scenario's fitted currents, and that selection exists for
+    every scenario of the matrix."""
+    from tests.efit.test_edge_operators import TestSupportRestrictedApply
+
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  scenario-matrix:") : text.index("  serve-smoke:")]
+    (command,) = [c for c in _run_commands(lane) if "test_edge_operators.py" in c]
+    assert command.endswith('-k "support and ${{ matrix.scenario }}"')
+    (mark,) = [
+        m for m in TestSupportRestrictedApply.test_fitted_currents.pytestmark
+        if m.name == "parametrize"
+    ]
+    scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
+    for scenario in (v.strip() for v in scenarios.split(",")):
+        assert scenario in mark.args[1], scenario
+
+
 @pytest.mark.parametrize(
     "workflow, argv", INVOCATIONS, ids=[f"{n}:{'_'.join(a[:3])}" for n, a in INVOCATIONS]
 )
