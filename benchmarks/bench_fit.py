@@ -54,7 +54,7 @@ def test_fit_region_breakdown():
         rep = profiler.report()
         lines.append(
             f"Measured Python fit_ breakdown at {n}x{n} "
-            f"({solver.boundary_method} edge-operator pflux_, {iterates} iterates of 5 fits, "
+            f"({solver.pflux.operator.method} edge-operator pflux_, {iterates} iterates of 5 fits, "
             f"{1e3 * rep.grand_total / iterates:.2f} ms an iterate):"
         )
         for name, pct in sorted(rep.percentages().items(), key=lambda kv: -kv[1]):

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
+from repro.efit.tables import build_boundary_tables
 from repro.parallel import ParallelFitEngine, SchedulerConfig
 
 from benchmarks.conftest import write_artifact
@@ -54,7 +55,6 @@ def test_fleet_vs_serial_65(shot65, fleet_slices):
             shot65.diagnostics,
             shot65.grid,
             batch_size=BATCH_SIZE,
-            workers=workers,
             config=SchedulerConfig(workers=workers, timeout_seconds=600.0),
         ) as engine:
             engine.fit_many(fleet_slices)  # warm every worker's engine
@@ -106,32 +106,34 @@ def test_arena_amortises_worker_startup(shot65, fleet_slices):
         shot65.diagnostics,
         shot65.grid,
         batch_size=BATCH_SIZE,
-        workers=2,
         config=SchedulerConfig(workers=2, timeout_seconds=600.0),
     ) as engine:
         t_construct = time.perf_counter() - t0
         engine.fit_many(fleet_slices[:BATCH_SIZE])
-        # A second engine on the same grid shares the arena: no rebuild.
+        # A second engine on the same grid stages its own arena from the
+        # process's cached table: a file copy, not a table build.
         t1 = time.perf_counter()
         with ParallelFitEngine(
             shot65.machine,
             shot65.diagnostics,
             shot65.grid,
             batch_size=BATCH_SIZE,
-            workers=2,
             config=SchedulerConfig(workers=2, timeout_seconds=600.0),
         ) as second:
             t_second = time.perf_counter() - t1
-            assert second.arena is engine.arena
-    # The shared-arena acquisition must be far cheaper than the first
-    # build (which pays the table construction + copy exactly once).
-    assert t_second < t_construct
+            assert second.arena.spec.path != engine.arena.spec.path
+    t2 = time.perf_counter()
+    build_boundary_tables(shot65.grid)
+    t_table = time.perf_counter() - t2
+    # Staging a cached table must be far cheaper than building one.
+    assert t_second < t_table
     write_artifact(
         "parallel_startup",
         json.dumps(
             {
                 "first_engine_seconds": t_construct,
                 "second_engine_seconds": t_second,
+                "table_build_seconds": t_table,
                 "arena_bytes": engine.arena.nbytes,
             },
             indent=2,

@@ -24,25 +24,24 @@ lockstep Picard iteration:
   boundary Green sums at once, on the union of the plasmas' rows, and
   one multi-RHS sine-transform solve handles all interior systems;
 * the flux step's batch-level arrays are prefix views of buffers sized
-  for ``batch_size`` in a per-worker
+  for ``batch_size`` in the engine's
   :class:`~repro.batch.workspace.FitWorkspace`, so steady-state iterates
   request no new one; the pre-flux arrays, whose shapes follow the
   plasmas' rows, and each slice's new flux, which its state keeps, are
   made per iterate.
 
-Worker threads (``n_workers``) pull batches from a queue; the heavy GEMM
-and FFT kernels release the GIL, so multi-core hosts overlap batches.
-Convergence is per-slice: a converged slice leaves both the pre-flux pass
-and the flux step while the rest of its batch iterates on, so every
-iterate's width is the number of slices still iterating.
+Batches run one after another on the calling thread; several cores are
+the fleet's (:class:`~repro.parallel.engine.ParallelFitEngine`, one
+engine like this per worker process).  Convergence is per-slice: a
+converged slice leaves both the pre-flux pass and the flux step while the
+rest of its batch iterates on, so every iterate's width is the number of
+slices still iterating.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -77,7 +76,7 @@ class BatchFitResult:
 
 
 class BatchFitEngine:
-    """Reconstruct many time slices of one machine+grid concurrently.
+    """Reconstruct many time slices of one machine+grid in lock-step batches.
 
     Parameters
     ----------
@@ -85,23 +84,18 @@ class BatchFitEngine:
         Number of slices advanced in lockstep: ``B`` of the batched
         pre-flux pass and of the edge-operator apply.
     n_workers:
-        Worker threads pulling batches off the queue.  Useful when BLAS
-        releases the GIL and cores are available; the default of 1 keeps
-        execution deterministic and single-core friendly.
+        Must be 1: batches run on the calling thread.  Reconstruct on
+        several cores with :class:`~repro.parallel.engine.ParallelFitEngine`.
     hooks:
         Optional :class:`~repro.obs.hooks.ObservationHooks` receiving the
         batch-level spans/events (``pflux_`` regions carry a ``batch``
         attribute; per-slice Picard events come from the solver).
     edge_operator:
-        Optional ready-made :class:`~repro.efit.operators.EdgeOperator`.
-        The multi-process fleet passes operators over its arena's mapped
-        arrays here so workers skip the build entirely.
-    boundary_method:
-        Representation to apply when ``edge_operator`` is not supplied —
-        one of :data:`repro.efit.operators.EDGE_METHODS`; not given, it
-        is :data:`~repro.edge_methods.DEFAULT_EDGE_METHOD`, the same
-        cached operator object a bare :class:`EfitSolver` applies.
-        Naming a method the supplied operator is not is an error.
+        The :class:`~repro.efit.operators.EdgeOperator` to apply (the
+        solver's ``pflux_impl``).  The multi-process fleet passes
+        operators over its arena's mapped arrays here so workers skip the
+        build entirely.  Not given, it is the same cached operator object
+        a bare :class:`EfitSolver` applies.
     solver_kwargs:
         Forwarded to the underlying :class:`EfitSolver` (bases,
         tolerances, ...).
@@ -117,36 +111,31 @@ class BatchFitEngine:
         n_workers: int = 1,
         hooks: ObservationHooks | None = None,
         edge_operator: EdgeOperator | None = None,
-        boundary_method: str | None = None,
         **solver_kwargs,
     ) -> None:
         if batch_size < 1:
             raise FittingError("batch_size must be >= 1")
-        if n_workers < 1:
-            raise FittingError("n_workers must be >= 1")
+        if n_workers != 1:
+            raise FittingError(
+                f"n_workers={n_workers}: BatchFitEngine runs its batches on "
+                f"one thread; reconstruct on several cores with "
+                f"ParallelFitEngine"
+            )
         self.batch_size = batch_size
-        self.n_workers = n_workers
         self.hooks = hooks if hooks is not None else NULL_HOOKS
         #: The shared per-grid setup: Green tables, solver factorisation,
-        #: response matrices — built once, reused by every worker.  The
-        #: solver resolves the operator (and rejects a named method that
-        #: disagrees with a supplied one) exactly as a bare one does.
+        #: response matrices — built once, reused by every batch.  The
+        #: solver resolves the operator exactly as a bare one does.
         self.solver = EfitSolver(
-            machine,
-            diagnostics,
-            grid,
-            pflux_impl=edge_operator,
-            boundary_method=boundary_method,
-            **solver_kwargs,
+            machine, diagnostics, grid, pflux_impl=edge_operator, **solver_kwargs
         )
         #: The boundary Green sums as an :class:`EdgeOperator` — the
         #: solver's flux step.
         self.edge_op = self.solver.pflux.operator
-        self.boundary_method = self.edge_op.method
-        #: Per-worker arenas/profilers, persistent across ``fit_many``
-        #: calls so the steady state requests no new buffer.
-        self._workspaces = [FitWorkspace() for _ in range(n_workers)]
-        self._profilers = [RegionProfiler() for _ in range(n_workers)]
+        #: Persistent across ``fit_many`` calls, so the steady state
+        #: requests no new buffer.
+        self._workspace = FitWorkspace()
+        self._profiler = RegionProfiler()
 
     @classmethod
     def for_scenario(cls, scenario, n: int = 65, *, shot=None, **kwargs) -> "BatchFitEngine":
@@ -166,26 +155,17 @@ class BatchFitEngine:
 
     # -- observability ------------------------------------------------------------
     def workspace_counters(self) -> WorkspaceCounters:
-        """Aggregate allocation/reuse counters across all workers."""
-        agg = WorkspaceCounters()
-        for ws in self._workspaces:
-            c = ws.counters
-            agg.allocations += c.allocations
-            agg.reuses += c.reuses
-            agg.allocated_bytes += c.allocated_bytes
-            agg.resident_bytes += c.resident_bytes
-        return agg
+        """A snapshot of the workspace's allocation/reuse counters."""
+        return replace(self._workspace.counters)
 
     def profiler_report(self):
-        """Region report of worker 0 (representative breakdown)."""
-        return self._profilers[0].report()
+        """Region report of every batch this engine has run."""
+        return self._profiler.report()
 
     # -- the batched Picard loop ---------------------------------------------------
     def _fit_batch(
         self,
         batch: Sequence[MeasurementSet],
-        ws: FitWorkspace,
-        profiler: RegionProfiler,
         t_run0: float,
         require_convergence: bool,
         psi_initial: Sequence["np.ndarray | None"] | None = None,
@@ -197,12 +177,12 @@ class BatchFitEngine:
             solver.start_fit(
                 m,
                 psi_initial=seed,
-                profiler=profiler,
+                profiler=self._profiler,
                 hooks=self.hooks,
             )
             for m, seed in zip(batch, seeds)
         ]
-        flux = partial(solver.pflux.compute_batch, ws, self.batch_size)
+        flux = partial(solver.pflux.compute_batch, self._workspace, self.batch_size)
         latencies: list[float | None] = [None] * len(states)
         for _ in solver.picard(states, flux=flux):
             now = time.perf_counter()
@@ -228,8 +208,8 @@ class BatchFitEngine:
     ) -> BatchFitResult:
         """Reconstruct every slice; returns per-slice results + stats.
 
-        Slices are grouped into batches of ``batch_size`` in input order;
-        ``n_workers`` threads drain the batch queue.  ``psi_initial``
+        Slices are grouped into batches of ``batch_size`` in input order
+        and run one batch after another.  ``psi_initial``
         optionally supplies one warm-start flux per slice (``None``
         entries stay cold) — each seeds that slice's
         :meth:`~repro.efit.fitting.EfitSolver.start_fit` exactly as the
@@ -240,76 +220,30 @@ class BatchFitEngine:
         """
         batches = batch_groups(slices, psi_initial, self.batch_size)
         n_slices = sum(len(batch) for _, batch, _ in batches)
-        results: list[FitResult | None] = [None] * n_slices
-        latencies = np.zeros(n_slices)
-        iteration_counts = np.zeros(n_slices, dtype=int)
         self.hooks.event(
-            "fit_many_start",
-            n_slices=n_slices,
-            batch_size=self.batch_size,
-            n_workers=self.n_workers,
+            "fit_many_start", n_slices=n_slices, batch_size=self.batch_size
         )
         t_run0 = time.perf_counter()
-
-        def run_batch(worker: int, start: int, batch: list, seeds: list | None) -> None:
-            outcomes = self._fit_batch(
-                batch,
-                self._workspaces[worker],
-                self._profilers[worker],
-                t_run0,
-                require_convergence,
-                seeds,
-            )
-            for offset, (result, latency, iters) in enumerate(outcomes):
-                results[start + offset] = result
-                latencies[start + offset] = latency
-                iteration_counts[start + offset] = iters
-
-        if self.n_workers == 1:
-            for item in batches:
-                run_batch(0, *item)
-        else:
-            todo: queue.SimpleQueue = queue.SimpleQueue()
-            for item in batches:
-                todo.put(item)
-            errors: list[BaseException] = []
-
-            def worker_loop(worker: int) -> None:
-                while True:
-                    try:
-                        item = todo.get_nowait()
-                    except queue.Empty:
-                        return
-                    try:
-                        run_batch(worker, *item)
-                    except BaseException as exc:  # propagate to the caller
-                        errors.append(exc)
-                        return
-
-            threads = [
-                threading.Thread(target=worker_loop, args=(w,), name=f"batchfit-{w}")
-                for w in range(min(self.n_workers, len(batches)))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
-
+        outcomes = [
+            outcome
+            for _, batch, seeds in batches
+            for outcome in self._fit_batch(batch, t_run0, require_convergence, seeds)
+        ]
         wall = time.perf_counter() - t_run0
-        done = [r for r in results if r is not None]
+        results = tuple(result for result, _, _ in outcomes)
+        latencies = np.array([latency for _, latency, _ in outcomes])
+        total_iterations = sum(iters for _, _, iters in outcomes)
         stats = BatchStats.from_latencies(
             latencies,
             wall,
-            total_iterations=int(iteration_counts.sum()),
-            n_converged=sum(1 for r in done if r.converged),
+            total_iterations=total_iterations,
+            n_converged=sum(1 for r in results if r.converged),
         )
         self.hooks.event(
             "fit_many_end",
             n_slices=n_slices,
             wall_seconds=wall,
-            total_iterations=int(iteration_counts.sum()),
+            total_iterations=total_iterations,
             n_converged=stats.n_converged,
         )
-        return BatchFitResult(results=tuple(done), stats=stats, latencies=latencies)
+        return BatchFitResult(results=results, stats=stats, latencies=latencies)

@@ -82,6 +82,16 @@ def _add_problem_options(
     )
 
 
+def _edge_operator(args, grid):
+    """The edge operator ``--boundary-method`` names on ``grid``: the
+    process-wide cached one, which every solver and engine of the command
+    is handed."""
+    from repro.efit.operators import cached_edge_operator
+    from repro.efit.tables import cached_boundary_tables
+
+    return cached_edge_operator(cached_boundary_tables(grid), args.boundary_method)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for testing and docs)."""
     from repro.edge_methods import EDGE_METHODS
@@ -367,7 +377,9 @@ def _cmd_fit(args) -> int:
 
     sc = get_scenario(args.scenario)
     shot = sc.make_shot(args.grid, noise=args.noise)
-    solver = EfitSolver.for_scenario(sc, shot=shot, boundary_method=args.boundary_method)
+    solver = EfitSolver.for_scenario(
+        sc, shot=shot, pflux_impl=_edge_operator(args, shot.grid)
+    )
     result = solver.fit(shot.measurements)
     err = float(np.abs(result.psi - shot.truth.psi).max() / np.ptp(shot.truth.psi))
     print(f"scenario: {sc.name} ({sc.description})")
@@ -695,7 +707,7 @@ def _cmd_serve(args) -> int:
     sc = get_scenario(args.scenario)
     shot = sc.make_shot(args.grid)
     engine = BatchFitEngine.for_scenario(
-        sc, shot=shot, boundary_method=args.boundary_method
+        sc, shot=shot, edge_operator=_edge_operator(args, shot.grid)
     )
     deadline_s = args.deadline_ms / 1e3 if args.deadline_ms > 0 else None
     config = ServeConfig(
@@ -863,12 +875,12 @@ def _cmd_pfleet(args) -> int:
         f"across {args.workers} worker(s), {args.batch} slices/job"
     )
     failures = ()
+    edge_operator = _edge_operator(args, shot.grid)
     with ParallelFitEngine.for_scenario(
         sc,
         shot=shot,
         batch_size=args.batch,
-        workers=args.workers,
-        boundary_method=args.boundary_method,
+        edge_operator=edge_operator,
         hooks=hooks,
         config=config,
     ) as engine:
@@ -919,8 +931,7 @@ def _cmd_pfleet(args) -> int:
             print(f"wrote merged metrics {args.metrics_out}")
         if args.compare_serial:
             serial = BatchFitEngine.for_scenario(
-                sc, shot=shot, batch_size=args.batch,
-                boundary_method=args.boundary_method,
+                sc, shot=shot, batch_size=args.batch, edge_operator=edge_operator
             )
             serial_result = serial.fit_many(slices)
             identical = len(result.results) == len(serial_result.results) and all(

@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.boundary import BoundaryResult, find_boundaries, search_geometry
 from repro.efit.basis import PolynomialBasis
 from repro.efit.current import BasisSlabs, basis_current_slabs
@@ -211,18 +210,13 @@ class EfitSolver:
         The flux step, as an instance: an
         :class:`~repro.efit.operators.EdgeOperator` to apply (how an
         engine or a fleet worker puts its solver on the operator it
-        owns), or a ready-made :class:`~repro.efit.pflux.PfluxBase` (the
+        owns, and how a caller picks another representation of the
+        boundary Green sums, e.g. a ``DenseEdgeOperator``), or a
+        ready-made :class:`~repro.efit.pflux.PfluxBase` (the
         GPU-offloaded variants from :mod:`repro.core.offload` and the
         paper's loop baseline :class:`~repro.efit.pflux.PfluxReference`
         plug in here).  Not given, the solver applies the process-wide
-        cached operator of ``boundary_method``.
-    boundary_method:
-        Which :data:`repro.efit.operators.EDGE_METHODS` representation
-        of the boundary Green sums to apply; not given, it is
-        :data:`~repro.edge_methods.DEFAULT_EDGE_METHOD`.  Naming one next
-        to an operator of another method, or next to a ``PfluxBase``, is
-        an error.  The attribute reads the applied operator's method
-        (``None`` under a foreign ``PfluxBase``).
+        :func:`~repro.efit.operators.cached_edge_operator` of its grid.
     profiler:
         Optional :class:`RegionProfiler`; regions ``steps_``, ``current_``,
         ``green_``, ``pflux_`` and ``other`` accumulate per ``fit_``
@@ -244,7 +238,6 @@ class EfitSolver:
         pp_basis: PolynomialBasis | None = None,
         ffp_basis: PolynomialBasis | None = None,
         pflux_impl: PfluxBase | EdgeOperator | None = None,
-        boundary_method: str | None = None,
         tol: float = 1e-5,
         max_iters: int = 100,
         warm_start_guard: float = 0.25,
@@ -296,33 +289,16 @@ class EfitSolver:
         self.tables = cached_boundary_tables(grid)
         self.solver = DSTSolver(grid)
         if pflux_impl is None:
-            pflux_impl = cached_edge_operator(
-                self.tables,
-                DEFAULT_EDGE_METHOD if boundary_method is None else boundary_method,
-            )
+            pflux_impl = cached_edge_operator(self.tables)
         if isinstance(pflux_impl, EdgeOperator):
-            if boundary_method not in (None, pflux_impl.method):
-                raise FittingError(
-                    f"pflux_impl is a {pflux_impl.method!r} operator but "
-                    f"boundary_method names {boundary_method!r}"
-                )
             self.pflux = PfluxStructured(grid, self.tables, self.solver, pflux_impl)
-            boundary_method = pflux_impl.method
         elif isinstance(pflux_impl, PfluxBase):
-            if boundary_method is not None:
-                raise FittingError(
-                    "pass either a PfluxBase as pflux_impl or boundary_method, "
-                    "not both"
-                )
             self.pflux = pflux_impl
         else:
             raise FittingError(
                 f"pflux_impl must be an EdgeOperator or PfluxBase instance, "
                 f"got {pflux_impl!r}"
             )
-        #: Method of the applied edge operator; ``None`` under a foreign
-        #: :class:`~repro.efit.pflux.PfluxBase`.
-        self.boundary_method = boundary_method
         self.grid_response = diagnostics.response_to_grid(grid)
         self.coil_response = diagnostics.response_to_coils(machine)
         #: Vessel eddy-current fitting (production EFIT's VESSEL option):
@@ -485,11 +461,10 @@ class EfitSolver:
         carries a warm start.
 
         ``statics`` overrides the solver's own :class:`GridStatics`
-        (:attr:`statics`); ``profiler`` overrides the
-        solver-level profiler — batch workers pass their own because
-        :class:`RegionProfiler` nesting is not thread-safe.  ``hooks``
-        overrides the solver-level observation hooks (the trace recorder
-        itself is thread-safe, so batch workers share one).
+        (:attr:`statics`); ``profiler`` and ``hooks`` override the
+        solver-level profiler and observation hooks — the batch engine
+        passes its own, so its regions and spans stay apart from those
+        of fits run on the bare solver.
         """
         grid = self.grid
         if measurements.n_measurements != self.diagnostics.n_measurements:

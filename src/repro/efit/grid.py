@@ -141,8 +141,7 @@ class RZGrid:
 
         Two grids share a hash iff they share mesh counts and domain
         extents — exactly the condition under which Green tables and
-        edge operators are interchangeable.  The fleet's arena manager
-        keys on it (with the edge method), and the on-disk table cache
+        edge operators are interchangeable.  The on-disk table cache
         names its files with it.
         """
         blob = (

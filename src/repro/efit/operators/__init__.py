@@ -9,8 +9,9 @@ Two families live here:
   edge-flux operator of :func:`repro.efit.pflux.edge_flux_operator`:
   the exact dense matrix, a block-Toeplitz/FFT apply and a
   truncated-SVD low-rank apply, all behind the common
-  :class:`EdgeOperator` protocol selected by the solvers'
-  ``boundary_method`` kwarg.
+  :class:`EdgeOperator` protocol: a solver applies the instance it is
+  handed (``pflux_impl=`` / ``edge_operator=``), or
+  :func:`cached_edge_operator` of its grid.
 """
 
 from repro.efit.operators.edge import (

@@ -26,9 +26,11 @@ has exploitable structure (paper Figs. 2/3):
   error of the *summed* operator by ``tol * sigma_ref``.
 
 Both structured forms and the exact dense matrix live behind the
-:class:`EdgeOperator` protocol that ``EfitSolver``/``BatchFitEngine``/
-``ParallelFitEngine`` select with their ``boundary_method`` kwarg
-(:data:`~repro.edge_methods.DEFAULT_EDGE_METHOD` when it is not given).
+:class:`EdgeOperator` protocol; ``EfitSolver`` takes the instance it
+applies as ``pflux_impl``, ``BatchFitEngine`` and ``ParallelFitEngine`` as
+``edge_operator`` — not given, each applies :func:`cached_edge_operator`
+of its grid, the one place
+:data:`~repro.edge_methods.DEFAULT_EDGE_METHOD` is named.
 Every form reads only the operator's columns under the grid rows its
 input's currents occupy — a plasma's current fills 35-38 of 65 rows — and
 finds those rows itself, so every caller gets the restriction.
@@ -36,8 +38,9 @@ finds those rows itself, so every caller gets the restriction.
 Every structured build first runs :func:`validate_edge_structure`, which
 checks the reciprocity exactly and spot-checks the translation-invariance
 assumption against direct Green function evaluations, and fails loudly —
-naming the ``dense`` fallback — if a future machine/grid change (a
-nonuniform Z mesh, vessel terms baked into the table) breaks either.
+naming the ``DenseEdgeOperator`` fallback — if a future machine/grid
+change (a nonuniform Z mesh, vessel terms baked into the table) breaks
+either.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as sfft
 
-from repro.edge_methods import EDGE_METHODS
+from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
 from repro.efit.grid import RZGrid, row_support
 from repro.efit.tables import BoundaryGreensTables, boundary_table_cache
 from repro.errors import GridError, OperatorError, OperatorStructureError
@@ -79,6 +82,14 @@ _DENSE_RANK_FRACTION = 0.5
 _BUCKET_WASTE = 1.3
 _BUCKET_MIN = 4
 
+#: What :func:`validate_edge_structure` tells a caller to do instead.
+_DENSE_FALLBACK = (
+    "fall back to the dense operator, which makes no structural assumption: "
+    "pass a DenseEdgeOperator as pflux_impl= (EfitSolver) or edge_operator= "
+    "(BatchFitEngine, ParallelFitEngine), or run the CLI with "
+    "--boundary-method dense"
+)
+
 
 def validate_edge_structure(
     tables: BoundaryGreensTables,
@@ -104,7 +115,7 @@ def validate_edge_structure(
     Returns the worst relative deviation seen by the second.  Raises
     :class:`~repro.errors.OperatorStructureError` when either fails —
     structured operators would silently corrupt the boundary flux, so the
-    caller must fall back to ``boundary_method='dense'``.
+    caller must fall back to the dense operator (:data:`_DENSE_FALLBACK`).
     """
     from repro.efit.greens import greens_psi
 
@@ -117,11 +128,10 @@ def validate_edge_structure(
     if asymmetric:
         raise OperatorStructureError(
             f"boundary Green table is not reciprocal: gpc[i_b, d, ii] != "
-            f"gpc[ii, d, i_b] at {asymmetric} entries. Structured edge "
-            f"operators (boundary_method='toeplitz'/'lowrank') assume it "
-            f"(toeplitz reads the horizontal edges by source rows) and "
-            f"would silently corrupt the boundary flux on this grid — fall back to "
-            f"boundary_method='dense', which makes no structural assumption."
+            f"gpc[ii, d, i_b] at {asymmetric} entries. The structured edge "
+            f"operators ('toeplitz'/'lowrank') assume it (toeplitz reads the "
+            f"horizontal edges by source rows) and would silently corrupt "
+            f"the boundary flux on this grid — {_DENSE_FALLBACK}."
         )
     rng = np.random.default_rng(seed)
     i_b = rng.integers(0, nw, size=samples)
@@ -143,11 +153,9 @@ def validate_edge_structure(
             f"assumption: gpc[i_b, |j-jj|, ii] deviates from the direct "
             f"Green function at {bad} of {len(direct)} sampled node pairs "
             f"(worst relative deviation {worst:.3e} > rtol {rtol:.1e}). "
-            f"Structured edge operators (boundary_method='toeplitz'/"
-            f"'lowrank') assume a uniform Z mesh and would silently "
-            f"corrupt the boundary flux on this grid — fall back to "
-            f"boundary_method='dense', which makes no structural "
-            f"assumption."
+            f"The structured edge operators ('toeplitz'/'lowrank') assume a "
+            f"uniform Z mesh and would silently corrupt the boundary flux "
+            f"on this grid — {_DENSE_FALLBACK}."
         )
     return worst
 
@@ -625,12 +633,16 @@ def build_edge_operator(
 _CACHED_TOL = 1e-12
 
 
-def cached_edge_operator(tables: BoundaryGreensTables, method: str) -> EdgeOperator:
+def cached_edge_operator(
+    tables: BoundaryGreensTables, method: str = DEFAULT_EDGE_METHOD
+) -> EdgeOperator:
     """Memoised :func:`build_edge_operator` keyed on grid + method.
 
-    Solvers, the batch engine and the benchmarks constructed for one grid
-    share one operator.  It is held beside the grid's entry in the
-    process-wide table cache
+    The operator every solver, engine and fleet applies when it is handed
+    none, so the default ``method`` is the one place a reconstruction's
+    representation is decided.  Solvers, the batch engine and the
+    benchmarks constructed for one grid share one operator.  It is held
+    beside the grid's entry in the process-wide table cache
     (:meth:`~repro.efit.tables.BoundaryTableCache.operators`), so it is
     forgotten with the table it was built from.  A miss consults the
     optional on-disk layer (:mod:`repro.efit.diskcache`,

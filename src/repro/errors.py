@@ -79,13 +79,15 @@ class ScenarioError(ReproError):
 
 class OperatorError(ReproError):
     """Edge-operator construction or application failure (unknown
-    ``boundary_method``, malformed serialized arrays, shape mismatch)."""
+    method, malformed serialized arrays, shape mismatch)."""
 
 
 class OperatorStructureError(OperatorError):
-    """The Green table violates the structural assumption a compressed
-    edge operator relies on (z-translation invariance of ``gridpc``);
-    callers must fall back to ``boundary_method='dense'``."""
+    """The Green table violates a structural assumption a compressed
+    edge operator relies on (reciprocity or z-translation invariance of
+    ``gridpc``); callers must fall back to the dense operator — a
+    ``DenseEdgeOperator`` passed as ``pflux_impl=`` / ``edge_operator=``,
+    or ``--boundary-method dense``."""
 
 
 class DirectiveError(ReproError):
@@ -177,7 +179,7 @@ class ParallelError(ReproError):
 
 class ArenaError(ParallelError):
     """Table-arena failure: creating the directory, attaching one that
-    is gone, an unknown array name, or reference-counting misuse."""
+    is gone, or an unknown array name."""
 
 
 class JobQuarantinedError(ParallelError):

@@ -8,13 +8,7 @@ grid size.  See ``docs/PARALLEL.md`` for the lifecycle and failure
 semantics.
 """
 
-from repro.parallel.arena import (
-    ArenaManager,
-    ArenaSpec,
-    TableArena,
-    arena_manager,
-    attach_arena,
-)
+from repro.parallel.arena import ArenaSpec, TableArena, attach_arena
 from repro.parallel.engine import ParallelFitEngine, ParallelFitResult
 from repro.parallel.merge import (
     merge_metrics,
@@ -34,10 +28,8 @@ from repro.parallel.scheduler import (
 )
 
 __all__ = [
-    "ArenaManager",
     "ArenaSpec",
     "TableArena",
-    "arena_manager",
     "attach_arena",
     "ParallelFitEngine",
     "ParallelFitResult",

@@ -17,47 +17,35 @@ medium; point it at ``/dev/shm`` for RAM-backed pages.
 
 An array owns its mapping, and on POSIX a mapping outlives the removal of
 its file.  So there is no teardown order: a view taken before the arena
-was released stays readable for as long as anything references it, in
+was removed stays readable for as long as anything references it, in
 any process, and there is nothing for a worker to close.
 
-Lifecycle (see ``docs/PARALLEL.md``):
-
-* the parent-side :class:`ArenaManager` keys arenas by grid geometry and
-  edge method and reference-counts them — two engines on the same grid
-  share one arena;
-* :meth:`ArenaManager.release` removes the directory at refcount zero;
-* an ``atexit`` hook removes whatever an exiting parent still holds, so
-  ``TMPDIR`` is not littered across runs (a SIGKILLed parent leaves its
-  directory behind: nothing runs in it to remove anything).
+Lifecycle (see ``docs/PARALLEL.md``): each
+:class:`~repro.parallel.engine.ParallelFitEngine` builds its own arena and
+removes it in ``close()``.  :meth:`TableArena.build` also registers a
+``weakref.finalize`` that removes the directory when the built arena is
+collected or the interpreter exits, in the building process only: a
+forked child that drops its inherited copy, and every
+:func:`attach_arena` view, remove nothing.  A SIGKILLed parent leaves its
+directory behind: nothing runs in it to remove anything.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import shutil
 import tempfile
-import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.efit.grid import RZGrid
-from repro.efit.operators import (
-    EdgeOperator,
-    cached_edge_operator,
-    edge_operator_from_arrays,
-)
+from repro.efit.operators import EdgeOperator, edge_operator_from_arrays
 from repro.efit.tables import BoundaryGreensTables, cached_boundary_tables
 from repro.errors import ArenaError
 
-__all__ = [
-    "ArenaSpec",
-    "TableArena",
-    "ArenaManager",
-    "arena_manager",
-    "attach_arena",
-]
+__all__ = ["ArenaSpec", "TableArena", "attach_arena"]
 
 
 @dataclass(frozen=True)
@@ -73,9 +61,9 @@ class ArenaSpec:
     grid_rmax: float
     grid_zmin: float
     grid_zmax: float
-    #: Edge-operator representation stored in the arena (one of
-    #: :data:`repro.efit.operators.EDGE_METHODS`).
-    boundary_method: str
+    #: The staged operator's :attr:`~repro.efit.operators.EdgeOperator.method`
+    #: (one of :data:`repro.efit.operators.EDGE_METHODS`).
+    method: str
     #: ``gpc`` plus one ``op_*`` per array of the operator's
     #: :meth:`~repro.efit.operators.EdgeOperator.to_arrays`; each is the
     #: file ``<path>/<name>.npy``.
@@ -92,19 +80,26 @@ class ArenaSpec:
         )
 
 
+def _remove(path: str, builder_pid: int) -> None:
+    """Remove an arena directory — from the process that built it only."""
+    if os.getpid() == builder_pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 class TableArena:
     """One grid's Green table (``gpc``) and edge-operator arrays, mapped
     read-only from the directory ``spec`` names.
 
     The parent creates one with :meth:`build` and hands :attr:`spec` to
     workers, which map the same files with :func:`attach_arena`.  The
-    process that built it calls :meth:`unlink` when the last user is done
-    (the :class:`ArenaManager` does the counting); arrays already handed
-    out, here or in a worker, stay valid after that.
+    built arena's :meth:`unlink` removes the directory; arrays already
+    handed out, here or in a worker, stay valid after that.
     """
 
     def __init__(self, spec: ArenaSpec) -> None:
         self.spec = spec
+        #: The directory's removal; set on the built arena only.
+        self._remover: weakref.finalize | None = None
         try:
             self._arrays = {
                 name: np.asarray(
@@ -119,23 +114,21 @@ class TableArena:
             ) from None
 
     @classmethod
-    def build(cls, grid: RZGrid, boundary_method: str) -> "TableArena":
-        """Write the (cached) boundary tables + edge operator to a new
-        directory and map them.
+    def build(cls, op: EdgeOperator) -> "TableArena":
+        """Write the (cached) boundary tables of ``op``'s grid and ``op``
+        itself to a new directory and map them.
 
-        ``boundary_method`` picks the operator representation shared with
-        the workers; whichever it is, its
+        Whatever the operator's representation, its
         :meth:`~repro.efit.operators.EdgeOperator.to_arrays` arrays are
-        stored under ``op_*`` names.  A ``toeplitz`` arena (the fleet's
-        default) is the Green table plus ``op_vert_spectra`` and
-        ``op_meta_i8`` — 71 kB beside the 2.2 MB table at 65x65; a
-        ``dense`` one adds the 8.7 MB ``op_matrix`` there and 541 MB at
-        257x257 (the pages are shared either way, but the build, the copy
-        and the cache pressure all grow with it).
+        stored under ``op_*`` names and its method in the spec.  A
+        ``toeplitz`` arena (the fleet's default) is the Green table plus
+        ``op_vert_spectra`` and ``op_meta_i8`` — 71 kB beside the 2.2 MB
+        table at 65x65; a ``dense`` one adds the 8.7 MB ``op_matrix``
+        there and 541 MB at 257x257 (the pages are shared either way, but
+        the build, the copy and the cache pressure all grow with it).
         """
-        tables = cached_boundary_tables(grid)
-        op = cached_edge_operator(tables, boundary_method)
-        arrays = {"gpc": tables.gpc}
+        grid = op.grid
+        arrays = {"gpc": cached_boundary_tables(grid).gpc}
         for name, arr in op.to_arrays().items():
             arrays[f"op_{name}"] = arr
         path = None
@@ -147,7 +140,7 @@ class TableArena:
             if path is not None:
                 shutil.rmtree(path, ignore_errors=True)
             raise ArenaError(f"cannot create table arena: {exc}") from exc
-        return cls(
+        arena = cls(
             ArenaSpec(
                 path=path,
                 grid_nw=grid.nw,
@@ -156,10 +149,12 @@ class TableArena:
                 grid_rmax=grid.rmax,
                 grid_zmin=grid.zmin,
                 grid_zmax=grid.zmax,
-                boundary_method=boundary_method,
+                method=op.method,
                 names=tuple(arrays),
             )
         )
+        arena._remover = weakref.finalize(arena, _remove, path, os.getpid())
+        return arena
 
     def array(self, name: str) -> np.ndarray:
         """The read-only mapped array stored under ``name``."""
@@ -186,90 +181,15 @@ class TableArena:
             if name.startswith("op_")
         }
         return edge_operator_from_arrays(
-            self.spec.grid(),
-            self.spec.boundary_method,
-            arrays,
-            gpc=self.array("gpc"),
+            self.spec.grid(), self.spec.method, arrays, gpc=self.array("gpc")
         )
 
     def unlink(self) -> None:
-        """Remove the directory (idempotent; the builder's side only)."""
-        shutil.rmtree(self.spec.path, ignore_errors=True)
+        """Remove the directory (idempotent; a no-op on an attached view)."""
+        if self._remover is not None:
+            self._remover()
 
 
 def attach_arena(spec: ArenaSpec) -> TableArena:
     """Worker-side entry point: map the arena described by ``spec``."""
     return TableArena(spec)
-
-
-class ArenaManager:
-    """Reference-counted registry of arenas, keyed by content identity.
-
-    The key is grid geometry *plus* edge-operator method: a ``dense``
-    and a ``lowrank`` fleet on the same grid hold different operator
-    bytes, so they get distinct arenas; two fleets with the same grid
-    and method share one.  ``acquire`` builds the arena on first use and
-    bumps the refcount on every later call with the same identity;
-    ``release`` unlinks at zero.  One manager per parent process (see
-    :func:`arena_manager`).
-    """
-
-    def __init__(self) -> None:
-        self._arenas: dict[tuple, TableArena] = {}
-        self._refs: dict[tuple, int] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(grid: RZGrid, boundary_method: str) -> tuple:
-        return (grid.geometry_hash(), boundary_method)
-
-    def acquire(self, grid: RZGrid, boundary_method: str) -> TableArena:
-        key = self._key(grid, boundary_method)
-        with self._lock:
-            arena = self._arenas.get(key)
-            if arena is None:
-                arena = TableArena.build(grid, boundary_method)
-                self._arenas[key] = arena
-                self._refs[key] = 0
-            self._refs[key] += 1
-            return arena
-
-    def release(self, grid: RZGrid, boundary_method: str) -> None:
-        key = self._key(grid, boundary_method)
-        with self._lock:
-            if key not in self._refs:
-                raise ArenaError("release() of an arena that was never acquired")
-            self._refs[key] -= 1
-            if self._refs[key] <= 0:
-                self._arenas.pop(key).unlink()
-                del self._refs[key]
-
-    def refcount(self, grid: RZGrid, boundary_method: str) -> int:
-        with self._lock:
-            return self._refs.get(self._key(grid, boundary_method), 0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._arenas)
-
-    @property
-    def resident_bytes(self) -> int:
-        with self._lock:
-            return sum(a.nbytes for a in self._arenas.values())
-
-    def shutdown(self) -> None:
-        """Unlink everything regardless of refcounts (atexit safety net)."""
-        with self._lock:
-            for arena in self._arenas.values():
-                arena.unlink()
-            self._arenas.clear()
-            self._refs.clear()
-
-
-_MANAGER = ArenaManager()
-atexit.register(_MANAGER.shutdown)
-
-
-def arena_manager() -> ArenaManager:
-    """The process-wide arena manager (parent side)."""
-    return _MANAGER

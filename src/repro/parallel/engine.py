@@ -6,9 +6,9 @@ shape, same ``fit_many(slices)`` entry point — but shards the slice
 sequence across worker *processes* through the
 :class:`~repro.parallel.scheduler.ProcessScheduler`:
 
-* the parent acquires one file-backed
-  :class:`~repro.parallel.arena.TableArena` per grid (reference-counted
-  by the process-wide :class:`~repro.parallel.arena.ArenaManager`) and
+* the engine builds its own file-backed
+  :class:`~repro.parallel.arena.TableArena` — the grid's Green table and
+  its edge operator — removes it in :meth:`~ParallelFitEngine.close`, and
   ships only its :class:`~repro.parallel.arena.ArenaSpec` to workers;
 * each worker maps the arena, seeds its
   :class:`~repro.efit.tables.BoundaryTableCache` with the read-only
@@ -33,6 +33,7 @@ Quarantined jobs (crash-looping or deterministically failing) raise
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -41,17 +42,16 @@ import numpy as np
 
 from repro.batch.engine import BatchFitEngine
 from repro.batch.slices import BatchStats, batch_groups
-from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.diagnostics import DiagnosticSet
-from repro.efit.fitting import FitResult
+from repro.efit.fitting import EfitSolver, FitResult
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
-from repro.efit.operators import seed_edge_operator
-from repro.efit.tables import boundary_table_cache
+from repro.efit.operators import EdgeOperator, cached_edge_operator, seed_edge_operator
+from repro.efit.tables import boundary_table_cache, cached_boundary_tables
 from repro.errors import FittingError, JobQuarantinedError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks, TraceHooks
 from repro.obs.metrics import MetricsRegistry, scheduler_source
-from repro.parallel.arena import arena_manager, attach_arena
+from repro.parallel.arena import TableArena, attach_arena
 from repro.parallel.merge import merge_metrics, merged_chrome_trace
 from repro.parallel.scheduler import (
     JobFailure,
@@ -131,16 +131,16 @@ def _run_fit_job(state: dict[str, Any], payload: tuple) -> tuple:
 class ParallelFitEngine:
     """Reconstruct many time slices across worker processes.
 
-    Parameters mirror :class:`~repro.batch.engine.BatchFitEngine`;
-    ``workers`` replaces ``n_workers`` (processes, not threads; 2 when
-    neither it nor ``config`` is given) and ``config`` exposes the
-    scheduler policy (timeouts, retry budget, transport) — a ``workers``
-    that disagrees with ``config.workers`` is an error.  The arena holds
-    the Green table and the arrays of one edge operator,
-    ``boundary_method`` or, not given,
-    :data:`~repro.edge_methods.DEFAULT_EDGE_METHOD`.  Use as a context
-    manager — or call :meth:`close` — to stop the pool and release the
-    table arena.
+    Parameters mirror :class:`~repro.batch.engine.BatchFitEngine`, but
+    the fleet is sized by ``config`` (``SchedulerConfig.workers``
+    processes, 2 by default), which also holds the scheduler policy
+    (timeouts, retry budget, transport).  The engine's arena holds the
+    Green table and the arrays of ``edge_operator`` — not given, the
+    grid's :func:`~repro.efit.operators.cached_edge_operator` — and every
+    worker applies that operator.  ``solver_kwargs`` must be
+    :class:`~repro.efit.fitting.EfitSolver` keywords; anything else is a
+    ``TypeError`` here, not in the workers.  Use as a context manager —
+    or call :meth:`close` — to stop the pool and remove the table arena.
     """
 
     def __init__(
@@ -150,32 +150,20 @@ class ParallelFitEngine:
         grid: RZGrid,
         *,
         batch_size: int = 8,
-        workers: int | None = None,
-        boundary_method: str | None = None,
+        edge_operator: EdgeOperator | None = None,
         hooks: ObservationHooks | None = None,
         config: SchedulerConfig | None = None,
         **solver_kwargs,
     ) -> None:
         if batch_size < 1:
             raise FittingError("batch_size must be >= 1")
+        inspect.signature(EfitSolver).bind(machine, diagnostics, grid, **solver_kwargs)
         self.batch_size = batch_size
         self.hooks = hooks if hooks is not None else NULL_HOOKS
-        self.grid = grid
-        self.boundary_method = (
-            DEFAULT_EDGE_METHOD if boundary_method is None else boundary_method
-        )
-        if config is None:
-            config = SchedulerConfig(workers=2 if workers is None else workers)
-        elif workers is not None and workers != config.workers:
-            raise FittingError(
-                f"workers={workers} disagrees with config.workers="
-                f"{config.workers}: pass the count in one place, or the same "
-                f"count in both"
-            )
-        self.config = config
-        self._manager = arena_manager()
-        self.arena = self._manager.acquire(grid, self.boundary_method)
-        self._released = False
+        self.config = config if config is not None else SchedulerConfig()
+        if edge_operator is None:
+            edge_operator = cached_edge_operator(cached_boundary_tables(grid))
+        self.arena = TableArena.build(edge_operator)
         try:
             self.scheduler = ProcessScheduler(
                 _init_fit_worker,
@@ -190,8 +178,8 @@ class ParallelFitEngine:
                 "scheduler", scheduler_source(self.scheduler.counters)
             )
         except BaseException:
-            # No engine exists to close(): give the reference back here.
-            self._manager.release(grid, self.boundary_method)
+            # No engine comes back to close(): remove the arena here.
+            self.arena.unlink()
             raise
         self._last_reports: tuple[WorkerReport, ...] = ()
 
@@ -213,11 +201,9 @@ class ParallelFitEngine:
 
     # -- lifecycle -----------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker pool and release the table arena (idempotent)."""
+        """Stop the worker pool and remove the table arena (idempotent)."""
         self.scheduler.close()
-        if not self._released:
-            self._released = True
-            self._manager.release(self.grid, self.boundary_method)
+        self.arena.unlink()
 
     def __enter__(self) -> "ParallelFitEngine":
         return self

@@ -46,29 +46,18 @@ class TestEngineVsSerial:
         assert batch.stats.n_slices == 6
         assert batch.stats.n_converged == 6
 
-    def test_two_workers_match_single(self, shot33, slices6, serial_results):
-        engine2 = BatchFitEngine(
-            shot33.machine,
-            shot33.diagnostics,
-            shot33.grid,
-            batch_size=2,
-            n_workers=2,
-        )
-        batch = engine2.fit_many(slices6)
-        for serial, batched in zip(serial_results, batch.results):
-            scale = np.max(np.abs(serial.psi))
-            assert np.max(np.abs(serial.psi - batched.psi)) <= 1e-10 * scale
-
 
 class TestEngineSteadyState:
     def test_zero_allocations_after_warmup(self, engine, slices6):
         """Repeat runs reuse every workspace buffer: the allocation count
-        is flat while the reuse count keeps climbing."""
+        is flat while the reuse count keeps climbing (each reading is a
+        snapshot, not the live counters)."""
         engine.fit_many(slices6)  # warm-up (may allocate)
         warm = engine.workspace_counters()
         engine.fit_many(slices6)
         engine.fit_many(slices6)
         steady = engine.workspace_counters()
+        assert steady is not warm
         assert steady.allocations == warm.allocations
         assert steady.reuses > warm.reuses
         assert steady.resident_bytes == warm.resident_bytes
@@ -117,7 +106,7 @@ class TestEngineValidation:
             BatchFitEngine(
                 shot33.machine, shot33.diagnostics, shot33.grid, batch_size=0
             )
-        with pytest.raises(FittingError):
+        with pytest.raises(FittingError, match="ParallelFitEngine"):
             BatchFitEngine(
                 shot33.machine, shot33.diagnostics, shot33.grid, n_workers=0
             )

@@ -1,4 +1,4 @@
-"""BatchFitEngine boundary_method / edge_operator plumbing."""
+"""BatchFitEngine edge_operator plumbing."""
 
 from __future__ import annotations
 
@@ -10,8 +10,12 @@ from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.fitting import EfitSolver
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
-from repro.errors import FittingError, OperatorError
+from repro.errors import OperatorError
 from repro.serve import Frame, ShotSession
+
+
+def _cached(shot, method):
+    return cached_edge_operator(cached_boundary_tables(shot.grid), method)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +27,7 @@ def slices4(shot33):
 def dense_batch(shot33, slices4):
     engine = BatchFitEngine(
         shot33.machine, shot33.diagnostics, shot33.grid, batch_size=2,
-        boundary_method="dense",
+        edge_operator=_cached(shot33, "dense"),
     )
     return engine.fit_many(slices4)
 
@@ -37,13 +41,16 @@ def _rel_dev(dense_batch, batch):
 
 
 class TestBoundaryMethodKwarg:
+    """What the engine's ``boundary_method`` kwarg used to choose — the
+    operator it applies — is now the ``edge_operator`` instance."""
+
     def test_default_is_the_named_constant(self, shot33):
         engine = BatchFitEngine(shot33.machine, shot33.diagnostics, shot33.grid)
-        assert engine.boundary_method == DEFAULT_EDGE_METHOD
         assert engine.edge_op.method == DEFAULT_EDGE_METHOD
         # One cached object: a bare solver, the engine and its solver.
         bare = EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid)
         assert bare.pflux.operator is engine.edge_op is engine.solver.pflux.operator
+        assert engine.edge_op is cached_edge_operator(cached_boundary_tables(shot33.grid))
 
     @pytest.mark.parametrize("method,bound", [("lowrank", 1e-10), ("toeplitz", 1e-10)])
     def test_fp64_methods_track_dense(self, shot33, slices4, dense_batch, method, bound):
@@ -52,36 +59,31 @@ class TestBoundaryMethodKwarg:
             shot33.diagnostics,
             shot33.grid,
             batch_size=2,
-            boundary_method=method,
+            edge_operator=_cached(shot33, method),
         )
         batch = engine.fit_many(slices4)
-        assert engine.boundary_method == method
+        assert engine.edge_op.method == method
         assert _rel_dev(dense_batch, batch) <= bound
 
     def test_unknown_method_rejected(self, shot33):
         with pytest.raises(OperatorError, match="dense"):
-            BatchFitEngine(
-                shot33.machine,
-                shot33.diagnostics,
-                shot33.grid,
-                boundary_method="butterfly",
-            )
+            _cached(shot33, "butterfly")
 
     def test_engine_solver_applies_the_engine_operator(self, shot33, slices4):
-        """``boundary_method`` means the same at every entry point: the
-        engine's solver — hence ``solver.fit`` and every serving session —
-        runs on the operator ``fit_many`` applies.  (It used to stay on
-        the Green-table sums, so ``repro serve --boundary-method X``
-        built an operator no frame ever applied.)"""
+        """The operator means the same at every entry point: the engine's
+        solver — hence ``solver.fit`` and every serving session — runs on
+        the operator ``fit_many`` applies.  (It used to stay on the
+        Green-table sums, so ``repro serve --boundary-method X`` built an
+        operator no frame ever applied.)"""
+        op = _cached(shot33, "lowrank")
         engine = BatchFitEngine(
-            shot33.machine, shot33.diagnostics, shot33.grid, boundary_method="lowrank"
+            shot33.machine, shot33.diagnostics, shot33.grid, edge_operator=op
         )
-        assert engine.solver.pflux.operator is engine.edge_op
-        assert engine.solver.boundary_method == engine.edge_op.method == "lowrank"
+        assert engine.solver.pflux.operator is engine.edge_op is op
         session = ShotSession(engine.solver)
         served = session.reconstruct(Frame("s", 0, slices4[0])).result
         bare = EfitSolver(
-            shot33.machine, shot33.diagnostics, shot33.grid, boundary_method="lowrank"
+            shot33.machine, shot33.diagnostics, shot33.grid, pflux_impl=op
         ).fit(slices4[0])
         np.testing.assert_array_equal(served.psi, bare.psi)
         assert served.iterations == bare.iterations
@@ -90,14 +92,13 @@ class TestBoundaryMethodKwarg:
 class TestEdgeOperatorInstance:
     def test_prebuilt_operator_accepted(self, shot33, slices4, dense_batch):
         """Fleet workers inject the shared-arena operator this way."""
-        op = cached_edge_operator(cached_boundary_tables(shot33.grid), "lowrank")
+        op = build_edge_operator(cached_boundary_tables(shot33.grid), "lowrank")
         engine = BatchFitEngine(
             shot33.machine,
             shot33.diagnostics,
             shot33.grid,
             batch_size=2,
             edge_operator=op,
-            boundary_method="lowrank",
         )
         assert engine.edge_op is op
         assert _rel_dev(dense_batch, engine.fit_many(slices4)) <= 1e-10
@@ -116,17 +117,3 @@ class TestEdgeOperatorInstance:
         ref = build_edge_operator(tables, "dense").apply(x)
         errs = [np.abs(o.apply(x) - ref).max() / np.abs(ref).max() for o in (op, default)]
         assert errs[0] == errs[1] <= 1e-10
-
-    def test_method_mismatch_rejected(self, shot33):
-        """Any named method that is not the operator's raises — ``"dense"``
-        too, which used to double as "not given" and was let through."""
-        op = cached_edge_operator(cached_boundary_tables(shot33.grid), "lowrank")
-        for named in ("toeplitz", "dense"):
-            with pytest.raises(FittingError, match="boundary_method"):
-                BatchFitEngine(
-                    shot33.machine,
-                    shot33.diagnostics,
-                    shot33.grid,
-                    edge_operator=op,
-                    boundary_method=named,
-                )

@@ -229,6 +229,17 @@ class TestDenseDefault:
 
 
 # -- structure pinning -------------------------------------------------------------
+def _names_a_dense_fallback_that_exists(message: str) -> None:
+    """The fallback a structure error names is one a caller can take: a
+    ``DenseEdgeOperator`` instance or the CLI flag, not a removed kwarg."""
+    from repro.cli import build_parser
+
+    assert "DenseEdgeOperator" in message and "pflux_impl=" in message
+    assert "edge_operator=" in message and "--boundary-method dense" in message
+    assert "boundary_method" not in message
+    build_parser().parse_args(["fit", "--boundary-method", "dense"])
+
+
 class TestStructurePin:
     def test_translation_invariance_holds(self, tables33):
         assert validate_edge_structure(tables33) < 1e-9
@@ -240,8 +251,9 @@ class TestStructurePin:
         gpc = tables33.gpc.copy()
         gpc[5] *= 1.01  # boundary column 5 no longer matches greens_psi
         bad = BoundaryGreensTables(grid=tables33.grid, gpc=gpc)
-        with pytest.raises(OperatorStructureError, match="dense"):
+        with pytest.raises(OperatorStructureError, match="dense") as err:
             validate_edge_structure(bad, samples=4096, seed=1)
+        _names_a_dense_fallback_that_exists(str(err.value))
 
     @pytest.mark.parametrize("shape", [(13, 33), (19, 33), (33, 33), (33, 21)])
     def test_the_table_is_reciprocal_bit_for_bit(self, shape):
@@ -260,6 +272,7 @@ class TestStructurePin:
         with pytest.raises(OperatorStructureError, match="reciprocal.*dense") as err:
             validate_edge_structure(bad)
         assert "at 2 entries" in str(err.value)
+        _names_a_dense_fallback_that_exists(str(err.value))
         with pytest.raises(OperatorStructureError):
             build_edge_operator(bad, "toeplitz")
 
@@ -409,67 +422,33 @@ class TestSolverIntegration:
 
         return synthetic_shot_186610(33)
 
+    @staticmethod
+    def _solver(shot, method):
+        op = cached_edge_operator(cached_boundary_tables(shot.grid), method)
+        return EfitSolver(shot.machine, shot.diagnostics, shot.grid, pflux_impl=op)
+
     @pytest.fixture(scope="class")
     def dense_fit(self, shot):
-        solver = EfitSolver(
-            shot.machine, shot.diagnostics, shot.grid, boundary_method="dense"
-        )
-        return solver.fit(shot.measurements)
+        return self._solver(shot, "dense").fit(shot.measurements)
 
     def test_default_is_the_named_constant(self, shot):
         from repro.batch import BatchFitEngine
 
         solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
-        assert solver.boundary_method == DEFAULT_EDGE_METHOD
+        assert solver.pflux.operator.method == DEFAULT_EDGE_METHOD
         engine = BatchFitEngine(shot.machine, shot.diagnostics, shot.grid)
         assert solver.pflux.operator is engine.edge_op
 
     @pytest.mark.parametrize("method", ["toeplitz", "lowrank"])
     def test_fp64_structured_fit_matches(self, shot, dense_fit, method):
-        solver = EfitSolver(
-            shot.machine, shot.diagnostics, shot.grid, boundary_method=method
-        )
+        solver = self._solver(shot, method)
+        assert solver.pflux.operator.method == method
         result = solver.fit(shot.measurements)
         assert result.converged and result.iterations == dense_fit.iterations
         rel = np.max(np.abs(result.psi - dense_fit.psi)) / np.max(
             np.abs(dense_fit.psi)
         )
         assert rel < 1e-10
-
-    def test_conflicting_pflux_impl_rejected(self, shot):
-        """A foreign ``PfluxBase`` has no method to agree with: naming one
-        — any one — beside it raises, and without one the solver reports
-        ``None``."""
-        from repro.efit.pflux import PfluxVectorized
-        from repro.efit.solvers import make_solver
-
-        impl = PfluxVectorized(
-            shot.grid, cached_boundary_tables(shot.grid), make_solver("dst", shot.grid)
-        )
-        for named in EDGE_METHODS:
-            with pytest.raises(FittingError, match="boundary_method"):
-                EfitSolver(
-                    shot.machine, shot.diagnostics, shot.grid,
-                    pflux_impl=impl, boundary_method=named,
-                )
-        solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid, pflux_impl=impl)
-        assert solver.boundary_method is None and solver.pflux is impl
-
-    @pytest.mark.parametrize("named", ["toeplitz", "dense"])
-    def test_operator_method_mismatch_rejected(self, shot, named):
-        """``"dense"`` is a method like the others, not "not given": it
-        used to be let through beside a lowrank operator."""
-        op = cached_edge_operator(cached_boundary_tables(shot.grid), "lowrank")
-        with pytest.raises(FittingError, match="boundary_method"):
-            EfitSolver(
-                shot.machine, shot.diagnostics, shot.grid,
-                pflux_impl=op, boundary_method=named,
-            )
-        solver = EfitSolver(
-            shot.machine, shot.diagnostics, shot.grid,
-            pflux_impl=op, boundary_method="lowrank",
-        )
-        assert solver.boundary_method == "lowrank" and solver.pflux.operator is op
 
     @pytest.mark.parametrize("removed", ["vectorized", "reference"])
     def test_removed_pflux_impl_strings_rejected(self, shot, removed):
@@ -478,10 +457,7 @@ class TestSolverIntegration:
 
     def test_unknown_method_rejected(self, shot):
         with pytest.raises(OperatorError):
-            EfitSolver(
-                shot.machine, shot.diagnostics, shot.grid,
-                boundary_method="fourier",
-            )
+            self._solver(shot, "fourier")
 
 
 # -- disk cache --------------------------------------------------------------------

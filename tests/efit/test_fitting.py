@@ -1,5 +1,7 @@
 """Tests of the fit_ Picard loop (the reconstruction itself)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,37 @@ class TestConfiguration:
         blend): its former arguments are not silently accepted."""
         with pytest.raises(TypeError):
             EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, **knob)
+
+    @pytest.mark.parametrize(
+        "engine, knob, error",
+        [
+            ("EfitSolver", {"boundary_method": "dense"}, TypeError),
+            ("BatchFitEngine", {"boundary_method": "dense"}, TypeError),
+            ("ParallelFitEngine", {"boundary_method": "dense"}, TypeError),
+            ("ParallelFitEngine", {"workers": 2}, TypeError),
+            ("BatchFitEngine", {"n_workers": 2}, FittingError),
+        ],
+        ids=lambda v: "-".join(v) if isinstance(v, dict) else getattr(v, "__name__", v),
+    )
+    def test_removed_engine_knobs_fail_loudly(self, shot33, engine, knob, error):
+        """Each engine decision is settable in one place: the operator is
+        an instance (``pflux_impl=`` / ``edge_operator=``), the fleet's
+        size is ``SchedulerConfig.workers``, and several cores are the
+        fleet's, not the batch engine's threads.  The second places are
+        not silently accepted — the fleet checks its solver keywords
+        before it stages an arena or starts a worker."""
+        from repro.batch import BatchFitEngine
+        from repro.parallel import ParallelFitEngine, SchedulerConfig
+
+        factory = {
+            "EfitSolver": EfitSolver,
+            "BatchFitEngine": BatchFitEngine,
+            "ParallelFitEngine": partial(
+                ParallelFitEngine, config=SchedulerConfig(transport="inline")
+            ),
+        }[engine]
+        with pytest.raises(error, match="ParallelFitEngine" if error is FittingError else None):
+            factory(shot33.machine, shot33.diagnostics, shot33.grid, **knob)
 
     def test_reference_pflux_impl_agrees(self, shot33):
         """The paper's loop baseline, its BLAS form and the default edge

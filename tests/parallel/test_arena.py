@@ -1,7 +1,8 @@
-"""Table arenas: build, attach, refcount, removal."""
+"""Table arenas: build, attach, removal."""
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -9,8 +10,8 @@ import signal
 import numpy as np
 import pytest
 
-from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.grid import RZGrid
+from repro.efit.operators import cached_edge_operator
 from repro.efit.pflux import edge_flux_operator
 from repro.efit.tables import (
     BoundaryTableCache,
@@ -18,7 +19,13 @@ from repro.efit.tables import (
     cached_boundary_tables,
 )
 from repro.errors import ArenaError
-from repro.parallel import ArenaManager, TableArena, attach_arena
+from repro.parallel import TableArena, attach_arena
+
+
+def _op(grid, *method):
+    """The process's cached operator on ``grid`` (the default method
+    unless one is named) — what a fleet stages when handed none."""
+    return cached_edge_operator(cached_boundary_tables(grid), *method)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +36,7 @@ def grid():
 @pytest.fixture(scope="module")
 def arena(grid):
     # The tests below read ``.matrix``: the oracle's layout, by name.
-    arena = TableArena.build(grid, "dense")
+    arena = TableArena.build(_op(grid, "dense"))
     yield arena
     arena.unlink()
 
@@ -74,7 +81,7 @@ class TestTableArena:
         assert arena.nbytes == tables.gpc.nbytes + edge_op.nbytes
 
     def test_unlink_is_idempotent(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
+        arena = TableArena.build(_op(grid))
         arena.unlink()
         arena.unlink()
 
@@ -90,7 +97,7 @@ class TestAttach:
         )
 
     def test_attach_after_unlink_raises(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
+        arena = TableArena.build(_op(grid))
         spec = arena.spec
         arena.unlink()
         assert not os.path.exists(spec.path)
@@ -98,48 +105,9 @@ class TestAttach:
             attach_arena(spec)
 
 
-class TestArenaManager:
-    def test_refcounted_sharing_and_unlink_at_zero(self, grid):
-        manager = ArenaManager()
-        a1 = manager.acquire(grid, DEFAULT_EDGE_METHOD)
-        a2 = manager.acquire(grid, DEFAULT_EDGE_METHOD)
-        assert a1 is a2
-        assert manager.refcount(grid, DEFAULT_EDGE_METHOD) == 2
-        assert len(manager) == 1
-        manager.release(grid, DEFAULT_EDGE_METHOD)
-        assert manager.refcount(grid, DEFAULT_EDGE_METHOD) == 1
-        spec = a1.spec
-        manager.release(grid, DEFAULT_EDGE_METHOD)
-        assert manager.refcount(grid, DEFAULT_EDGE_METHOD) == 0
-        assert len(manager) == 0
-        with pytest.raises(ArenaError):
-            attach_arena(spec)  # unlinked at refcount zero
-
-    def test_release_without_acquire_raises(self, grid):
-        with pytest.raises(ArenaError):
-            ArenaManager().release(grid, DEFAULT_EDGE_METHOD)
-
-    def test_distinct_grids_distinct_arenas(self, grid):
-        manager = ArenaManager()
-        other = RZGrid(9, 9)
-        a1 = manager.acquire(grid, DEFAULT_EDGE_METHOD)
-        a2 = manager.acquire(other, DEFAULT_EDGE_METHOD)
-        assert a1 is not a2
-        assert len(manager) == 2
-        assert manager.resident_bytes == a1.nbytes + a2.nbytes
-        manager.shutdown()
-        assert len(manager) == 0
-
-    def test_shutdown_is_reentrant(self, grid):
-        manager = ArenaManager()
-        manager.acquire(grid, DEFAULT_EDGE_METHOD)
-        manager.shutdown()
-        manager.shutdown()
-
-
 class TestCacheSeeding:
     def test_seed_makes_get_return_shared_view(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
+        arena = TableArena.build(_op(grid))
         try:
             cache = BoundaryTableCache()
             cache.seed(arena.tables())
@@ -153,7 +121,7 @@ class TestCacheSeeding:
             arena.unlink()
 
     def test_seed_replaces_existing_entry(self, grid):
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
+        arena = TableArena.build(_op(grid))
         try:
             cache = BoundaryTableCache()
             cache.get(grid)  # private build first
@@ -165,7 +133,7 @@ class TestCacheSeeding:
     def test_double_drop_is_a_no_op(self, grid):
         """Teardown paths may race close() against each other; dropping
         an entry that is already gone must stay silent."""
-        arena = TableArena.build(grid, DEFAULT_EDGE_METHOD)
+        arena = TableArena.build(_op(grid))
         try:
             cache = BoundaryTableCache()
             cache.seed(arena.tables())
@@ -177,6 +145,8 @@ class TestCacheSeeding:
             arena.unlink()
 
 
+
+
 def _hold_attachment(spec, attached):
     """Worker that maps the arena, says so, and waits to be killed."""
     held = attach_arena(spec).tables()
@@ -185,13 +155,19 @@ def _hold_attachment(spec, attached):
     return held
 
 
+def _drop_inherited(holder):
+    """Forked child: drop its copy of the parent's built arena."""
+    holder.clear()
+    gc.collect()
+
+
 class TestFailurePaths:
-    def test_manager_sweep_with_crashed_worker_holding_attachment(self, grid):
+    def test_unlink_with_crashed_worker_holding_attachment(self, grid):
         """A worker SIGKILLed while it maps the arena holds nothing the
-        parent needs back: the release removes the directory, and the
-        next acquire builds a new one."""
-        manager = ArenaManager()
-        spec = manager.acquire(grid, DEFAULT_EDGE_METHOD).spec
+        parent needs back: the builder's unlink removes the directory, and
+        the next build stages a new one."""
+        arena = TableArena.build(_op(grid))
+        spec = arena.spec
         ctx = multiprocessing.get_context("fork")
         attached = ctx.Event()
         proc = ctx.Process(target=_hold_attachment, args=(spec, attached))
@@ -202,12 +178,11 @@ class TestFailurePaths:
             proc.kill()
             proc.join(timeout=60)
         assert proc.exitcode == -signal.SIGKILL
-        manager.release(grid, DEFAULT_EDGE_METHOD)
-        assert len(manager) == 0
+        arena.unlink()
         assert not os.path.exists(spec.path)
         with pytest.raises(ArenaError):
             attach_arena(spec)
-        again = manager.acquire(grid, DEFAULT_EDGE_METHOD)
+        again = TableArena.build(_op(grid))
         try:
             assert again.spec.path != spec.path
             np.testing.assert_array_equal(
@@ -215,4 +190,46 @@ class TestFailurePaths:
                 cached_boundary_tables(grid).gpc,
             )
         finally:
-            manager.shutdown()
+            again.unlink()
+
+
+class TestOnlyTheBuilderRemoves:
+    """What replaced the manager's refcount and ``atexit`` sweep: a
+    finalizer registered by :meth:`TableArena.build`, which removes the
+    directory in the building process only."""
+
+    def test_dropping_the_built_arena_removes_its_directory(self, grid):
+        arena = TableArena.build(_op(grid))
+        path = arena.spec.path
+        del arena
+        gc.collect()
+        assert not os.path.exists(path)
+
+    def test_dropping_an_attached_view_never_removes_the_directory(self, grid):
+        arena = TableArena.build(_op(grid))
+        try:
+            attached = attach_arena(arena.spec)
+            attached.unlink()
+            del attached
+            gc.collect()
+            assert os.path.isdir(arena.spec.path)
+            attach_arena(arena.spec)
+        finally:
+            arena.unlink()
+        assert not os.path.exists(arena.spec.path)
+
+    def test_a_forked_child_dropping_its_copy_removes_nothing(self, grid):
+        """A fork inherits the built arena and its finalizer; the child
+        collecting its copy must leave the parent's directory alone."""
+        holder = [TableArena.build(_op(grid))]
+        spec = holder[0].spec
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=_drop_inherited, args=(holder,))
+        child.start()
+        child.join(timeout=60)
+        try:
+            assert child.exitcode == 0
+            assert os.path.isdir(spec.path)
+            attach_arena(spec)
+        finally:
+            holder[0].unlink()

@@ -12,7 +12,7 @@ from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
 from repro.efit.grid import RZGrid
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
-from repro.parallel import ArenaManager, TableArena, attach_arena
+from repro.parallel import TableArena, attach_arena
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ class TestStructuredArena:
         """An operator rebuilt from arena segments applies bit-identically
         to one built privately — fleet workers and the parent agree."""
         local = cached_edge_operator(tables, method)
-        arena = TableArena.build(grid, method)
+        arena = TableArena.build(local)
         try:
             x = np.random.default_rng(0).normal(size=(grid.size, 3))
             np.testing.assert_array_equal(arena.edge_op().apply(x), local.apply(x))
@@ -47,9 +47,9 @@ class TestStructuredArena:
     def test_dense_arena_uses_op_segments(self, grid, tables):
         """Dense has no layout of its own: its ``to_arrays()`` lands in
         ``op_*`` arrays and ``edge_op()`` is the one way to read it."""
-        arena = TableArena.build(grid, "dense")
+        arena = TableArena.build(cached_edge_operator(tables, "dense"))
         try:
-            assert arena.spec.boundary_method == "dense"
+            assert arena.spec.method == "dense"
             assert arena.spec.names == ("gpc", "op_matrix")
             dense = build_edge_operator(tables, "dense")
             np.testing.assert_array_equal(arena.edge_op().matrix, dense.matrix)
@@ -80,20 +80,19 @@ def _child_holds_views(spec, tables, attached, released, verdict):
     released.wait(timeout=60)
     verdict.put(
         not os.path.exists(spec.path)
-        and _same_bytes_and_apply(held_tables, held_op, tables, spec.boundary_method)
+        and _same_bytes_and_apply(held_tables, held_op, tables, spec.method)
     )
 
 
 class TestViewsOutliveTheArena:
     """What replaced the close/unlink protocol: a view owns its mapping,
-    so it reads the same bytes after the arena is released, swept and
-    removed as before — in the parent and in a worker.  Before PR 24 this
-    was a segfault (PR 4), then an ``ArenaError``."""
+    so it reads the same bytes after the built arena is unlinked and
+    dropped — in the parent and in a worker.  Under the shared-memory
+    arena this was a segfault, then an ``ArenaError``."""
 
     @pytest.mark.parametrize("method", EDGE_METHODS)
     def test_views_read_and_apply_after_the_arena_is_gone(self, grid, tables, method):
-        manager = ArenaManager()
-        arena = manager.acquire(grid, method)
+        arena = TableArena.build(cached_edge_operator(tables, method))
         spec = arena.spec
         held_tables, held_op = arena.tables(), arena.edge_op()
         ctx = multiprocessing.get_context("fork")
@@ -105,9 +104,8 @@ class TestViewsOutliveTheArena:
         child.start()
         try:
             assert attached.wait(timeout=60)
-            manager.release(grid, method)
-            assert manager.refcount(grid, method) == 0
-            manager.shutdown()
+            arena.unlink()
+            del arena
             assert not os.path.exists(spec.path)
             released.set()
             assert verdict.get(timeout=60) is True
@@ -120,7 +118,7 @@ class TestViewsOutliveTheArena:
 
 class TestFleetBoundaryMethod:
     def test_inline_fleet_lowrank_tracks_dense_serial(self):
-        """The fleet threads boundary_method through arena + workers; the
+        """The fleet stages its operator in the arena for its workers; the
         low-rank fp64 path must track the dense serial engine to 1e-10."""
         from repro.batch import BatchFitEngine, synthetic_slice_sequence
         from repro.efit.measurements import synthetic_shot_186610
@@ -128,21 +126,20 @@ class TestFleetBoundaryMethod:
 
         shot = synthetic_shot_186610(33)
         slices = synthetic_slice_sequence(shot, 4, seed=5)
+        tables = cached_boundary_tables(shot.grid)
         serial = BatchFitEngine(
             shot.machine, shot.diagnostics, shot.grid, batch_size=2,
-            boundary_method="dense",
+            edge_operator=cached_edge_operator(tables, "dense"),
         ).fit_many(slices)
         with ParallelFitEngine(
             shot.machine,
             shot.diagnostics,
             shot.grid,
             batch_size=2,
-            workers=2,
             config=SchedulerConfig(workers=2, transport="inline"),
-            boundary_method="lowrank",
+            edge_operator=cached_edge_operator(tables, "lowrank"),
         ) as engine:
-            assert engine.boundary_method == "lowrank"
-            assert engine.arena.spec.boundary_method == "lowrank"
+            assert engine.arena.spec.method == "lowrank"
             fleet = engine.fit_many(slices)
         for a, b in zip(serial.results, fleet.results):
             scale = np.max(np.abs(a.psi))
@@ -151,7 +148,7 @@ class TestFleetBoundaryMethod:
 
 
     def test_default_fleet_stages_no_dense_matrix(self):
-        """A fleet that names no method stages the default operator: the
+        """A fleet handed no operator stages the default one: the
         Green table it aliases plus its spectra — no ``op_matrix``."""
         from repro.efit.measurements import synthetic_shot_186610
         from repro.parallel import ParallelFitEngine, SchedulerConfig
@@ -163,29 +160,8 @@ class TestFleetBoundaryMethod:
             shot.grid,
             config=SchedulerConfig(workers=1, transport="inline"),
         ) as engine:
-            assert engine.boundary_method == DEFAULT_EDGE_METHOD == "toeplitz"
             spec = engine.arena.spec
-            assert spec.boundary_method == DEFAULT_EDGE_METHOD
+            assert spec.method == DEFAULT_EDGE_METHOD == "toeplitz"
             assert spec.names == ("gpc", "op_vert_spectra", "op_meta_i8")
             gpc = cached_boundary_tables(shot.grid).gpc
             assert gpc.nbytes < engine.arena.nbytes < 1.1 * gpc.nbytes
-
-
-class TestManagerKeying:
-    def test_methods_get_distinct_arenas(self, grid):
-        manager = ArenaManager()
-        dense = manager.acquire(grid, "dense")
-        lowrank = manager.acquire(grid, "lowrank")
-        try:
-            assert dense is not lowrank
-            assert manager.refcount(grid, "dense") == 1
-            assert manager.refcount(grid, "lowrank") == 1
-            again = manager.acquire(grid, "lowrank")
-            assert again is lowrank
-            assert manager.refcount(grid, "lowrank") == 2
-        finally:
-            manager.release(grid, "lowrank")
-            manager.release(grid, "lowrank")
-            manager.release(grid, "dense")
-        assert manager.refcount(grid, "dense") == 0
-        assert manager.refcount(grid, "lowrank") == 0

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.measurements import synthetic_shot_186610
+from repro.efit.operators import cached_edge_operator
+from repro.efit.tables import cached_boundary_tables
 from repro.errors import FittingError, JobQuarantinedError
 from repro.obs import TraceHooks, TraceRecorder
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
@@ -41,10 +49,7 @@ def _inline_engine(shot, *, workers, **kwargs):
         shot.diagnostics,
         shot.grid,
         batch_size=2,
-        workers=workers,
-        config=SchedulerConfig(
-            workers=workers, transport="inline"
-        ),
+        config=SchedulerConfig(workers=workers, transport="inline"),
         **kwargs,
     )
 
@@ -61,7 +66,7 @@ def _assert_identical(serial, parallel):
 class TestBitIdenticalMerge:
     def test_real_processes_match_serial(self, shot, slices, serial_result):
         with ParallelFitEngine(
-            shot.machine, shot.diagnostics, shot.grid, batch_size=2, workers=2
+            shot.machine, shot.diagnostics, shot.grid, batch_size=2
         ) as engine:
             parallel = engine.fit_many(slices)
         _assert_identical(serial_result, parallel)
@@ -99,38 +104,14 @@ class TestEngineApi:
                 shot.machine, shot.diagnostics, shot.grid, batch_size=0
             )
 
-    def test_conflicting_worker_counts(self, shot):
-        with pytest.raises(FittingError):
-            ParallelFitEngine(
-                shot.machine,
-                shot.diagnostics,
-                shot.grid,
-                workers=4,
-                config=SchedulerConfig(workers=3, transport="inline"),
-            )
-
-    def test_explicit_workers_2_conflicts_like_any_other_count(self, shot):
-        """``workers=2`` is a value, not "not given": while the default
-        doubled as the sentinel, this ran four workers without a word."""
-        with pytest.raises(FittingError, match="workers=2.*config.workers=4"):
-            ParallelFitEngine(
-                shot.machine,
-                shot.diagnostics,
-                shot.grid,
-                workers=2,
-                config=SchedulerConfig(workers=4, transport="inline"),
-            )
-
-    def test_worker_count_from_either_place(self, shot):
-        inline3 = SchedulerConfig(workers=3, transport="inline")
-        for kwargs, expected in (
-            ({"config": inline3}, 3),
-            ({"config": inline3, "workers": 3}, 3),
-            ({"config": SchedulerConfig(transport="inline")}, 2),
-            ({}, 2),  # the pool starts lazily: no process is spawned here
+    def test_worker_count_from_the_config(self, shot):
+        for config, expected in (
+            (SchedulerConfig(workers=3, transport="inline"), 3),
+            (SchedulerConfig(transport="inline"), 2),
+            (None, 2),  # the pool starts lazily: no process is spawned here
         ):
             with ParallelFitEngine(
-                shot.machine, shot.diagnostics, shot.grid, **kwargs
+                shot.machine, shot.diagnostics, shot.grid, config=config
             ) as engine:
                 assert engine.config.workers == expected
 
@@ -139,30 +120,72 @@ class TestEngineApi:
             with pytest.raises(FittingError):
                 engine.fit_many([])
 
-    def test_engines_share_one_arena(self, shot):
+    def test_each_engine_owns_its_arena(self, shot, slices, serial_result):
+        """Two fleets on one grid and operator stage two directories of
+        the same bytes; closing one removes its own and leaves the other
+        fleet reconstructing."""
         e1 = _inline_engine(shot, workers=1)
-        e2 = _inline_engine(shot, workers=1)
-        try:
-            assert e1.arena is e2.arena
-            assert e1._manager.refcount(shot.grid, e1.boundary_method) >= 2
-        finally:
-            e1.close()
-            e2.close()
+        with _inline_engine(shot, workers=1) as e2:
+            try:
+                assert e1.arena.spec.path != e2.arena.spec.path
+                assert e1.arena.spec.names == e2.arena.spec.names
+                for name in e1.arena.spec.names:
+                    np.testing.assert_array_equal(
+                        e1.arena.array(name), e2.arena.array(name)
+                    )
+            finally:
+                e1.close()
+            assert not os.path.exists(e1.arena.spec.path)
+            assert os.path.isdir(e2.arena.spec.path)
+            _assert_identical(serial_result, e2.fit_many(slices))
+        assert not os.path.exists(e2.arena.spec.path)
 
-    def test_failed_construction_releases_the_arena(self, shot, monkeypatch):
-        """No engine comes back to close(), so the constructor gives its
-        reference back itself: the count, not ``atexit``, ends the arena."""
+    def test_failed_construction_releases_the_arena(self, shot, monkeypatch, arena_tmpdir):
+        """No engine comes back to close(), so the constructor removes the
+        arena it staged itself."""
         import repro.parallel.engine as engine_module
-        from repro.parallel import arena_manager
 
         def refuse(*args, **kwargs):
             raise RuntimeError("no pool today")
 
         monkeypatch.setattr(engine_module, "ProcessScheduler", refuse)
-        before = arena_manager().refcount(shot.grid, "lowrank")
+        before = set(arena_tmpdir.glob("repro_arena_*"))
+        lowrank = cached_edge_operator(cached_boundary_tables(shot.grid), "lowrank")
         with pytest.raises(RuntimeError, match="no pool today"):
-            _inline_engine(shot, workers=1, boundary_method="lowrank")
-        assert arena_manager().refcount(shot.grid, "lowrank") == before
+            _inline_engine(shot, workers=1, edge_operator=lowrank)
+        assert set(arena_tmpdir.glob("repro_arena_*")) == before
+
+    def test_a_fleet_dropped_without_close_leaves_no_arena(self, tmp_path):
+        """A script that never calls close() still leaves its ``TMPDIR``
+        clean: the arena's finalizer removes the directory at exit."""
+        script = textwrap.dedent(
+            """
+            import glob, os
+            from repro.batch import synthetic_slice_sequence
+            from repro.efit.measurements import synthetic_shot_186610
+            from repro.parallel import ParallelFitEngine, SchedulerConfig
+
+            shot = synthetic_shot_186610(17)
+            engine = ParallelFitEngine(
+                shot.machine, shot.diagnostics, shot.grid, batch_size=2,
+                config=SchedulerConfig(workers=1, transport="inline"),
+            )
+            engine.fit_many(synthetic_slice_sequence(shot, 2, seed=3))
+            print(len(glob.glob(os.path.join(os.environ["TMPDIR"], "repro_arena_*"))))
+            """
+        )
+        env = {**os.environ, "TMPDIR": str(tmp_path)}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        env.pop(CRASH_RATE_ENV, None)
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1"]  # the arena was there while it ran ...
+        assert not list(tmp_path.glob("repro_arena_*"))  # ... and is gone
 
     def test_close_is_idempotent(self, shot):
         engine = _inline_engine(shot, workers=1)
@@ -188,7 +211,6 @@ class TestFailureModes:
             shot.diagnostics,
             shot.grid,
             batch_size=2,
-            workers=2,
             config=SchedulerConfig(
                 workers=2,
                 transport="inline",
@@ -231,7 +253,6 @@ class TestMergedObservability:
             shot.diagnostics,
             shot.grid,
             batch_size=2,
-            workers=2,
             hooks=TraceHooks(recorder),
         ) as engine:
             result = engine.fit_many(slices)

@@ -59,15 +59,12 @@ def no_crash_env(monkeypatch):
     workers=st.integers(min_value=1, max_value=3),
 )
 def test_merge_is_bit_identical_to_serial(shot, slices, serial, workers):
-    config = SchedulerConfig(
-        workers=workers, transport="inline"
-    )
+    config = SchedulerConfig(workers=workers, transport="inline")
     with ParallelFitEngine(
         shot.machine,
         shot.diagnostics,
         shot.grid,
         batch_size=BATCH_SIZE,
-        workers=workers,
         config=config,
     ) as engine:
         parallel = engine.fit_many(slices)

@@ -39,7 +39,6 @@ def _inline_engine(shot, *, workers=2):
         shot.diagnostics,
         shot.grid,
         batch_size=2,
-        workers=workers,
         config=SchedulerConfig(workers=workers, transport="inline"),
     )
 

@@ -361,11 +361,9 @@ def test_parallel_is_bit_identical_to_serial(name, workers):
     """For any scenario, worker count and completion order, the parallel
     merge returns the serial engine's exact numbers."""
     sc, shot, slices, serial = _serial_reference(name)
-    config = SchedulerConfig(
-        workers=workers, transport="inline"
-    )
+    config = SchedulerConfig(workers=workers, transport="inline")
     with ParallelFitEngine.for_scenario(
-        sc, shot=shot, batch_size=BATCH_SIZE, workers=workers, config=config
+        sc, shot=shot, batch_size=BATCH_SIZE, config=config
     ) as engine:
         parallel = engine.fit_many(slices)
     assert len(parallel.results) == len(serial.results) == N_SLICES

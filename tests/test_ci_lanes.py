@@ -73,6 +73,16 @@ def _subcommands() -> list[str]:
 INVOCATIONS = _repro_invocations()
 
 
+def _named_method(argv: list[str]) -> str:
+    """The ``--boundary-method`` an invocation names, or ``"default"``."""
+    return argv[argv.index("--boundary-method") + 1] if "--boundary-method" in argv else "default"
+
+
+def _parallel_stress_commands() -> list[str]:
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    return _run_commands(text[text.index("  parallel-stress:") : text.index("  scenario-matrix:")])
+
+
 def test_the_scan_finds_the_lanes():
     """Guards the scanner itself: both workflow files, every form of
     ``run:`` (plain, folded, matrix-expanded)."""
@@ -80,9 +90,10 @@ def test_the_scan_finds_the_lanes():
     commands = {argv[0] for _, argv in INVOCATIONS}
     assert {"analyze", "pfleet", "fit", "serve", "trace", "operators"} <= commands
     assert sum(argv[0] == "fit" for _, argv in INVOCATIONS) == 4
-    # The fleet drill runs twice: on the default operator and on the oracle.
+    # The fleet runs three times: the crash drill on the default operator,
+    # then the dense oracle and the low-rank operator.
     fleets = [argv for _, argv in INVOCATIONS if argv[0] == "pfleet"]
-    assert sorted("dense" in argv for argv in fleets) == [False, True]
+    assert sorted(_named_method(argv) for argv in fleets) == ["default", "dense", "lowrank"]
     # The serve smoke runs twice: the gate, and the shedding drill.
     serves = [argv for _, argv in INVOCATIONS if argv[0] == "serve"]
     assert sorted("--queue-depth" in argv for argv in serves) == [False, True]
@@ -91,13 +102,36 @@ def test_the_scan_finds_the_lanes():
 def test_parallel_stress_lane_sweeps_its_tmpdir_for_arenas():
     """The lane gives itself a TMPDIR and, after the suite and both
     fleet drills, fails on any ``repro_arena_*`` entry left in it."""
-    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    lane = text[text.index("  parallel-stress:") : text.index("  scenario-matrix:")]
-    commands = _run_commands(lane)
+    commands = _parallel_stress_commands()
     exported = next(i for i, c in enumerate(commands) if c.startswith('echo "TMPDIR='))
     sweep = next(i for i, c in enumerate(commands) if "repro_arena_*" in c)
     ran = [i for i, c in enumerate(commands) if "pytest" in c or "repro pfleet" in c]
-    assert len(ran) == 3 and exported < min(ran) and max(ran) < sweep
+    assert len(ran) == 4 and exported < min(ran) and max(ran) < sweep
+
+
+def test_parallel_stress_lane_stages_every_arena_layout_in_real_processes():
+    """Besides the crash drill's default layout, the lane runs the same
+    short fleet once on the dense oracle and once on the low-rank operator,
+    each against the serial engine and in real worker processes — and the
+    arena sweep stays the lane's last step."""
+    commands = _parallel_stress_commands()
+    fleets = {}
+    for i, command in enumerate(commands):
+        _, marker, tail = command.partition("python -m repro ")
+        argv = shlex.split(tail) if marker else []
+        if argv[:1] == ["pfleet"] and "--boundary-method" in argv:
+            k = argv.index("--boundary-method")
+            fleets[argv[k + 1]] = (i, argv[:k] + argv[k + 2 :])
+    assert sorted(fleets) == ["dense", "lowrank"]
+    (_, dense), (_, lowrank) = fleets["dense"], fleets["lowrank"]
+    assert dense == lowrank == shlex.split(
+        "pfleet g186610 --grid 33 --workers 2 --slices 4 --batch 2 --compare-serial"
+    )
+    parsed = build_parser().parse_args(dense)
+    assert parsed.workers == 2 and parsed.compare_serial
+    sweep = next(i for i, c in enumerate(commands) if "repro_arena_*" in c)
+    assert max(i for i, _ in fleets.values()) < sweep
+    assert not any("python -m repro" in c or "pytest" in c for c in commands[sweep:])
 
 
 def test_scenario_lanes_run_their_batch_relations():
