@@ -8,11 +8,11 @@ iterate — this package amortises all of it:
 * :class:`~repro.batch.workspace.FitWorkspace` — preallocated buffer
   arenas keyed on shape, with allocation/reuse counters so benchmarks can
   assert a zero-allocation steady state;
-* :class:`~repro.batch.engine.BatchFitEngine` — drives worker threads
-  over a slice queue, shares one Green table, one precomputed edge
-  operator and one solver factorisation per grid, computes the boundary
-  flux of a whole batch with a single GEMM, and solves all interior
-  systems in one multi-RHS sweep;
+* :class:`~repro.batch.engine.BatchFitEngine` — drives lock-step
+  batches of slices on the calling thread, shares one Green table, one
+  precomputed edge operator and one solver factorisation per grid,
+  computes the boundary flux of a whole batch with a single GEMM, and
+  solves all interior systems in one multi-RHS sweep;
 * :mod:`~repro.batch.slices` — throughput statistics (slices/s, latency
   percentiles) and synthetic slice-sequence generation for benchmarks.
 """

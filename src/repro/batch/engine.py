@@ -30,8 +30,10 @@ lockstep Picard iteration:
   plasmas' rows, and each slice's new flux, which its state keeps, are
   made per iterate.
 
-Batches run one after another on the calling thread; several cores are
-the fleet's (:class:`~repro.parallel.engine.ParallelFitEngine`, one
+Batches run one after another on the calling thread, and record into
+the solver's profiler and hooks (``engine.solver.profiler`` /
+``engine.solver.hooks``), as ``solver.fit`` and a served frame do; several
+cores are the fleet's (:class:`~repro.parallel.engine.ParallelFitEngine`, one
 engine like this per worker process).  Convergence is per-slice: a
 converged slice leaves both the pre-flux pass and the flux step while the
 rest of its batch iterates on, so every iterate's width is the number of
@@ -56,8 +58,6 @@ from repro.efit.machine import Tokamak
 from repro.efit.measurements import MeasurementSet
 from repro.efit.operators import EdgeOperator
 from repro.errors import FittingError
-from repro.obs.hooks import NULL_HOOKS, ObservationHooks
-from repro.profiling.regions import RegionProfiler
 from repro.runtime.counters import WorkspaceCounters
 
 __all__ = ["BatchFitEngine", "BatchFitResult"]
@@ -86,10 +86,6 @@ class BatchFitEngine:
     n_workers:
         Must be 1: batches run on the calling thread.  Reconstruct on
         several cores with :class:`~repro.parallel.engine.ParallelFitEngine`.
-    hooks:
-        Optional :class:`~repro.obs.hooks.ObservationHooks` receiving the
-        batch-level spans/events (``pflux_`` regions carry a ``batch``
-        attribute; per-slice Picard events come from the solver).
     edge_operator:
         The :class:`~repro.efit.operators.EdgeOperator` to apply (the
         solver's ``pflux_impl``).  The multi-process fleet passes
@@ -98,7 +94,10 @@ class BatchFitEngine:
         a bare :class:`EfitSolver` applies.
     solver_kwargs:
         Forwarded to the underlying :class:`EfitSolver` (bases,
-        tolerances, ...).
+        tolerances, ``profiler``, ``hooks``, ...).  The solver's hooks
+        receive the engine's ``fit_many_start`` / ``fit_many_end`` events
+        beside every slice's Picard spans and events (``pflux_`` regions
+        carry a ``batch`` attribute).
     """
 
     def __init__(
@@ -109,7 +108,6 @@ class BatchFitEngine:
         *,
         batch_size: int = 8,
         n_workers: int = 1,
-        hooks: ObservationHooks | None = None,
         edge_operator: EdgeOperator | None = None,
         **solver_kwargs,
     ) -> None:
@@ -122,7 +120,6 @@ class BatchFitEngine:
                 f"ParallelFitEngine"
             )
         self.batch_size = batch_size
-        self.hooks = hooks if hooks is not None else NULL_HOOKS
         #: The shared per-grid setup: Green tables, solver factorisation,
         #: response matrices — built once, reused by every batch.  The
         #: solver resolves the operator exactly as a bare one does.
@@ -135,7 +132,6 @@ class BatchFitEngine:
         #: Persistent across ``fit_many`` calls, so the steady state
         #: requests no new buffer.
         self._workspace = FitWorkspace()
-        self._profiler = RegionProfiler()
 
     @classmethod
     def for_scenario(cls, scenario, n: int = 65, *, shot=None, **kwargs) -> "BatchFitEngine":
@@ -158,10 +154,6 @@ class BatchFitEngine:
         """A snapshot of the workspace's allocation/reuse counters."""
         return replace(self._workspace.counters)
 
-    def profiler_report(self):
-        """Region report of every batch this engine has run."""
-        return self._profiler.report()
-
     # -- the batched Picard loop ---------------------------------------------------
     def _fit_batch(
         self,
@@ -173,15 +165,7 @@ class BatchFitEngine:
         """Advance one batch of slices in lockstep to convergence."""
         solver = self.solver
         seeds = psi_initial if psi_initial is not None else [None] * len(batch)
-        states = [
-            solver.start_fit(
-                m,
-                psi_initial=seed,
-                profiler=self._profiler,
-                hooks=self.hooks,
-            )
-            for m, seed in zip(batch, seeds)
-        ]
+        states = [solver.start_fit(m, psi_initial=seed) for m, seed in zip(batch, seeds)]
         flux = partial(solver.pflux.compute_batch, self._workspace, self.batch_size)
         latencies: list[float | None] = [None] * len(states)
         for _ in solver.picard(states, flux=flux):
@@ -220,7 +204,8 @@ class BatchFitEngine:
         """
         batches = batch_groups(slices, psi_initial, self.batch_size)
         n_slices = sum(len(batch) for _, batch, _ in batches)
-        self.hooks.event(
+        hooks = self.solver.hooks
+        hooks.event(
             "fit_many_start", n_slices=n_slices, batch_size=self.batch_size
         )
         t_run0 = time.perf_counter()
@@ -239,7 +224,7 @@ class BatchFitEngine:
             total_iterations=total_iterations,
             n_converged=sum(1 for r in results if r.converged),
         )
-        self.hooks.event(
+        hooks.event(
             "fit_many_end",
             n_slices=n_slices,
             wall_seconds=wall,

@@ -284,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frame (default: slices, so the offline replay never sheds)",
     )
     p_sv.add_argument(
-        "--executor-workers", type=int, default=None,
-        help="solver thread pool size (default: number of streams, capped at 8)",
-    )
-    p_sv.add_argument(
         "--no-warm-start", action="store_true",
         help="solve every slice cold (A/B baseline for the warm savings)",
     )
@@ -556,8 +552,7 @@ def _cmd_trace(args) -> int:
             shot.machine, shot.diagnostics, shot.grid, batch_size=8, hooks=hooks
         )
         results = engine.fit_many(slices).results
-        report = engine.profiler_report()
-        profiler_totals = dict(report.totals)
+        profiler_totals = dict(engine.solver.profiler.report().totals)
         iterations = [r.iterations for r in results]
         label = (
             f"{shot.label} x{len(slices)} slices: {min(iterations)}-{max(iterations)} "
@@ -715,11 +710,6 @@ def _cmd_serve(args) -> int:
         queue_depth=args.queue_depth if args.queue_depth else args.slices,
         max_streams=args.streams,
         warm_start=not args.no_warm_start,
-        executor_workers=(
-            args.executor_workers
-            if args.executor_workers
-            else min(args.streams, 8)
-        ),
     )
     metrics = ServeMetrics()
     service = ReconstructionService(engine, config=config, metrics=metrics)
@@ -787,8 +777,8 @@ def _cmd_serve(args) -> int:
 
     if args.compare_serial:
         # Replay every solved frame through the plain serial solver with
-        # the chain its session kept: a converged slice seeds the next
-        # solved one, a shed frame never reached the session, and a
+        # the chain its stream kept: a converged slice seeds the next
+        # solved one, a shed frame never reached the solver, and a
         # failed or unconverged one resets the chain.  Every slice that
         # ran to convergence under its deadline must be bit-identical.
         solver = engine.solver

@@ -111,13 +111,11 @@ class FitState:
     sign: int
     coeffs: np.ndarray
     pcurr: np.ndarray
-    profiler: RegionProfiler
     #: The data side of ``green_``'s system (:func:`~repro.efit.response.
     #: measurement_system`): the measurements less the PF-coil
     #: contribution, and ``1 / sigma``.  No iterate changes them.
     data: np.ndarray
     weights: np.ndarray
-    hooks: ObservationHooks = NULL_HOOKS
     vessel_currents: np.ndarray | None = None
     boundary: BoundaryResult | None = None
     chi2: float = np.inf
@@ -220,13 +218,17 @@ class EfitSolver:
     profiler:
         Optional :class:`RegionProfiler`; regions ``steps_``, ``current_``,
         ``green_``, ``pflux_`` and ``other`` accumulate per ``fit_``
-        invocation.
+        invocation.  Every fit on this solver records here — ``fit``,
+        a batch engine's ``fit_many`` and a served frame alike.
     hooks:
         Optional :class:`~repro.obs.hooks.ObservationHooks` (e.g.
         :class:`~repro.obs.hooks.TraceHooks`).  Mirrors the profiler
         regions as structured trace spans and emits one
         ``picard_iteration`` event per iterate with chi^2, residual and
         boundary attributes.  The default, ``NULL_HOOKS``, is free.
+        Like the profiler, it is the one set of instruments of every
+        entry point that drives this solver, so a solver is driven from
+        one thread at a time.
     """
 
     def __init__(
@@ -310,7 +312,7 @@ class EfitSolver:
             self.vessel_response = diagnostics.response_to_vessel(machine)
             self.vessel_flux_tables = machine.vessel_flux_tables(grid)
         #: Geometry-only arrays of the hot path.  Built here, not on first
-        #: use, so the threads that later share this solver only read.
+        #: use, so no fit pays for them.
         self.statics = GridStatics.build(machine, grid)
 
     @classmethod
@@ -437,8 +439,6 @@ class EfitSolver:
         psi_initial: np.ndarray | None = None,
         coeffs_initial: np.ndarray | None = None,
         statics: GridStatics | None = None,
-        profiler: RegionProfiler | None = None,
-        hooks: ObservationHooks | None = None,
     ) -> FitState:
         """Validate one slice's inputs and build its initial Picard state,
         with the data side of its ``green_`` system (the measurements less
@@ -461,10 +461,9 @@ class EfitSolver:
         carries a warm start.
 
         ``statics`` overrides the solver's own :class:`GridStatics`
-        (:attr:`statics`); ``profiler`` and ``hooks`` override the
-        solver-level profiler and observation hooks — the batch engine
-        passes its own, so its regions and spans stay apart from those
-        of fits run on the bare solver.
+        (:attr:`statics`).  Every state records into the solver's
+        :attr:`profiler` and :attr:`hooks`, whichever entry point drives
+        it.
         """
         grid = self.grid
         if measurements.n_measurements != self.diagnostics.n_measurements:
@@ -526,16 +525,14 @@ class EfitSolver:
             sign=sign,
             coeffs=coeffs,
             pcurr=np.zeros(grid.shape),
-            profiler=profiler if profiler is not None else self.profiler,
             data=data,
             weights=weights,
-            hooks=hooks if hooks is not None else self.hooks,
             vessel_currents=np.zeros(self.machine.n_vessel) if self.fit_vessel else None,
             boundary=probed,
             warmup_until=0 if warm_start else N_WARMUP,
             warm_start=warm_start,
         )
-        state.hooks.event(
+        self.hooks.event(
             "start_fit",
             grid=f"{grid.nw}x{grid.nh}",
             n_measurements=measurements.n_measurements,
@@ -567,7 +564,7 @@ class EfitSolver:
         grid = self.grid
         if statics is None:
             statics = self.statics
-        profiler, hooks = states[0].profiler, states[0].hooks
+        profiler, hooks = self.profiler, self.hooks
         for state in states:
             state.iteration += 1
         iteration = states[0].iteration
@@ -657,10 +654,8 @@ class EfitSolver:
         (``psi_new`` becomes the state's flux — the flux step returns
         arrays the state may own), history and the convergence decision.
         Returns ``True`` once the slice has converged."""
-        hooks = state.hooks
-        with hooks.profiled_region(
-            state.profiler, "steps_", iteration=state.iteration
-        ):
+        hooks = self.hooks
+        with hooks.profiled_region(self.profiler, "steps_", iteration=state.iteration):
             span = float(np.ptp(psi_new))
             if span == 0.0:
                 raise ConvergenceError("flat flux map during fit")
@@ -727,7 +722,7 @@ class EfitSolver:
         iterating, one flux step over them all and :meth:`iterate_post`
         on each result, then yields; the generator ends once all have
         converged or after ``max_iters`` iterates.  A caller is a stop
-        policy: :meth:`fit` exhausts it, a serving session leaves at its
+        policy: :meth:`fit` exhausts it, the serving loop leaves at its
         deadline, the batch engine reads latencies between iterates.
 
         ``flux(currents)`` maps the ``(pcurr, psi_external)`` pairs of the
@@ -736,15 +731,16 @@ class EfitSolver:
         :attr:`pflux` slice by slice; the batch engine passes its
         workspace-backed form,
         :meth:`~repro.efit.pflux.PfluxStructured.compute_batch`.  A
-        converged state leaves both halves of the next iterate.  The
-        states share one profiler and one hooks object: one caller, one
-        thread.
+        converged state leaves both halves of the next iterate.  Every
+        iterate records into the solver's :attr:`profiler` and
+        :attr:`hooks`, whose region nesting is not thread-safe: a solver
+        is driven from one thread at a time.
         """
         if flux is None:
             def flux(currents):
                 return [self.pflux.compute(*pair) for pair in currents]
 
-        profiler, hooks = states[0].profiler, states[0].hooks
+        profiler, hooks = self.profiler, self.hooks
         active = list(range(len(states)))
         for iteration in range(1, self.max_iters + 1):
             with hooks.profiled_region(profiler, "fit_", iteration=iteration):
@@ -770,7 +766,7 @@ class EfitSolver:
         profiles = ProfileCoefficients.from_vector(
             self.pp_basis, self.ffp_basis, state.coeffs
         )
-        state.hooks.event(
+        self.hooks.event(
             "finish_fit",
             converged=state.converged,
             iterations=len(state.history),

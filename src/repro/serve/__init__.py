@@ -10,7 +10,6 @@ and batch-engine per-grid state.  See ``docs/SERVING.md``.
 from repro.serve.frames import Frame, FrameFailure, SliceReport
 from repro.serve.metrics import ITERATION_BOUNDS, LATENCY_BOUNDS, ServeMetrics
 from repro.serve.service import ReconstructionService, ServeConfig, StreamSummary
-from repro.serve.session import ShotSession
 
 __all__ = [
     "Frame",
@@ -22,5 +21,4 @@ __all__ = [
     "ReconstructionService",
     "ServeConfig",
     "StreamSummary",
-    "ShotSession",
 ]

@@ -2,7 +2,8 @@
 
 A :class:`Frame` is one diagnostic time slice of a live shot as the
 acquisition system would hand it over: the stream it belongs to, its
-slice index, the measurement vector and the per-slice latency budget.
+slice index and the measurement vector (the per-slice budget is the
+service's ``ServeConfig.deadline_s``).
 A :class:`SliceReport` is what the service hands back — the (possibly
 partial) reconstruction plus the latency/deadline/warm-start bookkeeping
 the real-time literature reports.  A :class:`FrameFailure` stands in for
@@ -30,16 +31,12 @@ class Frame:
     index: int
     #: The slice's diagnostic data.
     measurements: MeasurementSet
-    #: Per-slice solve budget [s]; ``None`` inherits the stream default.
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if not self.stream_id:
             raise ServeError("frame needs a non-empty stream_id")
         if self.index < 0:
             raise ServeError("frame index must be >= 0")
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
-            raise ServeError("frame deadline must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,8 @@ class SliceReport:
     deadline_missed: bool
     #: Wall-clock seconds spent inside the Picard solve.
     solve_seconds: float
-    #: Seconds the frame waited in the stream queue before solving.
+    #: Seconds from submit to the solve's start on the solver thread: the
+    #: stream queue and the wait behind other streams' frames.
     queue_seconds: float = 0.0
 
     @property

@@ -3,11 +3,11 @@
 One :class:`ServeMetrics` owns every ``serve.*`` metric the streaming
 service emits (names documented in ``docs/SERVING.md``) and keeps direct
 handles to its histograms, so latency quantiles (p50/p95/p99) can be
-computed without reaching into the registry's internals.  Multiple
-sessions and the service share one instance; all underlying primitives
-mutate under the GIL (counter ``inc`` / histogram ``observe`` are single
-bytecode-level updates), which is the same thread-safety story the batch
-engine's shared trace recorder relies on.
+computed without reaching into the registry's internals.  The service's
+event loop (admission, shedding) and its solver thread (every solved
+frame) share one instance; all underlying primitives mutate under the
+GIL (counter ``inc`` / histogram ``observe`` are single bytecode-level
+updates).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ServeMetrics:
         reg = self.registry
         #: Per-slice solve wall time [s].
         self.slice_seconds = reg.histogram("serve.slice_seconds", LATENCY_BOUNDS)
-        #: Per-frame queue wait [s] (submit to dequeue).
+        #: Per-frame wait [s]: submit to the solve's start on the solver thread.
         self.queue_seconds = reg.histogram("serve.queue_seconds", LATENCY_BOUNDS)
         #: Picard iterations of warm-started slices.
         self.warm_iterations = reg.histogram(

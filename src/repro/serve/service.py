@@ -13,9 +13,16 @@ investment, the service is the traffic layer on top:
   shed-oldest policy: when a producer outruns its solver the *stale*
   slices are dropped (``serve.frames_shed``), because in real-time
   reconstruction the newest frame is the valuable one;
-* **deadline enforcement** — each frame's solve runs under the stream's
-  per-slice budget inside a :class:`~repro.serve.session.ShotSession`,
-  returning a partial result on expiry rather than blocking the stream;
+* **warm-start chaining** — a stream's converged slice seeds the next
+  frame's :meth:`~repro.efit.fitting.EfitSolver.start_fit` (trusted
+  warm-start mode: warm-up skipped, convergence allowed from the first
+  iterate, guarded fallback on divergence); a partial, failed or cold-off
+  slice seeds nothing, so the next frame solves cold;
+* **deadline enforcement** — ``ServeConfig.deadline_s`` is checked
+  between iterates; on expiry the partial state is sealed through
+  ``finish(require_convergence=False)`` and reported as a miss.  The
+  first iterate always runs, so even a missed slice carries a boundary
+  and a flux map;
 * **fault containment** — a frame for another diagnostic set is refused
   at :meth:`~ReconstructionService.submit`; one the solver rejects
   mid-solve becomes a :class:`~repro.serve.frames.FrameFailure` on its
@@ -25,9 +32,16 @@ investment, the service is the traffic layer on top:
   :class:`~repro.serve.metrics.ServeMetrics` /
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Solves run in a thread pool (the heavy GEMM/FFT kernels release the
-GIL), one worker coroutine per stream, so K streams progress K solves
-concurrently while the event loop stays responsive to submissions.
+Every frame's solve runs on one solver thread, which the service starts
+and owns; the event loop stays responsive to submissions meanwhile.  Each
+stream's coroutine keeps its queue and hands the solver thread one frame
+at a time, so its warm chain keeps its order and streams interleave
+frame by frame.  A frame's solve is
+:meth:`~repro.efit.fitting.EfitSolver.picard` — the loop
+:meth:`~repro.efit.fitting.EfitSolver.fit` runs — on the engine's solver,
+so a slice that runs to convergence is bit-identical to that solver's
+``fit`` with the same chain, for any number of streams (DESIGN.md §6),
+and records into the solver's profiler and hooks.
 """
 
 from __future__ import annotations
@@ -39,11 +53,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.batch.engine import BatchFitEngine
 from repro.errors import AdmissionError, ReproError, ServeError
 from repro.serve.frames import Frame, FrameFailure, SliceReport
 from repro.serve.metrics import ServeMetrics
-from repro.serve.session import ShotSession
 
 __all__ = ["ReconstructionService", "ServeConfig", "StreamSummary"]
 
@@ -52,7 +67,8 @@ __all__ = ["ReconstructionService", "ServeConfig", "StreamSummary"]
 class ServeConfig:
     """Service-level policy knobs."""
 
-    #: Default per-slice solve budget [s] (``None`` = no deadline).
+    #: Per-slice solve budget [s] (``None`` = no deadline): the one
+    #: deadline every frame of every stream solves under.
     deadline_s: float | None = 0.5
     #: Bounded per-stream queue depth; submissions past it shed oldest.
     queue_depth: int = 8
@@ -60,8 +76,8 @@ class ServeConfig:
     max_streams: int = 8
     #: Chain warm starts across a stream's slices.
     warm_start: bool = True
-    #: Thread-pool size shared by all stream workers (the concurrency of
-    #: actual solves; streams beyond it interleave).
+    #: Inert: every solve runs on the service's one solver thread.  Kept,
+    #: still validated, only for callers that pass it.
     executor_workers: int = 4
 
     def __post_init__(self) -> None:
@@ -96,16 +112,15 @@ class StreamSummary:
 
 
 class _Stream:
-    """One live stream: its session, bounded queue and worker task."""
+    """One live stream: its bounded queue, warm chain and worker task."""
 
     __slots__ = (
-        "stream_id", "session", "pending", "depth", "wakeup",
-        "closing", "reports", "failures", "shed", "task",
+        "stream_id", "pending", "depth", "wakeup", "closing",
+        "reports", "failures", "shed", "task", "prev_psi",
     )
 
-    def __init__(self, stream_id: str, session: ShotSession, depth: int) -> None:
+    def __init__(self, stream_id: str, depth: int) -> None:
         self.stream_id = stream_id
-        self.session = session
         #: (frame, enqueue-timestamp) pairs awaiting their solve.
         self.pending: deque[tuple[Frame, float]] = deque()
         self.depth = depth
@@ -115,6 +130,9 @@ class _Stream:
         self.failures: list[FrameFailure] = []
         self.shed = 0
         self.task: asyncio.Task | None = None
+        #: The last converged slice's psi, which seeds the next frame.
+        #: Only the solver thread touches it.
+        self.prev_psi: np.ndarray | None = None
 
 
 class ReconstructionService:
@@ -122,8 +140,10 @@ class ReconstructionService:
 
     Use as an async context manager (or call :meth:`start` /
     :meth:`stop`).  The per-grid state comes from ``engine`` — its
-    solver and hooks are shared read-only across every stream's
-    session, so opening a stream is O(1) in grid size.
+    solver is the one every stream's frames solve on, so opening a
+    stream is O(1) in grid size.  ``clock`` (monotonic seconds) times
+    the queue, the solve and the deadline; it is injectable so deadline
+    behaviour is testable against a fake clock.
     """
 
     def __init__(
@@ -147,11 +167,10 @@ class ReconstructionService:
         if self._running:
             raise ServeError("service already started")
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="serve",
+            max_workers=1, thread_name_prefix="serve-solver"
         )
         self._running = True
-        self.engine.hooks.event(
+        self.engine.solver.hooks.event(
             "serve_start",
             max_streams=self.config.max_streams,
             queue_depth=self.config.queue_depth,
@@ -159,11 +178,11 @@ class ReconstructionService:
         )
 
     async def stop(self) -> dict[str, StreamSummary]:
-        """Drain and close every open stream, then shut the pool down.
+        """Drain and close every open stream, then stop the solver thread.
 
         Whatever a stream's worker raised, the service ends stopped —
-        every stream retired, the pool shut down — and only then is the
-        first such error re-raised.
+        every stream retired, the solver thread stopped — and only then
+        is the first such error re-raised.
         """
         if not self._running:
             return {}
@@ -186,7 +205,7 @@ class ReconstructionService:
             self._executor.shutdown(wait=True)
             self._executor = None
             self._running = False
-        self.engine.hooks.event("serve_stop", streams_closed=len(summaries))
+        self.engine.solver.hooks.event("serve_stop", streams_closed=len(summaries))
         if first_error is not None:
             raise first_error
         return summaries
@@ -204,9 +223,7 @@ class ReconstructionService:
             raise ServeError("service is not running (use 'async with' or start())")
 
     # -- the stream lifecycle ------------------------------------------------------
-    async def open_stream(
-        self, stream_id: str, *, deadline_s: float | None = None
-    ) -> None:
+    async def open_stream(self, stream_id: str) -> None:
         """Admit one new shot stream (or refuse it at capacity)."""
         self._require_running()
         if stream_id in self._streams:
@@ -217,16 +234,7 @@ class ReconstructionService:
                 f"stream {stream_id!r} refused: {len(self._streams)} of "
                 f"{self.config.max_streams} stream slots in use"
             )
-        session = ShotSession(
-            self.engine.solver,
-            deadline_s=(
-                deadline_s if deadline_s is not None else self.config.deadline_s
-            ),
-            warm_start=self.config.warm_start,
-            metrics=self.metrics,
-            clock=self.clock,
-        )
-        stream = _Stream(stream_id, session, self.config.queue_depth)
+        stream = _Stream(stream_id, self.config.queue_depth)
         stream.task = asyncio.create_task(
             self._stream_worker(stream), name=f"serve-{stream_id}"
         )
@@ -290,9 +298,10 @@ class ReconstructionService:
         except KeyError:
             raise ServeError(f"unknown stream {stream_id!r}") from None
 
-    # -- the per-stream worker -----------------------------------------------------
+    # -- the per-stream worker and the solve -------------------------------------
     async def _stream_worker(self, stream: _Stream) -> None:
-        """Pull frames off the bounded queue and solve them in the pool."""
+        """Pull frames off the bounded queue and solve them, one at a
+        time, on the solver thread."""
         loop = asyncio.get_running_loop()
         while True:
             if not stream.pending:
@@ -306,10 +315,9 @@ class ReconstructionService:
                 await stream.wakeup.wait()
                 continue
             frame, t_enqueue = stream.pending.popleft()
-            queue_seconds = max(0.0, self.clock() - t_enqueue)
             try:
                 report = await loop.run_in_executor(
-                    self._executor, stream.session.reconstruct, frame, queue_seconds
+                    self._executor, self._solve, stream, frame, t_enqueue
                 )
             except ReproError as exc:
                 # The solver rejected this frame's data (or gave up on
@@ -325,3 +333,61 @@ class ReconstructionService:
                 self.metrics.frames_failed.inc()
                 continue
             stream.reports.append(report)
+
+    def _solve(self, stream: _Stream, frame: Frame, t_enqueue: float) -> SliceReport:
+        """One frame's solve under the deadline, on the solver thread;
+        never raises on a miss.
+
+        A frame the solver rejects raises its :class:`ReproError` and
+        leaves the stream's warm chain reset: the next frame solves cold.
+        """
+        solver = self.engine.solver
+        metrics = self.metrics
+        deadline = self.config.deadline_s
+        t0 = self.clock()
+        # The wait ends here, not at dequeue: it includes the wait for
+        # the solver thread behind other streams' frames.
+        queue_seconds = max(0.0, t0 - t_enqueue)
+        # The chain is taken, not read: only a slice that converges puts
+        # one back, so neither a raise nor a partial result seeds the next.
+        prev_psi, stream.prev_psi = stream.prev_psi, None
+        state = solver.start_fit(frame.measurements, psi_initial=prev_psi)
+        missed = False
+        # The stop policy: leave the loop once the budget is spent.  The
+        # first iterate runs before the first check, so a missed slice
+        # still has a boundary.
+        for _ in solver.picard([state]):
+            if not state.converged and deadline is not None and self.clock() - t0 >= deadline:
+                missed = True
+                break
+        result = solver.finish(state, require_convergence=False)
+        solve_seconds = self.clock() - t0
+
+        metrics.slices.inc()
+        metrics.slice_seconds.observe(solve_seconds)
+        metrics.queue_seconds.observe(queue_seconds)
+        if missed:
+            metrics.deadline_misses.inc()
+        if result.warm_start:
+            metrics.warm_iterations.observe(result.iterations)
+        else:
+            metrics.cold_iterations.observe(result.iterations)
+            if prev_psi is not None:
+                # We offered a warm start but the solver revoked it (the
+                # divergence guard) or refused it (boundary probe failed).
+                metrics.warm_start_fallbacks.inc()
+        if result.converged and self.config.warm_start:
+            # Chain the *converged* psi only: a deadline-starved stream
+            # degrades to known-good cold solves rather than compound a
+            # half-converged state.
+            stream.prev_psi = result.psi
+        return SliceReport(
+            stream_id=frame.stream_id,
+            index=frame.index,
+            result=result,
+            iterations=result.iterations,
+            warm_start=result.warm_start,
+            deadline_missed=missed,
+            solve_seconds=solve_seconds,
+            queue_seconds=queue_seconds,
+        )

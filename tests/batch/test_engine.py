@@ -5,6 +5,7 @@ import pytest
 
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.errors import ConvergenceError, FittingError, MeasurementError
+from repro.profiling.regions import RegionProfiler
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,20 @@ class TestEngineSteadyState:
         batch = engine.fit_many(slices6)
         assert batch.latencies.shape == (6,)
         assert (batch.latencies > 0).all()
+
+    def test_records_into_the_solver_profiler(self, shot33, slices6):
+        """``profiler=`` reaches the engine's solver, and ``fit_many``
+        records into it: one ``fit_`` and one ``pflux_`` call per batched
+        iterate."""
+        profiler = RegionProfiler()
+        engine = BatchFitEngine(
+            shot33.machine, shot33.diagnostics, shot33.grid, batch_size=4,
+            profiler=profiler,
+        )  # fmt: skip
+        assert engine.solver.profiler is profiler
+        engine.fit_many(slices6)
+        calls = profiler.report().calls
+        assert calls["fit_"] == calls["pflux_"] > 0
 
 
 class TestEngineValidation:

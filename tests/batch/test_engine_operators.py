@@ -11,7 +11,7 @@ from repro.efit.fitting import EfitSolver
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import OperatorError
-from repro.serve import Frame, ShotSession
+from tests.serve.conftest import serve_reports
 
 
 def _cached(shot, method):
@@ -71,7 +71,7 @@ class TestBoundaryMethodKwarg:
 
     def test_engine_solver_applies_the_engine_operator(self, shot33, slices4):
         """The operator means the same at every entry point: the engine's
-        solver — hence ``solver.fit`` and every serving session — runs on
+        solver — hence ``solver.fit`` and every served frame — runs on
         the operator ``fit_many`` applies.  (It used to stay on the
         Green-table sums, so ``repro serve --boundary-method X`` built an
         operator no frame ever applied.)"""
@@ -80,8 +80,8 @@ class TestBoundaryMethodKwarg:
             shot33.machine, shot33.diagnostics, shot33.grid, edge_operator=op
         )
         assert engine.solver.pflux.operator is engine.edge_op is op
-        session = ShotSession(engine.solver)
-        served = session.reconstruct(Frame("s", 0, slices4[0])).result
+        (report,) = serve_reports(engine, slices4[:1])
+        served = report.result
         bare = EfitSolver(
             shot33.machine, shot33.diagnostics, shot33.grid, pflux_impl=op
         ).fit(slices4[0])

@@ -187,16 +187,19 @@ class TestConfiguration:
             ("ParallelFitEngine", {"boundary_method": "dense"}, TypeError),
             ("ParallelFitEngine", {"workers": 2}, TypeError),
             ("BatchFitEngine", {"n_workers": 2}, FittingError),
+            ("start_fit", {"profiler": None}, TypeError),
+            ("start_fit", {"hooks": None}, TypeError),
         ],
         ids=lambda v: "-".join(v) if isinstance(v, dict) else getattr(v, "__name__", v),
     )
     def test_removed_engine_knobs_fail_loudly(self, shot33, engine, knob, error):
         """Each engine decision is settable in one place: the operator is
         an instance (``pflux_impl=`` / ``edge_operator=``), the fleet's
-        size is ``SchedulerConfig.workers``, and several cores are the
-        fleet's, not the batch engine's threads.  The second places are
-        not silently accepted — the fleet checks its solver keywords
-        before it stages an arena or starts a worker."""
+        size is ``SchedulerConfig.workers``, several cores are the
+        fleet's, not the batch engine's threads, and a fit records into
+        its solver's ``profiler`` / ``hooks``, not per ``start_fit``.  The
+        second places are not silently accepted — the fleet checks its
+        solver keywords before it stages an arena or starts a worker."""
         from repro.batch import BatchFitEngine
         from repro.parallel import ParallelFitEngine, SchedulerConfig
 
@@ -205,6 +208,9 @@ class TestConfiguration:
             "BatchFitEngine": BatchFitEngine,
             "ParallelFitEngine": partial(
                 ParallelFitEngine, config=SchedulerConfig(transport="inline")
+            ),
+            "start_fit": lambda *problem, **kw: EfitSolver(*problem).start_fit(
+                shot33.measurements, **kw
             ),
         }[engine]
         with pytest.raises(error, match="ParallelFitEngine" if error is FittingError else None):

@@ -16,7 +16,7 @@ from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.boundary import find_axis, find_boundary
 from repro.efit.fitting import EfitSolver
 from repro.efit.machine import Limiter, Tokamak, diiid_like_machine
-from repro.serve import Frame, ShotSession
+from tests.serve.conftest import serve_reports
 
 
 @pytest.fixture()
@@ -61,9 +61,9 @@ class TestGeometryWorkHappensAtConstruction:
         assert built == [], "EfitSolver.fit"
         engine.fit_many(slices)
         assert built == [], "BatchFitEngine.fit_many"
-        report = ShotSession(engine.solver).reconstruct(Frame("s", 0, slices[0]))
+        (report,) = serve_reports(engine, slices[:1])
         assert report.converged
-        assert built == [], "ShotSession.reconstruct"
+        assert built == [], "ReconstructionService"
         find_boundary(grid, result.psi, fresh_machine.limiter)
         assert built == [], "bare find_boundary"
 

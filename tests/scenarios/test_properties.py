@@ -8,7 +8,7 @@ worker count:
   is harmonic there, so the plasma current is the only source).
 * The entry points relate as DESIGN.md's relation table declares: same
   operator and same apply width — a bare solver, ``engine.solver.fit``,
-  a serving session and a batch of one (width 1); two engines, or an
+  a served stream and a batch of one (width 1); two engines, or an
   engine and the fleet, at equal ``batch_size`` — is bit-identical;
   anything else agrees to round-off with equal iterate counts.
   ``test_batch_engine_matches_single_solver`` is the one place the
@@ -33,8 +33,8 @@ from repro.efit.fitting import EfitSolver
 from repro.efit.operators import GradShafranovOperator
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
 from repro.scenarios import get_scenario, scenario_names
-from repro.serve import Frame, ShotSession
 from repro.utils.constants import MU0
+from tests.serve.conftest import serve_reports
 
 N = 33
 N_SLICES = 4
@@ -203,7 +203,7 @@ def test_batch_engine_matches_single_solver(name, warm):
     every scenario, cold and warm-chained.
 
     Bit-identical: a bare ``EfitSolver``, ``engine.solver.fit``, a
-    ``ShotSession`` and ``fit_many(batch_size=1)`` — one Picard loop
+    a served stream and ``fit_many(batch_size=1)`` — one Picard loop
     applying one cached operator object one column at a time.  To
     round-off, with equal iterate counts: ``fit_many`` at B >= 2 (the
     same operator applied to a wider column stack)."""
@@ -221,8 +221,7 @@ def test_batch_engine_matches_single_solver(name, warm):
                 coeffs_initial=prev.history[-1].coefficients if prev else None,
             )
         )
-    session = ShotSession(solver, warm_start=warm)
-    served = [session.reconstruct(Frame("s", i, m)).result for i, m in enumerate(slices)]
+    served = [r.result for r in serve_reports(engine, slices, warm_start=warm)]
     _assert_identical(served, serial)
     assert [r.warm_start for r in serial] == [warm and i > 0 for i in range(len(slices))]
 

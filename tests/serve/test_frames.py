@@ -9,7 +9,7 @@ from repro.serve import Frame
 class TestFrameValidation:
     def test_valid_frame(self, slices3):
         f = Frame(stream_id="s", index=0, measurements=slices3[0])
-        assert f.deadline_s is None
+        assert (f.stream_id, f.index) == ("s", 0)
 
     def test_empty_stream_id(self, slices3):
         with pytest.raises(ServeError, match="stream_id"):
@@ -19,6 +19,7 @@ class TestFrameValidation:
         with pytest.raises(ServeError, match="index"):
             Frame(stream_id="s", index=-1, measurements=slices3[0])
 
-    def test_non_positive_deadline(self, slices3):
-        with pytest.raises(ServeError, match="deadline"):
-            Frame(stream_id="s", index=0, measurements=slices3[0], deadline_s=0.0)
+    def test_frame_takes_no_deadline(self, slices3):
+        """The per-slice budget is ``ServeConfig.deadline_s`` alone."""
+        with pytest.raises(TypeError):
+            Frame(stream_id="s", index=0, measurements=slices3[0], deadline_s=1.0)

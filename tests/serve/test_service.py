@@ -1,23 +1,175 @@
-"""ReconstructionService: concurrency, admission, backpressure, drain."""
+"""ReconstructionService: warm chaining, deadlines, the solver thread,
+admission, backpressure, drain."""
 
 import asyncio
+import itertools
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.batch import synthetic_slice_sequence
+from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.errors import AdmissionError, ServeError
+from repro.obs.hooks import TraceHooks
+from repro.obs.trace import TraceRecorder
+from repro.profiling.regions import RegionProfiler
 from repro.serve import (
     Frame,
     ReconstructionService,
     ServeConfig,
     ServeMetrics,
 )
+from tests.serve.conftest import serve_reports
 
 
 def _run(coro):
     return asyncio.run(coro)
+
+
+class TestWarmChaining:
+    def test_later_slices_warm_and_faster(self, engine33, slices3):
+        reports = serve_reports(engine33, slices3)
+        assert all(r.converged for r in reports)
+        assert not reports[0].warm_start
+        for r in reports[1:]:
+            assert r.warm_start
+            assert r.iterations < reports[0].iterations
+
+    def test_bit_identical_to_chained_serial_fit(self, engine33, slices3):
+        """The acceptance criterion: a served slice that converged is
+        bit-identical to the serial solver run with the same chaining."""
+        reports = serve_reports(engine33, slices3)
+        solver = engine33.solver
+        prev_psi = prev_coeffs = None
+        for r, m in zip(reports, slices3):
+            serial = solver.fit(
+                m, psi_initial=prev_psi, coeffs_initial=prev_coeffs
+            )
+            np.testing.assert_array_equal(serial.psi, r.result.psi)
+            assert serial.chi2 == r.result.chi2
+            assert serial.iterations == r.iterations
+            prev_psi = serial.psi
+            prev_coeffs = serial.history[-1].coefficients
+
+    def test_warm_start_disabled_stays_cold(self, engine33, slices3):
+        reports = serve_reports(engine33, slices3, warm_start=False)
+        assert not any(r.warm_start for r in reports)
+
+    def test_metrics_split_warm_and_cold(self, engine33, slices3):
+        metrics = ServeMetrics()
+        serve_reports(engine33, slices3, metrics=metrics)
+        s = metrics.summary()
+        assert s["cold_slices"] == 1 and s["warm_slices"] == 2
+        assert s["warm_iteration_savings"] > 0
+        assert s["slices"] == 3.0 and s["deadline_misses"] == 0.0
+
+
+class TestDeadlines:
+    """``ServeConfig.deadline_s`` is the one per-slice budget.  The fake
+    clocks below jump a fixed step per reading; the service reads it once
+    per submit, once when a solve starts, once after each iterate and once
+    when the solve ends."""
+
+    def test_starved_clock_misses_deadline(self, engine33, slices3):
+        """A clock that jumps one second per reading starves the budget:
+        the solve stops early, reports a miss, still returns a sealed
+        partial result with a boundary."""
+        metrics = ServeMetrics()
+        fake = itertools.count()
+        (report,) = serve_reports(
+            engine33, slices3[:1], deadline_s=1.5, metrics=metrics,
+            clock=lambda: float(next(fake)),
+        )  # fmt: skip
+        assert report.deadline_missed
+        assert not report.converged
+        # The solve starts at t=1: iterate 1 sees t=2 (1 s spent, < 1.5,
+        # continue), iterate 2 sees t=3 (a miss).
+        assert report.iterations == 2
+        assert report.result.boundary is not None
+        assert metrics.summary()["deadline_misses"] == 1.0
+
+    def test_missed_slice_is_not_chained(self, engine33, slices3):
+        """The next frame is not offered the missed slice's psi: it
+        starts cold, and no warm start fell back."""
+        metrics = ServeMetrics()
+        fake = itertools.count()
+        first, second = serve_reports(
+            engine33, slices3[:2], deadline_s=1.5, metrics=metrics,
+            clock=lambda: float(next(fake)),
+        )  # fmt: skip
+        assert first.deadline_missed
+        assert not second.warm_start
+        assert metrics.warm_start_fallbacks.value == 0.0
+
+    def test_first_iterate_always_runs(self, engine33, slices3):
+        """Even a zero-budget-equivalent clock yields one iterate, so a
+        missed slice still carries a flux map."""
+        fake = itertools.count(0, 1000)
+        (report,) = serve_reports(
+            engine33, slices3[:1], deadline_s=0.5, clock=lambda: float(next(fake))
+        )
+        assert report.deadline_missed and report.iterations == 1
+
+    def test_invalid_deadline_rejected(self):
+        with pytest.raises(ServeError, match="deadline_s"):
+            ServeConfig(deadline_s=0.0)
+
+    def test_open_stream_takes_no_deadline(self, engine33):
+        async def scenario():
+            async with ReconstructionService(engine33) as svc:
+                with pytest.raises(TypeError):
+                    await svc.open_stream("s", deadline_s=1.0)
+
+        _run(scenario())
+
+
+class TestSolverThread:
+    def test_every_solve_runs_on_one_solver_thread(self, engine33, shot33, monkeypatch):
+        """Four streams, one thread: every frame's solve starts on the
+        same thread, and it is not the event loop's."""
+        threads = []
+        start_fit = engine33.solver.start_fit
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return start_fit(*args, **kwargs)
+
+        monkeypatch.setattr(engine33.solver, "start_fit", spy)
+        streams = {
+            f"s{k}": synthetic_slice_sequence(shot33, 2, seed=31 + k) for k in range(4)
+        }
+        reports = serve_reports(engine33, streams)
+        assert sum(len(r) for r in reports.values()) == len(threads) == 8
+        assert len(set(threads)) == 1
+        assert threads[0] != threading.get_ident()  # asyncio.run's loop
+
+    def test_queue_includes_the_wait_for_the_solver_thread(self, engine33, slices3):
+        """Two streams submitted together: the frame solved second waited
+        for the solver thread while the first solved, and its queue time
+        says so."""
+        reports = serve_reports(engine33, {"a": slices3[:1], "b": slices3[1:2]})
+        first, second = sorted(
+            (r for rs in reports.values() for r in rs), key=lambda r: r.queue_seconds
+        )
+        assert second.queue_seconds >= first.solve_seconds
+
+    def test_traced_engine_serves_visibly(self, shot33, slices3):
+        """A served frame records into the engine's solver: its hooks see
+        every frame's start_fit / finish_fit and every iterate, and its
+        profiler times every fit_ call."""
+        recorder, profiler = TraceRecorder(), RegionProfiler()
+        engine = BatchFitEngine(
+            shot33.machine, shot33.diagnostics, shot33.grid,
+            hooks=TraceHooks(recorder), profiler=profiler,
+        )  # fmt: skip
+        reports = serve_reports(engine, slices3)
+        iterations = sum(r.iterations for r in reports)
+        names = [e.name for e in recorder.events()]
+        assert names.count("start_fit") == names.count("finish_fit") == len(slices3)
+        assert names.count("picard_iteration") == iterations
+        assert {"serve_start", "serve_stop"} <= set(names)
+        assert profiler.report().calls["fit_"] == iterations
 
 
 class TestLifecycle:
@@ -263,17 +415,18 @@ class TestPoisonedFrames:
 
     def test_stop_cleans_up_when_a_worker_dies(self, engine33, slices3, monkeypatch):
         """A non-library exception (a bug) still kills its stream's worker,
-        but stop() closes every stream and the pool before re-raising it."""
+        but stop() closes every stream and the solver thread before
+        re-raising it."""
         svc = ReconstructionService(engine33, config=ServeConfig(deadline_s=None))
 
-        def bug(frame, queue_seconds=0.0):
+        def bug(*args, **kwargs):
             raise TypeError("bug in the solve path")
 
         async def scenario():
             await svc.start()
             await svc.open_stream("a")
             await svc.open_stream("b")
-            monkeypatch.setattr(svc._streams["a"].session, "reconstruct", bug)
+            monkeypatch.setattr(engine33.solver, "start_fit", bug)
             await svc.submit("a", Frame(stream_id="a", index=0, measurements=slices3[0]))
             with pytest.raises(TypeError, match="bug in the solve path"):
                 await svc.stop()

@@ -134,6 +134,18 @@ def test_parallel_stress_lane_stages_every_arena_layout_in_real_processes():
     assert not any("python -m repro" in c or "pytest" in c for c in commands[sweep:])
 
 
+def test_test_lane_runs_every_example():
+    """The ``test`` lane runs each ``examples/*.py`` as a script and fails
+    on the first non-zero exit, after the tier-1 suite."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    commands = _run_commands(text[text.index("  test:") : text.index("  analyze:")])
+    (loop,) = [c for c in commands if "examples/*.py" in c]
+    assert loop.startswith("for example in examples/*.py; do")
+    assert 'python "$example" || exit 1' in loop
+    assert commands.index(loop) > next(i for i, c in enumerate(commands) if "pytest -x" in c)
+    assert len(list((ROOT / "examples").glob("*.py"))) >= 8
+
+
 def test_scenario_lanes_run_their_batch_relations():
     """Each scenario-matrix lane runs the batch relations of its own
     scenario, and for every scenario of the matrix that selection holds

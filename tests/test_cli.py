@@ -100,6 +100,13 @@ class TestServeCommand:
         assert main(["serve", "--streams", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_removed_executor_workers_flag_exits_2(self, capsys):
+        """Every frame solves on the service's one solver thread."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--executor-workers", "2"])
+        assert exc.value.code == 2
+        assert "--executor-workers" in capsys.readouterr().err
+
     def test_invalid_deadline_exit_2(self, capsys):
         assert main(["serve", "--deadline-ms", "-5"]) == 2
         assert "deadline" in capsys.readouterr().err
@@ -143,7 +150,7 @@ class TestServeCommand:
     )
     def test_serial_replay_follows_the_session(self, flags, capsys):
         """Each served slice is compared with its own frame, chained as
-        its session chained it."""
+        its stream chained it."""
         rc = main(
             ["serve", "--scenario", "g186610", "--grid", "33", "--streams", "1",
              "--compare-serial", *flags]
@@ -154,8 +161,8 @@ class TestServeCommand:
         assert ("3 shed" in out) == ("--queue-depth" in flags)
 
     def test_structured_boundary_method_matches_serial(self, capsys):
-        """Sessions apply the engine's operator, and so does the serial
-        replay they are compared against."""
+        """Served frames apply the engine's operator, and so does the
+        serial replay they are compared against."""
         rc = main(
             [
                 "serve",
