@@ -211,6 +211,7 @@ def test_edge_method_table(large_grids_enabled):
         psi_ext = rng.normal(size=g.shape)
         for label, x in (("full grid", x), (f"{k}/{n} rows", plasma.reshape(g.size, 8))):
             currents = [(x[:, b].reshape(g.shape).copy(), psi_ext) for b in range(8)]
+            stacks = (np.stack([p for p, _ in currents]), np.stack([e for _, e in currents]))
             ref = ops[EDGE_METHODS.index("dense")].apply(x)
             x1 = x[:, 0].copy()
             ms_1 = median_ms(
@@ -224,7 +225,7 @@ def test_edge_method_table(large_grids_enabled):
             )
             step_8 = median_ms(
                 [
-                    lambda s=s, ws=ws: s.compute_batch(ws, 8, currents)
+                    lambda s=s, ws=ws: s.compute_batch(ws, 8, *stacks)
                     for s, ws in zip(steps, workspaces)
                 ],
                 step_rounds[n],

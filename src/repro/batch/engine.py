@@ -16,19 +16,25 @@ lockstep Picard iteration:
   (:meth:`~repro.efit.fitting.EfitSolver.iterate_pre` on all the slices
   still iterating): one boundary search on the stack of fluxes, one
   basis slab over the union of the plasmas' rows, one ``green_`` product
-  with ``B * n_coeffs`` columns and one ``fitdelz`` product — the small
-  least squares, chi^2 and shifts stay per slice;
+  with ``n_coeffs`` columns per least-squares slice, one stacked least
+  squares and residual, one ``fitdelz`` product (which carries the
+  warm-up slices' predictions) and one vertical shift of the current
+  stack — no step loops over the slices;
 * the flux step runs in its batched form
-  (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`): one
+  (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`) on the
+  ``(B, nw, nh)`` current stack: one
   operator apply on a ``(nw*nh, B)`` column stack computes every slice's
   boundary Green sums at once, on the union of the plasmas' rows, and
-  one multi-RHS sine-transform solve handles all interior systems;
+  one multi-RHS sine-transform solve handles all interior systems, and
+  the post-flux half is one span and one max |dpsi| reduction over the
+  new flux stack;
 * the flux step's batch-level arrays are prefix views of buffers sized
   for ``batch_size`` in the engine's
   :class:`~repro.batch.workspace.FitWorkspace`, so steady-state iterates
   request no new one; the pre-flux arrays, whose shapes follow the
-  plasmas' rows, and each slice's new flux, which its state keeps, are
-  made per iterate.
+  plasmas' rows, and the stack of new fluxes, whose slices the states
+  keep, are made per iterate (a slice that converges copies its own out,
+  so no result pins a batch's stack).
 
 Batches run one after another on the calling thread, and record into
 the solver's profiler and hooks (``engine.solver.profiler`` /

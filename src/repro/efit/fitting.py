@@ -34,11 +34,10 @@ from repro.efit.operators import EdgeOperator, cached_edge_operator
 from repro.efit.pflux import PfluxBase, PfluxStructured
 from repro.efit.profiles import ProfileCoefficients
 from repro.efit.response import (
-    ResponseAssembly,
     basis_response,
-    chi_squared,
     measurement_system,
-    solve_weighted_lsq,
+    solve_lsq_stack,
+    weighted_residuals,
 )
 from repro.efit.solvers import DSTSolver
 from repro.efit.tables import cached_boundary_tables
@@ -55,6 +54,21 @@ __all__ = ["EfitSolver", "FitResult", "FitIterationRecord", "FitState", "GridSta
 #: to 10-16, and each one past three costs one iterate everywhere
 #: (EXPERIMENTS.md "Picard step (PR 20)").
 N_WARMUP = 3
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.stack(arrays)``, except that a batch of one is a view of its
+    array: the caller only reads it."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _z_derivative(field: np.ndarray, dz: float, *, out: np.ndarray) -> None:
+    """``d(field)/dz`` along the last axis with np.gradient's arithmetic,
+    without its set-up."""
+    np.subtract(field[..., 2:], field[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * dz
+    out[..., 0] = (field[..., 1] - field[..., 0]) / dz
+    out[..., -1] = (field[..., -1] - field[..., -2]) / dz
 
 
 @dataclass(frozen=True)
@@ -113,8 +127,9 @@ class FitState:
     pcurr: np.ndarray
     #: The data side of ``green_``'s system (:func:`~repro.efit.response.
     #: measurement_system`): the measurements less the PF-coil
-    #: contribution, and ``1 / sigma``.  No iterate changes them.
-    data: np.ndarray
+    #: contribution, weighted by ``1 / sigma``, and ``1 / sigma``.  No
+    #: iterate changes them.
+    weighted_data: np.ndarray
     weights: np.ndarray
     vessel_currents: np.ndarray | None = None
     boundary: BoundaryResult | None = None
@@ -252,6 +267,10 @@ class EfitSolver:
     ) -> None:
         if tol <= 0.0:
             raise FittingError("tolerance must be positive")
+        if max_iters < 1:
+            raise FittingError("max_iters must be at least 1")
+        if ridge < 0.0:
+            raise FittingError("ridge must be non-negative")
         self.machine = machine
         self.diagnostics = diagnostics
         self.grid = grid
@@ -339,13 +358,7 @@ class EfitSolver:
         return Scenario.construct(cls, scenario, n, shot=shot, **overrides)
 
     # -- helpers ------------------------------------------------------------------
-    def _fit_delz(
-        self,
-        pcurr: np.ndarray,
-        response: np.ndarray,
-        residual: Sequence[np.ndarray],
-        weights: Sequence[np.ndarray],
-    ) -> list[float]:
+    def _fit_delz(self, weighted_u: np.ndarray, weighted_residual: np.ndarray) -> np.ndarray:
         """EFIT's ``fitdelz`` for each of a batch of slices: the rigid
         vertical shift of the current distribution that best reduces the
         measurement residual.
@@ -354,68 +367,71 @@ class EfitSolver:
         ``delz = <w^2 u r> / <w^2 u u>`` with ``u`` the measurement
         response to ``d(pcurr)/dz`` and ``r`` the residual after the
         profile fit.  This is the vertical-stability feedback that keeps
-        the Picard loop on the measured plasma position.
-
-        ``pcurr`` stacks the slices' currents on one block of grid rows,
-        shape ``(B, k, nh)``, and ``response`` is the matching columns of
-        :attr:`grid_response`: the fit passes the rows the plasmas
-        occupy, outside which the gradient is zero.  Every slice's ``u``
-        comes out of one product.
+        the Picard loop on the measured plasma position.  Takes the
+        ``(B, n_meas)`` stacks ``w u`` and ``w r``; returns the ``(B,)``
+        shifts, zero for a slice whose ``u`` vanishes.
         """
-        grid = self.grid
-        # d(pcurr)/dz with np.gradient's arithmetic, without its set-up.
-        dpc_dz = np.empty_like(pcurr)
-        np.subtract(pcurr[..., 2:], pcurr[..., :-2], out=dpc_dz[..., 1:-1])
-        dpc_dz[..., 1:-1] /= 2.0 * grid.dz
-        dpc_dz[..., 0] = (pcurr[..., 1] - pcurr[..., 0]) / grid.dz
-        dpc_dz[..., -1] = (pcurr[..., -1] - pcurr[..., -2]) / grid.dz
-        u = response @ dpc_dz.reshape(len(dpc_dz), -1).T
-        cap = 4.0 * grid.dz
-        delz = []
-        for u_b, r_b, w_b in zip(u.T, residual, weights):
-            w2 = w_b**2
-            denom = float(w2 @ (u_b * u_b))
-            if denom == 0.0:
-                delz.append(0.0)
-                continue
-            # Taylor: pcurr(z - delz) ~ pcurr - delz * d(pcurr)/dz, so the
-            # physical shift to apply through shift_z is the *negative* of
-            # the fitted Taylor coefficient.  Clamped to a few cells per
-            # iteration: the shift model is linear.
-            delz.append(float(np.clip(-float(w2 @ (u_b * r_b)) / denom, -cap, cap)))
-        return delz
+        num = np.einsum("bm,bm->b", weighted_u, weighted_residual)
+        denom = np.einsum("bm,bm->b", weighted_u, weighted_u)
+        # Taylor: pcurr(z - delz) ~ pcurr - delz * d(pcurr)/dz, so the
+        # physical shift to apply through shift_z is the *negative* of the
+        # fitted Taylor coefficient.  Clamped to a few cells per iteration:
+        # the shift model is linear.
+        delz = np.zeros_like(num)
+        np.divide(-num, denom, out=delz, where=denom != 0.0)
+        cap = 4.0 * self.grid.dz
+        return np.clip(delz, -cap, cap)
 
     def _plasma_currents(
         self,
         slabs: BasisSlabs,
-        states: Sequence[FitState],
-        assemblies: Sequence[ResponseAssembly],
-    ) -> list[np.ndarray]:
-        """Each state's ``pcurr`` for the coefficients just fitted: its
-        basis currents times its coefficients on the slab's rows, shifted
-        by ``fitdelz``, written into a zero grid field — the one
-        grid-sized array an iterate allocates per slice."""
+        coeffs: np.ndarray,
+        weights: np.ndarray,
+        weighted_data: np.ndarray,
+        weighted_residual: np.ndarray,
+        warm: np.ndarray,
+        vessel: np.ndarray | None,
+    ) -> np.ndarray:
+        """The batch's ``pcurr`` stack, ``(B, nw, nh)``, for the
+        coefficients just fitted: every slice's basis currents times its
+        coefficients on the slab's rows, shifted by ``fitdelz``, written
+        into one zero stack.
+
+        ``weighted_residual`` holds the least-squares slices' rows of ``w
+        (d - A c)`` on entry; the warm-up slices' rows (``warm``) are
+        filled here from the predictions ``R (S c)``, which share one GEMM
+        with the ``fitdelz`` response, so a warm-up iterate forms no basis
+        response.  ``vessel`` is the batch's vessel currents in the
+        warm-up prediction (``None`` without vessel fitting).
+        """
         grid = self.grid
-        rows = np.empty((len(states), slabs.i1 - slabs.i0, grid.nh))
-        for b, state in enumerate(states):
-            np.matmul(slabs.matrix[:, b], state.coeffs, out=rows[b].reshape(-1))
-        if self.fitdelz:
-            # The plasma's share of the prediction is the assembled
-            # system applied to the coefficients just fitted.
-            residuals = []
-            for state, assembly in zip(states, assemblies):
-                residual = assembly.data - assembly.matrix @ state.coeffs
-                if self.fit_vessel:
-                    residual = residual - self.vessel_response @ state.vessel_currents
-                residuals.append(residual)
+        n = len(coeffs)
+        n_rows = slabs.i1 - slabs.i0
+        # One GEMV per slice, all in one call: its basis currents times
+        # its coefficients.
+        rows = np.matmul(slabs.matrix.transpose(1, 0, 2), coeffs[:, :, None])
+        rows = rows.reshape(n, n_rows, grid.nh)
+        n_warm = int(np.count_nonzero(warm))
+        n_dz = n if self.fitdelz else 0
+        if n_dz or n_warm:
+            columns = np.empty((n_dz + n_warm, n_rows, grid.nh))
+            if n_dz:
+                _z_derivative(rows, grid.dz, out=columns[:n])
+            if n_warm:
+                columns[n_dz:] = rows[warm]
             response = self.grid_response[:, slabs.i0 * grid.nh : slabs.i1 * grid.nh]
-            delz = self._fit_delz(rows, response, residuals, [s.weights for s in states])
-            rows = [grid.shift_z(r, d) if d != 0.0 else r for r, d in zip(rows, delz)]
-        pcurr = []
-        for r in rows:
-            field = np.zeros(grid.shape)
-            field[slabs.i0 : slabs.i1] = r
-            pcurr.append(field)
+            product = response @ columns.reshape(len(columns), -1).T
+            del columns  # before the shift makes its own
+            if n_warm:
+                prediction = product[:, n_dz:].T
+                if vessel is not None:
+                    prediction = prediction + vessel[warm] @ self.vessel_response.T
+                weighted_residual[warm] = weighted_data[warm] - weights[warm] * prediction
+            if n_dz:
+                delz = self._fit_delz(weights * product[:, :n].T, weighted_residual)
+                rows = grid.shift_z(rows, delz)
+        pcurr = np.zeros((n, grid.nw, grid.nh))
+        pcurr[:, slabs.i0 : slabs.i1] = rows
         return pcurr
 
     def _psi_from_coils(self, currents: np.ndarray, statics: GridStatics) -> np.ndarray:
@@ -525,7 +541,7 @@ class EfitSolver:
             sign=sign,
             coeffs=coeffs,
             pcurr=np.zeros(grid.shape),
-            data=data,
+            weighted_data=data * weights,
             weights=weights,
             vessel_currents=np.zeros(self.machine.n_vessel) if self.fit_vessel else None,
             boundary=probed,
@@ -547,20 +563,25 @@ class EfitSolver:
         for every slice of a lock-step batch at once.
 
         ``states`` is the sequence of :class:`FitState` objects iterating
-        together; each gets its ``(pcurr, psi_ext_iter)`` — exactly what
-        ``pflux_`` needs — in order.  One :class:`FitState` instead is the
-        batch of one, and returns its pair.  The caller runs the flux
-        solve (singly or batched across slices) and hands each
-        ``psi_new`` to :meth:`iterate_post`.
+        together; returns the ``(B, nw, nh)`` stacks ``(pcurr,
+        psi_external)`` of their node currents and external fluxes —
+        exactly what ``pflux_`` needs — in order.  One :class:`FitState`
+        instead is the batch of one, and returns its pair of fields.  The
+        caller runs the flux solve (singly or batched across slices) and
+        hands the new fluxes to :meth:`iterate_post`.
 
         Across the batch there is one boundary search on the stack of
         fluxes, one basis slab over the union of the masks' rows, one
-        response product with ``B * n_coeffs`` columns and one ``fitdelz``
-        product; the least squares, chi^2 and the shifts are per slice.
+        response product with ``n_coeffs`` columns per least-squares
+        slice, one stacked least squares (:func:`~repro.efit.response.
+        solve_lsq_stack`) and residual, one ``fitdelz`` product — which
+        also carries the warm-up slices' predictions, so a warm-up
+        iterate forms no basis response — and one vertical shift of the
+        current stack.
         """
         if isinstance(states, FitState):
-            (currents,) = self.iterate_pre([states], statics=statics)
-            return currents
+            pcurr, psi_external = self.iterate_pre([states], statics=statics)
+            return pcurr[0], psi_external[0]
         grid = self.grid
         if statics is None:
             statics = self.statics
@@ -594,73 +615,112 @@ class EfitSolver:
                 self.pp_basis,
                 self.ffp_basis,
             )
+        n = len(states)
+        n_coeffs = self._warmup_shape.size
+        weights = _stack([s.weights for s in states])
+        weighted_data = _stack([s.weighted_data for s in states])
+        # Warm-up: a fixed peaked current shape rescaled to the measured Ip
+        # (EFIT's initial parabolic distribution) until the geometry is
+        # sane enough for the least-squares step to be trustworthy.  A
+        # trusted warm start enters with warmup_until == 0 and never takes
+        # it, so a converged previous-slice psi is not clobbered by the
+        # parabolic shape.
+        warm = np.array([s.iteration <= s.warmup_until for s in states])
+        n_warm = int(np.count_nonzero(warm))
+        # The least-squares slices; a slice when they are all of them, so
+        # every selection below is a view.
+        fitted = slice(None) if n_warm == 0 else np.flatnonzero(~warm)
+        vessel = np.stack([s.vessel_currents for s in states]) if self.fit_vessel else None
         with hooks.profiled_region(profiler, "green_", iteration=iteration):
-            offset = slabs.i0 * grid.nh
-            products = basis_response(
-                self.grid_response[:, slabs.lo : slabs.hi],
-                slabs.matrix[slabs.lo - offset : slabs.hi - offset],
-            )
-            assemblies = []
-            for b, state in enumerate(states):
-                assembly = ResponseAssembly(products[:, b], state.data, state.weights)
-                assemblies.append(assembly)
-                if state.iteration <= state.warmup_until:
-                    # Warm-up: a fixed peaked current shape rescaled to
-                    # the measured Ip (EFIT's initial parabolic
-                    # distribution) until the geometry is sane enough
-                    # for the least-squares step to be trustworthy.  A
-                    # trusted warm start enters with warmup_until == 0 and
-                    # never takes this branch, so a converged previous-slice
-                    # psi is no longer clobbered by the parabolic shape.
-                    total = float((slabs.matrix[:, b] @ self._warmup_shape).sum())
-                    if total == 0.0:
-                        raise FittingError("warm-up current shape carries no current")
-                    state.coeffs = self._warmup_shape * (state.measurements.ip / total)
-                    state.chi2 = chi_squared(assembly, state.coeffs)
-                elif self.fit_vessel:
-                    # Augment the linear system with one unknown per
-                    # vessel segment (EFIT's VESSEL fitting option).
-                    aug = ResponseAssembly(
-                        np.hstack([assembly.matrix, self.vessel_response]),
-                        assembly.data,
-                        assembly.weights,
-                    )
-                    sol = solve_weighted_lsq(aug, ridge=self.ridge)
-                    n_prof = state.coeffs.size
-                    state.coeffs = sol[:n_prof]
-                    state.vessel_currents = sol[n_prof:]
-                    state.chi2 = chi_squared(aug, sol)
-                else:
-                    # The full least-squares step: damping it only slows
-                    # the same fixed points down (contraction 0.8 per
-                    # iterate at half steps against 0.15-0.45 undamped).
-                    state.coeffs = solve_weighted_lsq(assembly, ridge=self.ridge)
-                    state.chi2 = chi_squared(assembly, state.coeffs)
-        with hooks.profiled_region(profiler, "current_", iteration=iteration):
-            pcurrs = self._plasma_currents(slabs, states, assemblies)
-        currents = []
-        for state, pcurr in zip(states, pcurrs):
-            state.pcurr = pcurr
-            psi_ext_iter = state.psi_external
-            if self.fit_vessel:
-                psi_ext_iter = state.psi_external + np.tensordot(
-                    state.vessel_currents, self.vessel_flux_tables, axes=1
+            coeffs = np.empty((n, n_coeffs))
+            weighted_residual = np.empty_like(weighted_data)
+            if n_warm < n:
+                # The full least-squares step: damping it only slows the
+                # same fixed points down (contraction 0.8 per iterate at
+                # half steps against 0.15-0.45 undamped).
+                offset = slabs.i0 * grid.nh
+                basis = slabs.matrix[slabs.lo - offset : slabs.hi - offset]
+                products = basis_response(
+                    self.grid_response[:, slabs.lo : slabs.hi],
+                    basis[:, fitted],
                 )
-            currents.append((pcurr, psi_ext_iter))
-        return currents
+                matrices = products.transpose(1, 0, 2) * weights[fitted, :, None]
+                if self.fit_vessel:
+                    # One unknown per vessel segment (EFIT's VESSEL
+                    # fitting option): its columns ride the same stack.
+                    matrices = np.concatenate(
+                        [matrices, weights[fitted, :, None] * self.vessel_response], axis=2
+                    )
+                solution = solve_lsq_stack(matrices, weighted_data[fitted], ridge=self.ridge)
+                weighted_residual[fitted] = weighted_residuals(
+                    matrices, weighted_data[fitted], solution
+                )
+                coeffs[fitted] = solution[:, :n_coeffs]
+                if self.fit_vessel:
+                    vessel[fitted] = solution[:, n_coeffs:]
+            if n_warm:
+                total = np.matmul(slabs.matrix.transpose(1, 0, 2), self._warmup_shape).sum(axis=1)
+                if not total[warm].all():
+                    raise FittingError("warm-up current shape carries no current")
+                ip = np.array([s.measurements.ip for s in states])
+                coeffs[warm] = self._warmup_shape * (ip[warm] / total[warm])[:, None]
+        with hooks.profiled_region(profiler, "current_", iteration=iteration):
+            pcurr = self._plasma_currents(
+                slabs, coeffs, weights, weighted_data, weighted_residual, warm, vessel
+            )
+            chi2 = np.einsum("bm,bm->b", weighted_residual, weighted_residual)
+        psi_external = _stack([s.psi_external for s in states])
+        if self.fit_vessel:
+            psi_external = psi_external + np.tensordot(vessel, self.vessel_flux_tables, axes=1)
+        for b, state in enumerate(states):
+            state.coeffs = coeffs[b]
+            state.chi2 = float(chi2[b])
+            state.pcurr = pcurr[b]
+            if self.fit_vessel:
+                state.vessel_currents = vessel[b]
+        return pcurr, psi_external
 
-    def iterate_post(self, state: FitState, psi_new: np.ndarray) -> bool:
-        """The post-flux half of one Picard iterate: residual, the update
-        (``psi_new`` becomes the state's flux — the flux step returns
-        arrays the state may own), history and the convergence decision.
-        Returns ``True`` once the slice has converged."""
+    def iterate_post(self, states, psi_new: np.ndarray):
+        """The post-flux half of one Picard iterate for every slice of a
+        lock-step batch: residual, the update (each slice of the
+        ``(B, nw, nh)`` stack ``psi_new`` becomes its state's flux — the
+        flux step returns arrays the states may own), history and the
+        convergence decision.  One :class:`FitState` with its ``(nw, nh)``
+        flux instead is the batch of one, and returns ``True`` once the
+        slice has converged.
+
+        The span and the largest flux change are one reduction over the
+        stack; the records, decisions and events are per state, each in
+        its own ``steps_`` region.
+        """
+        if isinstance(states, FitState):
+            self.iterate_post([states], psi_new[None])
+            return states.converged
+        hooks, profiler = self.hooks, self.profiler
+        n = len(states)
+        for b, state in enumerate(states):
+            with hooks.profiled_region(profiler, "steps_", iteration=state.iteration):
+                if b == 0:
+                    # The whole stack's span and largest change, timed in
+                    # the first slice's region.
+                    span = np.ptp(psi_new.reshape(n, -1), axis=1)
+                    if not span.all():
+                        raise ConvergenceError("flat flux map during fit")
+                    change = psi_new - _stack([s.psi for s in states])
+                    change = np.abs(change, out=change).reshape(n, -1).max(axis=1) / span
+                state.residual = float(change[b])
+                state.psi = psi_new[b]
+                self._settle(state)
+                if state.converged and n > 1:
+                    # A converged slice leaves the batch: it keeps its own
+                    # flux and current, not the batch's stacks.
+                    state.psi = state.psi.copy()
+                    state.pcurr = state.pcurr.copy()
+
+    def _settle(self, state: FitState) -> None:
+        """One slice's record of the iterate, its convergence and
+        divergence-guard decisions, and their events."""
         hooks = self.hooks
-        with hooks.profiled_region(self.profiler, "steps_", iteration=state.iteration):
-            span = float(np.ptp(psi_new))
-            if span == 0.0:
-                raise ConvergenceError("flat flux map during fit")
-            state.residual = float(np.max(np.abs(psi_new - state.psi)) / span)
-            state.psi = psi_new
         state.history.append(
             FitIterationRecord(
                 iteration=state.iteration,
@@ -708,28 +768,28 @@ class EfitSolver:
                 boundary_type=state.boundary.boundary_type,
                 converged=state.converged,
             )
-        return state.converged
 
     def picard(
         self,
         states: Sequence[FitState],
         *,
-        flux: Callable[..., Sequence[np.ndarray]] | None = None,
+        flux: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     ) -> Iterator[None]:
         """The Picard loop, written once: advance ``states`` in lockstep.
 
         Each iterate runs :meth:`iterate_pre` once over every state still
         iterating, one flux step over them all and :meth:`iterate_post`
-        on each result, then yields; the generator ends once all have
-        converged or after ``max_iters`` iterates.  A caller is a stop
-        policy: :meth:`fit` exhausts it, the serving loop leaves at its
-        deadline, the batch engine reads latencies between iterates.
+        once on the result, then yields; the generator ends once all have
+        converged or after ``max_iters`` iterates, and at once for no
+        states.  A caller is a stop policy: :meth:`fit` exhausts it, the
+        serving loop leaves at its deadline, the batch engine reads
+        latencies between iterates.
 
-        ``flux(currents)`` maps the ``(pcurr, psi_external)`` pairs of the
-        states still iterating to one fresh ``psi_new`` each, which
-        :meth:`iterate_post` makes the state's flux.  The default applies
-        :attr:`pflux` slice by slice; the batch engine passes its
-        workspace-backed form,
+        ``flux(pcurr, psi_external)`` maps the ``(B, nw, nh)`` stacks of
+        the states still iterating to a fresh ``(B, nw, nh)`` stack of new
+        fluxes, whose slices :meth:`iterate_post` makes the states'
+        fluxes.  The default applies :attr:`pflux` slice by slice; the
+        batch engine passes its workspace-backed form,
         :meth:`~repro.efit.pflux.PfluxStructured.compute_batch`.  A
         converged state leaves both halves of the next iterate.  Every
         iterate records into the solver's :attr:`profiler` and
@@ -737,24 +797,23 @@ class EfitSolver:
         is driven from one thread at a time.
         """
         if flux is None:
-            def flux(currents):
-                return [self.pflux.compute(*pair) for pair in currents]
+            def flux(pcurr, psi_external):
+                return _stack([self.pflux.compute(*pair) for pair in zip(pcurr, psi_external)])
 
         profiler, hooks = self.profiler, self.hooks
-        active = list(range(len(states)))
+        active = list(states)
         for iteration in range(1, self.max_iters + 1):
+            if not active:
+                return
             with hooks.profiled_region(profiler, "fit_", iteration=iteration):
-                currents = self.iterate_pre([states[k] for k in active])
+                pcurr, psi_external = self.iterate_pre(active)
                 with hooks.profiled_region(
                     profiler, "pflux_", iteration=iteration, batch=len(active)
                 ):
-                    psi_new = flux(currents)
-                for k, psi in zip(active, psi_new):
-                    self.iterate_post(states[k], psi)
+                    psi_new = flux(pcurr, psi_external)
+                self.iterate_post(active, psi_new)
             yield
-            active = [k for k in active if not states[k].converged]
-            if not active:
-                return
+            active = [state for state in active if not state.converged]
 
     def finish(self, state: FitState, *, require_convergence: bool = True) -> FitResult:
         """Seal a Picard state into a :class:`FitResult`."""

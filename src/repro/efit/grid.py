@@ -219,7 +219,7 @@ class RZGrid:
         z = np.asarray(z)
         return (r >= self.rmin) & (r <= self.rmax) & (z >= self.zmin) & (z <= self.zmax)
 
-    def shift_z(self, field: np.ndarray, delz: float) -> np.ndarray:
+    def shift_z(self, field: np.ndarray, delz: float | np.ndarray) -> np.ndarray:
         """Shift a grid field vertically by ``delz`` metres (linear
         interpolation, zero fill) — ``f_new(z) = f(z - delz)``.
 
@@ -227,20 +227,46 @@ class RZGrid:
         ``fitdelz`` feedback (shifting the fitted current distribution)
         and by the forward solver's vertical-position hold.  Rows shift
         independently, so ``field`` may be any ``(k, nh)`` block of grid
-        rows — the fit shifts only the rows the plasma occupies.
+        rows — the fit shifts only the rows the plasma occupies — or a
+        stack of them, ``(B, k, nh)``, each shifted by its own entry of a
+        ``(B,)`` ``delz``.
+
+        A constant shift is an integer offset ``n = ceil(delz / dz)`` and
+        one fraction ``t = n - delz / dz``: the new column ``j`` is ``(1 -
+        t) f[j - n] + t f[j - n + 1]``, zero wherever ``j - delz / dz``
+        leaves ``[0, nh - 1]``.  On a field's flattened rows that is two
+        weighted slices of one zero-padded copy, each slice contiguous, so
+        a stack takes one gather of whole rows per tap — the columns a
+        slice reads across a row's end are the zero-filled ones.
         """
         field = np.asarray(field)
-        if field.ndim != 2 or field.shape[1] != self.nh:
+        if field.ndim < 2 or field.shape[-1] != self.nh:
             raise GridError(f"field shape {field.shape} is not rows of a {self.shape} grid")
-        s = delz / self.dz
-        j = np.arange(self.nh)
-        j_src = j - s
-        j0 = np.clip(np.floor(j_src).astype(int), 0, self.nh - 1)
-        j1 = np.clip(j0 + 1, 0, self.nh - 1)
-        frac = np.clip(j_src - j0, 0.0, 1.0)
-        valid = (j_src >= 0.0) & (j_src <= self.nh - 1)
-        out = field[:, j0] * (1.0 - frac) + field[:, j1] * frac
-        out[:, ~valid] = 0.0
+        lead = field.shape[:-2]
+        s = (np.zeros(lead) + np.asarray(delz, dtype=float) / self.dz).reshape(-1)
+        n, width = s.size, field.shape[-2] * self.nh
+        # Beyond nh every column is zero fill, whatever the offset.
+        offset = np.clip(np.ceil(s), -self.nh, self.nh)
+        frac = (offset - s)[:, None]
+        shift = offset.astype(int)
+        pad = int(np.abs(shift).max()) + 1
+        padded = np.zeros((n, width + 2 * pad))
+        padded[:, pad:-pad] = field.reshape(n, width)
+        # windows[b, t] is field b's flattened rows read from t - pad on: a
+        # view of the padded copy, each window contiguous.
+        step = padded.itemsize
+        windows = np.ndarray(
+            (n, 2 * pad + 1, width), buffer=padded, strides=(padded.strides[0], step, step)
+        )
+        fields, start = np.arange(n), pad - shift
+        out = windows[fields, start]
+        out *= 1.0 - frac
+        upper = windows[fields, start + 1]
+        upper *= frac
+        out += upper
+        out = out.reshape(field.shape)
+        j_src = np.arange(self.nh) - s.reshape(lead + (1, 1))
+        np.copyto(out, 0.0, where=(j_src < 0.0) | (j_src > self.nh - 1))
         return out
 
     def refined(self, factor: int = 2) -> "RZGrid":

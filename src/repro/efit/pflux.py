@@ -316,37 +316,36 @@ class PfluxStructured(PfluxBase):
         )
         return psi
 
-    def compute_batch(self, ws, capacity: int, currents) -> list[np.ndarray]:
+    def compute_batch(
+        self, ws, capacity: int, pcurr: np.ndarray, psi_external: np.ndarray
+    ) -> np.ndarray:
         """:meth:`compute` for the slices of a lock-step batch still
         iterating: one operator apply and one multi-RHS interior solve.
 
-        ``currents`` holds their ``(pcurr, psi_external)`` pairs, at most
-        ``capacity``; returns one fresh ``psi_new`` per pair, which the
-        slice's state may keep.  The batch-level arrays are prefix views
-        of named buffers of the caller's workspace ``ws``
+        ``pcurr`` and ``psi_external`` are their ``(B, nw, nh)`` stacks of
+        node currents and external fluxes, ``B`` at most ``capacity``;
+        returns the fresh ``(B, nw, nh)`` stack of their new fluxes, whose
+        slices the states may keep.  The batch-level arrays are prefix
+        views of named buffers of the caller's workspace ``ws``
         (``FitWorkspace.array``), sized for ``capacity`` slices, so the
         batch's width falls as slices converge — a converged slice leaves
         the apply and the solve — without a new buffer; the interior
-        solve's transforms make their own.  With one pair the result is
+        solve's transforms make their own.  With one slice the result is
         :meth:`compute`'s bit for bit (a one-column apply is the vector
         apply); wider batches agree to round-off.
         """
         grid = self.grid
         nw, nh = grid.nw, grid.nh
-        nb = len(currents)
+        nb = len(pcurr)
         pcurr_neg = ws.array("pcurr_neg", (grid.size, capacity))[:, :nb]
         edge = ws.array("edge_flux", (grid.n_boundary, capacity))[:, :nb]
         rhs = ws.array("rhs", (capacity, nw, nh))[:nb]
         psi_bound = ws.array("psi_boundary", (capacity, nw, nh))[:nb]
         psi_plasma = ws.array("psi_plasma", (capacity, nw, nh))[:nb]
-        for k, (pcurr, _) in enumerate(currents):
-            # As in compute: the boundary kernel is fed ``-pcurr``.
-            np.multiply(pcurr.reshape(grid.size), -1.0, out=pcurr_neg[:, k])
-            np.multiply(self._rhs_factor, pcurr, out=rhs[k])
+        # As in compute: the boundary kernel is fed ``-pcurr``.
+        np.multiply(pcurr.reshape(nb, grid.size).T, -1.0, out=pcurr_neg)
+        np.multiply(self._rhs_factor, pcurr, out=rhs)
         self.operator.apply(pcurr_neg, out=edge)
         psi_bound[:, self._edge_i, self._edge_j] = edge.T
         self.solver.solve_batch(rhs, psi_bound, out=psi_plasma)
-        return [
-            np.add(psi_plasma[k], psi_external)
-            for k, (_, psi_external) in enumerate(currents)
-        ]
+        return np.add(psi_plasma, psi_external)

@@ -6,6 +6,11 @@ Every Picard iteration re-assembles the measurement response to the
 for the profile coefficients; the data side of that system — the
 measurements less the known PF-coil contribution, and the weights — does
 not move and is built once per slice.  This module owns all three.
+
+The least squares and its residual are stacked kernels
+(:func:`solve_lsq_stack`, :func:`weighted_residuals`): a lock-step batch
+solves every slice's system in one call, and the one-system calls
+(:func:`solve_weighted_lsq`, :func:`chi_squared`) are the batch of one.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ __all__ = [
     "assemble_response",
     "basis_response",
     "measurement_system",
+    "solve_lsq_stack",
     "solve_weighted_lsq",
     "chi_squared",
+    "weighted_residuals",
 ]
 
 
@@ -44,6 +51,10 @@ class ResponseAssembly:
             raise FittingError("data/weights length mismatch with response matrix")
         if np.any(self.weights < 0.0):
             raise FittingError("negative measurement weights")
+
+    def weighted(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w A, w d)``: the system the least squares solves."""
+        return self.matrix * self.weights[:, None], self.data * self.weights
 
 
 def measurement_system(
@@ -127,32 +138,66 @@ def assemble_response(
     return ResponseAssembly(matrix=matrix, data=data, weights=weights)
 
 
-def solve_weighted_lsq(assembly: ResponseAssembly, *, ridge: float = 0.0) -> np.ndarray:
-    """Solve ``min_c || w (A c - d) ||^2 + ridge ||c||^2``.
+def solve_lsq_stack(matrices: np.ndarray, data: np.ndarray, *, ridge: float) -> np.ndarray:
+    """Solve ``min_c || a_b c - d_b ||^2 + ridge || diag(|a_b|) c ||^2`` for
+    every system ``b`` of a stack at once.
 
-    A tiny Tikhonov term (scaled by the largest singular value) keeps the
+    ``matrices`` is the ``(B, m, n)`` stack of weighted matrices ``w A``
+    and ``data`` the ``(B, m)`` weighted data ``w d``; returns the ``(B,
+    n)`` coefficients.  Column equilibration: the p' and FF' columns
+    differ in sensitivity by ~5 orders of magnitude (SI units), so the
+    ridge acts on *scaled* coefficients or it silently crushes the weak
+    columns.  The scaled system, the constant ``sqrt(ridge) I`` rows
+    below it and the data beside it form one ``(B, m + n, n + 1)`` stack
+    with one thin QR: the triangle's last column is ``Q^T d``, so no ``Q``
+    is formed, and one triangular solve per system finishes.  An all-zero
+    column keeps a unit diagonal in place of the ridge and gets a zero
+    coefficient, so ``ridge = 0`` stays solvable for it.
+
+    Every system is factorised alone, so a row of the result does not
+    depend on the other systems of the stack.
+    """
+    if ridge < 0.0:
+        raise FittingError("ridge must be non-negative")
+    n_sys, m, n = matrices.shape
+    norms = np.linalg.norm(matrices, axis=1)
+    empty = norms == 0.0
+    norms[empty] = 1.0
+    stack = np.zeros((n_sys, m + n, n + 1))
+    np.divide(matrices, norms[:, None, :], out=stack[:, :m, :n])
+    stack[:, :m, n] = data
+    diagonal = np.arange(n)
+    stack[:, m + diagonal, diagonal] = np.where(empty, 1.0, math.sqrt(ridge))
+    triangle = np.linalg.qr(stack, mode="r")
+    try:
+        scaled = np.linalg.solve(triangle[:, :n, :n], triangle[:, :n, n:])
+    except np.linalg.LinAlgError as exc:
+        raise FittingError("rank-deficient least-squares system: use ridge > 0") from exc
+    return scaled[..., 0] / norms
+
+
+def weighted_residuals(matrices: np.ndarray, data: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``d_b - a_b c_b`` for a stack of weighted systems (the arguments of
+    :func:`solve_lsq_stack` and its result): one batched product, shape
+    ``(B, m)``.  Its row norms squared are the systems' chi^2."""
+    return data - np.matmul(matrices, coeffs[..., None])[..., 0]
+
+
+def solve_weighted_lsq(assembly: ResponseAssembly, *, ridge: float = 0.0) -> np.ndarray:
+    """Solve ``min_c || w (A c - d) ||^2 + ridge ||c||^2``: the one-system
+    call of :func:`solve_lsq_stack`.
+
+    A tiny Tikhonov term on the equilibrated coefficients keeps the
     system well-posed when bases are nearly collinear early in the Picard
     loop, exactly the regularisation role EFIT's fitting weights play.
     """
-    a = assembly.matrix * assembly.weights[:, None]
-    d = assembly.data * assembly.weights
-    if ridge < 0.0:
-        raise FittingError("ridge must be non-negative")
-    # Column equilibration: the p' and FF' columns differ in sensitivity by
-    # ~5 orders of magnitude (SI units), so the ridge must act on *scaled*
-    # coefficients or it silently crushes the weak columns.
-    col_norms = np.linalg.norm(a, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    a_scaled = a / col_norms
-    if ridge > 0.0:
-        n = a.shape[1]
-        a_scaled = np.vstack([a_scaled, np.sqrt(ridge) * np.eye(n)])
-        d = np.concatenate([d, np.zeros(n)])
-    coeffs, *_ = np.linalg.lstsq(a_scaled, d, rcond=None)
-    return coeffs / col_norms
+    matrix, data = assembly.weighted()
+    return solve_lsq_stack(matrix[None], data[None], ridge=ridge)[0]
 
 
 def chi_squared(assembly: ResponseAssembly, coeffs: np.ndarray) -> float:
-    """Weighted residual ``chi^2`` of a coefficient vector."""
-    resid = (assembly.matrix @ coeffs - assembly.data) * assembly.weights
+    """Weighted residual ``chi^2`` of a coefficient vector: the one-system
+    call of :func:`weighted_residuals`."""
+    matrix, data = assembly.weighted()
+    (resid,) = weighted_residuals(matrix[None], data[None], np.asarray(coeffs, dtype=float)[None])
     return float(resid @ resid)

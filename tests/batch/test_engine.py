@@ -48,6 +48,48 @@ class TestEngineVsSerial:
         assert batch.stats.n_converged == 6
 
 
+class TestLockStepIterate:
+    def test_no_step_of_an_iterate_loops_over_the_slices(self, shot33, monkeypatch):
+        """At B = 8 a lock-step iterate makes one stacked least-squares
+        call (over the slices past their warm-up), one vertical shift of
+        the current stack and one post-flux pass — none per slice."""
+        import repro.efit.fitting as fitting
+        from repro.efit.fitting import N_WARMUP
+        from repro.efit.grid import RZGrid
+
+        calls = {"lsq": [], "shift": [], "post": []}
+        lsq, shift, post = fitting.solve_lsq_stack, RZGrid.shift_z, fitting.EfitSolver.iterate_post
+
+        def spy_lsq(matrices, data, *, ridge):
+            calls["lsq"].append(len(matrices))
+            return lsq(matrices, data, ridge=ridge)
+
+        def spy_shift(grid, field, delz):
+            calls["shift"].append(np.shape(delz))
+            return shift(grid, field, delz)
+
+        def spy_post(solver, states, psi_new):
+            calls["post"].append(len(states))
+            return post(solver, states, psi_new)
+
+        monkeypatch.setattr(fitting, "solve_lsq_stack", spy_lsq)
+        monkeypatch.setattr(RZGrid, "shift_z", spy_shift)
+        monkeypatch.setattr(fitting.EfitSolver, "iterate_post", spy_post)
+        profiler = RegionProfiler()
+        engine = BatchFitEngine(
+            shot33.machine, shot33.diagnostics, shot33.grid, batch_size=8, profiler=profiler
+        )
+        result = engine.fit_many(synthetic_slice_sequence(shot33, 8, seed=11))
+        iterates = profiler.report().calls["fit_"]
+        widths = [
+            sum(r.iterations >= k for r in result.results) for k in range(1, iterates + 1)
+        ]
+        assert widths[0] == 8 and iterates == max(r.iterations for r in result.results)
+        assert calls["post"] == widths
+        assert calls["shift"] == [(width,) for width in widths]
+        assert calls["lsq"] == widths[N_WARMUP:]
+
+
 class TestEngineSteadyState:
     def test_zero_allocations_after_warmup(self, engine, slices6):
         """Repeat runs reuse every workspace buffer: the allocation count

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.efit.basis import PolynomialBasis
 from repro.efit.current import (
@@ -16,7 +18,9 @@ from repro.efit.response import (
     assemble_response,
     basis_response,
     chi_squared,
+    solve_lsq_stack,
     solve_weighted_lsq,
+    weighted_residuals,
 )
 from repro.errors import FittingError
 from repro.utils.constants import MU0
@@ -228,3 +232,83 @@ class TestAssembly:
             ResponseAssembly(np.zeros((4, 2)), np.zeros(3), np.ones(4))
         with pytest.raises(FittingError):
             ResponseAssembly(np.zeros((4, 2)), np.zeros(4), -np.ones(4))
+
+
+class TestLsqStack:
+    """The stacked least squares a lock-step batch solves in one call,
+    against the one-system call each of its rows stands for."""
+
+    @given(
+        width=st.sampled_from([1, 3, 8]),
+        n_meas=st.integers(min_value=12, max_value=40),
+        n_coeffs=st.integers(min_value=1, max_value=6),
+        n_vessel=st.sampled_from([0, 4]),
+        zero_column=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_one_system_solves(
+        self, width, n_meas, n_coeffs, n_vessel, zero_column, seed
+    ):
+        """Column scales from 1e-6 to 1, an all-zero column, vessel columns
+        shared by every system: each row is its system's
+        :func:`solve_weighted_lsq` to 1e-12, the batch of one bit for bit,
+        and the zero column's coefficient is exactly zero."""
+        rng = np.random.default_rng(seed)
+        vessel = rng.normal(size=(n_meas, n_vessel)) * 10.0 ** rng.uniform(-6, 0, n_vessel)
+        assemblies = []
+        for _ in range(width):
+            profile = rng.normal(size=(n_meas, n_coeffs)) * 10.0 ** rng.uniform(-6, 0, n_coeffs)
+            matrix = np.hstack([profile, vessel])
+            if zero_column:
+                matrix[:, 0] = 0.0
+            weights = 1.0 / rng.uniform(0.5, 2.0, n_meas)
+            assemblies.append(ResponseAssembly(matrix, rng.normal(size=n_meas), weights))
+        weighted = [asm.weighted() for asm in assemblies]
+        matrices = np.stack([a for a, _ in weighted])
+        data = np.stack([d for _, d in weighted])
+        stacked = solve_lsq_stack(matrices, data, ridge=1e-10)
+        assert stacked.shape == (width, n_coeffs + n_vessel)
+        for row, asm in zip(stacked, assemblies):
+            np.testing.assert_allclose(row, solve_weighted_lsq(asm, ridge=1e-10), rtol=1e-12, atol=0)
+        if width == 1:
+            assert np.array_equal(stacked[0], solve_weighted_lsq(assemblies[0], ridge=1e-10))
+        if zero_column:
+            assert not stacked[:, 0].any()
+        # The least-squares solution itself: the SVD solve of the same
+        # equilibrated, ridge-augmented system agrees on the scaled
+        # coefficients.
+        for row, a, d in zip(stacked, matrices, data):
+            norms = np.linalg.norm(a, axis=0)
+            norms[norms == 0.0] = 1.0
+            n = a.shape[1]
+            system = np.vstack([a / norms, np.sqrt(1e-10) * np.eye(n)])
+            svd, *_ = np.linalg.lstsq(system, np.concatenate([d, np.zeros(n)]), rcond=None)
+            assert np.abs(row * norms - svd).max() <= 1e-8 * np.abs(svd).max()
+
+    def test_residuals_are_the_chi_squared(self, setup):
+        asm, truth = TestAssembly()._make(setup, noise=1e-3)
+        matrix, data = asm.weighted()
+        (resid,) = weighted_residuals(matrix[None], data[None], truth[None])
+        assert resid @ resid == chi_squared(asm, truth)
+
+    def test_zero_ridge_solves_an_empty_column(self):
+        """Without a ridge an all-zero column keeps a unit diagonal: its
+        coefficient is zero and the rest is the solve without it."""
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(1, 10, 3))
+        a[0, :, 1] = 0.0
+        d = rng.normal(size=(1, 10))
+        (c,) = solve_lsq_stack(a, d, ridge=0.0)
+        keep = [0, 2]
+        want, *_ = np.linalg.lstsq(a[0][:, keep], d[0], rcond=None)
+        assert c[1] == 0.0 and np.allclose(c[keep], want, rtol=1e-12)
+
+    def test_zero_ridge_rejects_an_underdetermined_system(self):
+        """One measurement, two unknowns: without a ridge the triangle is
+        singular, a typed error rather than a LinAlgError or a NaN."""
+        a = np.array([[[2.0, -3.0]]])
+        with pytest.raises(FittingError):
+            solve_lsq_stack(a, np.array([[1.0]]), ridge=0.0)
+        (c,) = solve_lsq_stack(a, np.array([[1.0]]), ridge=1e-10)
+        assert np.isfinite(c).all() and abs(a[0, 0] @ c - 1.0) < 1e-8

@@ -116,7 +116,9 @@ class TestStability:
             shot33.measurements.uncertainties,
         )
         residual = asm.data - solver33.grid_response @ g.flatten(shifted)
-        (est,) = solver33._fit_delz(shifted[None], solver33.grid_response, [residual], [asm.weights])
+        u = solver33.grid_response @ g.flatten(np.gradient(shifted, g.dz, axis=1))
+        w = asm.weights
+        (est,) = solver33._fit_delz((w * u)[None], (w * residual)[None])
         assert est == pytest.approx(-2 * g.dz, rel=0.05)
 
     def test_shift_z_roundtrip(self, solver33, rng):
@@ -167,6 +169,17 @@ class TestConfiguration:
             EfitSolver(tol=-1.0, **kw)
         with pytest.raises(FittingError):
             EfitSolver(pflux_impl="cuda", **kw)
+
+    @pytest.mark.parametrize("bad", [{"ridge": -1.0}, {"max_iters": 0}, {"max_iters": -3}])
+    def test_loop_parameters_rejected_at_construction(self, shot33, bad):
+        """A negative ridge or an empty iterate budget fails where the
+        solver is built, not at the first least-squares iterate mid-batch
+        or as a result without a boundary."""
+        with pytest.raises(FittingError):
+            EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid, **bad)
+
+    def test_picard_of_no_states_ends_at_once(self, solver33):
+        assert list(solver33.picard([])) == []
 
     @pytest.mark.parametrize(
         "knob",

@@ -155,15 +155,15 @@ class TestComputeBatch:
 
     @staticmethod
     def _currents(grid, n):
-        """``n`` plasma-shaped currents on different row bands, with
-        their external fluxes."""
+        """The ``(n, nw, nh)`` stacks of ``n`` plasma-shaped currents on
+        different row bands and of their external fluxes."""
         rng = np.random.default_rng(33)
-        out = []
+        pcurr = np.zeros((n,) + grid.shape)
+        external = np.empty_like(pcurr)
         for k in range(n):
-            pcurr = np.zeros(grid.shape)
-            pcurr[8 + k : 22 + 2 * k, 6:27] = rng.normal(size=(14 + k, 21)) * 1e3
-            out.append((pcurr, rng.normal(size=grid.shape)))
-        return out
+            pcurr[k, 8 + k : 22 + 2 * k, 6:27] = rng.normal(size=(14 + k, 21)) * 1e3
+            external[k] = rng.normal(size=grid.shape)
+        return pcurr, external
 
     def test_shrinking_active_set(self, step):
         """Width 1 is ``compute`` bit for bit; wider batches are DESIGN.md
@@ -171,14 +171,14 @@ class TestComputeBatch:
         serve every width without a new one."""
         from repro.batch.workspace import FitWorkspace
 
-        currents = self._currents(step.grid, 4)
-        serial = [step.compute(*pair) for pair in currents]
+        pcurr, external = self._currents(step.grid, 4)
+        serial = [step.compute(*pair) for pair in zip(pcurr, external)]
         ws = FitWorkspace()
-        step.compute_batch(ws, 4, currents)
+        step.compute_batch(ws, 4, pcurr, external)
         allocations = ws.counters.allocations
         for width in (4, 3, 2, 1):
-            got = step.compute_batch(ws, 4, currents[:width])
-            assert len(got) == width
+            got = step.compute_batch(ws, 4, pcurr[:width], external[:width])
+            assert got.shape == (width,) + step.grid.shape
             for psi, want in zip(got, serial):
                 if width == 1:
                     np.testing.assert_array_equal(psi, want)
@@ -189,11 +189,11 @@ class TestComputeBatch:
     def test_returns_arrays_the_caller_owns(self, step):
         from repro.batch.workspace import FitWorkspace
 
-        currents = self._currents(step.grid, 3)
+        pcurr, external = self._currents(step.grid, 3)
         ws = FitWorkspace()
-        first = step.compute_batch(ws, 4, currents)
+        first = step.compute_batch(ws, 4, pcurr, external)
         copies = [psi.copy() for psi in first]
-        step.compute_batch(ws, 4, currents[::-1])
+        step.compute_batch(ws, 4, pcurr[::-1], external[::-1])
         for psi, copy in zip(first, copies):
             np.testing.assert_array_equal(psi, copy)
         assert not np.shares_memory(first[0], first[1])

@@ -31,6 +31,7 @@ import repro.efit.fitting as fitting
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.fitting import EfitSolver
 from repro.efit.operators import GradShafranovOperator
+from repro.obs import TraceHooks, TraceRecorder
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
 from repro.scenarios import get_scenario, scenario_names
 from repro.utils.constants import MU0
@@ -328,6 +329,44 @@ def test_batch_fits_the_vessel(name):
     slices, _ = _converged(name, 3)
     batch = _assert_relations(name, [None] * 3, slices, fit_vessel=True)
     assert all(r.vessel_currents is not None and r.vessel_currents.any() for r in batch)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_batch_mixes_phases_when_a_seed_is_revoked(monkeypatch, name):
+    """Slices of one batch in different phases of the same iterate: the
+    first slice's trusted seed (its converged flux scaled by 1.5, the
+    seed that trips the divergence guard in a serial fit) takes
+    least-squares steps while its cold companions hold the warm-up shape,
+    then falls back to the warm-up while they take least-squares steps.
+    Both rows of the relation table hold, and the fallback fires once."""
+    slices, fits = _converged(name, 3)
+    seeds = [1.5 * fits[0].psi, None, None]
+    phases = []
+    plasma_currents = fitting.EfitSolver._plasma_currents
+
+    def spy(self, slabs, coeffs, weights, weighted_data, weighted_residual, warm, vessel):
+        phases.append(warm.copy())
+        return plasma_currents(
+            self, slabs, coeffs, weights, weighted_data, weighted_residual, warm, vessel
+        )
+
+    monkeypatch.setattr(fitting.EfitSolver, "_plasma_currents", spy)
+    batch = _assert_relations(name, seeds, slices)
+    assert not batch[0].warm_start
+    assert any(warm[0] and not warm[1:].any() for warm in phases if len(warm) == 3)
+    assert any(not warm[0] and warm[1:].all() for warm in phases if len(warm) == 3)
+
+    sc = get_scenario(name)
+    recorder = TraceRecorder()
+    engine = BatchFitEngine.for_scenario(
+        sc, shot=sc.make_shot(RELATION_GRID.get(name, N)), batch_size=3,
+        hooks=TraceHooks(recorder),
+    )  # fmt: skip
+    again = engine.fit_many(slices, psi_initial=seeds).results
+    _assert_identical(again, batch)
+    fallbacks = [e for e in recorder.events() if e.name == "warm_start_fallback"]
+    assert len(fallbacks) == 1
+    assert fallbacks[0].attributes["iteration"] < again[0].iterations
 
 
 @pytest.mark.parametrize("name", scenario_names())

@@ -149,7 +149,8 @@ def test_test_lane_runs_every_example():
 def test_scenario_lanes_run_their_batch_relations():
     """Each scenario-matrix lane runs the batch relations of its own
     scenario, and for every scenario of the matrix that selection holds
-    the tests of widths that change mid-run."""
+    the tests of widths that change mid-run and of slices in different
+    phases of one iterate."""
     from tests.scenarios import test_properties
 
     text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
@@ -161,6 +162,7 @@ def test_scenario_lanes_run_their_batch_relations():
         test_properties.test_batch_width_shrinks_as_slices_converge,
         test_properties.test_batch_mixes_trusted_untrusted_and_cold_seeds,
         test_properties.test_batch_fits_the_vessel,
+        test_properties.test_batch_mixes_phases_when_a_seed_is_revoked,
     )
     for scenario in (v.strip() for v in scenarios.split(",")):
         for fn in widths:
