@@ -151,7 +151,7 @@ def test_edge_method_table(large_grids_enabled):
     build seconds, operator MB, median apply ms for one vector and for a
     batch of 8, the same for the whole flux step (``pflux_``: boundary
     sums + RHS + interior solve; ``compute`` at B = 1, ``compute_batch``
-    on a ``FitWorkspace`` at B = 8), and relative error against dense.
+    at B = 8, both on the step's own buffers), and relative error against dense.
     Two inputs: random currents on the full grid, and plasma-shaped ones —
     zero outside a band of 38/65 of the grid rows, where a 65^2 g186610
     fit's currents lie — which the operators apply on those rows only.
@@ -162,7 +162,6 @@ def test_edge_method_table(large_grids_enabled):
     import time
 
     from benchmarks.conftest import write_artifact
-    from repro.batch.workspace import FitWorkspace
     from repro.efit.operators import EDGE_METHODS, build_edge_operator
     from repro.efit.pflux import PfluxStructured, PfluxVectorized
     from repro.efit.solvers import make_solver
@@ -202,7 +201,6 @@ def test_edge_method_table(large_grids_enabled):
         interior = make_solver("dst", g)
         vectorized = PfluxVectorized(g, t, interior)
         steps = [PfluxStructured(g, t, interior, op) for op in ops]
-        workspaces = [FitWorkspace() for _ in ops]
         rng = np.random.default_rng(1)
         x = rng.normal(size=(g.size, 8))
         plasma = np.zeros((g.nw, g.nh, 8))
@@ -224,10 +222,7 @@ def test_edge_method_table(large_grids_enabled):
                 step_rounds[n],
             )
             step_8 = median_ms(
-                [
-                    lambda s=s, ws=ws: s.compute_batch(ws, 8, *stacks)
-                    for s, ws in zip(steps, workspaces)
-                ],
+                [lambda s=s: s.compute_batch(*stacks) for s in steps],
                 step_rounds[n],
             )
             edge = boundary_flux_vectorized(t, currents[0][0])

@@ -5,9 +5,10 @@ of them: hundreds of time slices through the same machine on the same
 grid.  The single-slice driver re-derives per-call state every Picard
 iterate — this package amortises all of it:
 
-* :class:`~repro.batch.workspace.FitWorkspace` — preallocated buffer
-  arenas keyed on shape, with allocation/reuse counters so benchmarks can
-  assert a zero-allocation steady state;
+* :class:`~repro.efit.workspace.FitWorkspace` — the preallocated
+  buffer arena the flux step keeps, keyed on shape, with allocation/reuse
+  counters so benchmarks can assert a zero-allocation steady state
+  (``BatchFitEngine.workspace_counters``);
 * :class:`~repro.batch.engine.BatchFitEngine` — drives lock-step
   batches of slices on the calling thread, shares one Green table, one
   precomputed edge operator and one solver factorisation per grid,
@@ -19,7 +20,7 @@ iterate — this package amortises all of it:
 
 from repro.batch.engine import BatchFitEngine, BatchFitResult
 from repro.batch.slices import BatchStats, synthetic_slice_sequence
-from repro.batch.workspace import FitWorkspace
+from repro.efit.workspace import FitWorkspace
 
 __all__ = [
     "BatchFitEngine",

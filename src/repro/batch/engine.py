@@ -20,18 +20,18 @@ lockstep Picard iteration:
   squares and residual, one ``fitdelz`` product (which carries the
   warm-up slices' predictions) and one vertical shift of the current
   stack — no step loops over the slices;
-* the flux step runs in its batched form
-  (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`) on the
-  ``(B, nw, nh)`` current stack: one
+* the flux step is the solver's
+  (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`, which every
+  fit runs) on the ``(B, nw, nh)`` current stack: one
   operator apply on a ``(nw*nh, B)`` column stack computes every slice's
   boundary Green sums at once, on the union of the plasmas' rows, and
   one multi-RHS sine-transform solve handles all interior systems, and
   the post-flux half is one span and one max |dpsi| reduction over the
   new flux stack;
-* the flux step's batch-level arrays are prefix views of buffers sized
-  for ``batch_size`` in the engine's
-  :class:`~repro.batch.workspace.FitWorkspace`, so steady-state iterates
-  request no new one; the pre-flux arrays, whose shapes follow the
+* the flux step's batch-level arrays are views of the buffers of
+  its own :class:`~repro.efit.workspace.FitWorkspace`, which the engine
+  sizes for ``batch_size`` when it is built, so no iterate requests a new
+  one; the pre-flux arrays, whose shapes follow the
   plasmas' rows, and the stack of new fluxes, whose slices the states
   keep, are made per iterate (a slice that converges copies its own out,
   so no result pins a batch's stack).
@@ -50,13 +50,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from repro.batch.slices import BatchStats, batch_groups
-from repro.batch.workspace import FitWorkspace
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.fitting import EfitSolver, FitResult, GridStatics
 from repro.efit.grid import RZGrid
@@ -88,7 +86,8 @@ class BatchFitEngine:
     ----------
     batch_size:
         Number of slices advanced in lockstep: ``B`` of the batched
-        pre-flux pass and of the edge-operator apply.
+        pre-flux pass and of the edge-operator apply, and the width the
+        solver's flux step sizes its buffers for at construction.
     n_workers:
         Must be 1: batches run on the calling thread.  Reconstruct on
         several cores with :class:`~repro.parallel.engine.ParallelFitEngine`.
@@ -135,9 +134,9 @@ class BatchFitEngine:
         #: The boundary Green sums as an :class:`EdgeOperator` — the
         #: solver's flux step.
         self.edge_op = self.solver.pflux.operator
-        #: Persistent across ``fit_many`` calls, so the steady state
-        #: requests no new buffer.
-        self._workspace = FitWorkspace()
+        # Sized for this engine's width now, the flux step's buffer serves
+        # every batch without a new one.
+        self.solver.pflux.reserve(batch_size)
 
     @classmethod
     def for_scenario(cls, scenario, n: int = 65, *, shot=None, **kwargs) -> "BatchFitEngine":
@@ -157,8 +156,8 @@ class BatchFitEngine:
 
     # -- observability ------------------------------------------------------------
     def workspace_counters(self) -> WorkspaceCounters:
-        """A snapshot of the workspace's allocation/reuse counters."""
-        return replace(self._workspace.counters)
+        """A snapshot of the flux step's allocation/reuse counters."""
+        return replace(self.solver.pflux.workspace.counters)
 
     # -- the batched Picard loop ---------------------------------------------------
     def _fit_batch(
@@ -172,9 +171,8 @@ class BatchFitEngine:
         solver = self.solver
         seeds = psi_initial if psi_initial is not None else [None] * len(batch)
         states = [solver.start_fit(m, psi_initial=seed) for m, seed in zip(batch, seeds)]
-        flux = partial(solver.pflux.compute_batch, self._workspace, self.batch_size)
         latencies: list[float | None] = [None] * len(states)
-        for _ in solver.picard(states, flux=flux):
+        for _ in solver.picard(states):
             now = time.perf_counter()
             for k, state in enumerate(states):
                 if state.converged and latencies[k] is None:

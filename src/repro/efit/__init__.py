@@ -52,7 +52,6 @@ from repro.efit.current import distribute_current
 from repro.efit.pflux import (
     PfluxReference,
     PfluxVectorized,
-    boundary_flux_operator,
     edge_flux_operator,
     edge_node_indices,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "distribute_current",
     "PfluxReference",
     "PfluxVectorized",
-    "boundary_flux_operator",
     "edge_flux_operator",
     "edge_node_indices",
     "EfitSolver",

@@ -18,7 +18,7 @@ and Figure 6 pie charts are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -769,37 +769,22 @@ class EfitSolver:
                 converged=state.converged,
             )
 
-    def picard(
-        self,
-        states: Sequence[FitState],
-        *,
-        flux: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    ) -> Iterator[None]:
+    def picard(self, states: Sequence[FitState]) -> Iterator[None]:
         """The Picard loop, written once: advance ``states`` in lockstep.
 
         Each iterate runs :meth:`iterate_pre` once over every state still
-        iterating, one flux step over them all and :meth:`iterate_post`
-        once on the result, then yields; the generator ends once all have
-        converged or after ``max_iters`` iterates, and at once for no
-        states.  A caller is a stop policy: :meth:`fit` exhausts it, the
-        serving loop leaves at its deadline, the batch engine reads
-        latencies between iterates.
-
-        ``flux(pcurr, psi_external)`` maps the ``(B, nw, nh)`` stacks of
-        the states still iterating to a fresh ``(B, nw, nh)`` stack of new
-        fluxes, whose slices :meth:`iterate_post` makes the states'
-        fluxes.  The default applies :attr:`pflux` slice by slice; the
-        batch engine passes its workspace-backed form,
-        :meth:`~repro.efit.pflux.PfluxStructured.compute_batch`.  A
-        converged state leaves both halves of the next iterate.  Every
-        iterate records into the solver's :attr:`profiler` and
-        :attr:`hooks`, whose region nesting is not thread-safe: a solver
-        is driven from one thread at a time.
+        iterating, the flux step (:attr:`pflux`'s ``compute_batch``) once
+        on the ``(B, nw, nh)`` stacks it returns, and :meth:`iterate_post`
+        once on the fresh stack of new fluxes, then yields; the
+        generator ends once all have converged or after ``max_iters``
+        iterates, and at once for no states.  A caller is a stop policy:
+        :meth:`fit` exhausts it, the serving loop leaves at its deadline,
+        the batch engine reads latencies between iterates.  A converged
+        state leaves both halves of the next iterate.  Every iterate
+        records into the solver's :attr:`profiler` and :attr:`hooks`,
+        whose region nesting is not thread-safe, and the flux step reuses
+        its own buffers: a solver is driven from one thread at a time.
         """
-        if flux is None:
-            def flux(pcurr, psi_external):
-                return _stack([self.pflux.compute(*pair) for pair in zip(pcurr, psi_external)])
-
         profiler, hooks = self.profiler, self.hooks
         active = list(states)
         for iteration in range(1, self.max_iters + 1):
@@ -810,7 +795,7 @@ class EfitSolver:
                 with hooks.profiled_region(
                     profiler, "pflux_", iteration=iteration, batch=len(active)
                 ):
-                    psi_new = flux(pcurr, psi_external)
+                    psi_new = self.pflux.compute_batch(pcurr, psi_external)
                 self.iterate_post(active, psi_new)
             yield
             active = [state for state in active if not state.converged]

@@ -252,8 +252,9 @@ class DenseEdgeOperator(EdgeOperator):
     are checked against (``repro operators``, the nightly drift job).
 
     ``apply`` is one GEMM over the matrix's columns under the input's
-    rows — the full-grid :func:`repro.efit.pflux.boundary_flux_operator`
-    less the columns that would multiply zeros.
+    rows — the full-grid product with
+    :func:`repro.efit.pflux.edge_flux_operator` less the columns that
+    would multiply zeros.
     """
 
     method = EDGE_METHODS[0]  # "dense", the oracle

@@ -136,29 +136,20 @@ class GradShafranovOperator:
 
         ``psi_boundary`` is a full ``(nw, nh)`` field whose edge ring holds
         the Dirichlet data (interior values are ignored).  Returns the
-        flattened interior correction to *subtract* from the RHS vector.
+        flattened interior correction to *subtract* from the RHS vector:
+        :meth:`dirichlet_rhs_correction_batch` on one slice.
         """
-        grid = self.grid
         psi_boundary = np.asarray(psi_boundary, dtype=float)
-        if psi_boundary.shape != grid.shape:
+        if psi_boundary.shape != self.grid.shape:
             raise GridError("boundary field shape mismatch")
-        ni = grid.nw - 2
-        nj = grid.nh - 2
-        dr2 = grid.dr**2
-        dz2 = grid.dz**2
-        corr = np.zeros((ni, nj))
-        corr[0, :] += self.a_minus[0] / dr2 * psi_boundary[0, 1:-1]
-        corr[-1, :] += self.a_plus[-1] / dr2 * psi_boundary[-1, 1:-1]
-        corr[:, 0] += psi_boundary[1:-1, 0] / dz2
-        corr[:, -1] += psi_boundary[1:-1, -1] / dz2
-        return corr.reshape(ni * nj)
+        return self.dirichlet_rhs_correction_batch(psi_boundary[None]).reshape(-1)
 
     def dirichlet_rhs_correction_batch(self, psi_boundary: np.ndarray) -> np.ndarray:
         """Batched :meth:`dirichlet_rhs_correction` over stacked slices.
 
         ``psi_boundary`` is ``(B, nw, nh)``; returns the ``(B, ni, nj)``
-        interior corrections.  The arithmetic is elementwise-identical to
-        the single-slice path, so batched and serial solves agree bitwise.
+        interior corrections.  The arithmetic is elementwise, so a slice's
+        correction does not depend on how many share the call.
         """
         grid = self.grid
         psi_boundary = np.asarray(psi_boundary, dtype=float)

@@ -37,13 +37,13 @@ import numpy as np
 from repro.efit.grid import RZGrid
 from repro.efit.solvers.base import GSInteriorSolver
 from repro.efit.tables import BoundaryGreensTables
+from repro.efit.workspace import FitWorkspace
 from repro.errors import GridError
 from repro.utils.constants import MU0
 
 __all__ = [
     "boundary_flux_reference",
     "boundary_flux_vectorized",
-    "boundary_flux_operator",
     "edge_flux_operator",
     "edge_node_indices",
     "PfluxBase",
@@ -181,9 +181,10 @@ def edge_flux_operator(tables: BoundaryGreensTables) -> np.ndarray:
     GEMM — and, stacking ``B`` current columns, into one
     ``(n_edge, nw*nh) @ (nw*nh, B)`` product that computes the boundary
     flux of a whole batch of time slices at once
-    (:func:`boundary_flux_operator`).  At the corner nodes the vertical
-    and horizontal Green rows coincide analytically (``|j - jj|``
-    degenerates to ``jj`` or ``nh-1-jj``), so the operator is unambiguous.
+    (:class:`~repro.efit.operators.DenseEdgeOperator`).  At the corner
+    nodes the vertical and horizontal Green rows coincide analytically
+    (``|j - jj|`` degenerates to ``jj`` or ``nh-1-jj``), so the operator
+    is unambiguous.
 
     Storage is ``(2*nw + 2*nh - 4) * nw * nh`` doubles — 8.6 MB at 65x65,
     68 MB at 129x129 — built once per grid and shared across slices.
@@ -202,34 +203,14 @@ def edge_flux_operator(tables: BoundaryGreensTables) -> np.ndarray:
     return -np.concatenate([left, right, bottom, top], axis=0)
 
 
-def boundary_flux_operator(
-    operator: np.ndarray, pcurr_flat: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Boundary sums as one GEMM against the precomputed edge operator.
-
-    ``pcurr_flat`` is either one flat current vector ``(nw*nh,)`` or a
-    batch stacked column-wise ``(nw*nh, B)``; the result is the matching
-    ``(n_edge,)`` or ``(n_edge, B)`` edge flux in
-    :func:`edge_node_indices` order.  ``out`` lets callers reuse a
-    workspace buffer (zero-allocation steady state).
-    """
-    if pcurr_flat.shape[0] != operator.shape[1]:
-        raise GridError(
-            f"pcurr length {pcurr_flat.shape[0]} != operator columns {operator.shape[1]}"
-        )
-    expected = (operator.shape[0],) + pcurr_flat.shape[1:]
-    if out is not None and out.shape != expected:
-        raise GridError(f"out shape {out.shape} != {expected}")
-    return np.matmul(operator, pcurr_flat, out=out)
-
-
 @dataclass
 class PfluxBase:
     """Shared driver for the ``pflux_`` computation.
 
     ``compute`` forms the plasma boundary flux, the interior RHS and the
     Dirichlet solve, then adds the external (coil) flux.  Subclasses choose
-    the boundary-sum kernel.
+    the boundary-sum kernel; :meth:`compute_batch`, the form the Picard
+    loop calls, runs ``compute`` slice by slice.
     """
 
     grid: RZGrid
@@ -267,6 +248,13 @@ class PfluxBase:
             raise GridError("psi_external shape mismatch")
         return psi_plasma + psi_external
 
+    def compute_batch(self, pcurr: np.ndarray, psi_external: np.ndarray) -> np.ndarray:
+        """The fluxes of a batch of slices: ``pcurr`` and ``psi_external``
+        are the ``(B, nw, nh)`` stacks of their node currents and external
+        fluxes; returns the fresh ``(B, nw, nh)`` stack of :meth:`compute`
+        on each pair."""
+        return np.stack([self.compute(*pair) for pair in zip(pcurr, psi_external)])
+
 
 class PfluxReference(PfluxBase):
     """``pflux_`` with the pure-loop boundary kernel (the slow baseline)."""
@@ -294,10 +282,15 @@ class PfluxStructured(PfluxBase):
     The boundary sums are one operator apply — the exact dense GEMM or
     the FFT/Toeplitz and low-rank compressed forms that beat it on large
     grids (see :mod:`repro.efit.operators.edge`) — which reads only the
-    grid rows the plasma's current occupies.  :meth:`compute` is the
-    B = 1 form and allocates its own arrays, so one instance serves any
-    number of threads; :meth:`compute_batch` is the batch engine's form.
-    Both return arrays the caller owns.
+    grid rows the plasma's current occupies.  :meth:`compute_batch` is
+    the one body: one operator apply and one multi-RHS interior solve for
+    a stack of slices; :meth:`compute` is its batch of one.
+
+    The step owns its batch-level arrays: views of one buffer of its
+    :attr:`workspace`, sized for the widest batch the step has served
+    (:meth:`reserve`), so a batch whose width falls as its slices
+    converge, and every later batch no wider, requests no new buffer.
+    So one instance is driven from one thread at a time, as its solver is.
     """
 
     def __init__(self, grid, tables, solver, operator) -> None:
@@ -305,47 +298,64 @@ class PfluxStructured(PfluxBase):
         if operator.grid.shape != grid.shape:
             raise GridError("edge operator built for a different grid")
         self.operator = operator
-        self._edge_i, self._edge_j = edge_node_indices(grid.nw, grid.nh)
-        #: ``rhs = rhs_factor * pcurr`` — the association :meth:`compute` uses.
+        edge_i, edge_j = edge_node_indices(grid.nw, grid.nh)
+        #: Flat grid index of every edge node, in the operator's order.
+        self._edge_nodes = edge_i * grid.nh + edge_j
+        #: ``rhs = rhs_factor * pcurr``, associated as :class:`PfluxBase` does.
         self._rhs_factor = -(MU0 / grid.cell_area) * grid.rr
+        #: The flux step's buffers; its counters are the engines' allocation check.
+        self.workspace = FitWorkspace()
+        #: The widest batch reserved so far: the buffer's slice capacity.
+        self._width = 0
 
-    def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
-        psi = np.zeros(self.grid.shape)
-        psi[self._edge_i, self._edge_j] = self.operator.apply(
-            pcurr.reshape(self.grid.size)
-        )
-        return psi
+    def reserve(self, width: int) -> np.ndarray:
+        """The step's buffer, sized for batches of ``width`` slices or the
+        widest it has served, whichever is wider: five blocks of that many
+        fields, of which a batch takes the contiguous head — so every
+        batch-level array is contiguous at any width.  A
+        :class:`~repro.batch.engine.BatchFitEngine` reserves its
+        ``batch_size`` when it is built."""
+        self._width = max(self._width, width)
+        return self.workspace.array("pflux", (5, self._width * self.grid.size))
+
+    def compute(self, pcurr: np.ndarray, psi_external: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`compute_batch` on one slice."""
+        if psi_external is not None:
+            psi_external = np.asarray(psi_external, dtype=float)[None]
+        return self.compute_batch(np.asarray(pcurr, dtype=float)[None], psi_external)[0]
 
     def compute_batch(
-        self, ws, capacity: int, pcurr: np.ndarray, psi_external: np.ndarray
+        self, pcurr: np.ndarray, psi_external: np.ndarray | None = None
     ) -> np.ndarray:
-        """:meth:`compute` for the slices of a lock-step batch still
-        iterating: one operator apply and one multi-RHS interior solve.
+        """:meth:`compute` for a stack of slices — the slices of a
+        lock-step batch still iterating, or one slice.
 
         ``pcurr`` and ``psi_external`` are their ``(B, nw, nh)`` stacks of
-        node currents and external fluxes, ``B`` at most ``capacity``;
+        node currents and external fluxes (``None``: no external flux);
         returns the fresh ``(B, nw, nh)`` stack of their new fluxes, whose
-        slices the states may keep.  The batch-level arrays are prefix
-        views of named buffers of the caller's workspace ``ws``
-        (``FitWorkspace.array``), sized for ``capacity`` slices, so the
-        batch's width falls as slices converge — a converged slice leaves
-        the apply and the solve — without a new buffer; the interior
-        solve's transforms make their own.  With one slice the result is
-        :meth:`compute`'s bit for bit (a one-column apply is the vector
-        apply); wider batches agree to round-off.
+        slices the caller may keep.  The transforms of the interior solve
+        make their own arrays.  A one-slice batch is the same arithmetic
+        at any buffer capacity (a one-column apply is the vector apply);
+        wider batches agree with it to round-off.
         """
         grid = self.grid
         nw, nh = grid.nw, grid.nh
+        if pcurr.ndim != 3 or pcurr.shape[1:] != grid.shape:
+            raise GridError(f"pcurr stack shape {pcurr.shape} != (B,) + {grid.shape}")
+        if psi_external is not None and psi_external.shape != pcurr.shape:
+            raise GridError("psi_external shape mismatch")
         nb = len(pcurr)
-        pcurr_neg = ws.array("pcurr_neg", (grid.size, capacity))[:, :nb]
-        edge = ws.array("edge_flux", (grid.n_boundary, capacity))[:, :nb]
-        rhs = ws.array("rhs", (capacity, nw, nh))[:nb]
-        psi_bound = ws.array("psi_boundary", (capacity, nw, nh))[:nb]
-        psi_plasma = ws.array("psi_plasma", (capacity, nw, nh))[:nb]
-        # As in compute: the boundary kernel is fed ``-pcurr``.
+        blocks = self.reserve(nb)[:, : nb * grid.size]
+        pcurr_neg = blocks[0].reshape(grid.size, nb)
+        edge = blocks[1, : nb * grid.n_boundary].reshape(grid.n_boundary, nb)
+        rhs, psi_bound, psi_plasma = blocks[2:].reshape(3, nb, nw, nh)
+        # The paper's kernels compute -sum(G * pcurr); feeding -pcurr gives
+        # the physically signed +sum(G * pcurr).
         np.multiply(pcurr.reshape(nb, grid.size).T, -1.0, out=pcurr_neg)
         np.multiply(self._rhs_factor, pcurr, out=rhs)
         self.operator.apply(pcurr_neg, out=edge)
-        psi_bound[:, self._edge_i, self._edge_j] = edge.T
+        psi_bound.reshape(nb, grid.size)[:, self._edge_nodes] = edge.T
         self.solver.solve_batch(rhs, psi_bound, out=psi_plasma)
+        if psi_external is None:
+            return psi_plasma.copy()
         return np.add(psi_plasma, psi_external)

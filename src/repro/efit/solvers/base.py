@@ -18,7 +18,9 @@ class GSInteriorSolver(abc.ABC):
 
     Implementations precompute whatever factorisation they need at
     construction (per-grid cost, amortised over the Picard iterations) and
-    expose a single :meth:`solve`.
+    solve one interior system (:meth:`_solve_interior`) or a stack of them
+    (:meth:`_solve_interior_batch`); :meth:`solve_batch` is the one driver,
+    and :meth:`solve` its batch of one.
     """
 
     def __init__(self, grid: RZGrid) -> None:
@@ -41,7 +43,8 @@ class GSInteriorSolver(abc.ABC):
         return out
 
     def solve(self, rhs: np.ndarray, psi_boundary: np.ndarray) -> np.ndarray:
-        """Solve for the full ``(nw, nh)`` flux.
+        """Solve for the full ``(nw, nh)`` flux: :meth:`solve_batch` on one
+        slice.
 
         Parameters
         ----------
@@ -57,19 +60,7 @@ class GSInteriorSolver(abc.ABC):
         psi_boundary = np.asarray(psi_boundary, dtype=float)
         if rhs.shape != grid.shape or psi_boundary.shape != grid.shape:
             raise GridError("rhs/boundary shape mismatch with grid")
-        ni, nj = grid.nw - 2, grid.nh - 2
-        corr = self.operator.dirichlet_rhs_correction(psi_boundary).reshape(ni, nj)
-        b = rhs[1:-1, 1:-1] - corr
-        x = self._solve_interior(b)
-        if x.shape != (ni, nj):
-            raise SolverError(f"interior solution shape {x.shape} != {(ni, nj)}")
-        psi = np.empty(grid.shape)
-        psi[0, :] = psi_boundary[0, :]
-        psi[-1, :] = psi_boundary[-1, :]
-        psi[:, 0] = psi_boundary[:, 0]
-        psi[:, -1] = psi_boundary[:, -1]
-        psi[1:-1, 1:-1] = x
-        return psi
+        return self.solve_batch(rhs[None], psi_boundary[None])[0]
 
     def solve_batch(
         self,
@@ -82,8 +73,8 @@ class GSInteriorSolver(abc.ABC):
         ``rhs`` and ``psi_boundary`` are ``(B, nw, nh)``; returns the
         ``(B, nw, nh)`` fluxes.  The Dirichlet correction and the interior
         solve are vectorised across the batch where the backend supports
-        it; per-slice results are elementwise-identical to :meth:`solve`.
-        ``out`` lets the batch engine reuse a workspace buffer.
+        it; a slice's result does not depend on how many share the call.
+        ``out`` lets the flux step reuse a workspace buffer.
         """
         grid = self.grid
         rhs = np.asarray(rhs, dtype=float)
@@ -93,7 +84,7 @@ class GSInteriorSolver(abc.ABC):
         nb = rhs.shape[0]
         ni, nj = grid.nw - 2, grid.nh - 2
         corr = self.operator.dirichlet_rhs_correction_batch(psi_boundary)
-        b = rhs[:, 1:-1, 1:-1] - corr
+        b = np.subtract(rhs[:, 1:-1, 1:-1], corr, out=corr)
         x = self._solve_interior_batch(b)
         if x.shape != (nb, ni, nj):
             raise SolverError(f"batched interior solution shape {x.shape} != {(nb, ni, nj)}")

@@ -4,6 +4,7 @@ NumPy's expression style allocates a fresh array per intermediate; at
 thousands of Picard iterates per shot that is both allocator pressure and
 cache churn.  :class:`FitWorkspace` holds named buffers that are
 allocated once and reused across Picard iterates, slices and batches —
+the flux step (:class:`~repro.efit.pflux.PfluxStructured`) keeps one, and
 callers request ``ws.array(name, shape)`` and write into the result with
 ``out=``-style kernels.  Every request is counted through a
 :class:`~repro.runtime.counters.WorkspaceCounters`, so the benchmark
@@ -26,11 +27,12 @@ class FitWorkspace:
     """A named-buffer arena with allocation/reuse accounting.
 
     Buffers are keyed by name; a request re-allocates only when the name
-    is new or the requested shape/dtype changed (e.g. the batch engine
-    was handed a different batch size).  Buffers are returned
+    is new or the requested shape/dtype changed (e.g. the flux step
+    served a wider batch than before).  Buffers are returned
     *uninitialised* on first allocation — callers own the fill.
 
-    Not thread-safe: the batch engine keeps one workspace per worker.
+    Not thread-safe: each flux step keeps its own, and a solver is driven
+    from one thread at a time.
     """
 
     def __init__(self, counters: WorkspaceCounters | None = None) -> None:

@@ -138,8 +138,11 @@ class ParallelFitEngine:
     Green table and the arrays of ``edge_operator`` — not given, the
     grid's :func:`~repro.efit.operators.cached_edge_operator` — and every
     worker applies that operator.  ``solver_kwargs`` must be
-    :class:`~repro.efit.fitting.EfitSolver` keywords; anything else is a
-    ``TypeError`` here, not in the workers.  Use as a context manager —
+    :class:`~repro.efit.fitting.EfitSolver` keywords a worker can honour;
+    any other — ``pflux_impl`` (the operator is ``edge_operator``) and
+    ``profiler`` (each worker would record into its own copy; the fleet
+    is timed by its merged trace) among them — is a ``TypeError`` here,
+    not in the workers.  Use as a context manager —
     or call :meth:`close` — to stop the pool and remove the table arena.
     """
 
@@ -158,6 +161,12 @@ class ParallelFitEngine:
         if batch_size < 1:
             raise FittingError("batch_size must be >= 1")
         inspect.signature(EfitSolver).bind(machine, diagnostics, grid, **solver_kwargs)
+        if {"pflux_impl", "profiler"} & solver_kwargs.keys():
+            raise TypeError(
+                "ParallelFitEngine takes no pflux_impl= or profiler=: its workers apply "
+                "edge_operator= from the fleet's arena, and record into the merged "
+                "trace (hooks=TraceHooks(...), then merged_trace())"
+            )
         self.batch_size = batch_size
         self.hooks = hooks if hooks is not None else NULL_HOOKS
         self.config = config if config is not None else SchedulerConfig()

@@ -105,21 +105,36 @@ class TestEngineSteadyState:
         assert steady.reuses > warm.reuses
         assert steady.resident_bytes == warm.resident_bytes
 
+    def test_serial_fits_and_served_frames_request_no_flux_buffer(
+        self, engine, shot33, slices6
+    ):
+        """Every fit runs the solver's one flux step: a warm ``solver.fit``
+        and a served frame take views of the buffers a batch sized, and a
+        bare solver's second fit those its first one made."""
+        from repro.efit.fitting import EfitSolver
+        from tests.serve.conftest import serve_reports
+
+        engine.fit_many(slices6)
+        warm = engine.workspace_counters()
+        engine.solver.fit(slices6[0])
+        serve_reports(engine, slices6[:2])
+        steady = engine.workspace_counters()
+        assert steady.allocations == warm.allocations
+        assert steady.reuses > warm.reuses
+        bare = EfitSolver(shot33.machine, shot33.diagnostics, shot33.grid)
+        bare.fit(slices6[0])
+        allocations = bare.pflux.workspace.counters.allocations
+        bare.fit(slices6[1])
+        assert bare.pflux.workspace.counters.allocations == allocations
+
     def test_a_state_owns_its_flux(self, engine, slices6):
-        """The batched flux step writes into workspace buffers, but the
+        """The flux step writes into its own workspace buffers, but the
         ``psi_new`` it hands each state is the state's own: two lock-step
         iterates of ``fit_many``'s loop leave the first iterate's flux of
         every slice untouched."""
-        from functools import partial
-
-        from repro.batch.workspace import FitWorkspace
-
         solver = engine.solver
-        ws = FitWorkspace()
         states = [solver.start_fit(m) for m in slices6[:4]]
-        loop = solver.picard(
-            states, flux=partial(solver.pflux.compute_batch, ws, engine.batch_size)
-        )
+        loop = solver.picard(states)
         next(loop)
         saved = [state.psi for state in states]
         copies = [psi.copy() for psi in saved]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.batch.workspace import FitWorkspace
+from repro.batch import FitWorkspace
 from repro.errors import FittingError
 from repro.runtime.counters import WorkspaceCounters
 

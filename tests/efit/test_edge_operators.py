@@ -24,7 +24,7 @@ from repro.efit.operators import (
     seed_edge_operator,
     validate_edge_structure,
 )
-from repro.efit.pflux import boundary_flux_operator, edge_flux_operator
+from repro.efit.pflux import edge_flux_operator
 from repro.efit.tables import BoundaryGreensTables, cached_boundary_tables
 from repro.errors import FittingError, OperatorError, OperatorStructureError
 from repro.scenarios import get_scenario, scenario_names
@@ -209,7 +209,7 @@ class TestSupportRestrictedApply:
 class TestDenseDefault:
     def test_bit_identical_to_legacy_operator(self, tables33, dense33):
         x = _probe(tables33.grid, n=1)[:, 0]
-        legacy = boundary_flux_operator(edge_flux_operator(tables33), x)
+        legacy = edge_flux_operator(tables33) @ x
         np.testing.assert_array_equal(dense33.apply(x), legacy)
 
     def test_from_tables_matrix_identical(self, tables33, dense33):

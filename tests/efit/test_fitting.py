@@ -199,6 +199,8 @@ class TestConfiguration:
             ("BatchFitEngine", {"boundary_method": "dense"}, TypeError),
             ("ParallelFitEngine", {"boundary_method": "dense"}, TypeError),
             ("ParallelFitEngine", {"workers": 2}, TypeError),
+            ("ParallelFitEngine", {"pflux_impl": None}, TypeError),
+            ("ParallelFitEngine", {"profiler": RegionProfiler()}, TypeError),
             ("BatchFitEngine", {"n_workers": 2}, FittingError),
             ("start_fit", {"profiler": None}, TypeError),
             ("start_fit", {"hooks": None}, TypeError),
@@ -210,9 +212,11 @@ class TestConfiguration:
         an instance (``pflux_impl=`` / ``edge_operator=``), the fleet's
         size is ``SchedulerConfig.workers``, several cores are the
         fleet's, not the batch engine's threads, and a fit records into
-        its solver's ``profiler`` / ``hooks``, not per ``start_fit``.  The
-        second places are not silently accepted — the fleet checks its
-        solver keywords before it stages an arena or starts a worker."""
+        its solver's ``profiler`` / ``hooks``, not per ``start_fit`` (a
+        fleet's workers record into their merged trace, not a
+        ``profiler``).  The second places are not silently accepted — the
+        fleet checks its solver keywords before it stages an arena or
+        starts a worker."""
         from repro.batch import BatchFitEngine
         from repro.parallel import ParallelFitEngine, SchedulerConfig
 

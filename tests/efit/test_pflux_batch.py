@@ -5,24 +5,25 @@ The edge operator factors the boundary Green sums into one dense
 slices; the batched interior solve hands every slice's RHS to one
 multi-RHS tridiagonal solve.  These tests pin both against the per-slice
 kernels — including the pure-Python ``boundary_flux_reference`` loops —
-at the paper's 65x65 production grid for batch sizes 1, 3 and 8.
+at the paper's 65x65 production grid for batch sizes 1, 3 and 8, and
+hold every one-slice form (``compute``, ``solve``, the Dirichlet
+correction) to its batch form on one slice, bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.efit.grid import RZGrid
-from repro.efit.operators import build_edge_operator
+from repro.efit.operators import DenseEdgeOperator, build_edge_operator
 from repro.efit.pflux import (
     PfluxStructured,
     PfluxVectorized,
-    boundary_flux_operator,
     boundary_flux_reference,
     boundary_flux_vectorized,
     edge_flux_operator,
     edge_node_indices,
 )
-from repro.efit.solvers import make_solver
+from repro.efit.solvers import SOLVER_NAMES, make_solver
 from repro.efit.tables import cached_boundary_tables
 from repro.errors import GridError
 
@@ -38,8 +39,8 @@ def tables65(grid65):
 
 
 @pytest.fixture(scope="module")
-def operator65(tables65):
-    return edge_flux_operator(tables65)
+def operator65(grid65, tables65):
+    return DenseEdgeOperator(grid65, edge_flux_operator(tables65))
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def scatter_edges(grid, edge_values):
 class TestEdgeOperator:
     def test_operator_shape(self, grid65, operator65):
         n_edge = 2 * grid65.nw + 2 * grid65.nh - 4
-        assert operator65.shape == (n_edge, grid65.size)
+        assert operator65.matrix.shape == (n_edge, grid65.size)
 
     def test_edge_indices_cover_rim_once(self, grid65):
         ei, ej = edge_node_indices(grid65.nw, grid65.nh)
@@ -93,7 +94,7 @@ class TestEdgeOperator:
     def test_matches_vectorized_kernel(self, grid65, operator65, batch8, nb):
         pcurr, _ = batch8
         flat = pcurr[:nb].reshape(nb, grid65.size).T
-        psi = scatter_edges(grid65, boundary_flux_operator(operator65, flat))
+        psi = scatter_edges(grid65, operator65.apply(flat))
         for k in range(nb):
             vec = boundary_flux_vectorized(cached_boundary_tables(grid65), pcurr[k])
             assert np.allclose(psi[k], vec, rtol=1e-12, atol=1e-18)
@@ -102,28 +103,26 @@ class TestEdgeOperator:
     def test_matches_reference_kernel(self, grid65, operator65, batch8, nb):
         pcurr, ref = batch8
         flat = pcurr[:nb].reshape(nb, grid65.size).T
-        psi = scatter_edges(grid65, boundary_flux_operator(operator65, flat))
+        psi = scatter_edges(grid65, operator65.apply(flat))
         assert np.allclose(psi, ref[:nb], rtol=1e-12, atol=1e-18)
 
     def test_single_column_matches_matvec(self, grid65, operator65, rng):
         pcurr = rng.normal(size=grid65.size)
-        single = boundary_flux_operator(operator65, pcurr)
-        batched = boundary_flux_operator(operator65, pcurr[:, None])
+        single = operator65.apply(pcurr)
+        batched = operator65.apply(pcurr[:, None])
         assert np.array_equal(single, batched[:, 0])
 
     def test_out_buffer_reused(self, grid65, operator65, rng):
         flat = rng.normal(size=(grid65.size, 3))
-        out = np.empty((operator65.shape[0], 3))
-        res = boundary_flux_operator(operator65, flat, out=out)
+        out = np.empty((operator65.n_edge, 3))
+        res = operator65.apply(flat, out=out)
         assert res is out
 
     def test_shape_validation(self, grid65, operator65):
         with pytest.raises(GridError):
-            boundary_flux_operator(operator65, np.zeros(7))
+            operator65.apply(np.zeros(7))
         with pytest.raises(GridError):
-            boundary_flux_operator(
-                operator65, np.zeros(grid65.size), out=np.zeros(3)
-            )
+            operator65.apply(np.zeros(grid65.size), out=np.zeros(3))
 
 
 class TestPfluxOperatorPipeline:
@@ -140,8 +139,8 @@ class TestPfluxOperatorPipeline:
 
 
 class TestComputeBatch:
-    """The batch engine's flux step against the slice-by-slice one, with
-    the batch's width falling as its slices converge."""
+    """The flux step's batch form against its one-slice form, with the
+    batch's width falling as its slices converge."""
 
     @pytest.fixture(scope="class")
     def step(self):
@@ -166,52 +165,65 @@ class TestComputeBatch:
         return pcurr, external
 
     def test_shrinking_active_set(self, step):
-        """Width 1 is ``compute`` bit for bit; wider batches are DESIGN.md
-        section 6 row 2 (round-off of the span); the capacity-sized buffers
-        serve every width without a new one."""
-        from repro.batch.workspace import FitWorkspace
-
+        """Width 1 is ``compute`` bit for bit, whatever width the buffers
+        were sized for; wider batches are DESIGN.md section 6 row 2
+        (round-off of the span); buffers sized for the widest batch serve
+        every narrower one without a new one."""
         pcurr, external = self._currents(step.grid, 4)
         serial = [step.compute(*pair) for pair in zip(pcurr, external)]
-        ws = FitWorkspace()
-        step.compute_batch(ws, 4, pcurr, external)
-        allocations = ws.counters.allocations
+        step.compute_batch(pcurr, external)
+        allocations = step.workspace.counters.allocations
         for width in (4, 3, 2, 1):
-            got = step.compute_batch(ws, 4, pcurr[:width], external[:width])
+            got = step.compute_batch(pcurr[:width], external[:width])
             assert got.shape == (width,) + step.grid.shape
             for psi, want in zip(got, serial):
                 if width == 1:
                     np.testing.assert_array_equal(psi, want)
                 else:
                     assert np.abs(psi - want).max() <= 1e-9 * np.ptp(want)
-        assert ws.counters.allocations == allocations
+        assert step.workspace.counters.allocations == allocations
 
     def test_returns_arrays_the_caller_owns(self, step):
-        from repro.batch.workspace import FitWorkspace
-
         pcurr, external = self._currents(step.grid, 3)
-        ws = FitWorkspace()
-        first = step.compute_batch(ws, 4, pcurr, external)
+        first = step.compute_batch(pcurr, external)
         copies = [psi.copy() for psi in first]
-        step.compute_batch(ws, 4, pcurr[::-1], external[::-1])
+        step.compute_batch(pcurr[::-1], external[::-1])
         for psi, copy in zip(first, copies):
             np.testing.assert_array_equal(psi, copy)
         assert not np.shares_memory(first[0], first[1])
 
 
+    def test_shapes_are_checked(self, step):
+        pcurr, external = self._currents(step.grid, 2)
+        with pytest.raises(GridError):
+            step.compute(np.zeros((3, 3)))
+        with pytest.raises(GridError):
+            step.compute(pcurr[0], external)
+        with pytest.raises(GridError):
+            step.compute_batch(pcurr, external[:1])
+
+
 class TestSolveBatch:
     @pytest.mark.parametrize("nb", [1, 3, 8])
     def test_matches_per_slice_solve(self, nb, rng):
+        """Every interior solver: a slice of a batched solve and of a
+        batched Dirichlet correction is its one-slice form bit for bit."""
         g = RZGrid(33, 33)
-        solver = make_solver("dst", g)
         rhs = rng.normal(size=(nb,) + g.shape)
         psi_b = np.zeros((nb,) + g.shape)
         rim = rng.normal(size=g.shape)
         rim[1:-1, 1:-1] = 0.0
         psi_b[:] = rim
-        batched = solver.solve_batch(rhs, psi_b)
-        for k in range(nb):
-            assert np.array_equal(batched[k], solver.solve(rhs[k], psi_b[k]))
+        for name in SOLVER_NAMES:
+            solver = make_solver(name, g)
+            batched = solver.solve_batch(rhs, psi_b)
+            corrections = solver.operator.dirichlet_rhs_correction_batch(psi_b)
+            for k in range(nb):
+                assert np.array_equal(batched[k], solver.solve(rhs[k], psi_b[k])), name
+                assert np.array_equal(
+                    corrections[k].reshape(-1),
+                    solver.operator.dirichlet_rhs_correction(psi_b[k]),
+                ), name
 
     def test_shape_validation(self):
         g = RZGrid(9, 9)
