@@ -407,10 +407,9 @@ class EfitSolver:
         grid = self.grid
         n = len(coeffs)
         n_rows = slabs.i1 - slabs.i0
-        # One GEMV per slice, all in one call: its basis currents times
-        # its coefficients.
-        rows = np.matmul(slabs.matrix.transpose(1, 0, 2), coeffs[:, :, None])
-        rows = rows.reshape(n, n_rows, grid.nh)
+        # One GEMV per slice, all in one call, over contiguous rows: its
+        # coefficients times its basis currents.
+        rows = np.matmul(coeffs[:, None, :], slabs.matrix).reshape(n, n_rows, grid.nh)
         n_warm = int(np.count_nonzero(warm))
         n_dz = n if self.fitdelz else 0
         if n_dz or n_warm:
@@ -639,12 +638,9 @@ class EfitSolver:
                 # same fixed points down (contraction 0.8 per iterate at
                 # half steps against 0.15-0.45 undamped).
                 offset = slabs.i0 * grid.nh
-                basis = slabs.matrix[slabs.lo - offset : slabs.hi - offset]
-                products = basis_response(
-                    self.grid_response[:, slabs.lo : slabs.hi],
-                    basis[:, fitted],
-                )
-                matrices = products.transpose(1, 0, 2) * weights[fitted, :, None]
+                basis = slabs.matrix[fitted, :, slabs.lo - offset : slabs.hi - offset]
+                products = basis_response(self.grid_response[:, slabs.lo : slabs.hi], basis)
+                matrices = products * weights[fitted, :, None]
                 if self.fit_vessel:
                     # One unknown per vessel segment (EFIT's VESSEL
                     # fitting option): its columns ride the same stack.
@@ -659,7 +655,7 @@ class EfitSolver:
                 if self.fit_vessel:
                     vessel[fitted] = solution[:, n_coeffs:]
             if n_warm:
-                total = np.matmul(slabs.matrix.transpose(1, 0, 2), self._warmup_shape).sum(axis=1)
+                total = (self._warmup_shape @ slabs.matrix).sum(axis=1)
                 if not total[warm].all():
                     raise FittingError("warm-up current shape carries no current")
                 ip = np.array([s.measurements.ip for s in states])

@@ -165,3 +165,30 @@ class GradShafranovOperator:
         corr[:, :, 0] += psi_boundary[:, 1:-1, 0] / dz2
         corr[:, :, -1] += psi_boundary[:, 1:-1, -1] / dz2
         return corr
+
+    @cached_property
+    def _edge_row_coefficients(self) -> np.ndarray:
+        """The west and east Dirichlet couplings, ``(2, 1)``."""
+        return np.array([[self.a_minus[0]], [self.a_plus[-1]]]) / self.grid.dr**2
+
+    def subtract_dirichlet_batch(self, rhs: np.ndarray, psi_boundary: np.ndarray) -> np.ndarray:
+        """``rhs - dirichlet_rhs_correction_batch(psi_boundary)``, bit for
+        bit, in place on the ``(B, ni, nj)`` interior right-hand sides
+        ``rhs``, which it returns.
+
+        Only the four edge strips are touched, in six array operations
+        whatever the width: the edge rows' and edge columns' terms, each
+        corner's two terms summed, one subtraction per pair of strips.  A
+        grid with one interior row or column, where a strip is its own
+        opposite, subtracts the whole correction.
+        """
+        grid = self.grid
+        ni, nj = grid.nw - 2, grid.nh - 2
+        if ni < 2 or nj < 2:
+            return np.subtract(rhs, self.dirichlet_rhs_correction_batch(psi_boundary), out=rhs)
+        rows = psi_boundary[:, :: ni + 1, 1:-1] * self._edge_row_coefficients
+        cols = psi_boundary[:, 1:-1, :: nj + 1] / grid.dz**2
+        cols[:, :: ni - 1] += rows[:, :, :: nj - 1]
+        rhs[:, :: ni - 1, 1:-1] -= rows[:, :, 1:-1]
+        rhs[:, :, :: nj - 1] -= cols
+        return rhs

@@ -87,15 +87,18 @@ def basis_response(grid_response: np.ndarray, basis_currents: np.ndarray) -> np.
     contraction over grid nodes, one GEMM.
 
     ``basis_currents`` holds the node currents per unit coefficient of
-    one slice, ``(n_nodes, n_coeffs)``, or of a batch of slices side by
-    side, ``(n_nodes, B, n_coeffs)``; ``grid_response`` the matching
-    ``(n_meas, n_nodes)`` columns of the diagnostic response to unit node
-    currents.  Returns ``(n_meas, n_coeffs)`` or ``(n_meas, B,
+    one slice, ``(n_nodes, n_coeffs)``, or of a batch of slices
+    coefficient-major, ``(B, n_coeffs, n_nodes)`` (a block of
+    :class:`~repro.efit.current.BasisSlabs`); ``grid_response`` the
+    matching ``(n_meas, n_nodes)`` columns of the diagnostic response to
+    unit node currents.  Returns ``(n_meas, n_coeffs)`` or ``(B, n_meas,
     n_coeffs)``.
     """
-    n_nodes, *columns = basis_currents.shape
-    product = grid_response @ basis_currents.reshape(n_nodes, math.prod(columns))
-    return product.reshape(grid_response.shape[0], *columns)
+    if basis_currents.ndim == 2:
+        return grid_response @ basis_currents
+    n_slices, n_coeffs, n_nodes = basis_currents.shape
+    product = grid_response @ basis_currents.reshape(n_slices * n_coeffs, n_nodes).T
+    return product.reshape(-1, n_slices, n_coeffs).transpose(1, 0, 2)
 
 
 def assemble_response(

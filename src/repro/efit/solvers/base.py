@@ -83,8 +83,7 @@ class GSInteriorSolver(abc.ABC):
             raise GridError("batched rhs/boundary shape mismatch with grid")
         nb = rhs.shape[0]
         ni, nj = grid.nw - 2, grid.nh - 2
-        corr = self.operator.dirichlet_rhs_correction_batch(psi_boundary)
-        b = np.subtract(rhs[:, 1:-1, 1:-1], corr, out=corr)
+        b = self.operator.subtract_dirichlet_batch(np.array(rhs[:, 1:-1, 1:-1]), psi_boundary)
         x = self._solve_interior_batch(b)
         if x.shape != (nb, ni, nj):
             raise SolverError(f"batched interior solution shape {x.shape} != {(nb, ni, nj)}")

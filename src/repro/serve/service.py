@@ -254,6 +254,11 @@ class ReconstructionService:
         stream = self._stream(stream_id)
         if stream.closing:
             raise ServeError(f"stream {stream_id!r} is closing")
+        if frame.stream_id != stream_id:
+            raise ServeError(
+                f"frame {frame.index} of stream {frame.stream_id!r} submitted to "
+                f"stream {stream_id!r}"
+            )
         expected = self.engine.solver.diagnostics.n_measurements
         if frame.measurements.n_measurements != expected:
             raise ServeError(

@@ -81,32 +81,45 @@ class TestCurrentMatrix:
         want[~mask] = 0.0
         assert np.array_equal(jm, want.reshape(g.size, 5))
 
-    @pytest.mark.parametrize("ffp", [PolynomialBasis(2), PolynomialBasis(3)], ids=["shared", "own"])
-    def test_batched_slabs_are_each_plasmas_slab_on_the_union_of_rows(self, setup, ffp):
-        """B masks side by side: plasma b's block is its own slab, bit for
-        bit, on the union of the masks' rows and zero elsewhere, and the
-        batched response is each plasma's own response."""
+    @pytest.mark.parametrize("batch", ["mixed", "empty-first", "one"])
+    @pytest.mark.parametrize(
+        "pp", [PolynomialBasis(2), PolynomialBasis(3, vanish_at_edge=True)], ids=["pp", "pp-edge"]
+    )
+    @pytest.mark.parametrize("ffp", [PolynomialBasis(2), PolynomialBasis(3)], ids=["ffp2", "ffp3"])
+    def test_batched_slabs_are_each_plasmas_slab_on_the_union_of_rows(self, setup, pp, ffp, batch):
+        """B masks side by side, coefficient-major: plasma b's block is its
+        own slab, bit for bit, on the union of the masks' rows and zero
+        elsewhere — whether a plasma is empty, comes first or is alone —
+        and the batched response is each plasma's own response."""
         g, psin, mask, rng = setup
-        pp = PolynomialBasis(2)
         shifted = np.roll(psin, 3, axis=0), np.roll(psin, -2, axis=0)
         psins = [psin, *shifted, psin]
         masks = [mask, shifted[0] < 1.0, shifted[1] < 0.8, np.zeros_like(mask)]
+        if batch == "empty-first":
+            psins, masks = psins[::-1], masks[::-1]
+        elif batch == "one":
+            psins, masks = psins[1:2], masks[1:2]
         slabs = basis_current_slabs(g, psins, masks, pp, ffp)
         nodes = np.flatnonzero(np.any(masks, axis=0))
         assert (slabs.lo, slabs.hi) == (nodes[0], nodes[-1] + 1)
-        assert slabs.matrix.shape == ((slabs.i1 - slabs.i0) * g.nh, 4, 2 + ffp.n_terms)
+        rows = np.flatnonzero(np.any(masks, axis=(0, 2)))
+        assert (slabs.i0, slabs.i1) == (rows[0], rows[-1] + 1)
+        n_coeffs = pp.n_terms + ffp.n_terms
+        assert slabs.matrix.shape == (len(masks), n_coeffs, (slabs.i1 - slabs.i0) * g.nh)
         for b, (p, m) in enumerate(zip(psins, masks)):
             full = basis_current_matrix(g, p, m, pp, ffp)
-            assert np.array_equal(slabs.matrix[:, b], full[slabs.i0 * g.nh : slabs.i1 * g.nh])
+            assert np.array_equal(slabs.matrix[b].T, full[slabs.i0 * g.nh : slabs.i1 * g.nh])
             assert not full[: slabs.i0 * g.nh].any() and not full[slabs.i1 * g.nh :].any()
         response = rng.normal(size=(7, g.size))
         offset = slabs.i0 * g.nh
         batched = basis_response(
-            response[:, slabs.lo : slabs.hi], slabs.matrix[slabs.lo - offset : slabs.hi - offset]
+            response[:, slabs.lo : slabs.hi],
+            slabs.matrix[:, :, slabs.lo - offset : slabs.hi - offset],
         )
+        assert batched.shape == (len(masks), 7, n_coeffs)
         for b, (p, m) in enumerate(zip(psins, masks)):
             own = response @ basis_current_matrix(g, p, m, pp, ffp)
-            assert np.allclose(batched[:, b], own, rtol=1e-13, atol=1e-13 * np.abs(own).max())
+            assert np.allclose(batched[b], own, rtol=1e-13, atol=1e-13 * np.abs(own).max())
 
     def test_empty_mask_is_an_empty_slab(self, setup):
         g, psin, mask, _ = setup

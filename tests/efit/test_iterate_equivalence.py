@@ -429,8 +429,9 @@ def test_green_contracts_a_view_of_the_plasma_rows_only(monkeypatch):
     """Every least-squares iterate of a cold fit hands ``basis_response``
     one column range of ``grid_response`` — from the mask's first node to
     its last, fewer columns than the grid has nodes, and a view, never a
-    copy — with the matching rows of the basis currents.  A warm-up
-    iterate needs only its prediction and forms no basis response."""
+    copy — with the matching block of the coefficient-major basis
+    currents.  A warm-up iterate needs only its prediction and forms no
+    basis response."""
     sc = get_scenario("g186610")
     shot = sc.make_shot(65)
     solver = EfitSolver.for_scenario(sc, 65, shot=shot)
@@ -450,7 +451,8 @@ def test_green_contracts_a_view_of_the_plasma_rows_only(monkeypatch):
         response, basis_shape = calls[-1]
         nodes = np.flatnonzero(state.boundary.mask)
         assert response.shape[1] == nodes[-1] + 1 - nodes[0] < solver.grid.size
-        assert basis_shape == (response.shape[1], 1, solver.pp_basis.n_terms + solver.ffp_basis.n_terms)
+        n_coeffs = solver.pp_basis.n_terms + solver.ffp_basis.n_terms
+        assert basis_shape == (1, n_coeffs, response.shape[1])
         assert np.shares_memory(response, solver.grid_response)
         assert np.array_equal(response, solver.grid_response[:, nodes[0] : nodes[-1] + 1])
     assert state.converged and len(calls) == state.iteration - fitting.N_WARMUP >= 5
@@ -459,40 +461,45 @@ def test_green_contracts_a_view_of_the_plasma_rows_only(monkeypatch):
 @pytest.mark.parametrize(
     "options", [{}, {"fitdelz": False}, {"fit_vessel": True}], ids=["fitdelz", "no-fitdelz", "vessel"]
 )
-def test_slab_current_matches_the_full_grid_formula(options):
-    """``iterate_pre``'s ``pcurr`` is zero outside the mask's rows and, for
-    the coefficients it fitted, equals the full-grid arithmetic it
+@pytest.mark.parametrize("name", scenario_names())
+def test_slab_current_matches_the_full_grid_formula(name, options):
+    """On a lock-step batch of three slices, ``iterate_pre``'s ``pcurr``
+    stack is zero outside each mask's rows and every slice's currents,
+    for the coefficients it fitted, equal the full-grid arithmetic they
     replaced — ``basis_current_matrix @ coeffs``, ``np.gradient``, two
     full-width GEMVs, ``grid.shift_z`` — to round-off."""
-    sc = get_scenario("g186610")
+    sc = get_scenario(name)
     shot = sc.make_shot(33)
     solver = EfitSolver.for_scenario(sc, 33, shot=shot, **options)
-    grid, m = solver.grid, shot.measurements
-    state = solver.start_fit(m)
+    grid = solver.grid
+    slices = [shot.measurements] + synthetic_slice_sequence(shot, 2, seed=0)
+    states = [solver.start_fit(m) for m in slices]
     shifted = 0
     for _ in range(6):  # three warm-up iterates, three least-squares steps
-        pcurr, psi_external = solver.iterate_pre(state)
-        i0, i1 = _plasma_rows(state.boundary.mask)
-        assert not pcurr[:i0].any() and not pcurr[i1:].any()
+        pcurr, psi_external = solver.iterate_pre(states)
+        for state, m, current in zip(states, slices, pcurr):
+            i0, i1 = _plasma_rows(state.boundary.mask)
+            assert not current[:i0].any() and not current[i1:].any()
 
-        b = state.boundary
-        jmat = basis_current_matrix(grid, b.psin, b.mask, solver.pp_basis, solver.ffp_basis)
-        want = grid.unflatten(jmat @ state.coeffs)
-        if solver.fitdelz:
-            u = solver.grid_response @ grid.flatten(np.gradient(want, grid.dz, axis=1))
-            r = (
-                m.values
-                - solver.coil_response @ m.coil_currents
-                - solver.grid_response @ grid.flatten(want)
-            )
-            if solver.fit_vessel:
-                r = r - solver.vessel_response @ state.vessel_currents
-            w2 = 1.0 / m.uncertainties**2
-            delz = float(np.clip(-(w2 @ (u * r)) / (w2 @ (u * u)), -4 * grid.dz, 4 * grid.dz))
-            want = grid.shift_z(want, delz)
-            shifted += delz != 0.0
-        assert np.abs(pcurr - want).max() <= 1e-13 * np.abs(want).max()
-        solver.iterate_post(state, solver.pflux.compute(pcurr, psi_external))
-    assert shifted == (6 if solver.fitdelz else 0)
+            b = state.boundary
+            jmat = basis_current_matrix(grid, b.psin, b.mask, solver.pp_basis, solver.ffp_basis)
+            want = grid.unflatten(jmat @ state.coeffs)
+            if solver.fitdelz:
+                u = solver.grid_response @ grid.flatten(np.gradient(want, grid.dz, axis=1))
+                r = (
+                    m.values
+                    - solver.coil_response @ m.coil_currents
+                    - solver.grid_response @ grid.flatten(want)
+                )
+                if solver.fit_vessel:
+                    r = r - solver.vessel_response @ state.vessel_currents
+                w2 = 1.0 / m.uncertainties**2
+                delz = float(np.clip(-(w2 @ (u * r)) / (w2 @ (u * u)), -4 * grid.dz, 4 * grid.dz))
+                want = grid.shift_z(want, delz)
+                shifted += delz != 0.0
+            assert np.abs(current - want).max() <= 1e-13 * np.abs(want).max()
+        solver.iterate_post(states, solver.pflux.compute_batch(pcurr, psi_external))
+        assert not any(state.converged for state in states)
+    assert shifted == (18 if solver.fitdelz else 0)
     if solver.fit_vessel:
-        assert state.vessel_currents.any()
+        assert all(state.vessel_currents.any() for state in states)

@@ -97,6 +97,17 @@ class TestMatrixForm:
         full = op.apply(psi)[1:-1, 1:-1].reshape(-1)
         assert np.allclose(op.interior_matrix @ interior + corr, full, atol=1e-10)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 6), (6, 3), (4, 4), (8, 10), (33, 33)])
+    def test_edge_strip_subtraction_is_the_whole_correction(self, rng, shape):
+        """``solve_batch`` subtracts the correction on its four edge strips
+        only: bit for bit the whole-interior subtraction, corners included."""
+        g = RZGrid(*shape)
+        op = GradShafranovOperator(g)
+        rhs = rng.normal(size=(3, g.nw - 2, g.nh - 2))
+        psi = rng.normal(size=(3,) + g.shape)
+        want = rhs - op.dirichlet_rhs_correction_batch(psi)
+        assert np.array_equal(op.subtract_dirichlet_batch(rhs.copy(), psi), want)
+
     def test_matrix_diagonal_negative(self, op):
         assert (op.interior_matrix.diagonal() < 0).all()
 

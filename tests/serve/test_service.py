@@ -413,6 +413,25 @@ class TestPoisonedFrames:
         assert [r.index for r in summaries["s"].reports] == [1]
         assert summaries["s"].failures == ()
 
+    def test_frame_of_another_stream_refused_at_submit(self, engine33, slices3):
+        """A frame names its stream: handed to another one it is refused
+        before it is queued, and that stream goes on serving its own."""
+        m = slices3[0]
+
+        async def scenario():
+            async with ReconstructionService(
+                engine33, config=ServeConfig(deadline_s=None)
+            ) as svc:
+                await svc.open_stream("a")
+                with pytest.raises(ServeError, match="'b' submitted to stream 'a'"):
+                    await svc.submit("a", Frame(stream_id="b", index=0, measurements=m))
+                await svc.submit("a", Frame(stream_id="a", index=1, measurements=m))
+                return await svc.stop()
+
+        summaries = _run(scenario())
+        assert [(r.stream_id, r.index) for r in summaries["a"].reports] == [("a", 1)]
+        assert summaries["a"].failures == ()
+
     def test_stop_cleans_up_when_a_worker_dies(self, engine33, slices3, monkeypatch):
         """A non-library exception (a bug) still kills its stream's worker,
         but stop() closes every stream and the solver thread before

@@ -189,6 +189,27 @@ def test_scenario_lanes_run_the_support_apply_on_their_currents():
         assert scenario in mark.args[1], scenario
 
 
+def test_scenario_lanes_run_the_slab_currents_on_a_batch():
+    """Each scenario-matrix lane's iterate-equivalence step, named for it,
+    runs the slab-current check on a lock-step batch of its own scenario,
+    and that selection exists for every scenario of the matrix."""
+    from tests.efit.test_iterate_equivalence import test_slab_current_matches_the_full_grid_formula
+
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  scenario-matrix:") : text.index("  serve-smoke:")]
+    (command,) = [c for c in _run_commands(lane) if "test_iterate_equivalence.py" in c]
+    assert command.endswith("-k ${{ matrix.scenario }}")
+    (name,) = re.findall(r"- name: (.*)\n\s*run: python -m pytest -q tests/efit/test_iterate_eq", lane)
+    assert "slab currents" in name
+    (mark,) = [
+        m for m in test_slab_current_matches_the_full_grid_formula.pytestmark
+        if m.name == "parametrize" and m.args[0] == "name"
+    ]
+    scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
+    for scenario in (v.strip() for v in scenarios.split(",")):
+        assert scenario in mark.args[1], scenario
+
+
 @pytest.mark.parametrize(
     "workflow, argv", INVOCATIONS, ids=[f"{n}:{'_'.join(a[:3])}" for n, a in INVOCATIONS]
 )
