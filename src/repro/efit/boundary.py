@@ -11,13 +11,18 @@ The mask keeps only the cells *connected to the axis* through ``psiN < 1``
 territory, excluding private-flux regions below an X-point, via a
 connected-component labelling.
 
-:func:`find_boundaries` runs the search on a stack of flux maps at once —
-every step is array-at-a-time over the stack but the walk over a slice's
-few X-point candidates — and :func:`find_boundary` is its one-map call.
+:func:`find_boundaries` runs the search on a stack of flux maps at once,
+and :func:`find_boundary` is its one-map call.  Its grid-sized steps are
+array-at-a-time over the stack; the few nodes it looks at closely — each
+map's axis node and the 3x3 minima of ``|grad psi|^2`` — have their 3x3
+stencils gathered in one fancy index, and their Hessian test and
+quadratic refinement run on Python floats, in numpy's operation order, so
+a node costs a few float operations instead of a round of array calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -59,49 +64,12 @@ _CROSS = ndimage.generate_binary_structure(2, 1)
 #: The same within each map of a stack, and no connection between maps.
 _CROSS_STACK = np.stack([np.zeros_like(_CROSS), _CROSS, np.zeros_like(_CROSS)])
 
-#: Row and column offsets of the 3x3 stencil, broadcast against node indices.
-_DI = np.array([[-1], [0], [1]])
-_DJ = np.array([[-1, 0, 1]])
 
-
-def _derivatives(f: np.ndarray, i, j, b=None):
-    """Central first and second differences of ``f`` (in cells) at one
-    interior node or at index arrays of many, from one gather of the 3x3
-    stencil: ``(f[i, j], fx, fy, fxx, fyy, fxy)``.  With ``b`` the nodes
-    are ``(i, j)`` of map ``b`` of a stack ``f``."""
-    nw, nh = f.shape[-2:]
-    node = np.asarray(i) * nh + np.asarray(j)
-    if b is not None:
-        node = node + np.asarray(b) * (nw * nh)
-    s = f.reshape(-1)[node[..., None, None] + (_DI * nh + _DJ)]
-    here = s[..., 1, 1]
-    fx = (s[..., 2, 1] - s[..., 0, 1]) / 2.0
-    fy = (s[..., 1, 2] - s[..., 1, 0]) / 2.0
-    fxx = s[..., 2, 1] - 2.0 * here + s[..., 0, 1]
-    fyy = s[..., 1, 2] - 2.0 * here + s[..., 1, 0]
-    fxy = (s[..., 2, 2] - s[..., 2, 0] - s[..., 0, 2] + s[..., 0, 0]) / 4.0
-    return here, fx, fy, fxx, fyy, fxy
-
-
-def _quadratic_refine(grid: RZGrid, field: np.ndarray, i, j, b=None):
-    """Refine grid extrema with a 2-D quadratic fit on the 3x3 stencil.
-
-    ``i`` and ``j`` are one interior node or equal-length index arrays of
-    many (of the maps ``b`` of a stack ``field``); returns ``(r, z,
-    value)`` of matching shape.  A node whose stencil is degenerate, or
-    whose correction leaves the cell, comes back as the node itself.
-    """
-    here, fx, fy, fxx, fyy, fxy = _derivatives(field, i, j, b)
-    det = fxx * fyy - fxy * fxy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dx = -(fyy * fx - fxy * fy) / det
-        dy = -(fxx * fy - fxy * fx) / det
-    moved = (np.abs(det) >= 1e-300) & (np.abs(dx) <= 1.0) & (np.abs(dy) <= 1.0)
-    return (
-        np.where(moved, grid.r[i] + dx * grid.dr, grid.r[i]),
-        np.where(moved, grid.z[j] + dy * grid.dz, grid.z[j]),
-        np.where(moved, here + 0.5 * (fx * dx + fy * dy), here),
-    )
+def _stencil_offsets(nh: int) -> np.ndarray:
+    """Flat offsets of a node's 3x3 stencil on a grid ``nh`` columns
+    wide, row by row: ``f[i - 1, j - 1]`` first, ``f[i + 1, j + 1]``
+    last."""
+    return np.array([-nh - 1, -nh, -nh + 1, -1, 0, 1, nh - 1, nh, nh + 1])
 
 
 def _interior(grid: RZGrid, window: tuple[slice, slice]) -> tuple[slice, slice]:
@@ -150,6 +118,10 @@ class _SearchGeometry(NamedTuple):
     interior: tuple[slice, slice]
     inside_window: np.ndarray
     inside_interior: np.ndarray
+    #: ``(4, n)``: the corners of the wall samples' cells (the first four
+    #: rows of the stencil below) as flat indices into the window, or the
+    #: window's size — one past its last node — for a corner outside it.
+    wall_cells: np.ndarray
     #: :meth:`RZGrid.bilinear_stencil` of the samples inside the box: the
     #: flat indices of their cells' corners, and the offset factors.
     wall_k00: np.ndarray
@@ -170,18 +142,22 @@ class _SearchGeometry(NamedTuple):
         window = _bounding_window(grid, inside)
         interior = _interior(grid, window)
         keep = grid.contains(lr, lz)
+        stencil = grid.bilinear_stencil(lr[keep], lz[keep])
+        rows, cols = window
+        i, j = np.divmod(np.stack(stencil[:4]), grid.nh)
+        height, width = rows.stop - rows.start, cols.stop - cols.start
+        cells = np.where(
+            (i >= rows.start) & (i < rows.stop) & (j >= cols.start) & (j < cols.stop),
+            (i - rows.start) * width + (j - cols.start),
+            height * width,
+        )
         return cls(
-            inside, lr, lz, window, interior, inside[window], inside[interior],
-            *grid.bilinear_stencil(lr[keep], lz[keep]),
-        )  # fmt: skip
+            inside, lr, lz, window, interior, inside[window], inside[interior], cells, *stencil
+        )
 
     @property
     def wall_stencil(self) -> tuple[np.ndarray, ...]:
         return self[-8:]
-
-    @property
-    def wall_corners(self) -> tuple[np.ndarray, ...]:
-        return self[-8:-4]
 
 
 def _same(given: np.ndarray, own: np.ndarray) -> bool:
@@ -228,23 +204,21 @@ def _geometry_for(
     )
 
 
-def _find_axes(
-    grid: RZGrid, signed: np.ndarray, geometry: _SearchGeometry
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The maximum of each map of ``signed`` — ψ times its plasma's sign —
-    over the in-limiter nodes with a full stencil, refined: ``(r, z,
-    value)``, one entry per map."""
+def _axis_nodes(signed: np.ndarray, geometry: _SearchGeometry) -> list[int]:
+    """The node of each map of ``signed`` — ψ times its plasma's sign —
+    holding its maximum over the in-limiter nodes with a full stencil, as
+    a flat index into the stack."""
     rows, cols = geometry.interior
     if not geometry.inside_interior.any():
         raise BoundaryError("no interior grid node inside the limiter")
     work = np.where(geometry.inside_interior, signed[:, rows, cols], -np.inf)
-    maps = np.arange(len(work))
-    work = work.reshape(len(work), -1)
-    best = work.argmax(axis=1)
-    if not np.isfinite(work[maps, best]).all():
-        raise BoundaryError("no interior extremum found inside the limiter")
-    i, j = np.divmod(best, cols.stop - cols.start)
-    return _quadratic_refine(grid, signed, i + rows.start, j + cols.start, maps)
+    best = work.reshape(len(work), -1).argmax(axis=1)
+    nw, nh = signed.shape[1:]
+    width = cols.stop - cols.start
+    return [
+        (b * nw + rows.start + k // width) * nh + cols.start + k % width
+        for b, k in enumerate(best.tolist())
+    ]
 
 
 def _signs(signs: Sequence[int]) -> np.ndarray:
@@ -269,74 +243,127 @@ def find_axis(
     which is built once per grid.
     """
     signed = _signs([sign])[:, None, None] * np.asarray(psi, dtype=float)
-    r, z, value = _find_axes(grid, signed, _geometry_for(grid, limiter, inside, None, 4))
-    return float(r[0]), float(z[0]), sign * float(value[0])
+    geometry = _geometry_for(grid, limiter, inside, None, 4)
+    ((r, z, value),), _ = _node_search(grid, signed, _axis_nodes(signed, geometry), None)
+    return r, z, sign * value
 
 
-def _saddle_nodes(
-    grid: RZGrid, psi: np.ndarray, interior: tuple[slice, slice]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid saddles of every map of the stack ``psi`` among the nodes of
-    ``interior`` (a block without the grid's edge ring).
-
-    Returns the ``(b, i, j)`` index arrays of the nodes that are a 3x3
-    local minimum of ``|grad psi|^2`` with a negative Hessian determinant,
-    map by map and flattest first within a map (ties in grid order).
-    """
-    rows, cols = interior
-    if rows.start >= rows.stop or cols.start >= cols.stop:
-        return (np.zeros(0, dtype=int),) * 3
-    # Two nodes of context around the block: one for the 3x3
-    # neighbourhood, one for its central differences.  Where the context
-    # ends at the grid edge, the one-sided difference there is the
-    # full-grid gradient's too; where it ends sooner, its outermost nodes
-    # are never read.
-    i_lo, j_lo = max(rows.start - 2, 0), max(cols.start - 2, 0)
-    grad2 = _gradient_squared(
-        psi[:, i_lo : rows.stop + 2, j_lo : cols.stop + 2], grid.dr, grid.dz
-    )
-    near = grad2[
-        :,
-        rows.start - 1 - i_lo : rows.stop + 1 - i_lo,
-        cols.start - 1 - j_lo : cols.stop + 1 - j_lo,
-    ]
-    # Minimum over the 3x3 neighbourhood, one axis at a time.
-    low = np.minimum(np.minimum(near[:, :-2], near[:, 1:-1]), near[:, 2:])
-    low = np.minimum(np.minimum(low[..., :-2], low[..., 1:-1]), low[..., 2:])
-    here = near[:, 1:-1, 1:-1]
-    hits = np.flatnonzero(here <= low)
-    # A node that is its neighbourhood's minimum holds the minimum itself.
-    flatness = low.reshape(-1)[hits]
-    b, node = np.divmod(hits, here[0].size)
-    i, j = np.divmod(node, here.shape[-1])
-    i += rows.start
-    j += cols.start
-    _, _, _, fxx, fyy, fxy = _derivatives(psi, i, j, b)
-    saddle = np.flatnonzero(~(fxx * fyy - fxy * fxy >= 0.0))
-    order = saddle[np.argsort(flatness[saddle], kind="stable")]
-    if len(psi) > 1:  # back into map order, each map's run still flattest first
-        order = order[np.argsort(b[order], kind="stable")]
-    return b[order], i[order], j[order]
-
-
-def _gradient_squared(f: np.ndarray, dr: float, dz: float) -> np.ndarray:
-    """``|grad f|^2`` over the last two axes with ``np.gradient``'s
-    arithmetic — central differences inside, one-sided on the block's
-    edges — without its per-call set-up."""
-    g_r = np.empty_like(f)
-    np.subtract(f[..., 2:, :], f[..., :-2, :], out=g_r[..., 1:-1, :])
-    g_r[..., 1:-1, :] /= 2.0 * dr
-    g_r[..., 0, :] = (f[..., 1, :] - f[..., 0, :]) / dr
-    g_r[..., -1, :] = (f[..., -1, :] - f[..., -2, :]) / dr
-    g_z = np.empty_like(f)
-    np.subtract(f[..., 2:], f[..., :-2], out=g_z[..., 1:-1])
-    g_z[..., 1:-1] /= 2.0 * dz
-    g_z[..., 0] = (f[..., 1] - f[..., 0]) / dz
-    g_z[..., -1] = (f[..., -1] - f[..., -2]) / dz
+def _gradient_squared(grid: RZGrid, psi: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """``|grad psi|^2`` on the block ``rows`` x ``cols`` of every map of
+    the stack ``psi``, with ``np.gradient``'s arithmetic on the whole
+    grid: central differences, and one-sided ones on the grid's edge ring
+    only, where the block meets it."""
+    nw, nh = grid.shape
+    r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+    # The block's rows and columns with a central difference.
+    a, b = max(r0, 1), min(r1, nw - 1)
+    c, d = max(c0, 1), min(c1, nh - 1)
+    g_r = np.empty((len(psi), r1 - r0, c1 - c0))
+    central = g_r[:, a - r0 : b - r0]
+    np.subtract(psi[:, a + 1 : b + 1, c0:c1], psi[:, a - 1 : b - 1, c0:c1], out=central)
+    central /= 2.0 * grid.dr
+    g_z = np.empty_like(g_r)
+    central = g_z[..., c - c0 : d - c0]
+    np.subtract(psi[:, r0:r1, c + 1 : d + 1], psi[:, r0:r1, c - 1 : d - 1], out=central)
+    central /= 2.0 * grid.dz
+    if r0 == 0:
+        g_r[:, 0] = (psi[:, 1, c0:c1] - psi[:, 0, c0:c1]) / grid.dr
+    if r1 == nw:
+        g_r[:, -1] = (psi[:, -1, c0:c1] - psi[:, -2, c0:c1]) / grid.dr
+    if c0 == 0:
+        g_z[..., 0] = (psi[:, r0:r1, 1] - psi[:, r0:r1, 0]) / grid.dz
+    if c1 == nh:
+        g_z[..., -1] = (psi[:, r0:r1, -1] - psi[:, r0:r1, -2]) / grid.dz
     g_r *= g_r
     g_z *= g_z
     g_r += g_z
     return g_r
+
+
+def _flat_nodes(
+    grid: RZGrid, psi: np.ndarray, interior: tuple[slice, slice]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of ``interior`` (a block without the grid's edge ring)
+    at which ``|grad psi|^2`` of their map of the stack ``psi`` is the
+    minimum of their 3x3 neighbourhood: their flat indices into the
+    stack, in stack order, and that minimum."""
+    rows, cols = interior
+    if rows.start >= rows.stop or cols.start >= cols.stop:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    grad2 = _gradient_squared(
+        grid, psi, slice(rows.start - 1, rows.stop + 1), slice(cols.start - 1, cols.stop + 1)
+    )
+    # Minimum over the 3x3 neighbourhood, one axis at a time.
+    row_low = np.minimum(grad2[:, :-2], grad2[:, 1:-1])
+    np.minimum(row_low, grad2[:, 2:], out=row_low)
+    low = np.minimum(row_low[..., :-2], row_low[..., 1:-1])
+    np.minimum(low, row_low[..., 2:], out=low)
+    hits = np.flatnonzero(grad2[:, 1:-1, 1:-1] <= low)
+    # A node that is its neighbourhood's minimum holds the minimum itself.
+    flatness = low.reshape(-1)[hits]
+    b, node = np.divmod(hits, low[0].size)
+    i, j = np.divmod(node, low.shape[-1])
+    return (b * grid.nw + i + rows.start) * grid.nh + j + cols.start, flatness
+
+
+def _node_search(
+    grid: RZGrid,
+    field: np.ndarray,
+    axis_nodes: Sequence[int],
+    interior: tuple[slice, slice] | None,
+) -> tuple[list[tuple[float, float, float]], list[tuple[int, float, float, float]]]:
+    """The search's node arithmetic on the stack ``field``, from one
+    gather of 3x3 stencils: the refined ``(r, z, value)`` of each node of
+    ``axis_nodes`` (flat indices into the stack), and the saddles among
+    the nodes of ``interior`` (none for ``None``) as refined ``(map, r,
+    z, value)``, map by map and flattest first within a map (ties in grid
+    order).  A saddle is a 3x3 minimum of ``|grad psi|^2`` whose Hessian
+    determinant is negative.
+
+    The differences (in cells) and the refinement — the vertex of the
+    stencil's quadratic model, or the node itself where the model is
+    degenerate or its vertex leaves the node's cell — run on Python
+    floats, one node at a time, in the operation order of their array
+    form: IEEE double arithmetic gives the same bits, and the division
+    runs only where ``|det| >= 1e-300``.
+    """
+    nodes, flatness = (
+        (np.zeros(0, dtype=int), np.zeros(0))
+        if interior is None
+        else _flat_nodes(grid, field, interior)
+    )
+    n_axes = len(axis_nodes)
+    index = np.concatenate((np.asarray(axis_nodes, dtype=int), nodes))
+    stencils = field.reshape(-1)[index[:, None] + _stencil_offsets(grid.nh)].tolist()
+    r_nodes, z_nodes, dr, dz = grid.r.tolist(), grid.z.tolist(), grid.dr, grid.dz
+    size, nh = grid.size, grid.nh
+    found = []
+    for k, (node, flat, stencil) in enumerate(
+        zip(index.tolist(), [0.0] * n_axes + flatness.tolist(), stencils)
+    ):
+        f00, f01, f02, f10, here, f12, f20, f21, f22 = stencil
+        fxx = f21 - 2.0 * here + f01
+        fyy = f12 - 2.0 * here + f10
+        fxy = (f22 - f20 - f02 + f00) / 4.0
+        det = fxx * fyy - fxy * fxy
+        if k < n_axes:
+            if not math.isfinite(here):
+                raise BoundaryError("no interior extremum found inside the limiter")
+        elif det >= 0.0:
+            continue  # a minimum of |grad psi|^2 but no saddle
+        b, node = divmod(node, size)
+        i, j = divmod(node, nh)
+        r, z, value = r_nodes[i], z_nodes[j], here
+        if abs(det) >= 1e-300:
+            fx = (f21 - f01) / 2.0
+            fy = (f12 - f10) / 2.0
+            dx = -(fyy * fx - fxy * fy) / det
+            dy = -(fxx * fy - fxy * fx) / det
+            if abs(dx) <= 1.0 and abs(dy) <= 1.0:
+                r, z, value = r + dx * dr, z + dy * dz, here + 0.5 * (fx * dx + fy * dy)
+        found.append((b, flat, r, z, value))
+    saddles = sorted(found[n_axes:], key=lambda saddle: saddle[:2])  # stable: ties in grid order
+    return [axis[2:] for axis in found[:n_axes]], [(b, r, z, v) for b, _, r, z, v in saddles]
 
 
 def find_xpoints(
@@ -347,24 +374,25 @@ def find_xpoints(
     Scans interior nodes for local minima of ``|grad psi|^2`` whose Hessian
     has negative determinant, keeps the ``max_points`` flattest, refines
     them with the quadratic model and returns them as ``(r, z, psi_x)``
-    sorted by gradient magnitude.
+    sorted by gradient magnitude.  A negative ``max_points`` is a
+    :class:`~repro.errors.BoundaryError`.
     """
+    if max_points < 0:
+        raise BoundaryError(f"max_points must be >= 0, got {max_points}")
     psi = np.asarray(psi, dtype=float)[None]
-    b, i, j = _saddle_nodes(grid, psi, _interior(grid, (slice(0, grid.nw), slice(0, grid.nh))))
-    r, z, value = _quadratic_refine(grid, psi, i[:max_points], j[:max_points], b[:max_points])
-    return list(zip(r.tolist(), z.tolist(), value.tolist()))
+    _, saddles = _node_search(
+        grid, psi, (), _interior(grid, (slice(0, grid.nw), slice(0, grid.nh)))
+    )
+    return [(r, z, value) for _, r, z, value in saddles[:max_points]]
 
 
-def _xpoint_candidates(
-    grid: RZGrid,
-    signed: np.ndarray,
-    limiter: Limiter,
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    interior: tuple[slice, slice],
-) -> list[list[tuple[float, float, float]]]:
-    """Per map of ``signed`` (ψ times its plasma's sign), the *admissible*
-    saddles among the nodes of ``interior``, flattest first, as refined
-    ``(r, z, signed psi_x)``.
+def _axes_and_xpoints(
+    grid: RZGrid, signed: np.ndarray, limiter: Limiter, geometry: _SearchGeometry
+) -> tuple[list[tuple[float, float, float]], list[list[tuple[float, float, float]]]]:
+    """Per map of ``signed`` (ψ times its plasma's sign): the refined axis
+    ``(r, z, signed psi_axis)``, and the *admissible* saddles of the
+    search's interior block, flattest first, as refined ``(r, z, signed
+    psi_x)``.
 
     Admissible means inside the box *and the limiter* (wall corners and
     coil gaps host spurious vacuum saddles, often flatter than the real
@@ -374,25 +402,24 @@ def _xpoint_candidates(
     test, the costly one, sees only the survivors of the cheap ones, of
     every map at once.
     """
-    r_axis, z_axis, s_axis = axes
-    out: list[list[tuple[float, float, float]]] = [[] for _ in range(len(signed))]
-    b, i, j = _saddle_nodes(grid, signed, interior)
-    if b.size == 0:
-        return out
-    rx, zx, sx = _quadratic_refine(grid, signed, i, j, b)
+    axes, saddles = _node_search(grid, signed, _axis_nodes(signed, geometry), geometry.interior)
+    out: list[list[tuple[float, float, float]]] = [[] for _ in axes]
+    if not saddles:
+        return axes, out
+    b, rx, zx, sx = (np.array(column) for column in zip(*saddles))
+    r_axis, z_axis, s_axis = (np.array(column) for column in zip(*axes))
     keep = np.flatnonzero(
         grid.contains(rx, zx)
         & (np.hypot(rx - r_axis[b], zx - z_axis[b]) >= 4.0 * max(grid.dr, grid.dz))
         & (sx < s_axis[b])
     )
     keep = keep[limiter.contains(rx[keep], zx[keep])]
-    for k, r, z, s in zip(b[keep].tolist(), rx[keep].tolist(), zx[keep].tolist(), sx[keep].tolist()):
-        out[k].append((r, z, s))
-    return out
+    for k in keep.tolist():
+        out[saddles[k][0]].append(saddles[k][1:])
+    return axes, out
 
 
 def _core_clears_wall(
-    grid: RZGrid,
     signed: np.ndarray,
     spx: float,
     geometry: _SearchGeometry,
@@ -419,22 +446,24 @@ def _core_clears_wall(
     private flux on any grid.
 
     The search window holds the in-limiter mask, so the components are
-    labelled there and every node outside it belongs to none.
+    labelled there, into a buffer with one zero past the window's last
+    node: the label every wall corner outside the window reads
+    (:attr:`_SearchGeometry.wall_cells`).
     """
-    window = geometry.window
+    rows, cols = geometry.window
     level = spx + 0.02 * (signed[i_ax, j_ax] - spx)
-    core = (signed[window] > level) & geometry.inside_window
-    labels = np.zeros(grid.shape, dtype=np.int32)
-    ndimage.label(core, structure=_CROSS, output=labels[window])
-    axis_label = labels[i_ax, j_ax]
-    if axis_label == 0:
+    core = (signed[rows, cols] > level) & geometry.inside_window
+    labels = np.zeros(core.size + 1, dtype=np.int32)
+    ndimage.label(core, structure=_CROSS, output=labels[:-1].reshape(core.shape))
+    i, j = i_ax - rows.start, j_ax - cols.start
+    height, width = core.shape
+    if not (0 <= i < height and 0 <= j < width and labels[i * width + j]):
         return False
     hot = wall_signed >= spx
     if not hot.any():
         return True
     # The corners of the hot samples' cells: their interpolation stencil.
-    labels = labels.reshape(-1)
-    return not any((labels[corner[hot]] == axis_label).any() for corner in geometry.wall_corners)
+    return not (labels[geometry.wall_cells[:, hot]] == labels[i * width + j]).any()
 
 
 def _dilate_cross(mask: np.ndarray) -> np.ndarray:
@@ -465,8 +494,10 @@ def find_boundaries(
     ``psi`` has a maximum on the axis (so it decreases outward).  Returns
     one :class:`BoundaryResult` per map, each equal, field for field, to
     what the search on that map alone returns: the maps share the
-    ψ-independent set-up and every array step, and only the walk over a
-    map's X-point candidates runs map by map.
+    ψ-independent set-up, every array step and one gather of the 3x3
+    stencils the node arithmetic reads, and only that arithmetic and the
+    walk over a map's X-point candidates run map by map.  An empty stack
+    is the batch of none: it returns ``[]``.
 
     ``inside`` and ``limiter_samples`` override the in-limiter grid mask
     and the densified limiter contour.  Both are static per machine+grid
@@ -484,11 +515,13 @@ def find_boundaries(
         raise BoundaryError(f"psi stack shape {psi.shape} is not (B, {grid.nw}, {grid.nh})")
     if len(signs) != len(psi):
         raise BoundaryError(f"{len(signs)} signs for {len(psi)} flux maps")
+    if not len(psi):
+        return []
     sign = _signs(signs)
     geometry = _geometry_for(grid, limiter, inside, limiter_samples, n_limiter_samples)
     # The whole search runs on sign * psi, where every plasma is a maximum.
     signed = psi if min(signs) > 0 else sign[:, None, None] * psi
-    r_axis, z_axis, s_axis = _find_axes(grid, signed, geometry)
+    axes, candidates = _axes_and_xpoints(grid, signed, limiter, geometry)
 
     # Limiter candidate: the flux value where a shrinking contour first
     # touches the wall = extremal psi along the limiter contour.
@@ -503,13 +536,12 @@ def find_boundaries(
     # (diverted machines: the divertor legs hug the wall at flux above
     # psi_x).  Of the passing candidates the most binding one (largest
     # sign*psi) sets the boundary.
-    candidates = _xpoint_candidates(grid, signed, limiter, (r_axis, z_axis, s_axis), geometry.interior)
     n_maps = len(psi)
     found = []  # per map: the BoundaryResult fields but psin and mask
     levels = np.empty((2, n_maps))  # psi_axis and psi_boundary per map
     axis_nodes = np.empty((2, n_maps), dtype=int)
     diverted = np.zeros(n_maps, dtype=bool)
-    for b, (r_ax, z_ax, s_ax) in enumerate(zip(r_axis.tolist(), z_axis.tolist(), s_axis.tolist())):
+    for b, (r_ax, z_ax, s_ax) in enumerate(axes):
         i_ax = min(max(int(round((r_ax - grid.rmin) / grid.dr)), 0), grid.nw - 1)
         j_ax = min(max(int(round((z_ax - grid.zmin) / grid.dz)), 0), grid.nh - 1)
         psi_b = psi_lim[b]
@@ -519,7 +551,7 @@ def find_boundaries(
             if boundary_type == "xpoint" and spx <= psi_b:
                 continue
             if psi_lim[b] < spx or _core_clears_wall(
-                grid, signed[b], spx, geometry, i_ax, j_ax, wall[b]
+                signed[b], spx, geometry, i_ax, j_ax, wall[b]
             ):
                 psi_b = spx
                 boundary_type = "xpoint"
@@ -560,9 +592,13 @@ def _plasma_masks(
     # far-from-core cells into the mask.  Label the component at a
     # slightly interior level instead, then grow its rim back within
     # ``psin < 1`` — the private blob stays more than two rings away.
-    any_diverted = diverted.any()
+    # A stack of diverted maps only (a serial diverted fit's every search)
+    # takes that branch whole, without a boolean gather.
+    every_diverted, any_diverted = diverted.all(), diverted.any()
     connected = candidate
-    if any_diverted:
+    if every_diverted:
+        connected = (psin_w < 0.98) & inside_w
+    elif any_diverted:
         connected = candidate.copy()
         connected[diverted] = (psin_w[diverted] < 0.98) & inside_w
     labels, _ = ndimage.label(connected, structure=_CROSS_STACK)
@@ -571,7 +607,9 @@ def _plasma_masks(
     if not axis_label.all():
         raise BoundaryError("magnetic axis not inside its own plasma mask")
     plasma = labels == axis_label[:, None, None]
-    if any_diverted:
+    if every_diverted:
+        plasma = _dilate_cross(_dilate_cross(plasma)) & candidate
+    elif any_diverted:
         plasma[diverted] = _dilate_cross(_dilate_cross(plasma[diverted])) & candidate[diverted]
     masks = np.zeros(psin.shape, dtype=bool)
     masks[:, window[0], window[1]] = plasma

@@ -237,13 +237,17 @@ class RZGrid:
         leaves ``[0, nh - 1]``.  On a field's flattened rows that is two
         weighted slices of one zero-padded copy, each slice contiguous, so
         a stack takes one gather of whole rows per tap — the columns a
-        slice reads across a row's end are the zero-filled ones.
+        slice reads across a row's end are the zero-filled ones.  A NaN
+        or infinite shift is a :class:`~repro.errors.GridError`.
         """
         field = np.asarray(field)
         if field.ndim < 2 or field.shape[-1] != self.nh:
             raise GridError(f"field shape {field.shape} is not rows of a {self.shape} grid")
         lead = field.shape[:-2]
-        s = (np.zeros(lead) + np.asarray(delz, dtype=float) / self.dz).reshape(-1)
+        delz = np.asarray(delz, dtype=float)
+        if not np.isfinite(delz).all():
+            raise GridError(f"non-finite vertical shift delz = {delz.tolist()}")
+        s = (np.zeros(lead) + delz / self.dz).reshape(-1)
         n, width = s.size, field.shape[-2] * self.nh
         # Beyond nh every column is zero fill, whatever the offset.
         offset = np.clip(np.ceil(s), -self.nh, self.nh)

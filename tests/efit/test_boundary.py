@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.efit.boundary import _bounding_window, find_axis, find_boundary, find_xpoints
+from repro.efit.boundary import (
+    _bounding_window,
+    find_axis,
+    find_boundaries,
+    find_boundary,
+    find_xpoints,
+)
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Limiter
 from repro.errors import BoundaryError
@@ -127,6 +133,16 @@ class TestBoundary:
     def test_flat_field_rejected(self, grid, wide_limiter):
         with pytest.raises(BoundaryError):
             find_boundary(grid, np.zeros(grid.shape), wide_limiter)
+
+    def test_empty_stack_is_the_batch_of_none(self, grid, wide_limiter):
+        """A stack of no maps searches nothing and returns no results, as
+        a Picard loop over no states ends at once; its shape is still
+        checked."""
+        assert find_boundaries(grid, np.zeros((0, *grid.shape)), wide_limiter, signs=[]) == []
+        with pytest.raises(BoundaryError):
+            find_boundaries(grid, np.zeros((0, 3, 3)), wide_limiter, signs=[])
+        with pytest.raises(BoundaryError):
+            find_boundaries(grid, np.zeros((0, *grid.shape)), wide_limiter, signs=[1])
 
     def test_truth_boundary_on_shot(self, shot33):
         """The converged synthetic shot has a well-formed boundary."""

@@ -1,5 +1,7 @@
 """Tests for the (R, Z) grid: geometry, flattening, interpolation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,25 @@ class TestShiftZ:
             g.shift_z(np.zeros((11, 16)), 0.1)
         with pytest.raises(GridError):
             g.shift_z(np.zeros(17), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected_on_a_field(self, bad):
+        """A NaN or infinite shift is refused by name before anything is
+        allocated (a NaN once asked for a padded row of ~2**63 columns)."""
+        g = RZGrid(11, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="non-finite vertical shift"):
+                g.shift_z(np.ones(g.shape), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected_on_a_stack(self, bad):
+        """One non-finite entry of a stack's shifts refuses the stack."""
+        g = RZGrid(11, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="non-finite vertical shift"):
+                g.shift_z(np.ones((3, 4, g.nh)), np.array([0.0, bad, 0.1]))
 
 
 class TestRefinement:

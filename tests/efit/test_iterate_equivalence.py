@@ -27,10 +27,11 @@ from scipy import ndimage
 import repro.efit.fitting as fitting
 from repro.batch import synthetic_slice_sequence
 from repro.efit.boundary import (
+    MAX_XPOINT_CANDIDATES,
     BoundaryResult,
-    _find_axes,
+    _axes_and_xpoints,
     _geometry_for,
-    _xpoint_candidates,
+    _node_search,
     find_boundaries,
     find_boundary,
     find_xpoints,
@@ -244,15 +245,16 @@ def _check_searches(solver, seen) -> None:
         geometry = _geometry_for(grid, limiter, statics.inside_limiter, None, 4)
         # Deciding admissibility before the cut changed no candidate list
         # here: nothing admissible sat below the sixth-flattest saddle.
-        signed = sign * psi[None]
-        axes = _find_axes(grid, signed, geometry)
+        ((r_axis, z_axis, s_axis),), (found,) = _axes_and_xpoints(
+            grid, sign * psi[None], limiter, geometry
+        )
         cands = _ref_find_xpoints(grid, psi, max_points=6)
         old = [
             (r, z, sign * p)
-            for (r, z, p), ok in zip(cands, _ref_admissible(grid, limiter, cands, axes[0][0], axes[1][0]))
-            if ok and sign * p < axes[2][0]
+            for (r, z, p), ok in zip(cands, _ref_admissible(grid, limiter, cands, r_axis, z_axis))
+            if ok and sign * p < s_axis
         ]
-        assert _xpoint_candidates(grid, signed, limiter, axes, geometry.interior) == [old]
+        assert found == old
         # ... and the public search is the old one, value for value.
         assert find_xpoints(grid, psi, max_points=6) == cands
 
@@ -273,8 +275,11 @@ def test_cold_fit_searches_match_the_oracle_g186610_129(monkeypatch):
     _check_searches(solver, _record_searches(monkeypatch, solver, [shot.measurements]))
 
 
-def test_warm_chain_searches_match_the_oracle_single_null(monkeypatch):
-    sc = get_scenario("single-null")
+@pytest.mark.parametrize("name", scenario_names())
+def test_warm_chain_searches_match_the_oracle(monkeypatch, name):
+    """The serve path: a trust probe on the previous slice's psi, then
+    warm iterates, slice after slice."""
+    sc = get_scenario(name)
     shot = sc.make_shot(65)
     solver = EfitSolver.for_scenario(sc, 65, shot=shot)
     frames = [shot.measurements] + synthetic_slice_sequence(shot, 6, seed=0)
@@ -353,6 +358,73 @@ def test_stacked_searches_match_the_oracle(monkeypatch, name):
 # -- find_xpoints on fields no scenario makes ---------------------------------------
 _GRID = RZGrid(33, 41, rmin=0.9, rmax=2.5, zmin=-1.5, zmax=1.5)
 
+
+def _edge_ring_corpus():
+    """Maps on ``_GRID`` inside a wall inset 0.3 cells from the box, so the
+    search window is the whole grid and its saddle scan reads the
+    one-sided gradient of the edge ring: a plasma of eight filaments plus
+    a coil just outside each side of the box, every other map with the
+    opposite current sign, as ``(psi, sign, oracle result)``."""
+    grid, inset = _GRID, 0.3
+    r_lo, r_hi = grid.rmin + inset * grid.dr, grid.rmax - inset * grid.dr
+    z_lo, z_hi = grid.zmin + inset * grid.dz, grid.zmax - inset * grid.dz
+    limiter = Limiter(np.array([r_lo, r_hi, r_hi, r_lo]), np.array([z_lo, z_lo, z_hi, z_hi]))
+    rng = np.random.default_rng(7)
+    corpus = []
+    for k in range(24):
+        r0, z0 = 1.7 + rng.uniform(-0.1, 0.1), rng.uniform(-0.2, 0.2)
+        psi = sum(
+            greens_psi(grid.rr, grid.zz, r0 + rng.normal(0, 0.12), z0 + rng.normal(0, 0.2))
+            for _ in range(8)
+        )
+        r, z = rng.uniform(grid.rmin, grid.rmax), rng.uniform(grid.zmin, grid.zmax)
+        for coil in [
+            (grid.rmin - 0.37 * grid.dr, z), (grid.rmax + 0.41 * grid.dr, z),
+            (r, grid.zmin - 0.43 * grid.dz), (r, grid.zmax + 0.39 * grid.dz),
+        ]:  # fmt: skip
+            psi = psi + rng.uniform(0.2, 2.0) * greens_psi(grid.rr, grid.zz, *coil)
+        sign = 1 if k % 2 else -1
+        corpus.append((sign * psi, sign, _ref_find_boundary(grid, sign * psi, limiter, sign=sign)))
+    return limiter, corpus
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_searches_reaching_the_edge_ring_match_the_oracle(width):
+    """Where the search window reaches the grid's edge ring, the saddle
+    scan's gradient takes its one-sided rows and columns there, as the
+    full-grid gradient does: on every map of the stack the scan finds the
+    oracle's saddles in its order, the admissible ones are the oracle's,
+    and every field of the result equals the oracle's wherever the
+    oracle's cut to the six flattest saddles kept every admissible one
+    (``TestTruncation`` is the other case)."""
+    limiter, corpus = _edge_ring_corpus()
+    geometry = _geometry_for(_GRID, limiter, None, None, 4)
+    assert geometry.interior == (slice(1, _GRID.nw - 1), slice(1, _GRID.nh - 1))
+    assert {ref.boundary_type for _, _, ref in corpus} == {"limiter", "xpoint"}
+    compared = 0
+    for start in range(0, len(corpus), width):
+        stack = corpus[start : start + width]
+        psi = np.stack([psi for psi, _, _ in stack])
+        signs = [s for _, s, _ in stack]
+        signed = np.array(signs)[:, None, None] * psi
+        _, saddles = _node_search(_GRID, signed, [], geometry.interior)
+        axes, candidates = _axes_and_xpoints(_GRID, signed, limiter, geometry)
+        results = find_boundaries(_GRID, psi, limiter, signs=signs)
+        for k, ((r_axis, z_axis, s_axis), found, new, (one, s, ref)) in enumerate(
+            zip(axes, candidates, results, stack)
+        ):
+            cands = _ref_find_xpoints(_GRID, one, max_points=_GRID.size)
+            assert [saddle[1:] for saddle in saddles if saddle[0] == k] == [
+                (r, z, s * p) for r, z, p in cands
+            ]
+            kept = _ref_admissible(_GRID, limiter, cands, r_axis, z_axis)
+            kept &= np.array([s * p < s_axis for _, _, p in cands], dtype=bool)
+            assert found == [(r, z, s * p) for (r, z, p), ok in zip(cands, kept) if ok]
+            if not kept[MAX_XPOINT_CANDIDATES:].any():
+                _assert_same_boundary(new, ref)
+                compared += 1
+    assert compared >= 20
+
 #: A filament strictly between grid nodes (the Green function is singular
 #: on one): a cell index and an offset inside the cell, per axis.
 _filament = st.tuples(
@@ -372,6 +444,16 @@ def test_find_xpoints_matches_the_oracle_on_random_filaments(filaments, max_poin
     assert find_xpoints(_GRID, psi, max_points=max_points) == _ref_find_xpoints(
         _GRID, psi, max_points=max_points
     )
+
+
+def test_find_xpoints_refuses_a_negative_max_points():
+    """A negative count is an error, not a Python slice that drops the
+    last saddles."""
+    psi = greens_psi(_GRID.rr, _GRID.zz, 1.61, 0.43) + greens_psi(_GRID.rr, _GRID.zz, 1.63, -0.47)
+    assert len(find_xpoints(_GRID, psi, max_points=_GRID.size)) >= 1
+    for bad in (-1, -_GRID.size):
+        with pytest.raises(BoundaryError, match="max_points"):
+            find_xpoints(_GRID, psi, max_points=bad)
 
 
 # -- the truncation fix ---------------------------------------------------------------

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.efit.boundary import _quadratic_refine
+from repro.efit.boundary import _node_search
 from repro.efit.grid import RZGrid
 from repro.efit.operators import GradShafranovOperator
 from repro.efit.solvers.dst import DSTSolver
 from repro.efit.tables import cached_boundary_tables
+
+
+def _quadratic_refine(grid, field, i, j):
+    """The boundary search's refinement of node ``(i, j)`` of ``field``."""
+    (vertex,), _ = _node_search(grid, field[None], [i * grid.nh + j], None)
+    return vertex
 
 
 class TestQuadraticRefine:

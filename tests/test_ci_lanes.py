@@ -189,25 +189,39 @@ def test_scenario_lanes_run_the_support_apply_on_their_currents():
         assert scenario in mark.args[1], scenario
 
 
+def _check_iterate_equivalence_lane(test, phrase: str) -> None:
+    """The scenario-matrix lane's iterate-equivalence step selects its
+    own scenario, its name says it runs ``phrase``, and ``test`` is
+    parametrised over every scenario of the matrix."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  scenario-matrix:") : text.index("  serve-smoke:")]
+    (command,) = [c for c in _run_commands(lane) if "test_iterate_equivalence.py" in c]
+    assert command.endswith("-k ${{ matrix.scenario }}")
+    (name,) = re.findall(r"- name: (.*)\n\s*run: python -m pytest -q tests/efit/test_iterate_eq", lane)
+    assert phrase in name
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize" and m.args[0] == "name"]
+    scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
+    for scenario in (v.strip() for v in scenarios.split(",")):
+        assert scenario in mark.args[1], scenario
+
+
 def test_scenario_lanes_run_the_slab_currents_on_a_batch():
     """Each scenario-matrix lane's iterate-equivalence step, named for it,
     runs the slab-current check on a lock-step batch of its own scenario,
     and that selection exists for every scenario of the matrix."""
     from tests.efit.test_iterate_equivalence import test_slab_current_matches_the_full_grid_formula
 
-    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    lane = text[text.index("  scenario-matrix:") : text.index("  serve-smoke:")]
-    (command,) = [c for c in _run_commands(lane) if "test_iterate_equivalence.py" in c]
-    assert command.endswith("-k ${{ matrix.scenario }}")
-    (name,) = re.findall(r"- name: (.*)\n\s*run: python -m pytest -q tests/efit/test_iterate_eq", lane)
-    assert "slab currents" in name
-    (mark,) = [
-        m for m in test_slab_current_matches_the_full_grid_formula.pytestmark
-        if m.name == "parametrize" and m.args[0] == "name"
-    ]
-    scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
-    for scenario in (v.strip() for v in scenarios.split(",")):
-        assert scenario in mark.args[1], scenario
+    _check_iterate_equivalence_lane(test_slab_current_matches_the_full_grid_formula, "slab currents")
+
+
+def test_scenario_lanes_run_the_warm_chain_searches():
+    """Each scenario-matrix lane's iterate-equivalence step, named for it,
+    holds the boundary searches of its own scenario's warm chain — the
+    serve path: a trust probe, then warm iterates — against the oracle,
+    and that selection exists for every scenario of the matrix."""
+    from tests.efit.test_iterate_equivalence import test_warm_chain_searches_match_the_oracle
+
+    _check_iterate_equivalence_lane(test_warm_chain_searches_match_the_oracle, "warm chain")
 
 
 @pytest.mark.parametrize(
