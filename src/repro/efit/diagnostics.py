@@ -45,6 +45,13 @@ def _response(diagnostics, sources: FilamentSet, *, enclosed: bool) -> np.ndarra
 class _Diagnostic:
     """What every diagnostic answers, alone or as a row of a set."""
 
+    def _check_position(self, kind: str, *more: float) -> None:
+        """Finite ``(r, z, *more)`` (``more``: a probe's angle), ``r > 0``."""
+        if not np.isfinite([self.r, self.z, *more]).all():
+            raise MeasurementError(f"{kind} {self.name} has a non-finite coordinate")
+        if self.r <= 0.0:
+            raise MeasurementError(f"{kind} {self.name} at R <= 0")
+
     def response_to_grid(self, grid: RZGrid) -> np.ndarray:
         """Reading per ampere at each grid node, shape ``(nw, nh)``."""
         nodes = FilamentSet.points(grid.rr, grid.zz)
@@ -65,8 +72,7 @@ class FluxLoop(_Diagnostic):
     functional = PSI
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise MeasurementError(f"flux loop {self.name} at R <= 0")
+        self._check_position("flux loop")
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,7 @@ class MagneticProbe(_Diagnostic):
     angle: float
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise MeasurementError(f"probe {self.name} at R <= 0")
+        self._check_position("probe", self.angle)
 
     @property
     def functional(self) -> np.ndarray:
@@ -108,8 +113,7 @@ class MSEChannel(_Diagnostic):
     f_vacuum: float
 
     def __post_init__(self) -> None:
-        if self.r <= 0.0:
-            raise MeasurementError(f"MSE channel {self.name} at R <= 0")
+        self._check_position("MSE channel")
         if self.f_vacuum == 0.0:
             raise MeasurementError(f"MSE channel {self.name}: zero vacuum field")
 

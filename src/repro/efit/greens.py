@@ -54,17 +54,43 @@ _COINCIDENT_KPRIME2 = 1e-14
 
 
 def _geometry(r, z, rs, zs):
-    """Common geometric factors, broadcast: returns (m, denom2) where
-    m = k^2 and denom2 = (R+Rs)^2 + (Z-Zs)^2."""
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    rs = np.asarray(rs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if np.any(r <= 0.0) or np.any(rs <= 0.0):
-        raise GreensError("filament Green functions require R > 0 on both ends")
+    """Common geometric factors, broadcast: returns (r, z, rs, zs, m,
+    denom2) with m = k^2 and denom2 = (R+Rs)^2 + (Z-Zs)^2."""
+    r, z, rs, zs = (np.asarray(a, dtype=float) for a in (r, z, rs, zs))
     denom2 = (r + rs) ** 2 + (z - zs) ** 2
+    # Every coordinate enters denom2: a NaN or infinite one leaves it non-finite.
+    if np.any(r <= 0.0) or np.any(rs <= 0.0) or not np.isfinite(denom2).all():
+        raise GreensError("filament Green functions require finite positions, R > 0 on both ends")
     m = 4.0 * r * rs / denom2
     return r, z, rs, zs, m, denom2
+
+
+def _filament_fields(r, z, rs, zs, components) -> list:
+    """The ``components`` (ascending indices into ``(psi, Br, Bz)``) at
+    ``(r, z)`` from unit filaments at ``(rs, zs)``, broadcast: one geometry
+    and one ``K(k)``, ``E(k)`` evaluation shared by all of them, each formed
+    in its own formula's operation order (so any subset gives equal bits)."""
+    r, z, rs, zs, m, denom2 = _geometry(r, z, rs, zs)
+    mk = np.minimum(m, 1.0)  # guard rounding above 1
+    kprime2 = 1.0 - mk
+    if np.any(kprime2 < _COINCIDENT_KPRIME2):
+        raise GreensError("coincident filaments: use self_flux_per_radian for self terms")
+    bigk, bige = ellipkm1(kprime2), ellipe(mk)
+    fields = []
+    if 0 in components:
+        k = np.sqrt(mk)
+        fields.append(MU0 / TWO_PI * np.sqrt(r * rs) * ((2.0 - mk) * bigk - 2.0 * bige) / k)
+    if 1 in components or 2 in components:
+        dz = z - zs
+        beta = np.sqrt(denom2)
+        alpha2 = (rs - r) ** 2 + dz**2
+    if 1 in components:
+        num = (rs**2 + r**2 + dz**2) * bige / alpha2 - bigk
+        fields.append(MU0 / TWO_PI * dz / (r * beta) * num)
+    if 2 in components:
+        num = bigk + (rs**2 - r**2 - dz**2) * bige / alpha2
+        fields.append(MU0 / TWO_PI / beta * num)
+    return fields
 
 
 def greens_psi(r, z, rs, zs):
@@ -73,15 +99,7 @@ def greens_psi(r, z, rs, zs):
     Returns Wb/rad per ampere.  Raises :class:`GreensError` for coincident
     points — callers needing self terms use :func:`self_flux_per_radian`.
     """
-    r, z, rs, zs, m, _ = _geometry(r, z, rs, zs)
-    mk = np.minimum(m, 1.0)  # guard rounding above 1
-    kprime2 = 1.0 - mk
-    if np.any(kprime2 < _COINCIDENT_KPRIME2):
-        raise GreensError("coincident filaments: use self_flux_per_radian for self terms")
-    k = np.sqrt(mk)
-    bigk = ellipkm1(kprime2)
-    bige = ellipe(mk)
-    return MU0 / TWO_PI * np.sqrt(r * rs) * ((2.0 - mk) * bigk - 2.0 * bige) / k
+    return _filament_fields(r, z, rs, zs, (0,))[0]
 
 
 def greens_br(r, z, rs, zs):
@@ -90,17 +108,7 @@ def greens_br(r, z, rs, zs):
     ``Br = -(1/R) d(psi)/dZ``.  Vanishes on the midplane of the source and
     as r -> 0.
     """
-    r, z, rs, zs, m, denom2 = _geometry(r, z, rs, zs)
-    mk = np.minimum(m, 1.0)
-    kprime2 = 1.0 - mk
-    if np.any(kprime2 < _COINCIDENT_KPRIME2):
-        raise GreensError("coincident filaments in greens_br")
-    beta = np.sqrt(denom2)
-    alpha2 = (rs - r) ** 2 + (z - zs) ** 2
-    bigk = ellipkm1(kprime2)
-    bige = ellipe(mk)
-    num = (rs**2 + r**2 + (z - zs) ** 2) * bige / alpha2 - bigk
-    return MU0 / TWO_PI * (z - zs) / (r * beta) * num
+    return _filament_fields(r, z, rs, zs, (1,))[0]
 
 
 def greens_bz(r, z, rs, zs):
@@ -108,17 +116,7 @@ def greens_bz(r, z, rs, zs):
 
     ``Bz = (1/R) d(psi)/dR``.
     """
-    r, z, rs, zs, m, denom2 = _geometry(r, z, rs, zs)
-    mk = np.minimum(m, 1.0)
-    kprime2 = 1.0 - mk
-    if np.any(kprime2 < _COINCIDENT_KPRIME2):
-        raise GreensError("coincident filaments in greens_bz")
-    beta = np.sqrt(denom2)
-    alpha2 = (rs - r) ** 2 + (z - zs) ** 2
-    bigk = ellipkm1(kprime2)
-    bige = ellipe(mk)
-    num = bigk + (rs**2 - r**2 - (z - zs) ** 2) * bige / alpha2
-    return MU0 / TWO_PI / beta * num
+    return _filament_fields(r, z, rs, zs, (2,))[0]
 
 
 class FilamentSet(NamedTuple):
@@ -156,9 +154,10 @@ _UNIT_SENSORS = np.eye(3)
 _UNIT_SENSORS.setflags(write=False)
 PSI, BR, BZ = _UNIT_SENSORS
 
-#: Sensor x filament pairs per broadcast block.  The kernels hold about a
-#: dozen temporaries of this many doubles (64 kB each), so set-up adds
-#: under 1 MB to the peak at any grid size; at 1 << 16 the temporaries
+#: Sensor x filament pairs per broadcast block (and table entries per block
+#: of :func:`repro.efit.tables.build_boundary_tables`).  The kernel holds
+#: about a dozen temporaries of this many doubles (64 kB each), so set-up
+#: adds under 1 MB to the peak at any grid size; at 1 << 16 the temporaries
 #: alone raised the benchmark's ``peak_rss_mb`` by 6 %.
 _BLOCK_PAIRS = 1 << 13
 
@@ -172,10 +171,11 @@ def sensor_response(r, z, functional, sources: FilamentSet) -> np.ndarray:
     — a flux loop is :data:`PSI`, a probe at angle ``a`` is
     ``cos(a) * BR + sin(a) * BZ`` — and one triple stands for every
     sensor.  This is the one place sensors and coil or vessel fields meet
-    the filament Green functions: all sensors against all filaments in one
-    broadcast per component (only for the sensors whose coefficient of
-    that component is non-zero), filaments summed per owner in filament
-    order.
+    the filament Green functions.  Sensors that read the same components go
+    in blocks against all filaments, one ``K``/``E`` evaluation per pair
+    shared by those components (an all-zero functional is never evaluated);
+    each row adds its psi, then Br, then Bz term, filaments summed per
+    owner in filament order.
     """
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -184,18 +184,23 @@ def sensor_response(r, z, functional, sources: FilamentSet) -> np.ndarray:
     counts = np.diff(first, append=sources.r.size)
     out = np.zeros((r.size, first.size))
     step = max(1, _BLOCK_PAIRS // max(1, sources.r.size))
-    for coeff, green in zip(functional.T, (greens_psi, greens_br, greens_bz)):
-        sensors = np.flatnonzero(coeff)
+    reads = functional != 0.0
+    kind_of = reads @ np.array([1, 2, 4])  # which components a sensor reads
+    for kind in np.unique(kind_of[kind_of > 0]):  # a Rogowski reads none
+        sensors = np.flatnonzero(kind_of == kind)
+        components = tuple(np.flatnonzero(reads[sensors[0]]))
         for block in (sensors[k : k + step] for k in range(0, sensors.size, step)):
-            pairs = sources.weight * green(r[block, None], z[block, None], sources.r, sources.z)
-            # Add the k-th filament of every owner that has one, so each
-            # owner's sum runs in filament order whatever the others hold.
-            summed = pairs[:, first]
-            for k in range(1, counts.max(initial=0)):
-                owners = np.flatnonzero(counts > k)
-                summed[:, owners] += pairs[:, first[owners] + k]
-            summed *= coeff[block, None]
-            out[block] += summed
+            fields = _filament_fields(r[block, None], z[block, None], sources.r, sources.z, components)
+            for component, field in zip(components, fields):
+                pairs = sources.weight * field
+                # Add the k-th filament of every owner that has one, so each
+                # owner's sum runs in filament order whatever the others hold.
+                summed = pairs[:, first]
+                for k in range(1, counts.max(initial=0)):
+                    owners = np.flatnonzero(counts > k)
+                    summed[:, owners] += pairs[:, first[owners] + k]
+                summed *= functional[block, component, None]
+                out[block] += summed
     return out
 
 

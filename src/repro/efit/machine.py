@@ -65,6 +65,8 @@ class PoloidalFieldCoil:
     nz: int = 2
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.r, self.z, self.width, self.height]).all():
+            raise MeasurementError(f"coil {self.name} has a non-finite coordinate")
         if self.r - 0.5 * self.width <= 0.0:
             raise MeasurementError(f"coil {self.name} crosses the machine axis")
         if self.nr < 1 or self.nz < 1:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.efit.greens import greens_psi, self_flux_per_radian
+from repro.efit.greens import _BLOCK_PAIRS, greens_psi, self_flux_per_radian
 from repro.efit.grid import RZGrid
 from repro.errors import GreensError
 from repro.runtime.counters import CacheCounters
@@ -98,39 +98,28 @@ class BoundaryGreensTables:
         return self.gpc[self.grid.nw - 1]
 
 
-def _build_block(grid: RZGrid, i_b: int, a_eff: float) -> np.ndarray:
-    """Build one ``(nh, nw)`` block: boundary column ``i_b`` vs all
-    (dj, source column) pairs, with the coincident self term regularised."""
-    nh, nw = grid.nh, grid.nw
-    r_b = grid.r[i_b]
-    dz_off = np.arange(nh) * grid.dz  # (nh,)
-    rs = grid.r  # (nw,)
-    block = np.empty((nh, nw))
-    # dj == 0, ii == i_b is the coincident filament; compute it separately.
-    rr_b = np.full((nh, nw), r_b)
-    zz = np.broadcast_to(dz_off[:, None], (nh, nw))
-    rs2 = np.broadcast_to(rs[None, :], (nh, nw))
-    mask = np.ones((nh, nw), dtype=bool)
-    mask[0, i_b] = False
-    block[mask] = greens_psi(rr_b[mask], 0.0, rs2[mask], zz[mask])
-    block[0, i_b] = self_flux_per_radian(r_b, a_eff)
-    return block
-
-
-def build_boundary_tables(grid: RZGrid, *, chunk: int = 32) -> BoundaryGreensTables:
+def build_boundary_tables(grid: RZGrid) -> BoundaryGreensTables:
     """Build the full boundary Green tables for ``grid``.
 
     The table is ``O(N^3)`` in storage — 1.08 GB at 513x513, which is
     precisely why the paper's kernels are memory-bandwidth bound and why
-    unified-memory behaviour dominates the small-grid timings.  Construction
-    is chunked over boundary columns to bound temporary memory.
+    unified-memory behaviour dominates the small-grid timings.  ``G_psi``
+    is symmetric in ``R <-> R_s`` bit for bit, so only the pairs with
+    source column >= boundary column are evaluated — flat blocks of whole
+    column pairs, at most ``_BLOCK_PAIRS`` entries each, to bound temporary
+    memory — and each value is written to ``gpc[i, :, j]`` and
+    ``gpc[j, :, i]`` alike.
     """
-    if chunk < 1:
-        raise GreensError("chunk must be >= 1")
-    a_eff = effective_filament_radius(grid)
-    gpc = np.empty((grid.nw, grid.nh, grid.nw))
-    for i_b in range(grid.nw):
-        gpc[i_b] = _build_block(grid, i_b, a_eff)
+    nw, nh, r, dz_off = grid.nw, grid.nh, grid.r, np.arange(grid.nh) * grid.dz
+    gpc, columns = np.empty((nw, nh, nw)), np.arange(nw)
+    # A column against itself skips dj == 0, the coincident self term.
+    for (rows, cols), dj0 in (((columns, columns), 1), (np.triu_indices(nw, k=1), 0)):
+        step = max(1, _BLOCK_PAIRS // (nh - dj0))
+        for k in range(0, rows.size, step):
+            i, j = rows[k : k + step], cols[k : k + step]
+            block = greens_psi(r[i, None], 0.0, r[j, None], dz_off[dj0:])
+            gpc[i, dj0:, j] = gpc[j, dj0:, i] = block
+    gpc[columns, 0, columns] = self_flux_per_radian(r, effective_filament_radius(grid))
     return BoundaryGreensTables(grid=grid, gpc=gpc)
 
 

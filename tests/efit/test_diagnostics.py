@@ -17,7 +17,7 @@ from repro.efit.fitting import EfitSolver
 from repro.efit.greens import greens_br, greens_bz, greens_psi
 from repro.efit.machine import Limiter, PoloidalFieldCoil, Tokamak
 from repro.efit.measurements import measure_equilibrium
-from repro.errors import MeasurementError
+from repro.errors import GreensError, MeasurementError
 from repro.scenarios import all_scenarios, get_scenario, scenario_names
 
 
@@ -33,6 +33,13 @@ class TestFluxLoop:
     def test_invalid_position(self):
         with pytest.raises(MeasurementError):
             FluxLoop("L", -1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_position(self, bad):
+        with pytest.raises(MeasurementError, match="non-finite"):
+            FluxLoop("a", bad, 0.0)
+        with pytest.raises(MeasurementError, match="non-finite"):
+            FluxLoop("a", 2.3, bad)
 
     def test_coil_response_length(self, machine):
         loop = FluxLoop("L", 2.3, 0.5)
@@ -54,6 +61,42 @@ class TestProbe:
         bz = MagneticProbe("PZ", r, z, np.pi / 2).response_to_grid(grid33)
         assert np.allclose(probe, np.cos(a) * br + np.sin(a) * bz)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_position_or_angle(self, bad):
+        for args in [(bad, 0.4, 0.7), (2.3, bad, 0.7), (2.3, 0.4, bad)]:
+            with pytest.raises(MeasurementError, match="non-finite"):
+                MagneticProbe("P", *args)
+
+
+class TestMSEChannelPosition:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_position(self, bad):
+        for r, z in [(bad, 0.0), (2.0, bad)]:
+            with pytest.raises(MeasurementError, match="non-finite"):
+                MSEChannel("M", r, z, 3.4)
+
+
+class TestNonFiniteSensorsInTheKernel:
+    """Sensors built around the dataclass checks still meet the kernel's."""
+
+    def test_nonfinite_sensor_raises(self, grid33):
+        nodes = greens.FilamentSet.points(grid33.rr, grid33.zz)
+        with pytest.raises(GreensError):
+            greens.sensor_response([2.3, np.nan], [0.4, 0.0], greens.PSI, nodes)
+
+    def test_nonfinite_filament_raises(self):
+        sources = greens.FilamentSet.subdivided(
+            [(np.array([1.5, np.nan]), np.array([0.1, 0.2]), np.array([0.5, 0.5]))]
+        )
+        with pytest.raises(GreensError):
+            greens.sensor_response([2.3], [0.4], greens.BZ, sources)
+
+    def test_a_sensor_that_reads_nothing_is_never_evaluated(self, grid33):
+        nodes = greens.FilamentSet.points(grid33.rr, grid33.zz)
+        functional = [greens.PSI, 0.0 * greens.PSI]
+        rows = greens.sensor_response([2.3, np.nan], [0.4, np.nan], functional, nodes)
+        assert np.isfinite(rows).all() and not rows[1].any()
+
 
 class TestRogowski:
     def test_measures_total_current(self, grid33, rng):
@@ -64,6 +107,13 @@ class TestRogowski:
 
     def test_excludes_coils(self, machine):
         assert np.array_equal(RogowskiCoil().response_to_coils(machine), np.zeros(18))
+
+    def test_nan_position_stays_legal(self, grid33):
+        """Its position is NaN, but its all-zero functional is never
+        evaluated: its grid row is all ones and finite."""
+        rog = RogowskiCoil()
+        assert np.isnan(rog.r) and np.isnan(rog.z)
+        assert np.array_equal(rog.response_to_grid(grid33), np.ones(grid33.shape))
 
 
 class TestDiagnosticSet:

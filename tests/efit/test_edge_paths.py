@@ -95,5 +95,5 @@ class TestTablesChunking:
     def test_chunked_build_matches(self, grid_rect, tables_rect):
         from repro.efit.tables import build_boundary_tables
 
-        rebuilt = build_boundary_tables(grid_rect, chunk=3)
+        rebuilt = build_boundary_tables(grid_rect)
         assert np.array_equal(rebuilt.gpc, tables_rect.gpc)

@@ -58,6 +58,21 @@ class TestPsi:
         with pytest.raises(GreensError):
             greens_psi(1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", range(4))
+    @pytest.mark.parametrize("green", [greens_psi, greens_br, greens_bz])
+    def test_nonfinite_coordinate_raises(self, green, where, bad):
+        args = [1.5, 0.2, 1.2, -0.1]
+        args[where] = bad
+        with pytest.raises(GreensError):
+            green(*args)
+
+    def test_one_nonfinite_entry_of_an_array_raises(self):
+        r = np.linspace(1.0, 2.0, 7)
+        r[3] = np.nan
+        with pytest.raises(GreensError):
+            greens_psi(r, 0.0, 1.5, 0.9)
+
     def test_broadcasting(self):
         r = np.linspace(1.0, 2.0, 7)
         z = np.zeros(7)

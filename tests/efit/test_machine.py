@@ -35,6 +35,13 @@ class TestCoil:
         with pytest.raises(MeasurementError):
             PoloidalFieldCoil("bad", 0.02, 0.0, width=0.1)
 
+    @pytest.mark.parametrize("field", ["r", "z", "width", "height"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_coordinate_rejected(self, field, bad):
+        kwargs = {"r": 1.5, "z": 0.5, "width": 0.2, "height": 0.4, field: bad}
+        with pytest.raises(MeasurementError, match="non-finite"):
+            PoloidalFieldCoil("bad", **kwargs)
+
     def test_field_consistency_with_flux(self):
         coil = PoloidalFieldCoil("C", 1.2, 0.8, nr=2, nz=2)
         r, z, h = 1.9, -0.1, 1e-6

@@ -1,0 +1,239 @@
+"""The ``green_`` set-up against what it replaced.
+
+The set-up evaluates each elliptic integral once: one kernel forms psi, Br
+and Bz from one geometry and one ``K(k)``, ``E(k)`` evaluation per
+sensor-filament pair, and the boundary table is evaluated on the triangle
+of source column >= boundary column and mirrored by reciprocity.  The code
+it replaced is kept here as the oracle: one Green function per component
+(each with its own ``K``/``E``), one broadcast per component in
+:func:`sensor_response`, and the table built one boundary column at a time
+over every pair.  Every response matrix, flux table and Green table must
+equal the oracle's bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ellipe, ellipkm1
+
+from repro.efit.diagnostics import FluxLoop, MagneticProbe, MSEChannel, RogowskiCoil
+from repro.efit.greens import FilamentSet, self_flux_per_radian, sensor_response
+from repro.efit.grid import RZGrid
+from repro.efit.machine import PoloidalFieldCoil
+from repro.efit.tables import build_boundary_tables, effective_filament_radius
+from repro.scenarios import all_scenarios
+from repro.utils.constants import MU0, TWO_PI
+
+
+# -- the oracle: the set-up's kernels before one K/E per pair ------------------------
+def _ref_geometry(r, z, rs, zs):
+    r, z, rs, zs = (np.asarray(a, dtype=float) for a in (r, z, rs, zs))
+    denom2 = (r + rs) ** 2 + (z - zs) ** 2
+    m = 4.0 * r * rs / denom2
+    return r, z, rs, zs, np.minimum(m, 1.0), denom2
+
+
+def _ref_greens_psi(r, z, rs, zs):
+    r, z, rs, zs, mk, _ = _ref_geometry(r, z, rs, zs)
+    kprime2 = 1.0 - mk
+    k = np.sqrt(mk)
+    bigk = ellipkm1(kprime2)
+    bige = ellipe(mk)
+    return MU0 / TWO_PI * np.sqrt(r * rs) * ((2.0 - mk) * bigk - 2.0 * bige) / k
+
+
+def _ref_greens_br(r, z, rs, zs):
+    r, z, rs, zs, mk, denom2 = _ref_geometry(r, z, rs, zs)
+    kprime2 = 1.0 - mk
+    beta = np.sqrt(denom2)
+    alpha2 = (rs - r) ** 2 + (z - zs) ** 2
+    bigk = ellipkm1(kprime2)
+    bige = ellipe(mk)
+    num = (rs**2 + r**2 + (z - zs) ** 2) * bige / alpha2 - bigk
+    return MU0 / TWO_PI * (z - zs) / (r * beta) * num
+
+
+def _ref_greens_bz(r, z, rs, zs):
+    r, z, rs, zs, mk, denom2 = _ref_geometry(r, z, rs, zs)
+    kprime2 = 1.0 - mk
+    beta = np.sqrt(denom2)
+    alpha2 = (rs - r) ** 2 + (z - zs) ** 2
+    bigk = ellipkm1(kprime2)
+    bige = ellipe(mk)
+    num = bigk + (rs**2 - r**2 - (z - zs) ** 2) * bige / alpha2
+    return MU0 / TWO_PI / beta * num
+
+
+def _ref_sensor_response(r, z, functional, sources):
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    functional = np.broadcast_to(np.asarray(functional, dtype=float).reshape(-1, 3), (r.size, 3))
+    first = sources.first
+    counts = np.diff(first, append=sources.r.size)
+    out = np.zeros((r.size, first.size))
+    step = max(1, (1 << 13) // max(1, sources.r.size))
+    greens = (_ref_greens_psi, _ref_greens_br, _ref_greens_bz)
+    for coeff, green in zip(functional.T, greens):
+        sensors = np.flatnonzero(coeff)
+        for block in (sensors[k : k + step] for k in range(0, sensors.size, step)):
+            pairs = sources.weight * green(r[block, None], z[block, None], sources.r, sources.z)
+            summed = pairs[:, first]
+            for k in range(1, counts.max(initial=0)):
+                owners = np.flatnonzero(counts > k)
+                summed[:, owners] += pairs[:, first[owners] + k]
+            summed *= coeff[block, None]
+            out[block] += summed
+    return out
+
+
+def _ref_build_boundary_tables(grid):
+    nh, nw = grid.nh, grid.nw
+    a_eff = effective_filament_radius(grid)
+    dz_off = np.arange(nh) * grid.dz
+    gpc = np.empty((nw, nh, nw))
+    for i_b in range(nw):
+        r_b = grid.r[i_b]
+        block = np.empty((nh, nw))
+        rr_b = np.full((nh, nw), r_b)
+        zz = np.broadcast_to(dz_off[:, None], (nh, nw))
+        rs2 = np.broadcast_to(grid.r[None, :], (nh, nw))
+        mask = np.ones((nh, nw), dtype=bool)
+        mask[0, i_b] = False
+        block[mask] = _ref_greens_psi(rr_b[mask], 0.0, rs2[mask], zz[mask])
+        block[0, i_b] = self_flux_per_radian(r_b, a_eff)
+        gpc[i_b] = block
+    return gpc
+
+
+def _ref_response(diagnostics, sources, *, enclosed):
+    rows = _ref_sensor_response(
+        [d.r for d in diagnostics],
+        [d.z for d in diagnostics],
+        [d.functional for d in diagnostics],
+        sources,
+    )
+    rows[[isinstance(d, RogowskiCoil) for d in diagnostics]] = float(enclosed)
+    return rows
+
+
+def _ref_flux_tables(sources, grid):
+    per_node = _ref_sensor_response(grid.rr.ravel(), grid.zz.ravel(), [1.0, 0.0, 0.0], sources)
+    return np.ascontiguousarray(per_node.T).reshape(sources.first.size, *grid.shape)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# -- every scenario's set-up ---------------------------------------------------------
+CASES = [
+    pytest.param(sc, n, id=f"{sc.name}-{n}") for sc in all_scenarios() for n in (33, 65)
+]
+
+
+@pytest.mark.parametrize(("scenario", "n"), CASES)
+def test_setup_arrays_match_the_oracle(scenario, n):
+    """Grid, coil and vessel responses, coil and vessel flux tables and
+    the boundary table: bit for bit."""
+    shot = scenario.make_shot(n)
+    machine, diagnostics, grid = shot.machine, shot.diagnostics, shot.grid
+    ordered = diagnostics._ordered()
+    nodes = FilamentSet.points(grid.rr, grid.zz)
+    pairs = {
+        "grid response": (
+            diagnostics.response_to_grid(grid),
+            _ref_response(ordered, nodes, enclosed=True),
+        ),
+        "coil response": (
+            diagnostics.response_to_coils(machine),
+            _ref_response(ordered, machine.coil_sources, enclosed=False),
+        ),
+        "vessel response": (
+            diagnostics.response_to_vessel(machine),
+            _ref_response(ordered, machine.vessel_sources, enclosed=False),
+        ),
+        "coil flux tables": (
+            machine.coil_flux_tables(grid),
+            _ref_flux_tables(machine.coil_sources, grid),
+        ),
+        "vessel flux tables": (
+            machine.vessel_flux_tables(grid),
+            _ref_flux_tables(machine.vessel_sources, grid),
+        ),
+        "boundary table": (build_boundary_tables(grid).gpc, _ref_build_boundary_tables(grid)),
+    }
+    differ = [name for name, (got, ref) in pairs.items() if not _same_bits(got, ref)]
+    assert not differ, differ
+
+
+def test_non_square_table_matches_the_oracle(grid_rect):
+    assert _same_bits(build_boundary_tables(grid_rect).gpc, _ref_build_boundary_tables(grid_rect))
+
+
+@pytest.mark.parametrize(
+    "grid", [RZGrid(17, 23), RZGrid(33, 33), RZGrid(40, 9)], ids=lambda g: f"{g.nw}x{g.nh}"
+)
+def test_table_is_reciprocal_bit_for_bit(grid):
+    """``gpc[i, :, j] == gpc[j, :, i]`` for every pair of columns."""
+    gpc = build_boundary_tables(grid).gpc
+    assert _same_bits(gpc, np.ascontiguousarray(gpc.transpose(2, 1, 0)))
+
+
+# -- random sensors against subdivided coils ----------------------------------------
+_sensor_r = st.floats(min_value=0.6, max_value=1.4)
+_sensor_z = st.floats(min_value=-1.5, max_value=1.5)
+_angle = st.one_of(
+    st.sampled_from([0.0, np.pi / 2, np.pi]), st.floats(min_value=-np.pi, max_value=np.pi)
+)
+_sensors = st.lists(
+    st.one_of(
+        st.builds(FluxLoop, st.just("F"), _sensor_r, _sensor_z),
+        st.builds(MagneticProbe, st.just("P"), _sensor_r, _sensor_z, _angle),
+        st.builds(
+            MSEChannel,
+            st.just("M"),
+            _sensor_r,
+            _sensor_z,
+            st.floats(min_value=-8.0, max_value=8.0).filter(lambda f: abs(f) > 0.1),
+        ),
+        st.just(RogowskiCoil()),
+    ),
+    min_size=1,
+    max_size=12,
+)
+# Coils right of every sensor, so no filament meets a sensor.
+_coils = st.lists(
+    st.builds(
+        PoloidalFieldCoil,
+        st.just("C"),
+        st.floats(min_value=1.7, max_value=2.6),
+        st.floats(min_value=-1.5, max_value=1.5),
+        width=st.floats(min_value=0.01, max_value=0.2),
+        height=st.floats(min_value=0.01, max_value=0.3),
+        turns=st.floats(min_value=0.5, max_value=60.0),
+        nr=st.integers(min_value=1, max_value=3),
+        nz=st.integers(min_value=1, max_value=4),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sensors=_sensors, coils=_coils)
+def test_random_sensors_match_the_oracle(sensors, coils):
+    sources = FilamentSet.subdivided([coil.filaments for coil in coils])
+    args = (
+        [s.r for s in sensors],
+        [s.z for s in sensors],
+        [s.functional for s in sensors],
+    )
+    got = sensor_response(*args, sources)
+    assert _same_bits(got, _ref_sensor_response(*args, sources))
+    # A sensor's row does not depend on the sensors beside it.
+    for row, sensor in list(zip(got, sensors))[:3]:
+        alone = sensor_response([sensor.r], [sensor.z], [sensor.functional], sources)
+        assert _same_bits(alone[0], row)

@@ -78,8 +78,10 @@ class TestFortranView:
 
 class TestBuild:
     def test_build_rejects_bad_chunk(self, grid_rect):
-        with pytest.raises(GreensError):
-            build_boundary_tables(grid_rect, chunk=0)
+        """The build has no ``chunk`` knob: its blocks follow the pair
+        budget of the Green kernel."""
+        with pytest.raises(TypeError):
+            build_boundary_tables(grid_rect, chunk=3)
 
     def test_effective_radius_smaller_than_cell(self):
         g = RZGrid(9, 9)
