@@ -9,11 +9,11 @@ implementation offloaded in :mod:`repro.core.offload`.
 
 Algorithm for the interior unknowns (shape ``(ni, nj)``):
 
-1. DST-I each interior row along Z: ``b_hat[i, m]``.
+1. DST-I each interior row along Z: ``b_hat[m, i]``.
 2. For each mode ``m`` with eigenvalue
    ``lam_m = -4 sin^2(pi (m+1) / (2 (nh-1))) / dz^2`` solve the tridiagonal
-   system ``T_m x = b_hat[:, m]``, ``am_i x[i-1] + (d_i + lam_m) x[i] +
-   ap_i x[i+1] = b_hat[i, m]``.  ``T_m`` is not symmetric, but the
+   system ``T_m x = b_hat[m]``, ``am_i x[i-1] + (d_i + lam_m) x[i] +
+   ap_i x[i+1] = b_hat[m, i]``.  ``T_m`` is not symmetric, but the
    diagonal scaling ``D`` with ``D[i+1] / D[i] = sqrt(ap_i / am_{i+1})``
    (0.58-1.0 on the machine's grids) makes ``S_m = D T_m D^-1``
    symmetric, with off-diagonals ``sqrt(ap_i am_{i+1})``, and
@@ -23,9 +23,10 @@ Algorithm for the interior unknowns (shape ``(ni, nj)``):
    symmetric tridiagonal system of ``ni * nj`` unknowns: LAPACK factors it
    once at construction (``dpttrf``, ``L D L^T``) and every solve is one
    ``dpttrs`` call, with one right-hand-side column per slice of a batch.
-   The right-hand side's scaling rides the copy into mode-major order,
-   which the solve made anyway; the solution's is one in-place pass.
-3. Inverse DST-I back to physical space.
+   The right-hand sides arrive laid out Z index first (``(B, nj, ni)``),
+   so the transformed stack is already in that mode-major order; the
+   right-hand side's scaling is one pass, the solution's one in place.
+3. Inverse DST-I back to physical space, again down axis 1.
 """
 
 from __future__ import annotations
@@ -80,18 +81,20 @@ class DSTSolver(GSInteriorSolver):
         self._nj = nj
 
     def _solve_interior(self, b: np.ndarray) -> np.ndarray:
-        return self._solve_interior_batch(b[None])[0]
+        return self._solve_interior_batch(b.T[None])[0].T
 
-    def _solve_interior_batch(self, b: np.ndarray) -> np.ndarray:
-        """The whole batch in one transform pair around one ``dpttrs``."""
+    def _solve_interior_batch(self, b_t: np.ndarray) -> np.ndarray:
+        """The whole batch in one transform pair around one ``dpttrs``.
+        The stack is Z index first, so the transforms run down axis 1 and
+        their output is already mode-major."""
         # Forward DST-I along Z; ortho norm makes idst the inverse.
-        b_hat = dst(b, type=1, axis=2, norm="ortho")
-        return idst(self._solve_modes(b_hat), type=1, axis=2, norm="ortho")
+        b_hat = dst(b_t, type=1, axis=1, norm="ortho")
+        return idst(self._solve_modes(b_hat), type=1, axis=1, norm="ortho")
 
     def _solve_modes(self, b_hat: np.ndarray) -> np.ndarray:
-        """Solve every mode's tridiagonal system ``T_m x = b_hat[:, m]``
-        for ``B`` stacked transformed right-hand sides, shape
-        ``(B, ni, nj)``.
+        """Solve every mode's tridiagonal system ``T_m x = b_hat[m]`` for
+        ``B`` stacked transformed right-hand sides, mode-major: shape
+        ``(B, nj, ni)``, ``b_hat[k, m]`` being mode ``m`` of slice ``k``.
 
         One ``dpttrs`` call with a column per slice.  LAPACK sweeps the
         columns one after another with the same scalar arithmetic, so a
@@ -102,13 +105,12 @@ class DSTSolver(GSInteriorSolver):
         """
         nb = b_hat.shape[0]
         ni, nj = self._ni, self._nj
-        # (B, ni, nj) -> mode-major (B, nj, ni) scaled by -D, whose flat
-        # transpose is the Fortran-ordered (n, nrhs) block dpttrs takes.
-        modes = np.empty((nb, nj, ni))
-        np.multiply(b_hat.transpose(0, 2, 1), self._rhs_scale, out=modes)
+        # Scaled by -D, the stack's flat transpose is the Fortran-ordered
+        # (n, nrhs) block dpttrs takes.
+        modes = np.multiply(b_hat, self._rhs_scale)
         y, info = dpttrs(*self._factors, modes.reshape(nb, nj * ni).T, overwrite_b=1)
         if info != 0:
             raise SolverError(f"dpttrs failed in DST solver (info={info})")
         x = y.T.reshape(nb, nj, ni)
         x *= self._solution_scale
-        return x.transpose(0, 2, 1)
+        return x

@@ -166,6 +166,29 @@ class TestShiftZ:
             with pytest.raises(GridError, match="non-finite vertical shift"):
                 g.shift_z(np.ones((3, 4, g.nh)), np.array([0.0, bad, 0.1]))
 
+    def test_per_field_shifts_on_one_field_rejected(self, monkeypatch):
+        """Two shifts for one field name both shapes, before any array of
+        the field's size is made (was numpy's "cannot reshape array")."""
+        g = RZGrid(11, 17)
+        monkeypatch.setattr(np, "empty", None)  # nothing may be allocated
+        with pytest.raises(GridError, match=r"\(2,\).*\(11, 17\)"):
+            g.shift_z(np.ones(g.shape), np.array([0.1, 0.2]))
+
+    def test_shifts_not_one_per_field_of_a_stack_rejected(self, monkeypatch):
+        """Three shifts for a stack of two fields name both shapes (was
+        numpy's "operands could not be broadcast")."""
+        g = RZGrid(11, 17)
+        monkeypatch.setattr(np, "empty", None)
+        with pytest.raises(GridError, match=r"\(3,\).*\(2, 3, 17\)"):
+            g.shift_z(np.ones((2, 3, g.nh)), np.array([0.0, 0.1, 0.2]))
+
+    def test_one_shift_or_one_per_field_accepted(self, rng):
+        g = RZGrid(11, 17)
+        stack = rng.normal(size=(2, 3, g.nh))
+        each = g.shift_z(stack, np.array([0.1, -0.2]))
+        assert np.array_equal(each[1], g.shift_z(stack[1], -0.2))
+        assert np.array_equal(g.shift_z(stack, 0.1), g.shift_z(stack, np.array([0.1, 0.1])))
+
 
 class TestRefinement:
     def test_refined_doubling_matches_paper_sweep(self):
