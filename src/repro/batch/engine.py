@@ -22,13 +22,14 @@ lockstep Picard iteration:
   stack — no step loops over the slices;
 * the flux step is the solver's
   (:meth:`~repro.efit.pflux.PfluxStructured.compute_batch`, which every
-  fit runs) on the ``(B, nw, nh)`` current stack: one
-  operator apply on a ``(nw*nh, B)`` column stack computes every slice's
-  boundary Green sums at once, on the union of the plasmas' rows, and
-  one multi-RHS sine-transform solve handles all interior systems, and
-  the post-flux half is one span and one max |dpsi| reduction over the
-  new flux stack;
-* the flux step's batch-level arrays are views of the buffers of
+  fit runs) on the ``(B, nw, nh)`` current stack as it lies: one
+  operator apply reads the union of the plasmas' rows and computes every
+  slice's boundary Green sums at once, those sums are the Dirichlet
+  strips of one multi-RHS sine-transform solve of all interior systems,
+  and the post-flux half is one span and one max |dpsi| reduction over
+  the new flux stack;
+* the flux step's batch-level arrays (the edge sums and the interior
+  right-hand sides) are views of the buffer of
   its own :class:`~repro.efit.workspace.FitWorkspace`, which the engine
   sizes for ``batch_size`` when it is built, so no iterate requests a new
   one; the pre-flux arrays, whose shapes follow the
