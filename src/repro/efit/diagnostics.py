@@ -5,8 +5,9 @@ loops, poloidal-field (Mirnov) probes, and a full Rogowski coil measuring
 the total plasma current.  Each diagnostic is linear in every current
 source: a point sensor is a position and a ``functional`` — its reading as
 a combination of the flux and field there — and
-:func:`~repro.efit.greens.sensor_response` turns any set of them into a
-response matrix against any set of sources.  :class:`DiagnosticSet`
+:func:`~repro.efit.greens.sensor_grid_response` and
+:func:`~repro.efit.greens.sensor_response` turn any set of them into a
+response matrix against the grid or any set of filaments.  :class:`DiagnosticSet`
 assembles those matrices once per grid (part of the ``green_`` setup) and
 the fit reuses them every iteration.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.efit.greens import BR, BZ, PSI, FilamentSet, sensor_response
+from repro.efit.greens import BR, BZ, PSI, sensor_grid_response, sensor_response
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.errors import MeasurementError
@@ -25,18 +26,20 @@ from repro.errors import MeasurementError
 __all__ = ["FluxLoop", "MagneticProbe", "RogowskiCoil", "DiagnosticSet"]
 
 
-def _response(diagnostics, sources: FilamentSet, *, enclosed: bool) -> np.ndarray:
-    """One row per diagnostic, one column per owner of ``sources``.
+def _response(diagnostics, respond, *sources, enclosed: bool) -> np.ndarray:
+    """One row per diagnostic, one column per source.
 
-    Point sensors go through the Green-function kernel; a Rogowski reads
-    the current it encloses — every ampere of plasma (the grid), none of
-    an external conductor.
+    Point sensors go through ``respond(r, z, functional, *sources)`` —
+    :func:`sensor_grid_response` on the grid's axes or
+    :func:`sensor_response` on a filament set; a Rogowski reads the current
+    it encloses — every ampere of plasma (the grid), none of an external
+    conductor.
     """
-    rows = sensor_response(
+    rows = respond(
         [diag.r for diag in diagnostics],
         [diag.z for diag in diagnostics],
         [diag.functional for diag in diagnostics],
-        sources,
+        *sources,
     )
     rows[[isinstance(diag, RogowskiCoil) for diag in diagnostics]] = float(enclosed)
     return rows
@@ -54,12 +57,12 @@ class _Diagnostic:
 
     def response_to_grid(self, grid: RZGrid) -> np.ndarray:
         """Reading per ampere at each grid node, shape ``(nw, nh)``."""
-        nodes = FilamentSet.points(grid.rr, grid.zz)
-        return grid.unflatten(_response([self], nodes, enclosed=True)[0])
+        row = _response([self], sensor_grid_response, grid.r, grid.z, enclosed=True)[0]
+        return grid.unflatten(row)
 
     def response_to_coils(self, machine: Tokamak) -> np.ndarray:
         """Reading per ampere in each PF coil, shape ``(n_coils,)``."""
-        return _response([self], machine.coil_sources, enclosed=False)[0]
+        return _response([self], sensor_response, machine.coil_sources, enclosed=False)[0]
 
 
 @dataclass(frozen=True)
@@ -174,18 +177,19 @@ class DiagnosticSet:
 
     def response_to_grid(self, grid: RZGrid) -> np.ndarray:
         """Stacked grid response matrix, shape ``(n_measurements, nw*nh)``."""
-        nodes = FilamentSet.points(grid.rr, grid.zz)
-        return _response(self._ordered(), nodes, enclosed=True)
+        return _response(self._ordered(), sensor_grid_response, grid.r, grid.z, enclosed=True)
 
     def response_to_coils(self, machine: Tokamak) -> np.ndarray:
         """Stacked coil response matrix, shape ``(n_measurements, n_coils)``."""
-        return _response(self._ordered(), machine.coil_sources, enclosed=False)
+        return _response(self._ordered(), sensor_response, machine.coil_sources, enclosed=False)
 
     def response_to_vessel(self, machine: Tokamak) -> np.ndarray:
         """Response to unit vessel-segment currents,
         shape ``(n_measurements, n_vessel)`` (vessel currents flow outside
         the plasma contour, so the Rogowski sees nothing)."""
-        return _response(self._ordered(), machine.vessel_sources, enclosed=False)
+        return _response(
+            self._ordered(), sensor_response, machine.vessel_sources, enclosed=False
+        )
 
     @classmethod
     def for_machine(

@@ -217,6 +217,30 @@ def test_scenario_lanes_run_the_width_one_kernel_oracles():
             assert scenario in mark.args[1], (test.__name__, scenario)
 
 
+def test_scenario_lanes_run_the_per_position_oracles():
+    """Each scenario-matrix lane's set-up step, named for both oracles,
+    holds its own scenario's responses against the per-kind build the
+    per-position loop replaced, and that selection exists for every
+    scenario of the matrix (on the square grids and the 17x23 one)."""
+    from tests.efit import test_setup_equivalence as oracles
+
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  scenario-matrix:") : text.index("  serve-smoke:")]
+    (command,) = [c for c in _run_commands(lane) if "test_setup_equivalence.py" in c]
+    assert command.endswith("-k ${{ matrix.scenario }}")
+    (name,) = re.findall(r"- name: (.*)\n\s*run: python -m pytest -q tests/efit/test_setup_eq", lane)
+    assert "per-component and per-kind oracles" in name
+    scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
+    for test in (
+        oracles.test_responses_match_the_per_kind_oracle,
+        oracles.test_non_square_responses_match_the_per_kind_oracle,
+    ):
+        (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+        ids = [param.id for param in mark.args[1]]
+        for scenario in (v.strip() for v in scenarios.split(",")):
+            assert any(i.startswith(f"{scenario}-") for i in ids), (test.__name__, scenario)
+
+
 def _check_iterate_equivalence_lane(test, phrase: str) -> None:
     """The scenario-matrix lane's iterate-equivalence step selects its
     own scenario, its name says it runs ``phrase``, and ``test`` is
