@@ -2,9 +2,11 @@
 """Split an ``EfitSolver`` construction into its ``green_`` set-up stages.
 
 A solver's construction is what every engine pays before its first fit:
-the diagnostics' grid response, their coil response, the boundary Green
+the diagnostics' grid response (the solver's own call, on its grid
+statics' response support), their coil response, the boundary Green
 table, the edge operator built from it, and the rest (the seed filament's
-flux, the interior solver, the grid statics).  This script builds the
+flux, the interior solver, the grid statics).  A stage the construction
+no longer enters is an error, not a zero folded into the remainder.  This script builds the
 g186610 solver at 65^2 and 129^2 on one BLAS thread, with the process's
 table cache cleared before each construction (as a fresh process, or the
 benchmark harness's set-up, finds it), times each stage inside the
@@ -52,8 +54,9 @@ STAGES = (
 ROWS = [label for label, _, _ in STAGES] + ["remainder", "construction", "first fit"]
 
 
-def _timed(seconds: dict[str, float], label: str, fn):
+def _timed(seconds: dict[str, float], calls: dict[str, int], label: str, fn):
     def wrapper(*args, **kwargs):
+        calls[label] += 1
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -68,9 +71,10 @@ def one_run(scenario, shot) -> dict[str, float]:
     boundary_table_cache().clear()  # forgets the edge operators too
     gc.collect()
     seconds = dict.fromkeys(ROWS, 0.0)
+    calls = {label: 0 for label, _, _ in STAGES}
     originals = [(owner, name, getattr(owner, name)) for _, owner, name in STAGES]
     for (label, owner, name), (_, _, fn) in zip(STAGES, originals):
-        setattr(owner, name, _timed(seconds, label, fn))
+        setattr(owner, name, _timed(seconds, calls, label, fn))
     try:
         t0 = time.perf_counter()
         solver = EfitSolver.for_scenario(scenario, shot.grid.nw, shot=shot)
@@ -78,6 +82,9 @@ def one_run(scenario, shot) -> dict[str, float]:
     finally:
         for owner, name, fn in originals:
             setattr(owner, name, fn)
+    missed = [label for label, count in calls.items() if not count]
+    if missed:
+        raise RuntimeError(f"the construction never entered {missed}: update STAGES")
     seconds["remainder"] = seconds["construction"] - sum(seconds[label] for label, _, _ in STAGES)
     t0 = time.perf_counter()
     solver.fit(shot.measurements, require_convergence=False)

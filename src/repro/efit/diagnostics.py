@@ -26,20 +26,21 @@ from repro.errors import MeasurementError
 __all__ = ["FluxLoop", "MagneticProbe", "RogowskiCoil", "DiagnosticSet"]
 
 
-def _response(diagnostics, respond, *sources, enclosed: bool) -> np.ndarray:
+def _response(diagnostics, respond, *sources, enclosed: bool, **out) -> np.ndarray:
     """One row per diagnostic, one column per source.
 
-    Point sensors go through ``respond(r, z, functional, *sources)`` —
-    :func:`sensor_grid_response` on the grid's axes or
-    :func:`sensor_response` on a filament set; a Rogowski reads the current
-    it encloses — every ampere of plasma (the grid), none of an external
-    conductor.
+    Point sensors go through ``respond(r, z, functional, *sources,
+    **out)`` — :func:`sensor_grid_response` on the grid's axes (``out``
+    may name the block it writes) or :func:`sensor_response` on a
+    filament set; a Rogowski reads the current it encloses — every ampere
+    of plasma (the grid), none of an external conductor.
     """
     rows = respond(
         [diag.r for diag in diagnostics],
         [diag.z for diag in diagnostics],
         [diag.functional for diag in diagnostics],
         *sources,
+        **out,
     )
     rows[[isinstance(diag, RogowskiCoil) for diag in diagnostics]] = float(enclosed)
     return rows
@@ -175,9 +176,24 @@ class DiagnosticSet:
     def _ordered(self):
         return list(self.flux_loops) + list(self.probes) + list(self.mse) + [self.rogowski]
 
-    def response_to_grid(self, grid: RZGrid) -> np.ndarray:
-        """Stacked grid response matrix, shape ``(n_measurements, nw*nh)``."""
-        return _response(self._ordered(), sensor_grid_response, grid.r, grid.z, enclosed=True)
+    def response_to_grid(
+        self, grid: RZGrid, *, support: tuple[slice, slice] | None = None
+    ) -> np.ndarray:
+        """Stacked grid response matrix, shape ``(n_measurements, nw*nh)``.
+
+        ``support``, a pair of slices of the grid's rows (R) and columns
+        (Z), builds the entries of that block of nodes only, written in
+        place into the one matrix, and leaves every other entry +0.0 —
+        what :class:`~repro.efit.fitting.EfitSolver` keeps, on its
+        :attr:`GridStatics.response_support
+        <repro.efit.fitting.GridStatics.response_support>`.
+        """
+        rows, cols = support if support is not None else (slice(None), slice(None))
+        response = np.zeros((self.n_measurements, grid.size))
+        block = response.reshape(-1, *grid.shape)[:, rows, cols]
+        axes = grid.r[rows], grid.z[cols]
+        _response(self._ordered(), sensor_grid_response, *axes, enclosed=True, out=block)
+        return response
 
     def response_to_coils(self, machine: Tokamak) -> np.ndarray:
         """Stacked coil response matrix, shape ``(n_measurements, n_coils)``."""

@@ -99,6 +99,26 @@ class GridStatics:
     #: Per-coil vacuum flux tables, shape ``(n_coils, nw, nh)``.
     coil_flux: np.ndarray
 
+    @property
+    def response_support(self) -> tuple[slice, slice]:
+        """The block of grid rows x columns where a fit's currents can meet
+        the diagnostics' grid response: the rows holding an in-limiter
+        node by the columns holding one, widened by a column on each side
+        (``fitdelz``'s z-derivative of a current reaches one node further
+        in Z), clipped to the grid; empty when no node is inside.  The
+        plasma mask is a subset of :attr:`inside_limiter`, so every
+        current ``current_`` and ``green_`` multiply the response by is
+        exactly zero off this block."""
+        rows = np.flatnonzero(self.inside_limiter.any(axis=1))
+        cols = np.flatnonzero(self.inside_limiter.any(axis=0))
+        if not rows.size:
+            return slice(0, 0), slice(0, 0)
+        nh = self.inside_limiter.shape[1]
+        return (
+            slice(int(rows[0]), int(rows[-1]) + 1),
+            slice(max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, nh)),
+        )
+
     @classmethod
     def build(cls, machine: Tokamak, grid: RZGrid, *, n_limiter_samples: int = 4) -> "GridStatics":
         """The static fit state for ``machine`` on ``grid``, built on the
@@ -313,6 +333,17 @@ class EfitSolver:
         self.hooks = hooks if hooks is not None else NULL_HOOKS
 
         # --- one-time green_ setup -------------------------------------------
+        #: Geometry-only arrays of the hot path.  Built here, not on first
+        #: use, so no fit pays for them; the grid response lives on their
+        #: support.
+        self.statics = GridStatics.build(machine, grid)
+        #: ``(n_meas, nw*nh)``, built on :attr:`GridStatics.response_support`
+        #: only and +0.0 off it, where every current it meets is zero.
+        #: Built before the Green table and the operator, so its kernel's
+        #: temporaries are not stacked on them at the construction's peak.
+        self.grid_response = diagnostics.response_to_grid(
+            grid, support=self.statics.response_support
+        )
         self.tables = cached_boundary_tables(grid)
         self.solver = DSTSolver(grid)
         if pflux_impl is None:
@@ -326,7 +357,6 @@ class EfitSolver:
                 f"pflux_impl must be an EdgeOperator or PfluxBase instance, "
                 f"got {pflux_impl!r}"
             )
-        self.grid_response = diagnostics.response_to_grid(grid)
         self.coil_response = diagnostics.response_to_coils(machine)
         #: Vessel eddy-current fitting (production EFIT's VESSEL option):
         #: adds one unknown current per wall segment to the linear fit.
@@ -336,9 +366,6 @@ class EfitSolver:
         if self.fit_vessel:
             self.vessel_response = diagnostics.response_to_vessel(machine)
             self.vessel_flux_tables = machine.vessel_flux_tables(grid)
-        #: Geometry-only arrays of the hot path.  Built here, not on first
-        #: use, so no fit pays for them.
-        self.statics = GridStatics.build(machine, grid)
 
     @classmethod
     def for_scenario(
@@ -440,6 +467,22 @@ class EfitSolver:
         pcurr[:, slabs.i0 : slabs.i1] = rows
         return pcurr
 
+    def _statics(self, statics: GridStatics | None) -> GridStatics:
+        """``statics``, or the solver's own when not given.  A foreign
+        in-limiter mask is refused: the grid response exists only on the
+        support of the solver's own, so a fit on another would meet
+        zeros."""
+        if statics is None:
+            return self.statics
+        own = self.statics.inside_limiter
+        given = statics.inside_limiter
+        if given is not own and not (given.shape == own.shape and np.array_equal(given, own)):
+            raise FittingError(
+                "statics.inside_limiter is not this solver's in-limiter mask: its grid "
+                "response is built on the support of its own"
+            )
+        return statics
+
     def _psi_from_coils(self, currents: np.ndarray, statics: GridStatics) -> np.ndarray:
         """Vacuum coil flux of the given per-coil currents [A]."""
         currents = np.asarray(currents, dtype=float)
@@ -483,15 +526,16 @@ class EfitSolver:
         carries a warm start.
 
         ``statics`` overrides the solver's own :class:`GridStatics`
-        (:attr:`statics`).  Every state records into the solver's
+        (:attr:`statics`) but must carry its in-limiter mask (the same
+        array or an equal one; another is a :class:`FittingError`, as in
+        :meth:`iterate_pre`).  Every state records into the solver's
         :attr:`profiler` and :attr:`hooks`, whichever entry point drives
         it.
         """
         grid = self.grid
         if measurements.n_measurements != self.diagnostics.n_measurements:
             raise FittingError("measurement vector does not match the diagnostic set")
-        if statics is None:
-            statics = self.statics
+        statics = self._statics(statics)
         psi_external = self._psi_from_coils(measurements.coil_currents, statics)
         psi = (
             np.asarray(psi_initial, dtype=float)
@@ -583,14 +627,14 @@ class EfitSolver:
         solve_lsq_stack`) and residual, one ``fitdelz`` product — which
         also carries the warm-up slices' predictions, so a warm-up
         iterate forms no basis response — and one vertical shift of the
-        current stack.
+        current stack.  ``statics`` is checked as :meth:`start_fit`
+        checks it.
         """
         if isinstance(states, FitState):
             pcurr, psi_external = self.iterate_pre([states], statics=statics)
             return pcurr[0], psi_external[0]
         grid = self.grid
-        if statics is None:
-            statics = self.statics
+        statics = self._statics(statics)
         profiler, hooks = self.profiler, self.hooks
         for state in states:
             state.iteration += 1

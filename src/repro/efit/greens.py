@@ -218,19 +218,19 @@ def _positions(r, z, reads) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return sensors, np.cumsum(new) - 1, starts, kind[position[new]]
 
 
-def _by_position(r, z, functional, rs, zs, n_owners, owner_sums) -> np.ndarray:
+def _by_position(r, z, functional, rs, zs, owner_sums, out) -> np.ndarray:
     """Rows of every sensor against unit filaments at the broadcast of
-    ``(rs, zs)``, shape ``(n_sensors, n_owners)``.
+    ``(rs, zs)``, added into the zeros ``out``, ``(n_sensors, *owners)``,
+    which is returned.
 
     The sensors at one position share one kernel call, which forms the
     components any of them reads; positions that read the same components
     go in blocks of up to :data:`_BLOCK_PAIRS` pairs, at least one
     position each.  ``owner_sums`` maps the block's fields, one per
-    component, each flattened to ``(positions, n_filaments)``, to their
-    ``(positions, n_owners)`` columns; each sensor row adds its psi, then
-    Br, then Bz term times its functional, from zero.
+    component, each ``(positions, *filaments)`` (the broadcast's shape),
+    to their ``(positions, *owners)`` columns; each sensor row adds its
+    psi, then Br, then Bz term times its functional, from zero.
     """
-    out = np.zeros((r.size, n_owners))
     reads = functional != 0.0
     if not reads.any():
         return out
@@ -248,12 +248,13 @@ def _by_position(r, z, functional, rs, zs, n_owners, owner_sums) -> np.ndarray:
             fields = _filament_fields(*at, rs, zs, components)
             block = sensors[starts[p0] : starts[p1]]
             slot = position[starts[p0] : starts[p1]] - p0  # each sensor's position in the block
-            columns = owner_sums([field.reshape(p1 - p0, -1) for field in fields])
+            columns = owner_sums(fields)
             for component, column in zip(components, columns):
                 hit = reads[block, component]
                 rows = block[hit]
                 if p1 - p0 > 1:
-                    out[rows] += column[slot[hit]] * functional[rows, component, None]
+                    scale = functional[rows, component].reshape(-1, *axes)
+                    out[rows] += column[slot[hit]] * scale
                 else:  # one position's few rows, each a view: no gather or scatter
                     for row in rows.tolist():
                         out[row] += column[0] * functional[row, component]
@@ -295,10 +296,11 @@ def sensor_response(r, z, functional, sources: FilamentSet) -> np.ndarray:
             summed[..., owners] += pairs[..., filaments]
         return summed
 
-    return _by_position(r, z, functional, sources.r, sources.z, first.size, owner_sums)
+    out = np.zeros((r.size, first.size))
+    return _by_position(r, z, functional, sources.r, sources.z, owner_sums, out)
 
 
-def sensor_grid_response(r, z, functional, r_axis, z_axis) -> np.ndarray:
+def sensor_grid_response(r, z, functional, r_axis, z_axis, *, out=None) -> np.ndarray:
     """Reading of every point sensor per ampere at every node of the grid
     ``r_axis`` x ``z_axis``, shape ``(n_sensors, nw * nh)``, node
     ``(i, j)`` in column ``i * nh + j`` (EFIT's flattening).
@@ -306,14 +308,25 @@ def sensor_grid_response(r, z, functional, r_axis, z_axis) -> np.ndarray:
     The sensors are those of :func:`sensor_response` and each node is a
     unit filament; each position meets the grid as its R axis ``(nw, 1)``
     against its Z axis ``(1, nh)``, so every entry has the bits of the
-    node's filament in :func:`sensor_response`.
+    node's filament in :func:`sensor_response`.  Given ``out``, a float
+    array of shape ``(n_sensors, nw, nh)`` — a view of a larger grid's
+    response, say — the readings are written there instead and ``out`` is
+    returned.  Raises :class:`GreensError`, before any evaluation, for
+    the sensor arrays :func:`sensor_response` refuses or an ``out`` of
+    another shape or type.
     """
     r, z, functional = _checked_sensors(r, z, functional)
     r_axis = np.asarray(r_axis, dtype=float).reshape(-1, 1)
     z_axis = np.asarray(z_axis, dtype=float).reshape(1, -1)
-    return _by_position(
-        r, z, functional, r_axis, z_axis, r_axis.size * z_axis.size, lambda fields: fields
-    )
+    shape = (r.size, r_axis.size, z_axis.size)
+    if out is None:
+        flat = np.zeros((r.size, r_axis.size * z_axis.size))
+        _by_position(r, z, functional, r_axis, z_axis, lambda fields: fields, flat.reshape(shape))
+        return flat
+    if out.shape != shape or out.dtype != np.float64:
+        raise GreensError(f"out must be a {shape} float64 array: {out.shape} {out.dtype}")
+    out[...] = 0.0
+    return _by_position(r, z, functional, r_axis, z_axis, lambda fields: fields, out)
 
 
 def mutual_inductance(r, z, rs, zs):

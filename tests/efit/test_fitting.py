@@ -1,5 +1,6 @@
 """Tests of the fit_ Picard loop (the reconstruction itself)."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -275,3 +276,37 @@ class TestConfiguration:
         )
         with pytest.raises(FittingError):
             solver33.fit(bad)
+
+
+class TestForeignStatics:
+    """``start_fit(statics=)`` and ``iterate_pre(statics=)`` take only the
+    solver's own in-limiter mask: its grid response is built on that
+    mask's support, so a fit on another would meet zeros."""
+
+    @staticmethod
+    def _with_mask(solver, mask):
+        return dataclasses.replace(solver.statics, inside_limiter=mask)
+
+    def test_own_mask_by_identity_or_by_value_fits_as_without(self, solver33, shot33, result33):
+        copy = self._with_mask(solver33, solver33.statics.inside_limiter.copy())
+        for statics in (solver33.statics, copy):
+            state = solver33.start_fit(shot33.measurements, statics=statics)
+            for _ in range(result33.iterations):
+                pcurr, psi_external = solver33.iterate_pre(state, statics=statics)
+                solver33.iterate_post(state, solver33.pflux.compute(pcurr, psi_external))
+            assert solver33.finish(state).psi.tobytes() == result33.psi.tobytes()
+
+    def test_another_mask_is_refused_by_both_halves(self, solver33, shot33):
+        mask = solver33.statics.inside_limiter.copy()
+        rows, cols = solver33.statics.response_support
+        mask[rows.start - 1, cols.start + 1] = True  # a node off the response's support
+        foreign = self._with_mask(solver33, mask)
+        with pytest.raises(FittingError, match="in-limiter mask"):
+            solver33.start_fit(shot33.measurements, statics=foreign)
+        state = solver33.start_fit(shot33.measurements)
+        with pytest.raises(FittingError, match="in-limiter mask"):
+            solver33.iterate_pre(state, statics=foreign)
+        assert state.iteration == 0
+        wrong_grid = self._with_mask(solver33, np.ones((5, 5), dtype=bool))
+        with pytest.raises(FittingError, match="in-limiter mask"):
+            solver33.iterate_pre([state], statics=wrong_grid)

@@ -17,9 +17,18 @@ a second oracle: sensors grouped by the components they read, each block
 of them against the flattened mesh of grid nodes.  Every response must
 equal it ``tobytes()`` for ``tobytes()`` (``array_equal`` cannot tell -0.0
 from +0.0).
+
+The solver builds its grid response only on the plasma's support — the
+in-limiter rows by the in-limiter columns widened by one column each side
+— and keeps +0.0 elsewhere.  The whole grid's response is the oracle
+there: the solver's must equal it on the support, and every fit result a
+solver makes must equal, byte for byte, that of a solver handed the
+whole response.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -27,8 +36,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe, ellipkm1
 
+from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.diagnostics import FluxLoop, MagneticProbe, MSEChannel, RogowskiCoil
-from repro.efit import greens
+from repro.efit import fitting, greens
+from repro.efit.fitting import EfitSolver
 from repro.efit.greens import (
     FilamentSet,
     self_flux_per_radian,
@@ -36,10 +47,12 @@ from repro.efit.greens import (
     sensor_response,
 )
 from repro.efit.grid import RZGrid
-from repro.efit.machine import PoloidalFieldCoil
+from repro.efit.machine import Limiter, PoloidalFieldCoil
 from repro.efit.tables import build_boundary_tables, effective_filament_radius
 from repro.scenarios import all_scenarios, get_scenario
+from repro.errors import BoundaryError
 from repro.utils.constants import MU0, TWO_PI
+from tests.serve.conftest import serve_reports
 
 
 # -- the oracle: the set-up's kernels before one K/E per pair ------------------------
@@ -390,3 +403,186 @@ def test_stacked_sensors_match_the_oracles(sensors, coils):
     got = sensor_response(*sensors, sources)
     assert _same_bits(got, _per_kind_sensor_response(*sensors, sources))
     assert _same_bits(got, _ref_sensor_response(*sensors, sources))
+
+
+# -- the solver's grid response on the plasma's support ------------------------------
+def _support_nodes(inside):
+    """The nodes of the in-limiter rows x the in-limiter columns widened by
+    one column on each side, as a ``(nw, nh)`` mask — worked out here on
+    its own, not read from :attr:`GridStatics.response_support`."""
+
+    def span(hit):  # from the first hit to the last
+        return np.logical_or.accumulate(hit) & np.logical_or.accumulate(hit[::-1])[::-1]
+
+    rows, cols = span(inside.any(axis=1)), span(inside.any(axis=0))
+    widened = cols.copy()
+    widened[1:] |= cols[:-1]
+    widened[:-1] |= cols[1:]
+    return rows[:, None] & widened[None, :]
+
+
+SUPPORT_CASES = CASES + [
+    pytest.param(sc, RZGrid(17, 23), id=f"{sc.name}-17x23") for sc in all_scenarios()
+]
+
+
+@pytest.mark.parametrize(("scenario", "n"), SUPPORT_CASES)
+def test_solver_response_is_the_set_response_on_its_support(scenario, n):
+    """``EfitSolver.grid_response`` holds the bytes of
+    ``DiagnosticSet.response_to_grid`` on the support and +0.0 off it."""
+    shot = scenario.make_shot(n if isinstance(n, int) else 33)
+    grid = shot.grid if isinstance(n, int) else n
+    solver = EfitSolver(shot.machine, shot.diagnostics, grid, **scenario.solver_kwargs)
+    on = _support_nodes(solver.statics.inside_limiter).reshape(grid.size)
+    got, full = solver.grid_response, shot.diagnostics.response_to_grid(grid)
+    assert got.shape == full.shape and on.any()
+    assert _same_bits(got[:, on], full[:, on])
+    assert _same_bits(got[:, ~on], np.zeros((got.shape[0], int(np.count_nonzero(~on)))))
+
+
+def _fields(value):
+    """Every field of a result, recursively, with arrays and floats as bytes."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [(f.name, _fields(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [_fields(v) for v in value]
+    if isinstance(value, (np.ndarray, float)):
+        value = np.asarray(value)
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+_FITS: dict[tuple[str, int], tuple[list, list, list]] = {}
+
+
+def _fits(name: str, n: int) -> tuple[list, list, list]:
+    """The results of a serial cold fit, a warm chain of four frames, a
+    batch of eight, four served frames and a vessel fit of scenario
+    ``name`` at ``n``^2 — on solvers as built and on solvers handed the
+    full grid response — and the slab rows and masks of every iterate of
+    the former."""
+    if (name, n) in _FITS:
+        return _FITS[name, n]
+    sc = get_scenario(name)
+    shot = sc.make_shot(n)
+    frames = synthetic_slice_sequence(shot, 8, seed=37)
+    slabs = []
+    real = fitting.basis_current_slabs
+
+    def spy(grid, psin, masks, pp_basis, ffp_basis):
+        got = real(grid, psin, masks, pp_basis, ffp_basis)
+        slabs.append((got.i0, got.i1, [m.copy() for m in masks]))
+        return got
+
+    def run(full: bool) -> list:
+        def hand(solver):
+            if full:
+                solver.grid_response = shot.diagnostics.response_to_grid(shot.grid)
+            return solver
+
+        solver = hand(EfitSolver.for_scenario(sc, n, shot=shot))
+        results = [solver.fit(shot.measurements, require_convergence=False)]
+        for frame in frames[:4]:
+            results.append(solver.fit(frame, psi_initial=results[-1].psi, require_convergence=False))
+        engine = BatchFitEngine.for_scenario(sc, n, shot=shot, batch_size=8)
+        hand(engine.solver)
+        results += engine.fit_many(frames, require_convergence=False).results
+        results += [report.result for report in serve_reports(engine, frames[:4])]
+        vessel = hand(EfitSolver.for_scenario(sc, n, shot=shot, fit_vessel=True))
+        results.append(vessel.fit(shot.measurements, require_convergence=False))
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "basis_current_slabs", spy)
+        on_support = run(full=False)
+    _FITS[name, n] = on_support, run(full=True), slabs
+    return _FITS[name, n]
+
+
+@pytest.mark.parametrize(("scenario", "n"), CASES)
+def test_fits_match_a_solver_handed_the_full_response(scenario, n):
+    """Serial cold, warm-chained, batch-of-eight, served and vessel fits:
+    every ``FitResult`` field byte for byte."""
+    on_support, full, _ = _fits(scenario.name, n)
+    assert len(on_support) == len(full) == 18
+    for k, (got, want) in enumerate(zip(on_support, full)):
+        assert _fields(got) == _fields(want), k
+
+
+@pytest.mark.parametrize(("scenario", "n"), CASES)
+def test_every_iterate_stays_on_the_support(scenario, n):
+    """The slab's rows, and each mask dilated by one node in Z (the
+    ``fitdelz`` derivative's reach), lie inside the support."""
+    _, _, slabs = _fits(scenario.name, n)
+    shot = scenario.make_shot(n)
+    on = _support_nodes(shot.machine.limiter.grid_mask(shot.grid))
+    rows = np.flatnonzero(on.any(axis=1))
+    assert len(slabs) > 18
+    for i0, i1, masks in slabs:
+        assert rows[0] <= i0 < i1 <= rows[-1] + 1
+        for mask in masks:
+            reach = mask.copy()
+            reach[:, 1:] |= mask[:, :-1]
+            reach[:, :-1] |= mask[:, 1:]
+            assert not (reach & ~on).any()
+
+
+@pytest.mark.parametrize(("scenario", "n"), CASES)
+def test_the_widest_plasma_meets_the_full_response(scenario, n):
+    """A plasma filling every in-limiter node — the widest mask a search
+    can return — gets the same bits from ``green_``'s basis product and
+    from the ``fitdelz`` and warm-up products (its currents, their
+    z-derivative one node past the in-limiter columns, its prediction)
+    on the support's response as on the full one."""
+    shot = scenario.make_shot(n)
+    grid = shot.grid
+    solvers = [EfitSolver.for_scenario(scenario, n, shot=shot) for _ in range(2)]
+    solvers[1].grid_response = shot.diagnostics.response_to_grid(grid)
+    inside = solvers[0].statics.inside_limiter
+    slabs = fitting.basis_current_slabs(
+        grid, [np.full(grid.shape, 0.5)], [inside], solvers[0].pp_basis, solvers[0].ffp_basis
+    )
+    m = shot.measurements
+    weights = 1.0 / m.uncertainties[None]
+    data = m.values[None] * weights
+    coeffs = np.linspace(-1.0, 2.0, slabs.matrix.shape[1])[None] * m.ip
+    offset = slabs.i0 * grid.nh
+    basis = slabs.matrix[:, :, slabs.lo - offset : slabs.hi - offset]
+    got = []
+    for solver in solvers:
+        product = fitting.basis_response(solver.grid_response[:, slabs.lo : slabs.hi], basis)
+        for warm in (False, True):
+            residual = data - weights * (product[0] @ coeffs[0])
+            pcurr = solver._plasma_currents(
+                slabs, coeffs, weights, data, residual, np.array([warm]), None
+            )
+            got.append((product.tobytes(), pcurr.tobytes(), residual.tobytes()))
+    assert got[:2] == got[2:]
+    assert np.flatnonzero(solvers[0].grid_response.any(axis=0)).size < grid.size
+
+
+def _machine_with_limiter(machine, r, z):
+    return dataclasses.replace(machine, limiter=Limiter(np.asarray(r), np.asarray(z)))
+
+
+def test_a_limiter_enclosing_no_node_builds_and_its_fit_fails_as_before():
+    shot = get_scenario("g186610").make_shot(33)
+    grid = shot.grid
+    r0, z0 = grid.r[10] + 0.3 * grid.dr, grid.z[10] + 0.3 * grid.dz
+    machine = _machine_with_limiter(
+        shot.machine, [r0, r0 + 0.2 * grid.dr, r0], [z0, z0, z0 + 0.2 * grid.dz]
+    )
+    solver = EfitSolver(machine, shot.diagnostics, grid)
+    assert not solver.statics.inside_limiter.any()
+    assert _same_bits(solver.grid_response, np.zeros((shot.measurements.n_measurements, grid.size)))
+    with pytest.raises(BoundaryError, match="^no interior grid node inside the limiter$"):
+        solver.fit(shot.measurements)
+
+
+def test_a_limiter_covering_the_grid_keeps_the_full_response():
+    shot = get_scenario("g186610").make_shot(33)
+    machine = _machine_with_limiter(shot.machine, [0.1, 5.0, 5.0, 0.1], [-5.0, -5.0, 5.0, 5.0])
+    solver = EfitSolver(machine, shot.diagnostics, shot.grid)
+    assert solver.statics.inside_limiter.all()
+    assert solver.statics.response_support == (slice(0, 33), slice(0, 33))
+    assert _same_bits(solver.grid_response, shot.diagnostics.response_to_grid(shot.grid))

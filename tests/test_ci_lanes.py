@@ -220,8 +220,10 @@ def test_scenario_lanes_run_the_width_one_kernel_oracles():
 def test_scenario_lanes_run_the_per_position_oracles():
     """Each scenario-matrix lane's set-up step, named for both oracles,
     holds its own scenario's responses against the per-kind build the
-    per-position loop replaced, and that selection exists for every
-    scenario of the matrix (on the square grids and the 17x23 one)."""
+    per-position loop replaced, and its solver's grid response on the
+    plasma's support against the full one (the response, every fit's
+    result fields and the iterates' reach), and that selection exists for
+    every scenario of the matrix (on the square grids and the 17x23 one)."""
     from tests.efit import test_setup_equivalence as oracles
 
     text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
@@ -230,10 +232,15 @@ def test_scenario_lanes_run_the_per_position_oracles():
     assert command.endswith("-k ${{ matrix.scenario }}")
     (name,) = re.findall(r"- name: (.*)\n\s*run: python -m pytest -q tests/efit/test_setup_eq", lane)
     assert "per-component and per-kind oracles" in name
+    assert "full response" in name
     scenarios = re.search(r"^\s*scenario:\s*\[(.*)\]\s*$", lane, re.M).group(1)
     for test in (
         oracles.test_responses_match_the_per_kind_oracle,
         oracles.test_non_square_responses_match_the_per_kind_oracle,
+        oracles.test_solver_response_is_the_set_response_on_its_support,
+        oracles.test_fits_match_a_solver_handed_the_full_response,
+        oracles.test_every_iterate_stays_on_the_support,
+        oracles.test_the_widest_plasma_meets_the_full_response,
     ):
         (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
         ids = [param.id for param in mark.args[1]]
