@@ -69,14 +69,11 @@ def test_fit_with_reference_pflux_17(benchmark):
     """fit_ with the pure-loop pflux_ — the 'original code' analog; tiny
     grid because interpreted loops are ~1000x slower."""
     from repro.efit.measurements import synthetic_shot_186610
-    from repro.efit.pflux import PfluxReference
-    from repro.efit.solvers import make_solver
+    from repro.efit.pflux import TableSumEdgeOperator
     from repro.efit.tables import cached_boundary_tables
 
     shot = synthetic_shot_186610(17, noise=0.0, seed=2)
-    reference = PfluxReference(
-        shot.grid, cached_boundary_tables(shot.grid), make_solver("dst", shot.grid)
-    )
+    reference = TableSumEdgeOperator(cached_boundary_tables(shot.grid), "reference")
     solver = EfitSolver(
         shot.machine, shot.diagnostics, shot.grid, pflux_impl=reference, max_iters=1
     )

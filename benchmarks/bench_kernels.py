@@ -147,7 +147,9 @@ def test_structured_vs_dense_speedup_257(large_grids_enabled):
 
 def test_edge_method_table(large_grids_enabled):
     """The measurement an ``EDGE_METHODS`` entry has to win to stay — and
-    the one ``DEFAULT_EDGE_METHOD`` rests on: per method, grid and input,
+    the one ``DEFAULT_EDGE_METHOD`` rests on: per method (and the dense
+    ground truth, the reference column, which left the engine methods
+    because it wins no cell here), grid and input,
     build seconds, operator MB, median apply ms for one vector and for a
     batch of 8, the same for the whole flux step (``pflux_``: boundary
     sums + RHS + interior solve; ``compute`` at B = 1, ``compute_batch``
@@ -155,8 +157,9 @@ def test_edge_method_table(large_grids_enabled):
     Two inputs: random currents on the full grid, and plasma-shaped ones —
     zero outside a band of 38/65 of the grid rows, where a 65^2 g186610
     fit's currents lie — which the operators apply on those rows only.
-    The ``vectorized`` row is the Green-table sums of ``PfluxVectorized`` —
-    no operator to build or store, no batched form, no restriction.
+    The ``vectorized`` row is the paper's BLAS table sums
+    (``PfluxVectorized``, the one step on a ``TableSumEdgeOperator``) —
+    nothing to build or store, and a batch of it is a loop over slices.
     Written to ``results/edge_operator_methods.txt``; EXPERIMENTS.md keeps
     the table that retired the mixed-precision variants."""
     import time
@@ -194,7 +197,7 @@ def test_edge_method_table(large_grids_enabled):
         g = RZGrid(n, n)
         t = cached_boundary_tables(g)
         ops, build_s = [], []
-        for method in EDGE_METHODS:
+        for method in ("dense",) + EDGE_METHODS:
             t0 = time.perf_counter()
             ops.append(build_edge_operator(t, method))
             build_s.append(time.perf_counter() - t0)
@@ -210,7 +213,7 @@ def test_edge_method_table(large_grids_enabled):
         for label, x in (("full grid", x), (f"{k}/{n} rows", plasma.reshape(g.size, 8))):
             currents = [(x[:, b].reshape(g.shape).copy(), psi_ext) for b in range(8)]
             stacks = (np.stack([p for p, _ in currents]), np.stack([e for _, e in currents]))
-            ref = ops[EDGE_METHODS.index("dense")].apply(x)
+            ref = ops[0].apply(x)  # the dense ground truth
             x1 = x[:, 0].copy()
             ms_1 = median_ms(
                 [lambda: boundary_flux_vectorized(t, currents[0][0])]

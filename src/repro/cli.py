@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("--grid", type=int, default=65, help="grid size (default 65)")
     p_op.add_argument(
         "--method",
-        choices=[m for m in EDGE_METHODS if m != "dense"],
+        choices=EDGE_METHODS,
         action="append",
         default=None,
         metavar="NAME",
@@ -615,11 +615,7 @@ def _cmd_operators(args) -> int:
     if args.grid < 5 or args.vectors < 1:
         print("error: --grid must be >= 5 and --vectors >= 1", file=sys.stderr)
         return 2
-    methods = (
-        tuple(dict.fromkeys(args.method))
-        if args.method
-        else tuple(m for m in EDGE_METHODS if m != "dense")
-    )
+    methods = tuple(dict.fromkeys(args.method)) if args.method else EDGE_METHODS
     grid = RZGrid(args.grid, args.grid)
     tables = cached_boundary_tables(grid)
     dense = build_edge_operator(tables, "dense")

@@ -25,7 +25,7 @@ The directive census over this registry reproduces Tables 4 and 5
 OpenACC; 4+2+2 for OpenMP — the "eight lines, ~2% of the routine").
 
 :class:`OffloadedPflux` plugs into :class:`~repro.efit.fitting.EfitSolver`
-in place of the CPU implementation: it produces *numerically identical*
+as the edge operator of its flux step: it produces *numerically identical*
 fluxes (the payload is the vectorised NumPy kernel) while charging modeled
 device time to a virtual clock and profiler counters.
 """
@@ -43,9 +43,7 @@ from repro.directives.ir import AccessMode, ArrayRef, Loop, LoopNest
 from repro.directives.openacc import AccEndKernels, AccKernels, AccLoop, AccParallelLoop
 from repro.directives.openmp import OmpParallelDo, OmpTargetTeamsDistribute
 from repro.directives.registry import AnnotatedKernel, KernelRegistry
-from repro.efit.grid import RZGrid
-from repro.efit.pflux import PfluxBase, boundary_flux_vectorized
-from repro.efit.solvers.base import GSInteriorSolver
+from repro.efit.pflux import TableSumEdgeOperator
 from repro.efit.tables import BoundaryGreensTables
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks
 from repro.runtime.executor import OffloadExecutor
@@ -314,31 +312,27 @@ class PfluxOffloadModel:
         return self.invoke()["__total__"]
 
 
-class OffloadedPflux(PfluxBase):
-    """Drop-in ``pflux_`` that runs the real numerics while charging
-    modeled GPU time — the reproduction's equivalent of running the
-    directive build on a real device."""
+class OffloadedPflux(TableSumEdgeOperator):
+    """The paper's table sums, charging modeled GPU time: every flux step
+    through it runs the real numerics (the vectorised kernel) and one
+    :meth:`PfluxOffloadModel.invoke` — the reproduction's equivalent of
+    running the directive build on a real device.  Pass it as
+    ``EfitSolver(pflux_impl=)``."""
 
     def __init__(
         self,
-        grid: RZGrid,
         tables: BoundaryGreensTables,
-        solver: GSInteriorSolver,
         build: OffloadBuild,
         hooks: ObservationHooks | None = None,
     ) -> None:
-        # PfluxBase is a dataclass; initialise its fields explicitly.
-        PfluxBase.__init__(self, grid, tables, solver)
+        super().__init__(tables)
         self.model = PfluxOffloadModel(
-            grid.nw, grid.nh, build, hooks=hooks if hooks is not None else NULL_HOOKS
+            self.grid.nw, self.grid.nh, build, hooks=hooks if hooks is not None else NULL_HOOKS
         )
 
-    def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
-        return boundary_flux_vectorized(self.tables, pcurr)
-
-    def compute(self, pcurr: np.ndarray, psi_external: np.ndarray | None = None) -> np.ndarray:
+    def _edge_sums(self, stack: np.ndarray, out: np.ndarray) -> bool:
         self.last_invocation = self.model.invoke()
-        return super().compute(pcurr, psi_external)
+        return super()._edge_sums(stack, out)
 
     @property
     def modeled_seconds(self) -> float:

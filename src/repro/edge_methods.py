@@ -4,11 +4,12 @@ time, :mod:`repro.efit.operators` builds operators against them."""
 
 __all__ = ["EDGE_METHODS", "DEFAULT_EDGE_METHOD"]
 
-#: Every edge-operator method ``build_edge_operator`` builds and
-#: ``--boundary-method`` names. ``dense`` (first) is the O(N^3) matrix and
-#: the ground truth; the others are exact-arithmetic structured forms of
-#: the same operator (docs/MODEL.md section 7).
-EDGE_METHODS = ("dense", "toeplitz", "lowrank")
+#: The edge-operator methods an engine runs on: the only forms that are
+#: cached, written to disk, staged in a fleet's arena and named by
+#: ``--boundary-method``.  Both are exact-arithmetic structured forms of
+#: the dense O(N^3) matrix, which ``build_edge_operator(tables, "dense")``
+#: still builds as their ground truth (docs/MODEL.md section 7).
+EDGE_METHODS = ("toeplitz", "lowrank")
 
 #: The method of the operator a solver, an engine, a fleet or a CLI
 #: command applies when handed none (``cached_edge_operator``'s default):

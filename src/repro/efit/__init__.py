@@ -50,7 +50,6 @@ from repro.efit.contours import FluxSurface, trace_flux_surface
 from repro.efit.qprofile import QProfile, safety_factor
 from repro.efit.current import distribute_current
 from repro.efit.pflux import (
-    PfluxReference,
     PfluxVectorized,
     edge_flux_operator,
     edge_node_indices,
@@ -103,7 +102,6 @@ __all__ = [
     "QProfile",
     "safety_factor",
     "distribute_current",
-    "PfluxReference",
     "PfluxVectorized",
     "edge_flux_operator",
     "edge_node_indices",

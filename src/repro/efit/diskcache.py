@@ -163,15 +163,7 @@ def load_edge_operator(tables, method: str, tol: float):
 
 
 def store_edge_operator(op, tol: float) -> bool:
-    """Persist a structured operator; dense is never written.
-
-    The dense matrix is a gather from tables :func:`store_tables` already
-    covers, and its file would be four times the table's.  The gather is
-    not cheap, though: first-touch page faults on the O(N^3) result make
-    it 6-11 s at 129^2 and 45-60 s at 257^2 on the reference box
-    (EXPERIMENTS.md, "Edge-operator methods") — every process that wants
-    a dense operator pays that once.
-    """
-    if op.method == "dense":
-        return False
+    """Persist one of the structured :data:`~repro.efit.operators.EDGE_METHODS`
+    operators (the only ones :func:`~repro.efit.operators.cached_edge_operator`
+    builds); returns whether a file was written."""
     return _store_npz(operator_path(op.grid, op.method, tol), op.to_arrays())

@@ -31,7 +31,7 @@ from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
 from repro.efit.measurements import MeasurementSet
 from repro.efit.operators import EdgeOperator, cached_edge_operator
-from repro.efit.pflux import PfluxBase, PfluxStructured
+from repro.efit.pflux import PfluxStructured
 from repro.efit.profiles import ProfileCoefficients
 from repro.efit.response import (
     basis_response,
@@ -246,15 +246,14 @@ class EfitSolver:
     Parameters
     ----------
     pflux_impl:
-        The flux step, as an instance: an
-        :class:`~repro.efit.operators.EdgeOperator` to apply (how an
-        engine or a fleet worker puts its solver on the operator it
-        owns, and how a caller picks another representation of the
-        boundary Green sums, e.g. a ``DenseEdgeOperator``), or a
-        ready-made :class:`~repro.efit.pflux.PfluxBase` (the
-        GPU-offloaded variants from :mod:`repro.core.offload` and the
-        paper's loop baseline :class:`~repro.efit.pflux.PfluxReference`
-        plug in here).  Not given, the solver applies the process-wide
+        The :class:`~repro.efit.operators.EdgeOperator` instance whose
+        boundary Green sums the flux step applies: how an engine or a
+        fleet worker puts its solver on the operator it owns, and how a
+        caller picks another representation of the sums — a
+        ``DenseEdgeOperator``, the paper's table sums
+        (:class:`~repro.efit.pflux.TableSumEdgeOperator`) or the modelled
+        GPU offload of :mod:`repro.core.offload`.  Not given, the solver
+        applies the process-wide
         :func:`~repro.efit.operators.cached_edge_operator` of its grid.
     profiler:
         Optional :class:`RegionProfiler`; regions ``steps_``, ``current_``,
@@ -280,7 +279,7 @@ class EfitSolver:
         *,
         pp_basis: PolynomialBasis | None = None,
         ffp_basis: PolynomialBasis | None = None,
-        pflux_impl: PfluxBase | EdgeOperator | None = None,
+        pflux_impl: EdgeOperator | None = None,
         tol: float = 1e-5,
         max_iters: int = 100,
         warm_start_guard: float = 0.25,
@@ -348,15 +347,9 @@ class EfitSolver:
         self.solver = DSTSolver(grid)
         if pflux_impl is None:
             pflux_impl = cached_edge_operator(self.tables)
-        if isinstance(pflux_impl, EdgeOperator):
-            self.pflux = PfluxStructured(grid, self.tables, self.solver, pflux_impl)
-        elif isinstance(pflux_impl, PfluxBase):
-            self.pflux = pflux_impl
-        else:
-            raise FittingError(
-                f"pflux_impl must be an EdgeOperator or PfluxBase instance, "
-                f"got {pflux_impl!r}"
-            )
+        if not isinstance(pflux_impl, EdgeOperator):
+            raise FittingError(f"pflux_impl must be an EdgeOperator instance, got {pflux_impl!r}")
+        self.pflux = PfluxStructured(grid, self.tables, self.solver, pflux_impl)
         self.coil_response = diagnostics.response_to_coils(machine)
         #: Vessel eddy-current fitting (production EFIT's VESSEL option):
         #: adds one unknown current per wall segment to the linear fit.

@@ -7,8 +7,9 @@ Two families live here:
   Dirichlet corrections).
 * :mod:`repro.efit.operators.edge` — representations of the dense
   edge-flux operator of :func:`repro.efit.pflux.edge_flux_operator`:
-  the exact dense matrix, a block-Toeplitz/FFT apply and a
-  truncated-SVD low-rank apply, all behind the common
+  the exact dense matrix (the ground truth), a block-Toeplitz/FFT apply
+  and a truncated-SVD low-rank apply (the :data:`EDGE_METHODS` an engine
+  runs on), all behind the common
   :class:`EdgeOperator` protocol: a solver applies the instance it is
   handed (``pflux_impl=`` / ``edge_operator=``), or
   :func:`cached_edge_operator` of its grid.
@@ -24,6 +25,7 @@ from repro.efit.operators.edge import (
     cached_edge_operator,
     drop_edge_operator,
     edge_operator_from_arrays,
+    require_staged,
     seed_edge_operator,
     validate_edge_structure,
 )
@@ -41,5 +43,6 @@ __all__ = [
     "seed_edge_operator",
     "drop_edge_operator",
     "edge_operator_from_arrays",
+    "require_staged",
     "validate_edge_structure",
 ]

@@ -30,7 +30,9 @@ Both structured forms and the exact dense matrix live behind the
 applies as ``pflux_impl``, ``BatchFitEngine`` and ``ParallelFitEngine`` as
 ``edge_operator`` — not given, each applies :func:`cached_edge_operator`
 of its grid, the one place
-:data:`~repro.edge_methods.DEFAULT_EDGE_METHOD` is named.
+:data:`~repro.edge_methods.DEFAULT_EDGE_METHOD` is named.  Only the
+structured forms, :data:`EDGE_METHODS`, are cached, written to disk and
+staged in a fleet's arena; the dense matrix is their ground truth.
 Every form reads only the operator's columns under the grid rows its
 input's currents occupy — a plasma's current fills 35-38 of 65 rows — and
 finds those rows itself, so every caller gets the restriction.
@@ -67,6 +69,7 @@ __all__ = [
     "seed_edge_operator",
     "drop_edge_operator",
     "edge_operator_from_arrays",
+    "require_staged",
     "validate_edge_structure",
 ]
 
@@ -85,9 +88,8 @@ _BUCKET_MIN = 4
 #: What :func:`validate_edge_structure` tells a caller to do instead.
 _DENSE_FALLBACK = (
     "fall back to the dense operator, which makes no structural assumption: "
-    "pass a DenseEdgeOperator as pflux_impl= (EfitSolver) or edge_operator= "
-    "(BatchFitEngine, ParallelFitEngine), or run the CLI with "
-    "--boundary-method dense"
+    "pass a DenseEdgeOperator instance as pflux_impl= (EfitSolver) or "
+    "edge_operator= (BatchFitEngine)"
 )
 
 
@@ -247,14 +249,6 @@ class EdgeOperator(abc.ABC):
         ``[i0, i0 + k)``, the only rows holding any."""
 
     @abc.abstractmethod
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat named-array form (arena ``.npy`` files, ``.npz`` members).
-
-        :func:`edge_operator_from_arrays` inverts it; the round trip
-        reproduces ``apply`` bit-for-bit.
-        """
-
-    @abc.abstractmethod
     def error_bound(self, x_norm: float = 1.0) -> float:
         """Estimated max-abs ``apply`` error vs the dense fp64 full-grid
         product ``E @ x`` for inputs with ``||x||_2 <= x_norm``: a
@@ -274,7 +268,7 @@ class DenseEdgeOperator(EdgeOperator):
     would multiply zeros.
     """
 
-    method = EDGE_METHODS[0]  # "dense", the oracle
+    method = "dense"
 
     def __init__(self, grid: RZGrid, matrix: np.ndarray) -> None:
         super().__init__(grid)
@@ -308,9 +302,6 @@ class DenseEdgeOperator(EdgeOperator):
         columns = np.ascontiguousarray(rows.reshape(nb, k * nh).T)
         np.matmul(self.matrix[:, cols], columns, out=out)
         np.negative(out, out=out)  # the matrix holds -G
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        return {"matrix": self.matrix}
 
 
 class _VerticalSpectra:
@@ -374,7 +365,8 @@ def _horizontal_rhs(p3: np.ndarray) -> np.ndarray:
 
 
 class _StructuredEdgeOperator(EdgeOperator):
-    """Shared apply plumbing: FFT vertical edges + pluggable horizontal."""
+    """Shared apply plumbing of the :data:`EDGE_METHODS`: FFT vertical
+    edges + pluggable horizontal, and a flat named-array form."""
 
     def __init__(self, grid: RZGrid, vertical: _VerticalSpectra) -> None:
         super().__init__(grid)
@@ -394,6 +386,14 @@ class _StructuredEdgeOperator(EdgeOperator):
         """Bottom/top sums ``(nw-2, 2B)`` of the stacked right-hand sides
         ``q`` of :func:`_horizontal_rhs`, whose source rows start at ``i0``."""
         raise NotImplementedError
+
+    @abc.abstractmethod
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """Flat named-array form (arena ``.npy`` files, ``.npz`` members).
+
+        :func:`edge_operator_from_arrays` inverts it; the round trip
+        reproduces ``apply`` bit-for-bit.
+        """
 
 
 class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
@@ -492,6 +492,10 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
     def from_tables(
         cls, tables: BoundaryGreensTables, *, tol: float = 1e-12
     ) -> "LowRankEdgeOperator":
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise OperatorError(
+                f"lowrank truncation tolerance tol must be finite and >= 0, got {tol!r}"
+            )
         grid = tables.grid
         nw, nh = grid.nw, grid.nh
         slices = tables.gpc[1:-1]  # (nw-2, nh, nw): axes (edge row, offset, source col)
@@ -630,14 +634,15 @@ def build_edge_operator(
 ) -> EdgeOperator:
     """Build the edge-flux operator for ``tables`` in the given form.
 
-    ``method`` is one of :data:`EDGE_METHODS`.  Structured builds first
-    run :func:`validate_edge_structure` (disable with ``validate=False``
-    only when the same tables were already validated this process).
+    ``method`` is one of :data:`EDGE_METHODS`, or ``"dense"`` for their
+    ground truth.  Structured builds first run
+    :func:`validate_edge_structure` (disable with ``validate=False`` only
+    when the same tables were already validated this process).  A
+    ``lowrank`` ``tol`` must be finite and non-negative.
     """
-    if method not in EDGE_METHODS:
-        raise OperatorError(
-            f"unknown boundary method {method!r}; choose one of {EDGE_METHODS}"
-        )
+    forms = ("dense",) + EDGE_METHODS
+    if method not in forms:
+        raise OperatorError(f"unknown boundary method {method!r}; choose one of {forms}")
     if method == "dense":
         return DenseEdgeOperator.from_tables(tables)
     if validate:
@@ -657,7 +662,9 @@ _CACHED_TOL = 1e-12
 def cached_edge_operator(
     tables: BoundaryGreensTables, method: str = DEFAULT_EDGE_METHOD
 ) -> EdgeOperator:
-    """Memoised :func:`build_edge_operator` keyed on grid + method.
+    """Memoised :func:`build_edge_operator` keyed on grid + method, one of
+    :data:`EDGE_METHODS` (the dense ground truth is built, never cached:
+    ``build_edge_operator(tables, "dense")``).
 
     The operator every solver, engine and fleet applies when it is handed
     none, so the default ``method`` is the one place a reconstruction's
@@ -672,6 +679,7 @@ def cached_edge_operator(
     another truncation tolerance call :func:`build_edge_operator`, which
     is not cached.
     """
+    require_staged(method)
     operators = boundary_table_cache().operators(tables.grid)
     op = operators.get(method)
     if op is None:
@@ -712,12 +720,21 @@ def edge_operator_from_arrays(
     cache against ``.npz`` members.  ``gpc`` is required for the
     toeplitz form, which aliases the Green table instead of copying it.
     """
-    if method == "dense":
-        return DenseEdgeOperator(grid, arrays["matrix"])
+    require_staged(method)
     if method == "toeplitz":
         return ToeplitzFFTEdgeOperator.from_arrays(grid, arrays, gpc=gpc)
-    if method == "lowrank":
-        return LowRankEdgeOperator.from_arrays(grid, arrays)
-    raise OperatorError(
-        f"unknown boundary method {method!r}; choose one of {EDGE_METHODS}"
-    )
+    return LowRankEdgeOperator.from_arrays(grid, arrays)
+
+
+def require_staged(method: str) -> None:
+    """Raise :class:`~repro.errors.OperatorError` unless ``method`` is one
+    of :data:`EDGE_METHODS`, the forms that are cached, written to disk and
+    staged in a fleet's arena."""
+    if method not in EDGE_METHODS:
+        raise OperatorError(
+            f"only the {' and '.join(EDGE_METHODS)} edge operators are cached, "
+            f"persisted and staged, not {method!r}; build the dense ground "
+            f"truth with build_edge_operator(tables, 'dense') and apply any "
+            f"other form by passing its instance to EfitSolver(pflux_impl=) "
+            f"or BatchFitEngine(edge_operator=)"
+        )

@@ -5,8 +5,8 @@ CPU core (Table 2).  It has three parts:
 
 1. **Boundary Green sums** — the O(N^3) loop nests of Figures 2/3: for
    every node on the edge of the computational box, sum the precomputed
-   Green table against all ``nw x nh`` node currents.  Two implementations
-   are provided:
+   Green table against all ``nw x nh`` node currents.  The paper's two
+   kernels are here:
 
    * :func:`boundary_flux_reference` — a line-by-line translation of the
      paper's Fortran loops (including its sign convention, the
@@ -19,26 +19,29 @@ CPU core (Table 2).  It has three parts:
      ``tensordot`` per horizontal edge), the "optimized" analog and the
      numeric payload executed by the simulated GPU kernels.
 
+   Both run behind :class:`TableSumEdgeOperator`, one more
+   :class:`~repro.efit.operators.EdgeOperator` beside the dense and
+   structured forms of :mod:`repro.efit.operators.edge`.
+
 2. **Right-hand side** — ``-mu0 R J_phi`` over the grid (O(N^2)).
 
 3. **Interior solve** — Dirichlet solve with the boundary sums (plus the
    external coil flux) as edge data.
 
-Both implementations produce bit-comparable fluxes; the test suite checks
-them against each other and against direct Green-function superposition.
+:class:`PfluxStructured` is the one flux step, whatever operator forms
+the sums; :class:`PfluxVectorized` is that step on the BLAS table sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.efit.grid import RZGrid, edge_node_indices, edge_strips
+from repro.efit.operators import EdgeOperator
 from repro.efit.solvers.base import GSInteriorSolver
 from repro.efit.tables import BoundaryGreensTables
 from repro.efit.workspace import FitWorkspace
-from repro.errors import GridError
+from repro.errors import GridError, OperatorError
 from repro.utils.constants import MU0
 
 __all__ = [
@@ -46,10 +49,9 @@ __all__ = [
     "boundary_flux_vectorized",
     "edge_flux_operator",
     "edge_node_indices",
-    "PfluxBase",
-    "PfluxReference",
-    "PfluxVectorized",
+    "TableSumEdgeOperator",
     "PfluxStructured",
+    "PfluxVectorized",
 ]
 
 
@@ -65,7 +67,7 @@ def boundary_flux_reference(gridpc: np.ndarray, pcurr: np.ndarray, nw: int, nh: 
         Flat node currents in EFIT ordering ``kkkk = ii*nh + jj``.  Note
         the kernel keeps the paper's ``psi = -sum(gridpc * pcurr)`` sign;
         callers wanting physical flux pass ``-pcurr`` (see
-        :class:`PfluxBase`).
+        :class:`TableSumEdgeOperator`).
 
     Returns the flat ``(nw*nh,)`` flux vector with only the edge entries
     filled.
@@ -174,88 +176,70 @@ def edge_flux_operator(tables: BoundaryGreensTables) -> np.ndarray:
     return -np.concatenate([left, right, bottom, top], axis=0)
 
 
-@dataclass
-class PfluxBase:
-    """Shared driver for the ``pflux_`` computation.
+class TableSumEdgeOperator(EdgeOperator):
+    """The paper's boundary Green sums (Figures 2/3) as an edge operator.
 
-    ``compute`` forms the plasma boundary flux, the interior RHS and the
-    Dirichlet solve, then adds the external (coil) flux.  Subclasses choose
-    the boundary-sum kernel; :meth:`compute_batch`, the form the Picard
-    loop calls, runs ``compute`` slice by slice.
+    ``method`` names the kernel that forms them: ``"vectorized"``
+    (:func:`boundary_flux_vectorized`, the BLAS contractions) or
+    ``"reference"`` (:func:`boundary_flux_reference`, the loop-for-loop
+    translation).  Each slice's current rows are laid into a full
+    ``(nw, nh)`` field, zero elsewhere, the kernel sums the whole table
+    against it, and the ring is gathered in
+    :func:`~repro.efit.grid.edge_node_indices` order, so a batch is a
+    loop over its slices.  It aliases the Green table and stores nothing
+    of its own.
     """
 
-    grid: RZGrid
-    tables: BoundaryGreensTables
-    solver: GSInteriorSolver
+    def __init__(self, tables: BoundaryGreensTables, method: str = "vectorized") -> None:
+        if method not in _TABLE_SUM_KERNELS:
+            raise OperatorError(
+                f"unknown table-sum kernel {method!r}; choose one of {tuple(_TABLE_SUM_KERNELS)}"
+            )
+        super().__init__(tables.grid)
+        self.tables = tables
+        self.method = method
+        self._ring = edge_node_indices(self.grid.nw, self.grid.nh)
 
-    def __post_init__(self) -> None:
-        if self.tables.grid.shape != self.grid.shape:
-            raise GridError("Green tables built for a different grid")
-        if self.solver.grid.shape != self.grid.shape:
-            raise GridError("solver built for a different grid")
+    @property
+    def nbytes(self) -> int:
+        return 0
 
-    def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def error_bound(self, x_norm: float = 1.0) -> float:
+        scale = float(np.abs(self.tables.gpc).max()) * np.sqrt(self.n_grid)
+        return 64.0 * float(np.finfo(np.float64).eps) * scale * x_norm
 
-    def compute(self, pcurr: np.ndarray, psi_external: np.ndarray | None = None) -> np.ndarray:
-        """Full flux from node currents ``pcurr`` [(nw, nh), amperes].
-
-        ``psi_external`` is the vacuum flux of the PF coils (added by
-        superposition).  Returns the total ``(nw, nh)`` flux.
-        """
-        grid = self.grid
-        pcurr = np.asarray(pcurr, dtype=float)
-        if pcurr.shape != grid.shape:
-            raise GridError(f"pcurr shape {pcurr.shape} != grid {grid.shape}")
-        # The paper's kernels compute -sum(G * pcurr); feeding -pcurr gives
-        # the physically signed +sum(G * pcurr).
-        psi_edge = self._boundary_flux(-pcurr)
-        rhs = -(MU0 / grid.cell_area) * grid.rr * pcurr
-        psi_plasma = self.solver.solve(rhs, psi_edge)
-        if psi_external is None:
-            return psi_plasma
-        psi_external = np.asarray(psi_external, dtype=float)
-        if psi_external.shape != grid.shape:
-            raise GridError("psi_external shape mismatch")
-        return psi_plasma + psi_external
-
-    def compute_batch(self, pcurr: np.ndarray, psi_external: np.ndarray) -> np.ndarray:
-        """The fluxes of a batch of slices: ``pcurr`` and ``psi_external``
-        are the ``(B, nw, nh)`` stacks of their node currents and external
-        fluxes; returns the fresh ``(B, nw, nh)`` stack of :meth:`compute`
-        on each pair."""
-        return np.stack([self.compute(*pair) for pair in zip(pcurr, psi_external)])
+    def _apply_rows(self, rows: np.ndarray, i0: int, out: np.ndarray) -> None:
+        kernel = _TABLE_SUM_KERNELS[self.method]
+        field = np.zeros(self.grid.shape)
+        for b, block in enumerate(rows):
+            field[i0 : i0 + len(block)] = block
+            # The kernels keep the paper's -sum(G * pcurr) sign.
+            out[:, b] = kernel(self.tables, -field)[self._ring]
 
 
-class PfluxReference(PfluxBase):
-    """``pflux_`` with the pure-loop boundary kernel (the slow baseline)."""
-
-    def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
-        flat = boundary_flux_reference(
-            self.tables.fortran_view(),
-            self.grid.flatten(pcurr),
-            self.grid.nw,
-            self.grid.nh,
-        )
-        return self.grid.unflatten(flat)
+def _reference_field(tables: BoundaryGreensTables, pcurr: np.ndarray) -> np.ndarray:
+    """:func:`boundary_flux_reference` on a ``(nw, nh)`` field."""
+    grid = tables.grid
+    flat = boundary_flux_reference(tables.fortran_view(), grid.flatten(pcurr), grid.nw, grid.nh)
+    return grid.unflatten(flat)
 
 
-class PfluxVectorized(PfluxBase):
-    """``pflux_`` with the BLAS boundary kernels (the optimized path)."""
-
-    def _boundary_flux(self, pcurr: np.ndarray) -> np.ndarray:
-        return boundary_flux_vectorized(self.tables, pcurr)
+_TABLE_SUM_KERNELS = {"vectorized": boundary_flux_vectorized, "reference": _reference_field}
 
 
-class PfluxStructured(PfluxBase):
-    """``pflux_`` through an :class:`~repro.efit.operators.EdgeOperator`.
+class PfluxStructured:
+    """``pflux_``: the boundary Green sums through an
+    :class:`~repro.efit.operators.EdgeOperator`, the interior right-hand
+    side ``-mu0 R J_phi`` and the Dirichlet solve, plus the external
+    (coil) flux by superposition.
 
-    The boundary sums are one operator apply — the exact dense GEMM or
-    the FFT/Toeplitz and low-rank compressed forms that beat it on large
-    grids (see :mod:`repro.efit.operators.edge`) — which reads only the
-    grid rows the plasma's current occupies.  :meth:`compute_batch` is
-    the one body: one operator apply and one multi-RHS interior solve for
-    a stack of slices; :meth:`compute` is its batch of one.
+    The boundary sums are one operator apply — the FFT/Toeplitz and
+    low-rank compressed forms every fit applies, the exact dense matrix,
+    or the paper's table sums (:class:`TableSumEdgeOperator`) — which
+    reads only the grid rows the plasma's current occupies.
+    :meth:`compute_batch` is the one body: one operator apply and one
+    multi-RHS interior solve for a stack of slices; :meth:`compute` is its
+    batch of one.
 
     The step owns its batch-level arrays: views of one buffer of its
     :attr:`workspace`, sized for the widest batch the step has served
@@ -265,12 +249,18 @@ class PfluxStructured(PfluxBase):
     """
 
     def __init__(self, grid, tables, solver, operator) -> None:
-        super().__init__(grid, tables, solver)
+        if tables.grid.shape != grid.shape:
+            raise GridError("Green tables built for a different grid")
+        if solver.grid.shape != grid.shape:
+            raise GridError("solver built for a different grid")
         if operator.grid.shape != grid.shape:
             raise GridError("edge operator built for a different grid")
+        self.grid = grid
+        self.tables = tables
+        self.solver = solver
         self.operator = operator
         #: ``rhs = rhs_factor * pcurr`` on the interior, associated as
-        #: :class:`PfluxBase` does, Z index first as the solver takes it.
+        #: ``-(mu0 / dA) * R * pcurr`` is, Z index first as the solver takes it.
         self._rhs_factor = (-(MU0 / grid.cell_area) * grid.rr)[1:-1, 1:-1].T.copy()
         #: The flux step's buffers; its counters are the engines' allocation check.
         self.workspace = FitWorkspace()
@@ -332,3 +322,10 @@ class PfluxStructured(PfluxBase):
         return self.solver._solve_edges(
             rhs_t, vertical, horizontal, np.empty((nb,) + grid.shape), psi_external
         )
+
+
+class PfluxVectorized(PfluxStructured):
+    """The flux step on the paper's BLAS table sums."""
+
+    def __init__(self, grid: RZGrid, tables: BoundaryGreensTables, solver: GSInteriorSolver):
+        super().__init__(grid, tables, solver, TableSumEdgeOperator(tables))

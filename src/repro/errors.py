@@ -86,8 +86,8 @@ class OperatorStructureError(OperatorError):
     """The Green table violates a structural assumption a compressed
     edge operator relies on (reciprocity or z-translation invariance of
     ``gridpc``); callers must fall back to the dense operator — a
-    ``DenseEdgeOperator`` passed as ``pflux_impl=`` / ``edge_operator=``,
-    or ``--boundary-method dense``."""
+    ``DenseEdgeOperator`` instance passed to ``EfitSolver(pflux_impl=)``
+    or ``BatchFitEngine(edge_operator=)``."""
 
 
 class DirectiveError(ReproError):

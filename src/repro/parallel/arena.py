@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.efit.grid import RZGrid
-from repro.efit.operators import EdgeOperator, edge_operator_from_arrays
+from repro.efit.operators import EdgeOperator, edge_operator_from_arrays, require_staged
 from repro.efit.tables import BoundaryGreensTables, cached_boundary_tables
 from repro.errors import ArenaError
 
@@ -118,15 +118,16 @@ class TableArena:
         """Write the (cached) boundary tables of ``op``'s grid and ``op``
         itself to a new directory and map them.
 
-        Whatever the operator's representation, its
-        :meth:`~repro.efit.operators.EdgeOperator.to_arrays` arrays are
+        ``op`` is one of the :data:`~repro.efit.operators.EDGE_METHODS`
+        (anything else is an :class:`~repro.errors.OperatorError`, raised
+        before the directory is made); its ``to_arrays()`` arrays are
         stored under ``op_*`` names and its method in the spec.  A
         ``toeplitz`` arena (the fleet's default) is the Green table plus
         ``op_vert_spectra`` and ``op_meta_i8`` — 71 kB beside the 2.2 MB
-        table at 65x65; a ``dense`` one adds the 8.7 MB ``op_matrix``
-        there and 541 MB at 257x257 (the pages are shared either way, but
-        the build, the copy and the cache pressure all grow with it).
+        table at 65x65; a ``lowrank`` one adds its spectra, near-field
+        block and factor buckets.
         """
+        require_staged(op.method)
         grid = op.grid
         arrays = {"gpc": cached_boundary_tables(grid).gpc}
         for name, arr in op.to_arrays().items():
@@ -174,7 +175,7 @@ class TableArena:
         return BoundaryGreensTables(grid=self.spec.grid(), gpc=self.array("gpc"))
 
     def edge_op(self) -> EdgeOperator:
-        """The arena's edge operator, whatever its representation."""
+        """The arena's edge operator, rebuilt over the mapped arrays."""
         arrays = {
             name[3:]: arr
             for name, arr in self._arrays.items()

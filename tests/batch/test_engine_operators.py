@@ -18,6 +18,11 @@ def _cached(shot, method):
     return cached_edge_operator(cached_boundary_tables(shot.grid), method)
 
 
+def _dense(shot):
+    """The dense ground truth: built, never cached."""
+    return build_edge_operator(cached_boundary_tables(shot.grid), "dense")
+
+
 @pytest.fixture(scope="module")
 def slices4(shot33):
     return synthetic_slice_sequence(shot33, 4, seed=11)
@@ -27,7 +32,7 @@ def slices4(shot33):
 def dense_batch(shot33, slices4):
     engine = BatchFitEngine(
         shot33.machine, shot33.diagnostics, shot33.grid, batch_size=2,
-        edge_operator=_cached(shot33, "dense"),
+        edge_operator=_dense(shot33),
     )
     return engine.fit_many(slices4)
 

@@ -11,7 +11,7 @@ from repro.core.offload import (
     pflux_device_arrays,
 )
 from repro.efit.fitting import EfitSolver
-from repro.efit.pflux import PfluxVectorized
+from repro.efit.pflux import PfluxStructured, PfluxVectorized
 from repro.efit.solvers import make_solver
 from repro.efit.tables import cached_boundary_tables
 from repro.machines.site import frontier, perlmutter, sunspot
@@ -87,18 +87,19 @@ class TestOffloadedPfluxNumerics:
     def test_bitwise_match_with_cpu_path(self, pieces, rng):
         g, tables, solver = pieces
         cpu = PfluxVectorized(g, tables, solver)
-        gpu = OffloadedPflux(g, tables, solver, build_for(perlmutter()))
+        gpu = PfluxStructured(g, tables, solver, OffloadedPflux(tables, build_for(perlmutter())))
         pcurr = rng.normal(size=g.shape) * 1e3
         ext = rng.normal(size=g.shape)
         assert np.array_equal(cpu.compute(pcurr, ext), gpu.compute(pcurr, ext))
 
     def test_virtual_time_accumulates(self, pieces, rng):
         g, tables, solver = pieces
-        gpu = OffloadedPflux(g, tables, solver, build_for(frontier()))
+        gpu = OffloadedPflux(tables, build_for(frontier()))
+        step = PfluxStructured(g, tables, solver, gpu)
         pcurr = rng.normal(size=g.shape)
-        gpu.compute(pcurr)
+        step.compute(pcurr)
         t1 = gpu.modeled_seconds
-        gpu.compute(pcurr)
+        step.compute(pcurr)
         assert gpu.modeled_seconds > t1
         assert gpu.last_invocation["__total__"] > 0
 
@@ -107,8 +108,7 @@ class TestOffloadedPfluxNumerics:
         the CPU build — the end-to-end 'same physics on the device' check."""
         g = shot33.grid
         tables = cached_boundary_tables(g)
-        solver = make_solver("dst", g)
-        gpu_pflux = OffloadedPflux(g, tables, solver, build_for(perlmutter()))
+        gpu_pflux = OffloadedPflux(tables, build_for(perlmutter()))
         cpu_fit = EfitSolver(shot33.machine, shot33.diagnostics, g).fit(shot33.measurements)
         gpu_fit = EfitSolver(
             shot33.machine, shot33.diagnostics, g, pflux_impl=gpu_pflux

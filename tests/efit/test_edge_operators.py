@@ -29,7 +29,10 @@ from repro.efit.tables import BoundaryGreensTables, cached_boundary_tables
 from repro.errors import FittingError, OperatorError, OperatorStructureError
 from repro.scenarios import get_scenario, scenario_names
 
-STRUCTURED = tuple(m for m in EDGE_METHODS if m != "dense")
+STRUCTURED = EDGE_METHODS
+#: Every form ``build_edge_operator`` builds: the staged methods and their
+#: dense ground truth.
+FORMS = ("dense",) + EDGE_METHODS
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,30 @@ class TestAccuracy:
         op = build_edge_operator(tables33, "lowrank")
         assert op.error_bound(1.0) >= 0.0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_invalid_tol_is_refused_before_any_svd(self, tables33, monkeypatch, tol):
+        """A NaN or infinite ``tol`` used to build a rank-1-per-offset
+        operator 17 % off dense with a NaN/inf ``error_bound``, and a
+        negative one a negative bound."""
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(OperatorError, match="tol"):
+            build_edge_operator(tables33, "lowrank", tol=tol)
+        with pytest.raises(OperatorError, match="tol"):
+            LowRankEdgeOperator.from_tables(tables33, tol=tol)
+
+    def test_zero_tol_keeps_every_singular_value(self, tables33, dense33):
+        op = build_edge_operator(tables33, "lowrank", tol=0.0)
+        x = _probe(tables33.grid)
+        ref = dense33.apply(x)
+        assert np.max(np.abs(op.apply(x) - ref)) <= op.error_bound(
+            float(np.linalg.norm(x, axis=0).max())
+        )
+        assert 0.0 < op.error_bound(1.0) < np.inf
+
     @pytest.mark.parametrize("method", STRUCTURED)
     def test_batched_apply_and_out(self, tables33, dense33, method):
         op = build_edge_operator(tables33, method)
@@ -127,13 +154,14 @@ def _poisoned(op: EdgeOperator, tables: BoundaryGreensTables, i0: int, i1: int) 
     grid = tables.grid
     outside = np.ones(grid.nw, dtype=bool)
     outside[i0:i1] = False
+    if op.method == "dense":
+        matrix = op.matrix.copy()
+        matrix.reshape(op.n_edge, grid.nw, grid.nh)[:, outside] = np.nan
+        return DenseEdgeOperator(grid, matrix)
     arrays = {k: v.copy() for k, v in op.to_arrays().items()}
     gpc = tables.gpc.copy()
     gpc[outside] = np.nan
-    if op.method == "dense":
-        arrays["matrix"].reshape(op.n_edge, grid.nw, grid.nh)[:, outside] = np.nan
-    else:
-        arrays["vert_spectra"][:, :, outside] = np.nan
+    arrays["vert_spectra"][:, :, outside] = np.nan
     if op.method == "lowrank":
         n_dense = arrays["dense_idx"].size
         arrays["dense_block"].reshape(grid.nw - 2, n_dense, grid.nw)[:, :, outside] = np.nan
@@ -150,7 +178,7 @@ class TestSupportRestrictedApply:
 
     @pytest.mark.parametrize("nb", [1, 2, 8])
     @pytest.mark.parametrize("case", SUPPORTS)
-    @pytest.mark.parametrize("method", EDGE_METHODS)
+    @pytest.mark.parametrize("method", FORMS)
     def test_matches_the_dense_full_grid_product(self, method, case, nb):
         for shape in [(33, 33), (21, 29)]:
             grid = RZGrid(*shape)
@@ -163,7 +191,7 @@ class TestSupportRestrictedApply:
             bound = op.error_bound(float(np.linalg.norm(x, axis=0).max()))
             assert np.abs(got - want).max() <= bound, (shape, method, case, nb)
 
-    @pytest.mark.parametrize("method", EDGE_METHODS)
+    @pytest.mark.parametrize("method", FORMS)
     def test_reads_nothing_outside_the_support(self, tables33, method):
         """Poison every stored value under the rows outside the support:
         the apply must not see it, bit for bit."""
@@ -177,7 +205,7 @@ class TestSupportRestrictedApply:
         assert np.isnan(poisoned.apply(wider)).any()
 
     def test_an_all_zero_input_is_zero_flux(self, tables33):
-        for method in EDGE_METHODS:
+        for method in FORMS:
             op = build_edge_operator(tables33, method)
             out = np.full((op.n_edge, 2), np.nan)
             assert op.apply(np.zeros((op.n_grid, 2)), out=out) is out
@@ -198,7 +226,7 @@ class TestSupportRestrictedApply:
         tables = cached_boundary_tables(shot.grid)
         full = edge_flux_operator(tables)
         want = full @ x
-        for method in EDGE_METHODS:
+        for method in FORMS:
             op = build_edge_operator(tables, method)
             bound = op.error_bound(float(np.linalg.norm(x, axis=0).max()))
             assert np.abs(op.apply(x) - want).max() <= bound, method
@@ -213,9 +241,7 @@ class TestDenseDefault:
         np.testing.assert_array_equal(dense33.apply(x), legacy)
 
     def test_from_tables_matrix_identical(self, tables33, dense33):
-        np.testing.assert_array_equal(
-            dense33.to_arrays()["matrix"], edge_flux_operator(tables33)
-        )
+        np.testing.assert_array_equal(dense33.matrix, edge_flux_operator(tables33))
 
     def test_rejects_wrong_shapes(self, tables33, dense33):
         from repro.errors import GridError
@@ -231,13 +257,17 @@ class TestDenseDefault:
 # -- structure pinning -------------------------------------------------------------
 def _names_a_dense_fallback_that_exists(message: str) -> None:
     """The fallback a structure error names is one a caller can take: a
-    ``DenseEdgeOperator`` instance or the CLI flag, not a removed kwarg."""
+    ``DenseEdgeOperator`` instance handed to a solver or a batch engine —
+    not a removed kwarg, and not the CLI's ``--boundary-method dense`` or
+    the fleet, which run on the staged methods only."""
     from repro.cli import build_parser
 
     assert "DenseEdgeOperator" in message and "pflux_impl=" in message
-    assert "edge_operator=" in message and "--boundary-method dense" in message
+    assert "edge_operator=" in message and "BatchFitEngine" in message
+    assert "ParallelFitEngine" not in message and "--boundary-method" not in message
     assert "boundary_method" not in message
-    build_parser().parse_args(["fit", "--boundary-method", "dense"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fit", "--boundary-method", "dense"])
 
 
 class TestStructurePin:
@@ -299,7 +329,7 @@ class TestStructurePin:
         with pytest.raises(OperatorError, match=survivors):
             build_edge_operator(tables33, removed)
         arrays = build_edge_operator(tables33, removed.split("-")[0]).to_arrays()
-        with pytest.raises(OperatorError, match=survivors):
+        with pytest.raises(OperatorError, match="toeplitz.*lowrank"):
             edge_operator_from_arrays(
                 tables33.grid, removed, arrays, gpc=tables33.gpc
             )
@@ -340,8 +370,8 @@ class TestSerialization:
 # -- content identity + process cache ----------------------------------------------
 class TestContentIdentity:
     def test_variant_tags_distinct_across_methods(self, tables33):
-        tags = {build_edge_operator(tables33, m).variant_tag for m in EDGE_METHODS}
-        assert len(tags) == len(EDGE_METHODS)
+        tags = {build_edge_operator(tables33, m).variant_tag for m in FORMS}
+        assert len(tags) == len(FORMS)
         op = build_edge_operator(tables33, "lowrank")
         assert "lowrank" in op.variant_tag and f"r{op.total_rank}" in op.variant_tag
 
@@ -424,7 +454,9 @@ class TestSolverIntegration:
 
     @staticmethod
     def _solver(shot, method):
-        op = cached_edge_operator(cached_boundary_tables(shot.grid), method)
+        tables = cached_boundary_tables(shot.grid)
+        build = build_edge_operator if method == "dense" else cached_edge_operator
+        op = build(tables, method)
         return EfitSolver(shot.machine, shot.diagnostics, shot.grid, pflux_impl=op)
 
     @pytest.fixture(scope="class")
@@ -479,9 +511,11 @@ class TestDiskCache:
         x = _probe(grid)
         np.testing.assert_array_equal(clone.apply(x), op.apply(x))
 
-        # dense is never persisted; damaged entries fall back to None
-        dense = build_edge_operator(tables33, "dense")
-        assert not diskcache.store_edge_operator(dense, 1e-12)
+        # dense never reaches the disk: the cache refuses it before any
+        # build; damaged entries fall back to None
+        with pytest.raises(OperatorError, match="toeplitz and lowrank"):
+            cached_edge_operator(tables33, "dense")
+        assert not diskcache.operator_path(grid, "dense", 1e-12).exists()
         path = diskcache.operator_path(grid, "lowrank", 1e-12)
         path.write_bytes(b"not a zipfile")
         assert diskcache.load_edge_operator(tables33, "lowrank", 1e-12) is None
@@ -499,9 +533,9 @@ class TestDiskCache:
 # -- the protocol itself -----------------------------------------------------------
 class TestProtocol:
     def test_methods_registry(self):
-        assert EDGE_METHODS == ("dense", "toeplitz", "lowrank")
+        assert EDGE_METHODS == ("toeplitz", "lowrank")
 
-    @pytest.mark.parametrize("method", EDGE_METHODS)
+    @pytest.mark.parametrize("method", FORMS)
     def test_common_surface(self, tables33, method):
         op = build_edge_operator(tables33, method)
         assert isinstance(op, EdgeOperator)
@@ -510,7 +544,10 @@ class TestProtocol:
         assert op.n_edge == 2 * grid.nw + 2 * grid.nh - 4
         assert op.n_grid == grid.size
         assert op.nbytes >= 0
-        assert isinstance(op.to_arrays(), dict)
+        # Only the staged methods have a flat named-array form.
+        assert hasattr(op, "to_arrays") == (method in EDGE_METHODS)
+        if method in EDGE_METHODS:
+            assert isinstance(op.to_arrays(), dict)
 
     def test_dense_wrapper_type(self, dense33):
         assert isinstance(dense33, DenseEdgeOperator)

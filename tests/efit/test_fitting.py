@@ -170,6 +170,10 @@ class TestConfiguration:
             EfitSolver(tol=-1.0, **kw)
         with pytest.raises(FittingError):
             EfitSolver(pflux_impl="cuda", **kw)
+        # A flux step is not an operator: the solver builds its own.
+        step = EfitSolver(**kw).pflux
+        with pytest.raises(FittingError, match="EdgeOperator"):
+            EfitSolver(pflux_impl=step, **kw)
 
     @pytest.mark.parametrize("bad", [{"ridge": -1.0}, {"max_iters": 0}, {"max_iters": -3}])
     def test_loop_parameters_rejected_at_construction(self, shot33, bad):
@@ -239,8 +243,7 @@ class TestConfiguration:
         operator produce the same reconstruction (the loops are slow:
         only run on the small grid)."""
         import repro.efit.measurements as m
-        from repro.efit.pflux import PfluxReference, PfluxVectorized
-        from repro.efit.solvers import make_solver
+        from repro.efit.pflux import TableSumEdgeOperator
         from repro.efit.tables import cached_boundary_tables
 
         small = m.synthetic_shot_186610(17, noise=0.0, seed=2)
@@ -251,8 +254,8 @@ class TestConfiguration:
                 small.machine, small.diagnostics, small.grid, max_iters=300, **kw
             ).fit(small.measurements)
 
-        ref = fit(pflux_impl=PfluxReference(small.grid, tables, make_solver("dst", small.grid)))
-        vec = fit(pflux_impl=PfluxVectorized(small.grid, tables, make_solver("dst", small.grid)))
+        ref = fit(pflux_impl=TableSumEdgeOperator(tables, "reference"))
+        vec = fit(pflux_impl=TableSumEdgeOperator(tables))
         default = fit()
         for other in (vec, default):
             assert np.allclose(ref.psi, other.psi, rtol=1e-10, atol=1e-12)

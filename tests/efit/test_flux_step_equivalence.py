@@ -6,11 +6,15 @@ negate the edge sums back, scatter them onto a full-grid boundary field
 and solve the interior on a ``(B, ni, nj)`` block transposed into mode
 order and back; ``RZGrid.shift_z`` gathered from a stride-trick window
 over a zero-padded copy; and the stacked least squares went through
-numpy's ``norm``, ``qr`` and ``solve``.  Those bodies are kept here as
-oracles, and the kernels that replaced them must reproduce them bit for
-bit — on the currents, shifts and systems real fits hand them (serial,
-batch-of-eight and warm-chained, every scenario), at widths 1, 3 and 8,
-and on the corner cases Hypothesis draws.
+numpy's ``norm``, ``qr`` and ``solve``.  The paper's table sums had a
+flux step of their own, a per-slice template (the kernel's full-grid
+boundary field, a full-grid right-hand side, the solver's one-slice
+``solve``), which made every synthetic shot's truth.  Those bodies are
+kept here as oracles, and the kernels that replaced them must reproduce
+them bit for bit — on the currents, shifts and systems real fits hand
+them (serial, batch-of-eight and warm-chained, every scenario), at
+widths 1, 3 and 8, on the corner cases Hypothesis draws, and on the
+truth shots themselves.
 
 The least-squares oracle runs in another library: numpy's ``qr`` and
 ``solve`` against scipy's ``dgeqrf`` and ``dtrtrs``, each from the
@@ -36,8 +40,14 @@ import repro.efit.fitting as fitting
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.fitting import EfitSolver
 from repro.efit.grid import RZGrid
-from repro.efit.operators import cached_edge_operator
-from repro.efit.pflux import PfluxStructured
+from repro.efit.operators import build_edge_operator, cached_edge_operator
+from repro.efit.pflux import (
+    PfluxStructured,
+    PfluxVectorized,
+    TableSumEdgeOperator,
+    boundary_flux_reference,
+    boundary_flux_vectorized,
+)
 from repro.efit.response import solve_lsq_stack
 from repro.efit.solvers import DSTSolver
 from repro.efit.tables import cached_boundary_tables
@@ -178,6 +188,53 @@ def _ref_compute_batch(step, pcurr, psi_external):
     return np.add(psi, psi_external)
 
 
+# -- the oracle: the per-slice flux step on the paper's table sums ------------------------
+def _ref_reference_field(tables, pcurr):
+    grid = tables.grid
+    flat = boundary_flux_reference(tables.fortran_view(), grid.flatten(pcurr), grid.nw, grid.nh)
+    return grid.unflatten(flat)
+
+
+_REF_KERNELS = {"vectorized": boundary_flux_vectorized, "reference": _ref_reference_field}
+
+
+def _ref_pflux_compute(grid, tables, solver, kernel, pcurr, psi_external=None):
+    """The flux step's per-slice template before the table sums became an
+    edge operator: the kernel's full-grid boundary field of ``-pcurr``
+    (the kernels keep the paper's ``-sum(G * pcurr)`` sign), the
+    full-grid right-hand side and the solver's one-slice ``solve``, plus
+    the external flux."""
+    pcurr = np.asarray(pcurr, dtype=float)
+    psi_edge = _REF_KERNELS[kernel](tables, -pcurr)
+    rhs = -(MU0 / grid.cell_area) * grid.rr * pcurr
+    psi_plasma = solver.solve(rhs, psi_edge)
+    if psi_external is None:
+        return psi_plasma
+    return psi_plasma + np.asarray(psi_external, dtype=float)
+
+
+class _RefPfluxVectorized:
+    """``PfluxVectorized`` as the truth generators built it: the template
+    on the BLAS table sums."""
+
+    #: Steps computed, so a generator that stops building it is noticed.
+    calls = 0
+
+    def __init__(self, grid, tables, solver):
+        self.grid, self.tables, self.solver = grid, tables, solver
+
+    def compute(self, pcurr, psi_external=None):
+        _RefPfluxVectorized.calls += 1
+        return _ref_pflux_compute(
+            self.grid, self.tables, self.solver, "vectorized", pcurr, psi_external
+        )
+
+
+def _truth_and_coil_flux(shot):
+    truth = shot.truth
+    return truth.pcurr, shot.machine.psi_from_coils(shot.grid, truth.coil_currents)
+
+
 # -- the oracle: the stride-trick vertical shift -------------------------------------------
 def _ref_shift_z(grid, field, delz):
     field = np.asarray(field)
@@ -278,13 +335,13 @@ _STEPS: dict = {}
 
 
 def _step(grid: RZGrid, method: str) -> PfluxStructured:
-    """A flux step on ``grid`` applying the cached ``method`` operator."""
+    """A flux step on ``grid`` applying the cached ``method`` operator (the
+    dense ground truth, which is never cached, built here once)."""
     key = (grid, method)
     if key not in _STEPS:
         tables = cached_boundary_tables(grid)
-        _STEPS[key] = PfluxStructured(
-            grid, tables, DSTSolver(grid), cached_edge_operator(tables, method)
-        )
+        build = build_edge_operator if method == "dense" else cached_edge_operator
+        _STEPS[key] = PfluxStructured(grid, tables, DSTSolver(grid), build(tables, method))
     return _STEPS[key]
 
 
@@ -376,6 +433,74 @@ def test_flux_step_with_currents_on_an_edge_interior_row(method, width, row):
     _assert_same_bits(
         step.compute(pcurr[0], external[0]), _ref_compute_batch(step, pcurr[:1], external[:1])[0]
     )
+
+
+# -- the table sums behind the one flux step -------------------------------------------
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("name", scenario_names())
+def test_table_sum_step_matches_the_per_slice_template(name, n):
+    """The one step on the BLAS table sums (``PfluxVectorized``) is the
+    template's bytes on the scenario's truth currents, with and without
+    the coil flux."""
+    shot = get_scenario(name).make_shot(n)
+    grid = shot.grid
+    tables = cached_boundary_tables(grid)
+    pcurr, external = _truth_and_coil_flux(shot)
+    step = PfluxVectorized(grid, tables, DSTSolver(grid))
+    for ext in (external, None):
+        want = _ref_pflux_compute(grid, tables, step.solver, "vectorized", pcurr, ext)
+        _assert_same_bits(step.compute(pcurr, ext), want)
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_reference_step_matches_the_per_slice_template(n):
+    """The loop-for-loop kernel behind the one step, on g186610's truth
+    currents and on random currents over the whole grid."""
+    shot = get_scenario("g186610").make_shot(n)
+    grid = shot.grid
+    tables = cached_boundary_tables(grid)
+    solver = DSTSolver(grid)
+    step = PfluxStructured(grid, tables, solver, TableSumEdgeOperator(tables, "reference"))
+    pcurr, external = _truth_and_coil_flux(shot)
+    noise = np.random.default_rng(n).normal(size=grid.shape) * 1e3
+    for currents in (pcurr, noise):
+        for ext in (external, None):
+            want = _ref_pflux_compute(grid, tables, solver, "reference", currents, ext)
+            _assert_same_bits(step.compute(currents, ext), want)
+
+
+def _uncached_shot(sc, n, monkeypatch):
+    """``sc.make_shot(n)`` built afresh, past every shot cache, with
+    ``monkeypatch``'s replacements in force."""
+    import repro.efit.measurements as measurements
+    import repro.scenarios.shots as shots
+
+    for module in (measurements, shots):
+        for attr, value in list(vars(module).items()):
+            if hasattr(value, "cache_clear"):
+                monkeypatch.setattr(module, attr, value.__wrapped__)
+    return sc.make_shot(n)
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("name", scenario_names())
+def test_truth_shots_match_the_template_generators(name, n):
+    """Each synthetic shot's truth flux, truth currents and measurement
+    values are the bytes the generators made on the per-slice template."""
+    import repro.efit.forward as forward
+    import repro.efit.pflux as pflux
+
+    sc = get_scenario(name)
+    shot = sc.make_shot(n)
+    calls = _RefPfluxVectorized.calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forward, "PfluxVectorized", _RefPfluxVectorized)
+        mp.setattr(pflux, "PfluxVectorized", _RefPfluxVectorized)
+        want = _uncached_shot(sc, n, mp)
+    assert want is not shot and _RefPfluxVectorized.calls > calls
+    _assert_same_bits(shot.truth.psi, want.truth.psi)
+    _assert_same_bits(shot.truth.pcurr, want.truth.pcurr)
+    _assert_same_bits(shot.measurements.values, want.measurements.values)
 
 
 @pytest.mark.parametrize("name", scenario_names())

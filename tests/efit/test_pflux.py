@@ -6,8 +6,9 @@ import pytest
 from repro.efit.greens import greens_psi
 from repro.efit.grid import RZGrid
 from repro.efit.pflux import (
-    PfluxReference,
+    PfluxStructured,
     PfluxVectorized,
+    TableSumEdgeOperator,
     boundary_flux_reference,
     boundary_flux_vectorized,
 )
@@ -89,7 +90,9 @@ class TestFullPflux:
         g, tables = small
         pcurr = rng.normal(size=g.shape) * 1e3
         solver = make_solver("direct", g)
-        ref = PfluxReference(g, tables, solver).compute(pcurr)
+        ref = PfluxStructured(
+            g, tables, solver, TableSumEdgeOperator(tables, "reference")
+        ).compute(pcurr)
         vec = PfluxVectorized(g, tables, solver).compute(pcurr)
         assert np.allclose(ref, vec, rtol=1e-12)
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.efit.grid import RZGrid
 from repro.efit.operators import cached_edge_operator
-from repro.efit.pflux import edge_flux_operator
 from repro.efit.tables import (
     BoundaryTableCache,
     build_boundary_tables,
@@ -35,10 +34,15 @@ def grid():
 
 @pytest.fixture(scope="module")
 def arena(grid):
-    # The tests below read ``.matrix``: the oracle's layout, by name.
-    arena = TableArena.build(_op(grid, "dense"))
+    # The staged layout with the most arrays of its own.
+    arena = TableArena.build(_op(grid, "lowrank"))
     yield arena
     arena.unlink()
+
+
+def _spectra(arena):
+    """The vertical-edge spectra the arena's operator applies: a view."""
+    return arena.edge_op().to_arrays()["vert_spectra"]
 
 
 class TestTableArena:
@@ -47,20 +51,23 @@ class TestTableArena:
         np.testing.assert_array_equal(arena.tables().gpc, direct.gpc)
 
     def test_edge_operator_matches(self, grid, arena):
-        expected = edge_flux_operator(cached_boundary_tables(grid))
-        np.testing.assert_array_equal(arena.edge_op().matrix, expected)
+        expected = _op(grid, "lowrank").to_arrays()
+        held = arena.edge_op().to_arrays()
+        assert held.keys() == expected.keys()
+        for name, arr in expected.items():
+            np.testing.assert_array_equal(held[name], arr)
 
     def test_views_are_read_only(self, arena):
         with pytest.raises(ValueError):
             arena.tables().gpc[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            arena.edge_op().matrix[0, 0] = 1.0
+            _spectra(arena)[0, 0, 0] = 1.0
 
     def test_views_are_plain_read_only_arrays(self, arena):
         """Not ``np.memmap``: nothing downstream sees a subclass."""
         for view in (
             arena.tables().gpc,
-            arena.edge_op().matrix,
+            _spectra(arena),
             attach_arena(arena.spec).tables().gpc,
         ):
             assert type(view) is np.ndarray
@@ -70,15 +77,16 @@ class TestTableArena:
     def test_spec_reconstructs_grid(self, grid, arena):
         assert arena.spec.grid() == grid
 
-    def test_spec_unknown_segment(self, arena):
-        assert arena.spec.names == ("gpc", "op_matrix")
+    def test_spec_unknown_segment(self, grid, arena):
+        op_names = tuple(f"op_{name}" for name in _op(grid, "lowrank").to_arrays())
+        assert arena.spec.names == ("gpc",) + op_names
         with pytest.raises(ArenaError, match="no array 'nope'"):
             arena.array("nope")
 
     def test_nbytes_covers_both_segments(self, grid, arena):
         tables = cached_boundary_tables(grid)
-        edge_op = edge_flux_operator(tables)
-        assert arena.nbytes == tables.gpc.nbytes + edge_op.nbytes
+        op_arrays = _op(grid, "lowrank").to_arrays().values()
+        assert arena.nbytes == tables.gpc.nbytes + sum(arr.nbytes for arr in op_arrays)
 
     def test_unlink_is_idempotent(self, grid):
         arena = TableArena.build(_op(grid))
@@ -92,9 +100,7 @@ class TestAttach:
         np.testing.assert_array_equal(
             attached.tables().gpc, cached_boundary_tables(grid).gpc
         )
-        np.testing.assert_array_equal(
-            attached.edge_op().matrix, arena.edge_op().matrix
-        )
+        np.testing.assert_array_equal(_spectra(attached), _spectra(arena))
 
     def test_attach_after_unlink_raises(self, grid):
         arena = TableArena.build(_op(grid))

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.compilers.flags import parse_flags
 from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
 from repro.efit.grid import RZGrid
-from repro.efit.operators import build_edge_operator, cached_edge_operator
-from repro.efit.tables import cached_boundary_tables
+from repro.efit.operators import DenseEdgeOperator, build_edge_operator, cached_edge_operator
+from repro.efit.pflux import TableSumEdgeOperator
+from repro.efit.tables import boundary_table_cache, cached_boundary_tables
+from repro.errors import OperatorError
 from repro.parallel import TableArena, attach_arena
 
 
@@ -25,7 +29,25 @@ def tables(grid):
     return cached_boundary_tables(grid)
 
 
-STRUCTURED = tuple(m for m in EDGE_METHODS if m != "dense")
+STRUCTURED = EDGE_METHODS
+
+
+def _offload(tables):
+    from repro.core.offload import OffloadedPflux
+    from repro.machines.site import perlmutter
+
+    site = perlmutter()
+    build = site.compiler.configure(parse_flags(site.flags("openmp")), site.env, site.gpu)
+    return OffloadedPflux(tables, build)
+
+
+#: Edge operators a fleet cannot stage, built from a grid's tables.
+UNSTAGED = {
+    "dense": lambda tables: build_edge_operator(tables, "dense"),
+    "table-sums": TableSumEdgeOperator,
+    "reference": lambda tables: TableSumEdgeOperator(tables, "reference"),
+    "offload": _offload,
+}
 
 
 class TestStructuredArena:
@@ -44,18 +66,39 @@ class TestStructuredArena:
         finally:
             arena.unlink()
 
-    def test_dense_arena_uses_op_segments(self, grid, tables):
-        """Dense has no layout of its own: its ``to_arrays()`` lands in
-        ``op_*`` arrays and ``edge_op()`` is the one way to read it."""
-        arena = TableArena.build(cached_edge_operator(tables, "dense"))
-        try:
-            assert arena.spec.method == "dense"
-            assert arena.spec.names == ("gpc", "op_matrix")
-            dense = build_edge_operator(tables, "dense")
-            np.testing.assert_array_equal(arena.edge_op().matrix, dense.matrix)
-            assert not hasattr(arena, "edge_operator")
-        finally:
-            arena.unlink()
+    @pytest.mark.parametrize("form", list(UNSTAGED))
+    def test_fleet_refuses_unstaged(self, tables, form, tmp_path, monkeypatch):
+        """Only the two staged methods have an arena layout: the dense
+        ground truth, the paper's table sums and the offload model are an
+        ``OperatorError`` naming them, before any arena directory exists."""
+        from repro.efit.measurements import synthetic_shot_186610
+        from repro.parallel import ParallelFitEngine, SchedulerConfig
+
+        made, mkdtemp = [], tempfile.mkdtemp
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(
+            tempfile, "mkdtemp", lambda *a, **kw: made.append(kw) or mkdtemp(*a, **kw)
+        )
+        shot = synthetic_shot_186610(33)
+        op = UNSTAGED[form](cached_boundary_tables(shot.grid))
+        with pytest.raises(OperatorError, match="toeplitz and lowrank"):
+            ParallelFitEngine(
+                shot.machine,
+                shot.diagnostics,
+                shot.grid,
+                edge_operator=op,
+                config=SchedulerConfig(workers=1, transport="inline"),
+            )
+        with pytest.raises(OperatorError, match="toeplitz and lowrank"):
+            TableArena.build(UNSTAGED[form](tables))
+        assert made == [] and not list(tmp_path.glob("repro_arena_*"))
+
+    def test_the_cache_refuses_dense(self, tables):
+        """The dense ground truth is built, never cached (nor persisted)."""
+        with pytest.raises(OperatorError, match="toeplitz and lowrank"):
+            cached_edge_operator(tables, "dense")
+        assert "dense" not in boundary_table_cache().operators(tables.grid)
+        assert isinstance(build_edge_operator(tables, "dense"), DenseEdgeOperator)
 
 
 def _same_bytes_and_apply(held_tables, held_op, tables, method) -> bool:
@@ -129,7 +172,7 @@ class TestFleetBoundaryMethod:
         tables = cached_boundary_tables(shot.grid)
         serial = BatchFitEngine(
             shot.machine, shot.diagnostics, shot.grid, batch_size=2,
-            edge_operator=cached_edge_operator(tables, "dense"),
+            edge_operator=build_edge_operator(tables, "dense"),
         ).fit_many(slices)
         with ParallelFitEngine(
             shot.machine,

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOWS = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
@@ -90,10 +91,10 @@ def test_the_scan_finds_the_lanes():
     commands = {argv[0] for _, argv in INVOCATIONS}
     assert {"analyze", "pfleet", "fit", "serve", "trace", "operators"} <= commands
     assert sum(argv[0] == "fit" for _, argv in INVOCATIONS) == 4
-    # The fleet runs three times: the crash drill on the default operator,
-    # then the dense oracle and the low-rank operator.
+    # The fleet runs twice: the crash drill on the default operator, then
+    # the low-rank operator — one run per staged arena layout.
     fleets = [argv for _, argv in INVOCATIONS if argv[0] == "pfleet"]
-    assert sorted(_named_method(argv) for argv in fleets) == ["default", "dense", "lowrank"]
+    assert sorted(_named_method(argv) for argv in fleets) == ["default", "lowrank"]
     # The serve smoke runs twice: the gate, and the shedding drill.
     serves = [argv for _, argv in INVOCATIONS if argv[0] == "serve"]
     assert sorted("--queue-depth" in argv for argv in serves) == [False, True]
@@ -101,19 +102,19 @@ def test_the_scan_finds_the_lanes():
 
 def test_parallel_stress_lane_sweeps_its_tmpdir_for_arenas():
     """The lane gives itself a TMPDIR and, after the suite and both
-    fleet drills, fails on any ``repro_arena_*`` entry left in it."""
+    fleet runs, fails on any ``repro_arena_*`` entry left in it."""
     commands = _parallel_stress_commands()
     exported = next(i for i, c in enumerate(commands) if c.startswith('echo "TMPDIR='))
     sweep = next(i for i, c in enumerate(commands) if "repro_arena_*" in c)
     ran = [i for i, c in enumerate(commands) if "pytest" in c or "repro pfleet" in c]
-    assert len(ran) == 4 and exported < min(ran) and max(ran) < sweep
+    assert len(ran) == 3 and exported < min(ran) and max(ran) < sweep
 
 
 def test_parallel_stress_lane_stages_every_arena_layout_in_real_processes():
-    """Besides the crash drill's default layout, the lane runs the same
-    short fleet once on the dense oracle and once on the low-rank operator,
-    each against the serial engine and in real worker processes — and the
-    arena sweep stays the lane's last step."""
+    """Every method a fleet can stage runs in real worker processes: the
+    crash drill on the default layout, and a short fleet on the low-rank
+    operator against the serial engine — and the arena sweep stays the
+    lane's last step."""
     commands = _parallel_stress_commands()
     fleets = {}
     for i, command in enumerate(commands):
@@ -122,12 +123,15 @@ def test_parallel_stress_lane_stages_every_arena_layout_in_real_processes():
         if argv[:1] == ["pfleet"] and "--boundary-method" in argv:
             k = argv.index("--boundary-method")
             fleets[argv[k + 1]] = (i, argv[:k] + argv[k + 2 :])
-    assert sorted(fleets) == ["dense", "lowrank"]
-    (_, dense), (_, lowrank) = fleets["dense"], fleets["lowrank"]
-    assert dense == lowrank == shlex.split(
+    assert sorted(fleets) == ["lowrank"]
+    drills = [c for c in commands if "repro pfleet" in c and "--boundary-method" not in c]
+    assert len(drills) == 1
+    assert {DEFAULT_EDGE_METHOD, *fleets} == set(EDGE_METHODS)
+    (_, lowrank) = fleets["lowrank"]
+    assert lowrank == shlex.split(
         "pfleet g186610 --grid 33 --workers 2 --slices 4 --batch 2 --compare-serial"
     )
-    parsed = build_parser().parse_args(dense)
+    parsed = build_parser().parse_args(lowrank)
     assert parsed.workers == 2 and parsed.compare_serial
     sweep = next(i for i, c in enumerate(commands) if "repro_arena_*" in c)
     assert max(i for i, _ in fleets.values()) < sweep

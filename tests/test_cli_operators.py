@@ -68,7 +68,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--boundary-method", "lowrank-fp32"])
         assert exc.value.code == 2
-        assert "'dense', 'toeplitz', 'lowrank'" in capsys.readouterr().err
+        assert "'toeplitz', 'lowrank')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["fit"], ["serve"], ["pfleet", "g186610"]], ids=lambda argv: argv[0]
+    )
+    def test_dense_is_no_engine_method(self, argv, capsys):
+        """The dense matrix is the operators check's ground truth, not a
+        method a command reconstructs on."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--boundary-method", "dense"])
+        assert exc.value.code == 2
+        assert "(choose from 'toeplitz', 'lowrank')" in capsys.readouterr().err
 
     def test_pfleet_boundary_method_flag(self):
         args = build_parser().parse_args(
