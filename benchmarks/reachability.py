@@ -11,20 +11,33 @@ under ``src/repro``.  The entry points:
 * the eight ``examples/*.py`` scripts, run from that scratch directory;
 * the frozen harness's three workloads (``benchmarks/perf``), untraced and
   ``--traced``, each for a few seconds;
-* ``benchmarks/bench_paper_figures.py``, ``bench_paper_tables.py`` and
-  ``bench_ablations.py`` under pytest, their artifacts written to the
-  scratch directory, not ``results/``;
-* a fleet on ``transport="inline"``, whose workers run in the parent, so
-  the worker-side code is recorded too (``repro pfleet``'s real worker
-  processes are not traced).
+* ``benchmarks/bench_paper_figures.py``, ``bench_paper_tables.py``,
+  ``bench_ablations.py`` and ``bench_fit.py`` under pytest, their
+  artifacts written to the scratch directory, not ``results/``;
+* the committed-artifact scripts ``benchmarks/iterate_width_split.py``
+  and ``benchmarks/setup_split.py``, written to the scratch directory;
+* a fleet on ``transport="inline"`` per engine edge method, whose workers
+  run in the parent, so the worker-side code is recorded too (``repro
+  pfleet``'s real worker processes are not traced).
+
+Some entries set environment variables: the on-disk operator cache (run
+twice: the second run loads what the first stored) and the fleet's crash
+injection.
 
 The unit is a function line: every line inside a ``def`` of ``src/repro``,
 a nested ``def``'s lines counted once, for itself.  A function is reached
 when its code ran in any entry point.  The report lists the totals, the
 unreached lines per module and every unreached function.
 
+Every unreached function must have a line in the ledger
+(``benchmarks/reachability_ledger.txt``): ``module:name  category
+reason``, the category one of :data:`CATEGORIES`.  ``--check`` runs the
+census and exits non-zero when an unreached function has no entry, or an
+entry names a reached or missing function or an unknown category.
+
 Run:  python benchmarks/reachability.py [--out results/reachability.txt]
-      (about two minutes; one process at a time)
+      python benchmarks/reachability.py --check [--out FILE]
+      (two to three minutes; one process at a time)
 """
 
 from __future__ import annotations
@@ -43,11 +56,25 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
+LEDGER = REPO / "benchmarks" / "reachability_ledger.txt"
+
+#: Why an unreached function may stay, and what its reason must name.
+CATEGORIES = {
+    "oracle": "the test that compares against it",
+    "branch": "the condition no entry point meets",
+    "protocol": "the abstract method or protocol it implements",
+    "frozen": "the benchmarks/perf caller",
+    "user": "the CLI flag or public reader that reaches it",
+}
 
 #: Seconds each harness workload runs per census entry.
 PERF_SECONDS = "2"
 
-#: (label, kind, argv) per entry point; ``{tmp}`` is the scratch directory.
+#: The on-disk table/operator cache of the entries that use one.
+_DISK_CACHE = {"REPRO_TABLE_CACHE_DIR": "{tmp}/cache"}
+
+#: (label, kind, argv[, env]) per entry point; ``{tmp}`` is the scratch
+#: directory.
 ENTRIES = [
     *(("cli", "cli", argv) for argv in [
         ["version"],
@@ -59,6 +86,7 @@ ENTRIES = [
         ["analyze"],
         ["analyze", "--json", "--strict", "--baseline", str(REPO / "analysis-baseline.json"),
          "--sarif", "{tmp}/a.sarif"],
+        ["analyze", "--write-baseline", "--baseline", "{tmp}/b.json"],
         ["operators", "--grid", "17", "--check"],
         ["operators", "--grid", "17", "--json"],
         ["fit", "--scenario", "g186610", "--grid", "33",
@@ -79,22 +107,33 @@ ENTRIES = [
         ["serve", "--scenario", "g186610", "--grid", "33", "--streams", "1", "--slices", "4",
          "--queue-depth", "1", "--compare-serial"],
     ]),
+    *(("cli", "cli", ["fit", "--scenario", "g186610", "--grid", "33", "--boundary-method",
+                      "lowrank"], _DISK_CACHE) for _ in ("store", "load")),
+    # CI's crash drill at 33^2: two injected worker crashes, each retried
+    # on a respawned worker (the parent-side recovery is what is traced).
+    ("cli", "cli", ["pfleet", "g186610", "--grid", "33", "--workers", "2", "--slices", "4",
+                    "--batch", "2", "--compare-serial"],
+     {"REPRO_PARALLEL_CRASH_RATE": "0.3", "REPRO_PARALLEL_CRASH_SEED": "20260806"}),
     *(("example", "example", [name]) for name in sorted(
         p.name for p in (REPO / "examples").glob("*.py")
     )),
     *(("harness", "perf", ["--workload", w, "--seconds", PERF_SECONDS, "--trace", t])
       for w in ("fit_cold_65", "batch_cold_65_b8", "serve_warm_sn_65") for t in ("0", "1")),
     *(("paper", "pytest", [name]) for name in (
-        "bench_paper_figures.py", "bench_paper_tables.py", "bench_ablations.py"
+        "bench_paper_figures.py", "bench_paper_tables.py", "bench_ablations.py", "bench_fit.py"
     )),
-    ("fleet", "fleet", []),
+    *(("script", "script", [name, "--out", "{tmp}/" + name.replace(".py", ".txt")])
+      for name in ("iterate_width_split.py", "setup_split.py")),
+    *(("fleet", "fleet", [method]) for method in ("toeplitz", "lowrank")),
 ]
 
 
 # -- the worker: one entry point under the profiler ------------------------------------
-def _inline_fleet() -> None:
-    from repro.efit.measurements import synthetic_shot_186610
+def _inline_fleet(method: str) -> None:
     from repro.batch import synthetic_slice_sequence
+    from repro.efit.measurements import synthetic_shot_186610
+    from repro.efit.operators import cached_edge_operator
+    from repro.efit.tables import cached_boundary_tables
     from repro.obs.hooks import TraceHooks
     from repro.obs.trace import TraceRecorder
     from repro.parallel import ParallelFitEngine, SchedulerConfig
@@ -102,9 +141,10 @@ def _inline_fleet() -> None:
     shot = synthetic_shot_186610(33)
     slices = synthetic_slice_sequence(shot, 4, seed=5)
     hooks = TraceHooks(TraceRecorder())
+    op = cached_edge_operator(cached_boundary_tables(shot.grid), method)
     with ParallelFitEngine(
         shot.machine, shot.diagnostics, shot.grid, batch_size=2, hooks=hooks,
-        config=SchedulerConfig(workers=2, transport="inline"),
+        edge_operator=op, config=SchedulerConfig(workers=2, transport="inline"),
     ) as engine:
         engine.fit_many(slices)
         engine.merged_trace()
@@ -134,7 +174,13 @@ def _run(kind: str, argv: list[str]) -> int | None:
         benchmarks.conftest.RESULTS_DIR = Path.cwd() / "results"
         return int(pytest.main([str(REPO / "benchmarks" / argv[0]), "-q", "-p",
                                 "no:cacheprovider", "--benchmark-disable"]))
-    _inline_fleet()
+    elif kind == "script":
+        import runpy
+
+        sys.argv = [argv[0], *argv[1:]]
+        runpy.run_path(str(REPO / "benchmarks" / argv[0]), run_name="__main__")
+    else:
+        _inline_fleet(argv[0])
     return None
 
 
@@ -196,16 +242,20 @@ def _functions(path: Path) -> list[tuple[int, str, int]]:
     return sorted(found)
 
 
-def census(out: Path) -> str:
+def _run_entries() -> tuple[set[tuple[str, int]], dict[str, int], list[str]]:
+    """Run every entry point; the reached ``(file, first line)`` pairs,
+    the entries run per label and the entries that did not exit 0."""
     tmp = tempfile.mkdtemp(prefix="reachability_")
-    env = {**os.environ, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                                 "MKL_NUM_THREADS")}}
-    env.pop("PYTHONPATH", None)
+    base_env = {**os.environ, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                      "MKL_NUM_THREADS")}}
+    base_env.pop("PYTHONPATH", None)
     reached: set[tuple[str, int]] = set()
-    ran = defaultdict(int)
+    ran: dict[str, int] = defaultdict(int)
     failed = []
-    for k, (label, kind, argv) in enumerate(ENTRIES):
+    for k, (label, kind, argv, *entry_env) in enumerate(ENTRIES):
         argv = [a.replace("{tmp}", tmp) for a in argv]
+        extra = entry_env[0] if entry_env else {}
+        env = {**base_env, **{var: value.replace("{tmp}", tmp) for var, value in extra.items()}}
         dump = os.path.join(tmp, f"reached_{k}.json")
         print(f"[{k + 1}/{len(ENTRIES)}] {kind} {' '.join(argv)}", flush=True)
         subprocess.run(
@@ -221,30 +271,81 @@ def census(out: Path) -> str:
         if record["code"] not in (None, 0):
             failed.append(f"{kind} {' '.join(argv)}: exit {record['code']}")
     shutil.rmtree(tmp, ignore_errors=True)
+    return reached, ran, failed
 
-    per_module: dict[str, list[int]] = {}
-    unreached = []
-    total = hit = functions = 0
+
+def function_table() -> dict[str, tuple[Path, int, int]]:
+    """Every ``def`` of ``src/repro`` as ``module:qualified name`` ->
+    ``(file, first line, own lines)``, by parsing the source alone."""
+    table = {}
     for path in sorted(SRC.rglob("*.py")):
-        rel = str(path.relative_to(REPO / "src"))
-        lines = [0, 0]
+        module = ".".join(path.relative_to(REPO / "src").with_suffix("").parts)
         for first, name, n in _functions(path):
-            functions += 1
-            total += n
-            lines[1] += n
-            if (str(path), first) in reached:
-                hit += n
-            else:
-                lines[0] += n
-                unreached.append((rel, first, name, n))
-        per_module[rel] = lines
+            table[f"{module}:{name}"] = (path, first, n)
+    return table
+
+
+def read_ledger(path: Path = LEDGER) -> dict[str, tuple[str, str]]:
+    """``module:name`` -> ``(category, reason)`` of every ledger line
+    (``#`` comments and blank lines skipped)."""
+    entries = {}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(None, 2)
+        if len(fields) < 3:
+            raise ValueError(f"{path.name}:{number}: want 'module:name  category  reason'")
+        name, category, reason = fields
+        if name in entries:
+            raise ValueError(f"{path.name}:{number}: {name} listed twice")
+        entries[name] = (category, reason)
+    return entries
+
+
+def ledger_problems(unreached: set[str], ledger: dict[str, tuple[str, str]],
+                    functions: set[str]) -> list[str]:
+    """What ``--check`` refuses: an unreached function without an entry,
+    an entry naming a missing or reached function, an unknown category."""
+    problems = [f"unreached, no ledger entry: {name}" for name in sorted(unreached - set(ledger))]
+    for name, (category, _) in sorted(ledger.items()):
+        if name not in functions:
+            problems.append(f"ledger names a missing function: {name}")
+        elif name not in unreached:
+            problems.append(f"ledger names a reached function: {name}")
+        if category not in CATEGORIES:
+            problems.append(f"ledger category {category!r} of {name} is not one of "
+                            f"{', '.join(CATEGORIES)}")
+    return problems
+
+
+def census() -> tuple[str, set[str], list[str]]:
+    """Run the census; its report, the unreached ``module:name`` set and
+    the entries that did not exit 0."""
+    reached, ran, failed = _run_entries()
+    per_module: dict[str, list[int]] = defaultdict(lambda: [0, 0])
+    unreached = []
+    names = set()
+    total = hit = 0
+    table = function_table()
+    for name, (path, first, n) in table.items():
+        rel = str(path.relative_to(REPO / "src"))
+        total += n
+        per_module[rel][1] += n
+        if (str(path), first) in reached:
+            hit += n
+        else:
+            per_module[rel][0] += n
+            unreached.append((rel, first, name.split(":", 1)[1], n))
+            names.add(name)
+    unreached.sort()
     missed = total - hit
     rows = [
         "Reachability census of src/repro (sys.setprofile; benchmarks/reachability.py)",
         "entry points: " + ", ".join(f"{n} {label}" for label, n in ran.items()),
         f"function lines: {total}, reached {hit}, unreached {missed} "
         f"({100.0 * missed / total:.1f} %)",
-        f"functions: {functions}, unreached {len(unreached)}",
+        f"functions: {len(table)}, unreached {len(unreached)}",
         "entries that did not exit 0: " + ("; ".join(failed) if failed else "none"),
         "",
         "unreached function lines per module (modules with any):",
@@ -254,10 +355,7 @@ def census(out: Path) -> str:
             rows.append(f"  {miss:5d} / {all_lines:5d}  {rel}")
     rows += ["", "unreached functions (module:first line  name  lines):"]
     rows += [f"  {rel}:{first}  {name}  {n}" for rel, first, name, n in unreached]
-    text = "\n".join(rows) + "\n"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(text)
-    return text
+    return "\n".join(rows) + "\n", names, failed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -266,11 +364,31 @@ def main(argv: list[str] | None = None) -> int:
         _worker(argv[1], argv[3:], argv[2])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=REPO / "results" / "reachability.txt")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="report file (default results/reachability.txt; "
+                             "none with --check)")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless every unreached function has a ledger line "
+                             "and every ledger line names an unreached function")
     args = parser.parse_args(argv)
-    text = census(args.out)
+    out = args.out
+    if out is None and not args.check:
+        out = REPO / "results" / "reachability.txt"
+    text, unreached, failed = census()
+    if out is not None:
+        out.parent.mkdir(exist_ok=True)
+        out.write_text(text)
     print("\n".join(text.splitlines()[:5]))
-    return 0
+    if not args.check:
+        return 0
+    ledger = read_ledger()
+    problems = [f"entry did not exit 0: {f}" for f in failed]
+    problems += ledger_problems(unreached, ledger, set(function_table()))
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"ledger: {len(ledger)} entries, "
+          f"{'ok' if not problems else f'{len(problems)} problem(s)'}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

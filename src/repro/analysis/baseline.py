@@ -38,9 +38,6 @@ class Baseline:
     def __init__(self, suppressions: dict[str, str] | None = None) -> None:
         self.suppressions: dict[str, str] = dict(suppressions or {})
 
-    def __len__(self) -> int:
-        return len(self.suppressions)
-
     def __contains__(self, item: Finding | str) -> bool:
         fingerprint = item.fingerprint if isinstance(item, Finding) else item
         return fingerprint in self.suppressions
@@ -57,12 +54,6 @@ class Baseline:
         the finding if it ever came back for a different reason."""
         live = {f.fingerprint for f in findings}
         return {fp: r for fp, r in self.suppressions.items() if fp not in live}
-
-    def pruned(self, findings) -> "Baseline":
-        """A copy with stale entries removed (reasons preserved for the
-        suppressions that still match)."""
-        live = {f.fingerprint for f in findings}
-        return Baseline({fp: r for fp, r in self.suppressions.items() if fp in live})
 
     # -- persistence ---------------------------------------------------------------
     @classmethod

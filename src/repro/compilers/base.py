@@ -28,10 +28,6 @@ class OffloadBuild:
     unified_memory: bool
     use_target_data: bool
 
-    @property
-    def label(self) -> str:
-        return f"{self.compiler.name}-{self.model}-{self.arch.vendor}"
-
 
 class Compiler(abc.ABC):
     """A vendor compiler: flag semantics + directive lowering."""

@@ -40,26 +40,12 @@ class Environment:
 
     variables: Mapping[str, str] = field(default_factory=dict)
 
-    def get(self, name: str, default: str | None = None) -> str | None:
-        return self.variables.get(name, default)
-
     def flag(self, name: str) -> bool:
         """Interpret a variable as a boolean flag (unset -> False)."""
         value = self.variables.get(name)
         if value is None:
             return False
         return value.strip().lower() in _TRUTHY
-
-    def with_var(self, name: str, value: str) -> "Environment":
-        """Return a copy with one variable set (functional update)."""
-        merged = dict(self.variables)
-        merged[name] = value
-        return Environment(merged)
-
-    def without_var(self, name: str) -> "Environment":
-        merged = dict(self.variables)
-        merged.pop(name, None)
-        return Environment(merged)
 
     # -- semantic views used by the runtime model ---------------------------
     @property

@@ -3,7 +3,6 @@
 from repro.core.offload import (
     build_pflux_registry,
     pflux_device_arrays,
-    OffloadedPflux,
     PFLUX_SOURCE_LINES,
 )
 from repro.core.study import (
@@ -13,7 +12,7 @@ from repro.core.study import (
     cpu_fit_seconds,
     cpu_nonpflux_seconds,
 )
-from repro.core.speedup import amdahl_limit, node_throughput_ratio
+from repro.core.speedup import node_throughput_ratio
 from repro.core.extension import project_full_offload, FullOffloadProjection
 from repro.core.timeslices import schedule_slices, synthetic_slice_counts
 from repro.core import paper
@@ -21,14 +20,12 @@ from repro.core import paper
 __all__ = [
     "build_pflux_registry",
     "pflux_device_arrays",
-    "OffloadedPflux",
     "PFLUX_SOURCE_LINES",
     "PortabilityStudy",
     "PfluxGpuResult",
     "cpu_pflux_seconds",
     "cpu_fit_seconds",
     "cpu_nonpflux_seconds",
-    "amdahl_limit",
     "node_throughput_ratio",
     "project_full_offload",
     "FullOffloadProjection",

@@ -20,14 +20,16 @@ region                class      annotation (OpenACC / OpenMP)
 ``assemble``          O(N^2)     same
 ====================  =========  ========================================
 
-The directive census over this registry reproduces Tables 4 and 5
-*exactly* (4x ``kernel`` + 4x ``end kernel`` + 2+2 loop directives for
-OpenACC; 4+2+2 for OpenMP — the "eight lines, ~2% of the routine").
+Each kernel's OpenMP annotation is translated from its OpenACC one
+(:func:`~repro.directives.translate.translate_kernel_acc_to_omp`), so the
+Table 4 <-> Table 5 mapping has one source.  The directive census over
+this registry reproduces Tables 4 and 5 *exactly* (4x ``kernel`` + 4x
+``end kernel`` + 2+2 loop directives for OpenACC; 4+2+2 for OpenMP — the
+"eight lines, ~2% of the routine").
 
-:class:`OffloadedPflux` plugs into :class:`~repro.efit.fitting.EfitSolver`
-as the edge operator of its flux step: it produces *numerically identical*
-fluxes (the payload is the vectorised NumPy kernel) while charging modeled
-device time to a virtual clock and profiler counters.
+:class:`PfluxOffloadModel` prices one offloaded ``pflux_`` call on a
+simulated device (``repro trace offload``, the study); the numerics of
+the paper's table sums are :class:`~repro.efit.pflux.TableSumEdgeOperator`.
 """
 
 from __future__ import annotations
@@ -35,16 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.calibration import PFLUX_SMALL_LOOPS, TEMP_WORK_ARRAYS
 from repro.compilers.base import OffloadBuild
 from repro.directives.ir import AccessMode, ArrayRef, Loop, LoopNest
 from repro.directives.openacc import AccEndKernels, AccKernels, AccLoop, AccParallelLoop
-from repro.directives.openmp import OmpParallelDo, OmpTargetTeamsDistribute
 from repro.directives.registry import AnnotatedKernel, KernelRegistry
-from repro.efit.pflux import TableSumEdgeOperator
-from repro.efit.tables import BoundaryGreensTables
+from repro.directives.translate import translate_kernel_acc_to_omp
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks
 from repro.runtime.executor import OffloadExecutor
 from repro.runtime.kernel import ExecutionPlan
@@ -55,7 +53,6 @@ __all__ = [
     "build_pflux_registry",
     "pflux_device_arrays",
     "PfluxOffloadModel",
-    "OffloadedPflux",
 ]
 
 #: Source lines of the pflux_ routine being annotated.  Table 4 reports
@@ -65,29 +62,14 @@ PFLUX_SOURCE_LINES = 400
 _REDUCTIONS = ("tempsum1", "tempsum2")
 
 
-def _boundary_directives(num_workers: int, vector_length: int):
-    """The Figure 2 / Figure 3 annotation pair for one O(N^3) nest."""
-    acc = (
-        AccParallelLoop(
-            gang=True,
-            worker=True,
-            num_workers=num_workers,
-            vector_length=vector_length,
-        ),
-        AccLoop(vector=True, reduction=_REDUCTIONS),
-    )
-    omp = (
-        OmpTargetTeamsDistribute(reduction=_REDUCTIONS),
-        OmpParallelDo(reduction=_REDUCTIONS, collapse=2),
-    )
-    return acc, omp
-
-
-def _kernels_region_directives():
-    """Annotation of one simple region: ``!$acc kernel`` pair vs the fused
-    OpenMP form (the Table 4 <-> Table 5 row mapping)."""
-    return (AccKernels(), AccEndKernels()), (
-        OmpTargetTeamsDistribute(parallel_do=True, collapse=2),
+def _annotated(nest: LoopNest, acc_directives: tuple, **kwargs) -> AnnotatedKernel:
+    """``nest`` with its OpenACC annotation and the OpenMP one translated
+    from it."""
+    return AnnotatedKernel(
+        nest=nest,
+        acc_directives=acc_directives,
+        omp_directives=translate_kernel_acc_to_omp(acc_directives),
+        **kwargs,
     )
 
 
@@ -108,7 +90,14 @@ def build_pflux_registry(
     n2 = nw * nh
     registry = KernelRegistry("pflux_", PFLUX_SOURCE_LINES)
 
-    acc_b, omp_b = _boundary_directives(num_workers, vector_length)
+    # The Figure 2 annotation pair of one O(N^3) nest; Figure 3 is its
+    # translation.
+    acc_b = (
+        AccParallelLoop(
+            gang=True, worker=True, num_workers=num_workers, vector_length=vector_length
+        ),
+        AccLoop(vector=True, reduction=_REDUCTIONS),
+    )
     boundary_nests = (
         LoopNest(
             name="boundary_lr",
@@ -136,19 +125,14 @@ def build_pflux_registry(
         ),
     )
     for nest in boundary_nests:
-        registry.register(
-            AnnotatedKernel(
-                nest=nest,
-                acc_directives=acc_b,
-                omp_directives=omp_b,
-                complexity="O(N^3)",
-            )
-        )
+        registry.register(_annotated(nest, acc_b, complexity="O(N^3)"))
 
-    acc_k, omp_k = _kernels_region_directives()
+    # One simple region: the ``!$acc kernel`` pair, whose translation is
+    # the fused OpenMP form (the Table 4 <-> Table 5 row mapping).
+    acc_k = (AccKernels(), AccEndKernels())
     registry.register(
-        AnnotatedKernel(
-            nest=LoopNest(
+        _annotated(
+            LoopNest(
                 name="rhs_build",
                 loops=(Loop("i", nw), Loop("j", nh)),
                 flops_per_iteration=3.0,
@@ -159,14 +143,13 @@ def build_pflux_registry(
                 ),
                 n_outer=2,
             ),
-            acc_directives=acc_k,
-            omp_directives=omp_k,
+            acc_k,
             complexity="O(N^2)",
         )
     )
     registry.register(
-        AnnotatedKernel(
-            nest=LoopNest(
+        _annotated(
+            LoopNest(
                 name="solver_fast",
                 loops=(Loop("i", max(nw - 2, 1)), Loop("j", max(nh - 2, 1))),
                 flops_per_iteration=5.0 * math.log2(max(nh, 2)) + 16.0,
@@ -176,15 +159,14 @@ def build_pflux_registry(
                 ),
                 n_outer=2,
             ),
-            acc_directives=acc_k,
-            omp_directives=omp_k,
+            acc_k,
             complexity="solver",
             launches=6,
         )
     )
     registry.register(
-        AnnotatedKernel(
-            nest=LoopNest(
+        _annotated(
+            LoopNest(
                 name="small_loops",
                 loops=(Loop("i", max(nw, nh)), Loop("k", PFLUX_SMALL_LOOPS)),
                 flops_per_iteration=2.0,
@@ -193,15 +175,14 @@ def build_pflux_registry(
                 ),
                 n_outer=1,
             ),
-            acc_directives=acc_k,
-            omp_directives=omp_k,
+            acc_k,
             complexity="small",
             launches=PFLUX_SMALL_LOOPS,
         )
     )
     registry.register(
-        AnnotatedKernel(
-            nest=LoopNest(
+        _annotated(
+            LoopNest(
                 name="assemble",
                 loops=(Loop("i", nw), Loop("j", nh)),
                 flops_per_iteration=1.0,
@@ -211,8 +192,7 @@ def build_pflux_registry(
                 ),
                 n_outer=2,
             ),
-            acc_directives=acc_k,
-            omp_directives=omp_k,
+            acc_k,
             complexity="O(N^2)",
         )
     )
@@ -310,31 +290,3 @@ class PfluxOffloadModel:
         for _ in range(max(warmup, 1)):
             self.invoke()
         return self.invoke()["__total__"]
-
-
-class OffloadedPflux(TableSumEdgeOperator):
-    """The paper's table sums, charging modeled GPU time: every flux step
-    through it runs the real numerics (the vectorised kernel) and one
-    :meth:`PfluxOffloadModel.invoke` — the reproduction's equivalent of
-    running the directive build on a real device.  Pass it as
-    ``EfitSolver(pflux_impl=)``."""
-
-    def __init__(
-        self,
-        tables: BoundaryGreensTables,
-        build: OffloadBuild,
-        hooks: ObservationHooks | None = None,
-    ) -> None:
-        super().__init__(tables)
-        self.model = PfluxOffloadModel(
-            self.grid.nw, self.grid.nh, build, hooks=hooks if hooks is not None else NULL_HOOKS
-        )
-
-    def _edge_sums(self, stack: np.ndarray, out: np.ndarray) -> bool:
-        self.last_invocation = self.model.invoke()
-        return super()._edge_sums(stack, out)
-
-    @property
-    def modeled_seconds(self) -> float:
-        """Total device-context virtual time accumulated so far."""
-        return self.model.executor.clock.now()

@@ -1,14 +1,8 @@
-"""Speedup accounting: Amdahl limits and node-throughput break-even.
+"""Speedup accounting: node-throughput break-even.
 
-Two analyses frame the paper's results:
-
-* **Amdahl** — with ``pflux_`` at 90 % of ``fit_``, infinite acceleration
-  of ``pflux_`` alone caps the whole-code speedup at 10x-16x; once the GPU
-  port lands, the *other* routines dominate (Figure 6, Conclusions).
-* **Node throughput** — EFIT parallelises time slices across cores (or
-  devices), so a GPU port pays off only when one device beats
-  ``cores/devices`` CPU cores: 16x on Perlmutter, 8x on Frontier, 8.7x on
-  Sunspot (Section 4, Section 6.2).
+EFIT parallelises time slices across cores (or devices), so a GPU port
+pays off only when one device beats ``cores/devices`` CPU cores: 16x on
+Perlmutter, 8x on Frontier, 8.7x on Sunspot (Section 4, Section 6.2).
 """
 
 from __future__ import annotations
@@ -16,25 +10,7 @@ from __future__ import annotations
 from repro.errors import CalibrationError
 from repro.machines.site import MachineSite
 
-__all__ = ["amdahl_limit", "amdahl_speedup", "node_throughput_ratio", "meets_threshold"]
-
-
-def amdahl_limit(accelerated_fraction: float) -> float:
-    """Whole-code speedup cap for infinite acceleration of a fraction."""
-    if not (0.0 <= accelerated_fraction < 1.0):
-        raise CalibrationError("accelerated fraction must be in [0, 1)")
-    return 1.0 / (1.0 - accelerated_fraction)
-
-
-def amdahl_speedup(accelerated_fraction: float, kernel_speedup: float) -> float:
-    """Whole-code speedup for a finite kernel speedup."""
-    if kernel_speedup <= 0.0:
-        raise CalibrationError("kernel speedup must be positive")
-    if not (0.0 <= accelerated_fraction <= 1.0):
-        raise CalibrationError("accelerated fraction must be in [0, 1]")
-    return 1.0 / (
-        (1.0 - accelerated_fraction) + accelerated_fraction / kernel_speedup
-    )
+__all__ = ["node_throughput_ratio", "meets_threshold"]
 
 
 def node_throughput_ratio(site: MachineSite, per_device_speedup: float) -> float:

@@ -90,12 +90,6 @@ class PfluxGpuResult:
     d2h_bytes: float
     page_faults: int
 
-    @property
-    def boundary_seconds(self) -> float:
-        return self.per_kernel.get("boundary_lr", 0.0) + self.per_kernel.get(
-            "boundary_tb", 0.0
-        )
-
 
 @dataclass
 class PortabilityStudy:

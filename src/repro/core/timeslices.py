@@ -44,10 +44,6 @@ class ScheduleResult:
     assignments: tuple[tuple[int, ...], ...]  # slice indices per worker
 
     @property
-    def n_workers(self) -> int:
-        return int(self.worker_seconds.size)
-
-    @property
     def utilisation(self) -> float:
         """Mean busy fraction over the makespan (1.0 = perfectly packed)."""
         if self.makespan_seconds == 0.0:

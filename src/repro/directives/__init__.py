@@ -4,9 +4,9 @@ The paper's entire methodology is "annotate the existing loops with
 directives and let the compiler offload them".  This package models that
 workflow: loop nests are described by a small IR
 (:class:`~repro.directives.ir.LoopNest`), pragmas are first-class objects
-that render to — and parse from — the exact strings of the paper's
-Figures 2 and 3, and :mod:`~repro.directives.translate` performs the
-OpenACC <-> OpenMP mapping of Tables 4 and 5.
+that render the exact strings of the paper's Figures 2 and 3, and
+:mod:`~repro.directives.translate` performs the OpenACC -> OpenMP mapping
+of Tables 4 and 5.
 """
 
 from repro.directives.ir import Loop, ArrayRef, LoopNest, AccessMode
@@ -16,18 +16,14 @@ from repro.directives.openacc import (
     AccEndKernels,
     AccParallelLoop,
     AccLoop,
-    parse_acc,
 )
 from repro.directives.openmp import (
     OmpDirective,
     OmpTargetTeamsDistribute,
     OmpParallelDo,
-    OmpLoop,
     OmpTargetData,
-    OmpEndTargetData,
-    parse_omp,
 )
-from repro.directives.translate import acc_to_omp, omp_to_acc
+from repro.directives.translate import acc_to_omp, translate_kernel_acc_to_omp
 from repro.directives.registry import KernelRegistry, AnnotatedKernel, directive_census
 
 __all__ = [
@@ -40,16 +36,12 @@ __all__ = [
     "AccEndKernels",
     "AccParallelLoop",
     "AccLoop",
-    "parse_acc",
     "OmpDirective",
     "OmpTargetTeamsDistribute",
     "OmpParallelDo",
-    "OmpLoop",
     "OmpTargetData",
-    "OmpEndTargetData",
-    "parse_omp",
     "acc_to_omp",
-    "omp_to_acc",
+    "translate_kernel_acc_to_omp",
     "KernelRegistry",
     "AnnotatedKernel",
     "directive_census",

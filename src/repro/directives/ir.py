@@ -135,17 +135,3 @@ class LoopNest:
     def footprint_bytes(self) -> float:
         """Traffic with perfect reuse: each unique element moves once."""
         return float(sum(a.footprint_bytes for a in self.arrays))
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per *footprint* byte — the roofline upper-bound AI."""
-        fb = self.footprint_bytes
-        if fb == 0:
-            return float("inf")
-        return self.total_flops / fb
-
-    def array(self, name: str) -> ArrayRef:
-        for a in self.arrays:
-            if a.name == name:
-                return a
-        raise DirectiveError(f"nest has no array {name!r}", kernel=self.name)

@@ -1,7 +1,6 @@
-"""OpenACC directive objects and pragma parsing.
+"""OpenACC directive objects.
 
-Renders and parses the exact pragma forms the paper uses (Table 4 and
-Figure 2)::
+Renders the exact pragma forms the paper uses (Table 4 and Figure 2)::
 
     !$acc kernel
     !$acc end kernel
@@ -16,8 +15,7 @@ ordering bug).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DirectiveParseError
 
@@ -28,7 +26,6 @@ __all__ = [
     "AccParallelLoop",
     "AccLoop",
     "AccWait",
-    "parse_acc",
 ]
 
 _SENTINEL = "!$acc"
@@ -40,10 +37,6 @@ class AccDirective:
 
     def to_pragma(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def model(self) -> str:
-        return "openacc"
 
 
 @dataclass(frozen=True)
@@ -140,59 +133,3 @@ class AccWait(AccDirective):
         if self.queue is not None:
             return f"{_SENTINEL} wait({self.queue})"
         return f"{_SENTINEL} wait"
-
-
-_CLAUSE_RE = re.compile(r"(num_workers|vector_length|async)\((\d+)\)")
-_REDUCTION_RE = re.compile(r"reduction\(\+:([\w,\s]+)\)")
-_WAIT_RE = re.compile(r"^wait(?:\((\d+)\))?$")
-
-
-def parse_acc(pragma: str) -> AccDirective:
-    """Parse a pragma string back into a directive object.
-
-    Round-trips with ``to_pragma`` (property-tested).  Raises
-    :class:`DirectiveParseError` on anything that is not an OpenACC pragma
-    of the forms used in the paper.
-    """
-    text = " ".join(pragma.strip().split())
-    low = text.lower()
-    if not low.startswith(_SENTINEL):
-        raise DirectiveParseError(f"not an OpenACC pragma: {pragma!r}")
-    body = low[len(_SENTINEL) :].strip()
-    if body in ("end kernel", "end kernels"):
-        return AccEndKernels()
-    m = _WAIT_RE.match(body)
-    if m:
-        return AccWait(queue=int(m.group(1)) if m.group(1) else None)
-    reduction: tuple[str, ...] = ()
-    m = _REDUCTION_RE.search(body)
-    if m:
-        reduction = tuple(v.strip() for v in m.group(1).split(",") if v.strip())
-        body_wo = _REDUCTION_RE.sub("", body)
-    else:
-        body_wo = body
-    clauses = dict((k, int(v)) for k, v in _CLAUSE_RE.findall(body_wo))
-    body_wo = _CLAUSE_RE.sub("", body_wo)
-    tokens = body_wo.split()
-    if tokens in (["kernel"], ["kernels"]):
-        return AccKernels(async_queue=clauses.get("async"))
-    if tokens[:2] == ["parallel", "loop"]:
-        rest = set(tokens[2:])
-        unknown = rest - {"gang", "worker", "vector"}
-        if unknown:
-            raise DirectiveParseError(f"unknown OpenACC clauses {sorted(unknown)} in {pragma!r}")
-        return AccParallelLoop(
-            gang="gang" in rest,
-            worker="worker" in rest,
-            num_workers=clauses.get("num_workers"),
-            vector_length=clauses.get("vector_length"),
-            reduction=reduction,
-            async_queue=clauses.get("async"),
-        )
-    if tokens[:1] == ["loop"]:
-        rest = set(tokens[1:])
-        unknown = rest - {"vector"}
-        if unknown:
-            raise DirectiveParseError(f"unknown OpenACC clauses {sorted(unknown)} in {pragma!r}")
-        return AccLoop(vector="vector" in rest, reduction=reduction)
-    raise DirectiveParseError(f"unrecognised OpenACC pragma: {pragma!r}")

@@ -1,19 +1,17 @@
-"""OpenMP-target directive objects and pragma parsing.
+"""OpenMP-target directive objects.
 
-Renders and parses the forms of Table 5 and Figure 3 plus the explicit
-data-region directives the Intel port needs (Section 6.2)::
+Renders the forms of Table 5 and Figure 3 plus the explicit data-region
+directive the Intel port needs (Section 6.2), which the linter's
+data-environment rules look for::
 
     !$omp target teams distribute reduction(+:tempsum1,tempsum2)
     !$omp target teams distribute parallel do collapse(2)
     !$omp parallel do reduction(+:tempsum1,tempsum2) collapse(2)
-    !$omp loop
     !$omp target data map(to:gridpc,pcurr) map(from:psi)
-    !$omp end target data
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from repro.errors import DirectiveParseError
@@ -22,10 +20,7 @@ __all__ = [
     "OmpDirective",
     "OmpTargetTeamsDistribute",
     "OmpParallelDo",
-    "OmpLoop",
     "OmpTargetData",
-    "OmpEndTargetData",
-    "parse_omp",
 ]
 
 _SENTINEL = "!$omp"
@@ -35,10 +30,6 @@ _SENTINEL = "!$omp"
 class OmpDirective:
     def to_pragma(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def model(self) -> str:
-        return "openmp"
 
 
 @dataclass(frozen=True)
@@ -91,15 +82,6 @@ class OmpParallelDo(OmpDirective):
 
 
 @dataclass(frozen=True)
-class OmpLoop(OmpDirective):
-    """``!$omp loop`` — the descriptive loop directive that unlocks the
-    better AMD lowering (Section 6.2)."""
-
-    def to_pragma(self) -> str:
-        return f"{_SENTINEL} loop"
-
-
-@dataclass(frozen=True)
 class OmpTargetData(OmpDirective):
     """``!$omp target data map(to:...) map(from:...)`` — the explicit data
     region required for performance on Intel PVC (no unified memory)."""
@@ -118,62 +100,3 @@ class OmpTargetData(OmpDirective):
         if self.map_from:
             parts.append(f"map(from:{','.join(self.map_from)})")
         return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class OmpEndTargetData(OmpDirective):
-    def to_pragma(self) -> str:
-        return f"{_SENTINEL} end target data"
-
-
-_COLLAPSE_RE = re.compile(r"collapse\((\d+)\)")
-_REDUCTION_RE = re.compile(r"reduction\(\+:([\w,\s]+)\)")
-_MAP_RE = re.compile(r"map\((to|from):([\w,\s]+)\)")
-
-
-def parse_omp(pragma: str) -> OmpDirective:
-    """Parse an OpenMP pragma string (round-trips with ``to_pragma``)."""
-    text = " ".join(pragma.strip().split())
-    low = text.lower()
-    if not low.startswith(_SENTINEL):
-        raise DirectiveParseError(f"not an OpenMP pragma: {pragma!r}")
-    body = low[len(_SENTINEL) :].strip()
-    if body == "end target data":
-        return OmpEndTargetData()
-    if body.startswith("target data"):
-        maps = {"to": (), "from": ()}
-        for kind, names in _MAP_RE.findall(body):
-            maps[kind] = tuple(n.strip() for n in names.split(",") if n.strip())
-        return OmpTargetData(map_to=maps["to"], map_from=maps["from"])
-
-    reduction: tuple[str, ...] = ()
-    m = _REDUCTION_RE.search(body)
-    if m:
-        reduction = tuple(v.strip() for v in m.group(1).split(",") if v.strip())
-        body = _REDUCTION_RE.sub("", body)
-    collapse = None
-    m = _COLLAPSE_RE.search(body)
-    if m:
-        collapse = int(m.group(1))
-        body = _COLLAPSE_RE.sub("", body)
-    tokens = body.split()
-    if tokens == ["loop"]:
-        if reduction or collapse:
-            raise DirectiveParseError("!$omp loop takes no clauses in this subset")
-        return OmpLoop()
-    if tokens[:3] == ["target", "teams", "distribute"]:
-        rest = tokens[3:]
-        if rest == ["parallel", "do"]:
-            return OmpTargetTeamsDistribute(
-                parallel_do=True, collapse=collapse, reduction=reduction
-            )
-        if rest == []:
-            return OmpTargetTeamsDistribute(
-                parallel_do=False, collapse=collapse, reduction=reduction
-            )
-        raise DirectiveParseError(f"unrecognised clauses {rest} in {pragma!r}")
-    if tokens[:2] == ["parallel", "do"]:
-        if tokens[2:]:
-            raise DirectiveParseError(f"unrecognised clauses {tokens[2:]} in {pragma!r}")
-        return OmpParallelDo(collapse=collapse, reduction=reduction)
-    raise DirectiveParseError(f"unrecognised OpenMP pragma: {pragma!r}")

@@ -72,9 +72,6 @@ class KernelRegistry:
     def __iter__(self):
         return iter(self._kernels.values())
 
-    def __len__(self) -> int:
-        return len(self._kernels)
-
     def get(self, name: str) -> AnnotatedKernel:
         try:
             return self._kernels[name]

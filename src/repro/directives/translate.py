@@ -1,4 +1,4 @@
-"""OpenACC <-> OpenMP directive translation.
+"""OpenACC -> OpenMP directive translation.
 
 Section 5.2 of the paper stresses that its Tables 4 and 5 "map precisely"
 so readers can translate between the models.  This module encodes that
@@ -13,25 +13,22 @@ OpenACC                                OpenMP
 ``!$acc loop vector reduction``        ``!$omp parallel do reduction collapse(2)``
 =====================================  =============================================
 
-The inverse direction is defined so that a round trip returns a directive
-with the same offload semantics (clause parameters that have no analog —
-``num_workers`` / ``vector_length`` — are dropped, as the paper notes these
-are accelerator-specific tuning knobs).
+Clause parameters that have no analog — ``num_workers`` /
+``vector_length`` / ``async`` — are dropped, as the paper notes these are
+accelerator-specific tuning knobs.
 
 The two models place ``reduction`` clauses differently: the paper's
 OpenACC declares it only on the inner ``!$acc loop`` while its OpenMP
 declares it on *both* the ``teams distribute`` and the ``parallel do``
 level (Tables 4/5).  Translating one directive at a time cannot know the
-other level's clauses, so :func:`translate_kernel_acc_to_omp` /
-:func:`translate_kernel_omp_to_acc` translate a whole
-:class:`~repro.directives.registry.AnnotatedKernel` annotation set and
-hoist/strip the reduction the way the paper's tables do — those are the
-functions whose output censuses reproduce Tables 4 and 5 exactly.
+other level's clauses, so :func:`translate_kernel_acc_to_omp` translates
+a kernel's whole annotation set and hoists the reduction the way Table 5
+does — :func:`~repro.core.offload.build_pflux_registry` derives every
+kernel's OpenMP annotation with it, so the census reproduces Tables 4
+and 5 from one source.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.directives.openacc import (
     AccDirective,
@@ -41,25 +38,10 @@ from repro.directives.openacc import (
     AccParallelLoop,
     AccWait,
 )
-from repro.directives.openmp import (
-    OmpDirective,
-    OmpEndTargetData,
-    OmpLoop,
-    OmpParallelDo,
-    OmpTargetData,
-    OmpTargetTeamsDistribute,
-)
+from repro.directives.openmp import OmpDirective, OmpParallelDo, OmpTargetTeamsDistribute
 from repro.errors import TranslationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.directives.registry import AnnotatedKernel
-
-__all__ = [
-    "acc_to_omp",
-    "omp_to_acc",
-    "translate_kernel_acc_to_omp",
-    "translate_kernel_omp_to_acc",
-]
+__all__ = ["acc_to_omp", "translate_kernel_acc_to_omp"]
 
 
 def acc_to_omp(directive: AccDirective) -> OmpDirective | None:
@@ -83,24 +65,9 @@ def acc_to_omp(directive: AccDirective) -> OmpDirective | None:
     raise TranslationError(f"no OpenMP mapping for {type(directive).__name__}")
 
 
-def omp_to_acc(directive: OmpDirective) -> AccDirective | None:
-    """Translate one OpenMP directive back to OpenACC.
-
-    Data-region directives map to ``None``: the OpenACC ports in the paper
-    rely on unified memory and carry no explicit data clauses.
-    """
-    if isinstance(directive, OmpTargetTeamsDistribute):
-        if directive.parallel_do:
-            return AccKernels()
-        return AccParallelLoop(gang=True, worker=True, reduction=directive.reduction)
-    if isinstance(directive, OmpParallelDo):
-        return AccLoop(vector=True, reduction=directive.reduction)
-    if isinstance(directive, (OmpTargetData, OmpEndTargetData, OmpLoop)):
-        return None
-    raise TranslationError(f"no OpenACC mapping for {type(directive).__name__}")
-
-
-def translate_kernel_acc_to_omp(kernel: "AnnotatedKernel") -> tuple[OmpDirective, ...]:
+def translate_kernel_acc_to_omp(
+    acc_directives: tuple[AccDirective, ...],
+) -> tuple[OmpDirective, ...]:
     """Translate a kernel's whole OpenACC annotation set to OpenMP.
 
     Unlike the per-directive :func:`acc_to_omp`, this sees the full set
@@ -109,12 +76,12 @@ def translate_kernel_acc_to_omp(kernel: "AnnotatedKernel") -> tuple[OmpDirective
     ``teams distribute`` level, exactly as Table 5 writes it.
     """
     inner_reductions: tuple[str, ...] = ()
-    for d in kernel.acc_directives:
+    for d in acc_directives:
         if isinstance(d, AccLoop) and d.reduction:
             inner_reductions = d.reduction
             break
     out: list[OmpDirective] = []
-    for d in kernel.acc_directives:
+    for d in acc_directives:
         omp = acc_to_omp(d)
         if omp is None:
             continue
@@ -128,23 +95,4 @@ def translate_kernel_acc_to_omp(kernel: "AnnotatedKernel") -> tuple[OmpDirective
                 parallel_do=omp.parallel_do, reduction=inner_reductions
             )
         out.append(omp)
-    return tuple(out)
-
-
-def translate_kernel_omp_to_acc(kernel: "AnnotatedKernel") -> tuple[AccDirective, ...]:
-    """Translate a kernel's whole OpenMP annotation set to OpenACC.
-
-    The inverse clause placement of :func:`translate_kernel_acc_to_omp`:
-    OpenACC declares the reduction only on the inner loop, so the
-    ``teams distribute``-level copy is stripped from the translated
-    ``parallel loop`` (Table 4 has no reduction on that row).
-    """
-    out: list[AccDirective] = []
-    for d in kernel.omp_directives:
-        acc = omp_to_acc(d)
-        if acc is None:
-            continue
-        if isinstance(d, OmpTargetTeamsDistribute) and isinstance(acc, AccParallelLoop):
-            acc = AccParallelLoop(gang=acc.gang, worker=acc.worker)
-        out.append(acc)
     return tuple(out)

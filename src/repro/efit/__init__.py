@@ -13,7 +13,6 @@ from repro.efit.greens import (
     greens_psi,
     greens_br,
     greens_bz,
-    mutual_inductance,
 )
 from repro.efit.tables import (
     BoundaryGreensTables,
@@ -48,7 +47,6 @@ from repro.efit.solovev import SolovevEquilibrium
 from repro.efit.boundary import BoundaryResult, find_axis, find_boundary
 from repro.efit.contours import FluxSurface, trace_flux_surface
 from repro.efit.qprofile import QProfile, safety_factor
-from repro.efit.current import distribute_current
 from repro.efit.pflux import (
     PfluxVectorized,
     edge_flux_operator,
@@ -65,7 +63,6 @@ __all__ = [
     "greens_psi",
     "greens_br",
     "greens_bz",
-    "mutual_inductance",
     "BoundaryGreensTables",
     "BoundaryTableCache",
     "boundary_table_cache",
@@ -101,7 +98,6 @@ __all__ = [
     "trace_flux_surface",
     "QProfile",
     "safety_factor",
-    "distribute_current",
     "PfluxVectorized",
     "edge_flux_operator",
     "edge_node_indices",

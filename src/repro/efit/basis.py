@@ -83,6 +83,3 @@ class PolynomialBasis:
             total = float(np.sum(coeffs))
             out = out - total * (1.0 - x ** (n + 1)) / (n + 1)
         return out
-
-    def __len__(self) -> int:
-        return self.n_terms

@@ -31,10 +31,6 @@ class FluxSurface:
     z: np.ndarray
 
     @property
-    def n_points(self) -> int:
-        return int(self.r.size)
-
-    @property
     def perimeter(self) -> float:
         dr = np.diff(np.append(self.r, self.r[0]))
         dz = np.diff(np.append(self.z, self.z[0]))

@@ -3,12 +3,11 @@
 Given the normalised flux and the in-plasma mask from ``steps_`` and the
 profile bases, ``current_`` produces
 
-* the *basis current matrix* ``J``: column ``k`` holds the node currents
-  [A] generated by unit coefficient ``k`` — ``R b_k(psiN) dA`` for the
-  ``p'`` terms and ``b_k(psiN) dA / (mu0 R)`` for the ``FF'`` terms, zero
-  outside the plasma; and
-* for a known coefficient vector, the node-current vector
-  ``pcurr = J @ c`` that feeds ``pflux_`` and the response assembly.
+the *basis current matrix* ``J``: column ``k`` holds the node currents
+[A] generated by unit coefficient ``k`` — ``R b_k(psiN) dA`` for the
+``p'`` terms and ``b_k(psiN) dA / (mu0 R)`` for the ``FF'`` terms, zero
+outside the plasma.  For a fitted coefficient vector the node currents
+``pcurr = J @ c`` feed ``pflux_`` and the response assembly.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from repro.utils.constants import MU0
 __all__ = [
     "BasisSlabs",
     "basis_current_matrix",
-    "basis_current_slab",
     "basis_current_slabs",
-    "distribute_current",
 ]
 
 
@@ -113,24 +110,6 @@ def _write_basis(
         np.multiply(1.0 - edge, weight, out=weight)
 
 
-def basis_current_slab(
-    grid: RZGrid,
-    psin: np.ndarray,
-    mask: np.ndarray,
-    pp_basis: PolynomialBasis,
-    ffp_basis: PolynomialBasis,
-) -> tuple[int, int, np.ndarray]:
-    """The basis current matrix on the grid rows the plasma occupies: the
-    one-plasma call of :func:`basis_current_slabs`.
-
-    Returns ``(i0, i1, slab)``: the mask lies within rows ``[i0, i1)`` and
-    ``slab``, shape ``((i1 - i0) * nh, n_pp + n_ffp)``, holds those rows
-    of :func:`basis_current_matrix` — every other row of it is zero.
-    """
-    slabs = basis_current_slabs(grid, [psin], [mask], pp_basis, ffp_basis)
-    return slabs.i0, slabs.i1, np.ascontiguousarray(slabs.matrix[0].T)
-
-
 def basis_current_matrix(
     grid: RZGrid,
     psin: np.ndarray,
@@ -147,25 +126,3 @@ def basis_current_matrix(
     cols = np.zeros((grid.size, slabs.matrix.shape[1]))
     cols[slabs.i0 * grid.nh : slabs.i1 * grid.nh] = slabs.matrix[0].T
     return cols
-
-
-def distribute_current(
-    grid: RZGrid,
-    psin: np.ndarray,
-    mask: np.ndarray,
-    pp_basis: PolynomialBasis,
-    ffp_basis: PolynomialBasis,
-    coeffs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node currents and current density for a fitted coefficient vector.
-
-    Returns ``(pcurr, j_phi)``: node currents [A] shaped ``(nw, nh)`` and
-    the current density [A/m^2] on the same grid.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n_total = pp_basis.n_terms + ffp_basis.n_terms
-    if coeffs.shape != (n_total,):
-        raise FittingError(f"coefficient vector length {coeffs.shape} != {n_total}")
-    jmat = basis_current_matrix(grid, psin, mask, pp_basis, ffp_basis)
-    pcurr = (jmat @ coeffs).reshape(grid.shape)
-    return pcurr, pcurr / grid.cell_area

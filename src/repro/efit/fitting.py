@@ -250,9 +250,8 @@ class EfitSolver:
         boundary Green sums the flux step applies: how an engine or a
         fleet worker puts its solver on the operator it owns, and how a
         caller picks another representation of the sums — a
-        ``DenseEdgeOperator``, the paper's table sums
-        (:class:`~repro.efit.pflux.TableSumEdgeOperator`) or the modelled
-        GPU offload of :mod:`repro.core.offload`.  Not given, the solver
+        ``DenseEdgeOperator`` or the paper's table sums
+        (:class:`~repro.efit.pflux.TableSumEdgeOperator`).  Not given, the solver
         applies the process-wide
         :func:`~repro.efit.operators.cached_edge_operator` of its grid.
     profiler:

@@ -53,7 +53,6 @@ __all__ = [
     "BZ",
     "sensor_response",
     "sensor_grid_response",
-    "mutual_inductance",
     "self_flux_per_radian",
 ]
 
@@ -327,14 +326,6 @@ def sensor_grid_response(r, z, functional, r_axis, z_axis, *, out=None) -> np.nd
         raise GreensError(f"out must be a {shape} float64 array: {out.shape} {out.dtype}")
     out[...] = 0.0
     return _by_position(r, z, functional, r_axis, z_axis, lambda fields: fields, out)
-
-
-def mutual_inductance(r, z, rs, zs):
-    """Mutual inductance between two coaxial circular filaments [H].
-
-    ``M = 2*pi * G_psi`` — the full flux linked per ampere.
-    """
-    return TWO_PI * greens_psi(r, z, rs, zs)
 
 
 def self_flux_per_radian(rs, minor_radius):

@@ -197,12 +197,6 @@ class RZGrid:
             raise GridError(f"vector length {vec.shape} != grid size {self.size}")
         return vec.reshape(self.shape)
 
-    def flat_index(self, i: int, j: int) -> int:
-        """0-based flat index of node (i, j): ``kk = i*nh + j``."""
-        if not (0 <= i < self.nw and 0 <= j < self.nh):
-            raise GridError(f"node ({i}, {j}) outside {self.nw}x{self.nh} grid")
-        return i * self.nh + j
-
     def geometry_hash(self) -> str:
         """Stable hex fingerprint of the grid geometry.
 
@@ -218,22 +212,10 @@ class RZGrid:
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
     # -- boundary bookkeeping -------------------------------------------------
-    @cached_property
-    def boundary_mask(self) -> np.ndarray:
-        """Boolean ``(nw, nh)`` mask of the grid-edge nodes."""
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        return mask
-
     @property
     def n_boundary(self) -> int:
         """Number of distinct grid-edge nodes."""
         return 2 * self.nw + 2 * self.nh - 4
-
-    def interior_slice(self) -> tuple[slice, slice]:
-        """Slices selecting the interior nodes of an ``(nw, nh)`` field."""
-        return (slice(1, self.nw - 1), slice(1, self.nh - 1))
 
     # -- interpolation ---------------------------------------------------------
     def bilinear(self, field: np.ndarray, r: float | np.ndarray, z: float | np.ndarray) -> np.ndarray:
@@ -348,25 +330,3 @@ class RZGrid:
             grid_rows[:, :first] = 0.0
             grid_rows[:, last:] = 0.0
         return out.reshape(field.shape)
-
-    def refined(self, factor: int = 2) -> "RZGrid":
-        """A grid with (n-1)*factor+1 points per direction on the same box.
-
-        Doubling 65 -> 129 -> 257 -> 513 reproduces the paper's sweep.
-        """
-        if factor < 1:
-            raise GridError("refinement factor must be >= 1")
-        return RZGrid(
-            nw=(self.nw - 1) * factor + 1,
-            nh=(self.nh - 1) * factor + 1,
-            rmin=self.rmin,
-            rmax=self.rmax,
-            zmin=self.zmin,
-            zmax=self.zmax,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RZGrid({self.nw}x{self.nh}, R=[{self.rmin}, {self.rmax}], "
-            f"Z=[{self.zmin}, {self.zmax}])"
-        )

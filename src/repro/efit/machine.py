@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.efit.greens import BR, BZ, PSI, FilamentSet, sensor_response
+from repro.efit.greens import PSI, FilamentSet, sensor_response
 from repro.efit.grid import RZGrid
 from repro.errors import MeasurementError
 
@@ -80,23 +80,6 @@ class PoloidalFieldCoil:
         rr, zz = np.meshgrid(rf, zf, indexing="ij")
         w = np.full(rr.size, self.turns / (self.nr * self.nz))
         return rr.ravel(), zz.ravel(), w
-
-    def _field_at(self, r, z, functional) -> np.ndarray:
-        """``functional @ (psi, Br, Bz)`` per ampere of coil current at
-        the broadcast of ``(r, z)``."""
-        r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
-        sources = FilamentSet.subdivided([self.filaments])
-        return sensor_response(r.ravel(), z.ravel(), functional, sources).reshape(r.shape)
-
-    def psi_at(self, r, z) -> np.ndarray:
-        """Flux per radian per ampere of coil current at (r, z)."""
-        return self._field_at(r, z, PSI)
-
-    def br_at(self, r, z) -> np.ndarray:
-        return self._field_at(r, z, BR)
-
-    def bz_at(self, r, z) -> np.ndarray:
-        return self._field_at(r, z, BZ)
 
 
 @dataclass(frozen=True)
@@ -177,10 +160,6 @@ class Limiter(_GeometryMemo):
             raise MeasurementError("limiter needs matching 1-D r/z arrays of >= 3 points")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "z", z)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.r.size)
 
     def contains(self, r, z) -> np.ndarray:
         """Vectorised point-in-polygon (even-odd rule).
@@ -263,12 +242,6 @@ class Tokamak(_GeometryMemo):
     @property
     def n_coils(self) -> int:
         return len(self.coils)
-
-    def coil_index(self, name: str) -> int:
-        for i, coil in enumerate(self.coils):
-            if coil.name == name:
-                return i
-        raise MeasurementError(f"no coil named {name!r}")
 
     def make_grid(self, n: int) -> RZGrid:
         """The ``n x n`` computational grid on this device's default box."""

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.efit.basis import PolynomialBasis
 from repro.errors import FittingError
-from repro.utils.constants import MU0
 
 __all__ = ["ProfileCoefficients"]
 
@@ -46,10 +45,6 @@ class ProfileCoefficients:
             raise FittingError("beta length does not match FF' basis")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.pp_basis.n_terms + self.ffp_basis.n_terms
 
     @classmethod
     def from_vector(
@@ -86,8 +81,3 @@ class ProfileCoefficients:
         ``F^2(x) = F_b^2 - 2 dpsi int_x^1 FF'(t) dt``."""
         dpsi = psi_boundary - psi_axis
         return f_boundary**2 - 2.0 * dpsi * self.ffp_basis.antiderivative(self.beta, x)
-
-    def toroidal_current_density(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``J_phi(R, x) = R p'(x) + FF'(x) / (mu0 R)`` [A/m^2]."""
-        r = np.asarray(r, dtype=float)
-        return r * self.pprime(x) + self.ffprime(x) / (MU0 * r)

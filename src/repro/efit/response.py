@@ -9,8 +9,8 @@ not move and is built once per slice.  This module owns all three.
 
 The least squares and its residual are stacked kernels
 (:func:`solve_lsq_stack`, :func:`weighted_residuals`): a lock-step batch
-solves every slice's system in one call, and the one-system calls
-(:func:`solve_weighted_lsq`, :func:`chi_squared`) are the batch of one.
+solves every slice's system in one call, and the one-system call
+:func:`solve_weighted_lsq` is the batch of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "measurement_system",
     "solve_lsq_stack",
     "solve_weighted_lsq",
-    "chi_squared",
     "weighted_residuals",
 ]
 
@@ -203,11 +202,3 @@ def solve_weighted_lsq(assembly: ResponseAssembly, *, ridge: float = 0.0) -> np.
     """
     matrix, data = assembly.weighted()
     return solve_lsq_stack(matrix[None], data[None], ridge=ridge)[0]
-
-
-def chi_squared(assembly: ResponseAssembly, coeffs: np.ndarray) -> float:
-    """Weighted residual ``chi^2`` of a coefficient vector: the one-system
-    call of :func:`weighted_residuals`."""
-    matrix, data = assembly.weighted()
-    (resid,) = weighted_residuals(matrix[None], data[None], np.asarray(coeffs, dtype=float)[None])
-    return float(resid @ resid)

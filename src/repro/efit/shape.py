@@ -31,15 +31,6 @@ class ShapeParameters:
     z_top: float
     z_bottom: float
 
-    @property
-    def aspect_ratio(self) -> float:
-        return self.r_geo / self.a_minor
-
-    @property
-    def delta(self) -> float:
-        """Average triangularity."""
-        return 0.5 * (self.delta_upper + self.delta_lower)
-
     @classmethod
     def from_surface(cls, surface: FluxSurface) -> "ShapeParameters":
         """Measure a traced surface.

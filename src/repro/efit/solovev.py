@@ -94,9 +94,6 @@ class SolovevEquilibrium:
     def psi_grid(self, grid: RZGrid) -> np.ndarray:
         return self.psi(grid.rr, grid.zz)
 
-    def rhs_grid(self, grid: RZGrid) -> np.ndarray:
-        return self.delta_star(grid.rr, grid.zz)
-
     # -- shaped factory --------------------------------------------------------------
     @classmethod
     def shaped(

@@ -89,14 +89,6 @@ class BoundaryGreensTables:
         nw, nh = self.grid.nw, self.grid.nh
         return self.gpc.reshape(nw * nh, nw)
 
-    def left_block(self) -> np.ndarray:
-        """``(nh, nw)`` table for the left edge (boundary column 0)."""
-        return self.gpc[0]
-
-    def right_block(self) -> np.ndarray:
-        """``(nh, nw)`` table for the right edge (boundary column nw-1)."""
-        return self.gpc[self.grid.nw - 1]
-
 
 def build_boundary_tables(grid: RZGrid) -> BoundaryGreensTables:
     """Build the full boundary Green tables for ``grid``.
@@ -158,16 +150,13 @@ class BoundaryTableCache:
     def current_bytes(self) -> int:
         return sum(t.nbytes for t in self._entries.values())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def operators(self, grid: RZGrid) -> dict:
         """The edge operators built from ``grid``'s table, by method
         (:func:`repro.efit.operators.cached_edge_operator` fills it).
 
         An operator may alias the table, so it lives exactly as long as
-        the entry: :meth:`drop`, :meth:`clear`, an eviction and a
-        :meth:`seed` over the entry forget it with the table.
+        the entry: :meth:`clear`, an eviction and a :meth:`seed` over the
+        entry forget it with the table.
         """
         return self._operators.setdefault(self._key(grid), {})
 
@@ -221,23 +210,6 @@ class BoundaryTableCache:
         self._entries[key] = tables
         self._entries.move_to_end(key)
         self._operators.pop(key, None)
-
-    def drop(self, grid: RZGrid) -> None:
-        """Forget the entry for ``grid`` — and every operator built from
-        it — so the next ``get`` loads or builds it anew (no-op when
-        absent).  Nothing has to call this before an arena is released: a
-        seeded view owns its mapping and stays readable.
-        """
-        key = self._key(grid)
-        self._entries.pop(key, None)
-        self._operators.pop(key, None)
-
-    def set_max_bytes(self, max_bytes: int) -> None:
-        """Re-bound the cache, evicting immediately if now over budget."""
-        if max_bytes < 0:
-            raise GreensError("cache budget must be non-negative")
-        self.max_bytes = max_bytes
-        self._shrink()
 
     def cache_info(self) -> dict[str, int]:
         """``functools.lru_cache``-style statistics, plus byte accounting."""

@@ -53,23 +53,3 @@ class FitWorkspace:
         self._arrays[name] = arr
         self.counters.record_allocation(arr.nbytes, freed_bytes=freed)
         return arr
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently resident in the arena."""
-        return sum(a.nbytes for a in self._arrays.values())
-
-    def names(self) -> tuple[str, ...]:
-        """The currently allocated buffer names (diagnostic aid)."""
-        return tuple(self._arrays)
-
-    def clear(self) -> None:
-        """Drop every buffer (counters keep their history)."""
-        self._arrays.clear()
-        self.counters.resident_bytes = 0

@@ -67,11 +67,6 @@ class GPUArchitecture:
             raise HardwareError(f"{self.name}: invalid unit counts")
 
     @property
-    def machine_balance(self) -> float:
-        """FLOPs per byte at the roofline ridge point."""
-        return self.peak_fp64_gflops / self.hbm_bw_gbs
-
-    @property
     def page_bytes(self) -> float:
         return self.page_kib * 1024.0
 

@@ -11,8 +11,8 @@ is that discipline as a subsystem:
 * :mod:`repro.obs.export` — Chrome-trace (``about:tracing``/Perfetto)
   and JSONL exporters, plus trace-side region totals;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`
-  (counters/gauges/histograms) absorbing the legacy
-  ``WorkspaceCounters``/``CacheCounters``/``RegionProfiler`` as sources.
+  (counters/gauges/histograms), with live sources such as the fleet
+  scheduler's job counters.
 
 See ``docs/OBSERVABILITY.md`` for the span schema and workflows.
 """
@@ -31,10 +31,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    cache_source,
-    counter_set_source,
-    region_profiler_source,
-    workspace_source,
 )
 from repro.obs.trace import EventRecord, SpanRecord, TraceRecorder
 
@@ -56,8 +52,4 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "workspace_source",
-    "cache_source",
-    "region_profiler_source",
-    "counter_set_source",
 ]

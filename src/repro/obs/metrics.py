@@ -1,18 +1,15 @@
 """Counters, gauges and histograms behind one registry.
 
-Before this module the repo's runtime observability lived in silos:
-:class:`~repro.runtime.counters.WorkspaceCounters` inside the batch
-arenas, :class:`~repro.runtime.counters.CacheCounters` inside the table
-cache, :class:`~repro.profiling.regions.RegionProfiler` inside the
-solver.  :class:`MetricsRegistry` absorbs them as *sources* — live
+A :class:`MetricsRegistry` owns fresh metrics (counters, gauges,
+histograms) and absorbs counters kept elsewhere as *sources* — live
 callables sampled at :meth:`~MetricsRegistry.collect` time — so one
-``collect()`` yields a flat ``name -> value`` mapping covering fresh
-metrics (counters/gauges/histograms owned by the registry) and every
-legacy counter, without any of the owners changing.
+``collect()`` yields a flat ``name -> value`` mapping.  The fleet
+registers its scheduler's job accounting this way (:func:`scheduler_source`).
 
-Histograms use fixed bucket bounds, which makes :meth:`Histogram.merge`
-associative and commutative — the property the Hypothesis suite pins
-down, and the reason per-worker histograms can be combined in any order.
+Histograms use fixed bucket bounds, which makes merging them
+(:func:`repro.parallel.merge.merge_metrics`) associative and commutative —
+the property the Hypothesis suite pins down, and the reason per-worker
+histograms can be combined in any order.
 """
 
 from __future__ import annotations
@@ -22,13 +19,7 @@ from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import ObservabilityError
-from repro.profiling.regions import RegionProfiler
-from repro.runtime.counters import (
-    CacheCounters,
-    CounterSet,
-    SchedulerCounters,
-    WorkspaceCounters,
-)
+from repro.runtime.counters import SchedulerCounters
 
 __all__ = [
     "Counter",
@@ -36,10 +27,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_SECONDS_BOUNDS",
-    "workspace_source",
-    "cache_source",
-    "region_profiler_source",
-    "counter_set_source",
     "scheduler_source",
 ]
 
@@ -113,23 +100,6 @@ class Histogram:
         self.total += 1
         self.sum += value
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both operands' samples.
-
-        Requires identical bounds; associative and commutative, so
-        per-worker histograms combine in any order.
-        """
-        if self.bounds != other.bounds:
-            raise ObservabilityError(
-                f"cannot merge histograms {self.name!r}/{other.name!r}: "
-                "bucket bounds differ"
-            )
-        merged = Histogram(self.name, self.bounds)
-        merged.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        merged.total = self.total + other.total
-        merged.sum = self.sum + other.sum
-        return merged
-
     @property
     def mean(self) -> float:
         return self.sum / self.total if self.total else 0.0
@@ -162,7 +132,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics plus live legacy-counter sources.
+    """Named metrics plus live counter sources.
 
     Metric names are unique across kinds — asking for an existing name
     with a different kind is an error, asking with the same kind returns
@@ -235,51 +205,7 @@ class MetricsRegistry:
         return {"metrics": metrics, "collected": self.collect()}
 
 
-# -- legacy-counter adapters -------------------------------------------------------
-def workspace_source(counters: WorkspaceCounters) -> Callable[[], dict[str, float]]:
-    """Live view of a :class:`WorkspaceCounters` (arena allocation/reuse)."""
-
-    def sample() -> dict[str, float]:
-        return {
-            "allocations": float(counters.allocations),
-            "reuses": float(counters.reuses),
-            "allocated_bytes": float(counters.allocated_bytes),
-            "resident_bytes": float(counters.resident_bytes),
-            "reuse_fraction": counters.reuse_fraction,
-        }
-
-    return sample
-
-
-def cache_source(counters: CacheCounters) -> Callable[[], dict[str, float]]:
-    """Live view of a :class:`CacheCounters` (hit/miss/eviction)."""
-
-    def sample() -> dict[str, float]:
-        return {
-            "hits": float(counters.hits),
-            "misses": float(counters.misses),
-            "evictions": float(counters.evictions),
-            "stored_bytes": float(counters.stored_bytes),
-            "hit_rate": counters.hit_rate,
-        }
-
-    return sample
-
-
-def region_profiler_source(profiler: RegionProfiler) -> Callable[[], dict[str, float]]:
-    """Live view of a :class:`RegionProfiler`: per-region seconds/calls."""
-
-    def sample() -> dict[str, float]:
-        report = profiler.report()
-        out: dict[str, float] = {}
-        for name, total in report.totals.items():
-            out[f"{name}.seconds"] = total
-            out[f"{name}.calls"] = float(report.calls[name])
-        return out
-
-    return sample
-
-
+# -- counter adapters ---------------------------------------------------------------
 def scheduler_source(counters: SchedulerCounters) -> Callable[[], dict[str, float]]:
     """Live view of a :class:`SchedulerCounters` (job dispositions)."""
 
@@ -293,23 +219,6 @@ def scheduler_source(counters: SchedulerCounters) -> Callable[[], dict[str, floa
             "errors": float(counters.errors),
             "quarantined": float(counters.quarantined),
             "worker_restarts": float(counters.worker_restarts),
-        }
-
-    return sample
-
-
-def counter_set_source(counters: CounterSet) -> Callable[[], dict[str, float]]:
-    """Live view of a device :class:`CounterSet` (transfers, launches)."""
-
-    def sample() -> dict[str, float]:
-        return {
-            "h2d_bytes": counters.h2d_bytes,
-            "d2h_bytes": counters.d2h_bytes,
-            "page_faults": float(counters.page_faults),
-            "migrations": float(counters.migrations),
-            "dram_bytes": counters.total_dram_bytes,
-            "launches": float(counters.total_launches),
-            "device_seconds": counters.total_device_seconds,
         }
 
     return sample

@@ -83,12 +83,6 @@ class SpanRecord:
         return self.duration is not None
 
     @property
-    def end(self) -> float:
-        if self.duration is None:
-            raise ObservabilityError(f"span {self.name!r} is still open")
-        return self.start + self.duration
-
-    @property
     def exclusive(self) -> float:
         """Duration minus time spent in child spans (profiler semantics)."""
         if self.duration is None:
@@ -109,10 +103,6 @@ class SpanRecord:
             "index": self.index,
             "attributes": dict(self.attributes),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        dur = f"{self.duration:.3e}s" if self.closed else "open"
-        return f"SpanRecord({self.name!r}, {dur}, depth={self.depth})"
 
 
 class EventRecord:
@@ -148,9 +138,6 @@ class EventRecord:
             "index": self.index,
             "attributes": dict(self.attributes),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EventRecord({self.name!r}, t={self.timestamp:.3e})"
 
 
 class _NullContext:
@@ -366,15 +353,6 @@ class TraceRecorder:
             if isinstance(record, EventRecord):
                 yield record
 
-    @property
-    def open_span_count(self) -> int:
-        """Spans started but not yet closed (should be 0 between runs)."""
-        return sum(
-            1
-            for record in self.records
-            if isinstance(record, SpanRecord) and not record.closed
-        )
-
     def region_totals(self, *, category: str = "region") -> dict[str, float]:
         """Per-name **exclusive** totals — the pie-chart quantity.
 
@@ -384,13 +362,6 @@ class TraceRecorder:
         totals: dict[str, float] = {}
         for span in self.spans(category=category):
             totals[span.name] = totals.get(span.name, 0.0) + span.exclusive
-        return totals
-
-    def inclusive_totals(self, *, category: str | None = None) -> dict[str, float]:
-        """Per-name wall-time totals including children."""
-        totals: dict[str, float] = {}
-        for span in self.spans(category=category):
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration
         return totals
 
     def reset(self) -> None:

@@ -12,8 +12,7 @@ This module folds them into:
   Perfetto shows the fleet timeline stacked one lane per process; and
 * :func:`merge_metrics` — one aggregated metrics snapshot: scalar
   metrics (counters/gauges) sum across workers, histograms merge
-  bucket-wise (identical bounds required, the
-  :meth:`~repro.obs.metrics.Histogram.merge` contract).
+  bucket-wise (identical bounds required).
 
 Both merges are order-independent: reports are keyed by worker id, and
 histogram merging is associative/commutative, so the artifacts do not

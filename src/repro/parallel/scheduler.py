@@ -200,11 +200,6 @@ class ScheduleResult:
     counters: SchedulerCounters
     wall_seconds: float
 
-    @property
-    def results(self) -> list:
-        """Completed job results, ordered by submission index."""
-        return [o.result for o in self.outcomes]
-
 
 class _Worker:
     """One slot's worker: its sinks, its state and its job count.

@@ -48,12 +48,6 @@ class RegionReport:
             return {name: 0.0 for name in self.totals}
         return {name: 100.0 * t / total for name, t in self.totals.items()}
 
-    def time_per_call(self, name: str) -> float:
-        calls = self.calls.get(name, 0)
-        if calls == 0:
-            return 0.0
-        return self.totals[name] / calls
-
 
 class _Region:
     """One :meth:`RegionProfiler.region`: an object, not a generator, as
@@ -119,14 +113,6 @@ class RegionProfiler:
         """A ``with``-able region: :meth:`begin` on entry, :meth:`end` on
         exit, whatever the exit."""
         return _Region(self, name)
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Record time directly (used by the simulated executors)."""
-        if seconds < 0.0:
-            raise ValueError("negative region time")
-        stats = self._stats.setdefault(name, _RegionStats())
-        stats.total += seconds
-        stats.calls += calls
 
     def report(self) -> RegionReport:
         return RegionReport(

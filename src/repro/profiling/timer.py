@@ -45,6 +45,3 @@ class VirtualClock(Clock):
         if seconds < 0.0:
             raise ValueError(f"cannot advance a clock by {seconds} s")
         self._t += seconds
-
-    def reset(self) -> None:
-        self._t = 0.0

@@ -1,10 +1,11 @@
-"""Hardware-counter emulation.
+"""Hardware-counter emulation and runtime accounting.
 
-The paper's Figure 5 is built from profiler counters: ``dram__bytes.sum``
-(Nsight Compute), the ``TCC_EA_RDREQ/WRREQ`` request counters (rocprof)
-and Advisor's memory-workload analysis.  :class:`CounterSet` accumulates
-the same quantities per kernel and renders tool-flavoured reports so the
-benchmark harness can "run the profiler" on a simulated execution.
+The paper's Figure 5 is built from profiler counters (Nsight Compute's
+``dram__bytes.sum``, rocprof's ``TCC_EA_RDREQ/WRREQ`` requests, Advisor's
+memory-workload analysis), all of which measure the DRAM bytes a kernel
+moves.  :class:`CounterSet` accumulates those bytes, FLOPs, launches and
+device seconds per kernel of a simulated execution;
+:attr:`KernelCounters.dram_bytes` is the quantity the figure plots.
 """
 
 from __future__ import annotations
@@ -58,36 +59,6 @@ class WorkspaceCounters:
         total = self.requests
         return self.reuses / total if total else 0.0
 
-    def snapshot(self) -> "WorkspaceCounters":
-        """A frozen-in-time copy, for before/after steady-state checks."""
-        return WorkspaceCounters(
-            allocations=self.allocations,
-            reuses=self.reuses,
-            allocated_bytes=self.allocated_bytes,
-            resident_bytes=self.resident_bytes,
-        )
-
-    def allocations_since(self, previous: "WorkspaceCounters") -> int:
-        """Fresh allocations since ``previous`` (a :meth:`snapshot`).
-
-        A warm :class:`~repro.batch.engine.BatchFitEngine` reports zero
-        here: it asks for no workspace buffer it has not already made.
-        The count covers workspace requests only, not every array a
-        batch makes.
-        """
-        delta = self.allocations - previous.allocations
-        if delta < 0:
-            raise RuntimeModelError(
-                "allocation counter moved backwards: snapshot is not from this counter's past"
-            )
-        return delta
-
-    def reset(self) -> None:
-        self.allocations = 0
-        self.reuses = 0
-        self.allocated_bytes = 0
-        self.resident_bytes = 0
-
 
 @dataclass
 class CacheCounters:
@@ -112,11 +83,6 @@ class CacheCounters:
             raise RuntimeModelError("negative cache byte count")
         self.evictions += 1
         self.stored_bytes -= nbytes
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def reset(self) -> None:
         self.hits = 0
@@ -145,11 +111,6 @@ class SchedulerCounters:
     quarantined: int = 0
     worker_restarts: int = 0
 
-    @property
-    def accounted(self) -> int:
-        """Jobs with a final disposition (completed or quarantined)."""
-        return self.completed + self.quarantined
-
     def snapshot(self) -> "SchedulerCounters":
         """A frozen-in-time copy, for before/after assertions."""
         return SchedulerCounters(
@@ -162,16 +123,6 @@ class SchedulerCounters:
             quarantined=self.quarantined,
             worker_restarts=self.worker_restarts,
         )
-
-    def reset(self) -> None:
-        self.submitted = 0
-        self.completed = 0
-        self.retries = 0
-        self.crashes = 0
-        self.timeouts = 0
-        self.errors = 0
-        self.quarantined = 0
-        self.worker_restarts = 0
 
 
 @dataclass
@@ -219,66 +170,3 @@ class CounterSet:
         k.dram_read_bytes += read_bytes
         k.dram_write_bytes += write_bytes
         k.device_seconds += seconds
-
-    @property
-    def total_dram_bytes(self) -> float:
-        return sum(k.dram_bytes for k in self.kernels.values())
-
-    @property
-    def total_launches(self) -> int:
-        return sum(k.launches for k in self.kernels.values())
-
-    @property
-    def total_device_seconds(self) -> float:
-        return sum(k.device_seconds for k in self.kernels.values())
-
-    def reset(self) -> None:
-        self.kernels.clear()
-        self.h2d_bytes = 0.0
-        self.d2h_bytes = 0.0
-        self.page_faults = 0
-        self.migrations = 0
-
-    # -- profiler-flavoured views (Appendix A) -----------------------------------
-    def nsight_report(self, kernel: str) -> dict[str, float]:
-        """NVIDIA Nsight Compute style: ``dram__bytes.sum``."""
-        k = self.kernel(kernel)
-        return {
-            "dram__bytes.sum": k.dram_bytes,
-            "dram__bytes_read.sum": k.dram_read_bytes,
-            "dram__bytes_write.sum": k.dram_write_bytes,
-            "launch__count": float(k.launches),
-        }
-
-    def rocprof_report(self, kernel: str) -> dict[str, float]:
-        """AMD rocprof style: EA read/write request counts.
-
-        Inverse of the Appendix A formula — reads modeled as 64 B
-        requests, writes as 64 B requests, so
-        ``GPU Bytes Moved = 64*(RD + WR)`` reproduces the byte counters.
-        """
-        k = self.kernel(kernel)
-        return {
-            "TCC_EA_RDREQ_sum": k.dram_read_bytes / 64.0,
-            "TCC_EA_RDREQ_32B_sum": 0.0,
-            "TCC_EA_WRREQ_sum": k.dram_write_bytes / 64.0,
-            "TCC_EA_WRREQ_64B_sum": k.dram_write_bytes / 64.0,
-        }
-
-    def advisor_report(self, kernel: str) -> dict[str, float]:
-        """Intel Advisor style: GTI (memory) traffic and FLOP counts."""
-        k = self.kernel(kernel)
-        return {
-            "gpu_memory_bytes": k.dram_bytes,
-            "gpu_compute_flop": k.flops,
-            "kernel_invocations": float(k.launches),
-        }
-
-    @staticmethod
-    def rocprof_bytes_moved(report: dict[str, float]) -> float:
-        """Appendix A formula applied to a rocprof report."""
-        wr64 = report["TCC_EA_WRREQ_64B_sum"]
-        wr = report["TCC_EA_WRREQ_sum"]
-        rd32 = report["TCC_EA_RDREQ_32B_sum"]
-        rd = report["TCC_EA_RDREQ_sum"]
-        return 64.0 * wr64 + 32.0 * (wr - wr64) + 32.0 * rd32 + 64.0 * (rd - rd32)

@@ -26,7 +26,6 @@ name                      topology  X-points    machine
 from repro.scenarios.definitions import DEFAULT_SCENARIO
 from repro.scenarios.registry import (
     Scenario,
-    all_scenarios,
     get_scenario,
     register,
     scenario_names,
@@ -35,7 +34,6 @@ from repro.scenarios.registry import (
 __all__ = [
     "DEFAULT_SCENARIO",
     "Scenario",
-    "all_scenarios",
     "get_scenario",
     "register",
     "scenario_names",

@@ -31,7 +31,7 @@ from repro.errors import ScenarioError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.efit.measurements import SyntheticShot
 
-__all__ = ["Scenario", "register", "get_scenario", "scenario_names", "all_scenarios"]
+__all__ = ["Scenario", "register", "get_scenario", "scenario_names"]
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,3 @@ def get_scenario(name: str) -> Scenario:
 def scenario_names() -> tuple[str, ...]:
     """Registered names in registration order (the CLI's choice list)."""
     return tuple(_REGISTRY)
-
-
-def all_scenarios() -> tuple[Scenario, ...]:
-    """Every registered scenario, in registration order."""
-    return tuple(_REGISTRY.values())

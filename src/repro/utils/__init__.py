@@ -1,8 +1,7 @@
-"""Small shared utilities: physical constants, formatting, statistics."""
+"""Small shared utilities: physical constants and formatting."""
 
 from repro.utils.constants import MU0, TWO_PI
 from repro.utils.tables import Table, format_seconds, format_bytes, format_speedup
-from repro.utils.stats import geomean, relative_error, within_factor
 
 __all__ = [
     "MU0",
@@ -11,7 +10,4 @@ __all__ = [
     "format_seconds",
     "format_bytes",
     "format_speedup",
-    "geomean",
-    "relative_error",
-    "within_factor",
 ]

@@ -86,5 +86,3 @@ class Table:
         lines.append(sep)
         return "\n".join(lines)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()

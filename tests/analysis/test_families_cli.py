@@ -33,7 +33,7 @@ class TestStaleness:
             {live.fingerprint: "still real", "ghost@x::y#z": "long gone"}
         )
         assert baseline.stale_entries([live]) == {"ghost@x::y#z": "long gone"}
-        pruned = baseline.pruned([live])
+        pruned = Baseline.from_findings([live], previous=baseline)
         assert pruned.suppressions == {live.fingerprint: "still real"}
 
     def test_from_findings_preserves_curated_reasons(self):

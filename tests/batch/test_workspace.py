@@ -54,7 +54,7 @@ class TestFitWorkspace:
         ws = FitWorkspace()
         ws.array("a", (10, 10))
         ws.array("b", (5,))
-        assert ws.counters.resident_bytes == ws.nbytes == 100 * 8 + 5 * 8
+        assert ws.counters.resident_bytes == 100 * 8 + 5 * 8
 
     def test_external_counters_shared(self):
         counters = WorkspaceCounters()
@@ -65,16 +65,3 @@ class TestFitWorkspace:
     def test_empty_name_rejected(self):
         with pytest.raises(FittingError):
             FitWorkspace().array("", (3,))
-
-    def test_introspection_and_clear(self):
-        ws = FitWorkspace()
-        ws.array("a", (2,))
-        ws.array("b", (2,))
-        assert "a" in ws and "c" not in ws
-        assert len(ws) == 2
-        assert set(ws.names()) == {"a", "b"}
-        ws.clear()
-        assert len(ws) == 0
-        assert ws.nbytes == 0
-        assert ws.counters.resident_bytes == 0
-        assert ws.counters.allocations == 2  # history survives clear()

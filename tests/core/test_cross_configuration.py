@@ -32,7 +32,7 @@ class TestEveryConfiguration:
         r = study.gpu_pflux(study.site(site.name), model, n)
         assert r.seconds > 0
         assert sum(r.per_kernel.values()) <= r.seconds * (1 + 1e-9)
-        assert r.boundary_seconds > 0
+        assert r.per_kernel["boundary_lr"] > 0 and r.per_kernel["boundary_tb"] > 0
 
     def test_speedup_definition(self, study, site, model, n):
         s = study.site(site.name)

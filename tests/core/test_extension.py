@@ -33,14 +33,13 @@ class TestProjection:
     def test_amdahl_consistency(self, study):
         """The projected full-offload speedup must respect the Amdahl cap
         set by the remaining host fraction."""
-        from repro.core.speedup import amdahl_limit
         from repro.core.study import cpu_fit_seconds
 
         site = study.site("frontier")
         p = project_full_offload(study, site, "openmp", 513)
         baseline = cpu_fit_seconds(site, 513)
         host_fraction_acc = 1.0 - p.host_remainder_seconds / baseline
-        assert p.fit_speedup_full < amdahl_limit(host_fraction_acc)
+        assert p.fit_speedup_full < 1.0 / (1.0 - host_fraction_acc)
 
     def test_host_remainder_positive(self, study):
         """The serial slice of steps_ + LSQ never disappears."""

@@ -1,19 +1,9 @@
-"""Tests of the offloaded pflux_: numerics identical, model charged."""
+"""Tests of the offloaded pflux_ model: arrays, launches, capacity."""
 
-import numpy as np
 import pytest
 
 from repro.compilers.flags import parse_flags
-from repro.core.offload import (
-    OffloadedPflux,
-    PfluxOffloadModel,
-    build_pflux_registry,
-    pflux_device_arrays,
-)
-from repro.efit.fitting import EfitSolver
-from repro.efit.pflux import PfluxStructured, PfluxVectorized
-from repro.efit.solvers import make_solver
-from repro.efit.tables import cached_boundary_tables
+from repro.core.offload import PfluxOffloadModel, build_pflux_registry, pflux_device_arrays
 from repro.machines.site import frontier, perlmutter, sunspot
 from repro.runtime.memory import Direction
 
@@ -72,51 +62,6 @@ class TestOffloadModel:
         model.invoke()
         assert model.executor.counters.h2d_bytes > 0
         assert model.executor.counters.d2h_bytes > 0
-
-
-class TestOffloadedPfluxNumerics:
-    @pytest.fixture(scope="class")
-    def pieces(self):
-        from repro.efit.grid import RZGrid
-
-        g = RZGrid(17, 19)
-        tables = cached_boundary_tables(g)
-        solver = make_solver("direct", g)
-        return g, tables, solver
-
-    def test_bitwise_match_with_cpu_path(self, pieces, rng):
-        g, tables, solver = pieces
-        cpu = PfluxVectorized(g, tables, solver)
-        gpu = PfluxStructured(g, tables, solver, OffloadedPflux(tables, build_for(perlmutter())))
-        pcurr = rng.normal(size=g.shape) * 1e3
-        ext = rng.normal(size=g.shape)
-        assert np.array_equal(cpu.compute(pcurr, ext), gpu.compute(pcurr, ext))
-
-    def test_virtual_time_accumulates(self, pieces, rng):
-        g, tables, solver = pieces
-        gpu = OffloadedPflux(tables, build_for(frontier()))
-        step = PfluxStructured(g, tables, solver, gpu)
-        pcurr = rng.normal(size=g.shape)
-        step.compute(pcurr)
-        t1 = gpu.modeled_seconds
-        step.compute(pcurr)
-        assert gpu.modeled_seconds > t1
-        assert gpu.last_invocation["__total__"] > 0
-
-    def test_full_reconstruction_through_offloaded_pflux(self, shot33):
-        """EfitSolver with the GPU pflux_ converges to the same answer as
-        the CPU build — the end-to-end 'same physics on the device' check."""
-        g = shot33.grid
-        tables = cached_boundary_tables(g)
-        gpu_pflux = OffloadedPflux(tables, build_for(perlmutter()))
-        cpu_fit = EfitSolver(shot33.machine, shot33.diagnostics, g).fit(shot33.measurements)
-        gpu_fit = EfitSolver(
-            shot33.machine, shot33.diagnostics, g, pflux_impl=gpu_pflux
-        ).fit(shot33.measurements)
-        assert gpu_fit.iterations == cpu_fit.iterations
-        assert np.allclose(gpu_fit.psi, cpu_fit.psi, rtol=1e-12, atol=1e-14)
-        # and the device model charged one invocation per Picard iterate
-        assert gpu_pflux.model.executor.counters.kernel("boundary_lr").launches == gpu_fit.iterations
 
 
 class TestCapacity:

@@ -17,7 +17,22 @@ from repro.core.study import (
     fit_breakdown_cpu,
 )
 from repro.machines.site import ALL_SITES, frontier
-from repro.utils.stats import within_factor
+
+
+def within_factor(measured: float, reference: float, factor: float) -> bool:
+    """True when ``measured`` is within a multiplicative ``factor`` of
+    ``reference`` (both strictly positive): ``within_factor(x, y, 2.0)``
+    means ``y/2 <= x <= 2*y`` — the paper-shape acceptance test of
+    EXPERIMENTS.md."""
+    if measured <= 0.0 or reference <= 0.0:
+        raise ValueError("within_factor requires positive values")
+    if factor < 1.0:
+        raise ValueError("factor must be >= 1")
+    ratio = measured / reference
+    # Tiny slack keeps exact-boundary comparisons symmetric under float
+    # rounding (x*f/x can land a ulp above f).
+    eps = 1e-12
+    return 1.0 / factor * (1.0 - eps) <= ratio <= factor * (1.0 + eps)
 
 
 @pytest.fixture(scope="module")

@@ -52,13 +52,6 @@ class TestWork:
         nest = make_nest(8, 10)
         assert nest.footprint_bytes == (2 * 10 * 8 + 80 + 20) * 8
 
-    def test_arithmetic_intensity_positive(self):
-        assert make_nest().arithmetic_intensity > 0
-
-    def test_intensity_infinite_without_arrays(self):
-        nest = LoopNest("pure", (Loop("i", 4),), 2.0)
-        assert nest.arithmetic_intensity == float("inf")
-
 
 class TestValidation:
     def test_empty_loops(self):
@@ -93,12 +86,6 @@ class TestValidation:
             ArrayRef("a", -1)
         with pytest.raises(DirectiveError):
             ArrayRef("a", 4, accesses_per_iteration=-1.0)
-
-    def test_array_lookup(self):
-        nest = make_nest()
-        assert nest.array("pcurr").elements == 80
-        with pytest.raises(DirectiveError):
-            nest.array("nonexistent")
 
 
 class TestProperties:

@@ -1,32 +1,74 @@
-"""Tests of OpenACC/OpenMP pragma objects, parsing and round-trips."""
+"""Tests of OpenACC/OpenMP pragma objects and the exact strings they render."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.directives.openacc import (
     AccEndKernels,
     AccKernels,
     AccLoop,
     AccParallelLoop,
-    parse_acc,
+    AccWait,
 )
-from repro.directives.openmp import (
-    OmpEndTargetData,
-    OmpLoop,
-    OmpParallelDo,
-    OmpTargetData,
-    OmpTargetTeamsDistribute,
-    parse_omp,
-)
+from repro.directives.openmp import OmpParallelDo, OmpTargetData, OmpTargetTeamsDistribute
 from repro.errors import DirectiveParseError
 
-names = st.lists(
-    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10),
-    min_size=0,
-    max_size=3,
-    unique=True,
-).map(tuple)
+TEMPSUMS = ("tempsum1", "tempsum2")
+
+#: Every OpenACC directive class and clause combination, with the literal
+#: pragma it renders.
+ACC_LITERALS = [
+    (AccKernels(), "!$acc kernel"),
+    (AccKernels(async_queue=2), "!$acc kernel async(2)"),
+    (AccEndKernels(), "!$acc end kernel"),
+    (AccParallelLoop(gang=False), "!$acc parallel loop"),
+    (AccParallelLoop(), "!$acc parallel loop gang"),
+    (AccParallelLoop(gang=False, worker=True), "!$acc parallel loop worker"),
+    (AccParallelLoop(worker=True), "!$acc parallel loop gang worker"),
+    (
+        AccParallelLoop(worker=True, num_workers=4, vector_length=64),
+        "!$acc parallel loop gang worker num_workers(4) vector_length(64)",
+    ),
+    (AccParallelLoop(num_workers=8), "!$acc parallel loop gang num_workers(8)"),
+    (AccParallelLoop(vector_length=128), "!$acc parallel loop gang vector_length(128)"),
+    (
+        AccParallelLoop(worker=True, reduction=TEMPSUMS, async_queue=1),
+        "!$acc parallel loop gang worker reduction(+:tempsum1,tempsum2) async(1)",
+    ),
+    (AccLoop(), "!$acc loop vector"),
+    (AccLoop(vector=False, reduction=("s",)), "!$acc loop reduction(+:s)"),
+    (AccLoop(reduction=TEMPSUMS), "!$acc loop vector reduction(+:tempsum1,tempsum2)"),
+    (AccWait(), "!$acc wait"),
+    (AccWait(queue=3), "!$acc wait(3)"),
+]
+
+#: Every OpenMP directive class and clause combination, with the literal
+#: pragma it renders.
+OMP_LITERALS = [
+    (OmpTargetTeamsDistribute(), "!$omp target teams distribute"),
+    (
+        OmpTargetTeamsDistribute(reduction=TEMPSUMS),
+        "!$omp target teams distribute reduction(+:tempsum1,tempsum2)",
+    ),
+    (
+        OmpTargetTeamsDistribute(parallel_do=True, collapse=2),
+        "!$omp target teams distribute parallel do collapse(2)",
+    ),
+    (
+        OmpTargetTeamsDistribute(parallel_do=True, collapse=3, reduction=("a", "b")),
+        "!$omp target teams distribute parallel do reduction(+:a,b) collapse(3)",
+    ),
+    (OmpParallelDo(), "!$omp parallel do"),
+    (
+        OmpParallelDo(reduction=TEMPSUMS, collapse=2),
+        "!$omp parallel do reduction(+:tempsum1,tempsum2) collapse(2)",
+    ),
+    (OmpTargetData(map_to=("gridpc",)), "!$omp target data map(to:gridpc)"),
+    (OmpTargetData(map_from=("psi",)), "!$omp target data map(from:psi)"),
+    (
+        OmpTargetData(map_to=("gridpc", "pcurr"), map_from=("psi",)),
+        "!$omp target data map(to:gridpc,pcurr) map(from:psi)",
+    ),
+]
 
 
 class TestAccRendering:
@@ -51,47 +93,18 @@ class TestAccRendering:
             AccParallelLoop(vector_length=-1)
 
 
-class TestAccParsing:
+class TestAccLiterals:
     @pytest.mark.parametrize(
-        "pragma",
-        [
-            "!$acc kernel",
-            "!$acc end kernel",
-            "!$acc parallel loop gang worker",
-            "!$acc parallel loop gang worker num_workers(4) vector_length(64)",
-            "!$acc loop vector reduction(+:tempsum1,tempsum2)",
-        ],
+        "directive, pragma", ACC_LITERALS, ids=[pragma for _, pragma in ACC_LITERALS]
     )
-    def test_roundtrip(self, pragma):
-        assert parse_acc(pragma).to_pragma() == pragma
+    def test_renders(self, directive, pragma):
+        assert directive.to_pragma() == pragma
 
-    def test_whitespace_tolerant(self):
-        d = parse_acc("  !$acc   parallel   loop  gang  worker ")
-        assert isinstance(d, AccParallelLoop) and d.gang and d.worker
-
-    def test_rejects_non_acc(self):
+    def test_negative_queues_rejected(self):
         with pytest.raises(DirectiveParseError):
-            parse_acc("!$omp target teams distribute")
+            AccKernels(async_queue=-1)
         with pytest.raises(DirectiveParseError):
-            parse_acc("do i=1,n")
-
-    def test_rejects_unknown_clause(self):
-        with pytest.raises(DirectiveParseError):
-            parse_acc("!$acc parallel loop gang fancy_clause")
-
-    @given(
-        st.booleans(),
-        st.booleans(),
-        st.one_of(st.none(), st.integers(min_value=1, max_value=1024)),
-        st.one_of(st.none(), st.integers(min_value=1, max_value=1024)),
-        names,
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_property_roundtrip(self, gang, worker, nw, vl, reduction):
-        d = AccParallelLoop(
-            gang=gang, worker=worker, num_workers=nw, vector_length=vl, reduction=reduction
-        )
-        assert parse_acc(d.to_pragma()) == d
+            AccWait(queue=-1)
 
 
 class TestOmpRendering:
@@ -114,7 +127,6 @@ class TestOmpRendering:
     def test_target_data_maps(self):
         d = OmpTargetData(map_to=("gridpc", "pcurr"), map_from=("psi",))
         assert d.to_pragma() == "!$omp target data map(to:gridpc,pcurr) map(from:psi)"
-        assert OmpEndTargetData().to_pragma() == "!$omp end target data"
 
     def test_empty_data_region_rejected(self):
         with pytest.raises(DirectiveParseError):
@@ -125,47 +137,9 @@ class TestOmpRendering:
             OmpParallelDo(collapse=1)
 
 
-class TestOmpParsing:
+class TestOmpLiterals:
     @pytest.mark.parametrize(
-        "pragma",
-        [
-            "!$omp target teams distribute parallel do collapse(2)",
-            "!$omp target teams distribute reduction(+:tempsum1,tempsum2)",
-            "!$omp parallel do reduction(+:tempsum1,tempsum2) collapse(2)",
-            "!$omp loop",
-            "!$omp target data map(to:gridpc,pcurr) map(from:psi)",
-            "!$omp end target data",
-        ],
+        "directive, pragma", OMP_LITERALS, ids=[pragma for _, pragma in OMP_LITERALS]
     )
-    def test_roundtrip(self, pragma):
-        assert parse_omp(pragma).to_pragma() == pragma
-
-    def test_rejects_non_omp(self):
-        with pytest.raises(DirectiveParseError):
-            parse_omp("!$acc kernel")
-
-    def test_rejects_unknown_clauses(self):
-        with pytest.raises(DirectiveParseError):
-            parse_omp("!$omp parallel do schedule(dynamic)")
-        with pytest.raises(DirectiveParseError):
-            parse_omp("!$omp target teams distribute simd")
-
-    @given(st.booleans(), st.one_of(st.none(), st.integers(min_value=2, max_value=6)), names)
-    @settings(max_examples=60, deadline=None)
-    def test_property_roundtrip_ttd(self, parallel_do, collapse, reduction):
-        d = OmpTargetTeamsDistribute(
-            parallel_do=parallel_do, collapse=collapse, reduction=reduction
-        )
-        assert parse_omp(d.to_pragma()) == d
-
-    @given(names, names)
-    @settings(max_examples=60, deadline=None)
-    def test_property_roundtrip_target_data(self, to, frm):
-        if not to and not frm:
-            return
-        d = OmpTargetData(map_to=to, map_from=frm)
-        assert parse_omp(d.to_pragma()) == d
-
-    def test_model_attribute(self):
-        assert OmpLoop().model == "openmp"
-        assert AccKernels().model == "openacc"
+    def test_renders(self, directive, pragma):
+        assert directive.to_pragma() == pragma

@@ -1,4 +1,4 @@
-"""Tests of ACC<->OMP translation and the kernel registry census."""
+"""Tests of ACC->OMP translation and the kernel registry census."""
 
 import pytest
 
@@ -10,14 +10,9 @@ from repro.directives.openacc import (
     AccLoop,
     AccParallelLoop,
 )
-from repro.directives.openmp import (
-    OmpLoop,
-    OmpParallelDo,
-    OmpTargetData,
-    OmpTargetTeamsDistribute,
-)
+from repro.directives.openmp import OmpParallelDo, OmpTargetTeamsDistribute
 from repro.directives.registry import AnnotatedKernel, KernelRegistry, directive_census
-from repro.directives.translate import acc_to_omp, omp_to_acc
+from repro.directives.translate import acc_to_omp
 from repro.directives.ir import Loop, LoopNest
 from repro.errors import DirectiveError
 
@@ -46,20 +41,6 @@ class TestTranslation:
         """num_workers / vector_length have no OpenMP analog."""
         out = acc_to_omp(AccParallelLoop(num_workers=4, vector_length=32))
         assert isinstance(out, OmpTargetTeamsDistribute)
-
-    def test_inverse_direction(self):
-        assert isinstance(omp_to_acc(OmpTargetTeamsDistribute(parallel_do=True, collapse=2)), AccKernels)
-        assert isinstance(omp_to_acc(OmpTargetTeamsDistribute(reduction=("x",))), AccParallelLoop)
-        assert isinstance(omp_to_acc(OmpParallelDo(reduction=("x",), collapse=2)), AccLoop)
-        assert omp_to_acc(OmpTargetData(map_to=("a",))) is None
-        assert omp_to_acc(OmpLoop()) is None
-
-    def test_semantic_roundtrip(self):
-        """acc -> omp -> acc preserves offload semantics (reductions)."""
-        start = AccLoop(reduction=("tempsum1", "tempsum2"))
-        back = omp_to_acc(acc_to_omp(start))
-        assert isinstance(back, AccLoop)
-        assert back.reduction == start.reduction
 
 
 class TestRegistry:
@@ -140,27 +121,11 @@ class TestTranslationProperties:
 
     @given(reduction=names)
     @settings(max_examples=50, deadline=None)
-    def test_reductions_survive_roundtrip(self, reduction):
-        """acc -> omp -> acc preserves reduction semantics for both
-        paper directive shapes."""
+    def test_reductions_survive_translation(self, reduction):
+        """acc -> omp preserves reduction semantics for both paper
+        directive shapes."""
         for start in (
             AccParallelLoop(gang=True, worker=True, reduction=reduction),
             AccLoop(vector=True, reduction=reduction),
         ):
-            omp = acc_to_omp(start)
-            back = omp_to_acc(omp)
-            assert back.reduction == reduction
-            assert type(back) is type(start)
-
-    @given(reduction=names)
-    @settings(max_examples=50, deadline=None)
-    def test_omp_roundtrip_loses_nothing_semantic(self, reduction):
-        from repro.directives.openmp import OmpParallelDo, OmpTargetTeamsDistribute
-
-        for start in (
-            OmpTargetTeamsDistribute(reduction=reduction),
-            OmpParallelDo(reduction=reduction, collapse=2),
-        ):
-            acc = omp_to_acc(start)
-            again = acc_to_omp(acc)
-            assert again.reduction == reduction
+            assert acc_to_omp(start).reduction == reduction

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.efit.basis import PolynomialBasis
 from repro.efit.profiles import ProfileCoefficients
 from repro.errors import FittingError
-from repro.utils.constants import MU0
 
 coeff_arrays = st.lists(
     st.floats(min_value=-10, max_value=10), min_size=1, max_size=5
@@ -70,9 +69,6 @@ class TestBasis:
         b = PolynomialBasis(len(coeffs), vanish_at_edge=True)
         assert b.antiderivative(coeffs, np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_len(self):
-        assert len(PolynomialBasis(3)) == 3
-
 
 class TestProfiles:
     @pytest.fixture()
@@ -128,11 +124,3 @@ class TestProfiles:
         # d(F^2)/dx = 2 F F' dpsi
         assert fd[0] == pytest.approx(2.0 * profiles.ffprime(x)[0] * dpsi, rel=1e-6)
 
-    def test_current_density_formula(self, profiles):
-        r = np.array([1.7])
-        x = np.array([0.5])
-        expected = r * profiles.pprime(x) + profiles.ffprime(x) / (MU0 * r)
-        assert np.allclose(profiles.toroidal_current_density(r, x), expected)
-
-    def test_n_coeffs(self, profiles):
-        assert profiles.n_coeffs == 5

@@ -6,24 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.efit.basis import PolynomialBasis
-from repro.efit.current import (
-    basis_current_matrix,
-    basis_current_slab,
-    basis_current_slabs,
-    distribute_current,
-)
+from repro.efit.current import basis_current_matrix, basis_current_slabs
 from repro.efit.grid import RZGrid
 from repro.efit.response import (
     ResponseAssembly,
     assemble_response,
     basis_response,
-    chi_squared,
     solve_lsq_stack,
     solve_weighted_lsq,
     weighted_residuals,
 )
 from repro.errors import FittingError
 from repro.utils.constants import MU0
+
+
+def chi_squared(asm, coeffs):
+    """Weighted residual ``chi^2`` of one coefficient vector."""
+    matrix, data = asm.weighted()
+    (resid,) = weighted_residuals(matrix[None], data[None], np.asarray(coeffs, dtype=float)[None])
+    return float(resid @ resid)
+
+
+def one_slab(g, psin, mask, pp, ffp):
+    """``(i0, i1, rows)`` of one plasma's basis currents on the grid rows
+    it occupies, node-major like :func:`basis_current_matrix`."""
+    slabs = basis_current_slabs(g, [psin], [mask], pp, ffp)
+    return slabs.i0, slabs.i1, slabs.matrix[0].T
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +58,7 @@ class TestCurrentMatrix:
         jm = basis_current_matrix(g, psin, mask, pp, ffp)
         i, j = 10, 12
         assert mask[i, j]
-        k = g.flat_index(i, j)
+        k = i * g.nh + j
         x = np.clip(psin[i, j], 0, 1)
         # column 1: R * x * dA
         assert jm[k, 1] == pytest.approx(g.r[i] * x * g.cell_area)
@@ -62,7 +70,7 @@ class TestCurrentMatrix:
         the mask occupies and zero everywhere else."""
         g, psin, mask, _ = setup
         pp, ffp = PolynomialBasis(2, vanish_at_edge=True), PolynomialBasis(3)
-        i0, i1, slab = basis_current_slab(g, psin, mask, pp, ffp)
+        i0, i1, slab = one_slab(g, psin, mask, pp, ffp)
         rows = np.flatnonzero(mask.any(axis=1))
         assert (i0, i1) == (rows[0], rows[-1] + 1) and 0 < i0 and i1 < g.nw
         assert slab.shape == ((i1 - i0) * g.nh, 5)
@@ -124,23 +132,9 @@ class TestCurrentMatrix:
     def test_empty_mask_is_an_empty_slab(self, setup):
         g, psin, mask, _ = setup
         pp, ffp = PolynomialBasis(2), PolynomialBasis(2)
-        i0, i1, slab = basis_current_slab(g, psin, np.zeros_like(mask), pp, ffp)
+        i0, i1, slab = one_slab(g, psin, np.zeros_like(mask), pp, ffp)
         assert (i0, i1) == (0, 0) and slab.shape == (0, 4)
         assert not basis_current_matrix(g, psin, np.zeros_like(mask), pp, ffp).any()
-
-    def test_distribute_current_totals(self, setup):
-        g, psin, mask, _ = setup
-        pp, ffp = PolynomialBasis(2), PolynomialBasis(2)
-        coeffs = np.array([1e5, -0.5e5, 0.8, -0.6])
-        pcurr, jphi = distribute_current(g, psin, mask, pp, ffp, coeffs)
-        assert pcurr.shape == g.shape
-        assert np.allclose(pcurr / g.cell_area, jphi)
-        assert pcurr[~mask].sum() == 0.0
-
-    def test_coefficient_length_validated(self, setup):
-        g, psin, mask, _ = setup
-        with pytest.raises(FittingError):
-            distribute_current(g, psin, mask, PolynomialBasis(2), PolynomialBasis(2), np.ones(3))
 
     def test_shape_validated(self, setup):
         g, psin, mask, _ = setup
@@ -218,7 +212,7 @@ class TestAssembly:
         g, psin, mask, rng = setup
         pp, ffp = PolynomialBasis(2), PolynomialBasis(2)
         jm = basis_current_matrix(g, psin, mask, pp, ffp)
-        i0, i1, slab = basis_current_slab(g, psin, mask, pp, ffp)
+        i0, i1, slab = one_slab(g, psin, mask, pp, ffp)
         flat = np.flatnonzero(g.flatten(mask))
         grid_resp = rng.normal(size=(12, g.size))
         poisoned = grid_resp.copy()
@@ -298,12 +292,6 @@ class TestLsqStack:
             system = np.vstack([a / norms, np.sqrt(1e-10) * np.eye(n)])
             svd, *_ = np.linalg.lstsq(system, np.concatenate([d, np.zeros(n)]), rcond=None)
             assert np.abs(row * norms - svd).max() <= 1e-8 * np.abs(svd).max()
-
-    def test_residuals_are_the_chi_squared(self, setup):
-        asm, truth = TestAssembly()._make(setup, noise=1e-3)
-        matrix, data = asm.weighted()
-        (resid,) = weighted_residuals(matrix[None], data[None], truth[None])
-        assert resid @ resid == chi_squared(asm, truth)
 
     def test_zero_ridge_solves_an_empty_column(self):
         """Without a ridge an all-zero column keeps a unit diagonal: its

@@ -20,7 +20,7 @@ from repro.efit.greens import greens_br, greens_bz, greens_psi
 from repro.efit.machine import Limiter, PoloidalFieldCoil, Tokamak
 from repro.efit.measurements import measure_equilibrium
 from repro.errors import GreensError, MeasurementError
-from repro.scenarios import all_scenarios, get_scenario, scenario_names
+from repro.scenarios import get_scenario, scenario_names
 
 
 @pytest.fixture()
@@ -352,7 +352,7 @@ class TestConstructionBudget:
     geometry a few dozen times (one per broadcast block), not once per
     (sensor, filament, component)."""
 
-    @pytest.mark.parametrize("scenario", all_scenarios(), ids=lambda sc: sc.name)
+    @pytest.mark.parametrize("scenario", [get_scenario(name) for name in scenario_names()], ids=lambda sc: sc.name)
     def test_solver_construction(self, scenario, geometry_calls):
         scenario.make_shot(33)  # table-cache warm-up is not the budget
         EfitSolver.for_scenario(scenario, 33)
@@ -360,7 +360,7 @@ class TestConstructionBudget:
         EfitSolver.for_scenario(scenario, 33)
         assert 0 < len(geometry_calls) <= 40
 
-    @pytest.mark.parametrize("scenario", all_scenarios(), ids=lambda sc: sc.name)
+    @pytest.mark.parametrize("scenario", [get_scenario(name) for name in scenario_names()], ids=lambda sc: sc.name)
     def test_measurement_synthesis(self, scenario, geometry_calls):
         shot = scenario.make_shot(33)
         del geometry_calls[:]

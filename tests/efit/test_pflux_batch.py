@@ -4,10 +4,11 @@ The edge operator factors the boundary Green sums into one dense
 ``(n_edge, nw*nh)`` matrix so a single GEMM serves a whole batch of
 slices; the batched interior solve hands every slice's RHS to one
 multi-RHS tridiagonal solve.  These tests pin both against the per-slice
-kernels — including the pure-Python ``boundary_flux_reference`` loops —
-at the paper's 65x65 production grid for batch sizes 1, 3 and 8, and
-hold every one-slice form (``compute``, ``solve``, the Dirichlet
-correction) to its batch form on one slice, bit for bit.
+kernels for batch sizes 1, 3 and 8 — the vectorised kernel at the paper's
+65x65 production grid, the pure-Python ``boundary_flux_reference`` loops
+at 33x33 (an eighth of the loop work; they index the table the same way
+at any size) — and hold every one-slice form (``compute``, ``solve``,
+the Dirichlet correction) to its batch form on one slice, bit for bit.
 """
 
 import numpy as np
@@ -44,27 +45,39 @@ def operator65(grid65, tables65):
 
 
 @pytest.fixture(scope="module")
-def batch8(grid65, tables65):
-    """Eight random slices plus their reference-kernel boundary fluxes.
-
-    The pure-Python reference loop costs ~1 s per 65x65 slice, so the
-    B in {1, 3, 8} comparisons all draw from this one batch: the B=1 and
-    B=3 cases are leading subsets of the B=8 columns.
-    """
+def batch8(grid65):
+    """Eight random 65x65 slices; the B in {1, 3, 8} comparisons use its
+    leading columns."""
     rng = np.random.default_rng(20230565)
-    g = grid65
+    return rng.normal(size=(8,) + grid65.shape) * 1e3
+
+
+@pytest.fixture(scope="module")
+def grid33():
+    return RZGrid(33, 33)
+
+
+@pytest.fixture(scope="module")
+def reference8(grid33):
+    """Eight random 33x33 slices plus their reference-kernel boundary
+    fluxes and the dense operator.
+
+    The pure-Python reference loop costs ~1 s per 65x65 slice and an
+    eighth of that at 33x33, so the B in {1, 3, 8} comparisons all draw
+    from this one batch: B=1 and B=3 are leading subsets of the B=8
+    columns.
+    """
+    rng = np.random.default_rng(20230533)
+    g = grid33
+    tables = cached_boundary_tables(g)
     pcurr = rng.normal(size=(8,) + g.shape) * 1e3
     ref = np.stack(
         [
-            g.unflatten(
-                boundary_flux_reference(
-                    tables65.fortran_view(), g.flatten(p), g.nw, g.nh
-                )
-            )
+            g.unflatten(boundary_flux_reference(tables.fortran_view(), g.flatten(p), g.nw, g.nh))
             for p in pcurr
         ]
     )
-    return pcurr, ref
+    return pcurr, ref, DenseEdgeOperator(g, edge_flux_operator(tables))
 
 
 def scatter_edges(grid, edge_values):
@@ -92,7 +105,7 @@ class TestEdgeOperator:
 
     @pytest.mark.parametrize("nb", [1, 3, 8])
     def test_matches_vectorized_kernel(self, grid65, operator65, batch8, nb):
-        pcurr, _ = batch8
+        pcurr = batch8
         flat = pcurr[:nb].reshape(nb, grid65.size).T
         psi = scatter_edges(grid65, operator65.apply(flat))
         for k in range(nb):
@@ -100,10 +113,10 @@ class TestEdgeOperator:
             assert np.allclose(psi[k], vec, rtol=1e-12, atol=1e-18)
 
     @pytest.mark.parametrize("nb", [1, 3, 8])
-    def test_matches_reference_kernel(self, grid65, operator65, batch8, nb):
-        pcurr, ref = batch8
-        flat = pcurr[:nb].reshape(nb, grid65.size).T
-        psi = scatter_edges(grid65, operator65.apply(flat))
+    def test_matches_reference_kernel(self, grid33, reference8, nb):
+        pcurr, ref, operator33 = reference8
+        flat = pcurr[:nb].reshape(nb, grid33.size).T
+        psi = scatter_edges(grid33, operator33.apply(flat))
         assert np.allclose(psi, ref[:nb], rtol=1e-12, atol=1e-18)
 
     def test_single_column_matches_matvec(self, grid65, operator65, rng):

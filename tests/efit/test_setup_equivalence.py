@@ -49,7 +49,7 @@ from repro.efit.greens import (
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Limiter, PoloidalFieldCoil
 from repro.efit.tables import build_boundary_tables, effective_filament_radius
-from repro.scenarios import all_scenarios, get_scenario
+from repro.scenarios import get_scenario, scenario_names
 from repro.errors import BoundaryError
 from repro.utils.constants import MU0, TWO_PI
 from tests.serve.conftest import serve_reports
@@ -215,8 +215,9 @@ def _responses_against_the_per_kind_oracle(machine, diagnostics, grid) -> list[s
 
 
 # -- every scenario's set-up ---------------------------------------------------------
+SCENARIOS = [get_scenario(name) for name in scenario_names()]
 CASES = [
-    pytest.param(sc, n, id=f"{sc.name}-{n}") for sc in all_scenarios() for n in (33, 65)
+    pytest.param(sc, n, id=f"{sc.name}-{n}") for sc in SCENARIOS for n in (33, 65)
 ]
 
 
@@ -267,7 +268,7 @@ def test_responses_match_the_per_kind_oracle(scenario, n):
 
 
 @pytest.mark.parametrize(
-    "scenario", [pytest.param(sc, id=f"{sc.name}-17x23") for sc in all_scenarios()]
+    "scenario", [pytest.param(sc, id=f"{sc.name}-17x23") for sc in SCENARIOS]
 )
 def test_non_square_responses_match_the_per_kind_oracle(scenario, grid_rect):
     shot = scenario.make_shot(33)
@@ -422,7 +423,7 @@ def _support_nodes(inside):
 
 
 SUPPORT_CASES = CASES + [
-    pytest.param(sc, RZGrid(17, 23), id=f"{sc.name}-17x23") for sc in all_scenarios()
+    pytest.param(sc, RZGrid(17, 23), id=f"{sc.name}-17x23") for sc in SCENARIOS
 ]
 
 

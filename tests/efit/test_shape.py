@@ -23,15 +23,15 @@ class TestAnalytic:
         assert s.a_minor == pytest.approx(0.5, abs=5e-3)
         assert s.kappa == pytest.approx(1.6, abs=0.02)
         # Miller delta parameter ~ sin(delta-parameter) relation; loose check
-        assert s.delta == pytest.approx(np.sin(0.35), abs=0.05)
+        assert 0.5 * (s.delta_upper + s.delta_lower) == pytest.approx(np.sin(0.35), abs=0.05)
         assert s.delta_upper == pytest.approx(s.delta_lower, abs=1e-6)
 
     def test_circle(self):
         theta = np.linspace(0, 2 * np.pi, 128, endpoint=False)
         s = ShapeParameters.from_surface(FluxSurface(1.0, 2.0 + 0.4 * np.cos(theta), 0.4 * np.sin(theta)))
         assert s.kappa == pytest.approx(1.0, abs=1e-3)
-        assert s.delta == pytest.approx(0.0, abs=1e-3)
-        assert s.aspect_ratio == pytest.approx(5.0, rel=1e-3)
+        assert 0.5 * (s.delta_upper + s.delta_lower) == pytest.approx(0.0, abs=1e-3)
+        assert s.r_geo / s.a_minor == pytest.approx(5.0, rel=1e-3)
 
     def test_validation(self):
         tiny = FluxSurface(0.5, np.array([1.0, 1.1, 1.2]), np.array([0.0, 0.1, 0.0]))
@@ -50,8 +50,8 @@ class TestReconstruction:
         assert 1.4 < s.r_geo < 1.9
         assert 0.3 < s.a_minor < 0.8
         assert 1.0 < s.kappa < 2.1
-        assert -0.2 < s.delta < 0.8
-        assert 2.0 < s.aspect_ratio < 4.5
+        assert -0.2 < 0.5 * (s.delta_upper + s.delta_lower) < 0.8
+        assert 2.0 < s.r_geo / s.a_minor < 4.5
 
     def test_inner_surfaces_less_shaped(self):
         """Shaping decays toward the axis: kappa(0.3) < kappa(0.95)."""

@@ -31,7 +31,6 @@ class TestBasics:
 
     def test_grid_sampling_shapes(self, solovev, grid33):
         assert solovev.psi_grid(grid33).shape == grid33.shape
-        assert solovev.rhs_grid(grid33).shape == grid33.shape
 
 
 class TestShapedFactory:

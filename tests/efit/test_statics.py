@@ -101,7 +101,7 @@ class TestMemoContract:
         assert fresh_machine.vessel_flux_tables(g33) is fresh_machine.vessel_flux_tables(g33)
         assert np.array_equal(limiter.grid_mask(g65), limiter.contains(g65.rr, g65.zz))
         assert limiter.sample_points(4) is limiter.sample_points(4)
-        assert limiter.sample_points(2)[0].size == 2 * limiter.n_points
+        assert limiter.sample_points(2)[0].size == 2 * limiter.r.size
 
     def test_memoised_arrays_are_read_only(self, fresh_machine):
         grid = fresh_machine.make_grid(33)

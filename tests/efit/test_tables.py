@@ -69,12 +69,6 @@ class TestFortranView:
         for i_b, mj, ii in [(0, 2, 3), (g.nw - 1, 5, 1)]:
             assert view[i_b * g.nh + mj, ii] == tables_rect.gpc[i_b, mj, ii]
 
-    def test_edge_blocks(self, grid_rect, tables_rect):
-        assert np.array_equal(tables_rect.left_block(), tables_rect.gpc[0])
-        assert np.array_equal(
-            tables_rect.right_block(), tables_rect.gpc[grid_rect.nw - 1]
-        )
-
 
 class TestBuild:
     def test_build_rejects_bad_chunk(self, grid_rect):

@@ -29,9 +29,9 @@ GOLDEN_SCHEMA_VERSION = 2
 
 def golden_cases() -> dict[str, str]:
     """case name -> artifact filename, from the scenario registry."""
-    from repro.scenarios import all_scenarios
+    from repro.scenarios import get_scenario, scenario_names
 
-    return {sc.name: sc.golden_artifact for sc in all_scenarios() if sc.golden}
+    return {sc.name: sc.golden_artifact for sc in map(get_scenario, scenario_names()) if sc.golden}
 
 
 #: case name -> artifact file for every golden-tracked scenario.

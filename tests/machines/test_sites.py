@@ -5,6 +5,7 @@ import pytest
 from repro.compilers.cce import CceCompiler
 from repro.compilers.nvhpc import NvhpcCompiler
 from repro.compilers.oneapi import OneApiCompiler
+from repro.config import Environment
 from repro.core import paper
 from repro.errors import HardwareError
 from repro.machines.site import ALL_SITES, frontier, perlmutter, sunspot
@@ -55,7 +56,7 @@ class TestSites:
         assert "-hsystem_alloc" not in site.flags("openmp")
 
     def test_sunspot_affinity_mask(self):
-        assert sunspot().env.get("ZE_AFFINITY_MASK") == "0.0"
+        assert sunspot().env.variables["ZE_AFFINITY_MASK"] == "0.0"
 
     def test_vendor_pairing(self):
         assert perlmutter().gpu.vendor == "NVIDIA"
@@ -64,15 +65,8 @@ class TestSites:
 
 
 class TestEnvironment:
-    def test_functional_updates(self):
-        env = perlmutter().env
-        e2 = env.with_var("OMP_NUM_THREADS", "1")
-        assert e2.get("OMP_NUM_THREADS") == "1"
-        assert env.get("OMP_NUM_THREADS") is None
-        assert e2.without_var("OMP_NUM_THREADS").get("OMP_NUM_THREADS") is None
-
     def test_flag_parsing_variants(self):
-        env = perlmutter().env.with_var("X", "TRUE").with_var("Y", "0")
+        env = Environment({**perlmutter().env.variables, "X": "TRUE", "Y": "0"})
         assert env.flag("X")
         assert not env.flag("Y")
         assert not env.flag("MISSING")

@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters/gauges/histograms plus legacy-counter sources."""
+"""MetricsRegistry: counters/gauges/histograms plus live counter sources."""
 
 from __future__ import annotations
 
@@ -12,13 +12,11 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    cache_source,
-    region_profiler_source,
-    workspace_source,
 )
-from repro.profiling.regions import RegionProfiler
-from repro.profiling.timer import VirtualClock
-from repro.runtime.counters import CacheCounters, WorkspaceCounters
+from repro.obs.metrics import scheduler_source
+from repro.parallel.merge import merge_metrics
+from repro.parallel.scheduler import WorkerReport
+from repro.runtime.counters import SchedulerCounters
 
 
 class TestPrimitives:
@@ -92,10 +90,17 @@ class TestPrimitives:
                 overflow.quantile(q)
 
     def test_histogram_merge_requires_same_bounds(self):
+        """The fleet's merge refuses per-worker histograms whose bucket
+        bounds differ."""
         a = Histogram("a", bounds=(1.0, 2.0))
         b = Histogram("b", bounds=(1.0, 3.0))
+        reports = [
+            WorkerReport(worker=k, pid=0, jobs_done=0, records=(),
+                         metrics={"metrics": {"h": h.to_dict()}})
+            for k, h in enumerate((a, b))
+        ]
         with pytest.raises(ObservabilityError, match="bounds differ"):
-            a.merge(b)
+            merge_metrics(reports)
 
 
 class TestRegistry:
@@ -125,32 +130,17 @@ class TestRegistry:
 
     def test_sources_are_live_not_snapshots(self):
         reg = MetricsRegistry()
-        ws = WorkspaceCounters()
-        reg.register_source("workspace", workspace_source(ws))
-        assert reg.collect()["workspace.allocations"] == 0.0
-        ws.allocations += 3
-        assert reg.collect()["workspace.allocations"] == 3.0
+        counters = SchedulerCounters()
+        reg.register_source("scheduler", scheduler_source(counters))
+        assert reg.collect()["scheduler.retries"] == 0.0
+        counters.retries += 3
+        assert reg.collect()["scheduler.retries"] == 3.0
 
     def test_duplicate_source_prefix_raises(self):
         reg = MetricsRegistry()
         reg.register_source("p", lambda: {})
         with pytest.raises(ObservabilityError, match="already registered"):
             reg.register_source("p", lambda: {})
-
-    def test_cache_and_profiler_sources(self):
-        reg = MetricsRegistry()
-        cache = CacheCounters()
-        cache.hits, cache.misses = 9, 1
-        reg.register_source("tables", cache_source(cache))
-        clock = VirtualClock()
-        prof = RegionProfiler(clock)
-        with prof.region("steps_"):
-            clock.advance(2.0)
-        reg.register_source("regions", region_profiler_source(prof))
-        snap = reg.collect()
-        assert snap["tables.hit_rate"] == pytest.approx(0.9)
-        assert snap["regions.steps_.seconds"] == pytest.approx(2.0)
-        assert snap["regions.steps_.calls"] == 1.0
 
     def test_to_dict_keeps_histogram_buckets(self):
         reg = MetricsRegistry()

@@ -136,22 +136,6 @@ class TestCacheSeeding:
         finally:
             arena.unlink()
 
-    def test_double_drop_is_a_no_op(self, grid):
-        """Teardown paths may race close() against each other; dropping
-        an entry that is already gone must stay silent."""
-        arena = TableArena.build(_op(grid))
-        try:
-            cache = BoundaryTableCache()
-            cache.seed(arena.tables())
-            cache.drop(grid)
-            cache.drop(grid)
-            # the next get rebuilds privately, off the dropped view
-            assert cache.get(grid).gpc.flags.writeable
-        finally:
-            arena.unlink()
-
-
-
 
 def _hold_attachment(spec, attached):
     """Worker that maps the arena, says so, and waits to be killed."""

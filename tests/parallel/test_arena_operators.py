@@ -9,7 +9,6 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.compilers.flags import parse_flags
 from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
 from repro.efit.grid import RZGrid
 from repro.efit.operators import DenseEdgeOperator, build_edge_operator, cached_edge_operator
@@ -32,21 +31,11 @@ def tables(grid):
 STRUCTURED = EDGE_METHODS
 
 
-def _offload(tables):
-    from repro.core.offload import OffloadedPflux
-    from repro.machines.site import perlmutter
-
-    site = perlmutter()
-    build = site.compiler.configure(parse_flags(site.flags("openmp")), site.env, site.gpu)
-    return OffloadedPflux(tables, build)
-
-
 #: Edge operators a fleet cannot stage, built from a grid's tables.
 UNSTAGED = {
     "dense": lambda tables: build_edge_operator(tables, "dense"),
     "table-sums": TableSumEdgeOperator,
     "reference": lambda tables: TableSumEdgeOperator(tables, "reference"),
-    "offload": _offload,
 }
 
 
@@ -69,8 +58,8 @@ class TestStructuredArena:
     @pytest.mark.parametrize("form", list(UNSTAGED))
     def test_fleet_refuses_unstaged(self, tables, form, tmp_path, monkeypatch):
         """Only the two staged methods have an arena layout: the dense
-        ground truth, the paper's table sums and the offload model are an
-        ``OperatorError`` naming them, before any arena directory exists."""
+        ground truth and the paper's table sums are an ``OperatorError``
+        naming them, before any arena directory exists."""
         from repro.efit.measurements import synthetic_shot_186610
         from repro.parallel import ParallelFitEngine, SchedulerConfig
 

@@ -135,7 +135,7 @@ class TestInitFailure:
             config=SchedulerConfig(workers=2, transport=transport),
         ) as sched:
             result = sched.run([1, 2, 3])
-        assert result.results == []
+        assert [o.result for o in result.outcomes] == []
         assert [f.index for f in result.failures] == [0, 1, 2]
         for failure in result.failures:
             assert failure.reason == "error" and failure.attempts == 1
@@ -164,7 +164,7 @@ class TestNoWorkerOutlivesItsScheduler:
 
     def test_after_a_clean_run(self, no_crash_env):
         result = self._run_then_close(_double, [1, 2, 3], workers=2)
-        assert result.results == [2, 4, 6]
+        assert [o.result for o in result.outcomes] == [2, 4, 6]
 
     def test_after_a_timeout_kill(self, no_crash_env):
         result = self._run_then_close(
@@ -208,7 +208,7 @@ class TestProcessTransport:
             _init, (), _double, config=SchedulerConfig(workers=2)
         ) as sched:
             result = sched.run(list(range(12)))
-        assert result.results == [2 * i for i in range(12)]
+        assert [o.result for o in result.outcomes] == [2 * i for i in range(12)]
         assert [o.index for o in result.outcomes] == list(range(12))
         assert result.counters.completed == 12
         assert result.counters.quarantined == 0
@@ -220,7 +220,7 @@ class TestProcessTransport:
             first = sched.run([1, 2, 3])
             pids = {r.pid for r in first.reports}
             second = sched.run([4, 5])
-            assert second.results == [8, 10]
+            assert [o.result for o in second.outcomes] == [8, 10]
             assert {r.pid for r in second.reports} == pids  # no respawn
 
     def test_error_quarantines_without_retry(self, no_crash_env):
@@ -228,7 +228,7 @@ class TestProcessTransport:
             _init, (), _flaky, config=SchedulerConfig(workers=2, max_retries=3)
         ) as sched:
             result = sched.run(["a", "bad", "b"])
-        assert result.results == ["a", "b"]
+        assert [o.result for o in result.outcomes] == ["a", "b"]
         (failure,) = result.failures
         assert failure.reason == "error"
         assert failure.attempts == 1  # deterministic: no retry burned
@@ -247,7 +247,7 @@ class TestProcessTransport:
             ),
         ) as sched:
             result = sched.run(["a", "slow", "b"])
-        assert result.results == ["a", "b"]
+        assert [o.result for o in result.outcomes] == ["a", "b"]
         (failure,) = result.failures
         assert failure.reason == "timeout"
         assert failure.attempts == 2  # initial + one retry
@@ -264,7 +264,7 @@ class TestProcessTransport:
             config=SchedulerConfig(workers=2, max_retries=6, backoff_seconds=0.01),
         ) as sched:
             result = sched.run(list(range(8)))
-        assert result.results == [2 * i for i in range(8)]
+        assert [o.result for o in result.outcomes] == [2 * i for i in range(8)]
         assert result.counters.crashes > 0
         assert result.counters.retries == result.counters.crashes
         assert result.counters.worker_restarts == result.counters.crashes
@@ -279,7 +279,7 @@ class TestProcessTransport:
             config=SchedulerConfig(workers=2, max_retries=1, backoff_seconds=0.01),
         ) as sched:
             result = sched.run([1, 2])
-        assert result.results == []
+        assert [o.result for o in result.outcomes] == []
         assert len(result.failures) == 2
         assert all(f.reason == "crash" and f.attempts == 2 for f in result.failures)
         # Quarantine bounds the damage: 2 jobs x 2 attempts, no crash loop.
@@ -356,7 +356,7 @@ class TestInlineTransport:
             config=SchedulerConfig(workers=3, transport="inline"),
         )
         result = sched.run(list(range(10)))
-        assert result.results == [2 * i for i in range(10)]
+        assert [o.result for o in result.outcomes] == [2 * i for i in range(10)]
         assert [o.index for o in result.outcomes] == list(range(10))
         sched.close()
 
@@ -372,7 +372,7 @@ class TestInlineTransport:
             ),
         )
         result = sched.run(list(range(8)))
-        assert result.results == [2 * i for i in range(8)]
+        assert [o.result for o in result.outcomes] == [2 * i for i in range(8)]
         assert result.counters.crashes > 0
         sched.close()
 

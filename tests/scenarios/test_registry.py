@@ -18,7 +18,6 @@ from repro.errors import ReproError, ScenarioError
 from repro.scenarios import (
     DEFAULT_SCENARIO,
     Scenario,
-    all_scenarios,
     get_scenario,
     register,
     scenario_names,
@@ -63,9 +62,6 @@ class TestRegistryContents:
 
     def test_default_scenario_is_registered(self):
         assert DEFAULT_SCENARIO in scenario_names()
-
-    def test_all_scenarios_matches_names(self):
-        assert tuple(sc.name for sc in all_scenarios()) == scenario_names()
 
     def test_topology_declarations(self):
         assert get_scenario("double-null").n_xpoints == 2

@@ -138,6 +138,18 @@ def test_parallel_stress_lane_stages_every_arena_layout_in_real_processes():
     assert not any("python -m repro" in c or "pytest" in c for c in commands[sweep:])
 
 
+def test_benchmark_lane_checks_the_reachability_ledger():
+    """The benchmark job (not tier-1's) runs the census against the ledger,
+    after the harness's own steps."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lane = text[text.index("  perf-harness:") :]  # the last job
+    assert "- name: Reachability ledger\n" in lane
+    commands = _run_commands(lane)
+    assert "python benchmarks/reachability.py --check" in commands
+    tier1 = _run_commands(text[text.index("  test:") : text.index("  analyze:")])
+    assert not any("reachability.py" in c for c in tier1)
+
+
 def test_test_lane_runs_every_example():
     """The ``test`` lane runs each ``examples/*.py`` as a script and fails
     on the first non-zero exit, after the tier-1 suite."""

@@ -15,20 +15,13 @@ class TestEnvironment:
         assert perlmutter_env().variables == {}
         assert frontier_env().unified_memory_requested
         assert not frontier_env(system_alloc=False).cray_mallopt_off
-        assert sunspot_env().get("ZE_AFFINITY_MASK") == "0.0"
+        assert sunspot_env().variables["ZE_AFFINITY_MASK"] == "0.0"
 
     def test_truthy_variants(self):
         for v in ("1", "true", "YES", "On"):
             assert Environment({"X": v}).flag("X")
         for v in ("0", "false", "", "off"):
             assert not Environment({"X": v}).flag("X")
-
-    def test_with_without_roundtrip(self):
-        env = Environment({})
-        assert env.with_var("A", "1").without_var("A").variables == {}
-
-    def test_get_default(self):
-        assert Environment({}).get("MISSING", "fallback") == "fallback"
 
 
 class TestCalibrationTable:
