@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Reachability census: which ``src/`` functions the entry points run.
+"""Reachability census: which ``src/`` functions the entry points run, and
+which values their options receive.
 
 Each entry point runs in a fresh Python process under ``sys.setprofile``
 (and ``threading.setprofile``, for the serve layer's solver thread), which
@@ -29,11 +30,32 @@ a nested ``def``'s lines counted once, for itself.  A function is reached
 when its code ran in any entry point.  The report lists the totals, the
 unreached lines per module and every unreached function.
 
-Every unreached function must have a line in the ledger
+The same profile hook records options.  An option is a defaulted
+argument of a ``src/repro`` def (``self``/``cls`` and ``*args``/
+``**kwargs`` aside) or a defaulted ``__init__`` field of a ``src/repro``
+dataclass, named ``module:name(argument)``.  At every call of a def the
+hook reads its options' values off the frame.  A dataclass's generated
+``__init__`` lies outside ``src/``; its calls are recognised by the class
+that owns the code object, and a field left to its default factory is
+recorded as the factory's value.  A number, string, ``None``, enum or
+short tuple, list or dict of those is recorded by value, anything else by
+type, up to :data:`VALUES_KEPT` distinct values per option and entry.  The report
+counts every independently settable value of ``src/repro`` (the
+arguments of every def plus the ``__init__`` fields of every dataclass
+and named tuple, parsed from the source) and lists every option with the
+values it received: one value, two or more, or none (its def unreached or
+its class never built).
+
+Every unreached function and every option that received exactly one
+value must have a line in the ledger
 (``benchmarks/reachability_ledger.txt``): ``module:name  category
-reason``, the category one of :data:`CATEGORIES`.  ``--check`` runs the
-census and exits non-zero when an unreached function has no entry, or an
-entry names a reached or missing function or an unknown category.
+reason`` for a function, the category one of :data:`CATEGORIES`, and
+``module:name(argument)  category  reason`` for an option, the category
+one of :data:`OPTION_CATEGORIES`.  An option with one value is otherwise
+a constant: delete it.  ``--check`` runs the census and exits non-zero
+when an unreached function or a one-value option has no entry, an entry
+names a reached or missing function, or a missing option or one that did
+not receive exactly one value, or a category is unknown.
 
 Run:  python benchmarks/reachability.py [--out results/reachability.txt]
       python benchmarks/reachability.py --check [--out FILE]
@@ -44,7 +66,11 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
+import enum
+import itertools
 import json
+import numbers
 import os
 import shutil
 import subprocess
@@ -66,6 +92,24 @@ CATEGORIES = {
     "frozen": "the benchmarks/perf caller",
     "user": "the CLI flag or public reader that reaches it",
 }
+
+#: Why an option that received one value may stay, and what its reason
+#: must name.
+OPTION_CATEGORIES = {
+    "frozen": "the benchmarks/perf caller",
+    "seam": "the test that substitutes a fake through it",
+    "deployment": "the path, budget or environment variable it carries",
+    "user": "the CLI flag, example or public reader that sets it",
+    "branch": "the src code its other values select, and the test that passes one",
+}
+
+#: Distinct values recorded per option and entry, and listed per option in
+#: the report.
+VALUES_KEPT = 8
+
+#: What a dataclass's generated ``__init__`` receives for a field left to
+#: its default factory.
+_FACTORY = getattr(dataclasses, "_HAS_DEFAULT_FACTORY", object())
 
 #: Seconds each harness workload runs per census entry.
 PERF_SECONDS = "2"
@@ -184,17 +228,85 @@ def _run(kind: str, argv: list[str]) -> int | None:
     return None
 
 
+_SCALARS = (numbers.Number, str, bytes, type(None), enum.Enum)
+
+
+def _value(value: object) -> str:
+    """How an option's value is recorded: a scalar (a number, string,
+    ``None`` or enum), or a short tuple, list or dict of scalars, by value;
+    anything else by type."""
+    items = value.items() if isinstance(value, dict) else value
+    if isinstance(value, _SCALARS) or (
+        isinstance(value, (tuple, list, dict)) and len(value) <= 8
+        and all(isinstance(v, _SCALARS) for v in itertools.chain.from_iterable(
+            item if isinstance(value, dict) else (item,) for item in items))
+    ):
+        return repr(value)[:60]
+    return f"<{type(value).__qualname__}>"
+
+
+def _dataclass_options(code, frame) -> tuple[tuple[str, str, str | None], ...]:
+    """``(option, argument, value of its default factory)`` of each
+    defaulted field behind a dataclass's generated ``__init__`` (its code
+    lies outside ``src/``); none when ``code`` is no ``src/`` dataclass's
+    ``__init__``.  The generated ``__init__`` receives a sentinel for a
+    field left to its factory, so the factory's value is recorded."""
+    owner = type(frame.f_locals.get("self"))
+    for klass in owner.__mro__:
+        init = klass.__dict__.get("__init__")
+        if getattr(init, "__code__", None) is code:
+            break
+    else:
+        return ()
+    if not (klass.__module__.startswith("repro.") and dataclasses.is_dataclass(klass)):
+        return ()
+    found = []
+    for f in dataclasses.fields(klass):
+        if not f.init or (f.default is dataclasses.MISSING
+                          and f.default_factory is dataclasses.MISSING):
+            continue
+        home = next(c for c in klass.__mro__ if f.name in c.__dict__.get("__annotations__", {}))
+        factory = None if f.default_factory is dataclasses.MISSING else f.default_factory
+        found.append((f"{home.__module__}:{home.__qualname__}({f.name})", f.name,
+                      None if factory is None else _value(factory())))
+    return tuple(found)
+
+
 def _worker(kind: str, argv: list[str], out: str) -> None:
-    """Run one entry point with the profiler on and write its exit code
-    and the reached ``(file, first line)`` pairs to ``out`` — whatever the
-    entry's exit."""
+    """Run one entry point with the profiler on and write its exit code,
+    the reached ``(file, first line)`` pairs and the values each option
+    received to ``out`` — whatever the entry's exit."""
     seen: set = set()
     code: object = None
     prefix = str(SRC)
+    defaulted = _defaulted_parameters()
+    #: code object -> its options, or () once there is nothing to record.
+    specs: dict = {}
+    values: dict[str, set[str]] = defaultdict(set)
 
     def hook(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
+        if event != "call":
+            return
+        c = frame.f_code
+        spec = specs.get(c)
+        if spec is None:
+            if c.co_filename.startswith(prefix):
+                seen.add(c)
+                spec = tuple(defaulted.get((c.co_filename, c.co_firstlineno), ()))
+            elif c.co_name == "__init__" and c.co_filename == "<string>":
+                spec = _dataclass_options(c, frame)
+            else:
+                spec = ()
+            specs[c] = spec
+        if spec:
+            local = frame.f_locals
+            for option, name, factory in spec:
+                held = values[option]
+                if len(held) < VALUES_KEPT:
+                    value = local[name]
+                    held.add(factory if value is _FACTORY else _value(value))
+            if all(len(values[option]) >= VALUES_KEPT for option, _, _ in spec):
+                specs[c] = ()
 
     sys.path[:0] = [str(REPO / "src"), str(REPO)]
     threading.setprofile(hook)
@@ -208,10 +320,9 @@ def _worker(kind: str, argv: list[str], out: str) -> None:
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
-        reached = sorted(
-            {(c.co_filename, c.co_firstlineno) for c in seen if c.co_filename.startswith(prefix)}
-        )
-        Path(out).write_text(json.dumps({"code": code, "reached": reached}))
+        reached = sorted({(c.co_filename, c.co_firstlineno) for c in seen})
+        options = {option: sorted(held) for option, held in values.items()}
+        Path(out).write_text(json.dumps({"code": code, "reached": reached, "options": options}))
 
 
 # -- the census: the function table and the report -------------------------------------
@@ -242,14 +353,120 @@ def _functions(path: Path) -> list[tuple[int, str, int]]:
     return sorted(found)
 
 
-def _run_entries() -> tuple[set[tuple[str, int]], dict[str, int], list[str]]:
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _field_default(value: ast.expr | None) -> bool | None:
+    """Whether a class-body annotation's value gives its field a default;
+    ``None`` for a field ``__init__`` does not take (``field(init=False)``)."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return None
+    return "default" in keywords or "default_factory" in keywords
+
+
+def _signatures(path: Path) -> list[tuple[int, str, bool, list[tuple[str, bool]]]]:
+    """``(line, name, is a def, [(argument, defaulted)])`` of every ``def`` (at its
+    first decorator's line; ``self``/``cls`` and ``*args``/``**kwargs``
+    left out) and of every dataclass or ``NamedTuple`` (its ``__init__``
+    fields, at the ``class`` line) in the file."""
+    found = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                flags = [False] * (len(positional) - len(a.defaults)) + [True] * len(a.defaults)
+                params = list(zip((x.arg for x in positional), flags))
+                params += [(x.arg, d is not None) for x, d in zip(a.kwonlyargs, a.kw_defaults)]
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.append((first, f"{prefix}{child.name}", True,
+                              [(n, d) for n, d in params if n not in ("self", "cls")]))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                named_tuple = any(getattr(b, "id", None) == "NamedTuple" for b in child.bases)
+                if named_tuple or _is_dataclass(child):
+                    fields = []
+                    for item in child.body:
+                        if not (isinstance(item, ast.AnnAssign)
+                                and isinstance(item.target, ast.Name)):
+                            continue
+                        if "ClassVar" in ast.unparse(item.annotation):
+                            continue
+                        default = _field_default(item.value)
+                        if default is not None:
+                            fields.append((item.target.id, default))
+                    found.append((child.lineno, f"{prefix}{child.name}", False, fields))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return sorted(found)
+
+
+def _signature_table() -> dict[tuple[Path, int], tuple[str, bool, list[tuple[str, bool]]]]:
+    """Every ``src/repro`` def and dataclass as ``(file, line)`` ->
+    ``(module:name, is a def, [(argument, defaulted)])``."""
+    table = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(REPO / "src").with_suffix("").parts)
+        for line, name, is_def, params in _signatures(path):
+            table[(path, line)] = (f"{module}:{name}", is_def, params)
+    return table
+
+
+def _defaulted_parameters() -> dict[tuple[str, int], list[tuple[str, str, None]]]:
+    """``(file, first line)`` — a code object's key — of every def with a
+    defaulted argument -> its ``(option, argument, None)`` triples, shaped
+    as :func:`_dataclass_options`' (a def has no default factory)."""
+    return {
+        (str(path), line): [(f"{name}({arg})", arg, None) for arg, defaulted in params if defaulted]
+        for (path, line), (name, is_def, params) in _signature_table().items()
+        if is_def and any(defaulted for _, defaulted in params)
+    }
+
+
+def option_table() -> dict[str, tuple[Path, int]]:
+    """Every option of ``src/repro`` — a defaulted argument of a def or a
+    defaulted dataclass field — as ``module:name(argument)`` -> ``(file,
+    line)``, by parsing the source alone."""
+    return {
+        f"{name}({arg})": where
+        for where, (name, _, params) in _signature_table().items()
+        for arg, defaulted in params if defaulted
+    }
+
+
+def settable_counts() -> tuple[int, int, int]:
+    """``(arguments, dataclass fields, options)``: every independently
+    settable value of ``src/repro`` and how many of them have a default."""
+    counts = [0, 0, 0]
+    for _, is_def, params in _signature_table().values():
+        counts[0 if is_def else 1] += len(params)
+        counts[2] += sum(defaulted for _, defaulted in params)
+    return counts[0], counts[1], counts[2]
+
+
+def _run_entries() -> tuple[set[tuple[str, int]], dict[str, set[str]], dict[str, int], list[str]]:
     """Run every entry point; the reached ``(file, first line)`` pairs,
-    the entries run per label and the entries that did not exit 0."""
+    the values each option received, the entries run per label and the
+    entries that did not exit 0."""
     tmp = tempfile.mkdtemp(prefix="reachability_")
     base_env = {**os.environ, **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                                       "MKL_NUM_THREADS")}}
     base_env.pop("PYTHONPATH", None)
     reached: set[tuple[str, int]] = set()
+    values: dict[str, set[str]] = defaultdict(set)
     ran: dict[str, int] = defaultdict(int)
     failed = []
     for k, (label, kind, argv, *entry_env) in enumerate(ENTRIES):
@@ -267,11 +484,13 @@ def _run_entries() -> tuple[set[tuple[str, int]], dict[str, int], list[str]]:
             raise RuntimeError(f"entry {kind} {argv} wrote no census")
         record = json.loads(Path(dump).read_text())
         reached |= {(f, line) for f, line in record["reached"]}
+        for option, held in record["options"].items():
+            values[option].update(held)
         ran[label] += 1
         if record["code"] not in (None, 0):
             failed.append(f"{kind} {' '.join(argv)}: exit {record['code']}")
     shutil.rmtree(tmp, ignore_errors=True)
-    return reached, ran, failed
+    return reached, values, ran, failed
 
 
 def function_table() -> dict[str, tuple[Path, int, int]]:
@@ -286,8 +505,9 @@ def function_table() -> dict[str, tuple[Path, int, int]]:
 
 
 def read_ledger(path: Path = LEDGER) -> dict[str, tuple[str, str]]:
-    """``module:name`` -> ``(category, reason)`` of every ledger line
-    (``#`` comments and blank lines skipped)."""
+    """``module:name`` or ``module:name(argument)`` -> ``(category,
+    reason)`` of every ledger line (``#`` comments and blank lines
+    skipped)."""
     entries = {}
     for number, line in enumerate(path.read_text().splitlines(), 1):
         line = line.strip()
@@ -303,26 +523,48 @@ def read_ledger(path: Path = LEDGER) -> dict[str, tuple[str, str]]:
     return entries
 
 
-def ledger_problems(unreached: set[str], ledger: dict[str, tuple[str, str]],
-                    functions: set[str]) -> list[str]:
-    """What ``--check`` refuses: an unreached function without an entry,
-    an entry naming a missing or reached function, an unknown category."""
-    problems = [f"unreached, no ledger entry: {name}" for name in sorted(unreached - set(ledger))]
+def is_option(name: str) -> bool:
+    """Whether a ledger line names an option rather than a function."""
+    return name.endswith(")")
+
+
+def ledger_problems(unreached: set[str], values: dict[str, set[str]],
+                    ledger: dict[str, tuple[str, str]], functions: set[str],
+                    options: set[str]) -> list[str]:
+    """What ``--check`` refuses: an unreached function or a one-value
+    option without an entry; an entry naming a missing or reached
+    function, or a missing option or one that did not receive exactly one
+    value; an unknown category."""
+    one_value = {name for name, held in values.items() if len(held) == 1}
+    functions_listed = {n for n in ledger if not is_option(n)}
+    options_listed = set(ledger) - functions_listed
+    problems = [f"unreached, no ledger entry: {n}" for n in sorted(unreached - functions_listed)]
+    problems += [f"one value, no ledger entry: {n} = {next(iter(values[n]))}"
+                 for n in sorted(one_value - options_listed)]
     for name, (category, _) in sorted(ledger.items()):
-        if name not in functions:
-            problems.append(f"ledger names a missing function: {name}")
-        elif name not in unreached:
-            problems.append(f"ledger names a reached function: {name}")
-        if category not in CATEGORIES:
+        if is_option(name):
+            known = OPTION_CATEGORIES
+            if name not in options:
+                problems.append(f"ledger names a missing option: {name}")
+            elif name not in one_value:
+                problems.append(f"ledger names an option that received "
+                                f"{len(values.get(name, ()))} values: {name}")
+        else:
+            known = CATEGORIES
+            if name not in functions:
+                problems.append(f"ledger names a missing function: {name}")
+            elif name not in unreached:
+                problems.append(f"ledger names a reached function: {name}")
+        if category not in known:
             problems.append(f"ledger category {category!r} of {name} is not one of "
-                            f"{', '.join(CATEGORIES)}")
+                            f"{', '.join(known)}")
     return problems
 
 
-def census() -> tuple[str, set[str], list[str]]:
-    """Run the census; its report, the unreached ``module:name`` set and
-    the entries that did not exit 0."""
-    reached, ran, failed = _run_entries()
+def census() -> tuple[str, set[str], dict[str, set[str]], list[str]]:
+    """Run the census; its report, the unreached ``module:name`` set, the
+    values each option received and the entries that did not exit 0."""
+    reached, values, ran, failed = _run_entries()
     per_module: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     unreached = []
     names = set()
@@ -340,6 +582,11 @@ def census() -> tuple[str, set[str], list[str]]:
             names.add(name)
     unreached.sort()
     missed = total - hit
+    arguments, fields, n_options = settable_counts()
+    options = option_table()
+    held = {name: sorted(values.get(name, ())) for name in options}
+    one = sorted(name for name, v in held.items() if len(v) == 1)
+    many = sorted(name for name, v in held.items() if len(v) > 1)
     rows = [
         "Reachability census of src/repro (sys.setprofile; benchmarks/reachability.py)",
         "entry points: " + ", ".join(f"{n} {label}" for label, n in ran.items()),
@@ -347,6 +594,9 @@ def census() -> tuple[str, set[str], list[str]]:
         f"({100.0 * missed / total:.1f} %)",
         f"functions: {len(table)}, unreached {len(unreached)}",
         "entries that did not exit 0: " + ("; ".join(failed) if failed else "none"),
+        f"settable values: {arguments + fields} ({arguments} arguments + {fields} dataclass "
+        f"fields); options (defaulted): {n_options}, one value {len(one)}, two or more "
+        f"{len(many)}, none {n_options - len(one) - len(many)}",
         "",
         "unreached function lines per module (modules with any):",
     ]
@@ -355,7 +605,13 @@ def census() -> tuple[str, set[str], list[str]]:
             rows.append(f"  {miss:5d} / {all_lines:5d}  {rel}")
     rows += ["", "unreached functions (module:first line  name  lines):"]
     rows += [f"  {rel}:{first}  {name}  {n}" for rel, first, name, n in unreached]
-    return "\n".join(rows) + "\n", names, failed
+    rows += ["", "options that received one value (option  value):"]
+    rows += [f"  {name}  {held[name][0]}" for name in one]
+    rows += ["", f"options that received two or more values (option  values; the first "
+                 f"{VALUES_KEPT} listed):"]
+    rows += [f"  {name}  {' | '.join(held[name][:VALUES_KEPT])}"
+             f"{' | ...' if len(held[name]) > VALUES_KEPT else ''}" for name in many]
+    return "\n".join(rows) + "\n", names, values, failed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -368,22 +624,23 @@ def main(argv: list[str] | None = None) -> int:
                         help="report file (default results/reachability.txt; "
                              "none with --check)")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless every unreached function has a ledger line "
-                             "and every ledger line names an unreached function")
+                        help="exit 1 unless every unreached function and every one-value "
+                             "option has a ledger line and every line names one")
     args = parser.parse_args(argv)
     out = args.out
     if out is None and not args.check:
         out = REPO / "results" / "reachability.txt"
-    text, unreached, failed = census()
+    text, unreached, values, failed = census()
     if out is not None:
         out.parent.mkdir(exist_ok=True)
         out.write_text(text)
-    print("\n".join(text.splitlines()[:5]))
+    print("\n".join(text.splitlines()[:6]))
     if not args.check:
         return 0
     ledger = read_ledger()
     problems = [f"entry did not exit 0: {f}" for f in failed]
-    problems += ledger_problems(unreached, ledger, set(function_table()))
+    problems += ledger_problems(unreached, values, ledger, set(function_table()),
+                                set(option_table()))
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"ledger: {len(ledger)} entries, "

@@ -48,7 +48,7 @@ def main() -> None:
         table6_report(study),
         table7_report(study),
         fig1_report(study),
-        fig4_report(study_fast=None),
+        fig4_report(),
         fig5_report(study),
         fig6_report(study),
         fig7_report(study),

@@ -31,6 +31,9 @@ __all__ = ["Baseline", "BASELINE_VERSION"]
 
 BASELINE_VERSION = 1
 
+#: The reason a regenerated baseline records for a newly accepted finding.
+ACCEPTED_REASON = "accepted at baseline creation"
+
 
 class Baseline:
     """An accepted-findings set keyed by fingerprint."""
@@ -94,11 +97,11 @@ class Baseline:
     def from_findings(
         cls,
         findings,
-        reason: str = "accepted at baseline creation",
         *,
         previous: "Baseline | None" = None,
     ) -> "Baseline":
-        """Build a baseline accepting every finding in ``findings``.
+        """Build a baseline accepting every finding in ``findings``, each
+        with :data:`ACCEPTED_REASON`.
 
         ``previous`` carries hand-written reasons forward for
         fingerprints that are still live; entries of ``previous`` that
@@ -106,5 +109,5 @@ class Baseline:
         keeps the curated text, drops the dead weight)."""
         old = previous.suppressions if previous is not None else {}
         return cls(
-            {f.fingerprint: old.get(f.fingerprint, reason) for f in findings}
+            {f.fingerprint: old.get(f.fingerprint, ACCEPTED_REASON) for f in findings}
         )

@@ -82,8 +82,8 @@ class DirectiveAnalysisContext:
         Figure 5 and the pathological 3.7x).
     """
 
-    sites: tuple[MachineSite, ...] = ()
-    data_env: frozenset[str] | None = None
+    sites: tuple[MachineSite, ...]
+    data_env: frozenset[str] | None
     max_traffic_ratio: float = 2.0
 
     def __post_init__(self) -> None:
@@ -114,13 +114,13 @@ def _env_covers(env: frozenset[str], name: str) -> bool:
 
 
 # -- race rule ---------------------------------------------------------------------
-def check_races(registry: KernelRegistry, *, models: tuple[str, ...] = ("openacc", "openmp")):
+def check_races(registry: KernelRegistry):
     """``directive-race``: shared writes under parallel mappings without
-    ``reduction``/``private``/atomic protection."""
+    ``reduction``/``private``/atomic protection, under either model."""
     findings: list[Finding] = []
     for kernel in registry:
         nest = kernel.nest
-        for model in models:
+        for model in ("openacc", "openmp"):
             declared = _declared_reductions(kernel, model)
             missing = [r for r in nest.reductions if r not in declared]
             if missing:
@@ -140,6 +140,7 @@ def check_races(registry: KernelRegistry, *, models: tuple[str, ...] = ("openacc
                             + " directive"
                         ),
                         detail=f"{model}:reduction",
+                        data={},
                     )
                 )
                 continue
@@ -165,6 +166,7 @@ def check_races(registry: KernelRegistry, *, models: tuple[str, ...] = ("openacc
                                 f"'{arr.name}', or make the writes atomic"
                             ),
                             detail=f"{model}:{arr.name}",
+                            data={},
                         )
                     )
     return findings
@@ -199,6 +201,7 @@ def check_async_wait(registry: KernelRegistry):
                     ),
                     fix_hint=f"append AccWait(queue={q}) (or a bare AccWait()) after the region",
                     detail=f"async:{q}",
+                    data={},
                 )
             )
     return findings
@@ -320,11 +323,8 @@ def check_data_environment(registry: KernelRegistry, ctx: DirectiveAnalysisConte
     return findings
 
 
-def run_directive_rules(
-    registry: KernelRegistry, ctx: DirectiveAnalysisContext | None = None
-) -> list[Finding]:
+def run_directive_rules(registry: KernelRegistry, ctx: DirectiveAnalysisContext) -> list[Finding]:
     """All directive rules over one registry, in documented rule order."""
-    ctx = ctx if ctx is not None else DirectiveAnalysisContext()
     findings: list[Finding] = []
     findings.extend(check_races(registry))
     findings.extend(check_async_wait(registry))

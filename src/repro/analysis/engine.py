@@ -54,11 +54,12 @@ class AnalysisConfig:
 class AnalysisReport:
     """Everything one linter run produced."""
 
-    findings: list[Finding] = field(default_factory=list)
-    suppressed: list[Finding] = field(default_factory=list)
+    findings: list[Finding]
+    #: What :meth:`apply_baseline` moves out of :attr:`findings`.
+    suppressed: list[Finding] = field(default_factory=list, init=False)
     #: Baseline suppressions that matched no finding of this run
     #: (fingerprint -> recorded reason).
-    stale_suppressions: dict[str, str] = field(default_factory=dict)
+    stale_suppressions: dict[str, str] = field(default_factory=dict, init=False)
 
     def apply_baseline(self, baseline: Baseline) -> None:
         """Move baselined findings from :attr:`findings` to
@@ -119,36 +120,29 @@ class AnalysisReport:
 
 
 def analyze_registry(
-    registry: KernelRegistry,
-    *,
-    sites=None,
-    data_env=None,
-    config: AnalysisConfig | None = None,
+    registry: KernelRegistry, *, data_env, config: AnalysisConfig
 ) -> list[Finding]:
-    """Directive rules over one registry against ``sites``.
+    """Directive rules over one registry against the paper's three
+    machines.
 
-    ``sites`` defaults to the paper's three machines; ``data_env`` is the
-    set of array names the offloaded subroutine's data region covers
-    (``None`` = no enclosing region, which the ``missing-data-region``
-    rule flags on explicit-memory sites).
+    ``data_env`` is the set of array names the offloaded subroutine's
+    data region covers.
     """
     from repro.machines.site import ALL_SITES
 
-    config = config if config is not None else AnalysisConfig()
     ctx = DirectiveAnalysisContext(
-        sites=tuple(sites) if sites is not None else ALL_SITES(),
-        data_env=frozenset(data_env) if data_env is not None else None,
+        sites=ALL_SITES(),
+        data_env=frozenset(data_env),
         max_traffic_ratio=config.max_traffic_ratio,
     )
     return run_directive_rules(registry, ctx)
 
 
-def analyze_repo(config: AnalysisConfig | None = None) -> AnalysisReport:
+def analyze_repo(config: AnalysisConfig) -> AnalysisReport:
     """The full ``repro analyze`` run: the directive rules over the
     registered ``pflux_`` kernels inside their device data region."""
     from repro.core.offload import build_pflux_registry, pflux_device_arrays
 
-    config = config if config is not None else AnalysisConfig()
     registry = build_pflux_registry(config.grid)
     data_env = frozenset(a.name for a in pflux_device_arrays(config.grid))
     return AnalysisReport(

@@ -46,13 +46,13 @@ class Severity(enum.Enum):
 class Location:
     """Where a finding points: a kernel of a directive registry."""
 
-    subroutine: str | None = None
+    subroutine: str
     kernel: str | None = None
 
     @property
     def ident(self) -> str:
         """Stable identity string, ``subroutine::kernel``."""
-        return f"{self.subroutine or '?'}::{self.kernel or '?'}"
+        return f"{self.subroutine}::{self.kernel or '?'}"
 
     def to_dict(self) -> dict:
         """JSON-ready mapping (``None`` fields omitted)."""
@@ -72,12 +72,12 @@ class Finding:
     severity: Severity
     location: Location
     message: str
-    fix_hint: str = ""
+    fix_hint: str
     #: Short stable token disambiguating same-rule findings at one
     #: location (the offending array, call or ``model@site`` pair).
-    detail: str = ""
+    detail: str
     #: Free-form numeric payload (predicted bytes, modeled ratios...).
-    data: dict = field(default_factory=dict, compare=False)
+    data: dict = field(compare=False)
 
     @property
     def fingerprint(self) -> str:

@@ -166,7 +166,7 @@ class BatchFitEngine:
         batch: Sequence[MeasurementSet],
         t_run0: float,
         require_convergence: bool,
-        psi_initial: Sequence["np.ndarray | None"] | None = None,
+        psi_initial: Sequence["np.ndarray | None"] | None,
     ) -> list[tuple[FitResult, float, int]]:
         """Advance one batch of slices in lockstep to convergence."""
         solver = self.solver

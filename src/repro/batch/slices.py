@@ -107,25 +107,23 @@ class BatchStats:
 
 
 def synthetic_slice_sequence(
-    shot: SyntheticShot, n_slices: int, *, noise_scale: float = 0.3, seed: int = 0
+    shot: SyntheticShot, n_slices: int, *, seed: int = 0
 ) -> list[MeasurementSet]:
     """A shot's worth of mutually distinct time slices.
 
-    Each slice re-samples the measurement noise of ``shot`` at
-    ``noise_scale`` times the per-channel uncertainty — slices share the
+    Each slice re-samples the measurement noise of ``shot`` at 0.3 times
+    the per-channel uncertainty — slices share the
     underlying equilibrium (like neighbouring times of a flat-top) but
     carry independent realisations, so every reconstruction follows its
     own Picard trajectory.
     """
     if n_slices < 1:
         raise MeasurementError("need at least one slice")
-    if noise_scale < 0.0:
-        raise MeasurementError("noise_scale must be non-negative")
     rng = np.random.default_rng(seed)
     base = shot.measurements
     out: list[MeasurementSet] = []
     for _ in range(n_slices):
-        values = base.values + rng.normal(0.0, noise_scale * base.uncertainties)
+        values = base.values + rng.normal(0.0, 0.3 * base.uncertainties)
         out.append(
             MeasurementSet(
                 values=values,

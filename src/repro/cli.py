@@ -352,10 +352,10 @@ def _cmd_study(args) -> int:
         "table5": lambda: report.table4_5_report()[1],
         "table6": lambda: report.table6_report(study),
         "table7": lambda: report.table7_report(study),
-        "fig1": lambda: report.fig1_report(study, n=study.grid_sizes[-1]),
+        "fig1": lambda: report.fig1_report(study),
         "fig4": lambda: report.fig4_report(),
-        "fig5": lambda: report.fig5_report(study, n=study.grid_sizes[-1]),
-        "fig6": lambda: report.fig6_report(study, n=study.grid_sizes[-1]),
+        "fig5": lambda: report.fig5_report(study),
+        "fig6": lambda: report.fig6_report(study),
         "fig7": lambda: report.fig7_report(study),
     }
     names = list(makers) if args.artifact == "all" else [args.artifact]
@@ -475,11 +475,7 @@ def _cmd_analyze(args) -> int:
             except AnalysisError:
                 previous = None  # damaged file: regenerate from scratch
         try:
-            Baseline.from_findings(
-                report.findings,
-                reason="accepted at baseline creation",
-                previous=previous,
-            ).save(baseline_path)
+            Baseline.from_findings(report.findings, previous=previous).save(baseline_path)
         except OSError as exc:
             print(f"error: cannot write baseline {baseline_path}: {exc}", file=sys.stderr)
             return 2
@@ -560,16 +556,9 @@ def _cmd_trace(args) -> int:
         )
     else:
         from repro.efit.fitting import EfitSolver
-        from repro.efit.measurements import (
-            synthetic_shot_186610,
-            synthetic_solovev_shot,
-        )
+        from repro.scenarios import get_scenario
 
-        shot = (
-            synthetic_shot_186610(args.grid)
-            if args.case == "g186610"
-            else synthetic_solovev_shot(args.grid)
-        )
+        shot = get_scenario(args.case).make_shot(args.grid)
         solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid, hooks=hooks)
         result = solver.fit(shot.measurements)
         profiler_totals = dict(solver.profiler.report().totals)
@@ -695,17 +684,18 @@ def _cmd_serve(args) -> int:
     if args.deadline_ms < 0:
         print("error: --deadline-ms must be >= 0", file=sys.stderr)
         return 2
-    sc = get_scenario(args.scenario)
-    shot = sc.make_shot(args.grid)
-    engine = BatchFitEngine.for_scenario(
-        sc, shot=shot, edge_operator=_edge_operator(args, shot.grid)
-    )
-    deadline_s = args.deadline_ms / 1e3 if args.deadline_ms > 0 else None
+    # 0 turns the deadline off; NaN or infinity is ServeConfig's error.
+    deadline_s = args.deadline_ms / 1e3 if args.deadline_ms != 0 else None
     config = ServeConfig(
         deadline_s=deadline_s,
         queue_depth=args.queue_depth if args.queue_depth else args.slices,
         max_streams=args.streams,
         warm_start=not args.no_warm_start,
+    )
+    sc = get_scenario(args.scenario)
+    shot = sc.make_shot(args.grid)
+    engine = BatchFitEngine.for_scenario(
+        sc, shot=shot, edge_operator=_edge_operator(args, shot.grid)
     )
     metrics = ServeMetrics()
     service = ReconstructionService(engine, config=config, metrics=metrics)
@@ -846,16 +836,16 @@ def _cmd_pfleet(args) -> int:
             file=sys.stderr,
         )
         return 2
-    sc = get_scenario(args.scenario or args.case or DEFAULT_SCENARIO)
-    shot = sc.make_shot(args.grid)
-    slices = synthetic_slice_sequence(shot, args.slices, seed=3)
-    recorder = TraceRecorder()
-    hooks = TraceHooks(recorder)
     config = SchedulerConfig(
         workers=args.workers,
         timeout_seconds=args.timeout,
         max_retries=args.max_retries,
     )
+    sc = get_scenario(args.scenario or args.case or DEFAULT_SCENARIO)
+    shot = sc.make_shot(args.grid)
+    slices = synthetic_slice_sequence(shot, args.slices, seed=3)
+    recorder = TraceRecorder()
+    hooks = TraceHooks(recorder)
     print(
         f"pfleet {sc.name}@{args.grid}x{args.grid}: {args.slices} slices "
         f"across {args.workers} worker(s), {args.batch} slices/job"

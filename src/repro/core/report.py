@@ -131,8 +131,10 @@ def table7_report(study: PortabilityStudy) -> Table:
     )
 
 
-def fig1_report(study: PortabilityStudy, n: int = 513) -> Table:
-    """Figure 1: CPU fit_ breakdown pies at 513^2."""
+def fig1_report(study: PortabilityStudy) -> Table:
+    """Figure 1: CPU fit_ breakdown pies at the study's largest grid (513^2
+    in the paper)."""
+    n = study.grid_sizes[-1]
     t = Table(
         ["system", "pflux_", "green_", "current_", "steps_", "other"],
         title=f"Figure 1 — fit_ breakdown on one CPU core at {n}x{n} (pflux_ ~90% in paper)",
@@ -146,9 +148,9 @@ def fig1_report(study: PortabilityStudy, n: int = 513) -> Table:
     return t
 
 
-def fig4_report(study_fast: PortabilityStudy | None = None) -> Table:
+def fig4_report() -> Table:
     """Figure 4: AMD MI250X with and without -hsystem_alloc."""
-    fast = study_fast if study_fast is not None else PortabilityStudy((frontier(),))
+    fast = PortabilityStudy((frontier(),))
     slow = PortabilityStudy((frontier(system_alloc=False),))
     t = Table(
         ["model", "quantity", *(f"{n}x{n}" for n in fast.grid_sizes)],
@@ -164,8 +166,10 @@ def fig4_report(study_fast: PortabilityStudy | None = None) -> Table:
     return t
 
 
-def fig5_report(study: PortabilityStudy, n: int = 513) -> Table:
-    """Figure 5: HBM data movement of the O(N^3) kernels at 513^2."""
+def fig5_report(study: PortabilityStudy) -> Table:
+    """Figure 5: HBM data movement of the O(N^3) kernels at the study's
+    largest grid (513^2 in the paper)."""
+    n = study.grid_sizes[-1]
     t = Table(
         ["configuration", "boundary-kernel HBM bytes", "vs own OpenMP"],
         title=f"Figure 5 — GPU data movement of the O(N^3) kernels at {n}x{n} "
@@ -191,8 +195,9 @@ def fig5_report(study: PortabilityStudy, n: int = 513) -> Table:
     return t
 
 
-def fig6_report(study: PortabilityStudy, n: int = 513) -> Table:
+def fig6_report(study: PortabilityStudy) -> Table:
     """Figure 6: fit_ breakdown after OpenMP offload."""
+    n = study.grid_sizes[-1]
     t = Table(
         ["system", "pflux_ (model)", "pflux_ (paper)", "green_", "current_", "steps_", "other"],
         title=f"Figure 6 — fit_ breakdown with OpenMP-offloaded pflux_ at {n}x{n}",
@@ -210,7 +215,7 @@ def fig6_report(study: PortabilityStudy, n: int = 513) -> Table:
     return t
 
 
-def roofline_report(study: PortabilityStudy, site_name: str, model: str, n: int = 513) -> Table:
+def roofline_report(study: PortabilityStudy, site_name: str, model: str) -> Table:
     """Per-kernel roofline placement for one offloaded configuration.
 
     The methodology of the paper's related work (Mehta et al., the SNAP
@@ -219,6 +224,7 @@ def roofline_report(study: PortabilityStudy, site_name: str, model: str, n: int 
     the simulated counters (flops / device seconds); the AI uses the
     *moved* bytes, i.e. the lowering's traffic, not the ideal footprint.
     """
+    n = study.grid_sizes[-1]
     from repro.core.offload import build_pflux_registry
     from repro.hardware.roofline import attainable_gflops
 
@@ -278,7 +284,7 @@ def fig7_report(study: PortabilityStudy) -> Table:
     return t
 
 
-def extension_report(study: PortabilityStudy, n: int = 513) -> Table:
+def extension_report(study: PortabilityStudy) -> Table:
     """The paper's future work, projected: fit_ with everything offloaded.
 
     "Further GPU acceleration of EFIT will require similar optimization of
@@ -286,6 +292,7 @@ def extension_report(study: PortabilityStudy, n: int = 513) -> Table:
     payoff using the same cost model, and marks which nodes then clear
     their break-even bars for the *whole* reconstruction.
     """
+    n = study.grid_sizes[-1]
     from repro.core.extension import project_full_offload
 
     t = Table(

@@ -18,7 +18,6 @@ from repro.calibration import (
     NONPFLUX_SPLIT,
 )
 from repro.compilers.flags import parse_flags
-from repro.compilers.oneapi import OneApiCompiler
 from repro.core.offload import PfluxOffloadModel
 from repro.core.paper import GRID_SIZES
 from repro.errors import CalibrationError, UnsupportedTargetError
@@ -59,9 +58,9 @@ def cpu_nonpflux_seconds(site: MachineSite, n: int) -> float:
     return coeff * float(n) ** 2
 
 
-def cpu_fit_seconds(site: MachineSite, n: int, *, optimized: bool = False) -> float:
+def cpu_fit_seconds(site: MachineSite, n: int) -> float:
     """Full ``fit_`` invocation time on one core (Table 1)."""
-    return cpu_pflux_seconds(site, n, optimized=optimized) + cpu_nonpflux_seconds(site, n)
+    return cpu_pflux_seconds(site, n) + cpu_nonpflux_seconds(site, n)
 
 
 def fit_breakdown_cpu(site: MachineSite, n: int) -> dict[str, float]:
@@ -97,7 +96,7 @@ class PortabilityStudy:
 
     sites: tuple[MachineSite, ...]
     grid_sizes: tuple[int, ...] = GRID_SIZES
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def site(self, name: str) -> MachineSite:
         for s in self.sites:
@@ -106,22 +105,15 @@ class PortabilityStudy:
         raise CalibrationError(f"study has no site named {name!r}")
 
     # -- GPU runs -------------------------------------------------------------------
-    def _build(self, site: MachineSite, model: str, *, use_target_data: bool = True):
-        flags = parse_flags(site.flags(model))
-        if isinstance(site.compiler, OneApiCompiler):
-            return site.compiler.configure(
-                flags, site.env, site.gpu, use_target_data=use_target_data
-            )
-        return site.compiler.configure(flags, site.env, site.gpu)
+    def _build(self, site: MachineSite, model: str):
+        return site.compiler.configure(parse_flags(site.flags(model)), site.env, site.gpu)
 
-    def gpu_pflux(
-        self, site: MachineSite, model: str, n: int, *, use_target_data: bool = True
-    ) -> PfluxGpuResult:
+    def gpu_pflux(self, site: MachineSite, model: str, n: int) -> PfluxGpuResult:
         """Steady-state offloaded ``pflux_`` at one configuration."""
-        key = (site.name, site.env.variables.get("CRAY_MALLOPT_OFF"), model, n, use_target_data)
+        key = (site.name, site.env.variables.get("CRAY_MALLOPT_OFF"), model, n)
         if key in self._cache:
             return self._cache[key]
-        build = self._build(site, model, use_target_data=use_target_data)
+        build = self._build(site, model)
         offload = PfluxOffloadModel(n, n, build)
         offload.invoke()  # warm-up: stages the Green tables
         counters = offload.executor.counters

@@ -51,21 +51,17 @@ class ScheduleResult:
         return float(self.worker_seconds.mean() / self.makespan_seconds)
 
 
-def synthetic_slice_counts(
-    n_slices: int, *, mean_iterations: int = 40, spread: float = 0.5, seed: int = 186610
-) -> tuple[TimeSlice, ...]:
+def synthetic_slice_counts(n_slices: int) -> tuple[TimeSlice, ...]:
     """Deterministic heterogeneous iteration counts.
 
-    Log-normal-ish spread reproduces the paper's "ten or hundreds of
-    iterations" range: early-shot slices (plasma formation) converge
-    slowly, flat-top slices quickly.
+    Log-normal-ish spread (median 40 iterations, log-sigma 0.5) reproduces
+    the paper's "ten or hundreds of iterations" range: early-shot slices
+    (plasma formation) converge slowly, flat-top slices quickly.
     """
     if n_slices < 1:
         raise ReproError("need at least one time slice")
-    if not (0.0 <= spread < 2.0):
-        raise ReproError("spread outside [0, 2)")
-    rng = np.random.default_rng(seed)
-    counts = np.exp(rng.normal(np.log(mean_iterations), spread, n_slices))
+    rng = np.random.default_rng(186610)
+    counts = np.exp(rng.normal(np.log(40), 0.5, n_slices))
     counts = np.clip(np.round(counts), 10, 400).astype(int)
     return tuple(TimeSlice(i, int(c)) for i, c in enumerate(counts))
 
@@ -74,24 +70,17 @@ def schedule_slices(
     slices: tuple[TimeSlice, ...],
     n_workers: int,
     seconds_per_iteration: float,
-    *,
-    sort_longest_first: bool = True,
 ) -> ScheduleResult:
-    """Greedy dispatch of slices onto ``n_workers`` identical workers.
-
-    ``sort_longest_first=True`` is LPT scheduling (what a work-stealing
-    task farm approximates); ``False`` dispatches in time order (a naive
-    static round-robin driver).
-    """
+    """Greedy dispatch of slices onto ``n_workers`` identical workers,
+    longest first: LPT scheduling, what a work-stealing task farm
+    approximates."""
     if n_workers < 1:
         raise ReproError("need at least one worker")
     if seconds_per_iteration <= 0.0:
         raise ReproError("seconds_per_iteration must be positive")
     if not slices:
         raise ReproError("no slices to schedule")
-    order = (
-        sorted(slices, key=lambda s: -s.iterations) if sort_longest_first else list(slices)
-    )
+    order = sorted(slices, key=lambda s: -s.iterations)
     heap = [(0.0, w) for w in range(n_workers)]
     heapq.heapify(heap)
     busy = np.zeros(n_workers)

@@ -17,8 +17,9 @@ derives the quantities the roofline and traffic models consume:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
+from typing import ClassVar
 
 from repro.errors import DirectiveError
 
@@ -55,21 +56,21 @@ class ArrayRef:
         Unique elements touched over the whole nest execution.
     accesses_per_iteration:
         Reads+writes of this array issued per innermost iteration.
+
+    Every array is double precision (:attr:`bytes_per_element`).
     """
 
     name: str
     elements: int
     mode: AccessMode = AccessMode.READ
     accesses_per_iteration: float = 1.0
-    bytes_per_element: int = 8
+    bytes_per_element: ClassVar[int] = 8
 
     def __post_init__(self) -> None:
         if self.elements < 0:
             raise DirectiveError(f"array {self.name}: negative element count")
         if self.accesses_per_iteration < 0:
             raise DirectiveError(f"array {self.name}: negative access count")
-        if self.bytes_per_element < 1:
-            raise DirectiveError(f"array {self.name}: non-positive element width")
 
     @property
     def footprint_bytes(self) -> int:
@@ -87,7 +88,7 @@ class LoopNest:
     name: str
     loops: tuple[Loop, ...]
     flops_per_iteration: float
-    arrays: tuple[ArrayRef, ...] = field(default_factory=tuple)
+    arrays: tuple[ArrayRef, ...]
     n_outer: int = 1
     #: Reduction variables carried across the inner loops (paper kernels
     #: reduce two scalars, tempsum1/tempsum2).

@@ -10,8 +10,7 @@ claim.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.directives.ir import LoopNest
 from repro.directives.openacc import AccDirective
@@ -23,17 +22,11 @@ __all__ = ["AnnotatedKernel", "KernelRegistry", "directive_census"]
 
 @dataclass(frozen=True)
 class AnnotatedKernel:
-    """One offloadable loop nest with both annotations.
-
-    ``payload`` executes the kernel numerically (NumPy) when the simulated
-    device "runs" it; results are identical to the CPU path by
-    construction, which the tests verify.
-    """
+    """One offloadable loop nest with both annotations."""
 
     nest: LoopNest
     acc_directives: tuple[AccDirective, ...]
     omp_directives: tuple[OmpDirective, ...]
-    payload: Callable[..., object] | None = None
     #: Coarse complexity class used by reports ("O(N^3)", "O(N^2)", ...).
     complexity: str = "O(N^2)"
     #: Device kernels this region launches (a fused ``kernels`` region

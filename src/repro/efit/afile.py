@@ -73,11 +73,9 @@ class AFile:
 def afile_from_fit(
     shot: SyntheticShot,
     result: FitResult,
-    *,
-    shot_number: int = 186610,
-    time_ms: float = 2400.0,
 ) -> AFile:
-    """Derive every a-file scalar from a reconstruction."""
+    """Derive every a-file scalar from a reconstruction, stamped as the
+    paper's shot 186610 at 2400 ms."""
     b = result.boundary
     lcfs = trace_flux_surface(shot.grid, b, 0.98)
     shape = ShapeParameters.from_surface(lcfs)
@@ -87,8 +85,8 @@ def afile_from_fit(
     f_vac = shot.machine.f_vacuum
     qprof = QProfile.compute(shot.grid, result.psi, b, lambda s: f_vac, n_levels=16)
     return AFile(
-        shot=shot_number,
-        time_ms=time_ms,
+        shot=186610,
+        time_ms=2400.0,
         ipmeas=result.ip,
         rmaxis=b.r_axis,
         zmaxis=b.z_axis,

@@ -164,19 +164,15 @@ def _same(given: np.ndarray, own: np.ndarray) -> bool:
     return given is own or (np.shape(given) == own.shape and np.array_equal(given, own))
 
 
-def search_geometry(
-    grid: RZGrid, limiter: Limiter, *, n_limiter_samples: int = 4
-) -> _SearchGeometry:
+def search_geometry(grid: RZGrid, limiter: Limiter) -> _SearchGeometry:
     """What the boundary search derives from ``limiter`` alone on
     ``grid`` — its window, the wall samples' interpolation stencil —
-    built on the first call per grid and sample density and kept, read-
-    only, in the limiter's memo beside its mask and contour.
+    built on the first call per grid and kept, read-only, in the
+    limiter's memo beside its mask and contour.
     :class:`~repro.efit.fitting.GridStatics` builds it with them."""
     return limiter.memoised(
-        ("boundary_search", grid, n_limiter_samples),
-        lambda: _SearchGeometry.build(
-            grid, limiter.grid_mask(grid), limiter.sample_points(n_limiter_samples)
-        ),
+        ("boundary_search", grid),
+        lambda: _SearchGeometry.build(grid, limiter.grid_mask(grid), limiter.sample_points()),
     )
 
 
@@ -185,12 +181,11 @@ def _geometry_for(
     limiter: Limiter,
     inside: np.ndarray | None,
     samples: tuple[np.ndarray, np.ndarray] | None,
-    n_per_edge: int,
 ) -> _SearchGeometry:
     """The limiter's own geometry when ``inside`` and ``samples`` are not
     given or equal its own mask and contour (compared by value, so a copy
     takes the same path), else one built for them."""
-    own = search_geometry(grid, limiter, n_limiter_samples=n_per_edge)
+    own = search_geometry(grid, limiter)
     own_inside = inside is None or _same(inside, own.inside)
     own_samples = samples is None or (
         _same(samples[0], own.samples_r) and _same(samples[1], own.samples_z)
@@ -243,7 +238,7 @@ def find_axis(
     which is built once per grid.
     """
     signed = _signs([sign])[:, None, None] * np.asarray(psi, dtype=float)
-    geometry = _geometry_for(grid, limiter, inside, None, 4)
+    geometry = _geometry_for(grid, limiter, inside, None)
     ((r, z, value),), _ = _node_search(grid, signed, _axis_nodes(signed, geometry), None)
     return r, z, sign * value
 
@@ -483,7 +478,6 @@ def find_boundaries(
     limiter: Limiter,
     *,
     signs: Sequence[int],
-    n_limiter_samples: int = 4,
     inside: np.ndarray | None = None,
     limiter_samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[BoundaryResult]:
@@ -518,7 +512,7 @@ def find_boundaries(
     if not len(psi):
         return []
     sign = _signs(signs)
-    geometry = _geometry_for(grid, limiter, inside, limiter_samples, n_limiter_samples)
+    geometry = _geometry_for(grid, limiter, inside, limiter_samples)
     # The whole search runs on sign * psi, where every plasma is a maximum.
     signed = psi if min(signs) > 0 else sign[:, None, None] * psi
     axes, candidates = _axes_and_xpoints(grid, signed, limiter, geometry)
@@ -622,7 +616,6 @@ def find_boundary(
     limiter: Limiter,
     *,
     sign: int = 1,
-    n_limiter_samples: int = 4,
     inside: np.ndarray | None = None,
     limiter_samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BoundaryResult:
@@ -642,7 +635,6 @@ def find_boundary(
         psi[None],
         limiter,
         signs=(sign,),
-        n_limiter_samples=n_limiter_samples,
         inside=inside,
         limiter_samples=limiter_samples,
     )

@@ -21,6 +21,9 @@ from repro.errors import BoundaryError
 
 __all__ = ["FluxSurface", "trace_flux_surface"]
 
+#: Bisection steps per ray (the bracket shrinks by a factor 2^45).
+_N_BISECT = 45
+
 
 @dataclass(frozen=True)
 class FluxSurface:
@@ -71,7 +74,6 @@ def trace_flux_surface(
     level: float,
     *,
     n_theta: int = 128,
-    n_bisect: int = 45,
 ) -> FluxSurface:
     """Trace the ``psiN = level`` surface of a reconstructed equilibrium.
 
@@ -125,7 +127,7 @@ def trace_flux_surface(
             f"psiN = {level} not bracketed along some rays (open surface?)"
         )
 
-    for _ in range(n_bisect):
+    for _ in range(_N_BISECT):
         mid = 0.5 * (lo + hi)
         inside = level_at(mid) < level
         lo = np.where(inside, mid, lo)

@@ -25,6 +25,13 @@ from repro.errors import MeasurementError
 
 __all__ = ["FluxLoop", "MagneticProbe", "RogowskiCoil", "DiagnosticSet"]
 
+#: The magnetics :meth:`DiagnosticSet.for_machine` places: flux loops and
+#: probes on a ring scaled from the limiter about its centroid by the
+#: standoff.
+_N_FLUX_LOOPS = 40
+_N_PROBES = 60
+_STANDOFF = 1.12
+
 
 def _response(diagnostics, respond, *sources, enclosed: bool, **out) -> np.ndarray:
     """One row per diagnostic, one column per source.
@@ -132,7 +139,7 @@ class RogowskiCoil(_Diagnostic):
     the one diagnostic that is not a point sensor: it has no position and
     reads no field, and :func:`_response` fills in its row."""
 
-    name: str = "IP"
+    name = "IP"
     r = z = float("nan")
     functional = np.zeros(3)
 
@@ -212,21 +219,17 @@ class DiagnosticSet:
         cls,
         machine: Tokamak,
         *,
-        n_flux_loops: int = 40,
-        n_probes: int = 60,
         n_mse: int = 0,
-        standoff: float = 1.12,
     ) -> "DiagnosticSet":
-        """Place diagnostics on a contour ``standoff`` times the limiter.
+        """Place diagnostics on a contour :data:`_STANDOFF` times the limiter.
 
-        Flux loops and probes are spread uniformly in poloidal angle on a
-        scaled copy of the limiter (just outside the plasma, inside the
-        vessel) — the usual arrangement.  Probe orientations alternate
+        :data:`_N_FLUX_LOOPS` flux loops and :data:`_N_PROBES` probes are
+        spread uniformly in poloidal angle on a scaled copy of the limiter
+        (just outside the plasma, inside the vessel) — the usual
+        arrangement.  Probe orientations alternate
         between tangential and normal, as on DIII-D.  ``n_mse`` channels,
         if requested, view the outboard midplane (the DIII-D beam line).
         """
-        if n_flux_loops < 4 or n_probes < 4:
-            raise MeasurementError("too few diagnostics to constrain a fit")
         lr, lz = machine.limiter.r, machine.limiter.z
         r0 = float(lr.mean())
         z0 = float(lz.mean())
@@ -240,15 +243,15 @@ class DiagnosticSet:
                 np.hypot(lr - r0, lz - z0),
                 period=2 * np.pi,
             )
-            rr = r0 + standoff * a * np.cos(theta)
-            zz = z0 + standoff * a * np.sin(theta)
+            rr = r0 + _STANDOFF * a * np.cos(theta)
+            zz = z0 + _STANDOFF * a * np.sin(theta)
             return rr, zz, theta
 
-        fr, fz, _ = ring(n_flux_loops)
+        fr, fz, _ = ring(_N_FLUX_LOOPS)
         loops = tuple(
             FluxLoop(f"PSF{i:03d}", float(r), float(z)) for i, (r, z) in enumerate(zip(fr, fz))
         )
-        pr, pz, ptheta = ring(n_probes)
+        pr, pz, ptheta = ring(_N_PROBES)
         probes = []
         for i, (r, z, th) in enumerate(zip(pr, pz, ptheta)):
             # Tangential to the ring for even i, normal for odd i.

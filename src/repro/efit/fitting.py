@@ -9,7 +9,7 @@ paper's four subroutines (Section 2):
 * ``pflux_``   — the flux solve (boundary Green sums + interior solve).
 
 :class:`EfitSolver` repeats invocations until the maximum flux change
-between iterates, normalised by the flux span, drops below ``tol``
+between iterates, normalised by the flux span, drops below :data:`TOL`
 (``eps < 1e-5`` in the paper).  Every region is timed through a
 :class:`~repro.profiling.regions.RegionProfiler`, which is how the Figure 1
 and Figure 6 pie charts are produced.
@@ -54,6 +54,14 @@ __all__ = ["EfitSolver", "FitResult", "FitIterationRecord", "FitState", "GridSta
 #: to 10-16, and each one past three costs one iterate everywhere
 #: (EXPERIMENTS.md "Picard step (PR 20)").
 N_WARMUP = 3
+
+#: Convergence threshold: the largest flux change between iterates,
+#: normalised by the flux span (the paper's ``eps``).
+TOL = 1e-5
+
+#: Residual above which a trusted warm start is declared divergent and
+#: the slice falls back to the cold warm-up current shape.
+WARM_START_GUARD = 0.25
 
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,15 +128,15 @@ class GridStatics:
         )
 
     @classmethod
-    def build(cls, machine: Tokamak, grid: RZGrid, *, n_limiter_samples: int = 4) -> "GridStatics":
+    def build(cls, machine: Tokamak, grid: RZGrid) -> "GridStatics":
         """The static fit state for ``machine`` on ``grid``, built on the
         first call for that pair and read from the memo afterwards —
         together with what the boundary search derives from the limiter's
         mask and contour, which the limiter memoises beside them."""
-        search_geometry(grid, machine.limiter, n_limiter_samples=n_limiter_samples)
+        search_geometry(grid, machine.limiter)
         return cls(
             inside_limiter=machine.limiter.grid_mask(grid),
-            limiter_samples=machine.limiter.sample_points(n_limiter_samples),
+            limiter_samples=machine.limiter.sample_points(),
             coil_flux=machine.coil_flux_tables(grid),
         )
 
@@ -159,10 +167,10 @@ class FitState:
     weights: np.ndarray
     vessel_currents: np.ndarray | None = None
     boundary: BoundaryResult | None = None
-    chi2: float = np.inf
-    residual: float = np.inf
-    iteration: int = 0
-    converged: bool = False
+    chi2: float = field(default=np.inf, init=False)
+    residual: float = field(default=np.inf, init=False)
+    iteration: int = field(default=0, init=False)
+    converged: bool = field(default=False, init=False)
     #: Last iteration (inclusive) forced onto the fixed warm-up current
     #: shape.  :data:`N_WARMUP` for a cold start; 0 for a trusted warm
     #: start, so a converged ``psi_initial`` can converge immediately.
@@ -171,7 +179,7 @@ class FitState:
     #: divergence guard in :meth:`EfitSolver.iterate_post`, which falls
     #: back to a cold warm-up starting at the current iteration.
     warm_start: bool = False
-    history: list[FitIterationRecord] = field(default_factory=list)
+    history: list[FitIterationRecord] = field(default_factory=list, init=False)
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ class FitResult:
     iterations: int
     residual: float
     chi2: float
-    history: tuple[FitIterationRecord, ...] = field(default_factory=tuple)
+    history: tuple[FitIterationRecord, ...]
     #: Fitted vessel eddy currents [A] (None when not fitted).
     vessel_currents: np.ndarray | None = None
     #: Whether the slice ran (and finished) on a trusted warm start.
@@ -279,18 +287,13 @@ class EfitSolver:
         pp_basis: PolynomialBasis | None = None,
         ffp_basis: PolynomialBasis | None = None,
         pflux_impl: EdgeOperator | None = None,
-        tol: float = 1e-5,
         max_iters: int = 100,
-        warm_start_guard: float = 0.25,
-        fitdelz: bool = True,
         fit_vessel: bool = False,
         ridge: float = 1e-10,
         initial_filament_z: float | None = None,
         profiler: RegionProfiler | None = None,
         hooks: ObservationHooks | None = None,
     ) -> None:
-        if tol <= 0.0:
-            raise FittingError("tolerance must be positive")
         if max_iters < 1:
             raise FittingError("max_iters must be at least 1")
         if ridge < 0.0:
@@ -307,14 +310,7 @@ class EfitSolver:
         #: Unit warm-up coefficient vector: the parabolic FF' shape the
         #: first :data:`N_WARMUP` iterates rescale to the measured Ip.
         self._warmup_shape = warm
-        self.tol = tol
         self.max_iters = max_iters
-        if warm_start_guard <= 0.0:
-            raise FittingError("warm_start_guard must be positive")
-        #: Residual above which a trusted warm start is declared divergent
-        #: and the slice falls back to the cold warm-up current shape.
-        self.warm_start_guard = warm_start_guard
-        self.fitdelz = fitdelz
         self.ridge = ridge
         # Height of the seed filament in the default initial psi.  None
         # keeps the historical slightly-off-node offset (0.41 dz above the
@@ -437,24 +433,20 @@ class EfitSolver:
         # coefficients times its basis currents.
         rows = np.matmul(coeffs[:, None, :], slabs.matrix).reshape(n, n_rows, grid.nh)
         n_warm = int(np.count_nonzero(warm))
-        n_dz = n if self.fitdelz else 0
-        if n_dz or n_warm:
-            columns = np.empty((n_dz + n_warm, n_rows, grid.nh))
-            if n_dz:
-                _z_derivative(rows, grid.dz, out=columns[:n])
-            if n_warm:
-                columns[n_dz:] = rows[warm]
-            response = self.grid_response[:, slabs.i0 * grid.nh : slabs.i1 * grid.nh]
-            product = response @ columns.reshape(len(columns), -1).T
-            del columns  # before the shift makes its own
-            if n_warm:
-                prediction = product[:, n_dz:].T
-                if vessel is not None:
-                    prediction = prediction + vessel[warm] @ self.vessel_response.T
-                weighted_residual[warm] = weighted_data[warm] - weights[warm] * prediction
-            if n_dz:
-                delz = self._fit_delz(weights * product[:, :n].T, weighted_residual)
-                rows = grid.shift_z(rows, delz)
+        columns = np.empty((n + n_warm, n_rows, grid.nh))
+        _z_derivative(rows, grid.dz, out=columns[:n])
+        if n_warm:
+            columns[n:] = rows[warm]
+        response = self.grid_response[:, slabs.i0 * grid.nh : slabs.i1 * grid.nh]
+        product = response @ columns.reshape(len(columns), -1).T
+        del columns  # before the shift makes its own
+        if n_warm:
+            prediction = product[:, n:].T
+            if vessel is not None:
+                prediction = prediction + vessel[warm] @ self.vessel_response.T
+            weighted_residual[warm] = weighted_data[warm] - weights[warm] * prediction
+        delz = self._fit_delz(weights * product[:, :n].T, weighted_residual)
+        rows = grid.shift_z(rows, delz)
         pcurr = np.zeros((n, grid.nw, grid.nh))
         pcurr[:, slabs.i0 : slabs.i1] = rows
         return pcurr
@@ -771,11 +763,11 @@ class EfitSolver:
                 coefficients=state.coeffs.copy(),
             )
         )
-        if state.residual < self.tol and state.iteration > state.warmup_until:
+        if state.residual < TOL and state.iteration > state.warmup_until:
             state.converged = True
         elif state.warm_start:
             # Divergence guard: a trusted warm start whose flux is moving
-            # by more than warm_start_guard of the span (or growing
+            # by more than WARM_START_GUARD of the span (or growing
             # between iterates) was not actually near the fixed point.
             # Revoke the trust and rerun the cold warm-up from here —
             # the slice then behaves like a cold solve that happened to
@@ -786,16 +778,16 @@ class EfitSolver:
             grew = (
                 previous is not None
                 and state.residual > 2.0 * previous
-                and state.residual > 100.0 * self.tol
+                and state.residual > 100.0 * TOL
             )
-            if state.residual > self.warm_start_guard or grew:
+            if state.residual > WARM_START_GUARD or grew:
                 state.warm_start = False
                 state.warmup_until = state.iteration + N_WARMUP
                 hooks.event(
                     "warm_start_fallback",
                     iteration=state.iteration,
                     residual=state.residual,
-                    guard=self.warm_start_guard,
+                    guard=WARM_START_GUARD,
                 )
         if hooks.enabled:
             hooks.event(
@@ -844,7 +836,7 @@ class EfitSolver:
         """Seal a Picard state into a :class:`FitResult`."""
         if not state.converged and require_convergence:
             raise ConvergenceError(
-                f"fit did not converge: residual {state.residual:.3e} > {self.tol:.1e} "
+                f"fit did not converge: residual {state.residual:.3e} > {TOL:.1e} "
                 f"after {len(state.history)} iterations (max_iters {self.max_iters})"
             )
         profiles = ProfileCoefficients.from_vector(
@@ -890,7 +882,7 @@ class EfitSolver:
         warm-up phase is skipped and convergence may be declared from the
         first iterate; see :meth:`start_fit`.  Raises
         :class:`ConvergenceError` when the loop exhausts ``max_iters``
-        without meeting ``tol`` (suppress with
+        without meeting :data:`TOL` (suppress with
         ``require_convergence=False`` to inspect the partial result).
         """
         state = self.start_fit(

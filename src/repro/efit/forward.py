@@ -33,6 +33,16 @@ from repro.errors import ConvergenceError, FittingError
 
 __all__ = ["ForwardEquilibrium", "design_coil_currents", "solve_forward"]
 
+#: Flux control points on the target contour of the coil design.
+_N_CONTROL = 40
+#: Tikhonov damping of the designed coil currents, relative to the
+#: largest singular value of the control-point response.
+_DESIGN_RIDGE = 1e-3
+#: Weight of an X-point's field-null rows, in units of the minor radius.
+_X_POINT_WEIGHT = 4.0
+#: Convergence threshold of the forward Picard loop (max |dpsi| / span).
+_FORWARD_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ForwardEquilibrium:
@@ -64,10 +74,7 @@ def design_coil_currents(
     elongation_lower: float | None = None,
     triangularity_lower: float | None = None,
     ip: float = 1.0e6,
-    n_control: int = 40,
-    ridge: float = 1e-3,
     x_points: tuple[tuple[float, float], ...] = (),
-    x_point_weight: float = 4.0,
     filament_z: float = 0.0,
     force_balance_weight: float = 0.0,
 ) -> np.ndarray:
@@ -86,7 +93,7 @@ def design_coil_currents(
     point — turning the isoflux fit into the diverted shape-design
     problem: a null on the target contour makes that flux surface the
     separatrix, with an X-point at the requested location.  The field
-    rows are scaled by ``x_point_weight * minor_radius`` to be
+    rows are scaled by :data:`_X_POINT_WEIGHT` times ``minor_radius`` to be
     commensurate with the flux rows.
 
     ``force_balance_weight`` appends a vertical force-balance row:
@@ -98,26 +105,24 @@ def design_coil_currents(
     shift of the current — a state outside the span of any flux-function
     current basis, which no reconstruction can then fit.
     """
-    if n_control < machine.n_coils:
-        raise FittingError("need at least as many control points as coils")
     rc, zc = miller_contour(
         r0,
         minor_radius,
         elongation,
         triangularity,
-        n_control,
+        _N_CONTROL,
         kappa_lower=elongation_lower,
         delta_lower=triangularity_lower,
     )
     # One weighted sensor per row: flux on the target contour, then the
     # (Br, Bz) null pair at each X-point, then Br at the filament.
-    r, z, functional = list(rc), list(zc), [PSI] * n_control
-    weight = [1.0] * n_control
+    r, z, functional = list(rc), list(zc), [PSI] * _N_CONTROL
+    weight = [1.0] * _N_CONTROL
     for rx, zx in x_points:
         r += [rx, rx]
         z += [zx, zx]
         functional += [BR, BZ]
-        weight += [x_point_weight * minor_radius] * 2
+        weight += [_X_POINT_WEIGHT * minor_radius] * 2
     # Plasma estimate: one filament at the magnetic axis.  It threads
     # every row so far; the force-balance row sits on the filament itself.
     n_plasma = len(r)
@@ -129,15 +134,15 @@ def design_coil_currents(
     weight = np.array(weight)
     a = np.zeros((len(r), machine.n_coils + 1))
     a[:, :-1] = weight[:, None] * sensor_response(r, z, functional, machine.coil_sources)
-    a[:n_control, -1] = -1.0  # the unknown boundary constant: flux rows only
+    a[:_N_CONTROL, -1] = -1.0  # the unknown boundary constant: flux rows only
     plasma = FilamentSet.points(r0, filament_z)
     b = np.zeros(len(r))
     b[:n_plasma] = -weight[:n_plasma] * ip * sensor_response(
         r[:n_plasma], z[:n_plasma], functional[:n_plasma], plasma
     )[:, 0]
-    scale = np.linalg.norm(a[: n_control, :-1], ord=2)
+    scale = np.linalg.norm(a[:_N_CONTROL, :-1], ord=2)
     reg = np.zeros((machine.n_coils, machine.n_coils + 1))
-    reg[:, : machine.n_coils] = np.sqrt(ridge) * scale * np.eye(machine.n_coils)
+    reg[:, : machine.n_coils] = np.sqrt(_DESIGN_RIDGE) * scale * np.eye(machine.n_coils)
     sol, *_ = np.linalg.lstsq(np.vstack([a, reg]), np.concatenate([b, np.zeros(machine.n_coils)]), rcond=None)
     return sol[: machine.n_coils]
 
@@ -168,9 +173,7 @@ def solve_forward(
     ip: float = 1.0e6,
     coil_currents: np.ndarray | None = None,
     vessel_currents: np.ndarray | None = None,
-    tol: float = 1e-9,
     max_iters: int = 200,
-    relax: float = 1.0,
     relax_current: float = 1.0,
     edge_smooth: float = 0.0,
     symmetrize: bool = True,
@@ -212,8 +215,6 @@ def solve_forward(
     reconstruction applies.  ``initial_z`` places the seed filament off
     the midplane to start the loop near the asymmetric solution.
     """
-    if not (0.0 < relax <= 1.0):
-        raise FittingError(f"relaxation parameter {relax} outside (0, 1]")
     if not (0.0 < relax_current <= 1.0):
         raise FittingError(f"current relaxation parameter {relax_current} outside (0, 1]")
     if not (0.0 <= edge_smooth < 1.0):
@@ -274,12 +275,12 @@ def solve_forward(
         if span == 0.0:
             raise ConvergenceError("flat flux map in forward solve")
         residual = float(np.max(np.abs(psi_new - psi)) / span)
-        psi = (1.0 - relax) * psi + relax * psi_new
-        if residual < tol:
+        psi = psi_new
+        if residual < _FORWARD_TOL:
             break
     else:
         raise ConvergenceError(
-            f"forward solve: residual {residual:.3e} > tol {tol:.1e} after {max_iters} iterations"
+            f"forward solve: residual {residual:.3e} > tol {_FORWARD_TOL:.1e} after {max_iters} iterations"
         )
 
     final_coeffs = coeffs * (ip / float((jmat @ coeffs).sum()))

@@ -24,6 +24,7 @@ from repro.efit.grid import RZGrid
 from repro.errors import MeasurementError
 
 __all__ = [
+    "LIMITER_SAMPLES_PER_EDGE",
     "PoloidalFieldCoil",
     "Limiter",
     "Tokamak",
@@ -33,6 +34,17 @@ __all__ = [
     "double_null_machine",
     "single_null_machine",
 ]
+
+#: Points per limiter edge at which the boundary search samples the wall.
+LIMITER_SAMPLES_PER_EDGE = 4
+
+#: Filaments per side of a coil's cross-section (2x2 is plenty at
+#: reconstruction-grid resolution).
+_COIL_SUBDIVISION = 2
+
+#: Limiter contour points and vessel wall segments of every machine.
+_N_LIMITER = 64
+_N_VESSEL = 24
 
 
 @dataclass(frozen=True)
@@ -50,9 +62,9 @@ class PoloidalFieldCoil:
     turns:
         Number of turns; the coil current is per-turn, total ampere-turns
         are ``turns * current``.
-    nr, nz:
-        Filament subdivision of the cross-section for Green-function
-        accuracy (2x2 is plenty at reconstruction-grid resolution).
+
+    The cross-section is subdivided into :data:`_COIL_SUBDIVISION` squared
+    filaments for Green-function accuracy.
     """
 
     name: str
@@ -61,24 +73,21 @@ class PoloidalFieldCoil:
     width: float = 0.1
     height: float = 0.1
     turns: float = 1.0
-    nr: int = 2
-    nz: int = 2
 
     def __post_init__(self) -> None:
         if not np.isfinite([self.r, self.z, self.width, self.height]).all():
             raise MeasurementError(f"coil {self.name} has a non-finite coordinate")
         if self.r - 0.5 * self.width <= 0.0:
             raise MeasurementError(f"coil {self.name} crosses the machine axis")
-        if self.nr < 1 or self.nz < 1:
-            raise MeasurementError(f"coil {self.name} needs >= 1 filament per direction")
 
     @cached_property
     def filaments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Filament positions and per-filament turn weights ``(rf, zf, wf)``."""
-        rf = self.r + self.width * ((np.arange(self.nr) + 0.5) / self.nr - 0.5)
-        zf = self.z + self.height * ((np.arange(self.nz) + 0.5) / self.nz - 0.5)
+        n = _COIL_SUBDIVISION
+        rf = self.r + self.width * ((np.arange(n) + 0.5) / n - 0.5)
+        zf = self.z + self.height * ((np.arange(n) + 0.5) / n - 0.5)
         rr, zz = np.meshgrid(rf, zf, indexing="ij")
-        w = np.full(rr.size, self.turns / (self.nr * self.nz))
+        w = np.full(rr.size, self.turns / (n * n))
         return rr.ravel(), zz.ravel(), w
 
 
@@ -194,19 +203,16 @@ class Limiter(_GeometryMemo):
         wall.  Built once per grid and returned read-only."""
         return self.memoised(("grid_mask", grid), self.contains, grid.rr, grid.zz)
 
-    def sample_points(self, n_per_edge: int = 4) -> tuple[np.ndarray, np.ndarray]:
-        """Densified limiter contour used for the boundary-psi search.
-        Built once per ``n_per_edge`` and returned read-only."""
-        if n_per_edge < 1:
-            raise MeasurementError("n_per_edge must be >= 1")
-        return self.memoised(
-            ("sample_points", n_per_edge), self._sample_points, n_per_edge
-        )
+    def sample_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Densified limiter contour used for the boundary-psi search:
+        :data:`LIMITER_SAMPLES_PER_EDGE` points per edge, built once and
+        returned read-only."""
+        return self.memoised(("sample_points",), self._sample_points)
 
-    def _sample_points(self, n_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
+    def _sample_points(self) -> tuple[np.ndarray, np.ndarray]:
         rs: list[np.ndarray] = []
         zs: list[np.ndarray] = []
-        t = np.linspace(0.0, 1.0, n_per_edge, endpoint=False)
+        t = np.linspace(0.0, 1.0, LIMITER_SAMPLES_PER_EDGE, endpoint=False)
         x2 = np.roll(self.r, -1)
         y2 = np.roll(self.z, -1)
         for xa, ya, xb, yb in zip(self.r, self.z, x2, y2):
@@ -224,10 +230,10 @@ class Tokamak(_GeometryMemo):
     limiter: Limiter
     #: Vacuum ``F = R * B_phi`` [T m]; sets the boundary value of F.
     f_vacuum: float
+    #: Vacuum-vessel wall segments (eddy-current carriers); may be empty.
+    vessel: tuple[VesselSegment, ...]
     #: Default computational box for this device.
     default_box: tuple[float, float, float, float] = (0.84, 2.54, -1.6, 1.6)
-    #: Vacuum-vessel wall segments (eddy-current carriers); may be empty.
-    vessel: tuple[VesselSegment, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.coils:
@@ -344,18 +350,14 @@ def miller_contour(
     return r, z
 
 
-#: Backwards-compatible private alias (historical internal name).
-_miller_contour = miller_contour
-
-
-def diiid_like_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
+def diiid_like_machine() -> Tokamak:
     """A DIII-D-scale synthetic tokamak.
 
     Eighteen PF coils in nine up-down-symmetric pairs whose layout follows
     the DIII-D F-coil arrangement (inboard solenoid-side stack F1-F5,
     outboard ring F6-F9); D-shaped limiter with R0 = 1.69 m, a = 0.67 m,
     elongation 1.75, triangularity 0.35; vacuum field B0 = 2.0 T; a
-    ``n_vessel``-segment vacuum-vessel wall between the limiter and the
+    :data:`_N_VESSEL`-segment vacuum-vessel wall between the limiter and the
     diagnostic ring.
     """
     upper = [
@@ -373,9 +375,9 @@ def diiid_like_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
     for name, r, z, w, h, turns in upper:
         coils.append(PoloidalFieldCoil(name, r, z, w, h, turns))
         coils.append(PoloidalFieldCoil(name.replace("A", "B"), r, -z, w, h, turns))
-    lr, lz = _miller_contour(r0=1.69, a=0.67, kappa=1.75, delta=0.35, n=n_limiter)
+    lr, lz = miller_contour(r0=1.69, a=0.67, kappa=1.75, delta=0.35, n=_N_LIMITER)
     # Vessel wall: the limiter contour scaled out by 6% about its centroid.
-    vr, vz = _miller_contour(r0=1.69, a=0.67 * 1.06, kappa=1.75, delta=0.35, n=n_vessel)
+    vr, vz = miller_contour(r0=1.69, a=0.67 * 1.06, kappa=1.75, delta=0.35, n=_N_VESSEL)
     vessel = tuple(
         VesselSegment(f"VS{k:03d}", float(r), float(z)) for k, (r, z) in enumerate(zip(vr, vz))
     )
@@ -419,7 +421,7 @@ def _vessel_ring(
     )
 
 
-def spherical_torus_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
+def spherical_torus_machine() -> Tokamak:
     """A spherical-torus (low-aspect-ratio) machine.
 
     Geometry follows the ST power-plant-scale design point the scenario
@@ -443,7 +445,7 @@ def spherical_torus_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokam
         ("PF3A", 4.45, 2.70, 0.30, 0.25, 55.0),
         ("PF4A", 4.80, 1.05, 0.30, 0.25, 55.0),
     ]
-    lr, lz = miller_contour(r0, a, kappa, delta, n_limiter)
+    lr, lz = miller_contour(r0, a, kappa, delta, _N_LIMITER)
     return Tokamak(
         name="spherical-torus",
         coils=_mirror_pairs(upper),
@@ -451,11 +453,11 @@ def spherical_torus_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokam
         # Low-field ST: B0 ~ 1 T at R0 = 2.5 m.
         f_vacuum=2.5,
         default_box=(0.55, 4.55, -4.85, 4.85),
-        vessel=_vessel_ring(r0, a, kappa, delta, n_vessel),
+        vessel=_vessel_ring(r0, a, kappa, delta, _N_VESSEL),
     )
 
 
-def double_null_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
+def double_null_machine() -> Tokamak:
     """A DIII-D-scale machine shaped for double-null diverted operation.
 
     The wall is taller and wider than the DIII-D-like limiter (minor
@@ -478,18 +480,18 @@ def double_null_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
         ("F8A", 1.2518, 1.90, 0.13, 0.13, 58.0),
         ("F9A", 1.6890, 1.85, 0.13, 0.13, 55.0),
     ]
-    lr, lz = miller_contour(r0, a, kappa, delta, n_limiter)
+    lr, lz = miller_contour(r0, a, kappa, delta, _N_LIMITER)
     return Tokamak(
         name="double-null",
         coils=_mirror_pairs(upper),
         limiter=Limiter(lr, lz),
         f_vacuum=1.69 * 2.0,
         default_box=(0.84, 2.54, -1.75, 1.75),
-        vessel=_vessel_ring(r0, a, kappa, delta, n_vessel),
+        vessel=_vessel_ring(r0, a, kappa, delta, _N_VESSEL),
     )
 
 
-def single_null_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
+def single_null_machine() -> Tokamak:
     """A DIII-D-scale machine with an up-down-asymmetric first wall.
 
     The limiter's lower half is taller and more triangular than the upper
@@ -513,7 +515,7 @@ def single_null_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
         ("F9A", 1.6890, 1.85, 0.13, 0.13, 55.0),
     ]
     lr, lz = miller_contour(
-        r0, a, kappa_u, delta_u, n_limiter, kappa_lower=kappa_l, delta_lower=delta_l
+        r0, a, kappa_u, delta_u, _N_LIMITER, kappa_lower=kappa_l, delta_lower=delta_l
     )
     return Tokamak(
         name="single-null",
@@ -522,6 +524,6 @@ def single_null_machine(*, n_limiter: int = 64, n_vessel: int = 24) -> Tokamak:
         f_vacuum=1.69 * 2.0,
         default_box=(0.84, 2.54, -1.75, 1.55),
         vessel=_vessel_ring(
-            r0, a, kappa_u, delta_u, n_vessel, kappa_lower=kappa_l, delta_lower=delta_l
+            r0, a, kappa_u, delta_u, _N_VESSEL, kappa_lower=kappa_l, delta_lower=delta_l
         ),
     )

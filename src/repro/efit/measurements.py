@@ -181,10 +181,6 @@ def _cached_shot(n: int, noise: float, seed: int, n_mse: int, eddy_ka: float) ->
     )
 
 
-#: Backwards-compatible private alias (historical internal name).
-_measure = measure_equilibrium
-
-
 def synthetic_shot_186610(
     n: int = 65,
     *,
@@ -217,20 +213,18 @@ def synthetic_shot_186610(
 
 
 @lru_cache(maxsize=4)
-def _cached_solovev_shot(
-    n: int, noise: float, seed: int, elongation: float, triangularity: float
-) -> SyntheticShot:
+def _cached_solovev_shot(n: int, noise: float, seed: int) -> SyntheticShot:
     from repro.efit.boundary import find_boundary
     from repro.efit.pflux import PfluxVectorized
     from repro.efit.solovev import SolovevEquilibrium
     from repro.efit.solvers import make_solver
     from repro.efit.tables import cached_boundary_tables
 
-    r0, minor = 1.69, 0.5
+    r0, minor, elongation, triangularity = 1.69, 0.5, 1.3, 0.2
     machine = diiid_like_machine()
     grid = machine.make_grid(n)
     analytic = SolovevEquilibrium.shaped(
-        r0=r0, minor_radius=minor, elongation=elongation, triangularity=triangularity
+        minor_radius=minor, elongation=elongation, triangularity=triangularity
     )
     # Ground-truth node currents: the analytic J_phi inside the psi = 0
     # separatrix (clipped to the limiter), rescaled to exactly ip.
@@ -283,24 +277,17 @@ def _cached_solovev_shot(
     )
 
 
-def synthetic_solovev_shot(
-    n: int = 65,
-    *,
-    noise: float = 1e-3,
-    seed: int = 20260806,
-    elongation: float = 1.3,
-    triangularity: float = 0.2,
-) -> SyntheticShot:
+def synthetic_solovev_shot(n: int, *, noise: float, seed: int) -> SyntheticShot:
     """A Solov'ev-sourced workload: analytic truth, full reconstruction.
 
     Unlike :func:`synthetic_shot_186610` (whose ground truth is itself a
     numeric forward solve), the current density here comes from a
     closed-form :class:`~repro.efit.solovev.SolovevEquilibrium`, so the
     golden-regression suite has a second, independently derived workload.
-    The default shape is chosen mildly elongated — a free-boundary
-    reconstruction of a strongly shaped Solov'ev plasma does not converge
-    under plain Picard iteration.
+    The shape (elongation 1.3, triangularity 0.2) is chosen mildly
+    elongated — a free-boundary reconstruction of a strongly shaped
+    Solov'ev plasma does not converge under plain Picard iteration.
     """
     if n < 17:
         raise MeasurementError("grid too coarse for a meaningful reconstruction")
-    return _cached_solovev_shot(n, noise, seed, elongation, triangularity)
+    return _cached_solovev_shot(n, noise, seed)

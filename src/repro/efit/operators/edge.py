@@ -93,13 +93,13 @@ _DENSE_FALLBACK = (
 )
 
 
-def validate_edge_structure(
-    tables: BoundaryGreensTables,
-    *,
-    samples: int = 128,
-    rtol: float = 1e-9,
-    seed: int = 0,
-) -> float:
+#: Node triples the z-translation check of :func:`validate_edge_structure`
+#: samples (from a fixed seed), and the relative deviation it tolerates.
+_STRUCTURE_SAMPLES = 128
+_STRUCTURE_RTOL = 1e-9
+
+
+def validate_edge_structure(tables: BoundaryGreensTables) -> float:
     """Check the two structural assumptions of ``gridpc`` the structured
     operators rest on.
 
@@ -107,8 +107,9 @@ def validate_edge_structure(
       bit — the horizontal edges read the table by source rows.  It is
       compared one offset's ``(nw, nw)`` slice at a time, so the check
       needs no table-sized temporary.
-    * **z-translation invariance, sampled:** random (boundary column,
-      edge row, source node) triples compare the tabulated
+    * **z-translation invariance, sampled:** :data:`_STRUCTURE_SAMPLES`
+      random (boundary column, edge row, source node) triples from a
+      fixed seed compare the tabulated
       ``gpc[i_b, |j - jj|, ii]`` against a direct Green-function
       evaluation at the *physical* node coordinates.  On a uniform Z mesh
       the two agree to roundoff; a nonuniform mesh, a wrong ``dz``, or
@@ -135,11 +136,11 @@ def validate_edge_structure(
             f"horizontal edges by source rows) and would silently corrupt "
             f"the boundary flux on this grid — {_DENSE_FALLBACK}."
         )
-    rng = np.random.default_rng(seed)
-    i_b = rng.integers(0, nw, size=samples)
-    j = rng.integers(0, nh, size=samples)
-    ii = rng.integers(0, nw, size=samples)
-    jj = rng.integers(0, nh, size=samples)
+    rng = np.random.default_rng(0)
+    i_b = rng.integers(0, nw, size=_STRUCTURE_SAMPLES)
+    j = rng.integers(0, nh, size=_STRUCTURE_SAMPLES)
+    ii = rng.integers(0, nw, size=_STRUCTURE_SAMPLES)
+    jj = rng.integers(0, nh, size=_STRUCTURE_SAMPLES)
     # The coincident self term is regularised in the table, not a Green
     # value; skip those pairs.
     keep = ~((i_b == ii) & (j == jj))
@@ -148,13 +149,13 @@ def validate_edge_structure(
     tabulated = tables.gpc[i_b, np.abs(j - jj), ii]
     scale = np.maximum(np.abs(direct), np.abs(direct).max() * 1e-6)
     worst = float(np.max(np.abs(direct - tabulated) / scale))
-    if worst > rtol:
-        bad = int(np.sum(np.abs(direct - tabulated) / scale > rtol))
+    if worst > _STRUCTURE_RTOL:
+        bad = int(np.sum(np.abs(direct - tabulated) / scale > _STRUCTURE_RTOL))
         raise OperatorStructureError(
             f"boundary Green table violates the z-translation-invariance "
             f"assumption: gpc[i_b, |j-jj|, ii] deviates from the direct "
             f"Green function at {bad} of {len(direct)} sampled node pairs "
-            f"(worst relative deviation {worst:.3e} > rtol {rtol:.1e}). "
+            f"(worst relative deviation {worst:.3e} > rtol {_STRUCTURE_RTOL:.1e}). "
             f"The structured edge operators ('toeplitz'/'lowrank') assume a "
             f"uniform Z mesh and would silently corrupt the boundary flux "
             f"on this grid — {_DENSE_FALLBACK}."
@@ -203,7 +204,7 @@ class EdgeOperator(abc.ABC):
         """Method + rank discriminator (no grid identity)."""
         return self.method
 
-    def apply(self, pcurr_flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, pcurr_flat: np.ndarray) -> np.ndarray:
         """Edge flux of one current vector or a column batch: the
         row-stack entry :meth:`_edge_sums` on a view of the columns as a
         ``(B, nw, nh)`` stack, negated into the paper's sign."""
@@ -212,11 +213,7 @@ class EdgeOperator(abc.ABC):
             raise GridError(f"pcurr must be 1-D or 2-D, got shape {x.shape}")
         if x.shape[0] != self.n_grid:
             raise GridError(f"pcurr rows {x.shape[0]} != grid size {self.n_grid}")
-        expected = (self.n_edge,) + x.shape[1:]
-        if out is None:
-            out = np.empty(expected)
-        elif out.shape != expected:
-            raise GridError(f"out shape {out.shape} != {expected}")
+        out = np.empty((self.n_edge,) + x.shape[1:])
         nb = x.size // self.n_grid
         stack = x.reshape(self.grid.nw, self.grid.nh, nb).transpose(2, 0, 1)
         if self._edge_sums(stack, out.reshape(self.n_edge, nb)):
@@ -449,10 +446,8 @@ class ToeplitzFFTEdgeOperator(_StructuredEdgeOperator):
         grid: RZGrid,
         arrays: dict[str, np.ndarray],
         *,
-        gpc: np.ndarray | None = None,
+        gpc: np.ndarray,
     ) -> "ToeplitzFFTEdgeOperator":
-        if gpc is None:
-            raise OperatorError("toeplitz operator aliases the Green table: pass gpc=")
         (m,) = (int(v) for v in arrays["meta_i8"])
         vertical = _VerticalSpectra(arrays["vert_spectra"], m, grid.nh)
         return cls(grid, vertical, gpc)
@@ -489,9 +484,7 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
         self._sigma_ref = sigma_ref
 
     @classmethod
-    def from_tables(
-        cls, tables: BoundaryGreensTables, *, tol: float = 1e-12
-    ) -> "LowRankEdgeOperator":
+    def from_tables(cls, tables: BoundaryGreensTables, *, tol: float) -> "LowRankEdgeOperator":
         if not (np.isfinite(tol) and tol >= 0.0):
             raise OperatorError(
                 f"lowrank truncation tolerance tol must be finite and >= 0, got {tol!r}"
@@ -625,38 +618,30 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
         )
 
 
-def build_edge_operator(
-    tables: BoundaryGreensTables,
-    method: str,
-    *,
-    tol: float = 1e-12,
-    validate: bool = True,
-) -> EdgeOperator:
+#: The one truncation tolerance a ``lowrank`` operator is built at.  The
+#: cache key holds no tolerance, so the accessor takes none: every engine
+#: in the process reconstructs on an operator within DESIGN.md section 6's
+#: 1e-10.
+_CACHED_TOL = 1e-12
+
+
+def build_edge_operator(tables: BoundaryGreensTables, method: str) -> EdgeOperator:
     """Build the edge-flux operator for ``tables`` in the given form.
 
     ``method`` is one of :data:`EDGE_METHODS`, or ``"dense"`` for their
     ground truth.  Structured builds first run
-    :func:`validate_edge_structure` (disable with ``validate=False`` only
-    when the same tables were already validated this process).  A
-    ``lowrank`` ``tol`` must be finite and non-negative.
+    :func:`validate_edge_structure`; ``lowrank`` truncates at
+    :data:`_CACHED_TOL`.
     """
     forms = ("dense",) + EDGE_METHODS
     if method not in forms:
         raise OperatorError(f"unknown boundary method {method!r}; choose one of {forms}")
     if method == "dense":
         return DenseEdgeOperator.from_tables(tables)
-    if validate:
-        validate_edge_structure(tables)
+    validate_edge_structure(tables)
     if method == "toeplitz":
         return ToeplitzFFTEdgeOperator.from_tables(tables)
-    return LowRankEdgeOperator.from_tables(tables, tol=tol)
-
-
-#: The one truncation tolerance a cached operator is built at (the
-#: default of :func:`build_edge_operator`).  The cache key holds no
-#: tolerance, so the accessor takes none: every engine in the process
-#: reconstructs on an operator within DESIGN.md section 6's 1e-10.
-_CACHED_TOL = 1e-12
+    return LowRankEdgeOperator.from_tables(tables, tol=_CACHED_TOL)
 
 
 def cached_edge_operator(
@@ -675,9 +660,7 @@ def cached_edge_operator(
     forgotten with the table it was built from.  A miss consults the
     optional on-disk layer (:mod:`repro.efit.diskcache`,
     ``REPRO_TABLE_CACHE_DIR``) before paying the per-offset SVD / spectra
-    build, and publishes a fresh structured build back to it.  For
-    another truncation tolerance call :func:`build_edge_operator`, which
-    is not cached.
+    build, and publishes a fresh structured build back to it.
     """
     require_staged(method)
     operators = boundary_table_cache().operators(tables.grid)
@@ -687,7 +670,7 @@ def cached_edge_operator(
 
         op = diskcache.load_edge_operator(tables, method, _CACHED_TOL)
         if op is None:
-            op = build_edge_operator(tables, method, tol=_CACHED_TOL)
+            op = build_edge_operator(tables, method)
             diskcache.store_edge_operator(op, _CACHED_TOL)
         operators[method] = op
     return op
@@ -712,13 +695,13 @@ def edge_operator_from_arrays(
     method: str,
     arrays: dict[str, np.ndarray],
     *,
-    gpc: np.ndarray | None = None,
+    gpc: np.ndarray,
 ) -> EdgeOperator:
     """Rebuild an operator from its :meth:`EdgeOperator.to_arrays` form.
 
     Fleet workers call this against an arena's mapped arrays; the disk
-    cache against ``.npz`` members.  ``gpc`` is required for the
-    toeplitz form, which aliases the Green table instead of copying it.
+    cache against ``.npz`` members.  The toeplitz form aliases the Green
+    table ``gpc`` instead of copying it.
     """
     require_staged(method)
     if method == "toeplitz":

@@ -20,11 +20,9 @@ __all__ = ["geqdsk_from_fit", "write_geqdsk"]
 def geqdsk_from_fit(
     shot: SyntheticShot,
     result: FitResult,
-    *,
-    description: str | None = None,
-    n_q_levels: int = 24,
 ) -> GEqdsk:
-    """Build the g-file record for one reconstructed time slice.
+    """Build the g-file record for one reconstructed time slice, described
+    as ``repro <shot label>``.
 
     The q profile and the boundary contour come from flux-surface tracing
     on the reconstructed flux map; profiles are evaluated on EFIT's
@@ -35,13 +33,13 @@ def geqdsk_from_fit(
     f_vac = shot.machine.f_vacuum
     r_center = float(shot.machine.limiter.r.mean())
     qprof = QProfile.compute(
-        g, result.psi, b, lambda s: f_vac, n_levels=n_q_levels
+        g, result.psi, b, lambda s: f_vac, n_levels=24
     )
     lcfs = qprof.surfaces[-1]
     x = np.linspace(0.0, 1.0, g.nw)
     psi_axis, psi_bnd = b.psi_axis, b.psi_boundary
     return GEqdsk(
-        description=description or f"repro {shot.label}",
+        description=f"repro {shot.label}",
         nw=g.nw,
         nh=g.nh,
         rdim=g.rmax - g.rmin,

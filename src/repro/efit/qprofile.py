@@ -31,6 +31,9 @@ from repro.errors import BoundaryError
 
 __all__ = ["QProfile", "safety_factor", "toroidal_flux", "q_from_toroidal_flux"]
 
+#: Rays per traced surface of the q line integral.
+_N_THETA = 180
+
 
 def _grad_psi_mag(grid: RZGrid, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dpsi_dr = np.gradient(psi, grid.dr, axis=0)
@@ -44,8 +47,6 @@ def safety_factor(
     boundary: BoundaryResult,
     f_of_psin,
     levels: np.ndarray,
-    *,
-    n_theta: int = 180,
 ) -> np.ndarray:
     """q at each ``psiN`` level via the surface line integral.
 
@@ -58,7 +59,7 @@ def safety_factor(
     gr, gz = _grad_psi_mag(grid, psi)
     out = np.empty(levels.shape)
     for idx, level in np.ndenumerate(levels):
-        surf = trace_flux_surface(grid, boundary, float(level), n_theta=n_theta)
+        surf = trace_flux_surface(grid, boundary, float(level), n_theta=_N_THETA)
         rm, zm, dl = surf.midpoints()
         gmag = np.hypot(grid.bilinear(gr, rm, zm), grid.bilinear(gz, rm, zm))
         if np.any(gmag <= 0.0):
@@ -129,7 +130,6 @@ class QProfile:
         f_of_psin,
         *,
         n_levels: int = 32,
-        n_theta: int = 180,
     ) -> "QProfile":
         """Trace ``n_levels`` surfaces from near-axis to the edge.
 
@@ -139,10 +139,10 @@ class QProfile:
         """
         levels = np.linspace(0.05, 0.98, n_levels)
         surfaces = tuple(
-            trace_flux_surface(grid, boundary, float(lv), n_theta=n_theta)
+            trace_flux_surface(grid, boundary, float(lv), n_theta=_N_THETA)
             for lv in levels
         )
-        q = safety_factor(grid, psi, boundary, f_of_psin, levels, n_theta=n_theta)
+        q = safety_factor(grid, psi, boundary, f_of_psin, levels)
         return cls(levels=levels, q=q, surfaces=surfaces)
 
     def on_uniform_grid(self, n: int) -> np.ndarray:

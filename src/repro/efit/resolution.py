@@ -50,12 +50,7 @@ def _psi_rms(grid: RZGrid, psi: np.ndarray, shot) -> float:
     return float(np.sqrt(np.mean((psi - truth) ** 2)) / np.ptp(truth))
 
 
-def resolution_sweep(
-    sizes: tuple[int, ...] = (33, 65, 129),
-    *,
-    noise: float = 1e-3,
-    n_mse: int = 0,
-) -> list[ResolutionPoint]:
+def resolution_sweep(sizes: tuple[int, ...]) -> list[ResolutionPoint]:
     """Reconstruct the synthetic shot at each grid size.
 
     Each size gets its own forward-solved ground truth and measurement
@@ -69,7 +64,7 @@ def resolution_sweep(
         raise ReproError("grid sizes must be increasing")
     out: list[ResolutionPoint] = []
     for n in sizes:
-        shot = synthetic_shot_186610(n, noise=noise, n_mse=n_mse)
+        shot = synthetic_shot_186610(n)
         solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
         res = solver.fit(shot.measurements)
         f_vac = shot.machine.f_vacuum

@@ -16,7 +16,7 @@ performance study runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class SolovevEquilibrium:
 
     a_coef: float
     c_coef: float
-    homogeneous: np.ndarray = field(default_factory=lambda: np.zeros(_N_HOMOGENEOUS))
+    homogeneous: np.ndarray
 
     def __post_init__(self) -> None:
         h = np.asarray(self.homogeneous, dtype=float)
@@ -98,20 +98,19 @@ class SolovevEquilibrium:
     @classmethod
     def shaped(
         cls,
-        r0: float = 1.69,
         minor_radius: float = 0.6,
         elongation: float = 1.6,
         triangularity: float = 0.4,
-        a_coef: float = -0.2,
-        c_coef: float = -0.1,
     ) -> "SolovevEquilibrium":
-        """An up-down-symmetric D-shaped equilibrium.
+        """An up-down-symmetric D-shaped equilibrium about ``R0 = 1.69`` m
+        with ``A = -0.2`` and ``C = -0.1``.
 
         Coefficients of ``{1, R^2, R^4 - 4 R^2 Z^2}`` are chosen so that
         ``psi = 0`` on the outer equator ``(r0 + a, 0)``, the inner equator
         ``(r0 - a, 0)`` and the top ``(r0 - delta a, kappa a)``; the
         ``psi = 0`` contour is then a closed, D-shaped boundary.
         """
+        r0, a_coef, c_coef = 1.69, -0.2, -0.1
         if minor_radius <= 0 or r0 - minor_radius <= 0:
             raise SolverError("invalid minor radius for shaped equilibrium")
         points = [

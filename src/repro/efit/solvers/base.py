@@ -74,16 +74,11 @@ class GSInteriorSolver(abc.ABC):
             raise GridError("rhs/boundary shape mismatch with grid")
         return self.solve_batch(rhs[None], psi_boundary[None])[0]
 
-    def solve_batch(
-        self,
-        rhs: np.ndarray,
-        psi_boundary: np.ndarray,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def solve_batch(self, rhs: np.ndarray, psi_boundary: np.ndarray) -> np.ndarray:
         """Solve ``B`` independent slices stacked along the leading axis.
 
         ``rhs`` and ``psi_boundary`` are ``(B, nw, nh)``; returns the
-        ``(B, nw, nh)`` fluxes, written into ``out`` when given.  The
+        fresh ``(B, nw, nh)`` fluxes.  The
         Dirichlet correction and the interior solve are vectorised across
         the batch where the backend supports it; a slice's result does not
         depend on how many share the call.
@@ -93,14 +88,10 @@ class GSInteriorSolver(abc.ABC):
         psi_boundary = np.asarray(psi_boundary, dtype=float)
         if rhs.ndim != 3 or rhs.shape[1:] != grid.shape or psi_boundary.shape != rhs.shape:
             raise GridError("batched rhs/boundary shape mismatch with grid")
-        nb = rhs.shape[0]
-        if out is None:
-            out = np.empty((nb,) + grid.shape)
-        elif out.shape != (nb,) + grid.shape:
-            raise GridError(f"out shape {out.shape} != {(nb,) + grid.shape}")
         vertical, horizontal = field_edge_strips(psi_boundary)
         return self._solve_edges(
-            rhs[:, 1:-1, 1:-1].transpose(0, 2, 1).copy(), vertical, horizontal, out
+            rhs[:, 1:-1, 1:-1].transpose(0, 2, 1).copy(), vertical, horizontal,
+            np.empty(rhs.shape),
         )
 
     def _solve_edges(

@@ -229,11 +229,18 @@ class BoundaryTableCache:
 
 
 def _cache_budget_from_env() -> int:
+    """The cache budget ``REPRO_TABLE_CACHE_BYTES`` sets (a whole number of
+    bytes, at least 0), or the default when it is unset or empty."""
     raw = os.environ.get("REPRO_TABLE_CACHE_BYTES", "")
-    try:
-        return int(raw) if raw else _DEFAULT_CACHE_BYTES
-    except ValueError:
+    if not raw:
         return _DEFAULT_CACHE_BYTES
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise GreensError(f"REPRO_TABLE_CACHE_BYTES={raw!r} is not a whole number of bytes >= 0")
+    return budget
 
 
 _TABLE_CACHE = BoundaryTableCache(_cache_budget_from_env())

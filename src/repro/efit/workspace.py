@@ -24,10 +24,11 @@ __all__ = ["FitWorkspace"]
 
 
 class FitWorkspace:
-    """A named-buffer arena with allocation/reuse accounting.
+    """A named-buffer arena of float64 arrays with allocation/reuse
+    accounting in its own :attr:`counters`.
 
     Buffers are keyed by name; a request re-allocates only when the name
-    is new or the requested shape/dtype changed (e.g. the flux step
+    is new or the requested shape changed (e.g. the flux step
     served a wider batch than before).  Buffers are returned
     *uninitialised* on first allocation — callers own the fill.
 
@@ -35,21 +36,21 @@ class FitWorkspace:
     from one thread at a time.
     """
 
-    def __init__(self, counters: WorkspaceCounters | None = None) -> None:
+    def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
-        self.counters = counters if counters is not None else WorkspaceCounters()
+        self.counters = WorkspaceCounters()
 
-    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Return the buffer ``name``, (re)allocating only on shape change."""
         if not name:
             raise FittingError("workspace buffer needs a name")
         shape = tuple(int(s) for s in shape)
         arr = self._arrays.get(name)
-        if arr is not None and arr.shape == shape and arr.dtype == np.dtype(dtype):
+        if arr is not None and arr.shape == shape:
             self.counters.record_reuse()
             return arr
         freed = arr.nbytes if arr is not None else 0
-        arr = np.empty(shape, dtype=dtype)
+        arr = np.empty(shape)
         self._arrays[name] = arr
         self.counters.record_allocation(arr.nbytes, freed_bytes=freed)
         return arr

@@ -40,8 +40,8 @@ class MachineSite:
     gpu: GPUArchitecture
     #: Programmable devices per node (GPUs, GCDs or stacks).
     devices_per_node: int
+    env: Environment
     compiler: Compiler = field(repr=False, default=None)  # type: ignore[assignment]
-    env: Environment = field(default_factory=Environment)
     #: Compiler flag lines from Table 3, keyed by programming model.
     flag_lines: dict[str, str] = field(default_factory=dict)
 

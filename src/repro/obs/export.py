@@ -18,11 +18,12 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import ObservabilityError
-from repro.obs.trace import EventRecord, SpanRecord, TraceRecorder
+from repro.obs.trace import TraceRecorder
 from repro.utils.jsonio import dump_json
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
+    "chrome_event",
     "chrome_trace",
     "write_chrome_trace",
     "jsonl_records",
@@ -36,9 +37,39 @@ TRACE_SCHEMA_VERSION = 1
 _US = 1e6  # Chrome trace timestamps/durations are microseconds
 
 
+def chrome_event(record: dict[str, Any], pid: int) -> dict[str, Any] | None:
+    """One Chrome event from a trace record's ``to_dict()`` form: a
+    complete ("X") event per closed span, an instant ("i") event per
+    event record; ``None`` for a span never closed (no extent yet, or its
+    worker died mid-span)."""
+    if record["kind"] == "span":
+        if record["duration"] is None:
+            return None
+        return {
+            "ph": "X",
+            "pid": pid,
+            "tid": record["thread_id"],
+            "name": record["name"],
+            "cat": record["category"],
+            "ts": record["start"] * _US,
+            "dur": record["duration"] * _US,
+            "args": dict(record["attributes"]),
+        }
+    return {
+        "ph": "i",
+        "s": "t",
+        "pid": pid,
+        "tid": record["thread_id"],
+        "name": record["name"],
+        "cat": "event",
+        "ts": record["timestamp"] * _US,
+        "args": dict(record["attributes"]),
+    }
+
+
 def chrome_trace(recorder: TraceRecorder, *, process_name: str = "repro") -> dict[str, Any]:
-    """The ``about:tracing`` payload: one complete ("X") event per closed
-    span, one instant ("i") event per event record, plus metadata."""
+    """The ``about:tracing`` payload: :func:`chrome_event` of every record,
+    plus metadata."""
     events: list[dict[str, Any]] = [
         {
             "ph": "M",
@@ -48,35 +79,7 @@ def chrome_trace(recorder: TraceRecorder, *, process_name: str = "repro") -> dic
             "args": {"name": process_name},
         }
     ]
-    for record in recorder.records:
-        if isinstance(record, SpanRecord):
-            if not record.closed:
-                continue  # open spans have no extent yet
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": record.thread_id,
-                    "name": record.name,
-                    "cat": record.category,
-                    "ts": record.start * _US,
-                    "dur": record.duration * _US,
-                    "args": dict(record.attributes),
-                }
-            )
-        elif isinstance(record, EventRecord):
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 0,
-                    "tid": record.thread_id,
-                    "name": record.name,
-                    "cat": "event",
-                    "ts": record.timestamp * _US,
-                    "args": dict(record.attributes),
-                }
-            )
+    events += filter(None, (chrome_event(record.to_dict(), 0) for record in recorder.records))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

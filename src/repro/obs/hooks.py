@@ -112,9 +112,7 @@ class _PairedRegion:
 
     def __enter__(self) -> SpanRecord:
         now = self._recorder.clock.now()
-        self._handle = self._recorder.span(
-            self._name, category="region", start_at=now, **self._attributes
-        )
+        self._handle = self._recorder.span(self._name, start_at=now, **self._attributes)
         self._profiler.begin(self._name, now)
         return self._handle.record
 
@@ -138,7 +136,7 @@ class TraceHooks:
         return self.recorder.enabled
 
     def region(self, name: str, **attributes: Any):
-        return self.recorder.span(name, category="region", **attributes)
+        return self.recorder.span(name, **attributes)
 
     def event(self, name: str, **attributes: Any) -> None:
         self.recorder.instant(name, **attributes)
@@ -146,9 +144,7 @@ class TraceHooks:
     def kernel(
         self, name: str, *, start: float, seconds: float, **attributes: Any
     ) -> None:
-        self.recorder.complete(
-            name, start=start, duration=seconds, category="kernel", **attributes
-        )
+        self.recorder.complete(name, start=start, duration=seconds, **attributes)
 
     def profiled_region(
         self, profiler: RegionProfiler, name: str, **attributes: Any

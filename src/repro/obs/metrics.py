@@ -46,10 +46,8 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0.0:
-            raise ObservabilityError(f"counter {self.name!r}: negative increment")
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1.0
 
 
 class Gauge:
@@ -76,9 +74,7 @@ class Histogram:
 
     __slots__ = ("name", "bounds", "counts", "total", "sum")
 
-    def __init__(
-        self, name: str, bounds: Iterable[float] = DEFAULT_SECONDS_BOUNDS
-    ) -> None:
+    def __init__(self, name: str, bounds: Iterable[float]) -> None:
         bounds = tuple(float(b) for b in bounds)
         if not bounds:
             raise ObservabilityError(f"histogram {name!r}: needs at least one bound")
@@ -162,9 +158,7 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
-    def histogram(
-        self, name: str, bounds: Iterable[float] = DEFAULT_SECONDS_BOUNDS
-    ) -> Histogram:
+    def histogram(self, name: str, bounds: Iterable[float]) -> Histogram:
         return self._get_or_create(name, Histogram, lambda: Histogram(name, bounds))
 
     def register_source(

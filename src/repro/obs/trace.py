@@ -227,14 +227,8 @@ class TraceRecorder:
             self._records.append(record)
 
     # -- recording API -------------------------------------------------------------
-    def span(
-        self,
-        name: str,
-        category: str = "region",
-        start_at: float | None = None,
-        **attributes: Any,
-    ):
-        """Open a span; use as ``with recorder.span("steps_") as s:``.
+    def span(self, name: str, start_at: float | None = None, **attributes: Any):
+        """Open a ``region`` span; use as ``with recorder.span("steps_") as s:``.
 
         The yielded :class:`SpanRecord` is live — handlers may add result
         attributes to ``s.attributes`` before the span closes.
@@ -247,7 +241,7 @@ class TraceRecorder:
         parent = stack[-1] if stack else None
         record = SpanRecord(
             name=name,
-            category=category,
+            category="region",
             start=0.0,
             thread_id=self._thread_id(),
             depth=len(stack),
@@ -304,10 +298,9 @@ class TraceRecorder:
         *,
         start: float,
         duration: float,
-        category: str = "kernel",
         **attributes: Any,
     ) -> None:
-        """Record an already-finished span with an explicit duration.
+        """Record an already-finished ``kernel`` span with an explicit duration.
 
         The simulated executors use this: modeled kernel time advances a
         virtual clock, so the span's extent is known at record time.  The
@@ -323,7 +316,7 @@ class TraceRecorder:
         parent = stack[-1] if stack else None
         record = SpanRecord(
             name=name,
-            category=category,
+            category="kernel",
             start=start,
             thread_id=self._thread_id(),
             depth=len(stack),

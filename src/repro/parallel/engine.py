@@ -120,11 +120,9 @@ def _init_fit_worker(
 
 def _run_fit_job(state: dict[str, Any], payload: tuple) -> tuple:
     """Reconstruct one batch group; returns (results, latencies, iters)."""
-    slices, psi_initial, require_convergence = payload
+    slices, psi_initial = payload
     engine: BatchFitEngine = state["engine"]
-    out = engine.fit_many(
-        slices, psi_initial=psi_initial, require_convergence=require_convergence
-    )
+    out = engine.fit_many(slices, psi_initial=psi_initial)
     return (out.results, out.latencies, out.stats.total_iterations)
 
 
@@ -193,9 +191,7 @@ class ParallelFitEngine:
         self._last_reports: tuple[WorkerReport, ...] = ()
 
     @classmethod
-    def for_scenario(
-        cls, scenario, n: int = 65, *, shot=None, **kwargs
-    ) -> "ParallelFitEngine":
+    def for_scenario(cls, scenario, *, shot, **kwargs) -> "ParallelFitEngine":
         """Build a fleet configured for a registered scenario.
 
         The scenario's ``solver_kwargs`` ship to every worker process
@@ -206,7 +202,7 @@ class ParallelFitEngine:
         """
         from repro.scenarios import Scenario
 
-        return Scenario.construct(cls, scenario, n, shot=shot, **kwargs)
+        return Scenario.construct(cls, scenario, shot=shot, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------------
     def close(self) -> None:
@@ -227,7 +223,6 @@ class ParallelFitEngine:
         slices: Sequence,
         *,
         psi_initial: Sequence | None = None,
-        require_convergence: bool = True,
         allow_failures: bool = False,
     ) -> ParallelFitResult:
         """Reconstruct every slice; deterministic merge by submission index.
@@ -238,7 +233,8 @@ class ParallelFitEngine:
         optionally warm-starts individual slices (one entry per slice,
         ``None`` = cold); the seeds ship to workers alongside their
         group, preserving the bit-identity with an equally warm-started
-        serial engine.  Quarantined jobs raise
+        serial engine.  A slice that does not converge fails its job.
+        Quarantined jobs raise
         :class:`~repro.errors.JobQuarantinedError` unless
         ``allow_failures=True``, in which case the surviving slices are
         returned alongside the failure records.
@@ -246,7 +242,7 @@ class ParallelFitEngine:
         groups = batch_groups(slices, psi_initial, self.batch_size)
         t0 = time.perf_counter()
         schedule = self.scheduler.run(
-            [(group, seeds, require_convergence) for _, group, seeds in groups]
+            [(group, seeds) for _, group, seeds in groups]
         )
         self._last_reports = schedule.reports
         if schedule.failures and not allow_failures:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ObservabilityError
-from repro.obs.export import TRACE_SCHEMA_VERSION
+from repro.obs.export import TRACE_SCHEMA_VERSION, chrome_event
 from repro.obs.trace import TraceRecorder
 from repro.parallel.scheduler import WorkerReport
 from repro.utils.jsonio import dump_json
@@ -36,48 +36,14 @@ __all__ = [
     "merge_metrics",
 ]
 
-_US = 1e6  # Chrome timestamps are microseconds
-
-
-def _record_event(record: dict[str, Any], pid: int) -> dict[str, Any] | None:
-    """One Chrome event from a ``to_dict()``-shaped trace record."""
-    if record.get("kind") == "span":
-        if record.get("duration") is None:
-            return None  # never closed (worker died mid-span)
-        return {
-            "ph": "X",
-            "pid": pid,
-            "tid": int(record.get("thread_id", 0)),
-            "name": record["name"],
-            "cat": record.get("category", "region"),
-            "ts": float(record["start"]) * _US,
-            "dur": float(record["duration"]) * _US,
-            "args": dict(record.get("attributes", {})),
-        }
-    if record.get("kind") == "event":
-        return {
-            "ph": "i",
-            "s": "t",
-            "pid": pid,
-            "tid": int(record.get("thread_id", 0)),
-            "name": record["name"],
-            "cat": "event",
-            "ts": float(record["timestamp"]) * _US,
-            "args": dict(record.get("attributes", {})),
-        }
-    return None
-
-
 def merged_chrome_trace(
-    reports: Sequence[WorkerReport],
-    *,
-    parent: TraceRecorder | None = None,
-    process_name: str = "repro-pfleet",
+    reports: Sequence[WorkerReport], *, parent: TraceRecorder | None
 ) -> dict[str, Any]:
     """One Chrome-trace payload with a pid lane per process.
 
-    The parent recorder (scheduling decisions, per-job events) renders as
-    pid 0; worker ``w`` renders as pid ``w + 1`` labelled with its OS
+    The parent recorder (scheduling decisions, per-job events; ``None``
+    for a fleet without trace hooks) renders as pid 0, ``repro-pfleet
+    parent``; worker ``w`` renders as pid ``w + 1`` labelled with its OS
     pid.  Worker clocks are ``time.perf_counter`` readings from separate
     processes — comparable on one machine (CLOCK_MONOTONIC), which is
     the only place a process fleet runs anyway.
@@ -88,14 +54,11 @@ def merged_chrome_trace(
             "pid": 0,
             "tid": 0,
             "name": "process_name",
-            "args": {"name": f"{process_name} parent"},
+            "args": {"name": "repro-pfleet parent"},
         }
     ]
     if parent is not None:
-        for record in parent.records:
-            event = _record_event(record.to_dict(), 0)
-            if event is not None:
-                events.append(event)
+        events += filter(None, (chrome_event(record.to_dict(), 0) for record in parent.records))
     for report in sorted(reports, key=lambda r: r.worker):
         pid = report.worker + 1
         events.append(
@@ -107,10 +70,7 @@ def merged_chrome_trace(
                 "args": {"name": f"worker {report.worker} (pid {report.pid})"},
             }
         )
-        for record in report.records:
-            event = _record_event(record, pid)
-            if event is not None:
-                events.append(event)
+        events += filter(None, (chrome_event(record, pid) for record in report.records))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -125,16 +85,11 @@ def write_merged_chrome_trace(
     reports: Sequence[WorkerReport],
     path: str | Path,
     *,
-    parent: TraceRecorder | None = None,
-    process_name: str = "repro-pfleet",
+    parent: TraceRecorder | None,
 ) -> Path:
     """Serialise :func:`merged_chrome_trace` to ``path``."""
     path = Path(path)
-    path.write_text(
-        dump_json(
-            merged_chrome_trace(reports, parent=parent, process_name=process_name)
-        )
-    )
+    path.write_text(dump_json(merged_chrome_trace(reports, parent=parent)))
     return path
 
 

@@ -17,7 +17,8 @@ Outcomes merge by submission index, so worker count and interleaving are
 invisible in the result.  The inline transport swaps each slot's
 executor for an in-parent one behind the same loop.
 
-Fault injection: ``REPRO_PARALLEL_CRASH_RATE`` (a probability) makes
+Fault injection: ``REPRO_PARALLEL_CRASH_RATE`` (a probability in
+``[0, 1]``; anything else is a :class:`ParallelError` when the pool starts) makes
 workers ``os._exit`` before selected jobs (an inline worker raises
 ``BrokenProcessPool``), decided by a pure hash of
 ``(REPRO_PARALLEL_CRASH_SEED, job index, attempt)``: deterministic across
@@ -39,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import hashlib
+import math
 import os
 import pickle
 import signal
@@ -46,13 +48,13 @@ import time
 import traceback as traceback_mod
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.errors import ParallelError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks, TraceHooks
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import DEFAULT_SECONDS_BOUNDS, MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.runtime.counters import SchedulerCounters
 
@@ -86,10 +88,16 @@ _REPORT_SECONDS = 10.0
 
 
 def _crash_rate() -> float:
+    """The injected-crash probability; a value that is no probability is
+    refused, so a drill cannot silently inject nothing."""
+    raw = os.environ.get(CRASH_RATE_ENV, "")
     try:
-        return float(os.environ.get(CRASH_RATE_ENV, "0") or "0")
+        rate = float(raw or "0")
     except ValueError:
-        return 0.0
+        rate = math.nan
+    if not 0.0 <= rate <= 1.0:
+        raise ParallelError(f"{CRASH_RATE_ENV}={raw!r} is not a probability in [0, 1]")
+    return rate
 
 
 def _should_crash(index: int, attempt: int, rate: float) -> bool:
@@ -132,12 +140,12 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ParallelError("scheduler needs at least one worker")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ParallelError("timeout_seconds must be positive (or None)")
+        if self.timeout_seconds is not None and not 0 < self.timeout_seconds < math.inf:
+            raise ParallelError("timeout_seconds must be positive and finite (or None)")
         if self.max_retries < 0:
             raise ParallelError("max_retries must be >= 0")
-        if self.backoff_seconds < 0:
-            raise ParallelError("backoff_seconds must be >= 0")
+        if not 0 <= self.backoff_seconds < math.inf:
+            raise ParallelError("backoff_seconds must be finite and >= 0")
         if self.transport not in ("process", "inline"):
             raise ParallelError(f"unknown transport {self.transport!r}")
         methods = get_all_start_methods()
@@ -244,7 +252,7 @@ class _Worker:
             metrics.counter("jobs_failed").inc()
             return "error", time.perf_counter() - t0, _describe(exc)
         elapsed = time.perf_counter() - t0
-        metrics.histogram("job_seconds").observe(elapsed)
+        metrics.histogram("job_seconds", DEFAULT_SECONDS_BOUNDS).observe(elapsed)
         metrics.counter("jobs_completed").inc()
         return "done", elapsed, result
 
@@ -316,8 +324,8 @@ class _Slot:
 
     executor: Executor
     ready: Future  # submit(os.getpid): done once the worker has initialised
-    job: _Job | None = None
-    idle_deaths: int = 0
+    job: _Job | None = field(default=None, init=False)
+    idle_deaths: int = field(default=0, init=False)
 
     @property
     def idle(self) -> bool:
@@ -349,14 +357,12 @@ class ProcessScheduler:
     def __init__(
         self,
         init_fn: Callable,
-        init_args: tuple = (),
-        worker_fn: Callable | None = None,
+        init_args: tuple,
+        worker_fn: Callable,
         *,
         config: SchedulerConfig | None = None,
         hooks: ObservationHooks | None = None,
     ) -> None:
-        if worker_fn is None:
-            raise ParallelError("scheduler needs a worker_fn")
         try:
             pickle.dumps((init_fn, init_args, worker_fn))
         except Exception as exc:
@@ -380,6 +386,7 @@ class ProcessScheduler:
         if self._closed:
             raise ParallelError("scheduler already closed")
         if not self._slots:
+            _crash_rate()  # a malformed rate fails here, in the parent, not in a worker
             self._slots = [_Slot(*self._spawn(i)) for i in range(self.config.workers)]
 
     def _spawn(self, slot_id: int) -> tuple[Executor, Future]:

@@ -10,7 +10,7 @@ and percentage shares ready for the figure harnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.profiling.timer import Clock, WallClock
 
@@ -19,8 +19,8 @@ __all__ = ["RegionProfiler", "RegionReport"]
 
 @dataclass
 class _RegionStats:
-    total: float = 0.0
-    calls: int = 0
+    total: float = field(default=0.0, init=False)
+    calls: int = field(default=0, init=False)
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,8 @@ class AllocatorModel:
     """Tracks allocation generations under one policy."""
 
     policy: AllocationPolicy
-    _generations: dict[str, int] = field(default_factory=dict)
-    _live: dict[str, Allocation] = field(default_factory=dict)
+    _generations: dict[str, int] = field(default_factory=dict, init=False)
+    _live: dict[str, Allocation] = field(default_factory=dict, init=False)
 
     def allocate(self, name: str, nbytes: float) -> Allocation:
         if nbytes <= 0:

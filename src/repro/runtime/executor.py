@@ -47,8 +47,8 @@ class OffloadExecutor:
     #: ``target data`` region; ``False`` lets every kernel map its operands
     #: (the unoptimised behaviour Section 6.2 warns about).
     use_target_data: bool = True
-    clock: Clock = field(default_factory=VirtualClock)
-    counters: CounterSet = field(default_factory=CounterSet)
+    clock: Clock = field(default_factory=VirtualClock, init=False)
+    counters: CounterSet = field(default_factory=CounterSet, init=False)
     #: Kernel-level observation hooks; each :meth:`launch` emits a
     #: device-clock span with flops/bytes/launch attributes.
     hooks: ObservationHooks = NULL_HOOKS

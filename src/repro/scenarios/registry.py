@@ -33,6 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Scenario", "register", "get_scenario", "scenario_names"]
 
+#: Relative measurement noise of every scenario's shot unless a caller
+#: asks for another.
+DEFAULT_NOISE = 1e-3
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -50,7 +54,7 @@ class Scenario:
         limiter (0 for limited plasmas, 1 for single-null, 2 for
         double-null).
     max_iterations / max_chi2:
-        Convergence envelope at the default grid and noise: a healthy
+        Convergence envelope at the default grid and :data:`DEFAULT_NOISE`: a healthy
         reconstruction converges within ``max_iterations`` Picard
         iterations with ``chi2 <= max_chi2``.  The iteration ceiling is
         about twice the measured cold count (10-17 at 33^2 and 65^2), so
@@ -58,9 +62,9 @@ class Scenario:
     solver_kwargs:
         Extra :class:`~repro.efit.fitting.EfitSolver` keywords this
         machine needs (engines and golden reconstructions apply them).
-    golden:
-        Whether the golden-regression suite maintains an artifact for
-        this scenario.
+
+    The golden-regression suite maintains one artifact per scenario
+    (:attr:`golden_artifact`).
     """
 
     name: str
@@ -75,10 +79,8 @@ class Scenario:
     elongation: float
     max_iterations: int
     max_chi2: float
-    default_noise: float = 1e-3
     default_seed: int = 0
     solver_kwargs: dict[str, Any] = field(default_factory=dict)
-    golden: bool = True
 
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name or " " in self.name:
@@ -104,7 +106,7 @@ class Scenario:
         """Build (or fetch from cache) the synthetic shot at grid ``n``."""
         return self.shot_factory(
             n,
-            noise=self.default_noise if noise is None else noise,
+            noise=DEFAULT_NOISE if noise is None else noise,
             seed=self.default_seed if seed is None else seed,
         )
 

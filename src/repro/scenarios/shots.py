@@ -67,8 +67,8 @@ def _check_grid(n: int) -> None:
         raise MeasurementError("grid too coarse for a meaningful reconstruction")
 
 
-def _finish(machine, grid, equilibrium, *, noise, seed, name, n_mse=0) -> SyntheticShot:
-    diagnostics = DiagnosticSet.for_machine(machine, n_mse=n_mse)
+def _finish(machine, grid, equilibrium, *, noise, seed, name) -> SyntheticShot:
+    diagnostics = DiagnosticSet.for_machine(machine)
     measurements = measure_equilibrium(
         machine, diagnostics, grid, equilibrium, noise=noise, seed=seed
     )
@@ -106,9 +106,7 @@ def _cached_spherical_torus(n: int, noise: float, seed: int) -> SyntheticShot:
     )
 
 
-def spherical_torus_shot(
-    n: int = 65, *, noise: float = 1e-3, seed: int = 20260801
-) -> SyntheticShot:
+def spherical_torus_shot(n: int, *, noise: float, seed: int) -> SyntheticShot:
     """An NSTX-U-scale spherical torus: 16.5 MA, kappa ~ 2.8, limited."""
     _check_grid(n)
     return _cached_spherical_torus(n, noise, seed)
@@ -130,7 +128,6 @@ def _cached_double_null(n: int, noise: float, seed: int) -> SyntheticShot:
         triangularity=delta_t,
         ip=ip,
         x_points=((rx, zx), (rx, -zx)),
-        x_point_weight=4.0,
     )
     # The sharp psiN < 1 current cutoff makes the mask discontinuous in
     # the separatrix position; current blending (relax_current) damps
@@ -149,9 +146,7 @@ def _cached_double_null(n: int, noise: float, seed: int) -> SyntheticShot:
     )
 
 
-def double_null_shot(
-    n: int = 65, *, noise: float = 1e-3, seed: int = 20260802
-) -> SyntheticShot:
+def double_null_shot(n: int, *, noise: float, seed: int) -> SyntheticShot:
     """A balanced double-null diverted discharge (two active X-points)."""
     _check_grid(n)
     return _cached_double_null(n, noise, seed)
@@ -184,7 +179,6 @@ def _cached_single_null(n: int, noise: float, seed: int) -> SyntheticShot:
         triangularity_lower=delta_l,
         ip=ip,
         x_points=((rx, -zx),),
-        x_point_weight=4.0,
         filament_z=-0.05,
         force_balance_weight=10.0,
     )
@@ -207,15 +201,13 @@ def _cached_single_null(n: int, noise: float, seed: int) -> SyntheticShot:
     )
 
 
-def single_null_shot(
-    n: int = 65, *, noise: float = 1e-3, seed: int = 20260803
-) -> SyntheticShot:
+def single_null_shot(n: int, *, noise: float, seed: int) -> SyntheticShot:
     """An up-down-asymmetric lower single-null diverted discharge."""
     _check_grid(n)
     return _cached_single_null(n, noise, seed)
 
 
-def mse_shot(n: int = 65, *, noise: float = 1e-3, seed: int = 186610) -> SyntheticShot:
+def mse_shot(n: int, *, noise: float, seed: int) -> SyntheticShot:
     """The g186610 baseline with 12 MSE channels constraining the fit.
 
     Same machine, truth equilibrium and magnetics seed as the baseline

@@ -37,11 +37,10 @@ ITERATION_BOUNDS: tuple[float, ...] = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
 
 
 class ServeMetrics:
-    """Every ``serve.*`` metric, registered once on a shared registry."""
+    """Every ``serve.*`` metric, registered once on its own registry."""
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
+    def __init__(self) -> None:
+        self.registry = reg = MetricsRegistry()
         #: Per-slice solve wall time [s].
         self.slice_seconds = reg.histogram("serve.slice_seconds", LATENCY_BOUNDS)
         #: Per-frame wait [s]: submit to the solve's start on the solver thread.

@@ -47,6 +47,7 @@ and records into the solver's profiler and hooks.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -81,8 +82,8 @@ class ServeConfig:
     executor_workers: int = 4
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
-            raise ServeError("deadline_s must be positive (or None)")
+        if self.deadline_s is not None and not 0.0 < self.deadline_s < math.inf:
+            raise ServeError("deadline_s must be positive and finite (or None)")
         if self.queue_depth < 1:
             raise ServeError("queue_depth must be >= 1")
         if self.max_streams < 1:
@@ -100,7 +101,7 @@ class StreamSummary:
     reports: tuple[SliceReport, ...]
     frames_shed: int
     #: Frames the solver rejected, in solve order.
-    failures: tuple[FrameFailure, ...] = ()
+    failures: tuple[FrameFailure, ...]
 
     @property
     def deadline_misses(self) -> int:

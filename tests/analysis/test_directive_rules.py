@@ -159,7 +159,7 @@ class TestTrafficRule:
     """Reproduces Figure 5: OpenACC flagged on the AMD site, OpenMP clean."""
 
     def test_openacc_on_frontier_exceeds_threshold(self, real_registry):
-        ctx = DirectiveAnalysisContext(sites=(frontier(),))
+        ctx = DirectiveAnalysisContext(sites=(frontier(),), data_env=None)
         findings = check_traffic(real_registry, ctx)
         flagged = {(f.location.kernel, f.detail) for f in findings}
         assert flagged == {
@@ -172,23 +172,27 @@ class TestTrafficRule:
             assert f.data["modeled_bytes"] > f.data["streaming_bytes"]
 
     def test_openmp_is_clean_on_every_site(self, real_registry):
-        ctx = DirectiveAnalysisContext(sites=ALL_SITES())
+        ctx = DirectiveAnalysisContext(sites=ALL_SITES(), data_env=None)
         findings = check_traffic(real_registry, ctx)
         assert all(not f.detail.startswith("openmp") for f in findings)
 
     def test_nvidia_openacc_is_clean(self, real_registry):
-        ctx = DirectiveAnalysisContext(sites=(perlmutter(),))
+        ctx = DirectiveAnalysisContext(sites=(perlmutter(),), data_env=None)
         assert check_traffic(real_registry, ctx) == []
 
     def test_threshold_is_configurable(self, real_registry):
-        loose = DirectiveAnalysisContext(sites=(frontier(),), max_traffic_ratio=5.0)
+        loose = DirectiveAnalysisContext(
+            sites=(frontier(),), data_env=None, max_traffic_ratio=5.0
+        )
         assert check_traffic(real_registry, loose) == []
-        tight = DirectiveAnalysisContext(sites=(frontier(),), max_traffic_ratio=1.1)
+        tight = DirectiveAnalysisContext(
+            sites=(frontier(),), data_env=None, max_traffic_ratio=1.1
+        )
         assert len(check_traffic(real_registry, tight)) > 2
 
     def test_threshold_must_exceed_one(self):
         with pytest.raises(AnalysisError):
-            DirectiveAnalysisContext(max_traffic_ratio=0.5)
+            DirectiveAnalysisContext(sites=(), data_env=None, max_traffic_ratio=0.5)
 
 
 class TestDataEnvironmentRules:

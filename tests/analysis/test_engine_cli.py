@@ -17,7 +17,7 @@ REPO_BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 @pytest.fixture(scope="module")
 def repo_report():
-    return analyze_repo()
+    return analyze_repo(AnalysisConfig())
 
 
 class TestAnalyzeRepo:
@@ -58,10 +58,13 @@ class TestReportMechanics:
             severity=severity,
             location=Location(subroutine="pflux_", kernel="k"),
             message="msg",
+            fix_hint="",
+            detail="",
+            data={},
         )
 
     def test_exit_code_policy(self):
-        clean = AnalysisReport()
+        clean = AnalysisReport(findings=[])
         assert clean.exit_code() == 0 and clean.exit_code(strict=True) == 0
         warn = AnalysisReport(findings=[self._finding(Severity.WARNING)])
         assert warn.exit_code() == 0

@@ -22,7 +22,9 @@ def _finding(rule="excess-traffic", detail="d"):
         severity=Severity.WARNING,
         location=Location(subroutine="pflux_", kernel="k"),
         message="msg",
+        fix_hint="",
         detail=detail,
+        data={},
     )
 
 
@@ -56,18 +58,20 @@ class TestStaleness:
 
     def test_exit_code_policy_for_stale_entries(self):
         stale = {"ghost@x::y#z": ""}
-        report = AnalysisReport(stale_suppressions=dict(stale))
+        report = AnalysisReport(findings=[])
+        report.stale_suppressions.update(stale)
         assert report.exit_code() == 0  # non-strict: warn only
         assert report.exit_code(strict=True) == 1
 
     def test_render_lists_stale_entries_on_complete_runs(self):
-        report = AnalysisReport(stale_suppressions={"ghost@x::y#z": ""})
+        report = AnalysisReport(findings=[])
+        report.stale_suppressions["ghost@x::y#z"] = ""
         assert "ghost@x::y#z" in report.render()
 
 
 class TestSchemaStamp:
     def test_to_dict_leads_with_schema_version(self):
-        payload = AnalysisReport().to_dict()
+        payload = AnalysisReport(findings=[]).to_dict()
         assert payload["schema_version"] == ANALYSIS_SCHEMA_VERSION == 3
         assert "families" not in payload["summary"]
         assert payload["summary"]["stale_suppressions"] == {}

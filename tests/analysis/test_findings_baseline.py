@@ -14,6 +14,7 @@ def _finding(rule="directive-race", detail="openacc:psi"):
         message="msg",
         fix_hint="fix it",
         detail=detail,
+        data={},
     )
 
 
@@ -44,7 +45,7 @@ class TestFinding:
 class TestBaseline:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "baseline.json"
-        b = Baseline.from_findings([_finding()], reason="known")
+        b = Baseline.from_findings([_finding()])
         b.save(path)
         loaded = Baseline.load(path)
         assert loaded.is_suppressed(_finding())
@@ -67,7 +68,7 @@ class TestBaseline:
             Baseline.load(path)
 
     def test_unsuppressed_finding_passes_through(self):
-        b = Baseline.from_findings([_finding()], reason="known")
+        b = Baseline.from_findings([_finding()])
         other = _finding(rule="excess-traffic")
         assert not b.is_suppressed(other)
 

@@ -13,7 +13,7 @@ import json
 import jsonschema
 import pytest
 
-from repro.analysis.engine import AnalysisReport, analyze_repo
+from repro.analysis.engine import AnalysisConfig, AnalysisReport, analyze_repo
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.sarif import (
     SARIF_SCHEMA_URI,
@@ -134,12 +134,13 @@ def _finding(rule="excess-traffic", severity=Severity.WARNING):
         message="msg",
         fix_hint="do the thing",
         detail="d",
+        data={},
     )
 
 
 @pytest.fixture(scope="module")
 def repo_payload():
-    report = analyze_repo()
+    report = analyze_repo(AnalysisConfig())
     return sarif_payload(report)
 
 
@@ -176,6 +177,9 @@ class TestSarifPayload:
             severity=Severity.ERROR,
             location=Location(subroutine="pflux_", kernel="boundary_lr"),
             message="msg",
+            fix_hint="",
+            detail="",
+            data={},
         )
         result = sarif_payload(AnalysisReport(findings=[finding]))["runs"][0][
             "results"
@@ -187,10 +191,8 @@ class TestSarifPayload:
         )
 
     def test_suppressed_findings_are_marked_not_dropped(self):
-        report = AnalysisReport(
-            findings=[_finding(rule="directive-race")],
-            suppressed=[_finding(rule="excess-traffic")],
-        )
+        report = AnalysisReport(findings=[_finding(rule="directive-race")])
+        report.suppressed.append(_finding(rule="excess-traffic"))
         payload = sarif_payload(report)
         jsonschema.validate(payload, SARIF_SUBSET_SCHEMA)
         results = {r["ruleId"]: r for r in payload["runs"][0]["results"]}
@@ -214,7 +216,7 @@ class TestSarifPayload:
 class TestWriteSarif:
     def test_roundtrip_through_disk(self, tmp_path, repo_payload):
         path = tmp_path / "out.sarif"
-        write_sarif(analyze_repo(), path)
+        write_sarif(analyze_repo(AnalysisConfig()), path)
         loaded = json.loads(path.read_text())
         jsonschema.validate(loaded, SARIF_SUBSET_SCHEMA)
         assert loaded["version"] == "2.1.0"

@@ -212,12 +212,6 @@ class TestSliceSequence:
             assert not np.array_equal(m.values, base.values)
         assert not np.array_equal(slices[0].values, slices[1].values)
 
-    def test_zero_noise_reproduces_base(self, shot33):
-        m = synthetic_slice_sequence(shot33, 1, noise_scale=0.0)[0]
-        assert np.array_equal(m.values, shot33.measurements.values)
-
     def test_validation(self, shot33):
         with pytest.raises(MeasurementError):
             synthetic_slice_sequence(shot33, 0)
-        with pytest.raises(MeasurementError):
-            synthetic_slice_sequence(shot33, 2, noise_scale=-0.1)

@@ -1,11 +1,9 @@
 """Tests of the preallocated workspace arena and its counters."""
 
-import numpy as np
 import pytest
 
 from repro.batch import FitWorkspace
 from repro.errors import FittingError
-from repro.runtime.counters import WorkspaceCounters
 
 
 class TestFitWorkspace:
@@ -43,24 +41,11 @@ class TestFitWorkspace:
         assert ws.counters.allocations == 2
         assert ws.counters.resident_bytes == b.nbytes
 
-    def test_dtype_change_reallocates(self):
-        ws = FitWorkspace()
-        ws.array("buf", (4,))
-        b = ws.array("buf", (4,), dtype=np.intp)
-        assert b.dtype == np.intp
-        assert ws.counters.allocations == 2
-
     def test_resident_bytes_tracks_arena(self):
         ws = FitWorkspace()
         ws.array("a", (10, 10))
         ws.array("b", (5,))
         assert ws.counters.resident_bytes == 100 * 8 + 5 * 8
-
-    def test_external_counters_shared(self):
-        counters = WorkspaceCounters()
-        ws = FitWorkspace(counters)
-        ws.array("x", (3,))
-        assert counters.allocations == 1
 
     def test_empty_name_rejected(self):
         with pytest.raises(FittingError):

@@ -161,7 +161,7 @@ class TestLowering:
         from repro.directives.registry import AnnotatedKernel
 
         weird = AnnotatedKernel(
-            nest=LoopNest("w", (Loop("i", 4),), 1.0),
+            nest=LoopNest("w", (Loop("i", 4),), 1.0, arrays=()),
             acc_directives=(),
             omp_directives=(),
             complexity="O(N^9)",

@@ -52,5 +52,5 @@ class TestProjection:
             project_full_offload(study, study.site("sunspot"), "openacc", 257)
 
     def test_report_renders(self, study):
-        text = extension_report(study, n=257).render()
+        text = extension_report(study).render()
         assert "full offload" in text and "clears node bar?" in text

@@ -119,14 +119,14 @@ class TestReports:
         assert "Intel" in t7 and "AMD" in t7
 
     def test_fig_reports_render(self, study):
-        assert "pflux_" in fig1_report(study, n=129).render()
+        assert "pflux_" in fig1_report(study).render()
         assert "gain" in fig4_report().render()
-        assert "1.60x" in fig5_report(study, n=129).render() or "x" in fig5_report(study, n=129).render()
-        assert "paper" in fig6_report(study, n=129).render().lower()
+        assert "1.60x" in fig5_report(study).render() or "x" in fig5_report(study).render()
+        assert "paper" in fig6_report(study).render().lower()
         assert "cpu optimized" in fig7_report(study).render()
 
     def test_fig5_ratio_columns(self, study):
-        text = fig5_report(study, n=129).render()
+        text = fig5_report(study).render()
         assert "AMD openacc" in text
 
 
@@ -134,7 +134,7 @@ class TestRooflineReport:
     def test_renders_all_kernels(self, study):
         from repro.core.report import roofline_report
 
-        text = roofline_report(study, "perlmutter", "openmp", n=129).render()
+        text = roofline_report(study, "perlmutter", "openmp").render()
         for name in ("boundary_lr", "boundary_tb", "solver_fast", "assemble"):
             assert name in text
 

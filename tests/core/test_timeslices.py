@@ -32,8 +32,6 @@ class TestSliceGeneration:
         with pytest.raises(ReproError):
             synthetic_slice_counts(0)
         with pytest.raises(ReproError):
-            synthetic_slice_counts(5, spread=2.5)
-        with pytest.raises(ReproError):
             TimeSlice(0, 0)
 
 
@@ -62,10 +60,14 @@ class TestScheduling:
             assert res.makespan_seconds <= total / p + longest + 1e-9
 
     def test_lpt_no_worse_than_fifo(self):
+        """Against a naive driver that dispatches in time order, each slice
+        to the worker that frees up first."""
         slices = synthetic_slice_counts(100)
-        lpt = schedule_slices(slices, 8, 0.01, sort_longest_first=True)
-        fifo = schedule_slices(slices, 8, 0.01, sort_longest_first=False)
-        assert lpt.makespan_seconds <= fifo.makespan_seconds * 1.001
+        lpt = schedule_slices(slices, 8, 0.01)
+        busy = [0.0] * 8
+        for s in slices:
+            busy[busy.index(min(busy))] += s.iterations * 0.01
+        assert lpt.makespan_seconds <= max(busy) * 1.001
 
     def test_more_workers_never_slower(self):
         slices = synthetic_slice_counts(64)
@@ -89,7 +91,7 @@ class TestScheduling:
     )
     @settings(max_examples=40, deadline=None)
     def test_work_conservation(self, n, p):
-        slices = synthetic_slice_counts(n, seed=n)
+        slices = synthetic_slice_counts(n)
         res = schedule_slices(slices, p, 0.001)
         total = sum(s.iterations for s in slices) * 0.001
         assert res.worker_seconds.sum() == pytest.approx(total)

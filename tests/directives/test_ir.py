@@ -31,11 +31,11 @@ class TestIterationSpace:
         assert nest.inner_iterations == 80
 
     def test_single_loop_inner_is_one(self):
-        nest = LoopNest("x", (Loop("i", 5),), 1.0, n_outer=1)
+        nest = LoopNest("x", (Loop("i", 5),), 1.0, n_outer=1, arrays=())
         assert nest.inner_iterations == 1
 
     def test_collapse_all_outer(self):
-        nest = LoopNest("x", (Loop("i", 5), Loop("j", 7)), 1.0, n_outer=2)
+        nest = LoopNest("x", (Loop("i", 5), Loop("j", 7)), 1.0, n_outer=2, arrays=())
         assert nest.outer_iterations == 35
 
 
@@ -56,17 +56,17 @@ class TestWork:
 class TestValidation:
     def test_empty_loops(self):
         with pytest.raises(DirectiveError):
-            LoopNest("x", (), 1.0)
+            LoopNest("x", (), 1.0, arrays=())
 
     def test_bad_n_outer(self):
         with pytest.raises(DirectiveError):
-            LoopNest("x", (Loop("i", 4),), 1.0, n_outer=2)
+            LoopNest("x", (Loop("i", 4),), 1.0, n_outer=2, arrays=())
         with pytest.raises(DirectiveError):
-            LoopNest("x", (Loop("i", 4),), 1.0, n_outer=0)
+            LoopNest("x", (Loop("i", 4),), 1.0, n_outer=0, arrays=())
 
     def test_negative_flops(self):
         with pytest.raises(DirectiveError):
-            LoopNest("x", (Loop("i", 4),), -1.0)
+            LoopNest("x", (Loop("i", 4),), -1.0, arrays=())
 
     def test_duplicate_arrays(self):
         with pytest.raises(DirectiveError):
@@ -96,7 +96,7 @@ class TestProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_work_scales_with_iterations(self, a, b, flops):
-        nest = LoopNest("x", (Loop("i", a), Loop("j", b)), flops)
+        nest = LoopNest("x", (Loop("i", a), Loop("j", b)), flops, arrays=())
         assert nest.total_flops == pytest.approx(flops * a * b, rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=30))

@@ -103,9 +103,11 @@ class TestRegistry:
             KernelRegistry("x", 0)
 
     def test_kernel_payload_optional(self):
-        nest = LoopNest("k", (Loop("i", 4),), 1.0)
+        """A kernel is its nest and its two annotations; it launches once
+        unless told otherwise."""
+        nest = LoopNest("k", (Loop("i", 4),), 1.0, arrays=())
         k = AnnotatedKernel(nest=nest, acc_directives=(), omp_directives=())
-        assert k.payload is None and k.launches == 1
+        assert k.launches == 1
 
 
 class TestTranslationProperties:

@@ -23,9 +23,7 @@ from repro.efit.solovev import SolovevEquilibrium
 
 GRID = RZGrid(33, 33)
 
-_EQ = SolovevEquilibrium.shaped(
-    r0=1.7, minor_radius=0.5, elongation=1.5, triangularity=0.3
-)
+_EQ = SolovevEquilibrium.shaped(minor_radius=0.5, elongation=1.5, triangularity=0.3)
 PSI_SOLOVEV = _EQ.psi_grid(GRID)
 SPAN = float(PSI_SOLOVEV.max() - PSI_SOLOVEV.min())
 

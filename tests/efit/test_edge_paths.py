@@ -10,7 +10,7 @@ from repro.efit.fitting import EfitSolver
 from repro.efit.forward import solve_forward
 from repro.efit.grid import RZGrid
 from repro.efit.machine import diiid_like_machine
-from repro.efit.measurements import _measure
+from repro.efit.measurements import measure_equilibrium
 from repro.efit.profiles import ProfileCoefficients
 from repro.efit.solvers.iterative import ConjugateGradientSolver
 from repro.errors import BoundaryError, ConvergenceError
@@ -32,7 +32,7 @@ class TestNegativeCurrent:
         )
         eq = solve_forward(m, g, profiles, ip=-1.0e6)
         d = DiagnosticSet.for_machine(m)
-        meas = _measure(m, d, g, eq, noise=1e-3, seed=5)
+        meas = measure_equilibrium(m, d, g, eq, noise=1e-3, seed=5)
         return m, g, d, eq, meas
 
     def test_forward_converges(self, neg_shot):
@@ -76,7 +76,8 @@ class TestOpenSurface:
 class TestSolverLimits:
     def test_cg_iteration_cap_raises(self, rng):
         g = RZGrid(21, 21)
-        solver = ConjugateGradientSolver(g, maxiter=2)
+        solver = ConjugateGradientSolver(g)
+        solver.maxiter = 2
         with pytest.raises(ConvergenceError):
             solver.solve(rng.normal(size=g.shape), rng.normal(size=g.shape))
 

@@ -28,10 +28,6 @@ class TestCoilDesign:
         c2 = design_coil_currents(machine, ip=1.0e6)
         assert np.allclose(2.0 * c1, c2, rtol=1e-9)
 
-    def test_control_point_validation(self, machine):
-        with pytest.raises(FittingError):
-            design_coil_currents(machine, n_control=5)
-
 
 class TestForwardSolve:
     def test_converges_and_hits_ip(self, shot33):
@@ -65,7 +61,7 @@ class TestForwardSolve:
             PolynomialBasis(2), PolynomialBasis(2), np.array([1.0, -0.5]), np.array([0.5, -0.3])
         )
         with pytest.raises(FittingError):
-            solve_forward(machine, grid33, profiles, relax=0.0)
+            solve_forward(machine, grid33, profiles, relax_current=0.0)
 
 
 class TestSyntheticShot:

@@ -154,7 +154,7 @@ def _ref_find_boundary(grid, psi, limiter, *, sign=1, inside=None, limiter_sampl
     psi = np.asarray(psi, dtype=float)
     inside_lim = inside if inside is not None else limiter.grid_mask(grid)
     r_axis, z_axis, psi_axis = _ref_find_axis(grid, psi, limiter, sign, inside_lim)
-    lr, lz = limiter_samples if limiter_samples is not None else limiter.sample_points(4)
+    lr, lz = limiter_samples if limiter_samples is not None else limiter.sample_points()
     keep = grid.contains(lr, lz)
     psi_wall = _ref_bilinear(grid, psi, lr[keep], lz[keep])
     psi_lim = float(np.max(sign * psi_wall))
@@ -242,7 +242,7 @@ def _check_searches(solver, seen) -> None:
         )
         new = find_boundary(grid, psi, limiter, **kwargs)
         _assert_same_boundary(new, _ref_find_boundary(grid, psi, limiter, **kwargs))
-        geometry = _geometry_for(grid, limiter, statics.inside_limiter, None, 4)
+        geometry = _geometry_for(grid, limiter, statics.inside_limiter, None)
         # Deciding admissibility before the cut changed no candidate list
         # here: nothing admissible sat below the sixth-flattest saddle.
         ((r_axis, z_axis, s_axis),), (found,) = _axes_and_xpoints(
@@ -398,7 +398,7 @@ def test_searches_reaching_the_edge_ring_match_the_oracle(width):
     oracle's cut to the six flattest saddles kept every admissible one
     (``TestTruncation`` is the other case)."""
     limiter, corpus = _edge_ring_corpus()
-    geometry = _geometry_for(_GRID, limiter, None, None, 4)
+    geometry = _geometry_for(_GRID, limiter, None, None)
     assert geometry.interior == (slice(1, _GRID.nw - 1), slice(1, _GRID.nh - 1))
     assert {ref.boundary_type for _, _, ref in corpus} == {"limiter", "xpoint"}
     compared = 0
@@ -544,7 +544,7 @@ def test_green_contracts_a_view_of_the_plasma_rows_only(monkeypatch):
     "options", [{}, {"fitdelz": False}, {"fit_vessel": True}], ids=["fitdelz", "no-fitdelz", "vessel"]
 )
 @pytest.mark.parametrize("name", scenario_names())
-def test_slab_current_matches_the_full_grid_formula(name, options):
+def test_slab_current_matches_the_full_grid_formula(name, options, monkeypatch):
     """On a lock-step batch of three slices, ``iterate_pre``'s ``pcurr``
     stack is zero outside each mask's rows and every slice's currents,
     for the coefficients it fitted, equal the full-grid arithmetic they
@@ -552,7 +552,11 @@ def test_slab_current_matches_the_full_grid_formula(name, options):
     full-width GEMVs, ``grid.shift_z`` — to round-off."""
     sc = get_scenario(name)
     shot = sc.make_shot(33)
+    options = dict(options)
+    fitdelz = options.pop("fitdelz", True)
     solver = EfitSolver.for_scenario(sc, 33, shot=shot, **options)
+    if not fitdelz:  # the feedback off: every fitted shift zero
+        monkeypatch.setattr(solver, "_fit_delz", lambda u, r: np.zeros(len(u)))
     grid = solver.grid
     slices = [shot.measurements] + synthetic_slice_sequence(shot, 2, seed=0)
     states = [solver.start_fit(m) for m in slices]
@@ -566,7 +570,7 @@ def test_slab_current_matches_the_full_grid_formula(name, options):
             b = state.boundary
             jmat = basis_current_matrix(grid, b.psin, b.mask, solver.pp_basis, solver.ffp_basis)
             want = grid.unflatten(jmat @ state.coeffs)
-            if solver.fitdelz:
+            if fitdelz:
                 u = solver.grid_response @ grid.flatten(np.gradient(want, grid.dz, axis=1))
                 r = (
                     m.values
@@ -582,6 +586,6 @@ def test_slab_current_matches_the_full_grid_formula(name, options):
             assert np.abs(current - want).max() <= 1e-13 * np.abs(want).max()
         solver.iterate_post(states, solver.pflux.compute_batch(pcurr, psi_external))
         assert not any(state.converged for state in states)
-    assert shifted == (18 if solver.fitdelz else 0)
+    assert shifted == (18 if fitdelz else 0)
     if solver.fit_vessel:
         assert all(state.vessel_currents.any() for state in states)

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from repro.efit.grid import RZGrid
-from repro.efit.machine import Limiter, PoloidalFieldCoil, Tokamak, diiid_like_machine
+from repro.efit.machine import (
+    LIMITER_SAMPLES_PER_EDGE,
+    Limiter,
+    PoloidalFieldCoil,
+    Tokamak,
+    diiid_like_machine,
+)
 from repro.errors import MeasurementError
 
 
 class TestCoil:
     def test_filament_subdivision(self):
-        coil = PoloidalFieldCoil("C", 1.5, 0.5, width=0.2, height=0.4, turns=10, nr=2, nz=3)
+        coil = PoloidalFieldCoil("C", 1.5, 0.5, width=0.2, height=0.4, turns=10)
         rf, zf, wf = coil.filaments
-        assert rf.size == 6
+        assert rf.size == 4
         assert wf.sum() == pytest.approx(10.0)
         assert rf.min() > 1.4 and rf.max() < 1.6
         assert zf.min() > 0.3 and zf.max() < 0.7
@@ -45,8 +51,8 @@ class TestLimiter:
         assert square.contains(r, z).tolist() == [True, False, True]
 
     def test_sample_points_on_perimeter(self, square):
-        rs, zs = square.sample_points(5)
-        assert rs.size == 20
+        rs, zs = square.sample_points()
+        assert rs.size == 4 * LIMITER_SAMPLES_PER_EDGE
         on_edge = (
             np.isclose(rs, 1.0) | np.isclose(rs, 2.0) | np.isclose(zs, -1.0) | np.isclose(zs, 1.0)
         )
@@ -55,10 +61,6 @@ class TestLimiter:
     def test_too_few_points_rejected(self):
         with pytest.raises(MeasurementError):
             Limiter(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
-
-    def test_bad_sampling(self, square):
-        with pytest.raises(MeasurementError):
-            square.sample_points(0)
 
 
 class TestTokamak:
@@ -73,7 +75,7 @@ class TestTokamak:
 
     def test_duplicate_names_rejected(self, machine):
         with pytest.raises(MeasurementError):
-            Tokamak("x", (machine.coils[0], machine.coils[0]), machine.limiter, 1.0)
+            Tokamak("x", (machine.coils[0], machine.coils[0]), machine.limiter, 1.0, ())
 
     def test_limiter_inside_default_box(self, machine):
         rmin, rmax, zmin, zmax = machine.default_box

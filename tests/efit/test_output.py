@@ -48,10 +48,10 @@ class TestGeqdskFromFit:
 
     def test_roundtrips_through_file(self, fitted, tmp_path):
         shot, result = fitted
-        eq = geqdsk_from_fit(shot, result, description="roundtrip test")
+        eq = geqdsk_from_fit(shot, result)
         path = tmp_path / "g.test"
         write_geqdsk(eq, path)
         back = read_geqdsk(path)
         assert np.allclose(back.psirz, eq.psirz, rtol=1e-8)
         assert np.allclose(back.qpsi, eq.qpsi, rtol=1e-8)
-        assert back.description.startswith("roundtrip")
+        assert back.description.startswith("repro ")

@@ -125,17 +125,9 @@ class TestEdgeOperator:
         batched = operator65.apply(pcurr[:, None])
         assert np.array_equal(single, batched[:, 0])
 
-    def test_out_buffer_reused(self, grid65, operator65, rng):
-        flat = rng.normal(size=(grid65.size, 3))
-        out = np.empty((operator65.n_edge, 3))
-        res = operator65.apply(flat, out=out)
-        assert res is out
-
     def test_shape_validation(self, grid65, operator65):
         with pytest.raises(GridError):
             operator65.apply(np.zeros(7))
-        with pytest.raises(GridError):
-            operator65.apply(np.zeros(grid65.size), out=np.zeros(3))
 
 
 class TestPfluxOperatorPipeline:

@@ -321,8 +321,6 @@ _coils = st.lists(
         width=st.floats(min_value=0.01, max_value=0.2),
         height=st.floats(min_value=0.01, max_value=0.3),
         turns=st.floats(min_value=0.5, max_value=60.0),
-        nr=st.integers(min_value=1, max_value=3),
-        nz=st.integers(min_value=1, max_value=4),
     ),
     min_size=1,
     max_size=5,

@@ -35,10 +35,8 @@ class TestBasics:
 
 class TestShapedFactory:
     def test_boundary_points_on_zero_contour(self):
-        eq = SolovevEquilibrium.shaped(
-            r0=1.7, minor_radius=0.5, elongation=1.5, triangularity=0.3
-        )
-        for rp, zp in [(2.2, 0.0), (1.2, 0.0), (1.55, 0.75)]:
+        eq = SolovevEquilibrium.shaped(minor_radius=0.5, elongation=1.5, triangularity=0.3)
+        for rp, zp in [(2.19, 0.0), (1.19, 0.0), (1.54, 0.75)]:
             assert eq.psi(np.array([rp]), np.array([zp]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_updown_symmetric(self):
@@ -56,4 +54,4 @@ class TestShapedFactory:
 
     def test_invalid_minor_radius(self):
         with pytest.raises(SolverError):
-            SolovevEquilibrium.shaped(r0=0.5, minor_radius=0.6)
+            SolovevEquilibrium.shaped(minor_radius=1.7)

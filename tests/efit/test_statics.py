@@ -15,7 +15,7 @@ import pytest
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.boundary import find_axis, find_boundary
 from repro.efit.fitting import EfitSolver
-from repro.efit.machine import Limiter, Tokamak, diiid_like_machine
+from repro.efit.machine import LIMITER_SAMPLES_PER_EDGE, Limiter, Tokamak, diiid_like_machine
 from tests.serve.conftest import serve_reports
 
 
@@ -45,9 +45,9 @@ class TestGeometryWorkHappensAtConstruction:
                 built.append("grid mask")
             return contains(self, r, z)
 
-        def spy_sample_points(self, n):
+        def spy_sample_points(self):
             built.append("limiter contour")
-            return sample_points(self, n)
+            return sample_points(self)
 
         def spy_flux_tables(self, sources, grid):
             built.append("flux tables")
@@ -100,8 +100,8 @@ class TestMemoContract:
         assert fresh_machine.coil_flux_tables(g65) is fresh_machine.coil_flux_tables(g65)
         assert fresh_machine.vessel_flux_tables(g33) is fresh_machine.vessel_flux_tables(g33)
         assert np.array_equal(limiter.grid_mask(g65), limiter.contains(g65.rr, g65.zz))
-        assert limiter.sample_points(4) is limiter.sample_points(4)
-        assert limiter.sample_points(2)[0].size == 2 * limiter.r.size
+        assert limiter.sample_points() is limiter.sample_points()
+        assert limiter.sample_points()[0].size == LIMITER_SAMPLES_PER_EDGE * limiter.r.size
 
     def test_memoised_arrays_are_read_only(self, fresh_machine):
         grid = fresh_machine.make_grid(33)
@@ -112,7 +112,7 @@ class TestMemoContract:
         with pytest.raises(ValueError):
             fresh_machine.vessel_flux_tables(grid)[0] = 0.0
         with pytest.raises(ValueError):
-            fresh_machine.limiter.sample_points(4)[0][0] = 0.0
+            fresh_machine.limiter.sample_points()[0][0] = 0.0
 
     def test_pickle_carries_no_memo(self, shot33, fresh_machine):
         # A coil's ``filaments`` is a cached_property, which pickles; fill
@@ -160,7 +160,7 @@ class TestMemoContract:
             statics = solver.statics
             assert np.array_equal(statics.inside_limiter, reference.limiter.grid_mask(grid))
             assert np.array_equal(statics.coil_flux, reference.coil_flux_tables(grid))
-            for got, want in zip(statics.limiter_samples, reference.limiter.sample_points(4)):
+            for got, want in zip(statics.limiter_samples, reference.limiter.sample_points()):
                 assert np.array_equal(got, want)
         # Whoever lost a race adopted the winner's array from then on.
         later = EfitSolver(fresh_machine, shot33.diagnostics, grid)

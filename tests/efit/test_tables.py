@@ -7,11 +7,26 @@ from repro.efit.greens import greens_psi, self_flux_per_radian
 from repro.efit.grid import RZGrid
 from repro.efit.tables import (
     BoundaryGreensTables,
+    _cache_budget_from_env,
     build_boundary_tables,
     cached_boundary_tables,
     effective_filament_radius,
 )
 from repro.errors import GreensError
+
+
+class TestCacheBudgetFromEnv:
+    @pytest.mark.parametrize("raw", ["abc", "1e9", "-1", "nan"])
+    def test_malformed_budget_is_an_error_naming_the_variable(self, monkeypatch, raw):
+        """Not the 1.6 GB default in disguise."""
+        monkeypatch.setenv("REPRO_TABLE_CACHE_BYTES", raw)
+        with pytest.raises(GreensError, match="REPRO_TABLE_CACHE_BYTES"):
+            _cache_budget_from_env()
+
+    @pytest.mark.parametrize("raw, budget", [("", 1_600_000_000), ("0", 0), ("4096", 4096)])
+    def test_budget(self, monkeypatch, raw, budget):
+        monkeypatch.setenv("REPRO_TABLE_CACHE_BYTES", raw)
+        assert _cache_budget_from_env() == budget
 
 
 class TestConstruction:

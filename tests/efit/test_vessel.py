@@ -1,5 +1,7 @@
 """Tests of vessel eddy-current modeling and fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ class TestVesselGeometry:
     def test_vessel_response_shape(self, machine):
         from repro.efit.diagnostics import DiagnosticSet
 
-        d = DiagnosticSet.for_machine(machine, n_flux_loops=8, n_probes=8)
+        d = DiagnosticSet.for_machine(machine)
         resp = d.response_to_vessel(machine)
         assert resp.shape == (d.n_measurements, machine.n_vessel)
         assert np.allclose(resp[-1], 0.0)  # Rogowski blind to the vessel
@@ -87,7 +89,7 @@ class TestEddyCurrentFitting:
         assert rel < 0.3
 
     def test_fit_vessel_requires_vessel(self, shot33):
-        bare = diiid_like_machine(n_vessel=0)
+        bare = dataclasses.replace(diiid_like_machine(), vessel=())
         with pytest.raises(FittingError):
             EfitSolver(bare, shot33.diagnostics, shot33.grid, fit_vessel=True)
 

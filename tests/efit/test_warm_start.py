@@ -180,15 +180,6 @@ class TestValidation:
                 shot33.measurements, psi_initial=cold.psi, coeffs_initial=bad
             )
 
-    def test_guard_must_be_positive(self, shot33):
-        with pytest.raises(FittingError):
-            EfitSolver(
-                shot33.machine,
-                shot33.diagnostics,
-                shot33.grid,
-                warm_start_guard=0.0,
-            )
-
     def test_convergence_error_reports_actual_iterations(self, shot33):
         """The message must name the iterations actually run, not assume
         the loop exhausted max_iters (a finish() caller may stop early)."""

@@ -7,8 +7,8 @@ tests/golden/regenerate.py``) writes them and
 ``test_golden_equilibria.py`` compares fresh reconstructions against the
 committed artifacts.
 
-The case list comes from the scenario registry: every scenario with
-``golden=True`` owns one committed artifact, so adding a scenario to
+The case list comes from the scenario registry: every scenario owns
+one committed artifact, so adding a scenario to
 :mod:`repro.scenarios.definitions` automatically enrols it here.
 
 Schema history:
@@ -31,7 +31,7 @@ def golden_cases() -> dict[str, str]:
     """case name -> artifact filename, from the scenario registry."""
     from repro.scenarios import get_scenario, scenario_names
 
-    return {sc.name: sc.golden_artifact for sc in map(get_scenario, scenario_names()) if sc.golden}
+    return {sc.name: sc.golden_artifact for sc in map(get_scenario, scenario_names())}
 
 
 #: case name -> artifact file for every golden-tracked scenario.

@@ -23,10 +23,8 @@ class TestPrimitives:
     def test_counter_monotone(self):
         c = Counter("launches")
         c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ObservabilityError, match="negative"):
-            c.inc(-1.0)
+        c.inc()
+        assert c.value == 2.0
 
     def test_gauge_rejects_non_finite(self):
         g = Gauge("resident_bytes")
@@ -116,7 +114,8 @@ class TestRegistry:
 
     def test_collect_flattens_metrics_and_sources(self):
         reg = MetricsRegistry()
-        reg.counter("iters").inc(7)
+        for _ in range(7):
+            reg.counter("iters").inc()
         reg.gauge("chi2").set(500.0)
         h = reg.histogram("dt", bounds=(1.0,))
         h.observe(0.5)

@@ -142,6 +142,24 @@ class TestExports:
         kinds = sorted(line["kind"] for line in lines)
         assert kinds == ["event", "span", "span"]
 
+    def test_chrome_trace_equals_its_lane_in_the_merged_trace(self):
+        """One encoder: a recorder's events are the same whether it is
+        exported alone, as a fleet's parent lane or as a worker's lane
+        (the records a worker ships are their ``to_dict()`` form)."""
+        from repro.parallel.merge import merged_chrome_trace
+        from repro.parallel.scheduler import WorkerReport
+
+        rec = self._traced()
+        rec.span("never_closed").__enter__()
+        alone = [e for e in chrome_trace(rec)["traceEvents"] if e["ph"] != "M"]
+        assert len(alone) == 3
+        records = tuple(r.to_dict() for r in rec.records)
+        report = WorkerReport(worker=0, pid=1, jobs_done=1, records=records, metrics={})
+        merged = merged_chrome_trace([report], parent=rec)["traceEvents"]
+        for pid in (0, 1):
+            lane = [e for e in merged if e["pid"] == pid and e["ph"] != "M"]
+            assert lane == [dict(e, pid=pid) for e in alone]
+
     def test_writers_create_files(self, tmp_path):
         rec = self._traced()
         chrome = write_chrome_trace(rec, tmp_path / "t.json")

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchFitEngine, synthetic_slice_sequence
-from repro.efit.measurements import synthetic_solovev_shot
+from repro.scenarios import get_scenario
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
 
 N_SLICES = 6
@@ -33,7 +33,7 @@ BATCH_SIZE = 2
 
 @pytest.fixture(scope="module")
 def shot():
-    return synthetic_solovev_shot(65)
+    return get_scenario("solovev").make_shot(65)
 
 
 @pytest.fixture(scope="module")

@@ -88,9 +88,28 @@ class TestConfigValidation:
         with pytest.raises(ParallelError):
             SchedulerConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["timeout_seconds", "backoff_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_durations_rejected(self, field, value):
+        """A NaN timeout turns the drain's wait into a zero-second poll
+        that never times a job out; an infinite backoff never retries."""
+        with pytest.raises(ParallelError, match=field):
+            SchedulerConfig(**{field: value})
+
     def test_missing_worker_fn_rejected(self):
-        with pytest.raises(ParallelError):
+        with pytest.raises(TypeError, match="worker_fn"):
             ProcessScheduler(_init, ())
+
+    @pytest.mark.parametrize("rate", ["0.3x", "nan", "-0.1", "1.5"])
+    def test_malformed_crash_rate_rejected_naming_the_variable(self, monkeypatch, rate):
+        """A drill whose rate does not parse would otherwise inject nothing
+        and pass; the pool refuses to start instead."""
+        monkeypatch.setenv(CRASH_RATE_ENV, rate)
+        sched = ProcessScheduler(
+            _init, (), _double, config=SchedulerConfig(workers=1, transport="inline")
+        )
+        with pytest.raises(ParallelError, match=CRASH_RATE_ENV):
+            sched.run([1])
 
     def test_empty_run_rejected(self, no_crash_env):
         sched = ProcessScheduler(

@@ -93,14 +93,14 @@ class TestExecutorLifecycle:
         """A tiny kernel costs at least the launch latency (the paper's
         '10us of latency will impede acceleration of the smaller loops')."""
         ex = OffloadExecutor(arch=a100())
-        tiny = LoopNest("t", (Loop("i", 2),), 1.0)
+        tiny = LoopNest("t", (Loop("i", 2),), 1.0, arrays=())
         ex.begin_invocation([])
         t = ex.launch(tiny, plan(kernel_name="t", teams=2, threads_per_team=1))
         assert t >= a100().kernel_launch_us * 1e-6
 
     def test_multi_launch_regions_pay_multiple_latencies(self):
         ex = OffloadExecutor(arch=a100())
-        tiny = LoopNest("t", (Loop("i", 2),), 1.0)
+        tiny = LoopNest("t", (Loop("i", 2),), 1.0, arrays=())
         ex.begin_invocation([])
         t1 = ex.launch(tiny, plan(kernel_name="t", teams=2, threads_per_team=1, launches=1))
         t24 = ex.launch(tiny, plan(kernel_name="t", teams=2, threads_per_team=1, launches=24))

@@ -22,6 +22,7 @@ from repro.scenarios import (
     register,
     scenario_names,
 )
+from repro.scenarios.registry import DEFAULT_NOISE
 
 EXPECTED = {
     "g186610",
@@ -141,12 +142,10 @@ class TestShotDefaults:
             calls.append((n, noise, seed))
             return "shot"
 
-        sc = _scenario(
-            name="stub-spy", shot_factory=spy, default_noise=2e-3, default_seed=7
-        )
+        sc = _scenario(name="stub-spy", shot_factory=spy, default_seed=7)
         assert sc.make_shot(33) == "shot"
         assert sc.make_shot(33, noise=0.0, seed=1) == "shot"
-        assert calls == [(33, 2e-3, 7), (33, 0.0, 1)]
+        assert calls == [(33, DEFAULT_NOISE, 7), (33, 0.0, 1)]
 
 
 def test_registry_is_import_light():

@@ -3,16 +3,14 @@
 import json
 import math
 
-from repro.obs import MetricsRegistry
 from repro.serve import LATENCY_BOUNDS, ServeMetrics
 from repro.utils.jsonio import dump_json
 
 
 class TestServeMetrics:
     def test_registers_on_shared_registry(self):
-        reg = MetricsRegistry()
-        m = ServeMetrics(reg)
-        collected = reg.collect()
+        m = ServeMetrics()
+        collected = m.registry.collect()
         for name in (
             "serve.slices",
             "serve.deadline_misses",

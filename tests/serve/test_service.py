@@ -115,6 +115,13 @@ class TestDeadlines:
         with pytest.raises(ServeError, match="deadline_s"):
             ServeConfig(deadline_s=0.0)
 
+    @pytest.mark.parametrize("deadline_s", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_deadline_rejected(self, deadline_s):
+        """NaN compares false against every elapsed time: a silent run
+        with no deadline."""
+        with pytest.raises(ServeError, match="deadline_s"):
+            ServeConfig(deadline_s=deadline_s)
+
     def test_open_stream_takes_no_deadline(self, engine33):
         async def scenario():
             async with ReconstructionService(engine33) as svc:

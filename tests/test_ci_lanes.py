@@ -8,8 +8,11 @@ is not a test dependency.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,24 @@ def test_parallel_stress_lane_stages_every_arena_layout_in_real_processes():
     sweep = next(i for i, c in enumerate(commands) if "repro_arena_*" in c)
     assert max(i for i, _ in fleets.values()) < sweep
     assert not any("python -m repro" in c or "pytest" in c for c in commands[sweep:])
+
+
+def test_parallel_stress_lane_fails_a_drill_that_injected_nothing(tmp_path):
+    """After the crash drill writes ``pfleet-metrics.json``, the lane
+    checks that its ``parent`` block shows a crash and a retry; the check
+    command is run here on a drill that moved the counters and on two
+    that did not."""
+    commands = _parallel_stress_commands()
+    drill = next(i for i, c in enumerate(commands)
+                 if "repro pfleet" in c and "--metrics-out pfleet-metrics.json" in c)
+    check = commands[drill + 1]
+    argv = shlex.split(check)
+    assert argv[:2] == ["python", "-c"] and "pfleet-metrics.json" in check
+    for crashes, retries, code in ((2, 2, 0), (0, 0, 1), (1, 0, 1)):
+        parent = {"scheduler.crashes": float(crashes), "scheduler.retries": float(retries)}
+        (tmp_path / "pfleet-metrics.json").write_text(json.dumps({"parent": parent}))
+        run = subprocess.run([sys.executable, *argv[1:]], cwd=tmp_path, capture_output=True)
+        assert run.returncode == code, run.stderr
 
 
 def test_benchmark_lane_checks_the_reachability_ledger():

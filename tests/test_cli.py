@@ -111,6 +111,11 @@ class TestServeCommand:
         assert main(["serve", "--deadline-ms", "-5"]) == 2
         assert "deadline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deadline_ms", ["nan", "inf"])
+    def test_non_finite_deadline_exit_2(self, capsys, deadline_ms):
+        assert main(["serve", "--deadline-ms", deadline_ms]) == 2
+        assert "deadline_s" in capsys.readouterr().err
+
     def test_smoke_streams_check_and_metrics(self, tmp_path, capsys):
         """The serve-smoke gate in miniature: 2 streams x 2 slices at
         33^2, no deadline, serial comparison and the --check gate."""

@@ -118,6 +118,12 @@ class TestScenarioSelection:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_pfleet_non_finite_timeout_exits_2(self, capsys, timeout):
+        """A NaN timeout would never time a job out."""
+        assert main(["pfleet", "g186610", "--grid", "33", "--timeout", timeout]) == 2
+        assert "timeout_seconds" in capsys.readouterr().err
+
     def test_pfleet_conflicting_forms_exit_2(self, capsys):
         code = main(["pfleet", "g186610", "--scenario", "double-null"])
         assert code == 2
