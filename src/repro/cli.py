@@ -552,7 +552,8 @@ def _cmd_trace(args) -> int:
         iterations = [r.iterations for r in results]
         label = (
             f"{shot.label} x{len(slices)} slices: {min(iterations)}-{max(iterations)} "
-            f"iterations, contraction {max(r.contraction for r in results):.2f} at worst"
+            f"iterations from the {_seed_kinds(recorder)} seed, "
+            f"contraction {max(r.contraction for r in results):.2f} at worst"
         )
     else:
         from repro.efit.fitting import EfitSolver
@@ -564,7 +565,8 @@ def _cmd_trace(args) -> int:
         profiler_totals = dict(solver.profiler.report().totals)
         label = (
             f"{shot.label}: {result.iterations} iterations "
-            f"(contraction {result.contraction:.2f} per iterate), chi^2 {result.chi2:.1f}"
+            f"(contraction {result.contraction:.2f} per iterate) from the "
+            f"{_seed_kinds(recorder)} seed, chi^2 {result.chi2:.1f}"
         )
 
     try:
@@ -592,6 +594,17 @@ def _cmd_trace(args) -> int:
                 line += f"   (profiler {profiler_totals[name]:.6f}, x{ratio:.4f})"
             print(line)
     return 0
+
+
+def _seed_kinds(recorder) -> str:
+    """The ``seed`` of every ``start_fit`` event, counted: ``measured``
+    when all agree, else e.g. ``7 measured, 1 filament``."""
+    from collections import Counter
+
+    kinds = Counter(e.attributes["seed"] for e in recorder.events() if e.name == "start_fit")
+    if len(kinds) == 1:
+        return next(iter(kinds))
+    return ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
 
 
 def _cmd_operators(args) -> int:

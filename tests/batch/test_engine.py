@@ -49,10 +49,13 @@ class TestEngineVsSerial:
 
 
 class TestLockStepIterate:
-    def test_no_step_of_an_iterate_loops_over_the_slices(self, shot33, monkeypatch):
+    def test_no_step_of_an_iterate_loops_over_the_slices(
+        self, shot33, monkeypatch, filament_cold_start
+    ):
         """At B = 8 a lock-step iterate makes one stacked least-squares
-        call (over the slices past their warm-up), one vertical shift of
-        the current stack and one post-flux pass — none per slice."""
+        call (over the slices past their warm-up: filament starts here),
+        one vertical shift of the current stack and one post-flux pass —
+        none per slice."""
         import repro.efit.fitting as fitting
         from repro.efit.fitting import N_WARMUP
         from repro.efit.grid import RZGrid

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.efit.fitting import EfitSolver
 from repro.efit.grid import RZGrid
 from repro.efit.machine import diiid_like_machine
 from repro.efit.measurements import synthetic_shot_186610
@@ -51,3 +52,21 @@ def shot33():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20230513)
+
+
+def _flat_seed(solver, weighted_data, weights, psi_external, statics):
+    return np.zeros_like(psi_external)
+
+
+def refuse_measured_seeds(monkeypatch) -> None:
+    """Make every cold start take the filament seed and its warm-up — the
+    paper's cold start, and the path a measured seed whose trust probe
+    fails takes: each measured seed becomes a flat map, which the probe
+    refuses."""
+    monkeypatch.setattr(EfitSolver, "_measured_psi", _flat_seed)
+
+
+@pytest.fixture()
+def filament_cold_start(monkeypatch):
+    """:func:`refuse_measured_seeds` for one test."""
+    refuse_measured_seeds(monkeypatch)

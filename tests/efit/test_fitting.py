@@ -10,6 +10,7 @@ from repro.batch import synthetic_slice_sequence
 from repro.efit.fitting import N_WARMUP, EfitSolver
 from repro.errors import ConvergenceError, FittingError
 from repro.profiling.regions import RegionProfiler
+from tests.conftest import refuse_measured_seeds
 
 
 @pytest.fixture(scope="module")
@@ -22,14 +23,24 @@ def result33(solver33, shot33):
     return solver33.fit(shot33.measurements)
 
 
+@pytest.fixture(scope="module")
+def filament33(solver33, shot33):
+    """The base shot from the paper's cold start: the filament seed and
+    its warm-up."""
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_measured_seeds(mp)
+        return solver33.fit(shot33.measurements)
+
+
 class TestConvergence:
     def test_converges_below_paper_tolerance(self, result33):
         assert result33.converged
         assert result33.residual < 1e-5
 
-    def test_iteration_count_paper_range(self, result33):
-        """'fit_ could take between ten or hundreds of iterations'."""
-        assert 10 <= result33.iterations <= 300
+    def test_iteration_count_paper_range(self, filament33):
+        """'fit_ could take between ten or hundreds of iterations' — from
+        the paper's cold start."""
+        assert 10 <= filament33.iterations <= 300
 
     def test_residual_shrinks_over_tail(self, result33):
         """After warm-up the residual trends down (geometric convergence;
@@ -139,11 +150,17 @@ class TestContraction:
     """``FitResult.contraction``: the geometric-mean residual ratio of the
     least-squares iterates, derived from the history alone."""
 
-    def test_cold_fit_counts_from_the_last_warmup_iterate(self, result33):
-        tail = [rec.residual for rec in result33.history[N_WARMUP:]]
-        assert result33.contraction == pytest.approx(
+    def test_cold_fit_counts_from_the_last_warmup_iterate(self, filament33):
+        tail = [rec.residual for rec in filament33.history[N_WARMUP:]]
+        assert filament33.contraction == pytest.approx(
             (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
         )
+        assert 0.0 < filament33.contraction < 0.5
+
+    def test_measured_cold_fit_counts_every_iterate(self, result33):
+        """A measured seed takes no warm-up: every iterate is the map's."""
+        r = [rec.residual for rec in result33.history]
+        assert result33.contraction == pytest.approx((r[-1] / r[0]) ** (1.0 / (len(r) - 1)))
         assert 0.0 < result33.contraction < 0.5
 
     def test_warm_fit_counts_every_iterate_and_one_iterate_is_nan(self, solver33, shot33, result33):

@@ -84,33 +84,40 @@ class TestValidation:
 
 class TestResolutionSweep:
     def test_accuracy_improves_with_resolution(self):
-        """A statement about the grid, so it is made over noise seeds: the
-        whole-cell plasma mask gives the Picard map neighbouring fixed
-        points, and which one a single realisation lands on (at 33^2 the
-        flux error is bimodal, ~0.7e-4 or ~1.8e-4 of span) is an accident
-        of the trajectory.  Medians over these twelve seeds: 1.7e-4 at
-        33^2 against 1.1e-4 at 65^2, chi^2 110 against 87."""
+        """A statement about the grid, so it is made against a truth no
+        fitted grid discretises (ROADMAP item 14): g186610 synthesised at
+        129^2, its measurements fitted at 33^2 and 65^2 under twelve noise
+        seeds, the flux error read at the nodes each grid shares with
+        129^2.  The same-grid error cannot carry it: the whole-cell plasma
+        mask gives the Picard map neighbouring fixed points, and which one
+        a realisation lands on is an accident of the trajectory (at 33^2
+        the median same-grid error is 0.8e-4 from the measured seed and
+        1.7e-4 from the filament one, against 1.1e-4 at 65^2; its chi^2
+        order flips with it)."""
         import dataclasses
 
         from repro.efit.fitting import EfitSolver
         from repro.efit.measurements import measure_equilibrium
-        from repro.efit.resolution import _psi_rms
 
+        reference = synthetic_shot_186610(129)
+        exact = measure_equilibrium(
+            reference.machine, reference.diagnostics, reference.grid, reference.truth,
+            noise=0.0, seed=0,
+        ).values  # fmt: skip
+        sigma = reference.measurements.uncertainties
         rms, chi2 = {}, {}
         for n in (33, 65):
             shot = synthetic_shot_186610(n)
             solver = EfitSolver(shot.machine, shot.diagnostics, shot.grid)
-            exact = measure_equilibrium(
-                shot.machine, shot.diagnostics, shot.grid, shot.truth, noise=0.0, seed=0
-            ).values
-            sigma = shot.measurements.uncertainties
+            step = (reference.grid.nw - 1) // (n - 1)
+            truth = reference.truth.psi[::step, ::step]
             fits = []
             for seed in range(1, 13):
-                # the measurements of synthetic_shot_186610(n, seed=seed),
+                # the measurements of synthetic_shot_186610(129, seed=seed),
                 # without its forward solve and response build per seed
                 values = exact + np.random.default_rng(seed).normal(0.0, sigma)
-                res = solver.fit(dataclasses.replace(shot.measurements, values=values))
-                fits.append((_psi_rms(shot.grid, res.psi, shot), res.chi2))
+                res = solver.fit(dataclasses.replace(reference.measurements, values=values))
+                fits.append((np.sqrt(np.mean((res.psi - truth) ** 2)), res.chi2))
             rms[n], chi2[n] = np.median(fits, axis=0)
         assert rms[65] < rms[33]
         # chi^2 approaches the statistical expectation as the grid refines

@@ -2,10 +2,12 @@
 iterate, and this file gates the first factor with counts, which repeat
 exactly, where the benchmark gates the product with timings.
 
-Measured under the one scheme (three warm-up iterates, then the full
-least-squares step; EXPERIMENTS.md "Picard step (PR 20)"): a cold base
-shot takes 10-17 iterates at 33^2 and 65^2, a warm-chained 65^2 frame
-3-4.  ``Scenario.max_iterations`` is about twice the cold count.
+Measured under the one scheme (the full least-squares step from a
+trusted seed; EXPERIMENTS.md "Picard step (PR 20)" and "Measured cold
+start"): a cold base shot seeded from its own magnetics takes 6-13
+iterates at 33^2 and 65^2 (10-17 from the filament seed and its three
+warm-up iterates), a warm-chained 65^2 frame 3-4.
+``Scenario.max_iterations`` is about twice the filament count.
 """
 
 from __future__ import annotations
@@ -18,13 +20,26 @@ from repro.efit.fitting import EfitSolver
 from repro.scenarios import get_scenario, scenario_names
 
 
+#: Cold base-shot iterate budgets, ``(33^2, 65^2)``: the measured-seed
+#: counts plus two.  Double-null's 65^2 seed is revoked by the guard
+#: (13 iterates, one more than the filament start's 12).
+COLD_BUDGET = {
+    "g186610": (8, 8),
+    "solovev": (10, 9),
+    "spherical-torus": (12, 12),
+    "double-null": (13, 15),
+    "single-null": (11, 12),
+    "mse": (12, 11),
+}
+
+
 @pytest.mark.parametrize("n", [33, 65])
 @pytest.mark.parametrize("name", scenario_names())
 def test_cold_base_shot_within_envelope(name, n):
     sc = get_scenario(name)
     shot = sc.make_shot(n)
     result = EfitSolver.for_scenario(sc, shot=shot).fit(shot.measurements)
-    assert result.iterations <= sc.max_iterations
+    assert result.iterations <= COLD_BUDGET[name][n == 65] <= sc.max_iterations
     assert result.chi2 <= sc.max_chi2
     # Undamped, the map contracts several-fold an iterate; the half-step
     # scheme this replaced sat at 0.8.

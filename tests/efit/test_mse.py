@@ -6,7 +6,7 @@ import pytest
 from repro.efit.diagnostics import DiagnosticSet, MSEChannel
 from repro.efit.fitting import EfitSolver
 from repro.efit.greens import greens_bz
-from repro.efit.measurements import synthetic_shot_186610
+from repro.efit.measurements import measure_equilibrium, synthetic_shot_186610
 from repro.errors import MeasurementError
 
 
@@ -52,20 +52,27 @@ class TestKineticFit:
         """The kinetic constraint pins the p' coefficients far better than
         external magnetics alone — the reason EFIT-AI carries MSE.  The
         effect shows once measurement noise is realistic (0.5%): the
-        p'/FF' split is the softest direction of the magnetics-only fit."""
+        p'/FF' split is the softest direction of the magnetics-only fit.
+        A statement about the constraint, so it is made over noise seeds
+        0-7: one realisation's ratio ranges from 0.6 to 18 (median 3.1)."""
         noise = 5e-3
         plain = synthetic_shot_186610(33, n_mse=0, noise=noise)
         kinetic = synthetic_shot_186610(33, n_mse=16, noise=noise)
-        res_plain = EfitSolver(plain.machine, plain.diagnostics, plain.grid).fit(
-            plain.measurements
-        )
-        res_mse = EfitSolver(kinetic.machine, kinetic.diagnostics, kinetic.grid).fit(
-            kinetic.measurements
-        )
         truth = plain.truth.profiles.alpha
-        err_plain = abs(res_plain.profiles.alpha[0] / truth[0] - 1.0)
-        err_mse = abs(res_mse.profiles.alpha[0] / truth[0] - 1.0)
-        assert err_mse < err_plain / 2.5
+        fits = [
+            (shot, EfitSolver(shot.machine, shot.diagnostics, shot.grid))
+            for shot in (plain, kinetic)
+        ]
+        ratios = []
+        for seed in range(8):
+            errors = []
+            for shot, solver in fits:
+                m = measure_equilibrium(
+                    shot.machine, shot.diagnostics, shot.grid, shot.truth, noise=noise, seed=seed
+                )
+                errors.append(abs(solver.fit(m).profiles.alpha[0] / truth[0] - 1.0))
+            ratios.append(errors[0] / errors[1])
+        assert np.median(ratios) > 2.5
 
     def test_mse_does_not_degrade_flux_map(self, mse_shot):
         s = EfitSolver(mse_shot.machine, mse_shot.diagnostics, mse_shot.grid)

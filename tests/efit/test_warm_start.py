@@ -64,10 +64,19 @@ class TestWarmStart:
         state = solver33.start_fit(shot33.measurements, psi_initial=cold.psi)
         assert state.warm_start and state.warmup_until == 0
 
-    def test_cold_state_keeps_warmup(self, solver33, shot33):
+    def test_cold_state_keeps_warmup(self, solver33, shot33, filament_cold_start):
+        """A cold start whose measured seed the trust probe refuses keeps
+        the filament seed's warm-up."""
         state = solver33.start_fit(shot33.measurements)
-        assert not state.warm_start
-        assert state.warmup_until == N_WARMUP
+        assert not state.warm_start and not state.trusted
+        assert state.seed == "filament" and state.warmup_until == N_WARMUP
+
+    def test_measured_cold_state_skips_warmup_but_is_not_warm(self, solver33, shot33):
+        """A measured seed with a boundary starts trusted, yet no caller's
+        flux was: the result reports a cold slice."""
+        state = solver33.start_fit(shot33.measurements)
+        assert state.trusted and not state.warm_start
+        assert state.seed == "measured" and state.warmup_until == 0
 
     def test_unusable_seed_degrades_to_cold(self, solver33, shot33, cold):
         """A seed with no findable boundary fails the trust probe and the

@@ -35,6 +35,7 @@ from repro.obs import TraceHooks, TraceRecorder
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
 from repro.scenarios import get_scenario, scenario_names
 from repro.utils.constants import MU0
+from tests.conftest import refuse_measured_seeds
 from tests.serve.conftest import serve_reports
 
 N = 33
@@ -298,8 +299,9 @@ def test_batch_width_shrinks_as_slices_converge(name):
 @pytest.mark.parametrize("name", scenario_names())
 def test_batch_mixes_trusted_untrusted_and_cold_seeds(monkeypatch, name):
     """A trusted seed, one whose boundary search fails (a flat map: it is
-    replaced by the cold start) and none: iterate 1 reuses the trust
-    probe's search for the first slice only."""
+    replaced by the measured cold start) and none: every start is one
+    one-map trust probe (two for the refused seed), and iterate 1 reuses
+    the probes' searches, so its first search is iterate 2's."""
     slices, fits = _converged(name, 3)
     seeds = [fits[0].psi, np.zeros_like(fits[0].psi), None]
     batch = _assert_relations(name, seeds, slices)
@@ -315,9 +317,12 @@ def test_batch_mixes_trusted_untrusted_and_cold_seeds(monkeypatch, name):
     monkeypatch.setattr(fitting, "find_boundaries", spy)
     sc = get_scenario(name)
     shot = sc.make_shot(RELATION_GRID.get(name, N))
-    BatchFitEngine.for_scenario(sc, shot=shot, batch_size=3).fit_many(slices, psi_initial=seeds)
-    # Two one-map trust probes, then iterate 1 on the two cold slices.
-    assert widths[:3] == [1, 1, 2]
+    engine = BatchFitEngine.for_scenario(sc, shot=shot, batch_size=3)
+    results = engine.fit_many(slices, psi_initial=seeds).results
+    # The caller's two probes, two measured seeds' probes, then one stacked
+    # search per iterate from iterate 2 on.
+    assert widths[:4] == [1, 1, 1, 1]
+    assert len(widths) == 4 + max(r.iterations for r in results) - 1
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -336,10 +341,12 @@ def test_batch_mixes_phases_when_a_seed_is_revoked(monkeypatch, name):
     """Slices of one batch in different phases of the same iterate: the
     first slice's trusted seed (its converged flux scaled by 1.5, the
     seed that trips the divergence guard in a serial fit) takes
-    least-squares steps while its cold companions hold the warm-up shape,
-    then falls back to the warm-up while they take least-squares steps.
-    Both rows of the relation table hold, and the fallback fires once."""
+    least-squares steps while its cold companions, on the filament start,
+    hold the warm-up shape, then falls back to the warm-up while they take
+    least-squares steps.  Both rows of the relation table hold, and the
+    fallback fires once."""
     slices, fits = _converged(name, 3)
+    refuse_measured_seeds(monkeypatch)
     seeds = [1.5 * fits[0].psi, None, None]
     phases = []
     plasma_currents = fitting.EfitSolver._plasma_currents

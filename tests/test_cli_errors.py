@@ -63,8 +63,10 @@ class TestTraceExitCodes:
         assert jsonl.read_text().count("\n") > 10
         printed = capsys.readouterr().out
         assert "spans" in printed
-        # iterate count and the map's contraction, side by side
-        assert re.search(r"\d+ iterations \(contraction 0\.\d\d per iterate\)", printed)
+        # iterate count, the map's contraction and the seed, side by side
+        assert re.search(
+            r"\d+ iterations \(contraction 0\.\d\d per iterate\) from the measured seed", printed
+        )
 
     def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "t.json"
