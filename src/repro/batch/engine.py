@@ -141,11 +141,8 @@ class BatchFitEngine:
 
     @classmethod
     def for_scenario(cls, scenario, n: int = 65, *, shot=None, **kwargs) -> "BatchFitEngine":
-        """Build an engine configured for a registered scenario.
-
-        The scenario's ``solver_kwargs`` are forwarded to the underlying
-        :class:`EfitSolver`; explicit ``kwargs`` win on conflict.
-        """
+        """Build an engine on a registered scenario's shot at grid ``n``
+        (or on ``shot``); ``kwargs`` are the engine's keywords."""
         from repro.scenarios import Scenario
 
         return Scenario.construct(cls, scenario, n, shot=shot, **kwargs)

@@ -192,14 +192,9 @@ class ParallelFitEngine:
 
     @classmethod
     def for_scenario(cls, scenario, *, shot, **kwargs) -> "ParallelFitEngine":
-        """Build a fleet configured for a registered scenario.
-
-        The scenario's ``solver_kwargs`` ship to every worker process
-        alongside any explicit ``kwargs`` (which win on conflict), so
-        scenario-specific solver settings — e.g. the single-null's
-        off-midplane seed filament — apply identically in the fleet and
-        in the serial engines it is compared against.
-        """
+        """Build a fleet on a registered scenario's ``shot``; ``kwargs``
+        are the fleet's keywords, and its solver keywords ship to every
+        worker process."""
         from repro.scenarios import Scenario
 
         return Scenario.construct(cls, scenario, shot=shot, **kwargs)

@@ -144,9 +144,6 @@ register(
         max_iterations=32,
         max_chi2=500.0,
         default_seed=20260803,
-        # The asymmetric plasma sits below the midplane; seed the initial
-        # filament there so the first boundary search starts near it.
-        solver_kwargs={"initial_filament_z": -0.05},
     )
 )
 

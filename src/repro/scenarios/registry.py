@@ -23,8 +23,8 @@ caches thereafter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ScenarioError
 
@@ -57,11 +57,9 @@ class Scenario:
         Convergence envelope at the default grid and :data:`DEFAULT_NOISE`: a healthy
         reconstruction converges within ``max_iterations`` Picard
         iterations with ``chi2 <= max_chi2``.  The iteration ceiling is
-        about twice the measured cold count (10-17 at 33^2 and 65^2), so
+        about twice the filament start's cold count (10-17 at 33^2 and
+        65^2), so
         a scheme that slips back towards the damped 35-70 trips it.
-    solver_kwargs:
-        Extra :class:`~repro.efit.fitting.EfitSolver` keywords this
-        machine needs (engines and golden reconstructions apply them).
 
     The golden-regression suite maintains one artifact per scenario
     (:attr:`golden_artifact`).
@@ -80,7 +78,6 @@ class Scenario:
     max_iterations: int
     max_chi2: float
     default_seed: int = 0
-    solver_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name or " " in self.name:
@@ -115,14 +112,12 @@ class Scenario:
         """The one ``for_scenario`` behind the solver and both engines:
         ``factory(machine, diagnostics, grid, **kwargs)`` on the shot of
         ``scenario`` (a registered name or a :class:`Scenario`) at grid
-        ``n``, or on ``shot`` when one is already built, with the
-        scenario's ``solver_kwargs`` under ``overrides``."""
+        ``n``, or on ``shot`` when one is already built, with
+        ``overrides`` as keywords."""
         sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
         if shot is None:
             shot = sc.make_shot(n)
-        return factory(
-            shot.machine, shot.diagnostics, shot.grid, **{**sc.solver_kwargs, **overrides}
-        )
+        return factory(shot.machine, shot.diagnostics, shot.grid, **overrides)
 
     @property
     def golden_artifact(self) -> str:

@@ -320,9 +320,7 @@ def _record(name: str, n: int = 65) -> dict[str, list]:
         prev = solver.fit(shot.measurements, require_convergence=False)
         for frame in frames[:4]:
             prev = solver.fit(frame, psi_initial=prev.psi, require_convergence=False)
-        engine = BatchFitEngine(
-            shot.machine, shot.diagnostics, shot.grid, batch_size=8, **sc.solver_kwargs
-        )
+        engine = BatchFitEngine(shot.machine, shot.diagnostics, shot.grid, batch_size=8)
         engine.fit_many(frames, require_convergence=False)
         vessel = EfitSolver.for_scenario(sc, n, shot=shot, fit_vessel=True)
         vessel.fit(shot.measurements, require_convergence=False)

@@ -431,7 +431,7 @@ def test_solver_response_is_the_set_response_on_its_support(scenario, n):
     ``DiagnosticSet.response_to_grid`` on the support and +0.0 off it."""
     shot = scenario.make_shot(n if isinstance(n, int) else 33)
     grid = shot.grid if isinstance(n, int) else n
-    solver = EfitSolver(shot.machine, shot.diagnostics, grid, **scenario.solver_kwargs)
+    solver = EfitSolver(shot.machine, shot.diagnostics, grid)
     on = _support_nodes(solver.statics.inside_limiter).reshape(grid.size)
     got, full = solver.grid_response, shot.diagnostics.response_to_grid(grid)
     assert got.shape == full.shape and on.any()
