@@ -48,7 +48,7 @@ def iterate_samples(solver: EfitSolver, slices, width: int) -> list[tuple[int, n
     profiler = solver.profiler
     samples = []
     for start in range(0, len(slices), width):
-        states = [solver.start_fit(m) for m in slices[start : start + width]]
+        states = solver.start_fit(slices[start : start + width])
         profiler.reset()
         before = np.zeros(len(REGIONS))
         active = len(states)

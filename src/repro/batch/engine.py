@@ -12,6 +12,12 @@ lockstep Picard iteration:
   engine's own solver, whose flux step applies the engine's edge
   operator (DESIGN.md's relation table says how the results relate to
   ``solver.fit`` and to serving);
+* a batch starts with one :meth:`~repro.efit.fitting.EfitSolver.start_fit`
+  call on all its slices: one trust probe on the stack of warm-start
+  seeds, and for the slices left cold one seed solve per distinct weight
+  vector, one GEMM for their seed currents, one flux step and one trust
+  probe on the stack of seeds — the start does not loop over the slices
+  either;
 * every iterate's pre-flux half is one pass over the batch
   (:meth:`~repro.efit.fitting.EfitSolver.iterate_pre` on all the slices
   still iterating): one boundary search on the stack of fluxes, one
@@ -140,9 +146,13 @@ class BatchFitEngine:
         self.solver.pflux.reserve(batch_size)
 
     @classmethod
-    def for_scenario(cls, scenario, n: int = 65, *, shot=None, **kwargs) -> "BatchFitEngine":
+    def for_scenario(
+        cls, scenario, n: int | None = None, *, shot=None, **kwargs
+    ) -> "BatchFitEngine":
         """Build an engine on a registered scenario's shot at grid ``n``
-        (or on ``shot``); ``kwargs`` are the engine's keywords."""
+        (or on ``shot``, whose grid an ``n`` must match); ``kwargs`` are
+        the engine's keywords (:meth:`Scenario.construct
+        <repro.scenarios.Scenario.construct>`)."""
         from repro.scenarios import Scenario
 
         return Scenario.construct(cls, scenario, n, shot=shot, **kwargs)
@@ -167,8 +177,7 @@ class BatchFitEngine:
     ) -> list[tuple[FitResult, float, int]]:
         """Advance one batch of slices in lockstep to convergence."""
         solver = self.solver
-        seeds = psi_initial if psi_initial is not None else [None] * len(batch)
-        states = [solver.start_fit(m, psi_initial=seed) for m, seed in zip(batch, seeds)]
+        states = solver.start_fit(batch, psi_initial=psi_initial)
         latencies: list[float | None] = [None] * len(states)
         for _ in solver.picard(states):
             now = time.perf_counter()
@@ -197,10 +206,11 @@ class BatchFitEngine:
         Slices are grouped into batches of ``batch_size`` in input order
         and run one batch after another.  ``psi_initial``
         optionally supplies one warm-start flux per slice (``None``
-        entries stay cold) — each seeds that slice's
-        :meth:`~repro.efit.fitting.EfitSolver.start_fit` exactly as the
-        serial path would, so warm-started batch output bit-matches a
-        warm-started serial solve.  Raises
+        entries stay cold): the batch's
+        :meth:`~repro.efit.fitting.EfitSolver.start_fit` probes each one as
+        the serial path would, and a slice it refuses seeds from its
+        magnetics.  A batch of one slice is bit-identical to a serial
+        solve, a wider one equal to round-off (DESIGN.md §6).  Raises
         :class:`~repro.errors.ConvergenceError` on the first unconverged
         slice unless ``require_convergence=False``.
         """

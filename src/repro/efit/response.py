@@ -70,14 +70,18 @@ def measurement_system(
 
     ``coil_response`` is ``(n_meas, n_coils)``, the response to unit coil
     currents; ``measured`` and ``uncertainties`` the measurement vector
-    and its 1-sigma uncertainties.
+    and its 1-sigma uncertainties.  A ``(B, n_meas)`` stack of both, with
+    a ``(B, n_coils)`` stack of coil currents, is a batch of slices: each
+    slice's coil contribution is the GEMV it takes alone, so its rows are
+    the one-slice system's bytes.
     """
     n_meas = coil_response.shape[0]
-    if measured.shape != (n_meas,) or uncertainties.shape != (n_meas,):
+    if measured.shape[-1:] != (n_meas,) or uncertainties.shape != measured.shape:
         raise FittingError("measurement vector length mismatch")
     if np.any(uncertainties <= 0.0):
         raise FittingError("uncertainties must be positive")
-    data = measured - coil_response @ np.asarray(coil_currents, dtype=float)
+    currents = np.asarray(coil_currents, dtype=float)
+    data = measured - (coil_response @ currents[..., None])[..., 0]
     weights = 1.0 / np.asarray(uncertainties, dtype=float)
     return data, weights
 

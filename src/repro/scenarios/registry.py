@@ -108,15 +108,23 @@ class Scenario:
         )
 
     @staticmethod
-    def construct(factory, scenario: "str | Scenario", n: int = 65, *, shot=None, **overrides):
+    def construct(
+        factory, scenario: "str | Scenario", n: int | None = None, *, shot=None, **overrides
+    ):
         """The one ``for_scenario`` behind the solver and both engines:
-        ``factory(machine, diagnostics, grid, **kwargs)`` on the shot of
-        ``scenario`` (a registered name or a :class:`Scenario`) at grid
-        ``n``, or on ``shot`` when one is already built, with
-        ``overrides`` as keywords."""
+        ``factory(machine, diagnostics, grid, **kwargs)`` on ``shot`` when
+        one is already built, else on the shot of ``scenario`` (a
+        registered name or a :class:`Scenario`) at grid ``n`` (65 when not
+        given), with ``overrides`` as keywords.  With a ``shot``, ``n``
+        defaults to its grid, and another ``n`` is a
+        :class:`~repro.errors.ScenarioError`."""
         sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
         if shot is None:
-            shot = sc.make_shot(n)
+            shot = sc.make_shot(65 if n is None else n)
+        elif n is not None and n != shot.grid.nw:
+            raise ScenarioError(
+                f"grid {n} disagrees with the {shot.grid.nw}x{shot.grid.nh} grid of the given shot"
+            )
         return factory(shot.machine, shot.diagnostics, shot.grid, **overrides)
 
     @property

@@ -92,6 +92,38 @@ class TestLockStepIterate:
         assert calls["shift"] == [(width,) for width in widths]
         assert calls["lsq"] == widths[N_WARMUP:]
 
+    def test_the_start_does_not_loop_over_the_slices(self, shot33, monkeypatch):
+        """A cold batch of eight starts at its width: before iterate 1 the
+        solver makes one flux step on the stack of eight seed currents and
+        one trust probe on the stack of eight seeds."""
+        import repro.efit.fitting as fitting
+
+        engine = BatchFitEngine(shot33.machine, shot33.diagnostics, shot33.grid, batch_size=8)
+        solver = engine.solver
+        calls = {"flux": [], "search": []}
+        flux_step, search = solver.pflux.compute_batch, fitting.find_boundaries
+
+        def spy_flux(pcurr, psi_external):
+            calls["flux"].append(len(pcurr))
+            return flux_step(pcurr, psi_external)
+
+        def spy_search(grid, psi, limiter, **kwargs):
+            calls["search"].append(len(psi))
+            return search(grid, psi, limiter, **kwargs)
+
+        class Started(Exception):
+            """Iterate 1 begins: the start is over."""
+
+        def stop(states, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(solver.pflux, "compute_batch", spy_flux)
+        monkeypatch.setattr(fitting, "find_boundaries", spy_search)
+        monkeypatch.setattr(solver, "iterate_pre", stop)
+        with pytest.raises(Started):
+            engine.fit_many(synthetic_slice_sequence(shot33, 8, seed=11))
+        assert calls == {"flux": [8], "search": [8]}
+
 
 class TestEngineSteadyState:
     def test_zero_allocations_after_warmup(self, engine, slices6):
@@ -136,7 +168,7 @@ class TestEngineSteadyState:
         iterates of ``fit_many``'s loop leave the first iterate's flux of
         every slice untouched."""
         solver = engine.solver
-        states = [solver.start_fit(m) for m in slices6[:4]]
+        states = solver.start_fit(slices6[:4])
         loop = solver.picard(states)
         next(loop)
         saved = [state.psi for state in states]

@@ -55,14 +55,14 @@ def rng():
 
 
 def _flat_seed(solver, weighted_data, weights, psi_external, statics):
-    return np.zeros_like(psi_external)
+    return list(np.zeros_like(psi_external))
 
 
 def refuse_measured_seeds(monkeypatch) -> None:
     """Make every cold start take the filament seed and its warm-up — the
     paper's cold start, and the path a measured seed whose trust probe
     fails takes: each measured seed becomes a flat map, which the probe
-    refuses."""
+    refuses (the stack of them is searched map by map)."""
     monkeypatch.setattr(EfitSolver, "_measured_psi", _flat_seed)
 
 

@@ -330,3 +330,25 @@ class TestForeignStatics:
         wrong_grid = self._with_mask(solver33, np.ones((5, 5), dtype=bool))
         with pytest.raises(FittingError, match="in-limiter mask"):
             solver33.iterate_pre([state], statics=wrong_grid)
+
+
+class TestForScenario:
+    """``for_scenario`` on a built shot takes that shot's grid: an ``n``
+    that disagrees with it is refused, never silently dropped."""
+
+    def test_a_shot_sets_the_grid(self, shot33):
+        from repro.batch import BatchFitEngine
+
+        assert EfitSolver.for_scenario("g186610", shot=shot33).grid.shape == (33, 33)
+        assert EfitSolver.for_scenario("g186610", 33, shot=shot33).grid.shape == (33, 33)
+        engine = BatchFitEngine.for_scenario("g186610", shot=shot33, batch_size=2)
+        assert engine.solver.grid.shape == (33, 33)
+
+    def test_a_grid_other_than_the_shots_is_refused(self, shot33):
+        from repro.batch import BatchFitEngine
+        from repro.errors import ScenarioError
+
+        with pytest.raises(ScenarioError, match="grid 129 disagrees"):
+            EfitSolver.for_scenario("g186610", 129, shot=shot33)
+        with pytest.raises(ScenarioError, match="grid 65 disagrees"):
+            BatchFitEngine.for_scenario("g186610", 65, shot=shot33)

@@ -591,7 +591,7 @@ def test_slab_current_matches_the_full_grid_formula(
         monkeypatch.setattr(solver, "_fit_delz", lambda u, r: np.zeros(len(u)))
     grid = solver.grid
     slices = [shot.measurements] + synthetic_slice_sequence(shot, 2, seed=0)
-    states = [solver.start_fit(m) for m in slices]
+    states = solver.start_fit(slices)
     shifted = 0
     for _ in range(6):  # three warm-up iterates, three least-squares steps
         pcurr, psi_external = solver.iterate_pre(states)

@@ -299,9 +299,11 @@ def test_batch_width_shrinks_as_slices_converge(name):
 @pytest.mark.parametrize("name", scenario_names())
 def test_batch_mixes_trusted_untrusted_and_cold_seeds(monkeypatch, name):
     """A trusted seed, one whose boundary search fails (a flat map: it is
-    replaced by the measured cold start) and none: every start is one
-    one-map trust probe (two for the refused seed), and iterate 1 reuses
-    the probes' searches, so its first search is iterate 2's."""
+    replaced by the measured cold start) and none: the batch starts with
+    one trust probe on the stack of the callers' seeds, which the flat map
+    makes raise, so each is searched alone, then one probe on the stack of
+    the two measured seeds; iterate 1 reuses the probes' searches, so its
+    first search is iterate 2's."""
     slices, fits = _converged(name, 3)
     seeds = [fits[0].psi, np.zeros_like(fits[0].psi), None]
     batch = _assert_relations(name, seeds, slices)
@@ -319,9 +321,10 @@ def test_batch_mixes_trusted_untrusted_and_cold_seeds(monkeypatch, name):
     shot = sc.make_shot(RELATION_GRID.get(name, N))
     engine = BatchFitEngine.for_scenario(sc, shot=shot, batch_size=3)
     results = engine.fit_many(slices, psi_initial=seeds).results
-    # The caller's two probes, two measured seeds' probes, then one stacked
-    # search per iterate from iterate 2 on.
-    assert widths[:4] == [1, 1, 1, 1]
+    # The callers' stacked probe and its redo map by map, the measured
+    # seeds' stacked probe, then one stacked search per iterate from
+    # iterate 2 on.
+    assert widths[:4] == [2, 1, 1, 2]
     assert len(widths) == 4 + max(r.iterations for r in results) - 1
 
 
