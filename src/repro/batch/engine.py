@@ -101,7 +101,7 @@ class BatchFitEngine:
     edge_operator:
         The :class:`~repro.efit.operators.EdgeOperator` to apply (the
         solver's ``pflux_impl``).  The multi-process fleet passes
-        operators over its arena's mapped arrays here so workers skip the
+        the operator mapped from its arena here so workers skip the
         build entirely.  Not given, it is the same cached operator object
         a bare :class:`EfitSolver` applies.
     solver_kwargs:

@@ -873,8 +873,8 @@ def _cmd_pfleet(args) -> int:
         hooks=hooks,
         config=config,
     ) as engine:
-        arena_mb = engine.arena.nbytes / 1e6
-        print(f"table arena: {engine.arena.spec.path} ({arena_mb:.1f} MB mapped)")
+        arena_mb = engine.arena_nbytes / 1e6
+        print(f"table arena: {engine.arena} ({arena_mb:.1f} MB mapped)")
         try:
             result = engine.fit_many(slices, allow_failures=args.allow_failures)
         except JobQuarantinedError as exc:

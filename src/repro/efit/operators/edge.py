@@ -386,7 +386,8 @@ class _StructuredEdgeOperator(EdgeOperator):
 
     @abc.abstractmethod
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat named-array form (arena ``.npy`` files, ``.npz`` members).
+        """Flat named-array form: the ``.npy`` files of its entry on disk
+        (:mod:`repro.efit.diskcache`: the table cache, a fleet's arena).
 
         :func:`edge_operator_from_arrays` inverts it; the round trip
         reproduces ``apply`` bit-for-bit.
@@ -621,7 +622,8 @@ class LowRankEdgeOperator(_StructuredEdgeOperator):
 #: The one truncation tolerance a ``lowrank`` operator is built at.  The
 #: cache key holds no tolerance, so the accessor takes none: every engine
 #: in the process reconstructs on an operator within DESIGN.md section 6's
-#: 1e-10.
+#: 1e-10.  Nor does an on-disk entry's name: changing it changes what
+#: :mod:`repro.efit.diskcache` stores, so bump its ``DISK_FORMAT_VERSION``.
 _CACHED_TOL = 1e-12
 
 
@@ -668,17 +670,17 @@ def cached_edge_operator(
     if op is None:
         from repro.efit import diskcache
 
-        op = diskcache.load_edge_operator(tables, method, _CACHED_TOL)
+        op = diskcache.load_edge_operator(tables, method)
         if op is None:
             op = build_edge_operator(tables, method)
-            diskcache.store_edge_operator(op, _CACHED_TOL)
+            diskcache.store_edge_operator(op)
         operators[method] = op
     return op
 
 
 def seed_edge_operator(op: EdgeOperator) -> None:
-    """Install an externally-built operator (e.g. one over an arena's
-    mapped arrays) so later ``cached_edge_operator`` calls resolve to it.  Seed the
+    """Install an externally-built operator (a fleet worker's, over its
+    arena's mapped arrays) so later ``cached_edge_operator`` calls resolve to it.  Seed the
     table first: seeding a table forgets the operators of the one it
     replaces."""
     boundary_table_cache().operators(op.grid)[op.method] = op
@@ -699,9 +701,10 @@ def edge_operator_from_arrays(
 ) -> EdgeOperator:
     """Rebuild an operator from its :meth:`EdgeOperator.to_arrays` form.
 
-    Fleet workers call this against an arena's mapped arrays; the disk
-    cache against ``.npz`` members.  The toeplitz form aliases the Green
-    table ``gpc`` instead of copying it.
+    :mod:`repro.efit.diskcache` calls this on an entry's read-only
+    mapped arrays, for the table cache and for a fleet worker mapping its
+    arena alike.  The toeplitz form aliases the Green table ``gpc``
+    instead of copying it.
     """
     require_staged(method)
     if method == "toeplitz":

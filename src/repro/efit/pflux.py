@@ -249,11 +249,12 @@ class PfluxStructured:
     """
 
     def __init__(self, grid, tables, solver, operator) -> None:
-        if tables.grid.shape != grid.shape:
+        # By value: a grid of the same shape over other extents is another grid.
+        if tables.grid != grid:
             raise GridError("Green tables built for a different grid")
-        if solver.grid.shape != grid.shape:
+        if solver.grid != grid:
             raise GridError("solver built for a different grid")
-        if operator.grid.shape != grid.shape:
+        if operator.grid != grid:
             raise GridError("edge operator built for a different grid")
         self.grid = grid
         self.tables = tables

@@ -196,8 +196,9 @@ class BoundaryTableCache:
         """Install externally-built tables for their grid.
 
         The multi-process fleet uses this on the worker side: the parent
-        writes the tables to an arena's files and each worker seeds its
-        own cache with its read-only mapping of them, so every later
+        writes the tables to its arena directory and each worker seeds its
+        own cache with its read-only mapping of them
+        (:func:`repro.efit.diskcache.read_tables`), so every later
         ``cached_boundary_tables(grid)`` — including the engine-internal
         ones — resolves to the shared pages instead of an O(N^3) rebuild.
         Seeding the same grid twice replaces the entry (the bytes are

@@ -178,8 +178,8 @@ class ParallelError(ReproError):
 
 
 class ArenaError(ParallelError):
-    """Table-arena failure: creating the directory, attaching one that
-    is gone, or an unknown array name."""
+    """Table-arena failure: a fleet worker finds no table or operator
+    entry to map in its arena directory (removed, or its parent gone)."""
 
 
 class JobQuarantinedError(ParallelError):

@@ -2,13 +2,12 @@
 
 The paper accelerates one reconstruction per device; this package scales
 *out* instead — many (shot, time-slice) jobs sharded across CPU worker
-processes, with the Green-function tables written once per grid as
-``.npy`` files every worker memory-maps, so worker startup stays O(1) in
-grid size.  See ``docs/PARALLEL.md`` for the lifecycle and failure
-semantics.
+processes, with the Green-function tables written once per fleet as
+:mod:`repro.efit.diskcache` entries every worker memory-maps, so worker
+startup stays O(1) in grid size.  See ``docs/PARALLEL.md`` for the
+lifecycle and failure semantics.
 """
 
-from repro.parallel.arena import ArenaSpec, TableArena, attach_arena
 from repro.parallel.engine import ParallelFitEngine, ParallelFitResult
 from repro.parallel.merge import (
     merge_metrics,
@@ -28,9 +27,6 @@ from repro.parallel.scheduler import (
 )
 
 __all__ = [
-    "ArenaSpec",
-    "TableArena",
-    "attach_arena",
     "ParallelFitEngine",
     "ParallelFitResult",
     "merge_metrics",

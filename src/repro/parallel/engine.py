@@ -6,14 +6,15 @@ shape, same ``fit_many(slices)`` entry point — but shards the slice
 sequence across worker *processes* through the
 :class:`~repro.parallel.scheduler.ProcessScheduler`:
 
-* the engine builds its own file-backed
-  :class:`~repro.parallel.arena.TableArena` — the grid's Green table and
-  its edge operator — removes it in :meth:`~ParallelFitEngine.close`, and
-  ships only its :class:`~repro.parallel.arena.ArenaSpec` to workers;
-* each worker maps the arena, seeds its
-  :class:`~repro.efit.tables.BoundaryTableCache` with the read-only
-  view, and builds a private :class:`~repro.batch.engine.BatchFitEngine`
-  on top — worker startup is O(1) in grid size;
+* the engine stages the grid's Green table and its edge operator as
+  :mod:`repro.efit.diskcache` entries in a table arena — a
+  ``tempfile.mkdtemp`` directory of its own, removed in
+  :meth:`~ParallelFitEngine.close` — and ships only the directory's path
+  to workers;
+* each worker maps the entries read-only with the disk cache's readers,
+  seeds its :class:`~repro.efit.tables.BoundaryTableCache` with the
+  views, and builds a private :class:`~repro.batch.engine.BatchFitEngine`
+  on the engine's grid — worker startup is O(1) in grid size;
 * jobs are the *same* ``batch_size`` groups the serial engine forms
   (both call :func:`repro.batch.slices.batch_groups`), so every slice
   runs through ``_fit_batch`` with identical array shapes and the merged
@@ -34,7 +35,11 @@ Quarantined jobs (crash-looping or deterministically failing) raise
 from __future__ import annotations
 
 import inspect
+import os
+import shutil
+import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -42,16 +47,21 @@ import numpy as np
 
 from repro.batch.engine import BatchFitEngine
 from repro.batch.slices import BatchStats, batch_groups
+from repro.efit import diskcache
 from repro.efit.diagnostics import DiagnosticSet
 from repro.efit.fitting import EfitSolver, FitResult
 from repro.efit.grid import RZGrid
 from repro.efit.machine import Tokamak
-from repro.efit.operators import EdgeOperator, cached_edge_operator, seed_edge_operator
+from repro.efit.operators import (
+    EdgeOperator,
+    cached_edge_operator,
+    require_staged,
+    seed_edge_operator,
+)
 from repro.efit.tables import boundary_table_cache, cached_boundary_tables
-from repro.errors import FittingError, JobQuarantinedError
+from repro.errors import ArenaError, FittingError, GridError, JobQuarantinedError
 from repro.obs.hooks import NULL_HOOKS, ObservationHooks, TraceHooks
 from repro.obs.metrics import MetricsRegistry, scheduler_source
-from repro.parallel.arena import TableArena, attach_arena
 from repro.parallel.merge import merge_metrics, merged_chrome_trace
 from repro.parallel.scheduler import (
     JobFailure,
@@ -84,20 +94,34 @@ class ParallelFitResult:
 
 
 # -- worker-side plumbing (module level: picklable under spawn) --------------------
+def _map_arena(arena: str, grid: RZGrid, method: str):
+    """The Green table of ``grid`` and its ``method`` edge operator, mapped
+    read-only from the table arena directory ``arena``."""
+    tables = diskcache.read_tables(arena, grid)
+    op = None if tables is None else diskcache.read_edge_operator(arena, tables, method)
+    if op is None:
+        raise ArenaError(
+            f"table arena {arena!r} holds no {method} entry for this grid "
+            f"(removed, or its parent is gone)"
+        )
+    return tables, op
+
+
 def _init_fit_worker(
     ctx: WorkerContext,
-    spec,
+    arena: str,
+    method: str,
     machine: Tokamak,
     diagnostics: DiagnosticSet,
+    grid: RZGrid,
     batch_size: int,
     solver_kwargs: dict,
 ) -> dict[str, Any]:
     """Map the table arena and build this worker's private engine."""
-    arena = attach_arena(spec)
+    tables, op = _map_arena(arena, grid, method)
     # Every later cached_boundary_tables(grid) in this process — including
     # the engine's own — now resolves to the shared pages.
-    boundary_table_cache().seed(arena.tables())
-    op = arena.edge_op()
+    boundary_table_cache().seed(tables)
     # Same story for the operator, which the cache keeps beside the table
     # (so it is seeded second: seeding a table forgets its predecessor's
     # operators): any later cached_edge_operator call with this method
@@ -106,7 +130,7 @@ def _init_fit_worker(
     engine = BatchFitEngine(
         machine,
         diagnostics,
-        spec.grid(),
+        grid,
         batch_size=batch_size,
         hooks=ctx.hooks,
         edge_operator=op,
@@ -126,16 +150,24 @@ def _run_fit_job(state: dict[str, Any], payload: tuple) -> tuple:
     return (out.results, out.latencies, out.stats.total_iterations)
 
 
+def _remove_arena(path: str, builder_pid: int) -> None:
+    """Remove a table arena — from the process that built it only."""
+    if os.getpid() == builder_pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
 class ParallelFitEngine:
     """Reconstruct many time slices across worker processes.
 
     Parameters mirror :class:`~repro.batch.engine.BatchFitEngine`, but
     the fleet is sized by ``config`` (``SchedulerConfig.workers``
     processes, 2 by default), which also holds the scheduler policy
-    (timeouts, retry budget, transport).  The engine's arena holds the
-    Green table and the arrays of ``edge_operator`` — not given, the
-    grid's :func:`~repro.efit.operators.cached_edge_operator` — and every
-    worker applies that operator.  ``solver_kwargs`` must be
+    (timeouts, retry budget, transport).  The engine's table arena, the
+    directory :attr:`arena`, holds the Green table and the arrays of
+    ``edge_operator`` — not given, the grid's
+    :func:`~repro.efit.operators.cached_edge_operator`; one built on
+    another grid is a :class:`~repro.errors.GridError` — and every worker
+    applies that operator.  ``solver_kwargs`` must be
     :class:`~repro.efit.fitting.EfitSolver` keywords a worker can honour;
     any other — ``pflux_impl`` (the operator is ``edge_operator``) and
     ``profiler`` (each worker would record into its own copy; the fleet
@@ -170,11 +202,34 @@ class ParallelFitEngine:
         self.config = config if config is not None else SchedulerConfig()
         if edge_operator is None:
             edge_operator = cached_edge_operator(cached_boundary_tables(grid))
-        self.arena = TableArena.build(edge_operator)
+        require_staged(edge_operator.method)
+        if edge_operator.grid != grid:
+            raise GridError(
+                f"edge operator built for grid {edge_operator.grid}, not the "
+                f"fleet's {grid}"
+            )
+        #: The table arena: the directory of the Green table's and the edge
+        #: operator's disk-cache entries every worker maps.
+        self.arena = tempfile.mkdtemp(prefix="repro_arena_")
+        # Removes the arena when the engine is closed, collected or the
+        # interpreter exits — in the building process only.
+        self._release = weakref.finalize(self, _remove_arena, self.arena, os.getpid())
         try:
+            #: Bytes of the arrays staged in the arena.
+            self.arena_nbytes = diskcache.write_tables(
+                self.arena, cached_boundary_tables(grid)
+            ) + diskcache.write_edge_operator(self.arena, edge_operator)
             self.scheduler = ProcessScheduler(
                 _init_fit_worker,
-                (self.arena.spec, machine, diagnostics, batch_size, dict(solver_kwargs)),
+                (
+                    self.arena,
+                    edge_operator.method,
+                    machine,
+                    diagnostics,
+                    grid,
+                    batch_size,
+                    dict(solver_kwargs),
+                ),
                 _run_fit_job,
                 config=self.config,
                 hooks=self.hooks,
@@ -186,7 +241,7 @@ class ParallelFitEngine:
             )
         except BaseException:
             # No engine comes back to close(): remove the arena here.
-            self.arena.unlink()
+            self._release()
             raise
         self._last_reports: tuple[WorkerReport, ...] = ()
 
@@ -203,7 +258,7 @@ class ParallelFitEngine:
     def close(self) -> None:
         """Stop the worker pool and remove the table arena (idempotent)."""
         self.scheduler.close()
-        self.arena.unlink()
+        self._release()
 
     def __enter__(self) -> "ParallelFitEngine":
         return self

@@ -128,7 +128,8 @@ class SchedulerConfig:
     and quarantine paths run without forking).  ``start_method`` picks the
     multiprocessing context (default: ``fork`` where available — worker
     startup then inherits the parent's modules; ``spawn`` workers rebuild
-    from pickled state and map the tables from the arena's files)."""
+    from pickled state; workers of either kind map the tables from the
+    fleet's arena directory with :mod:`repro.efit.diskcache`)."""
 
     workers: int = 2
     timeout_seconds: float | None = 120.0
@@ -341,8 +342,8 @@ class ProcessScheduler:
         ``init_fn(ctx, *init_args)`` runs once per worker *process* (and
         once more after each respawn) and returns the worker state —
         for reconstructions, the worker-local
-        :class:`~repro.batch.engine.BatchFitEngine` attached to the
-        shared table arena.
+        :class:`~repro.batch.engine.BatchFitEngine` on the tables mapped
+        from the fleet's table arena.
     worker_fn:
         ``worker_fn(state, payload) -> result`` executes one job.
         ``init_fn``, ``init_args`` and ``worker_fn`` must pickle, as a

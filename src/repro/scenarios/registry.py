@@ -97,14 +97,14 @@ class Scenario:
                 f"scenario {self.name!r}: convergence envelope must be positive"
             )
 
-    def make_shot(
-        self, n: int = 65, *, noise: float | None = None, seed: int | None = None
-    ) -> "SyntheticShot":
-        """Build (or fetch from cache) the synthetic shot at grid ``n``."""
+    def make_shot(self, n: int = 65, *, noise: float | None = None) -> "SyntheticShot":
+        """Build (or fetch from cache) the synthetic shot at grid ``n``,
+        drawn with :attr:`default_seed` (another seed:
+        ``shot_factory(n, noise=, seed=)``)."""
         return self.shot_factory(
             n,
             noise=DEFAULT_NOISE if noise is None else noise,
-            seed=self.default_seed if seed is None else seed,
+            seed=self.default_seed,
         )
 
     @staticmethod

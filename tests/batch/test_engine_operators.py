@@ -10,7 +10,8 @@ from repro.edge_methods import DEFAULT_EDGE_METHOD
 from repro.efit.fitting import EfitSolver
 from repro.efit.operators import build_edge_operator, cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
-from repro.errors import OperatorError
+from repro.efit.grid import RZGrid
+from repro.errors import GridError, OperatorError
 from tests.serve.conftest import serve_reports
 
 
@@ -96,7 +97,7 @@ class TestBoundaryMethodKwarg:
 
 class TestEdgeOperatorInstance:
     def test_prebuilt_operator_accepted(self, shot33, slices4, dense_batch):
-        """Fleet workers inject the shared-arena operator this way."""
+        """Fleet workers inject the operator mapped from their arena this way."""
         op = build_edge_operator(cached_boundary_tables(shot33.grid), "lowrank")
         engine = BatchFitEngine(
             shot33.machine,
@@ -107,6 +108,21 @@ class TestEdgeOperatorInstance:
         )
         assert engine.edge_op is op
         assert _rel_dev(dense_batch, engine.fit_many(slices4)) <= 1e-10
+
+    @pytest.mark.parametrize("method", ["toeplitz", "lowrank", "dense"])
+    def test_an_operator_over_other_extents_is_refused(self, shot33, method):
+        """A grid is its extents as well as its shape: an operator built on
+        a 33x33 grid reaching 10 % further out in R applies the wrong
+        Green function, and the fit it drives converged to a flux map off
+        by 4.5e-2 of its span when only the shapes were compared."""
+        grid = shot33.grid
+        other = RZGrid(grid.nw, grid.nh, rmin=grid.rmin, rmax=1.1 * grid.rmax,
+                       zmin=grid.zmin, zmax=grid.zmax)
+        op = build_edge_operator(cached_boundary_tables(other), method)
+        with pytest.raises(GridError, match="edge operator built for a different grid"):
+            BatchFitEngine(shot33.machine, shot33.diagnostics, grid, edge_operator=op)
+        with pytest.raises(GridError, match="edge operator built for a different grid"):
+            EfitSolver(shot33.machine, shot33.diagnostics, grid, pflux_impl=op)
 
     def test_cached_operator_is_the_default_tolerance_build(self, shot33):
         """The process cache keys on (grid, method), so its accessor takes

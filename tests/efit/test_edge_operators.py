@@ -494,9 +494,9 @@ class TestDiskCache:
         np.testing.assert_array_equal(loaded.gpc, tables33.gpc)
 
         op = build_edge_operator(tables33, "lowrank")
-        assert diskcache.load_edge_operator(tables33, "lowrank", 1e-12) is None
-        assert diskcache.store_edge_operator(op, 1e-12)
-        clone = diskcache.load_edge_operator(tables33, "lowrank", 1e-12)
+        assert diskcache.load_edge_operator(tables33, "lowrank") is None
+        assert diskcache.store_edge_operator(op)
+        clone = diskcache.load_edge_operator(tables33, "lowrank")
         x = _probe(grid)
         np.testing.assert_array_equal(clone.apply(x), op.apply(x))
 
@@ -504,10 +504,10 @@ class TestDiskCache:
         # build; damaged entries fall back to None
         with pytest.raises(OperatorError, match="toeplitz and lowrank"):
             cached_edge_operator(tables33, "dense")
-        assert not diskcache.operator_path(grid, "dense", 1e-12).exists()
-        path = diskcache.operator_path(grid, "lowrank", 1e-12)
-        path.write_bytes(b"not a zipfile")
-        assert diskcache.load_edge_operator(tables33, "lowrank", 1e-12) is None
+        assert not list(tmp_path.glob("edgeop-*-dense"))
+        (spectra,) = tmp_path.glob("edgeop-*-lowrank/vert_spectra.npy")
+        spectra.write_bytes(b"not an array")
+        assert diskcache.load_edge_operator(tables33, "lowrank") is None
 
     def test_disabled_without_env(self, monkeypatch, tables33):
         from repro.efit import diskcache

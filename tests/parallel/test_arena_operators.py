@@ -1,26 +1,44 @@
-"""Edge operators through the table-arena layer."""
+"""Edge operators through a fleet's table arena."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.edge_methods import DEFAULT_EDGE_METHOD, EDGE_METHODS
-from repro.efit.grid import RZGrid
+from repro.efit.measurements import synthetic_shot_186610
 from repro.efit.operators import DenseEdgeOperator, build_edge_operator, cached_edge_operator
 from repro.efit.pflux import TableSumEdgeOperator
 from repro.efit.tables import boundary_table_cache, cached_boundary_tables
 from repro.errors import OperatorError
-from repro.parallel import TableArena, attach_arena
+from repro.parallel import ParallelFitEngine, SchedulerConfig
+from repro.parallel.engine import _map_arena
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return RZGrid(17, 17)
+def shot():
+    return synthetic_shot_186610(17)
+
+
+@pytest.fixture(scope="module")
+def grid(shot):
+    return shot.grid
+
+
+def _fleet(shot, op):
+    """An inline fleet staging ``op`` (the pool starts lazily)."""
+    return ParallelFitEngine(
+        shot.machine,
+        shot.diagnostics,
+        shot.grid,
+        edge_operator=op,
+        config=SchedulerConfig(workers=1, transport="inline"),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -41,28 +59,22 @@ UNSTAGED = {
 
 class TestStructuredArena:
     @pytest.mark.parametrize("method", STRUCTURED)
-    def test_build_attach_apply_bitwise(self, grid, tables, method):
-        """An operator rebuilt from arena segments applies bit-identically
-        to one built privately — fleet workers and the parent agree."""
+    def test_build_attach_apply_bitwise(self, shot, grid, tables, method):
+        """An operator rebuilt from the arena's entry applies
+        bit-identically to one built privately — fleet workers and the
+        parent agree."""
         local = cached_edge_operator(tables, method)
-        arena = TableArena.build(local)
-        try:
+        with _fleet(shot, local) as engine:
             x = np.random.default_rng(0).normal(size=(grid.size, 3))
-            np.testing.assert_array_equal(arena.edge_op().apply(x), local.apply(x))
-            np.testing.assert_array_equal(
-                attach_arena(arena.spec).edge_op().apply(x), local.apply(x)
-            )
-        finally:
-            arena.unlink()
+            for _ in range(2):
+                mapped = _map_arena(engine.arena, grid, method)[1]
+                assert mapped.apply(x).tobytes() == local.apply(x).tobytes()
 
     @pytest.mark.parametrize("form", list(UNSTAGED))
     def test_fleet_refuses_unstaged(self, tables, form, tmp_path, monkeypatch):
         """Only the two staged methods have an arena layout: the dense
         ground truth and the paper's table sums are an ``OperatorError``
         naming them, before any arena directory exists."""
-        from repro.efit.measurements import synthetic_shot_186610
-        from repro.parallel import ParallelFitEngine, SchedulerConfig
-
         made, mkdtemp = [], tempfile.mkdtemp
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setattr(
@@ -78,8 +90,6 @@ class TestStructuredArena:
                 edge_operator=op,
                 config=SchedulerConfig(workers=1, transport="inline"),
             )
-        with pytest.raises(OperatorError, match="toeplitz and lowrank"):
-            TableArena.build(UNSTAGED[form](tables))
         assert made == [] and not list(tmp_path.glob("repro_arena_*"))
 
     def test_the_cache_refuses_dense(self, tables):
@@ -105,40 +115,39 @@ def _same_bytes_and_apply(held_tables, held_op, tables, method) -> bool:
     )
 
 
-def _child_holds_views(spec, tables, attached, released, verdict):
-    arena = attach_arena(spec)
-    held_tables, held_op = arena.tables(), arena.edge_op()
+def _child_holds_views(path, tables, method, attached, released, verdict):
+    held_tables, held_op = _map_arena(path, tables.grid, method)
     attached.set()
     released.wait(timeout=60)
     verdict.put(
-        not os.path.exists(spec.path)
-        and _same_bytes_and_apply(held_tables, held_op, tables, spec.method)
+        not os.path.exists(path)
+        and _same_bytes_and_apply(held_tables, held_op, tables, method)
     )
 
 
 class TestViewsOutliveTheArena:
-    """What replaced the close/unlink protocol: a view owns its mapping,
-    so it reads the same bytes after the built arena is unlinked and
-    dropped — in the parent and in a worker.  Under the shared-memory
-    arena this was a segfault, then an ``ArenaError``."""
+    """A view owns its mapping, so it reads the same bytes after the
+    fleet has removed its arena and been dropped — in the parent and in a
+    worker.  Under a shared-memory arena this was a segfault, then an
+    ``ArenaError``."""
 
     @pytest.mark.parametrize("method", EDGE_METHODS)
-    def test_views_read_and_apply_after_the_arena_is_gone(self, grid, tables, method):
-        arena = TableArena.build(cached_edge_operator(tables, method))
-        spec = arena.spec
-        held_tables, held_op = arena.tables(), arena.edge_op()
+    def test_views_read_and_apply_after_the_arena_is_gone(self, shot, grid, tables, method):
+        engine = _fleet(shot, cached_edge_operator(tables, method))
+        path = engine.arena
+        held_tables, held_op = _map_arena(path, grid, method)
         ctx = multiprocessing.get_context("fork")
         attached, released, verdict = ctx.Event(), ctx.Event(), ctx.Queue()
         child = ctx.Process(
             target=_child_holds_views,
-            args=(spec, tables, attached, released, verdict),
+            args=(path, tables, method, attached, released, verdict),
         )
         child.start()
         try:
             assert attached.wait(timeout=60)
-            arena.unlink()
-            del arena
-            assert not os.path.exists(spec.path)
+            engine.close()
+            del engine
+            assert not os.path.exists(path)
             released.set()
             assert verdict.get(timeout=60) is True
         finally:
@@ -153,8 +162,6 @@ class TestFleetBoundaryMethod:
         """The fleet stages its operator in the arena for its workers; the
         low-rank fp64 path must track the dense serial engine to 1e-10."""
         from repro.batch import BatchFitEngine, synthetic_slice_sequence
-        from repro.efit.measurements import synthetic_shot_186610
-        from repro.parallel import ParallelFitEngine, SchedulerConfig
 
         shot = synthetic_shot_186610(33)
         slices = synthetic_slice_sequence(shot, 4, seed=5)
@@ -171,7 +178,7 @@ class TestFleetBoundaryMethod:
             config=SchedulerConfig(workers=2, transport="inline"),
             edge_operator=cached_edge_operator(tables, "lowrank"),
         ) as engine:
-            assert engine.arena.spec.method == "lowrank"
+            assert _map_arena(engine.arena, shot.grid, "lowrank")[1].method == "lowrank"
             fleet = engine.fit_many(slices)
         for a, b in zip(serial.results, fleet.results):
             scale = np.max(np.abs(a.psi))
@@ -181,10 +188,7 @@ class TestFleetBoundaryMethod:
 
     def test_default_fleet_stages_no_dense_matrix(self):
         """A fleet handed no operator stages the default one: the
-        Green table it aliases plus its spectra — no ``op_matrix``."""
-        from repro.efit.measurements import synthetic_shot_186610
-        from repro.parallel import ParallelFitEngine, SchedulerConfig
-
+        Green table it aliases plus its spectra — no dense matrix."""
         shot = synthetic_shot_186610(33)
         with ParallelFitEngine(
             shot.machine,
@@ -192,8 +196,16 @@ class TestFleetBoundaryMethod:
             shot.grid,
             config=SchedulerConfig(workers=1, transport="inline"),
         ) as engine:
-            spec = engine.arena.spec
-            assert spec.method == DEFAULT_EDGE_METHOD == "toeplitz"
-            assert spec.names == ("gpc", "op_vert_spectra", "op_meta_i8")
+            assert DEFAULT_EDGE_METHOD == "toeplitz"
+            staged = sorted(
+                (entry.name.rsplit("-", 1)[-1] if entry.name.startswith("edgeop") else "greens", f)
+                for entry in Path(engine.arena).iterdir()
+                for f in sorted(os.listdir(entry))
+            )
+            assert staged == [
+                ("greens", "gpc.npy"),
+                ("toeplitz", "meta_i8.npy"),
+                ("toeplitz", "vert_spectra.npy"),
+            ]
             gpc = cached_boundary_tables(shot.grid).gpc
-            assert gpc.nbytes < engine.arena.nbytes < 1.1 * gpc.nbytes
+            assert gpc.nbytes < engine.arena_nbytes < 1.1 * gpc.nbytes

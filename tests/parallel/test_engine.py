@@ -17,9 +17,11 @@ from repro.batch import BatchFitEngine, synthetic_slice_sequence
 from repro.efit.measurements import synthetic_shot_186610
 from repro.efit.operators import cached_edge_operator
 from repro.efit.tables import cached_boundary_tables
-from repro.errors import FittingError, JobQuarantinedError
+from repro.efit.grid import RZGrid
+from repro.errors import FittingError, GridError, JobQuarantinedError
 from repro.obs import TraceHooks, TraceRecorder
 from repro.parallel import CRASH_RATE_ENV, ParallelFitEngine, SchedulerConfig
+from repro.parallel.engine import _map_arena
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ class TestBitIdenticalMerge:
 
     def test_spawned_processes_match_serial(self, shot, slices):
         """A spawned worker has nothing of the parent's but the pickled
-        init arguments: the ``ArenaSpec`` must re-attach in a fresh
+        init arguments: the arena's path must map in a fresh
         interpreter, and the merge must not care how workers started."""
         serial = BatchFitEngine(
             shot.machine, shot.diagnostics, shot.grid, batch_size=2
@@ -127,18 +129,20 @@ class TestEngineApi:
         e1 = _inline_engine(shot, workers=1)
         with _inline_engine(shot, workers=1) as e2:
             try:
-                assert e1.arena.spec.path != e2.arena.spec.path
-                assert e1.arena.spec.names == e2.arena.spec.names
-                for name in e1.arena.spec.names:
-                    np.testing.assert_array_equal(
-                        e1.arena.array(name), e2.arena.array(name)
-                    )
+                assert e1.arena != e2.arena
+                (t1, op1), (t2, op2) = (
+                    _map_arena(e.arena, shot.grid, "toeplitz") for e in (e1, e2)
+                )
+                assert t1.gpc.tobytes() == t2.gpc.tobytes()
+                a1, a2 = op1.to_arrays(), op2.to_arrays()
+                assert a1.keys() == a2.keys()
+                assert all(a1[name].tobytes() == a2[name].tobytes() for name in a1)
             finally:
                 e1.close()
-            assert not os.path.exists(e1.arena.spec.path)
-            assert os.path.isdir(e2.arena.spec.path)
+            assert not os.path.exists(e1.arena)
+            assert os.path.isdir(e2.arena)
             _assert_identical(serial_result, e2.fit_many(slices))
-        assert not os.path.exists(e2.arena.spec.path)
+        assert not os.path.exists(e2.arena)
 
     def test_failed_construction_releases_the_arena(self, shot, monkeypatch, arena_tmpdir):
         """No engine comes back to close(), so the constructor removes the
@@ -186,6 +190,27 @@ class TestEngineApi:
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["1"]  # the arena was there while it ran ...
         assert not list(tmp_path.glob("repro_arena_*"))  # ... and is gone
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            RZGrid(17, 17),
+            RZGrid(33, 33, rmax=1.1 * 2.54),
+        ],
+        ids=["coarser", "wider"],
+    )
+    def test_an_operator_on_another_grid_is_refused_before_staging(
+        self, shot, other, arena_tmpdir
+    ):
+        """The workers reconstruct on the fleet's grid: an operator built
+        on another — another shape, or the same shape over other extents —
+        is a ``GridError`` before any arena exists (the fleet used to
+        stage it and return flux maps on the operator's grid)."""
+        op = cached_edge_operator(cached_boundary_tables(other))
+        before = set(arena_tmpdir.glob("repro_arena_*"))
+        with pytest.raises(GridError, match="edge operator built for grid"):
+            _inline_engine(shot, workers=1, edge_operator=op)
+        assert set(arena_tmpdir.glob("repro_arena_*")) == before
 
     def test_close_is_idempotent(self, shot):
         engine = _inline_engine(shot, workers=1)
@@ -235,7 +260,7 @@ class TestFailureModes:
             batch_size=2,
             config=SchedulerConfig(workers=2, transport=transport),
         ) as engine:
-            shutil.rmtree(engine.arena.spec.path)
+            shutil.rmtree(engine.arena)
             with pytest.raises(JobQuarantinedError) as excinfo:
                 engine.fit_many(slices)
         failures = excinfo.value.failures

@@ -99,7 +99,7 @@ def test_fitted_flux_satisfies_gs_for_any_noise(noise, seed):
     """Whatever the measurement noise, the reconstructed flux map still
     satisfies the discrete GS equation with its own fitted current."""
     sc = get_scenario("spherical-torus")
-    shot = sc.make_shot(N, noise=noise, seed=seed)
+    shot = sc.shot_factory(N, noise=noise, seed=seed)
     result = EfitSolver.for_scenario(sc, shot=shot).fit(shot.measurements)
     assert result.converged
     grid = shot.grid

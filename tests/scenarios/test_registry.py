@@ -144,8 +144,9 @@ class TestShotDefaults:
 
         sc = _scenario(name="stub-spy", shot_factory=spy, default_seed=7)
         assert sc.make_shot(33) == "shot"
-        assert sc.make_shot(33, noise=0.0, seed=1) == "shot"
-        assert calls == [(33, DEFAULT_NOISE, 7), (33, 0.0, 1)]
+        assert sc.make_shot(33, noise=0.0) == "shot"
+        assert sc.shot_factory(33, noise=0.0, seed=1) == "shot"
+        assert calls == [(33, DEFAULT_NOISE, 7), (33, 0.0, 7), (33, 0.0, 1)]
 
 
 def test_registry_is_import_light():
